@@ -13,7 +13,6 @@ vectors, so basis exhaustiveness is completeness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
@@ -27,114 +26,58 @@ from .spaces import (
     apply_p_delta,
     check_form_degree,
     dual_space,
+    supercommutator,
 )
 
 
-@dataclass(frozen=True)
-class SuperBracket:
-    """Bracket table on a super-space: table[i][j] = coordinates of [e_i, e_j]."""
+class SuperBracket(GradedBilinearMap):
+    """Bracket table on a super-space: table[i][j] = coordinates of [e_i, e_j].
 
-    space: SuperSpace
-    table: tuple[tuple[Vector, ...], ...]
+    An even bilinear map of the space into itself. Its axioms are the map's
+    own checks under their bracket names: check_even("grading", "bracket")
+    and check_super_skew("super-skew").
+    """
 
-    def __post_init__(self):
-        n = self.space.dim
-        object.__setattr__(
-            self, "table",
-            tuple(tuple(linalg.vec(v) for v in row) for row in self.table),
-        )
-        if len(self.table) != n or any(len(row) != n or any(len(v) != n for v in row) for row in self.table):
-            raise ValueError("bracket table must be dim x dim of dim-vectors")
+    def __init__(self, space: SuperSpace, table):
+        super().__init__(space, space, space, table)
+
+    @property
+    def space(self) -> SuperSpace:
+        return self.target
 
     @classmethod
     def zero(cls, space: SuperSpace) -> "SuperBracket":
-        n = space.dim
-        return cls(space, tuple(tuple(linalg.zero_vec(n) for _ in range(n)) for _ in range(n)))
+        return cls(space, GradedBilinearMap.zero(space, space, space).table)
 
     @classmethod
     def from_entries(cls, space: SuperSpace, entries) -> "SuperBracket":
         """entries: iterable of structure constants (i, j, k, c) meaning
         [e_i, e_j] has coefficient c on e_k. Both (i,j) and (j,i) rows are
         expected in the input; nothing is symmetrised."""
-        n = space.dim
-        table = [[list(linalg.zero_vec(n)) for _ in range(n)] for _ in range(n)]
-        for i, j, k, c in entries:
-            table[i][j][k] += Fraction(c)
-        return cls(space, tuple(tuple(tuple(v) for v in row) for row in table))
-
-    def vec(self, i: int, j: int) -> Vector:
-        return self.table[i][j]
-
-    def bracket(self, u: Sequence, v: Sequence) -> Vector:
-        out = linalg.zero_vec(self.space.dim)
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if b:
-                    out = linalg.vec_add(out, linalg.vec_scale(a * b, self.table[i][j]))
-        return out
+        return cls(space, GradedBilinearMap.from_entries(space, space, space, entries).table)
 
     def ad_matrix(self, i: int) -> Matrix:
         """Matrix of ad(e_i): column j is [e_i, e_j]."""
-        return linalg.transpose(tuple(self.table[i][j] for j in range(self.space.dim)))
+        return linalg.transpose(self.table[i])
 
     def ad_vector_matrix(self, w: Sequence) -> Matrix:
         """Matrix of ad(w) for a coordinate vector w."""
         n = self.space.dim
-        cols = tuple(self.bracket(w, linalg.unit_vec(n, j)) for j in range(n))
-        return linalg.transpose(cols)
-
-    def entries(self):
-        """Sorted nonzero structure constants as (i, j, k, c)."""
-        out = []
-        for i in range(self.space.dim):
-            for j in range(self.space.dim):
-                for k, c in enumerate(self.table[i][j]):
-                    if c:
-                        out.append((i, j, k, c))
-        return out
-
-    def check_grading(self) -> Violation | None:
-        par = self.space.parities
-        for i in range(self.space.dim):
-            for j in range(self.space.dim):
-                want = (par[i] + par[j]) % 2
-                for k, c in enumerate(self.table[i][j]):
-                    if c != 0 and par[k] != want:
-                        return Violation("grading", (i, j, k), c,
-                                         "bracket leaves its parity block")
-        return None
-
-    def check_super_skew(self) -> Violation | None:
-        par = self.space.parities
-        for i in range(self.space.dim):
-            for j in range(self.space.dim):
-                sign = -1 if par[i] * par[j] else 1
-                expect = linalg.vec_scale(-sign, self.table[i][j])
-                if self.table[j][i] != expect:
-                    return Violation("super-skew", (i, j),
-                                     linalg.vec_sub(self.table[j][i], expect))
-        return None
+        return linalg.transpose(tuple(self.left_vector(w, j) for j in range(n)))
 
 
-def jacobi_residual(bracket: SuperBracket, i: int, j: int, k: int) -> Vector:
-    """Cyclic sum (-1)^{|x||z|}[x,[y,z]] over (e_i, e_j, e_k)."""
-    par = bracket.space.parities
-    n = bracket.space.dim
+def cyclic_residual(parities: Sequence[int], i: int, j: int, k: int, piece) -> Vector:
+    """Super-cyclic sum of (-1)^{|x||z|} piece(x, y, z) over the shifts of (i, j, k).
 
-    def term(a, b, c):
-        inner = bracket.table[b][c]
-        out = linalg.zero_vec(n)
-        for m, coeff in enumerate(inner):
-            if coeff:
-                out = linalg.vec_add(out, linalg.vec_scale(coeff, bracket.table[a][m]))
-        sign = -1 if par[a] * par[c] else 1
-        return linalg.vec_scale(sign, out)
-
-    total = term(i, j, k)
-    total = linalg.vec_add(total, term(j, k, i))
-    total = linalg.vec_add(total, term(k, i, j))
+    Every cyclic identity of the construction has this shape: Jacobi with
+    piece [x,[y,z]], and the cocycle conditions with their own pieces.
+    """
+    total = None
+    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+        term = piece(x, y, z)
+        if parities[x] * parities[z]:
+            term = linalg.vec_scale(-1, term)
+        total = term if total is None else linalg.vec_add(total, term)
     return total
 
 
@@ -146,10 +89,15 @@ def check_jacobi(bracket: SuperBracket) -> Violation | None:
     exhaustive.
     """
     n = bracket.space.dim
+    par = bracket.space.parities
+
+    def piece(x, y, z):  # [e_x, [e_y, e_z]]
+        return bracket.right_vector(x, bracket.table[y][z])
+
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
-                res = jacobi_residual(bracket, i, j, k)
+                res = cyclic_residual(par, i, j, k, piece)
                 if not linalg.vec_is_zero(res):
                     return Violation("jacobi", (i, j, k), res)
     return None
@@ -160,7 +108,8 @@ class LieSuperAlgebra:
     bracket: SuperBracket
 
     def __post_init__(self):
-        for check in (self.bracket.check_grading, self.bracket.check_super_skew,
+        for check in (lambda: self.bracket.check_even("grading", "bracket"),
+                      lambda: self.bracket.check_super_skew("super-skew"),
                       lambda: check_jacobi(self.bracket)):
             v = check()
             if v is not None:
@@ -245,9 +194,9 @@ def is_derivation(d: GradedLinearMap, bracket: SuperBracket) -> bool:
         di = d.column(i)
         for j in range(n):
             lhs = d.apply(bracket.table[i][j])
-            rhs = bracket.bracket(di, linalg.unit_vec(n, j))
+            rhs = bracket.left_vector(di, j)
             sign = -1 if (d.degree * par[i]) % 2 else 1
-            rhs = linalg.vec_add(rhs, linalg.vec_scale(sign, bracket.bracket(linalg.unit_vec(n, i), d.column(j))))
+            rhs = linalg.vec_add(rhs, linalg.vec_scale(sign, bracket.right_vector(i, d.column(j))))
             if lhs != rhs:
                 return False
     return True
@@ -319,20 +268,7 @@ class Representation:
 
 def coadjoint(g: LieSuperAlgebra) -> Representation:
     """ad*(x)(f) = -(-1)^{|x||f|} f o ad(x) on the dual space."""
-    n = g.dim
-    par = g.space.parities
-    module = dual_space(g.space)
-    maps = []
-    for i in range(n):
-        rows = [[ZERO] * n for _ in range(n)]
-        for j in range(n):
-            sign = -1 if par[i] * par[j] else 1
-            for k in range(n):
-                c = g.bracket.table[i][k][j]
-                if c:
-                    rows[k][j] = -sign * c
-        maps.append(GradedLinearMap(module, module, par[i], tuple(tuple(r) for r in rows)))
-    return Representation(g, module, tuple(maps))
+    return delta_coadjoint(g, 0)
 
 
 def delta_coadjoint(g: LieSuperAlgebra, delta: int) -> Representation:
@@ -353,12 +289,18 @@ def delta_coadjoint(g: LieSuperAlgebra, delta: int) -> Representation:
     return Representation(g, module, tuple(maps))
 
 
-def _cyclic_terms(pi: int, pj: int, pk: int) -> tuple[int, int, int]:
-    """Signs of the three cyclic terms for arguments of parities (pi, pj, pk)."""
-    s1 = -1 if pk * pi else 1
-    s2 = -1 if pi * pj else 1
-    s3 = -1 if pj * pk else 1
-    return s1, s2, s3
+def curvature_failures(a: LieSuperAlgebra, h_bracket: SuperBracket,
+                       theta: Sequence[GradedLinearMap], lam: GradedBilinearMap):
+    """Pairs (i, j), in scan order, where the curvature condition
+    [theta(x_i), theta(x_j)] - theta([x_i, x_j]_a) = ad_h(lam(x_i, x_j)) fails."""
+    for i in range(a.dim):
+        for j in range(a.dim):
+            lhs = supercommutator(theta[i], theta[j]).matrix
+            for m, c in enumerate(a.bracket.table[i][j]):
+                if c:
+                    lhs = linalg.mat_sub(lhs, linalg.mat_scale(c, theta[m].matrix))
+            if lhs != h_bracket.ad_vector_matrix(lam.value(i, j)):
+                yield i, j
 
 
 def semidirect_product(a: LieSuperAlgebra, h: LieSuperAlgebra,
@@ -390,32 +332,18 @@ def semidirect_product(a: LieSuperAlgebra, h: LieSuperAlgebra,
             raise ConditionViolated(v)
 
     # [theta(x),theta(y)] - theta([x,y]_a) must be the inner derivation of lam(x,y)
-    for i in range(na):
-        for j in range(na):
-            sign = -1 if par_a[i] * par_a[j] else 1
-            comm = linalg.mat_sub(linalg.mat_mul(theta[i].matrix, theta[j].matrix),
-                                  linalg.mat_scale(sign, linalg.mat_mul(theta[j].matrix, theta[i].matrix)))
-            tb = linalg.zero_mat(nh, nh)
-            for m, c in enumerate(a.bracket.table[i][j]):
-                if c:
-                    tb = linalg.mat_add(tb, linalg.mat_scale(c, theta[m].matrix))
-            rhs = h.bracket.ad_vector_matrix(lam.value(i, j))
-            if linalg.mat_sub(comm, tb) != rhs:
-                raise ConditionViolated(Violation("semidirect-1", (i, j)))
+    for ij in curvature_failures(a, h.bracket, theta, lam):
+        raise ConditionViolated(Violation("semidirect-1", ij))
 
     # Cyclic sum of theta(x)(lam(y,z)) + lam(x, [y,z]_a)
+    def piece(x, y, z):
+        return linalg.vec_add(theta[x].apply(lam.value(y, z)),
+                              lam.right_vector(x, a.bracket.table[y][z]))
+
     for i in range(na):
         for j in range(na):
             for k in range(na):
-                s1, s2, s3 = _cyclic_terms(par_a[i], par_a[j], par_a[k])
-
-                def piece(x, y, z):
-                    return linalg.vec_add(theta[x].apply(lam.value(y, z)),
-                                          lam.right_vector(x, a.bracket.table[y][z]))
-
-                total = linalg.vec_scale(s1, piece(i, j, k))
-                total = linalg.vec_add(total, linalg.vec_scale(s2, piece(j, k, i)))
-                total = linalg.vec_add(total, linalg.vec_scale(s3, piece(k, i, j)))
+                total = cyclic_residual(par_a, i, j, k, piece)
                 if not linalg.vec_is_zero(total):
                     raise ConditionViolated(Violation("semidirect-2", (i, j, k), total))
 

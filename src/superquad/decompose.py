@@ -21,7 +21,7 @@ from .algebra import (
     LieSuperAlgebra,
     QuadraticLieSuperAlgebra,
     SuperBracket,
-    _cyclic_terms,
+    cyclic_residual,
     delta_coadjoint,
     is_derivation,
     is_metric_skew,
@@ -30,12 +30,13 @@ from .errors import (
     ClaimViolated,
     DegenerateInput,
     DegeneratePairing,
+    InvalidContext,
     NotAnIdealSplit,
     SuperquadError,
     ValidationError,
     Violation,
 )
-from .extension import DeltaContext, derive_chi, derive_phi, double_extend, validate_context
+from .extension import DeltaContext, derive_chi, derive_phi, double_extend
 from .linalg import Vector, ZERO
 from .spaces import (
     GradedBilinearForm,
@@ -254,7 +255,7 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence
     ideal_space = _block_space(g.space, cols[na + nh:], "i")
 
     def comp(p, q):
-        w = g.bracket.bracket(cols[p], cols[q])
+        w = g.bracket.value_vectors(cols[p], cols[q])
         z = linalg.mat_vec(m_inv, w)
         return z[:na], z[na:na + nh], z[na + nh:]
 
@@ -365,11 +366,11 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: list[Vector]) -> None:
         for j, v in enumerate(ideal):
             if g.metric.value(u, v) != 0:
                 raise ClaimViolated("ideal-isotropic", [Violation("ideal-isotropic", (i, j))])
-            if not linalg.vec_is_zero(g.bracket.bracket(u, v)):
+            if not linalg.vec_is_zero(g.bracket.value_vectors(u, v)):
                 raise ClaimViolated("ideal-abelian", [Violation("ideal-abelian", (i, j))])
     for p in range(n):
         for r, v in enumerate(ideal):
-            w = g.bracket.bracket(linalg.unit_vec(n, p), v)
+            w = g.bracket.right_vector(p, v)
             if not linalg.in_span(ideal, w):
                 raise ClaimViolated("ideal-invariant", [Violation("ideal-invariant", (p, r), w)])
 
@@ -411,24 +412,20 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
         raise ClaimViolated("a-superalgebra", exc.violations) from exc
 
     # compatibility sums of the split Jacobi identity on a-triples
+    def h_piece(x, y, z):
+        return linalg.vec_add(maps.lam.right_vector(x, maps.a_table.table[y][z]),
+                              maps.rho[x].apply(maps.lam.value(y, z)))
+
+    def i_piece(x, y, z):
+        t = maps.mu.right_vector(x, maps.a_table.table[y][z])
+        t = linalg.vec_add(t, maps.tau[x].apply(maps.lam.value(y, z)))
+        return linalg.vec_add(t, maps.sigma[x].apply(maps.mu.value(y, z)))
+
     for i in range(na):
         for j in range(na):
             for k in range(na):
-                s1, s2, s3 = _cyclic_terms(pa[i], pa[j], pa[k])
-
-                def h_piece(x, y, z):
-                    return linalg.vec_add(maps.lam.right_vector(x, maps.a_table.table[y][z]),
-                                          maps.rho[x].apply(maps.lam.value(y, z)))
-
-                def i_piece(x, y, z):
-                    t = maps.mu.right_vector(x, maps.a_table.table[y][z])
-                    t = linalg.vec_add(t, maps.tau[x].apply(maps.lam.value(y, z)))
-                    return linalg.vec_add(t, maps.sigma[x].apply(maps.mu.value(y, z)))
-
                 for piece, claim in ((h_piece, "a-lambda-cyclic"), (i_piece, "a-mu-cyclic")):
-                    total = linalg.vec_scale(s1, piece(i, j, k))
-                    total = linalg.vec_add(total, linalg.vec_scale(s2, piece(j, k, i)))
-                    total = linalg.vec_add(total, linalg.vec_scale(s3, piece(k, i, j)))
+                    total = cyclic_residual(pa, i, j, k, piece)
                     if not linalg.vec_is_zero(total):
                         raise ClaimViolated(claim, [Violation(claim, (i, j, k), total)])
 
@@ -487,11 +484,10 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
             if xi_delta.apply(maps.gamma.value(m, l)) != phi.value(m, l):
                 raise ClaimViolated("gamma-phi", [Violation("gamma-phi", (m, l))])
 
-    violations = validate_context(context)
-    if violations:
-        raise ClaimViolated("context", violations)
-
-    ext = double_extend(context)
+    try:
+        ext = double_extend(context)
+    except InvalidContext as exc:
+        raise ClaimViolated("context", exc.violations) from exc
 
     # isometry x + u + alpha -> x + u + xi_delta(alpha): with the identity
     # pairing, its matrix in the split basis is the identity, so the claim is
@@ -501,7 +497,7 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
     m_inv = linalg.inverse(linalg.transpose(cols))
     for p in range(n):
         for q in range(n):
-            w = linalg.mat_vec(m_inv, g.bracket.bracket(cols[p], cols[q]))
+            w = linalg.mat_vec(m_inv, g.bracket.value_vectors(cols[p], cols[q]))
             if w != ext.bracket.table[p][q]:
                 raise ClaimViolated("isometry-bracket",
                                     [Violation("isometry-bracket", (p, q),

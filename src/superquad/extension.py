@@ -15,14 +15,14 @@ successful return is a machine proof for the instance at hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import linalg
 from .algebra import (
     LieSuperAlgebra,
     QuadraticLieSuperAlgebra,
     SuperBracket,
-    _cyclic_terms,
+    curvature_failures,
+    cyclic_residual,
     delta_coadjoint,
     is_derivation,
     is_metric_skew,
@@ -159,63 +159,28 @@ def validate_context(ctx: DeltaContext) -> list[Violation]:
 
     chi = derive_chi(ctx)
     rep = delta_coadjoint(ctx.a, ctx.delta)
-    nh = ctx.h.dim
 
     # deh1: [rho(x),rho(y)] - rho([x,y]_a) = ad_h(lambda(x,y))
-    for i in range(na):
-        for j in range(na):
-            sign = -1 if par[i] * par[j] else 1
-            comm = linalg.mat_sub(
-                linalg.mat_mul(ctx.rho[i].matrix, ctx.rho[j].matrix),
-                linalg.mat_scale(sign, linalg.mat_mul(ctx.rho[j].matrix, ctx.rho[i].matrix)))
-            rb = linalg.zero_mat(nh, nh)
-            for m, c in enumerate(ctx.a.bracket.table[i][j]):
-                if c:
-                    rb = linalg.mat_add(rb, linalg.mat_scale(c, ctx.rho[m].matrix))
-            rhs = ctx.h.bracket.ad_vector_matrix(ctx.lam.value(i, j))
-            if linalg.mat_sub(comm, rb) != rhs:
-                out.append(Violation("deh1", (i, j)))
-
-    def rho_vector(w: Sequence) -> linalg.Matrix:
-        acc = linalg.zero_mat(nh, nh)
-        for m, c in enumerate(w):
-            if c:
-                acc = linalg.mat_add(acc, linalg.mat_scale(c, ctx.rho[m].matrix))
-        return acc
+    out += [Violation("deh1", ij) for ij in curvature_failures(ctx.a, ctx.h.bracket, ctx.rho, ctx.lam)]
 
     # deh2: cyclic sum of rho(x)(lambda(y,z)) + lambda(x,[y,z]_a)
-    for i in range(na):
-        for j in range(na):
-            for k in range(na):
-                s1, s2, s3 = _cyclic_terms(par[i], par[j], par[k])
-
-                def piece(x, y, z):
-                    return linalg.vec_add(
-                        ctx.rho[x].apply(ctx.lam.value(y, z)),
-                        ctx.lam.right_vector(x, ctx.a.bracket.table[y][z]))
-
-                total = linalg.vec_scale(s1, piece(i, j, k))
-                total = linalg.vec_add(total, linalg.vec_scale(s2, piece(j, k, i)))
-                total = linalg.vec_add(total, linalg.vec_scale(s3, piece(k, i, j)))
-                if not linalg.vec_is_zero(total):
-                    out.append(Violation("deh2", (i, j, k), total))
+    def deh2_piece(x, y, z):
+        return linalg.vec_add(ctx.rho[x].apply(ctx.lam.value(y, z)),
+                              ctx.lam.right_vector(x, ctx.a.bracket.table[y][z]))
 
     # deh3: cyclic sum of ad*_d(x)(omega(y,z)) + omega(x,[y,z]_a) + chi(x,lambda(y,z))
-    for i in range(na):
-        for j in range(na):
-            for k in range(na):
-                s1, s2, s3 = _cyclic_terms(par[i], par[j], par[k])
+    def deh3_piece(x, y, z):
+        t = rep.action[x].apply(ctx.omega.value(y, z))
+        t = linalg.vec_add(t, ctx.omega.right_vector(x, ctx.a.bracket.table[y][z]))
+        return linalg.vec_add(t, chi.right_vector(x, ctx.lam.value(y, z)))
 
-                def piece(x, y, z):
-                    t = rep.action[x].apply(ctx.omega.value(y, z))
-                    t = linalg.vec_add(t, ctx.omega.right_vector(x, ctx.a.bracket.table[y][z]))
-                    return linalg.vec_add(t, chi.right_vector(x, ctx.lam.value(y, z)))
-
-                total = linalg.vec_scale(s1, piece(i, j, k))
-                total = linalg.vec_add(total, linalg.vec_scale(s2, piece(j, k, i)))
-                total = linalg.vec_add(total, linalg.vec_scale(s3, piece(k, i, j)))
-                if not linalg.vec_is_zero(total):
-                    out.append(Violation("deh3", (i, j, k), total))
+    for name, piece in (("deh2", deh2_piece), ("deh3", deh3_piece)):
+        for i in range(na):
+            for j in range(na):
+                for k in range(na):
+                    total = cyclic_residual(par, i, j, k, piece)
+                    if not linalg.vec_is_zero(total):
+                        out.append(Violation(name, (i, j, k), total))
 
     # super cyclic condition on omega
     for i in range(na):
@@ -281,13 +246,13 @@ def _lemma_residuals(ctx: DeltaContext) -> list[Violation]:
                     out.append(Violation("lemma-2", (i, j, m), total))
 
     # cyclic sum of (-1)^{|u||w|} Phi(u,[v,w]_h) = 0
+    def phi_piece(x, y, z):
+        return phi.right_vector(x, ctx.h.bracket.table[y][z])
+
     for m in range(nh):
         for l in range(nh):
             for r in range(nh):
-                s1, s2, s3 = _cyclic_terms(qh[m], qh[l], qh[r])
-                total = linalg.vec_scale(s1, phi.right_vector(m, ctx.h.bracket.table[l][r]))
-                total = linalg.vec_add(total, linalg.vec_scale(s2, phi.right_vector(l, ctx.h.bracket.table[r][m])))
-                total = linalg.vec_add(total, linalg.vec_scale(s3, phi.right_vector(r, ctx.h.bracket.table[m][l])))
+                total = cyclic_residual(qh, m, l, r, phi_piece)
                 if not linalg.vec_is_zero(total):
                     out.append(Violation("phi-cocycle", (m, l, r), total))
 

@@ -31,11 +31,11 @@ def format_scalar(c: Fraction) -> str:
     return str(Fraction(c))
 
 
-def parse_scalar(text: str, line: int) -> Fraction:
+def parse_scalar(text: str, line: int = 0, field_name: str = "") -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}", line) from exc
+        raise ParseError(f"bad rational {text!r}", line, field_name) from exc
 
 
 @dataclass(frozen=True)
@@ -341,6 +341,28 @@ def _dedup(entries, what: str):
     return tuple(sorted(out))
 
 
+def _json_int(x, what: str = "index") -> int:
+    """A JSON integer; bools and floats are rejected."""
+    if type(x) is not int:
+        raise ParseError(f"{what} must be a JSON integer, got {json.dumps(x)}")
+    return x
+
+
+def _json_scalar(c) -> Fraction:
+    """A rational string or a JSON integer; never a float, whose binary value
+    would be silently inexact."""
+    if isinstance(c, str):
+        return parse_scalar(c)
+    if type(c) is not int:
+        raise ParseError(f"coefficient must be a rational string or a JSON integer, got {json.dumps(c)}")
+    return Fraction(c)
+
+
+def _json_entry(*fields) -> tuple:
+    """JSON integer indices followed by a coefficient."""
+    return tuple(_json_int(i) for i in fields[:-1]) + (_json_scalar(fields[-1]),)
+
+
 def _check_ranges(entries, bounds, what: str):
     for entry in entries:
         for index, bound in zip(entry, bounds):
@@ -350,15 +372,13 @@ def _check_ranges(entries, bounds, what: str):
 
 def _algebra_from_obj(obj: dict) -> AlgebraDocument:
     try:
-        basis = tuple((str(l), int(p)) for l, p in obj["basis"])
-        bracket = _dedup([(int(i), int(j), int(k), Fraction(c))
-                          for i, j, k, c in obj["bracket"]], "bracket")
+        basis = tuple((str(l), _json_int(p, "parity")) for l, p in obj["basis"])
+        bracket = _dedup([_json_entry(i, j, k, c) for i, j, k, c in obj["bracket"]], "bracket")
         degree = None
         metric = ()
         if "metric" in obj:
-            degree = int(obj["metric"]["degree"])
-            metric = _dedup([(int(i), int(j), Fraction(c))
-                             for i, j, c in obj["metric"]["entries"]], "metric")
+            degree = _json_int(obj["metric"]["degree"], "metric degree")
+            metric = _dedup([_json_entry(i, j, c) for i, j, c in obj["metric"]["entries"]], "metric")
         if degree is not None and degree not in (0, 1):
             raise ParseError("metric degree must be 0 or 1")
         for _, p in basis:
@@ -401,11 +421,11 @@ def document_from_obj(obj: dict) -> Document:
     if kind == "context":
         try:
             doc = ContextDocument(
-                str(obj["name"]), int(obj["delta"]),
+                str(obj["name"]), _json_int(obj["delta"], "delta"),
                 _algebra_from_obj(obj["h"]), _algebra_from_obj(obj["a"]),
-                _dedup([(int(x), int(r), int(c), Fraction(v)) for x, r, c, v in obj["rho"]], "rho"),
-                _dedup([(int(i), int(j), int(k), Fraction(v)) for i, j, k, v in obj["lambda"]], "lambda"),
-                _dedup([(int(i), int(j), int(k), Fraction(v)) for i, j, k, v in obj["omega"]], "omega"),
+                _dedup([_json_entry(x, r, c, v) for x, r, c, v in obj["rho"]], "rho"),
+                _dedup([_json_entry(i, j, k, v) for i, j, k, v in obj["lambda"]], "lambda"),
+                _dedup([_json_entry(i, j, k, v) for i, j, k, v in obj["omega"]], "omega"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed context object: {exc}") from exc
@@ -419,7 +439,7 @@ def document_from_obj(obj: dict) -> Document:
     if kind == "ideal":
         try:
             return IdealDocument(str(obj["name"]),
-                                 tuple(tuple(Fraction(c) for c in v) for v in obj["vectors"]))
+                                 tuple(tuple(_json_scalar(c) for c in v) for v in obj["vectors"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed ideal object: {exc}") from exc
     raise ParseError(f"unknown document kind {kind!r}")
@@ -521,8 +541,5 @@ def context_to_document(ctx: DeltaContext, name: str) -> ContextDocument:
     a_doc = algebra_to_document(ctx.a, "a")
     rho = tuple((i, r, c, v) for i, t in enumerate(ctx.rho)
                 for r, row in enumerate(t.matrix) for c, v in enumerate(row) if v)
-    lam = tuple((i, j, k, v) for i in range(ctx.a.dim) for j in range(ctx.a.dim)
-                for k, v in enumerate(ctx.lam.value(i, j)) if v)
-    omega = tuple((i, j, k, v) for i in range(ctx.a.dim) for j in range(ctx.a.dim)
-                  for k, v in enumerate(ctx.omega.value(i, j)) if v)
-    return ContextDocument(name, ctx.delta, h_doc, a_doc, rho, lam, omega).canonical()
+    return ContextDocument(name, ctx.delta, h_doc, a_doc, rho,
+                           tuple(ctx.lam.entries()), tuple(ctx.omega.entries())).canonical()

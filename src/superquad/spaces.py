@@ -80,10 +80,6 @@ class SuperSpace:
         return None
 
 
-def make_space(labels_parities) -> SuperSpace:
-    return SuperSpace(tuple(labels_parities))
-
-
 def parity_shift(space: SuperSpace) -> SuperSpace:
     """P(V): same labels, every parity flipped."""
     return SuperSpace(tuple((l, (p + 1) % 2) for l, p in space.basis))
@@ -175,11 +171,6 @@ class GradedLinearMap:
 def parity_shift_map(t: GradedLinearMap) -> GradedLinearMap:
     """P(T): source parities flipped, same entries, degree raised; P(T)(P(v)) = T(v)."""
     return GradedLinearMap(parity_shift(t.source), t.target, (t.degree + 1) % 2, t.matrix)
-
-
-def parity_shift_map_target(t: GradedLinearMap) -> GradedLinearMap:
-    """The Hom(V, P(W)) transfer: target parities flipped, same entries."""
-    return GradedLinearMap(t.source, parity_shift(t.target), (t.degree + 1) % 2, t.matrix)
 
 
 def supercommutator(s: GradedLinearMap, t: GradedLinearMap) -> GradedLinearMap:
@@ -326,30 +317,40 @@ class GradedBilinearMap:
 
     def value_vectors(self, u: Sequence, v: Sequence) -> Vector:
         out = linalg.zero_vec(self.target.dim)
-        for i, c in enumerate(u):
-            if c:
-                out = linalg.vec_add(out, linalg.vec_scale(c, self.right_vector(i, v)))
+        for i, a in enumerate(u):
+            if not a:
+                continue
+            for j, b in enumerate(v):
+                if b:
+                    out = linalg.vec_add(out, linalg.vec_scale(a * b, self.table[i][j]))
         return out
+
+    def entries(self):
+        """Sorted nonzero coefficients as (i, j, k, c)."""
+        return [(i, j, k, c) for i, row in enumerate(self.table) for j, v in enumerate(row)
+                for k, c in enumerate(v) if c]
 
     def is_zero(self) -> bool:
         return all(linalg.vec_is_zero(v) for row in self.table for v in row)
 
-    def check_even(self, name: str = "bilinear-even") -> Violation | None:
+    def check_even(self, name: str = "bilinear-even", what: str = "value") -> Violation | None:
         """As an even map, the value on (e_i, e_j) lies in the (p_i + p_j) block."""
+        pl, pr, pt = self.left.parities, self.right.parities, self.target.parities
         for i in range(self.left.dim):
             for j in range(self.right.dim):
-                want = (self.left.parity(i) + self.right.parity(j)) % 2
+                want = (pl[i] + pr[j]) % 2
                 for k, c in enumerate(self.table[i][j]):
-                    if c != 0 and self.target.parity(k) != want:
-                        return Violation(name, (i, j, k), c, "value leaves its parity block")
+                    if c != 0 and pt[k] != want:
+                        return Violation(name, (i, j, k), c, f"{what} leaves its parity block")
         return None
 
     def check_super_skew(self, name: str = "bilinear-skew") -> Violation | None:
         if self.left.basis != self.right.basis:
             raise ValueError("super skew-symmetry needs equal source spaces")
+        par = self.left.parities
         for i in range(self.left.dim):
             for j in range(self.right.dim):
-                sign = -1 if self.left.parity(i) * self.right.parity(j) else 1
+                sign = -1 if par[i] * par[j] else 1
                 expect = linalg.vec_scale(-sign, self.table[i][j])
                 if self.table[j][i] != expect:
                     return Violation(name, (i, j), linalg.vec_sub(self.table[j][i], expect))

@@ -66,7 +66,7 @@ def change_basis(g: QuadraticLieSuperAlgebra, cols) -> QuadraticLieSuperAlgebra:
     m_inv = linalg.inverse(m)
     space = SuperSpace(tuple((f"b{i}", g.space.vector_parity(cols[i])) for i in range(n)))
     table = tuple(
-        tuple(linalg.mat_vec(m_inv, g.bracket.bracket(cols[p], cols[q])) for q in range(n))
+        tuple(linalg.mat_vec(m_inv, g.bracket.value_vectors(cols[p], cols[q])) for q in range(n))
         for p in range(n)
     )
     metric = tuple(tuple(g.metric.value(cols[p], cols[q]) for q in range(n)) for p in range(n))
@@ -155,7 +155,7 @@ def random_superalgebra_scrambled(rng, max_dim=5) -> LieSuperAlgebra:
     m_inv = linalg.inverse(linalg.transpose(cols))
     space = SuperSpace(tuple((f"b{i}", g.space.vector_parity(cols[i])) for i in range(n)))
     table = tuple(
-        tuple(linalg.mat_vec(m_inv, g.bracket.bracket(cols[p], cols[q])) for q in range(n))
+        tuple(linalg.mat_vec(m_inv, g.bracket.value_vectors(cols[p], cols[q])) for q in range(n))
         for p in range(n)
     )
     return LieSuperAlgebra(SuperBracket(space, table))
@@ -384,6 +384,11 @@ class _PairVars:
                                  tuple(tuple(tuple(v) for v in row) for row in table))
 
 
+def _cyclic_signs(pi, pj, pk):
+    """Signs (-1)^{|x||z|} of the shifts (i,j,k), (j,k,i), (k,i,j)."""
+    return (-1 if pk * pi else 1), (-1 if pi * pj else 1), (-1 if pj * pk else 1)
+
+
 def _combine(*term_lists):
     acc = {}
     for scale, terms in term_lists:
@@ -443,11 +448,10 @@ def solve_lambda(rng, a: LieSuperAlgebra, h: QuadraticLieSuperAlgebra,
             out.append(_combine(*[(c, piece[r]) for c, piece in pieces]))
         return out
 
-    from superquad.algebra import _cyclic_terms
     for i in range(na):
         for j in range(na):
             for k in range(na):
-                s1, s2, s3 = _cyclic_terms(pa[i], pa[j], pa[k])
+                s1, s2, s3 = _cyclic_signs(pa[i], pa[j], pa[k])
                 for r in range(nh):
                     terms = {}
                     for s, (x, y, z) in ((s1, (i, j, k)), (s2, (j, k, i)), (s3, (k, i, j))):
@@ -490,11 +494,10 @@ def solve_omega(rng, delta, a: LieSuperAlgebra, h: QuadraticLieSuperAlgebra,
         pieces = [(c, pv.coeff_rows(x, m)) for m, c in enumerate(vec) if c]
         return [_combine(*[(c, piece[r]) for c, piece in pieces]) for r in range(na)]
 
-    from superquad.algebra import _cyclic_terms
     for i in range(na):
         for j in range(na):
             for k in range(na):
-                s1, s2, s3 = _cyclic_terms(pa[i], pa[j], pa[k])
+                s1, s2, s3 = _cyclic_signs(pa[i], pa[j], pa[k])
                 const_vec = [ZERO] * na
                 terms_vec = [{} for _ in range(na)]
                 for s, (x, y, z) in ((s1, (i, j, k)), (s2, (j, k, i)), (s3, (k, i, j))):

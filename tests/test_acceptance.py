@@ -202,19 +202,19 @@ def _corruption_cases():
 
     def case_grading():
         b = _mutate_bracket(g, [(0, 1, 3, ONE), (1, 0, 3, -ONE)])
-        v = b.check_grading()
+        v = b.check_even("grading", "bracket")
         assert v is not None and v.equation == "grading" and tuple(v.indices) == (0, 1, 3)
-        assert b.check_super_skew() is None
+        assert b.check_super_skew("super-skew") is None
 
     def case_super_skew():
         b = _mutate_bracket(g, [(0, 1, 1, ONE)])
-        assert b.check_grading() is None
-        v = b.check_super_skew()
+        assert b.check_even("grading", "bracket") is None
+        v = b.check_super_skew("super-skew")
         assert v is not None and v.equation == "super-skew" and tuple(v.indices) == (0, 1)
 
     def case_jacobi():
         b = _mutate_bracket(g, [(1, 2, 2, ONE), (2, 1, 2, -ONE)])
-        assert b.check_grading() is None and b.check_super_skew() is None
+        assert b.check_even("grading", "bracket") is None and b.check_super_skew("super-skew") is None
         v = check_jacobi(b)
         assert v is not None and v.equation == "jacobi"
         i, j, k = v.indices
@@ -228,8 +228,8 @@ def _corruption_cases():
         v = check_invariance(m, g.bracket)
         assert v is not None and v.equation == "invariance"
         i, j, k = v.indices
-        lhs = m.value(g.bracket.vec(i, j), unit_vec(4, k))
-        rhs = m.value(unit_vec(4, i), g.bracket.vec(j, k))
+        lhs = m.value(g.bracket.value(i, j), unit_vec(4, k))
+        rhs = m.value(unit_vec(4, i), g.bracket.value(j, k))
         assert lhs != rhs
 
     def case_homogeneity():

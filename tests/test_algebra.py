@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from generators import build_bracket, random_quadratic, random_superalgebra_scrambled, space_of
+from generators import build_bracket, rand_scalar, random_quadratic, random_superalgebra_scrambled, space_of
 from superquad import linalg
 from superquad.algebra import (
     LieSuperAlgebra,
@@ -31,26 +31,27 @@ from superquad.spaces import (
 F = Fraction
 
 
-def brute_jacobi(bracket):
-    """Independent oracle: evaluate the cyclic sum on all ordered triples."""
+def brute_jacobi_residual(bracket, i, j, k):
+    """Independent oracle: the cyclic sum through the bilinear extension."""
     n = bracket.space.dim
     par = bracket.space.parities
-    bad = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                ei, ej, ek = (unit_vec(n, t) for t in (i, j, k))
-                t1 = bracket.bracket(ei, bracket.bracket(ej, ek))
-                t2 = bracket.bracket(ej, bracket.bracket(ek, ei))
-                t3 = bracket.bracket(ek, bracket.bracket(ei, ej))
-                total = [ZERO] * n
-                for sgn, t in (((-1) ** (par[i] * par[k]), t1),
-                               ((-1) ** (par[j] * par[i]), t2),
-                               ((-1) ** (par[k] * par[j]), t3)):
-                    total = [x + sgn * y for x, y in zip(total, t)]
-                if any(total):
-                    bad.append((i, j, k))
-    return bad
+    ei, ej, ek = (unit_vec(n, t) for t in (i, j, k))
+    t1 = bracket.value_vectors(ei, bracket.value_vectors(ej, ek))
+    t2 = bracket.value_vectors(ej, bracket.value_vectors(ek, ei))
+    t3 = bracket.value_vectors(ek, bracket.value_vectors(ei, ej))
+    total = [ZERO] * n
+    for sgn, t in (((-1) ** (par[i] * par[k]), t1),
+                   ((-1) ** (par[j] * par[i]), t2),
+                   ((-1) ** (par[k] * par[j]), t3)):
+        total = [x + sgn * y for x, y in zip(total, t)]
+    return tuple(total)
+
+
+def brute_jacobi(bracket):
+    """Every ordered triple where the oracle's cyclic sum is nonzero."""
+    n = bracket.space.dim
+    return [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+            if any(brute_jacobi_residual(bracket, i, j, k))]
 
 
 def heisenberg_bracket():
@@ -74,10 +75,49 @@ def test_jacobi_perturbed_detected_with_witness():
     table[1][2][2] += 1  # [e,f] picks up an extra f-component
     table[2][1][2] -= 1  # keep super skew-symmetry intact
     bad = SuperBracket(b.space, tuple(tuple(tuple(v) for v in row) for row in table))
-    assert bad.check_super_skew() is None
+    assert bad.check_super_skew("super-skew") is None
     v = check_jacobi(bad)
     assert v is not None and v.equation == "jacobi"
     assert tuple(v.indices) in {t for t in brute_jacobi(bad)}
+
+
+def _corrupt_keeping_skew(rng, bracket, changes=2):
+    """Random extra structure constants that keep grading and super skew-symmetry."""
+    n, par = bracket.space.dim, bracket.space.parities
+    table = [[list(v) for v in row] for row in bracket.table]
+    for _ in range(changes):
+        i, j = rng.randrange(n), rng.randrange(n)
+        sign = -1 if par[i] * par[j] else 1
+        if i == j and sign == 1:
+            continue  # an even square is forced to vanish
+        k = rng.choice([k for k in range(n) if par[k] == (par[i] + par[j]) % 2] or [None])
+        if k is None:
+            continue
+        c = rand_scalar(rng, nonzero=True)
+        table[i][j][k] += c
+        if i != j:
+            table[j][i][k] -= sign * c
+    return SuperBracket(bracket.space, tuple(tuple(tuple(v) for v in row) for row in table))
+
+
+def test_jacobi_first_witness_and_residual_match_oracle():
+    rng = random.Random(4242)
+    mixed = detected = 0
+    for _ in range(40):
+        bad = _corrupt_keeping_skew(rng, random_superalgebra_scrambled(rng).bracket)
+        assert bad.check_even("grading", "bracket") is None
+        assert bad.check_super_skew("super-skew") is None
+        mixed += len(set(bad.space.parities)) == 2
+        oracle = brute_jacobi(bad)
+        v = check_jacobi(bad)
+        if not oracle:
+            assert v is None
+            continue
+        detected += 1
+        assert v.equation == "jacobi"
+        assert v.indices == min(t for t in oracle if t[0] <= t[1] <= t[2])
+        assert v.residual == brute_jacobi_residual(bad, *v.indices)
+    assert mixed >= 10 and detected >= 10
 
 
 def test_constructor_rejects_grading_skew_jacobi():
@@ -265,9 +305,9 @@ def test_semidirect_trivial_is_direct_sum():
     lam = GradedBilinearMap.zero(a.space, a.space, h.space)
     g = semidirect_product(a, h, theta, lam)
     assert g.dim == 4
-    assert g.bracket.vec(0, 1) == (ZERO, ONE, ZERO, ZERO)
-    assert linalg.vec_is_zero(g.bracket.vec(0, 2))
-    assert linalg.vec_is_zero(g.bracket.vec(2, 3))
+    assert g.bracket.value(0, 1) == (ZERO, ONE, ZERO, ZERO)
+    assert linalg.vec_is_zero(g.bracket.value(0, 2))
+    assert linalg.vec_is_zero(g.bracket.value(2, 3))
 
 
 def test_semidirect_classical_action():

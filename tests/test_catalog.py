@@ -37,13 +37,13 @@ def hyperbolic_pair():
 def test_odd_dim1_trivial_h():
     g = odd_extension_dim1(default_odd_dim1_params(eta=ONE))
     assert g.space.basis == (("x", 1), ("P(x)*", 0))
-    assert g.bracket.vec(0, 0) == (ZERO, ONE)
+    assert g.bracket.value(0, 0) == (ZERO, ONE)
     assert g.metric.matrix == ((ZERO, ONE), (ONE, ZERO))
 
 
 def test_odd_dim1_eta_zero_is_abelian():
     g = odd_extension_dim1(default_odd_dim1_params(eta=ZERO))
-    assert all(linalg.vec_is_zero(g.bracket.vec(i, j)) for i in range(2) for j in range(2))
+    assert all(linalg.vec_is_zero(g.bracket.value(i, j)) for i in range(2) for j in range(2))
 
 
 def test_odd_dim1_bracket_rows_nontrivial_h():
@@ -53,13 +53,13 @@ def test_odd_dim1_bracket_rows_nontrivial_h():
     p = OddExtensionParams(h, d, w, F(5))
     g = odd_extension_dim1(p)
     # [x,x] = w + eta P(x)*
-    assert g.bracket.vec(0, 0) == (ZERO, F(3), ZERO, F(5))
+    assert g.bracket.value(0, 0) == (ZERO, F(3), ZERO, F(5))
     # [x,f] = D(f) - (-1)^{|f|} B(f,w) P(x)* = 2e + 3 P(x)*
-    assert g.bracket.vec(0, 2) == (ZERO, F(2), ZERO, F(3))
+    assert g.bracket.value(0, 2) == (ZERO, F(2), ZERO, F(3))
     # [x,e] = -(-1)^{|e|} B(e,w) P(x)* = 0 since B(e,e) = 0
-    assert g.bracket.vec(0, 1) == (ZERO, ZERO, ZERO, ZERO)
+    assert g.bracket.value(0, 1) == (ZERO, ZERO, ZERO, ZERO)
     # [f,f] = B(D(f), f) P(x)* = 2 P(x)*
-    assert g.bracket.vec(2, 2) == (ZERO, ZERO, ZERO, F(2))
+    assert g.bracket.value(2, 2) == (ZERO, ZERO, ZERO, F(2))
     assert check_jacobi(g.bracket) is None
 
 
@@ -105,9 +105,9 @@ def test_odd_dim1_invalid_params():
 def test_heisenberg_explicit_shape():
     g = heisenberg_extension(default_heisenberg_params())
     assert g.space.basis == (("x", 0), ("e", 0), ("f", 1), ("P(x)*", 1))
-    assert g.bracket.vec(0, 1) == (ZERO, ONE, ZERO, ZERO)
-    assert g.bracket.vec(0, 2) == (ZERO, ZERO, -ONE, ZERO)
-    assert g.bracket.vec(1, 2) == (ZERO, ZERO, ZERO, ONE)
+    assert g.bracket.value(0, 1) == (ZERO, ONE, ZERO, ZERO)
+    assert g.bracket.value(0, 2) == (ZERO, ZERO, -ONE, ZERO)
+    assert g.bracket.value(1, 2) == (ZERO, ZERO, ZERO, ONE)
     assert g.metric.matrix[0][3] == ONE and g.metric.matrix[1][2] == ONE
 
 
@@ -115,7 +115,7 @@ def test_heisenberg_zero_derivation_still_valid():
     h = hyperbolic_pair()
     d = GradedLinearMap.zero(h.space, h.space, 0)
     g = heisenberg_extension(HeisenbergExtensionParams(h, d))
-    assert all(linalg.vec_is_zero(g.bracket.vec(i, j)) for i in range(4) for j in range(4))
+    assert all(linalg.vec_is_zero(g.bracket.value(i, j)) for i in range(4) for j in range(4))
 
 
 def test_heisenberg_invalid_params():
@@ -155,7 +155,7 @@ def test_psi_isometry_default_instance():
     target = heisenberg_target(p)
     assert target.space.labels == ("D", "e", "f", "hbar")
     # hbar is central and pairs with D
-    assert all(linalg.vec_is_zero(target.bracket.vec(3, j)) for j in range(4))
+    assert all(linalg.vec_is_zero(target.bracket.value(3, j)) for j in range(4))
     assert target.metric.matrix[0][3] == ONE
 
 

@@ -161,3 +161,117 @@ def test_json_context_through_decompose(tmp_path, capsys):
     ext = tmp_path / "re.alg"
     assert run(capsys, "extend", "--context", str(ctx_json), "--out", str(ext))[0] == 0
     assert ext.read_bytes() == (SAMPLES / "heisenberg.algebra").read_bytes()
+
+
+def _json_doc(sample):
+    return json.loads(serialize_document(parse_document((SAMPLES / sample).read_text()), "json"))
+
+
+def _run_json(tmp_path, capsys, obj, *argv):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(obj))
+    return run(capsys, *[str(f) if a == "DOC" else a for a in argv])
+
+
+def test_json_integer_coefficients_accepted(tmp_path, capsys):
+    obj = _json_doc("heisenberg.algebra")
+    obj["metric"]["entries"] = [[i, j, int(c)] for i, j, c in obj["metric"]["entries"]]
+    code, out, _ = _run_json(tmp_path, capsys, obj, "verify", "DOC")
+    assert code == 0 and "RESULT ok" in out
+
+
+def test_json_float_metric_entry_exit_2(tmp_path, capsys):
+    obj = _json_doc("heisenberg.algebra")
+    obj["metric"]["entries"][0][2] = 0.5
+    code, _, err = _run_json(tmp_path, capsys, obj, "verify", "DOC")
+    assert code == 2
+    assert "coefficient must be a rational string or a JSON integer, got 0.5" in err
+
+
+def test_json_float_bracket_coefficient_exit_2(tmp_path, capsys):
+    obj = _json_doc("heisenberg.algebra")
+    obj["bracket"][0][3] = 0.1
+    code, _, err = _run_json(tmp_path, capsys, obj, "verify", "DOC")
+    assert code == 2 and "got 0.1" in err
+
+
+def test_json_bool_parity_exit_2(tmp_path, capsys):
+    obj = _json_doc("heisenberg.algebra")
+    obj["basis"][2][1] = True
+    code, _, err = _run_json(tmp_path, capsys, obj, "verify", "DOC")
+    assert code == 2 and "parity must be a JSON integer, got true" in err
+
+
+def test_json_bool_index_exit_2(tmp_path, capsys):
+    obj = _json_doc("heisenberg.algebra")
+    obj["bracket"][0][0] = False
+    code, _, err = _run_json(tmp_path, capsys, obj, "verify", "DOC")
+    assert code == 2 and "index must be a JSON integer, got false" in err
+
+
+def test_json_float_metric_degree_exit_2(tmp_path, capsys):
+    obj = _json_doc("heisenberg.algebra")
+    obj["metric"]["degree"] = 1.0
+    code, _, err = _run_json(tmp_path, capsys, obj, "verify", "DOC")
+    assert code == 2 and "metric degree must be a JSON integer, got 1.0" in err
+
+
+def test_json_context_bool_delta_and_float_rho_exit_2(tmp_path, capsys):
+    obj = _json_doc("heisenberg.context")
+    obj["delta"] = True
+    code, _, err = _run_json(tmp_path, capsys, obj, "extend", "--context", "DOC", "--out",
+                             str(tmp_path / "x"))
+    assert code == 2 and "delta must be a JSON integer, got true" in err
+    obj = _json_doc("heisenberg.context")
+    obj["rho"][0][3] = 1.0
+    code, _, err = _run_json(tmp_path, capsys, obj, "roundtrip", "DOC")
+    assert code == 2 and "got 1.0" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_json_ideal_float_and_zero_denominator_exit_2(tmp_path, capsys):
+    for bad in (1.0, "1/0"):
+        obj = _json_doc("heisenberg.ideal")
+        obj["vectors"][0][3] = bad
+        f = tmp_path / "ideal.json"
+        f.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "decompose", str(SAMPLES / "heisenberg.algebra"),
+                           "--ideal", str(f), "--out", str(tmp_path / "x"))
+        assert code == 2 and err.startswith("error: ")
+
+
+def test_catalog_bad_arguments_exit_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    for argv, message in ((("heisenberg", "--pairs", "0"), "field --pairs: need at least one hyperbolic pair"),
+                          (("odd-dim1", "--eta", "abc"), "field --eta: bad rational 'abc'"),
+                          (("odd-dim1", "--eta", "1/0"), "field --eta: bad rational '1/0'")):
+        code, stdout, err = run(capsys, "catalog", *argv, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: input, {message}\n"
+        assert not out.exists()
+
+
+def test_validate_context_calls_per_command(tmp_path, capsys, monkeypatch):
+    import superquad.extension as extension
+    calls = []
+    original = extension.validate_context
+
+    def counting(ctx):
+        calls.append(ctx)
+        return original(ctx)
+
+    import sys
+    # every caller reaches it through the extension module, so the patch sees all calls
+    assert [name for name, module in sys.modules.items()
+            if name.startswith("superquad.") and name != "superquad.extension"
+            and getattr(module, "validate_context", None) is original] == []
+    monkeypatch.setattr(extension, "validate_context", counting)
+    out = str(tmp_path / "out")
+    for sample in ("heisenberg", "odd-dim1"):
+        for argv, expected in ((("extend", "--context", str(SAMPLES / f"{sample}.context"), "--out", out), 1),
+                               (("decompose", str(SAMPLES / f"{sample}.algebra"), "--out", out), 1),
+                               (("roundtrip", str(SAMPLES / f"{sample}.context")), 2)):
+            calls.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert len(calls) == expected, argv

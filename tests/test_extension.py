@@ -138,7 +138,7 @@ def test_double_extend_trivial_context():
     h = QuadraticLieSuperAlgebra(LieSuperAlgebra.abelian(hsp), GradedBilinearForm(hsp, 1, ()))
     g = double_extend(DeltaContext.trivial(1, a, h))
     assert g.space.basis == (("x", 0), ("P(x)*", 1))
-    assert all(linalg.vec_is_zero(g.bracket.vec(i, j)) for i in range(2) for j in range(2))
+    assert all(linalg.vec_is_zero(g.bracket.value(i, j)) for i in range(2) for j in range(2))
     assert g.metric.matrix == ((ZERO, ONE), (ONE, ZERO))
     assert g.delta == 1
 
@@ -147,8 +147,8 @@ def test_double_extend_odd_generator_square():
     # a odd, h = 0, eta = 1: [x,x] = P(x)* and [x, P(x)*] = 0
     g = double_extend(odd_extension_context(default_odd_dim1_params()))
     assert g.space.basis == (("x", 1), ("P(x)*", 0))
-    assert g.bracket.vec(0, 0) == (ZERO, ONE)
-    assert linalg.vec_is_zero(g.bracket.vec(0, 1))
+    assert g.bracket.value(0, 0) == (ZERO, ONE)
+    assert linalg.vec_is_zero(g.bracket.value(0, 1))
     assert g.metric.matrix == ((ZERO, ONE), (ONE, ZERO))
     assert check_jacobi(g.bracket) is None
 
@@ -157,11 +157,11 @@ def test_double_extend_heisenberg_shape():
     g = double_extend(heisenberg_context(default_heisenberg_params()))
     x, e, f, d = range(4)
     assert g.space.basis == (("x", 0), ("e", 0), ("f", 1), ("P(x)*", 1))
-    assert g.bracket.vec(x, e) == (ZERO, ONE, ZERO, ZERO)
-    assert g.bracket.vec(x, f) == (ZERO, ZERO, -ONE, ZERO)
-    assert g.bracket.vec(e, f) == (ZERO, ZERO, ZERO, ONE)
-    assert linalg.vec_is_zero(g.bracket.vec(x, d))
-    assert linalg.vec_is_zero(g.bracket.vec(e, d))
+    assert g.bracket.value(x, e) == (ZERO, ONE, ZERO, ZERO)
+    assert g.bracket.value(x, f) == (ZERO, ZERO, -ONE, ZERO)
+    assert g.bracket.value(e, f) == (ZERO, ZERO, ZERO, ONE)
+    assert linalg.vec_is_zero(g.bracket.value(x, d))
+    assert linalg.vec_is_zero(g.bracket.value(e, d))
     assert check_form_degree(g.metric) == 1
     assert check_invariance(g.metric, g.bracket) is None
 
@@ -176,16 +176,16 @@ def test_metric_restricts_to_h_and_dual_block_is_central_ideal():
     n = g.dim
     # the dual block is central inside h + dual
     for p in range(1, n):
-        assert linalg.vec_is_zero(g.bracket.vec(n - 1, p))
+        assert linalg.vec_is_zero(g.bracket.value(n - 1, p))
     # h + dual is an ideal: every bracket against it stays inside it
     for p in range(n):
         for q in range(1, n):
-            assert g.bracket.vec(p, q)[0] == 0
+            assert g.bracket.value(p, q)[0] == 0
     # h x h bracket equals [.,.]_h plus the Phi component
     phi = derive_phi(ctx)
     for m in range(nh):
         for l in range(nh):
-            vec = g.bracket.vec(1 + m, 1 + l)
+            vec = g.bracket.value(1 + m, 1 + l)
             assert vec[1:1 + nh] == ctx.h.bracket.table[m][l]
             assert vec[1 + nh:] == phi.value(m, l)
 

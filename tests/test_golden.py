@@ -1,0 +1,42 @@
+"""Golden CLI results: exit code, stdout, stderr and output bytes.
+
+``golden/cases.json`` was recorded from the implementation before the
+checkers shared their cyclic-sum and curvature kernels; it covers every
+command on the shipped samples and ``extend`` on one planted violation per
+context axiom (``golden/*.context``). A change here is a change of the
+user-facing contract and must be deliberate.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from superquad.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_golden_cli(case, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [a.replace("{samples}", str(ROOT / "samples")).replace("{golden}", str(GOLDEN))
+            .replace("{out}", str(out)) for a in case["argv"]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == case["code"]
+    assert captured.out.replace(str(out), "{out}") == case["stdout"]
+    assert captured.err.replace(str(out), "{out}") == case["stderr"]
+    assert (out.read_bytes().decode() if out.exists() else None) == case["output"]
+
+
+def test_golden_covers_every_context_axiom():
+    planted = {c["name"].removeprefix("extend-planted-") for c in CASES
+               if c["name"].startswith("extend-planted-")}
+    assert planted == {
+        "metric-degree", "rho-degree", "rho-derivation", "rho-skew",
+        "lambda-even", "lambda-skew", "omega-even", "omega-skew",
+        "deh1", "deh2", "deh3", "super-cyclic",
+    }
