@@ -73,7 +73,6 @@ from .spaces import (
     dual_space,
     parity_shift,
     parity_shift_map,
-    supercommutator,
 )
 
 __version__ = "0.1.0"

@@ -1,13 +1,17 @@
 """Lie superalgebra structures and their verification predicates.
 
-Structure constants are stored densely for every ordered pair of basis
-indices; the super skew relation between (i,j) and (j,i) is validated, never
-assumed. Constructors reject anything failing grading, super skew-symmetry or
-the Jacobi super identity, and every predicate returns its first witness on
-failure: verification is part of the user-facing surface.
+Structure constants are stored by their nonzeros, per ordered pair of basis
+indices (see ``GradedBilinearMap``); both (i,j) and (j,i) are stored and the
+super skew relation between them is validated, never assumed. Constructors
+reject anything failing grading, super skew-symmetry or the Jacobi super
+identity, and every predicate returns its first witness on failure:
+verification is part of the user-facing surface.
 
 Checks run on basis tuples only; bilinearity extends them to arbitrary
-vectors, so basis exhaustiveness is completeness.
+vectors, so basis exhaustiveness is completeness. The scans walk the nonzero
+structure constants and skip only tuples on which every term of the identity
+vanishes, so the first witness is the one an exhaustive scan in the same
+order would find, and a residual is reported as a dense tuple.
 """
 
 from __future__ import annotations
@@ -17,26 +21,32 @@ from typing import Sequence
 
 from . import linalg
 from .errors import ConditionViolated, ValidationError, Violation
-from .linalg import Matrix, Vector, ZERO
+from .linalg import Matrix, ZERO
 from .spaces import (
+    EMPTY,
     GradedBilinearForm,
     GradedBilinearMap,
     GradedLinearMap,
     SuperSpace,
+    add_scaled,
     apply_p_delta,
     check_form_degree,
+    dense_vec,
+    drop_zeros,
     dual_space,
-    supercommutator,
+    sparse_vec,
 )
 
 
 class SuperBracket(GradedBilinearMap):
-    """Bracket table on a super-space: table[i][j] = coordinates of [e_i, e_j].
+    """Bracket on a super-space: pairs[(i, j)] = nonzero coordinates of [e_i, e_j].
 
     An even bilinear map of the space into itself. Its axioms are the map's
     own checks under their bracket names: check_even("grading", "bracket")
     and check_super_skew("super-skew").
     """
+
+    __slots__ = ()
 
     def __init__(self, space: SuperSpace, table):
         super().__init__(space, space, space, table)
@@ -47,38 +57,59 @@ class SuperBracket(GradedBilinearMap):
 
     @classmethod
     def zero(cls, space: SuperSpace) -> "SuperBracket":
-        return cls(space, GradedBilinearMap.zero(space, space, space).table)
+        return cls._build(space, space, space, ())
 
     @classmethod
     def from_entries(cls, space: SuperSpace, entries) -> "SuperBracket":
         """entries: iterable of structure constants (i, j, k, c) meaning
         [e_i, e_j] has coefficient c on e_k. Both (i,j) and (j,i) rows are
         expected in the input; nothing is symmetrised."""
-        return cls(space, GradedBilinearMap.from_entries(space, space, space, entries).table)
+        return cls._build(space, space, space, entries)
 
     def ad_matrix(self, i: int) -> Matrix:
         """Matrix of ad(e_i): column j is [e_i, e_j]."""
-        return linalg.transpose(self.table[i])
+        return self.ad_vector_matrix(linalg.unit_vec(self.space.dim, i))
 
     def ad_vector_matrix(self, w: Sequence) -> Matrix:
-        """Matrix of ad(w) for a coordinate vector w."""
+        """Matrix of ad(w) for a coordinate vector w: column j is [w, e_j]."""
         n = self.space.dim
-        return linalg.transpose(tuple(self.left_vector(w, j) for j in range(n)))
+        rows = [[ZERO] * n for _ in range(n)]
+        for (i, j), v in self.pairs.items():
+            c = w[i]
+            if c:
+                for k, x in v.items():
+                    rows[k][j] += c * x
+        return tuple(tuple(r) for r in rows)
 
 
-def cyclic_residual(parities: Sequence[int], i: int, j: int, k: int, piece) -> Vector:
+def cyclic_residual(parities: Sequence[int], i: int, j: int, k: int, piece) -> dict:
     """Super-cyclic sum of (-1)^{|x||z|} piece(x, y, z) over the shifts of (i, j, k).
 
     Every cyclic identity of the construction has this shape: Jacobi with
-    piece [x,[y,z]], and the cocycle conditions with their own pieces.
+    piece [x,[y,z]], and the cocycle conditions with their own pieces. Pieces
+    and the sum are sparse vectors; the sum holds no zeros.
     """
-    total = None
+    total: dict = {}
     for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-        term = piece(x, y, z)
-        if parities[x] * parities[z]:
-            term = linalg.vec_scale(-1, term)
-        total = term if total is None else linalg.vec_add(total, term)
-    return total
+        add_scaled(total, -1 if parities[x] * parities[z] else 1, piece(x, y, z))
+    return drop_zeros(total)
+
+
+def cyclic_triples(outer, inner) -> list[tuple[int, int, int]]:
+    """Triples (i, j, k), in lexicographic order, with a shift (x, y, z) on
+    which outer(e_x, inner(e_y, e_z)) has a nonzero term: e_m occurs in
+    inner(e_y, e_z) and outer(e_x, e_m) is nonzero. ``outer`` and ``inner``
+    are the ``pairs`` of two bilinear maps. A cyclic sum whose pieces
+    factor as outer(x, inner(y, z)) vanishes on every other triple."""
+    left_of: dict = {}  # m -> the x with outer(e_x, e_m) nonzero
+    for x, m in outer:
+        left_of.setdefault(m, []).append(x)
+    out = set()
+    for (y, z), v in inner.items():
+        for m in v:
+            for x in left_of.get(m, ()):
+                out.update(((x, y, z), (z, x, y), (y, z, x)))
+    return sorted(out)
 
 
 def check_jacobi(bracket: SuperBracket) -> Violation | None:
@@ -90,16 +121,18 @@ def check_jacobi(bracket: SuperBracket) -> Violation | None:
     """
     n = bracket.space.dim
     par = bracket.space.parities
+    pairs = bracket.pairs
+    right = bracket.right_sparse
 
     def piece(x, y, z):  # [e_x, [e_y, e_z]]
-        return bracket.right_vector(x, bracket.table[y][z])
+        v = pairs.get((y, z))
+        return right(x, v) if v else EMPTY
 
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                res = cyclic_residual(par, i, j, k, piece)
-                if not linalg.vec_is_zero(res):
-                    return Violation("jacobi", (i, j, k), res)
+    for i, j, k in cyclic_triples(pairs, pairs):
+        if i <= j <= k:
+            res = cyclic_residual(par, i, j, k, piece)
+            if res:
+                return Violation("jacobi", (i, j, k), dense_vec(res, n))
     return None
 
 
@@ -132,14 +165,24 @@ def check_invariance(form: GradedBilinearForm, bracket: SuperBracket) -> Violati
     """B([x,y],z) = B(x,[y,z]) on all basis triples; witness on failure."""
     if form.space.basis != bracket.space.basis:
         raise ValueError("form and bracket live on different spaces")
-    n = form.space.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = sum((c * form.matrix[m][k] for m, c in enumerate(bracket.table[i][j]) if c), ZERO)
-                rhs = sum((c * form.matrix[i][m] for m, c in enumerate(bracket.table[j][k]) if c), ZERO)
-                if lhs != rhs:
-                    return Violation("invariance", (i, j, k), lhs - rhs)
+    pairs = bracket.pairs
+    rows = form.sparse_rows
+    # A triple is visited when one side has a nonzero term: B(e_m, e_k) != 0
+    # for some e_m in [e_i, e_j], or B(e_i, e_m) != 0 for some e_m in [e_j, e_k].
+    in_column = [[] for _ in rows]  # in_column[m]: the i with B(e_i, e_m) != 0
+    for i, row in enumerate(rows):
+        for m in row:
+            in_column[m].append(i)
+    triples = set()
+    for (x, y), v in pairs.items():
+        for m in v:
+            triples.update((x, y, k) for k in rows[m])
+            triples.update((i, x, y) for i in in_column[m])
+    for i, j, k in sorted(triples):
+        lhs = sum((c * rows[m].get(k, ZERO) for m, c in pairs.get((i, j), EMPTY).items()), ZERO)
+        rhs = sum((c * rows[i].get(m, ZERO) for m, c in pairs.get((j, k), EMPTY).items()), ZERO)
+        if lhs != rhs:
+            return Violation("invariance", (i, j, k), lhs - rhs)
     return None
 
 
@@ -188,17 +231,28 @@ def is_derivation(d: GradedLinearMap, bracket: SuperBracket) -> bool:
     """Leibniz rule D[x,y] = [Dx,y] + (-1)^{|D||x|}[x,Dy] on all basis pairs."""
     if d.source.basis != bracket.space.basis or d.target.basis != bracket.space.basis:
         raise ValueError("derivation candidate must map the algebra to itself")
-    n = bracket.space.dim
     par = bracket.space.parities
-    for i in range(n):
-        di = d.column(i)
-        for j in range(n):
-            lhs = d.apply(bracket.table[i][j])
-            rhs = bracket.left_vector(di, j)
-            sign = -1 if (d.degree * par[i]) % 2 else 1
-            rhs = linalg.vec_add(rhs, linalg.vec_scale(sign, bracket.right_vector(i, d.column(j))))
-            if lhs != rhs:
-                return False
+    pairs = bracket.pairs
+    get = pairs.get
+    cols = d.sparse_columns
+    d_rows = [sparse_vec(row) for row in d.matrix]
+    # (i, j) can fail only if [e_i, e_j], [D e_i, e_j] or [e_i, D e_j] has a term
+    candidates = set(pairs)
+    for x, y in pairs:
+        candidates.update((i, y) for i in d_rows[x])
+        candidates.update((x, j) for j in d_rows[y])
+    for i, j in candidates:
+        sign = -1 if (d.degree * par[i]) % 2 else 1
+        # D[e_i, e_j] - [D e_i, e_j] - sign [e_i, D e_j]
+        acc: dict = {}
+        for k, c in get((i, j), EMPTY).items():
+            add_scaled(acc, c, cols[k])
+        for r, c in cols[i].items():
+            add_scaled(acc, -c, get((r, j), EMPTY))
+        for r, c in cols[j].items():
+            add_scaled(acc, -sign * c, get((i, r), EMPTY))
+        if any(acc.values()):
+            return False
     return True
 
 
@@ -208,14 +262,18 @@ def is_metric_skew(d: GradedLinearMap, form: GradedBilinearForm) -> bool:
         raise ValueError("map and form live on different spaces")
     n = form.space.dim
     par = form.space.parities
+    rows = form.sparse_rows
+    cols = d.sparse_columns
+    d_rows = [sparse_vec(row) for row in d.matrix]
     for i in range(n):
-        di = d.column(i)
-        for j in range(n):
-            lhs = form.value(di, linalg.unit_vec(n, j))
-            sign = -1 if (par[i] * d.degree) % 2 else 1
-            rhs = -sign * form.value(linalg.unit_vec(n, i), d.column(j))
-            if lhs != rhs:
-                return False
+        sign = -1 if (par[i] * d.degree) % 2 else 1
+        acc: dict = {}  # j -> B(D e_i, e_j) + sign B(e_i, D e_j)
+        for r, c in cols[i].items():
+            add_scaled(acc, c, rows[r])
+        for r, b in rows[i].items():
+            add_scaled(acc, sign * b, d_rows[r])
+        if any(acc.values()):
+            return False
     return True
 
 
@@ -255,7 +313,7 @@ class Representation:
         par = self.algebra.space.parities
         for i in range(self.algebra.dim):
             for j in range(self.algebra.dim):
-                lhs = self.act_vector(self.algebra.bracket.table[i][j])
+                lhs = self.act_vector(self.algebra.bracket.value(i, j))
                 ab = linalg.mat_mul(self.action[i].matrix, self.action[j].matrix)
                 ba = linalg.mat_mul(self.action[j].matrix, self.action[i].matrix)
                 sign = -1 if par[i] * par[j] else 1
@@ -276,31 +334,40 @@ def delta_coadjoint(g: LieSuperAlgebra, delta: int) -> Representation:
     n = g.dim
     par = g.space.parities
     module = dual_space(apply_p_delta(delta, g.space))
-    maps = []
-    for i in range(n):
-        rows = [[ZERO] * n for _ in range(n)]
-        for j in range(n):
+    mats = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for (i, k), v in g.bracket.pairs.items():
+        for j, c in v.items():
             sign = -1 if ((par[j] + delta) * par[i]) % 2 else 1
-            for k in range(n):
-                c = g.bracket.table[i][k][j]
-                if c:
-                    rows[k][j] = -sign * c
-        maps.append(GradedLinearMap(module, module, par[i], tuple(tuple(r) for r in rows)))
-    return Representation(g, module, tuple(maps))
+            mats[i][k][j] = -sign * c
+    return Representation(g, module, tuple(
+        GradedLinearMap(module, module, par[i], tuple(tuple(r) for r in mats[i])) for i in range(n)))
 
 
 def curvature_failures(a: LieSuperAlgebra, h_bracket: SuperBracket,
                        theta: Sequence[GradedLinearMap], lam: GradedBilinearMap):
     """Pairs (i, j), in scan order, where the curvature condition
-    [theta(x_i), theta(x_j)] - theta([x_i, x_j]_a) = ad_h(lam(x_i, x_j)) fails."""
+    [theta(x_i), theta(x_j)] - theta([x_i, x_j]_a) = ad_h(lam(x_i, x_j)) fails,
+    with [S, T] = ST - (-1)^{|S||T|} TS; compared column by column on h."""
+    h_pairs = h_bracket.pairs
+    cols = [t.sparse_columns for t in theta]
     for i in range(a.dim):
         for j in range(a.dim):
-            lhs = supercommutator(theta[i], theta[j]).matrix
-            for m, c in enumerate(a.bracket.table[i][j]):
-                if c:
-                    lhs = linalg.mat_sub(lhs, linalg.mat_scale(c, theta[m].matrix))
-            if lhs != h_bracket.ad_vector_matrix(lam.value(i, j)):
-                yield i, j
+            sign = -1 if (theta[i].degree * theta[j].degree) % 2 else 1
+            a_ij = a.bracket.pairs.get((i, j), EMPTY)
+            lam_ij = lam.pairs.get((i, j), EMPTY)
+            for u in range(h_bracket.space.dim):
+                acc: dict = {}
+                for r, c in cols[j][u].items():
+                    add_scaled(acc, c, cols[i][r])
+                for r, c in cols[i][u].items():
+                    add_scaled(acc, -sign * c, cols[j][r])
+                for m, c in a_ij.items():
+                    add_scaled(acc, -c, cols[m][u])
+                for r, c in lam_ij.items():
+                    add_scaled(acc, -c, h_pairs.get((r, u), EMPTY))
+                if any(acc.values()):
+                    yield i, j
+                    break
 
 
 def semidirect_product(a: LieSuperAlgebra, h: LieSuperAlgebra,
@@ -337,37 +404,24 @@ def semidirect_product(a: LieSuperAlgebra, h: LieSuperAlgebra,
 
     # Cyclic sum of theta(x)(lam(y,z)) + lam(x, [y,z]_a)
     def piece(x, y, z):
-        return linalg.vec_add(theta[x].apply(lam.value(y, z)),
-                              lam.right_vector(x, a.bracket.table[y][z]))
+        out = theta[x].apply_sparse(lam.pairs.get((y, z), EMPTY))
+        add_scaled(out, 1, lam.right_sparse(x, a.bracket.pairs.get((y, z), EMPTY)))
+        return out
 
     for i in range(na):
         for j in range(na):
             for k in range(na):
                 total = cyclic_residual(par_a, i, j, k, piece)
-                if not linalg.vec_is_zero(total):
-                    raise ConditionViolated(Violation("semidirect-2", (i, j, k), total))
+                if total:
+                    raise ConditionViolated(Violation("semidirect-2", (i, j, k), dense_vec(total, nh)))
 
-    space = SuperSpace(a.space.basis + h.space.basis)
-    n = na + nh
-
-    def embed_a(v):
-        return tuple(v) + linalg.zero_vec(nh)
-
-    def embed_h(v):
-        return linalg.zero_vec(na) + tuple(v)
-
-    table = [[linalg.zero_vec(n) for _ in range(n)] for _ in range(n)]
+    # blocks a, h: [x,y] = [x,y]_a + lam(x,y), [x,u] = theta(x)(u), [u,v] = [u,v]_h
+    entries = a.bracket.entries() + lam.entries(dk=na) + h.bracket.entries(na, na, na)
     for i in range(na):
-        for j in range(na):
-            table[i][j] = linalg.vec_add(embed_a(a.bracket.table[i][j]), embed_h(lam.value(i, j)))
-    for i in range(na):
-        for m in range(nh):
-            img = embed_h(theta[i].column(m))
-            table[i][na + m] = img
+        for m, col in enumerate(theta[i].sparse_columns):
             sign = -1 if par_a[i] * h.space.parity(m) else 1
-            table[na + m][i] = linalg.vec_scale(-sign, img)
-    for m in range(nh):
-        for l in range(nh):
-            table[na + m][na + l] = embed_h(h.bracket.table[m][l])
-
-    return LieSuperAlgebra(SuperBracket(space, tuple(tuple(row) for row in table)))
+            for r, c in col.items():
+                entries.append((i, na + m, na + r, c))
+                entries.append((na + m, i, na + r, -sign * c))
+    space = SuperSpace(a.space.basis + h.space.basis)
+    return LieSuperAlgebra(SuperBracket.from_entries(space, entries))

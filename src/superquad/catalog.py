@@ -24,13 +24,32 @@ from .algebra import (
 from .errors import InvalidParams, ValidationError, Violation
 from .extension import DeltaContext
 from .linalg import Vector, ZERO, ONE
-from .spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace
+from .spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace, sparse_vec
 
 ODD = 1
 
 
 def _one_dim_algebra(label: str, parity: int) -> LieSuperAlgebra:
     return LieSuperAlgebra.abelian(SuperSpace(((label, parity),)))
+
+
+def _omega_entries(p, last: int) -> list:
+    """Structure constants B_h(D(u_m), u_l) on the last basis vector, for the
+    h block placed at offset 1: entries (1 + m, 1 + l, last, c)."""
+    rows = p.h.metric.sparse_rows
+    return [(1 + m, 1 + l, last, c * b) for m, col in enumerate(p.d.sparse_columns)
+            for r, c in col.items() for l, b in rows[r].items()]
+
+
+def _hyperbolic_metric(space: SuperSpace, h: QuadraticLieSuperAlgebra) -> GradedBilinearForm:
+    """B_h on the middle block and B(x, P(x)*) = 1 on the outer two vectors."""
+    n = space.dim
+    rows = [[ZERO] * n for _ in range(n)]
+    for m, row in enumerate(h.metric.matrix):
+        rows[1 + m][1:n - 1] = row
+    rows[0][n - 1] = ONE
+    rows[n - 1][0] = ONE
+    return GradedBilinearForm(space, ODD, tuple(tuple(r) for r in rows))
 
 
 def _fresh_label(h_space: SuperSpace, base: str = "x") -> str:
@@ -60,7 +79,7 @@ class OddExtensionParams:
 
     def __post_init__(self):
         object.__setattr__(self, "w", linalg.vec(self.w))
-        object.__setattr__(self, "eta", Fraction(self.eta))
+        object.__setattr__(self, "eta", linalg.scalar(self.eta))
         if len(self.w) != self.h.dim:
             raise ValueError("w must be a vector of h")
 
@@ -97,35 +116,17 @@ def odd_extension_dim1(p: OddExtensionParams) -> QuadraticLieSuperAlgebra:
     lab = _fresh_label(h.space)
     space = SuperSpace(((lab, 1),) + h.space.basis + ((f"P({lab})*", 0),))
 
-    def embed_h(v):
-        return (ZERO,) + tuple(v) + (ZERO,)
-
-    table = [[linalg.zero_vec(n) for _ in range(n)] for _ in range(n)]
-    table[0][0] = linalg.vec_add(embed_h(p.w), tuple(ZERO for _ in range(n - 1)) + (p.eta,))
-    for m in range(nh):
-        qm = h.space.parity(m)
-        coeff = -sum((p.w[r] * h.metric.matrix[m][r] for r in range(nh) if p.w[r]), ZERO)
-        if qm:
-            coeff = -coeff
-        row = embed_h(p.d.column(m))
-        row = row[:-1] + (coeff,)
-        table[0][1 + m] = row
-        sign = -1 if qm else 1
-        table[1 + m][0] = linalg.vec_scale(-sign, row)
-    for m in range(nh):
-        dm = p.d.column(m)
-        for l in range(nh):
-            coeff = sum((dm[r] * h.metric.matrix[r][l] for r in range(nh) if dm[r]), ZERO)
-            table[1 + m][1 + l] = embed_h(h.bracket.table[m][l])[:-1] + (coeff,)
-
-    rows = [[ZERO] * n for _ in range(n)]
-    for m in range(nh):
-        for l in range(nh):
-            rows[1 + m][1 + l] = h.metric.matrix[m][l]
-    rows[0][n - 1] = ONE
-    rows[n - 1][0] = ONE
-    metric = GradedBilinearForm(space, ODD, tuple(tuple(r) for r in rows))
-    return QuadraticLieSuperAlgebra(LieSuperAlgebra(SuperBracket(space, tuple(tuple(r) for r in table))), metric)
+    w = sparse_vec(p.w)
+    entries = [(0, 0, 1 + r, c) for r, c in w.items()] + [(0, 0, n - 1, p.eta)]
+    for m, col in enumerate(p.d.sparse_columns):
+        sign = -1 if h.space.parity(m) else 1
+        coeff = -sign * sum((c * h.metric.matrix[m][r] for r, c in w.items()), ZERO)
+        for r, c in list(col.items()) + [(nh, coeff)]:
+            entries.append((0, 1 + m, 1 + r, c))
+            entries.append((1 + m, 0, 1 + r, -sign * c))
+    entries += h.bracket.entries(1, 1, 1) + _omega_entries(p, n - 1)
+    return QuadraticLieSuperAlgebra(LieSuperAlgebra(SuperBracket.from_entries(space, entries)),
+                                    _hyperbolic_metric(space, h))
 
 
 def odd_extension_context(p: OddExtensionParams) -> DeltaContext:
@@ -133,9 +134,10 @@ def odd_extension_context(p: OddExtensionParams) -> DeltaContext:
     p.validate()
     lab = _fresh_label(p.h.space)
     a = _one_dim_algebra(lab, 1)
-    lam = GradedBilinearMap(a.space, a.space, p.h.space, ((tuple(p.w),),))
+    lam = GradedBilinearMap.from_entries(a.space, a.space, p.h.space,
+                                         [(0, 0, r, c) for r, c in enumerate(p.w)])
     dual = SuperSpace(((f"P({lab})*", 0),))
-    omega = GradedBilinearMap(a.space, a.space, dual, (((p.eta,),),))
+    omega = GradedBilinearMap.from_entries(a.space, a.space, dual, [(0, 0, 0, p.eta)])
     return DeltaContext(ODD, a, p.h, (p.d,), lam, omega)
 
 
@@ -157,6 +159,12 @@ class HeisenbergExtensionParams:
             raise InvalidParams("d-skew")
 
 
+def _action_entries(p: HeisenbergExtensionParams) -> list:
+    """[x, u] = D(u) and [u, x] = -D(u) for the even x at index 0, h at offset 1."""
+    return [e for m, col in enumerate(p.d.sparse_columns) for r, c in col.items()
+            for e in ((0, 1 + m, 1 + r, c), (1 + m, 0, 1 + r, -c))]
+
+
 def heisenberg_extension(p: HeisenbergExtensionParams) -> QuadraticLieSuperAlgebra:
     """Odd quadratic algebra on Fx + h + F P(x)* with x even.
 
@@ -170,28 +178,9 @@ def heisenberg_extension(p: HeisenbergExtensionParams) -> QuadraticLieSuperAlgeb
     lab = _fresh_label(h.space)
     space = SuperSpace(((lab, 0),) + h.space.basis + ((f"P({lab})*", 1),))
 
-    def embed_h(v):
-        return (ZERO,) + tuple(v) + (ZERO,)
-
-    table = [[linalg.zero_vec(n) for _ in range(n)] for _ in range(n)]
-    for m in range(nh):
-        img = embed_h(p.d.column(m))
-        table[0][1 + m] = img
-        table[1 + m][0] = linalg.vec_scale(-1, img)
-    for m in range(nh):
-        dm = p.d.column(m)
-        for l in range(nh):
-            coeff = sum((dm[r] * h.metric.matrix[r][l] for r in range(nh) if dm[r]), ZERO)
-            table[1 + m][1 + l] = embed_h(h.bracket.table[m][l])[:-1] + (coeff,)
-
-    rows = [[ZERO] * n for _ in range(n)]
-    for m in range(nh):
-        for l in range(nh):
-            rows[1 + m][1 + l] = h.metric.matrix[m][l]
-    rows[0][n - 1] = ONE
-    rows[n - 1][0] = ONE
-    metric = GradedBilinearForm(space, ODD, tuple(tuple(r) for r in rows))
-    return QuadraticLieSuperAlgebra(LieSuperAlgebra(SuperBracket(space, tuple(tuple(r) for r in table))), metric)
+    entries = _action_entries(p) + h.bracket.entries(1, 1, 1) + _omega_entries(p, n - 1)
+    return QuadraticLieSuperAlgebra(LieSuperAlgebra(SuperBracket.from_entries(space, entries)),
+                                    _hyperbolic_metric(space, h))
 
 
 def heisenberg_context(p: HeisenbergExtensionParams) -> DeltaContext:
@@ -211,30 +200,14 @@ def heisenberg_target(p: HeisenbergExtensionParams) -> QuadraticLieSuperAlgebra:
     dlab = _fresh_label(h.space, "D")
     hlab = _fresh_label(h.space, "hbar")
     space = SuperSpace(((dlab, 0),) + h.space.basis + ((hlab, 1),))
-    table = [[linalg.zero_vec(n) for _ in range(n)] for _ in range(n)]
-    for m in range(nh):
-        img = (ZERO,) + tuple(p.d.column(m)) + (ZERO,)
-        table[0][1 + m] = img
-        table[1 + m][0] = linalg.vec_scale(-1, img)
-    for m in range(nh):
-        dm = p.d.column(m)
-        for l in range(nh):
-            coeff = sum((dm[r] * h.metric.matrix[r][l] for r in range(nh) if dm[r]), ZERO)
-            table[1 + m][1 + l] = linalg.zero_vec(n)[:-1] + (coeff,)
-
-    rows = [[ZERO] * n for _ in range(n)]
-    for m in range(nh):
-        for l in range(nh):
-            rows[1 + m][1 + l] = h.metric.matrix[m][l]
-    rows[0][n - 1] = ONE
-    rows[n - 1][0] = ONE
-    metric = GradedBilinearForm(space, ODD, tuple(tuple(r) for r in rows))
-    return QuadraticLieSuperAlgebra(LieSuperAlgebra(SuperBracket(space, tuple(tuple(r) for r in table))), metric)
+    entries = _action_entries(p) + _omega_entries(p, n - 1)
+    return QuadraticLieSuperAlgebra(LieSuperAlgebra(SuperBracket.from_entries(space, entries)),
+                                    _hyperbolic_metric(space, h))
 
 
 def psi_preconditions_hold(p: HeisenbergExtensionParams) -> bool:
     """h Abelian and (u,v) -> B_h(D(u),v) non-degenerate."""
-    if any(c for row in p.h.bracket.table for v in row for c in v):
+    if not p.h.bracket.is_zero():
         return False
     w = linalg.mat_mul(linalg.transpose(p.d.matrix), p.h.metric.matrix)
     return linalg.rank(w, p.h.dim) == p.h.dim
@@ -251,7 +224,7 @@ def check_psi_isometry(p: HeisenbergExtensionParams) -> GradedLinearMap:
                             message="h must be Abelian with non-degenerate omega")
     g = heisenberg_extension(p)
     target = heisenberg_target(p)
-    if g.bracket.table != target.bracket.table:
+    if g.bracket.pairs != target.bracket.pairs:
         raise ValidationError(Violation("psi-bracket", (), None,
                                         "brackets differ under the basis correspondence"))
     if g.metric.matrix != target.metric.matrix:
@@ -265,7 +238,7 @@ def default_odd_dim1_params(eta=Fraction(1)) -> OddExtensionParams:
     h = QuadraticLieSuperAlgebra(LieSuperAlgebra.abelian(h_space),
                                  GradedBilinearForm(h_space, ODD, ()))
     d = GradedLinearMap.zero(h_space, h_space, 1)
-    return OddExtensionParams(h, d, (), Fraction(eta))
+    return OddExtensionParams(h, d, (), eta)
 
 
 def default_heisenberg_params(pairs: int = 1) -> HeisenbergExtensionParams:

@@ -39,12 +39,17 @@ from .errors import (
 from .extension import DeltaContext, derive_chi, derive_phi, double_extend
 from .linalg import Vector, ZERO
 from .spaces import (
+    EMPTY,
     GradedBilinearForm,
     GradedBilinearMap,
     GradedLinearMap,
     SuperSpace,
+    add_scaled,
+    dense_vec,
+    drop_zeros,
     dual_space,
     p_delta_dual,
+    sparse_vec,
 )
 
 HALF = Fraction(1, 2)
@@ -77,11 +82,11 @@ def find_central_minimal_ideal(g: QuadraticLieSuperAlgebra) -> list[Vector] | No
     candidates is isotropic.
     """
     n = g.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append(tuple(g.bracket.table[i][j][k] for i in range(n)))
-    center = linalg.nullspace(rows, n)
+    rows: dict = {}  # row (j, k) of the system [x, e_j]_k = 0; all-zero rows left out
+    for (i, j), v in g.bracket.pairs.items():
+        for k, c in v.items():
+            rows.setdefault((j, k), [ZERO] * n)[i] = c
+    center = linalg.nullspace([rows[key] for key in sorted(rows)], n)
     for v in center:
         if g.space.vector_parity(v) is None:
             raise SuperquadError("center basis vector is not homogeneous")
@@ -196,6 +201,44 @@ def build_xi(form: GradedBilinearForm, ideal: Sequence[Sequence], a_vectors: Seq
     return xi_delta, xi
 
 
+def _bracket_in_basis(bracket: GradedBilinearMap, cols: Sequence[Vector], m_inv) -> dict:
+    """Structure constants in the basis ``cols``, with ``m_inv`` the inverse of
+    the matrix whose columns are ``cols``: {(p, q): {k: c}}, no zeros, keys in
+    row-major order."""
+    get = bracket.pairs.get
+    sparse_cols = [sparse_vec(c) for c in cols]
+    inv_cols = [sparse_vec(c) for c in linalg.transpose(m_inv)]
+    out = {}
+    for p, u in enumerate(sparse_cols):
+        for q, v in enumerate(sparse_cols):
+            w: dict = {}
+            for i, a in u.items():
+                for j, b in v.items():
+                    add_scaled(w, a * b, get((i, j), EMPTY))
+            z: dict = {}
+            for k, c in w.items():
+                if c:
+                    add_scaled(z, c, inv_cols[k])
+            z = drop_zeros(z)
+            if z:
+                out[(p, q)] = z
+    return out
+
+
+def _gram(form: GradedBilinearForm, vectors: Sequence[Vector]) -> tuple[Vector, ...]:
+    """Matrix of B(vectors[p], vectors[q])."""
+    sparse_vectors = [sparse_vec(v) for v in vectors]
+    rows = form.sparse_rows
+    out = []
+    for u in sparse_vectors:
+        bu: dict = {}  # B(u, e_j) over j
+        for i, a in u.items():
+            add_scaled(bu, a, rows[i])
+        out.append(tuple(sum((b * bu[j] for j, b in v.items() if j in bu), ZERO)
+                         for v in sparse_vectors))
+    return tuple(out)
+
+
 def _unit_index(v: Sequence) -> int | None:
     hits = [i for i, c in enumerate(v) if c != 0]
     if len(hits) == 1 and v[hits[0]] == 1:
@@ -254,78 +297,72 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence
     h_space = _block_space(g.space, cols[na:na + nh], "h")
     ideal_space = _block_space(g.space, cols[na + nh:], "i")
 
-    def comp(p, q):
-        w = g.bracket.value_vectors(cols[p], cols[q])
-        z = linalg.mat_vec(m_inv, w)
-        return z[:na], z[na:na + nh], z[na + nh:]
+    a_ent, lam_ent, mu_ent, h_ent, gamma_ent = [], [], [], [], []
+    # rho, tau, sigma: per a-vector, row-major matrices on h -> h, h -> I, I -> I
+    rho_m = [[[ZERO] * nh for _ in range(nh)] for _ in range(na)]
+    tau_m = [[[ZERO] * nh for _ in range(nd)] for _ in range(na)]
+    sigma_m = [[[ZERO] * nd for _ in range(nd)] for _ in range(na)]
 
-    zero_a, zero_h, zero_i = linalg.zero_vec(na), linalg.zero_vec(nh), linalg.zero_vec(nd)
+    # pairs with a zero bracket pass every block rule, so only nonzeros are visited
+    for (p, q), z in _bracket_in_basis(g.bracket, cols, m_inv).items():
+        ca = {k: c for k, c in z.items() if k < na}
+        ch = {k - na: c for k, c in z.items() if na <= k < na + nh}
+        ci = {k - na - nh: c for k, c in z.items() if k >= na + nh}
+        if p < na and q < na:
+            a_ent += [(p, q, k, c) for k, c in ca.items()]
+            lam_ent += [(p, q, k, c) for k, c in ch.items()]
+            mu_ent += [(p, q, k, c) for k, c in ci.items()]
+            continue
+        in_h_p = na <= p < na + nh
+        in_h_q = na <= q < na + nh
+        in_i_p = p >= na + nh
+        in_i_q = q >= na + nh
+        if (p < na and in_h_q) or (q < na and in_h_p):
+            if ca:
+                raise NotAnIdealSplit(Violation("split-a-h", (p, q), dense_vec(ca, na),
+                                                "[a,h] has an a-component"))
+            if p < na:
+                for r, c in ch.items():
+                    rho_m[p][r][q - na] = c
+                for r, c in ci.items():
+                    tau_m[p][r][q - na] = c
+            continue
+        if in_h_p and in_h_q:
+            if ca:
+                raise NotAnIdealSplit(Violation("split-h-h", (p, q), dense_vec(ca, na),
+                                                "[h,h] has an a-component"))
+            h_ent += [(p - na, q - na, k, c) for k, c in ch.items()]
+            gamma_ent += [(p - na, q - na, k, c) for k, c in ci.items()]
+            continue
+        if (p < na and in_i_q) or (q < na and in_i_p):
+            if ca or ch:
+                raise NotAnIdealSplit(Violation("split-a-ideal", (p, q),
+                                                (dense_vec(ca, na), dense_vec(ch, nh)),
+                                                "[a,I] leaves the ideal"))
+            if p < na:
+                for r, c in ci.items():
+                    sigma_m[p][r][q - na - nh] = c
+            continue
+        # remaining blocks: [h,I], [I,h], [I,I] must vanish outright
+        raise NotAnIdealSplit(Violation("split-centraliser", (p, q),
+                                        (dense_vec(ca, na), dense_vec(ch, nh), dense_vec(ci, nd)),
+                                        "[h,I] or [I,I] is nonzero"))
 
-    a_tab = [[zero_a] * na for _ in range(na)]
-    lam_tab = [[zero_h] * na for _ in range(na)]
-    mu_tab = [[zero_i] * na for _ in range(na)]
-    rho_cols = [[zero_h] * nh for _ in range(na)]
-    tau_cols = [[zero_i] * nh for _ in range(na)]
-    h_tab = [[zero_h] * nh for _ in range(nh)]
-    gamma_tab = [[zero_i] * nh for _ in range(nh)]
-    sigma_cols = [[zero_i] * nd for _ in range(na)]
-
-    for p in range(n):
-        for q in range(n):
-            ca, ch, ci = comp(p, q)
-            if p < na and q < na:
-                a_tab[p][q], lam_tab[p][q], mu_tab[p][q] = ca, ch, ci
-                continue
-            in_h_p = na <= p < na + nh
-            in_h_q = na <= q < na + nh
-            in_i_p = p >= na + nh
-            in_i_q = q >= na + nh
-            if (p < na and in_h_q) or (q < na and in_h_p):
-                if not linalg.vec_is_zero(ca):
-                    raise NotAnIdealSplit(Violation("split-a-h", (p, q), ca,
-                                                    "[a,h] has an a-component"))
-                if p < na:
-                    rho_cols[p][q - na], tau_cols[p][q - na] = ch, ci
-                continue
-            if in_h_p and in_h_q:
-                if not linalg.vec_is_zero(ca):
-                    raise NotAnIdealSplit(Violation("split-h-h", (p, q), ca,
-                                                    "[h,h] has an a-component"))
-                h_tab[p - na][q - na], gamma_tab[p - na][q - na] = ch, ci
-                continue
-            if (p < na and in_i_q) or (q < na and in_i_p):
-                if not linalg.vec_is_zero(ca) or not linalg.vec_is_zero(ch):
-                    raise NotAnIdealSplit(Violation("split-a-ideal", (p, q), (ca, ch),
-                                                    "[a,I] leaves the ideal"))
-                if p < na:
-                    sigma_cols[p][q - na - nh] = ci
-                continue
-            # remaining blocks: [h,I], [I,h], [I,I] must vanish outright
-            if not (linalg.vec_is_zero(ca) and linalg.vec_is_zero(ch) and linalg.vec_is_zero(ci)):
-                raise NotAnIdealSplit(Violation("split-centraliser", (p, q), (ca, ch, ci),
-                                                "[h,I] or [I,I] is nonzero"))
-
-    def maps_from(cols_list, source, target):
-        # build row-major from column lists; transpose would drop the row
-        # count when the source is zero-dimensional
-        return tuple(
-            GradedLinearMap(source, target, a_space.parity(i),
-                            tuple(tuple(col[r] for col in cols_list[i])
-                                  for r in range(target.dim)))
-            for i in range(na)
-        )
+    def maps_from(mats, source, target):
+        return tuple(GradedLinearMap(source, target, a_space.parity(i), tuple(tuple(r) for r in m))
+                     for i, m in enumerate(mats))
 
     try:
         extracted = ExtractedMaps(
             a_space, h_space, ideal_space,
-            SuperBracket(a_space, tuple(tuple(r) for r in a_tab)),
-            SuperBracket(h_space, tuple(tuple(r) for r in h_tab)),
-            GradedBilinearMap(a_space, a_space, h_space, tuple(tuple(r) for r in lam_tab)),
-            GradedBilinearMap(a_space, a_space, ideal_space, tuple(tuple(r) for r in mu_tab)),
-            GradedBilinearMap(h_space, h_space, ideal_space, tuple(tuple(r) for r in gamma_tab)),
-            maps_from(rho_cols, h_space, h_space),
-            maps_from(tau_cols, h_space, ideal_space),
-            maps_from(sigma_cols, ideal_space, ideal_space),
+            SuperBracket.from_entries(a_space, a_ent),
+            SuperBracket.from_entries(h_space, h_ent),
+            GradedBilinearMap.from_entries(a_space, a_space, h_space, lam_ent),
+            GradedBilinearMap.from_entries(a_space, a_space, ideal_space, mu_ent),
+            GradedBilinearMap.from_entries(h_space, h_space, ideal_space, gamma_ent),
+            maps_from(rho_m, h_space, h_space),
+            maps_from(tau_m, h_space, ideal_space),
+            maps_from(sigma_m, ideal_space, ideal_space),
         )
     except SuperquadError as exc:
         raise NotAnIdealSplit(Violation("split-grading", (), None, str(exc))) from exc
@@ -393,7 +430,7 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
     i_perp = orthogonal_complement(ideal, g.metric)
     chosen = linalg.extend_independent(ideal, i_perp)
     h_vectors = [i_perp[c] for c in chosen]
-    gram_h = [[g.metric.value(u, v) for v in h_vectors] for u in h_vectors]
+    gram_h = _gram(g.metric, h_vectors)
     if linalg.rank(gram_h, len(h_vectors)) != len(h_vectors):
         raise ClaimViolated("h-nondegenerate", [Violation("h-nondegenerate")])
 
@@ -412,22 +449,26 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
         raise ClaimViolated("a-superalgebra", exc.violations) from exc
 
     # compatibility sums of the split Jacobi identity on a-triples
+    a_pairs, lam_pairs, mu_pairs = maps.a_table.pairs, maps.lam.pairs, maps.mu.pairs
+
     def h_piece(x, y, z):
-        return linalg.vec_add(maps.lam.right_vector(x, maps.a_table.table[y][z]),
-                              maps.rho[x].apply(maps.lam.value(y, z)))
+        t = maps.lam.right_sparse(x, a_pairs.get((y, z), EMPTY))
+        add_scaled(t, 1, maps.rho[x].apply_sparse(lam_pairs.get((y, z), EMPTY)))
+        return t
 
     def i_piece(x, y, z):
-        t = maps.mu.right_vector(x, maps.a_table.table[y][z])
-        t = linalg.vec_add(t, maps.tau[x].apply(maps.lam.value(y, z)))
-        return linalg.vec_add(t, maps.sigma[x].apply(maps.mu.value(y, z)))
+        t = maps.mu.right_sparse(x, a_pairs.get((y, z), EMPTY))
+        add_scaled(t, 1, maps.tau[x].apply_sparse(lam_pairs.get((y, z), EMPTY)))
+        add_scaled(t, 1, maps.sigma[x].apply_sparse(mu_pairs.get((y, z), EMPTY)))
+        return t
 
     for i in range(na):
         for j in range(na):
             for k in range(na):
-                for piece, claim in ((h_piece, "a-lambda-cyclic"), (i_piece, "a-mu-cyclic")):
+                for piece, claim, dim in ((h_piece, "a-lambda-cyclic", nh), (i_piece, "a-mu-cyclic", nd)):
                     total = cyclic_residual(pa, i, j, k, piece)
-                    if not linalg.vec_is_zero(total):
-                        raise ClaimViolated(claim, [Violation(claim, (i, j, k), total)])
+                    if total:
+                        raise ClaimViolated(claim, [Violation(claim, (i, j, k), dense_vec(total, dim))])
 
     try:
         xi_delta, xi = build_xi(g.metric, ideal, a_vectors, delta,
@@ -436,8 +477,7 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
         raise ClaimViolated("xi-bijective", message=str(exc)) from exc
 
     # h is quadratic of the same degree
-    b_h = GradedBilinearForm(maps.h_space, delta,
-                             tuple(tuple(g.metric.value(u, v) for v in h_vectors) for u in h_vectors))
+    b_h = GradedBilinearForm(maps.h_space, delta, gram_h)
     try:
         h_alg = QuadraticLieSuperAlgebra(LieSuperAlgebra(maps.h_table), b_h)
     except (ValidationError, SuperquadError) as exc:
@@ -458,31 +498,29 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
             raise ClaimViolated("sigma-coadjoint", [Violation("sigma-coadjoint", (i,))])
 
     # omega := xi o mu and its super cyclic condition
-    omega = GradedBilinearMap(
+    omega = GradedBilinearMap.from_entries(
         maps.a_space, maps.a_space, p_delta_dual(maps.a_space, delta),
-        tuple(tuple(xi_delta.apply(maps.mu.value(i, j)) for j in range(na)) for i in range(na)))
+        [(i, j, k, c) for (i, j), v in mu_pairs.items() for k, c in xi_delta.apply_sparse(v).items()])
     for i in range(na):
         for j in range(na):
             for k in range(na):
                 sign = -1 if ((pa[j] + pa[k]) * pa[i]) % 2 else 1
-                if omega.value(i, j)[k] != sign * omega.value(j, k)[i]:
+                if omega.coefficient(i, j, k) != sign * omega.coefficient(j, k, i):
                     raise ClaimViolated("mu-cyclic", [Violation("mu-cyclic", (i, j, k))])
 
-    context = DeltaContext(delta, a_alg, h_alg, maps.rho,
-                           GradedBilinearMap(maps.a_space, maps.a_space, h_alg.space, maps.lam.table),
-                           omega)
+    context = DeltaContext(delta, a_alg, h_alg, maps.rho, maps.lam, omega)
 
     # tau realises chi and gamma realises Phi, through xi
     chi = derive_chi(context)
     for i in range(na):
-        for m in range(nh):
-            if xi_delta.apply(maps.tau[i].column(m)) != chi.value(i, m):
+        for m, col in enumerate(maps.tau[i].sparse_columns):
+            if xi_delta.apply_sparse(col) != chi.pairs.get((i, m), EMPTY):
                 raise ClaimViolated("tau-chi", [Violation("tau-chi", (i, m))])
     phi = derive_phi(context)
-    for m in range(nh):
-        for l in range(nh):
-            if xi_delta.apply(maps.gamma.value(m, l)) != phi.value(m, l):
-                raise ClaimViolated("gamma-phi", [Violation("gamma-phi", (m, l))])
+    gamma_pairs = maps.gamma.pairs
+    for m, l in sorted(gamma_pairs.keys() | phi.pairs.keys()):
+        if xi_delta.apply_sparse(gamma_pairs.get((m, l), EMPTY)) != phi.pairs.get((m, l), EMPTY):
+            raise ClaimViolated("gamma-phi", [Violation("gamma-phi", (m, l))])
 
     try:
         ext = double_extend(context)
@@ -495,16 +533,18 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
     # extension's exactly.
     cols = list(a_vectors) + list(h_vectors) + list(ideal)
     m_inv = linalg.inverse(linalg.transpose(cols))
-    for p in range(n):
-        for q in range(n):
-            w = linalg.mat_vec(m_inv, g.bracket.value_vectors(cols[p], cols[q]))
-            if w != ext.bracket.table[p][q]:
-                raise ClaimViolated("isometry-bracket",
-                                    [Violation("isometry-bracket", (p, q),
-                                               linalg.vec_sub(w, ext.bracket.table[p][q]))])
-    for p in range(n):
-        for q in range(n):
-            if g.metric.value(cols[p], cols[q]) != ext.metric.matrix[p][q]:
+    split = _bracket_in_basis(g.bracket, cols, m_inv)
+    ext_pairs = ext.bracket.pairs
+    for p, q in sorted(split.keys() | ext_pairs.keys()):
+        w = split.get((p, q), EMPTY)
+        if w != ext_pairs.get((p, q), EMPTY):
+            res = dict(w)
+            add_scaled(res, -1, ext_pairs.get((p, q), EMPTY))
+            raise ClaimViolated("isometry-bracket",
+                                [Violation("isometry-bracket", (p, q), dense_vec(res, n))])
+    for p, row in enumerate(_gram(g.metric, cols)):
+        for q, c in enumerate(row):
+            if c != ext.metric.matrix[p][q]:
                 raise ClaimViolated("isometry-metric",
                                     [Violation("isometry-metric", (p, q))])
 

@@ -16,25 +16,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
 from .algebra import (
     LieSuperAlgebra,
     QuadraticLieSuperAlgebra,
     SuperBracket,
     curvature_failures,
     cyclic_residual,
+    cyclic_triples,
     delta_coadjoint,
     is_derivation,
     is_metric_skew,
     semidirect_product,
 )
 from .errors import InvalidContext, LemmaViolation, Violation
-from .linalg import ZERO
+from .linalg import ONE, ZERO
 from .spaces import (
+    EMPTY,
     GradedBilinearForm,
     GradedBilinearMap,
     GradedLinearMap,
     SuperSpace,
+    add_scaled,
+    dense_vec,
+    drop_zeros,
     p_delta_dual,
 )
 
@@ -90,37 +94,28 @@ class DeltaContext:
 def derive_chi(ctx: DeltaContext) -> GradedBilinearMap:
     """chi(x,u)(P_d(y)) = -(-1)^{|u||y|} B_h(lambda(x,y), u), valued in the dual block."""
     a_sp, h_sp, dual = ctx.a.space, ctx.h.space, ctx.dual_block
-    bh = ctx.h.metric
-    table = []
-    for i in range(a_sp.dim):
-        row = []
-        for m in range(h_sp.dim):
-            val = []
-            for k in range(a_sp.dim):
+    bh_rows = ctx.h.metric.sparse_rows
+    entries = []
+    for (i, k), v in ctx.lam.pairs.items():
+        for r, c in v.items():
+            for m, b in bh_rows[r].items():
                 sign = -1 if h_sp.parity(m) * a_sp.parity(k) else 1
-                lam_ik = ctx.lam.value(i, k)
-                val.append(-sign * sum((c * bh.matrix[r][m] for r, c in enumerate(lam_ik) if c), ZERO))
-            row.append(tuple(val))
-        table.append(tuple(row))
-    return GradedBilinearMap(a_sp, h_sp, dual, tuple(table))
+                entries.append((i, m, k, -sign * c * b))
+    return GradedBilinearMap.from_entries(a_sp, h_sp, dual, entries)
 
 
 def derive_phi(ctx: DeltaContext) -> GradedBilinearMap:
     """Phi(u,v)(P_d(x)) = (-1)^{|x|(|u|+|v|)} B_h(rho(x)(u), v); checked super skew."""
     a_sp, h_sp, dual = ctx.a.space, ctx.h.space, ctx.dual_block
-    bh = ctx.h.metric
-    table = []
-    for m in range(h_sp.dim):
-        row = []
-        for l in range(h_sp.dim):
-            val = []
-            for k in range(a_sp.dim):
-                sign = -1 if (a_sp.parity(k) * (h_sp.parity(m) + h_sp.parity(l))) % 2 else 1
-                col = ctx.rho[k].column(m)
-                val.append(sign * sum((c * bh.matrix[r][l] for r, c in enumerate(col) if c), ZERO))
-            row.append(tuple(val))
-        table.append(tuple(row))
-    phi = GradedBilinearMap(h_sp, h_sp, dual, tuple(table))
+    bh_rows = ctx.h.metric.sparse_rows
+    entries = []
+    for k, t in enumerate(ctx.rho):
+        for m, col in enumerate(t.sparse_columns):
+            for r, c in col.items():
+                for l, b in bh_rows[r].items():
+                    sign = -1 if (a_sp.parity(k) * (h_sp.parity(m) + h_sp.parity(l))) % 2 else 1
+                    entries.append((m, l, k, sign * c * b))
+    phi = GradedBilinearMap.from_entries(h_sp, h_sp, dual, entries)
     v = phi.check_super_skew("phi-skew")
     if v is not None:
         # rho not metric-skew would surface here; report as a context defect
@@ -163,32 +158,36 @@ def validate_context(ctx: DeltaContext) -> list[Violation]:
     # deh1: [rho(x),rho(y)] - rho([x,y]_a) = ad_h(lambda(x,y))
     out += [Violation("deh1", ij) for ij in curvature_failures(ctx.a, ctx.h.bracket, ctx.rho, ctx.lam)]
 
+    a_pairs, lam_pairs, omega_pairs = ctx.a.bracket.pairs, ctx.lam.pairs, ctx.omega.pairs
+
     # deh2: cyclic sum of rho(x)(lambda(y,z)) + lambda(x,[y,z]_a)
     def deh2_piece(x, y, z):
-        return linalg.vec_add(ctx.rho[x].apply(ctx.lam.value(y, z)),
-                              ctx.lam.right_vector(x, ctx.a.bracket.table[y][z]))
+        t = ctx.rho[x].apply_sparse(lam_pairs.get((y, z), EMPTY))
+        add_scaled(t, 1, ctx.lam.right_sparse(x, a_pairs.get((y, z), EMPTY)))
+        return t
 
     # deh3: cyclic sum of ad*_d(x)(omega(y,z)) + omega(x,[y,z]_a) + chi(x,lambda(y,z))
     def deh3_piece(x, y, z):
-        t = rep.action[x].apply(ctx.omega.value(y, z))
-        t = linalg.vec_add(t, ctx.omega.right_vector(x, ctx.a.bracket.table[y][z]))
-        return linalg.vec_add(t, chi.right_vector(x, ctx.lam.value(y, z)))
+        t = rep.action[x].apply_sparse(omega_pairs.get((y, z), EMPTY))
+        add_scaled(t, 1, ctx.omega.right_sparse(x, a_pairs.get((y, z), EMPTY)))
+        add_scaled(t, 1, chi.right_sparse(x, lam_pairs.get((y, z), EMPTY)))
+        return t
 
-    for name, piece in (("deh2", deh2_piece), ("deh3", deh3_piece)):
+    for name, piece, dim in (("deh2", deh2_piece, ctx.h.dim), ("deh3", deh3_piece, na)):
         for i in range(na):
             for j in range(na):
                 for k in range(na):
                     total = cyclic_residual(par, i, j, k, piece)
-                    if not linalg.vec_is_zero(total):
-                        out.append(Violation(name, (i, j, k), total))
+                    if total:
+                        out.append(Violation(name, (i, j, k), dense_vec(total, dim)))
 
     # super cyclic condition on omega
     for i in range(na):
         for j in range(na):
             for k in range(na):
                 sign = -1 if ((par[j] + par[k]) * par[i]) % 2 else 1
-                lhs = ctx.omega.value(i, j)[k]
-                rhs = sign * ctx.omega.value(j, k)[i]
+                lhs = ctx.omega.coefficient(i, j, k)
+                rhs = sign * ctx.omega.coefficient(j, k, i)
                 if lhs != rhs:
                     out.append(Violation("super-cyclic", (i, j, k), lhs - rhs))
 
@@ -217,18 +216,21 @@ def _lemma_residuals(ctx: DeltaContext) -> list[Violation]:
     a_sp, h_sp = ctx.a.space, ctx.h.space
     na, nh = a_sp.dim, h_sp.dim
     pa, qh = a_sp.parities, h_sp.parities
+    a_pairs, h_pairs = ctx.a.bracket.pairs, ctx.h.bracket.pairs
 
     # Phi(rho(x)u, v) + (-1)^{|x||u|} Phi(u, rho(x)v) - ad*_d(x)(Phi(u,v)) - chi(x,[u,v]_h) = 0
     for i in range(na):
+        cols = ctx.rho[i].sparse_columns
         for m in range(nh):
+            sign = -1 if pa[i] * qh[m] else 1
             for l in range(nh):
-                total = phi.left_vector(ctx.rho[i].column(m), l)
-                sign = -1 if pa[i] * qh[m] else 1
-                total = linalg.vec_add(total, linalg.vec_scale(sign, phi.right_vector(m, ctx.rho[i].column(l))))
-                total = linalg.vec_sub(total, rep.action[i].apply(phi.value(m, l)))
-                total = linalg.vec_sub(total, chi.right_vector(i, ctx.h.bracket.table[m][l]))
-                if not linalg.vec_is_zero(total):
-                    out.append(Violation("lemma-1", (i, m, l), total))
+                total = phi.left_sparse(cols[m], l)
+                add_scaled(total, sign, phi.right_sparse(m, cols[l]))
+                add_scaled(total, -1, rep.action[i].apply_sparse(phi.pairs.get((m, l), EMPTY)))
+                add_scaled(total, -1, chi.right_sparse(i, h_pairs.get((m, l), EMPTY)))
+                total = drop_zeros(total)
+                if total:
+                    out.append(Violation("lemma-1", (i, m, l), dense_vec(total, na)))
 
     # chi([x,y]_a,u) - chi(x,rho(y)u) + (-1)^{|x||y|} chi(y,rho(x)u)
     #   - ad*_d(x)(chi(y,u)) + (-1)^{|x||y|} ad*_d(y)(chi(x,u)) + Phi(lambda(x,y),u) = 0
@@ -236,25 +238,24 @@ def _lemma_residuals(ctx: DeltaContext) -> list[Violation]:
         for j in range(na):
             sign = -1 if pa[i] * pa[j] else 1
             for m in range(nh):
-                total = chi.left_vector(ctx.a.bracket.table[i][j], m)
-                total = linalg.vec_sub(total, chi.right_vector(i, ctx.rho[j].column(m)))
-                total = linalg.vec_add(total, linalg.vec_scale(sign, chi.right_vector(j, ctx.rho[i].column(m))))
-                total = linalg.vec_sub(total, rep.action[i].apply(chi.value(j, m)))
-                total = linalg.vec_add(total, linalg.vec_scale(sign, rep.action[j].apply(chi.value(i, m))))
-                total = linalg.vec_add(total, phi.left_vector(ctx.lam.value(i, j), m))
-                if not linalg.vec_is_zero(total):
-                    out.append(Violation("lemma-2", (i, j, m), total))
+                total = chi.left_sparse(a_pairs.get((i, j), EMPTY), m)
+                add_scaled(total, -1, chi.right_sparse(i, ctx.rho[j].sparse_columns[m]))
+                add_scaled(total, sign, chi.right_sparse(j, ctx.rho[i].sparse_columns[m]))
+                add_scaled(total, -1, rep.action[i].apply_sparse(chi.pairs.get((j, m), EMPTY)))
+                add_scaled(total, sign, rep.action[j].apply_sparse(chi.pairs.get((i, m), EMPTY)))
+                add_scaled(total, 1, phi.left_sparse(ctx.lam.pairs.get((i, j), EMPTY), m))
+                total = drop_zeros(total)
+                if total:
+                    out.append(Violation("lemma-2", (i, j, m), dense_vec(total, na)))
 
     # cyclic sum of (-1)^{|u||w|} Phi(u,[v,w]_h) = 0
     def phi_piece(x, y, z):
-        return phi.right_vector(x, ctx.h.bracket.table[y][z])
+        return phi.right_sparse(x, h_pairs.get((y, z), EMPTY))
 
-    for m in range(nh):
-        for l in range(nh):
-            for r in range(nh):
-                total = cyclic_residual(qh, m, l, r, phi_piece)
-                if not linalg.vec_is_zero(total):
-                    out.append(Violation("phi-cocycle", (m, l, r), total))
+    for m, l, r in cyclic_triples(phi.pairs, h_pairs):
+        total = cyclic_residual(qh, m, l, r, phi_piece)
+        if total:
+            out.append(Violation("phi-cocycle", (m, l, r), dense_vec(total, na)))
 
     return out
 
@@ -262,39 +263,29 @@ def _lemma_residuals(ctx: DeltaContext) -> list[Violation]:
 def central_extension(ctx: DeltaContext, phi: GradedBilinearMap) -> LieSuperAlgebra:
     """h + dual block with [u + a, v + b]' = [u,v]_h + Phi(u,v), dual block central."""
     h_sp, dual = ctx.h.space, ctx.dual_block
-    nh, nd = h_sp.dim, dual.dim
     space = SuperSpace(h_sp.basis + dual.basis)
-    n = nh + nd
-    table = [[linalg.zero_vec(n) for _ in range(n)] for _ in range(n)]
-    for m in range(nh):
-        for l in range(nh):
-            table[m][l] = tuple(ctx.h.bracket.table[m][l]) + tuple(phi.value(m, l))
-    return LieSuperAlgebra(SuperBracket(space, tuple(tuple(row) for row in table)))
+    return LieSuperAlgebra(SuperBracket.from_entries(
+        space, ctx.h.bracket.entries() + phi.entries(dk=h_sp.dim)))
 
 
 def extension_derivations(ctx: DeltaContext, chi: GradedBilinearMap,
                           ce_space: SuperSpace) -> tuple[GradedLinearMap, ...]:
     """Theta(x) = rho(x) + ad*_d(x) + chi(x, .) acting on h + dual block."""
     rep = delta_coadjoint(ctx.a, ctx.delta)
-    nh, nd = ctx.h.dim, ctx.dual_block.dim
-    na = ctx.a.dim
-    maps = []
-    for i in range(na):
-        rows = [[ZERO] * (nh + nd) for _ in range(nh + nd)]
-        for m in range(nh):
-            col_h = ctx.rho[i].column(m)
-            col_d = chi.value(i, m)
-            for r in range(nh):
-                rows[r][m] = col_h[r]
-            for k in range(nd):
-                rows[nh + k][m] = col_d[k]
-        for k in range(nd):
-            col = rep.action[i].column(k)
-            for r in range(nd):
-                rows[nh + r][nh + k] = col[r]
-        maps.append(GradedLinearMap(ce_space, ce_space, ctx.a.space.parity(i),
-                                    tuple(tuple(r) for r in rows)))
-    return tuple(maps)
+    nh, n = ctx.h.dim, ce_space.dim
+    mats = [[[ZERO] * n for _ in range(n)] for _ in range(ctx.a.dim)]
+    for i, rows in enumerate(mats):
+        for m, col in enumerate(ctx.rho[i].sparse_columns):
+            for r, c in col.items():
+                rows[r][m] = c
+        for k, col in enumerate(rep.action[i].sparse_columns):
+            for r, c in col.items():
+                rows[nh + r][nh + k] = c
+    for (i, m), v in chi.pairs.items():
+        for k, c in v.items():
+            mats[i][nh + k][m] = c
+    return tuple(GradedLinearMap(ce_space, ce_space, ctx.a.space.parity(i), tuple(tuple(r) for r in rows))
+                 for i, rows in enumerate(mats))
 
 
 def extension_metric(ctx: DeltaContext, space: SuperSpace) -> GradedBilinearForm:
@@ -310,11 +301,10 @@ def extension_metric(ctx: DeltaContext, space: SuperSpace) -> GradedBilinearForm
     for m in range(nh):
         for l in range(nh):
             rows[na + m][na + l] = ctx.h.metric.matrix[m][l]
-    one = linalg.ONE
     for i in range(na):
-        rows[na + nh + i][i] = one
+        rows[na + nh + i][i] = ONE
         sign = -1 if (ctx.a.space.parity(i) * (1 + ctx.delta)) % 2 else 1
-        rows[i][na + nh + i] = sign * one
+        rows[i][na + nh + i] = sign * ONE
     return GradedBilinearForm(space, ctx.delta, tuple(tuple(r) for r in rows))
 
 
@@ -335,14 +325,8 @@ def double_extend(ctx: DeltaContext) -> QuadraticLieSuperAlgebra:
     ce = central_extension(ctx, phi)
     theta = extension_derivations(ctx, chi, ce.space)
 
-    nce = ce.dim
-    lam_rows = []
-    for i in range(ctx.a.dim):
-        row = []
-        for j in range(ctx.a.dim):
-            row.append(tuple(ctx.lam.value(i, j)) + tuple(ctx.omega.value(i, j)))
-        lam_rows.append(tuple(row))
-    big_lambda = GradedBilinearMap(ctx.a.space, ctx.a.space, ce.space, tuple(lam_rows))
+    big_lambda = GradedBilinearMap.from_entries(
+        ctx.a.space, ctx.a.space, ce.space, ctx.lam.entries() + ctx.omega.entries(dk=ctx.h.dim))
 
     lie = semidirect_product(ctx.a, ce, theta, big_lambda)
     metric = extension_metric(ctx, lie.space)
@@ -355,10 +339,10 @@ def contexts_equal(c1: DeltaContext, c2: DeltaContext) -> bool:
         c1.delta == c2.delta
         and c1.a.space.parities == c2.a.space.parities
         and c1.h.space.parities == c2.h.space.parities
-        and c1.a.bracket.table == c2.a.bracket.table
-        and c1.h.bracket.table == c2.h.bracket.table
+        and c1.a.bracket.pairs == c2.a.bracket.pairs
+        and c1.h.bracket.pairs == c2.h.bracket.pairs
         and c1.h.metric.matrix == c2.h.metric.matrix
         and tuple(t.matrix for t in c1.rho) == tuple(t.matrix for t in c2.rho)
-        and c1.lam.table == c2.lam.table
-        and c1.omega.table == c2.omega.table
+        and c1.lam.pairs == c2.lam.pairs
+        and c1.omega.pairs == c2.omega.pairs
     )

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples and matrices are tuples of row tuples, all with Fraction
-entries. Routines never mutate their arguments. Elimination always takes the
-first usable pivot in row-major order and free variables are filled in column
-order, so every result is deterministic and reproducible bit-for-bit.
+entries; ``scalar`` and ``vec`` refuse floats and bools. Routines never
+mutate their arguments. Elimination always takes the first usable pivot in
+row-major order and free variables are filled in column order, so every
+result is deterministic and reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -18,8 +19,18 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def scalar(e) -> Fraction:
+    """An exact rational. Floats and bools raise TypeError: a float's binary
+    value would enter silently inexact, and a bool is not a coefficient."""
+    if type(e) is Fraction:
+        return e
+    if isinstance(e, (bool, float)):
+        raise TypeError(f"coefficient must be an exact rational, got {type(e).__name__} {e!r}")
+    return Fraction(e)
+
+
 def vec(entries: Iterable) -> Vector:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(map(scalar, entries))
 
 
 def zero_vec(n: int) -> Vector:
@@ -39,7 +50,7 @@ def vec_sub(u: Sequence, v: Sequence) -> Vector:
 
 
 def vec_scale(c, v: Sequence) -> Vector:
-    c = Fraction(c)
+    c = scalar(c)
     return tuple(c * a for a in v)
 
 
@@ -96,7 +107,7 @@ def mat_is_zero(a: Matrix) -> bool:
 
 def rref(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    work = [list(r) for r in rows]
+    work = [list(vec(r)) for r in rows]
     if ncols is None:
         ncols = len(work[0]) if work else 0
     pivots: list[int] = []
@@ -107,11 +118,11 @@ def rref(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list[list[
             continue
         work[r], work[pr] = work[pr], work[r]
         inv = ONE / work[r][c]
-        work[r] = [inv * x for x in work[r]]
+        work[r] = [inv * x if x else x for x in work[r]]
         for i in range(len(work)):
             if i != r and work[i][c] != 0:
                 f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+                work[i] = [x - f * y if y else x for x, y in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -143,7 +154,7 @@ def solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int | None = None) -> 
     """First-pivot particular solution of rows @ x = rhs (free variables zero)."""
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [Fraction(b)] for r, b in zip(rows, rhs)]
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red, pivots = rref(aug, ncols)
     for r in range(len(pivots), len(red)):
         if red[r][ncols] != 0:

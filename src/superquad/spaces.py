@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Sequence
 
 from . import linalg
@@ -20,6 +22,43 @@ from .linalg import Matrix, Vector, ZERO
 
 EVEN = 0
 ODD = 1
+
+# Sparse vectors are dicts {index: coefficient}. add_scaled accumulates in
+# place and may leave cancelled zeros behind; every sparse vector a function
+# returns or a map stores has them dropped. EMPTY is the shared read-only
+# zero vector.
+EMPTY = MappingProxyType({})
+
+
+def sparse_vec(v: Sequence) -> dict:
+    return {k: c for k, c in enumerate(v) if c}
+
+
+def dense_vec(v, n: int) -> Vector:
+    out = [ZERO] * n
+    for k, c in v.items():
+        out[k] = c
+    return tuple(out)
+
+
+def add_scaled(acc: dict, c, v) -> None:
+    """acc += c * v, in place."""
+    if c == 1:
+        for k, x in v.items():
+            if k in acc:
+                acc[k] += x
+            else:
+                acc[k] = x
+        return
+    for k, x in v.items():
+        if k in acc:
+            acc[k] += c * x
+        else:
+            acc[k] = c * x
+
+
+def drop_zeros(v: dict) -> dict:
+    return {k: c for k, c in v.items() if c}
 
 
 def _check_parity(p) -> int:
@@ -139,6 +178,23 @@ class GradedLinearMap:
     def apply(self, v: Sequence) -> Vector:
         return linalg.mat_vec(self.matrix, v)
 
+    @cached_property
+    def sparse_columns(self) -> tuple[dict, ...]:
+        """Column j as a sparse vector: the image of the j-th source basis vector."""
+        cols = [{} for _ in range(self.source.dim)]
+        for r, row in enumerate(self.matrix):
+            for c, x in enumerate(row):
+                if x:
+                    cols[c][r] = x
+        return tuple(cols)
+
+    def apply_sparse(self, v) -> dict:
+        out: dict = {}
+        cols = self.sparse_columns
+        for j, c in v.items():
+            add_scaled(out, c, cols[j])
+        return drop_zeros(out)
+
     def compose(self, other: "GradedLinearMap") -> "GradedLinearMap":
         """self after other."""
         if other.target.basis != self.source.basis:
@@ -173,15 +229,6 @@ def parity_shift_map(t: GradedLinearMap) -> GradedLinearMap:
     return GradedLinearMap(parity_shift(t.source), t.target, (t.degree + 1) % 2, t.matrix)
 
 
-def supercommutator(s: GradedLinearMap, t: GradedLinearMap) -> GradedLinearMap:
-    """[S,T] = S T - (-1)^{|S||T|} T S."""
-    st = s.compose(t)
-    ts = t.compose(s)
-    sign = -1 if (s.degree * t.degree) % 2 else 1
-    return GradedLinearMap(st.source, st.target, st.degree,
-                           linalg.mat_sub(st.matrix, linalg.mat_scale(sign, ts.matrix)))
-
-
 @dataclass(frozen=True)
 class GradedBilinearForm:
     """Bilinear form with a declared degree; matrix[i][j] = B(e_i, e_j).
@@ -205,12 +252,18 @@ class GradedBilinearForm:
     def entry(self, i: int, j: int) -> Fraction:
         return self.matrix[i][j]
 
+    @cached_property
+    def sparse_rows(self) -> tuple[dict, ...]:
+        """Row i as a sparse vector: j -> B(e_i, e_j)."""
+        return tuple(sparse_vec(row) for row in self.matrix)
+
     def value(self, u: Sequence, v: Sequence) -> Fraction:
+        nzv = [(j, b) for j, b in enumerate(v) if b]
         total = ZERO
         for i, a in enumerate(u):
             if a:
                 row = self.matrix[i]
-                total += a * sum((row[j] * v[j] for j in range(len(v)) if v[j]), ZERO)
+                total += a * sum((row[j] * b for j, b in nzv), ZERO)
         return total
 
     def rank(self) -> int:
@@ -220,14 +273,16 @@ class GradedBilinearForm:
         return self.rank() == self.space.dim
 
     def check_supersymmetry(self) -> Violation | None:
-        """B(x,y) = (-1)^{|x||y|} B(y,x) entrywise."""
+        """B(x,y) = (-1)^{|x||y|} B(y,x) entrywise; pairs where both entries
+        vanish are skipped, so the first failing (i, j) is in row-major order."""
         par = self.space.parities
-        for i in range(self.space.dim):
-            for j in range(self.space.dim):
-                sign = -1 if par[i] * par[j] else 1
-                if self.matrix[i][j] != sign * self.matrix[j][i]:
-                    return Violation("super-symmetry", (i, j),
-                                     self.matrix[i][j] - sign * self.matrix[j][i])
+        rows = self.sparse_rows
+        nonzero = {(i, j) for i, row in enumerate(rows) for j in row}
+        for i, j in sorted(nonzero | {(j, i) for i, j in nonzero}):
+            sign = -1 if par[i] * par[j] else 1
+            res = rows[i].get(j, ZERO) - sign * rows[j].get(i, ZERO)
+            if res:
+                return Violation("super-symmetry", (i, j), res)
         return None
 
 
@@ -240,10 +295,8 @@ def check_form_degree(form: GradedBilinearForm) -> int:
     """
     par = form.space.parities
     even_bad = odd_bad = None
-    for i in range(form.space.dim):
-        for j in range(form.space.dim):
-            if form.matrix[i][j] == 0:
-                continue
+    for i, row in enumerate(form.sparse_rows):
+        for j in row:
             if par[i] != par[j]:
                 if even_bad is None:
                     even_bad = (i, j)
@@ -262,96 +315,161 @@ def check_form_degree(form: GradedBilinearForm) -> int:
     )
 
 
-@dataclass(frozen=True)
 class GradedBilinearMap:
-    """Even bilinear map left x right -> target; table[i][j] is a target vector."""
+    """Even bilinear map left x right -> target, stored by its nonzeros.
 
-    left: SuperSpace
-    right: SuperSpace
-    target: SuperSpace
-    table: tuple[tuple[Vector, ...], ...]
+    ``pairs[(i, j)]`` is the value on (e_i, e_j) as a sparse vector
+    ``{k: c}``. Pairs and coefficients are kept in lexicographic order and
+    no zero coefficient or empty value is ever stored, so a kernel that walks
+    ``pairs`` touches only nonzero structure constants, in scan order. The
+    map is immutable; ``pairs`` must not be mutated. ``table`` is a dense view
+    derived from ``pairs`` on first use.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "table",
-            tuple(tuple(linalg.vec(v) for v in row) for row in self.table),
-        )
-        if len(self.table) != self.left.dim or any(len(row) != self.right.dim for row in self.table):
+    __slots__ = ("left", "right", "target", "pairs", "_table")
+
+    def __init__(self, left: SuperSpace, right: SuperSpace, target: SuperSpace, table):
+        """Dense form: table[i][j] is the coordinate vector of the value on (e_i, e_j)."""
+        table = tuple(tuple(tuple(v) for v in row) for row in table)
+        if len(table) != left.dim or any(len(row) != right.dim for row in table):
             raise ValueError("bilinear table shape mismatch")
-        for row in self.table:
-            for v in row:
-                if len(v) != self.target.dim:
-                    raise ValueError("bilinear table value dimension mismatch")
-
-    @classmethod
-    def zero(cls, left: SuperSpace, right: SuperSpace, target: SuperSpace) -> "GradedBilinearMap":
-        return cls(left, right, target,
-                   tuple(tuple(linalg.zero_vec(target.dim) for _ in range(right.dim))
-                         for _ in range(left.dim)))
+        if any(len(v) != target.dim for row in table for v in row):
+            raise ValueError("bilinear table value dimension mismatch")
+        self._set(left, right, target,
+                  ((i, j, k, c) for i, row in enumerate(table) for j, v in enumerate(row)
+                   for k, c in enumerate(v)))
 
     @classmethod
     def from_entries(cls, left, right, target, entries) -> "GradedBilinearMap":
-        """entries: iterable of (i, j, k, coefficient)."""
-        table = [[list(linalg.zero_vec(target.dim)) for _ in range(right.dim)]
-                 for _ in range(left.dim)]
+        """entries: iterable of (i, j, k, c); coefficients of a repeated (i, j, k) add up."""
+        return cls._build(left, right, target, entries)
+
+    @classmethod
+    def _build(cls, left, right, target, entries):
+        self = object.__new__(cls)
+        self._set(left, right, target, entries)
+        return self
+
+    def _set(self, left, right, target, entries) -> None:
+        """The one normalisation point: exact coefficients, indices in range, no zeros."""
+        nl, nr, nt = left.dim, right.dim, target.dim
+        acc: dict = {}
         for i, j, k, c in entries:
-            table[i][j][k] += Fraction(c)
-        return cls(left, right, target, tuple(tuple(tuple(v) for v in row) for row in table))
+            if not (0 <= i < nl and 0 <= j < nr and 0 <= k < nt):
+                raise ValueError(f"bilinear entry ({i},{j},{k}) out of range")
+            c = linalg.scalar(c)
+            if c:
+                v = acc.setdefault((i, j), {})
+                v[k] = v[k] + c if k in v else c
+        pairs = {}
+        for key in sorted(acc):
+            v = {k: c for k, c in sorted(acc[key].items()) if c}
+            if v:
+                pairs[key] = v
+        for name, value in (("left", left), ("right", right), ("target", target),
+                            ("pairs", pairs), ("_table", None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def zero(cls, left: SuperSpace, right: SuperSpace, target: SuperSpace) -> "GradedBilinearMap":
+        return cls._build(left, right, target, ())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.left, self.right, self.target, self.pairs) == \
+            (other.left, other.right, other.target, other.pairs)
+
+    def __hash__(self):
+        return hash((self.left, self.right, self.target, tuple(self.entries())))
+
+    def __repr__(self):
+        return (f"{type(self).__name__}({self.left!r}, {self.right!r}, {self.target!r}, "
+                f"pairs={self.pairs!r})")
+
+    @property
+    def table(self) -> tuple[tuple[Vector, ...], ...]:
+        """Dense view: table[i][j] is the value on (e_i, e_j). Built on first
+        use and cached; no kernel of the library reads it."""
+        if self._table is None:
+            nt = self.target.dim
+            zero = linalg.zero_vec(nt)
+            pairs = self.pairs
+            object.__setattr__(self, "_table", tuple(
+                tuple(dense_vec(pairs[(i, j)], nt) if (i, j) in pairs else zero
+                      for j in range(self.right.dim))
+                for i in range(self.left.dim)))
+        return self._table
 
     def value(self, i: int, j: int) -> Vector:
-        return self.table[i][j]
+        return dense_vec(self.pairs.get((i, j), EMPTY), self.target.dim)
 
-    def left_vector(self, u: Sequence, j: int) -> Vector:
-        out = linalg.zero_vec(self.target.dim)
-        for i, c in enumerate(u):
-            if c:
-                out = linalg.vec_add(out, linalg.vec_scale(c, self.table[i][j]))
-        return out
+    def coefficient(self, i: int, j: int, k: int) -> Fraction:
+        return self.pairs.get((i, j), EMPTY).get(k, ZERO)
+
+    def left_sparse(self, u, j: int) -> dict:
+        """Value on (u, e_j) for a sparse vector u of the left space."""
+        out: dict = {}
+        get = self.pairs.get
+        for i, c in u.items():
+            w = get((i, j))
+            if w:
+                add_scaled(out, c, w)
+        return drop_zeros(out)
+
+    def right_sparse(self, i: int, v) -> dict:
+        """Value on (e_i, v) for a sparse vector v of the right space."""
+        out: dict = {}
+        get = self.pairs.get
+        for j, c in v.items():
+            w = get((i, j))
+            if w:
+                add_scaled(out, c, w)
+        return drop_zeros(out)
 
     def right_vector(self, i: int, v: Sequence) -> Vector:
-        out = linalg.zero_vec(self.target.dim)
-        for j, c in enumerate(v):
-            if c:
-                out = linalg.vec_add(out, linalg.vec_scale(c, self.table[i][j]))
-        return out
+        return dense_vec(self.right_sparse(i, sparse_vec(v)), self.target.dim)
 
     def value_vectors(self, u: Sequence, v: Sequence) -> Vector:
-        out = linalg.zero_vec(self.target.dim)
+        out: dict = {}
+        sv = sparse_vec(v)
         for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if b:
-                    out = linalg.vec_add(out, linalg.vec_scale(a * b, self.table[i][j]))
-        return out
+            if a:
+                add_scaled(out, a, self.right_sparse(i, sv))
+        return dense_vec(drop_zeros(out), self.target.dim)
 
-    def entries(self):
-        """Sorted nonzero coefficients as (i, j, k, c)."""
-        return [(i, j, k, c) for i, row in enumerate(self.table) for j, v in enumerate(row)
-                for k, c in enumerate(v) if c]
+    def entries(self, di: int = 0, dj: int = 0, dk: int = 0) -> list:
+        """Nonzero coefficients as (i, j, k, c) in lexicographic order, the
+        indices shifted by (di, dj, dk) for embedding into a larger map."""
+        return [(i + di, j + dj, k + dk, c) for (i, j), v in self.pairs.items()
+                for k, c in v.items()]
 
     def is_zero(self) -> bool:
-        return all(linalg.vec_is_zero(v) for row in self.table for v in row)
+        return not self.pairs
 
     def check_even(self, name: str = "bilinear-even", what: str = "value") -> Violation | None:
         """As an even map, the value on (e_i, e_j) lies in the (p_i + p_j) block."""
         pl, pr, pt = self.left.parities, self.right.parities, self.target.parities
-        for i in range(self.left.dim):
-            for j in range(self.right.dim):
-                want = (pl[i] + pr[j]) % 2
-                for k, c in enumerate(self.table[i][j]):
-                    if c != 0 and pt[k] != want:
-                        return Violation(name, (i, j, k), c, f"{what} leaves its parity block")
+        for (i, j), v in self.pairs.items():
+            want = (pl[i] + pr[j]) % 2
+            for k, c in v.items():
+                if pt[k] != want:
+                    return Violation(name, (i, j, k), c, f"{what} leaves its parity block")
         return None
 
     def check_super_skew(self, name: str = "bilinear-skew") -> Violation | None:
+        """value(e_j, e_i) = -(-1)^{p_i p_j} value(e_i, e_j), first failing (i, j)
+        in row-major order; pairs where both values vanish are skipped."""
         if self.left.basis != self.right.basis:
             raise ValueError("super skew-symmetry needs equal source spaces")
         par = self.left.parities
-        for i in range(self.left.dim):
-            for j in range(self.right.dim):
-                sign = -1 if par[i] * par[j] else 1
-                expect = linalg.vec_scale(-sign, self.table[i][j])
-                if self.table[j][i] != expect:
-                    return Violation(name, (i, j), linalg.vec_sub(self.table[j][i], expect))
+        pairs = self.pairs
+        for i, j in sorted(set(pairs) | {(j, i) for i, j in pairs}):
+            res = dict(pairs.get((j, i), EMPTY))
+            add_scaled(res, -1 if par[i] * par[j] else 1, pairs.get((i, j), EMPTY))
+            if any(res.values()):
+                return Violation(name, (i, j), dense_vec(res, self.target.dim))
         return None

@@ -182,3 +182,11 @@ def test_nested_extension_labels_stay_unique():
     g = heisenberg_extension(HeisenbergExtensionParams(h4, d))
     assert g.dim == 6
     assert g.space.labels[0] == "x1" and g.space.labels[-1] == "P(x1)*"
+
+
+def test_odd_dim1_refuses_inexact_eta():
+    from superquad.catalog import default_odd_dim1_params
+    for bad in (0.1, True):
+        with pytest.raises(TypeError):
+            default_odd_dim1_params(bad)
+    assert default_odd_dim1_params("2/3").eta == F(2, 3)

@@ -275,3 +275,17 @@ def test_validate_context_calls_per_command(tmp_path, capsys, monkeypatch):
             calls.clear()
             assert run(capsys, *argv)[0] == 0
             assert len(calls) == expected, argv
+
+
+def test_heisenberg_pairs_16_extend_and_roundtrip(tmp_path, capsys):
+    """Scale coverage: the dim-34 Heisenberg extension through the CLI."""
+    from superquad.catalog import default_heisenberg_params, heisenberg_extension
+
+    ctx, out = tmp_path / "h16.context", tmp_path / "h16.algebra"
+    assert run(capsys, "catalog", "heisenberg", "--pairs", "16", "--emit", "context", "--out", str(ctx))[0] == 0
+    code, stdout, _ = run(capsys, "extend", "--context", str(ctx), "--out", str(out))
+    assert code == 0 and "dim 34 (17|17)" in stdout
+    expected = algebra_to_document(heisenberg_extension(default_heisenberg_params(16)), "heisenberg")
+    assert out.read_text() == serialize_document(expected)
+    code, stdout, _ = run(capsys, "roundtrip", str(ctx))
+    assert code == 0 and stdout.splitlines()[-1] == "PASS"

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from superquad import linalg
 from superquad.linalg import ONE, ZERO
 
@@ -73,3 +75,16 @@ def test_extend_independent():
     base = [(ONE, ZERO, ZERO)]
     cands = [(Fraction(2), ZERO, ZERO), (ZERO, ONE, ZERO), (ONE, ONE, ZERO), (ZERO, ZERO, ONE)]
     assert linalg.extend_independent(base, cands) == [1, 3]
+
+
+def test_vec_refuses_floats_and_bools():
+    for bad in (0.1, 1.0, True, False):
+        with pytest.raises(TypeError):
+            linalg.vec([ONE, bad])
+    assert linalg.vec([1, "2/3", Fraction(1, 7)]) == (ONE, Fraction(2, 3), Fraction(1, 7))
+    with pytest.raises(TypeError):
+        linalg.vec_scale(0.5, (ONE,))
+    with pytest.raises(TypeError):
+        linalg.rank([[ONE, 0.5]])
+    with pytest.raises(TypeError):
+        linalg.solve([[ONE]], [0.5])

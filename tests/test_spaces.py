@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from superquad.errors import NotHomogeneous
 from superquad.spaces import (
     GradedBilinearForm,
+    GradedBilinearMap,
     GradedLinearMap,
     SuperSpace,
     apply_p_delta,
@@ -156,3 +157,32 @@ def test_scalar_canonical_form(a):
     from math import gcd
     assert a.denominator > 0
     assert gcd(abs(a.numerator), a.denominator) == 1
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
+def test_maps_and_forms_refuse_inexact_coefficients(bad):
+    v = space([0, 0])
+    with pytest.raises(TypeError):
+        GradedLinearMap(v, v, 0, ((bad, 0), (0, 1)))
+    with pytest.raises(TypeError):
+        GradedBilinearForm(v, 0, ((bad, 0), (0, 1)))
+    with pytest.raises(TypeError):
+        GradedBilinearForm(space([0]), 0, ((bad,),))
+    with pytest.raises(TypeError):
+        GradedBilinearMap.from_entries(v, v, v, [(0, 1, 1, bad)])
+    with pytest.raises(TypeError):
+        GradedBilinearMap(v, v, v, (((0, 0), (0, bad)), ((0, 0), (0, 0))))
+
+
+def test_bilinear_map_stores_only_nonzeros():
+    v = space([0, 1])
+    m = GradedBilinearMap.from_entries(v, v, v, [(0, 1, 1, Fraction(1, 2)), (0, 1, 1, Fraction(-1, 2)),
+                                                 (1, 0, 1, 3), (1, 1, 0, 0)])
+    assert m.pairs == {(1, 0): {1: Fraction(3)}}
+    assert m.entries() == [(1, 0, 1, Fraction(3))]
+    assert m.table == (((0, 0), (0, 0)), ((0, 3), (0, 0)))
+    assert m == GradedBilinearMap(v, v, v, m.table)
+    with pytest.raises(ValueError):
+        GradedBilinearMap.from_entries(v, v, v, [(0, 2, 0, 1)])
+    with pytest.raises(AttributeError):
+        m.pairs = {}

@@ -1,0 +1,369 @@
+"""Differential tests of the sparse kernels against dense references.
+
+Each reference below is written from the defining identity and walks every
+basis tuple of the dense ``table`` view and dense matrices, in the order the
+library documents. On valid algebras both sides must pass; on planted
+single-entry corruptions they must report the same first witness and the same
+dense residual (or the same verdict, for the bool predicates).
+"""
+
+import importlib
+import random
+from types import SimpleNamespace
+
+import pytest
+
+from generators import rand_scalar, random_context, random_parity_preserving_basis, space_of
+from superquad import linalg
+from superquad.algebra import (
+    SuperBracket,
+    check_invariance,
+    check_jacobi,
+    is_derivation,
+    is_metric_skew,
+)
+from superquad.errors import ClaimViolated, NotAnIdealSplit
+from superquad.extension import double_extend
+from test_algebra import brute_jacobi, brute_jacobi_residual
+from superquad.linalg import ZERO, unit_vec
+from superquad.spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap
+
+
+def ref_invariance(form, bracket):
+    """First (i, j, k) with B([e_i,e_j], e_k) != B(e_i, [e_j,e_k]), with lhs - rhs."""
+    n, b, t = form.space.dim, form.matrix, bracket.table
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = sum((t[i][j][m] * b[m][k] for m in range(n)), ZERO)
+                rhs = sum((b[i][m] * t[j][k][m] for m in range(n)), ZERO)
+                if lhs != rhs:
+                    return (i, j, k), lhs - rhs
+    return None
+
+
+def ref_check_even(bmap):
+    """First (i, j, k) with a nonzero coefficient outside the (p_i + p_j) block."""
+    pl, pr, pt = bmap.left.parities, bmap.right.parities, bmap.target.parities
+    for i, row in enumerate(bmap.table):
+        for j, v in enumerate(row):
+            for k, c in enumerate(v):
+                if c and pt[k] != (pl[i] + pr[j]) % 2:
+                    return (i, j, k), c
+    return None
+
+
+def ref_super_skew(bmap):
+    """First (i, j) with value(e_j, e_i) != -(-1)^{p_i p_j} value(e_i, e_j)."""
+    par, t = bmap.left.parities, bmap.table
+    for i in range(len(t)):
+        for j in range(len(t)):
+            sign = -1 if par[i] * par[j] else 1
+            res = tuple(x + sign * y for x, y in zip(t[j][i], t[i][j]))
+            if any(res):
+                return (i, j), res
+    return None
+
+
+def ref_supersymmetry(form):
+    """First (i, j) with B(e_i, e_j) != (-1)^{p_i p_j} B(e_j, e_i), with the difference."""
+    par, b = form.space.parities, form.matrix
+    for i in range(len(b)):
+        for j in range(len(b)):
+            res = b[i][j] - (-1 if par[i] * par[j] else 1) * b[j][i]
+            if res:
+                return (i, j), res
+    return None
+
+
+def ref_is_derivation(d, bracket):
+    """D[e_i,e_j] = [D e_i, e_j] + (-1)^{|D||e_i|} [e_i, D e_j] on every pair."""
+    n, dm, t = bracket.space.dim, d.matrix, bracket.table
+    par = bracket.space.parities
+    for i in range(n):
+        for j in range(n):
+            sign = -1 if (d.degree * par[i]) % 2 else 1
+            for k in range(n):
+                lhs = sum((dm[k][m] * t[i][j][m] for m in range(n)), ZERO)
+                rhs = sum((dm[r][i] * t[r][j][k] + sign * dm[r][j] * t[i][r][k] for r in range(n)), ZERO)
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def ref_is_metric_skew(d, form):
+    """B(D e_i, e_j) = -(-1)^{|e_i||D|} B(e_i, D e_j) on every pair."""
+    n, dm, b = form.space.dim, d.matrix, form.matrix
+    par = form.space.parities
+    for i in range(n):
+        for j in range(n):
+            sign = -1 if (par[i] * d.degree) % 2 else 1
+            lhs = sum((dm[r][i] * b[r][j] for r in range(n)), ZERO)
+            rhs = -sign * sum((b[i][r] * dm[r][j] for r in range(n)), ZERO)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def sample_extensions():
+    """Double extensions of seeded random contexts with dim a 2 to 4, delta 0 and 1."""
+    out = []
+    for delta in (0, 1):
+        rng = random.Random(900 + delta)
+        while sum(1 for ctx, _ in out if ctx.delta == delta) < 8:
+            ctx = random_context(rng, delta, max_a=4)
+            if ctx.a.dim >= 2:
+                out.append((ctx, double_extend(ctx)))
+    return out
+
+
+EXTENSIONS = sample_extensions()
+dec = importlib.import_module("superquad.decompose")  # the package exports a function of that name
+
+
+def planted(rng, bmap, cls=GradedBilinearMap):
+    """The map with one extra coefficient at a random (i, j, k)."""
+    i, j, k = (rng.randrange(s.dim) for s in (bmap.left, bmap.right, bmap.target))
+    entries = bmap.entries() + [(i, j, k, rand_scalar(rng, nonzero=True))]
+    if cls is SuperBracket:
+        return SuperBracket.from_entries(bmap.target, entries)
+    return GradedBilinearMap.from_entries(bmap.left, bmap.right, bmap.target, entries)
+
+
+def same_witness(violation, reference):
+    if reference is None:
+        return violation is None
+    indices, residual = reference
+    return violation is not None and violation.indices == indices and violation.residual == residual
+
+
+def test_sample_covers_both_parities_and_dims():
+    dims = {ctx.a.dim for ctx, _ in EXTENSIONS}
+    assert {ctx.delta for ctx, _ in EXTENSIONS} == {0, 1}
+    assert min(dims) >= 2 and max(dims) >= 3
+    assert sum(1 for _, g in EXTENSIONS if len(set(g.space.parities)) == 2) >= 8
+
+
+def test_valid_algebras_pass_both():
+    for ctx, g in EXTENSIONS:
+        assert check_invariance(g.metric, g.bracket) is None
+        assert ref_invariance(g.metric, g.bracket) is None
+        for bmap in (g.bracket, ctx.lam, ctx.omega, ctx.h.bracket, ctx.a.bracket):
+            assert bmap.check_even() is None and ref_check_even(bmap) is None
+        for bmap in (g.bracket, ctx.lam, ctx.omega):
+            assert bmap.check_super_skew() is None and ref_super_skew(bmap) is None
+        for t in ctx.rho:
+            assert is_derivation(t, ctx.h.bracket) and ref_is_derivation(t, ctx.h.bracket)
+            assert is_metric_skew(t, ctx.h.metric) and ref_is_metric_skew(t, ctx.h.metric)
+
+
+def test_planted_bracket_entry_same_first_witness():
+    rng = random.Random(31)
+    found = {"even": 0, "skew": 0, "invariance": 0}
+    for _ in range(4):
+        for _, g in EXTENSIONS:
+            bad = planted(rng, g.bracket, SuperBracket)
+            even, skew = bad.check_even("grading", "bracket"), bad.check_super_skew("super-skew")
+            assert same_witness(even, ref_check_even(bad))
+            assert same_witness(skew, ref_super_skew(bad))
+            inv = check_invariance(g.metric, bad)
+            assert same_witness(inv, ref_invariance(g.metric, bad))
+            found["even"] += even is not None
+            found["skew"] += skew is not None
+            found["invariance"] += inv is not None
+    assert min(found.values()) >= 10
+
+
+def test_planted_metric_entry_same_invariance_witness():
+    rng = random.Random(32)
+    found = 0
+    for _ in range(4):
+        for _, g in EXTENSIONS:
+            n = g.dim
+            rows = [list(r) for r in g.metric.matrix]
+            rows[rng.randrange(n)][rng.randrange(n)] += rand_scalar(rng, nonzero=True)
+            form = GradedBilinearForm(g.space, g.delta, rows)
+            v = check_invariance(form, g.bracket)
+            assert same_witness(v, ref_invariance(form, g.bracket))
+            found += v is not None
+    assert found >= 10
+
+
+def test_planted_lambda_omega_entry_same_first_witness():
+    rng = random.Random(33)
+    found = 0
+    for _ in range(4):
+        for ctx, _ in EXTENSIONS:
+            for bmap in (ctx.lam, ctx.omega):
+                if not bmap.target.dim:
+                    continue
+                bad = planted(rng, bmap)
+                even, skew = bad.check_even(), bad.check_super_skew()
+                assert same_witness(even, ref_check_even(bad))
+                assert same_witness(skew, ref_super_skew(bad))
+                found += skew is not None
+    assert found >= 10
+
+
+def planted_map(rng, d):
+    """d with one extra homogeneous matrix entry, or None when d has no room for one."""
+    n = d.source.dim
+    room = [(r, c) for r in range(n) for c in range(n)
+            if d.target.parity(r) == (d.source.parity(c) + d.degree) % 2]
+    if not room:
+        return None
+    r, c = rng.choice(room)
+    rows = [list(row) for row in d.matrix]
+    rows[r][c] += rand_scalar(rng, nonzero=True)
+    return GradedLinearMap(d.source, d.target, d.degree, rows)
+
+
+def test_planted_map_entry_same_verdict():
+    rng = random.Random(34)
+    failed = {"derivation": 0, "skew": 0}
+    for _ in range(3):
+        for ctx, g in EXTENSIONS:
+            cases = [(t, ctx.h) for t in ctx.rho if ctx.h.dim]
+            for i in rng.sample(range(g.dim), 3):
+                ad = GradedLinearMap(g.space, g.space, g.space.parity(i), g.bracket.ad_matrix(i))
+                assert is_derivation(ad, g.bracket) and is_metric_skew(ad, g.metric)
+                cases.append((ad, g))
+            for t, alg in cases:
+                bad = planted_map(rng, t)
+                if bad is None:
+                    continue
+                der = is_derivation(bad, alg.bracket)
+                assert der == ref_is_derivation(bad, alg.bracket)
+                skew = is_metric_skew(bad, alg.metric)
+                assert skew == ref_is_metric_skew(bad, alg.metric)
+                failed["derivation"] += not der
+                failed["skew"] += not skew
+    assert min(failed.values()) >= 10
+
+
+def test_few_entry_structures_same_witness():
+    """Brackets and forms with a few random entries, graded, skew or not, have
+    several violations at once, so the scan order and every rule that picks
+    the tuples to visit decide the first witness."""
+    rng = random.Random(35)
+    seen = {"even": 0, "skew": 0, "jacobi": 0, "invariance": 0, "supersymmetry": 0,
+            "derivation": 0, "metric-skew": 0}
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        sp = space_of([rng.randint(0, 1) for _ in range(n)])
+        bracket = SuperBracket.from_entries(sp, [
+            (rng.randrange(n), rng.randrange(n), rng.randrange(n), rand_scalar(rng, nonzero=True))
+            for _ in range(rng.randint(0, 4))])
+        rows = [[ZERO] * n for _ in range(n)]
+        for _ in range(rng.randint(0, 3)):
+            rows[rng.randrange(n)][rng.randrange(n)] = rand_scalar(rng, nonzero=True)
+        form = GradedBilinearForm(sp, rng.randint(0, 1), rows)
+        d = planted_map(rng, GradedLinearMap.zero(sp, sp, rng.randint(0, 1)))
+
+        even, skew = bracket.check_even(), bracket.check_super_skew()
+        assert same_witness(even, ref_check_even(bracket))
+        assert same_witness(skew, ref_super_skew(bracket))
+        jac, oracle = check_jacobi(bracket), brute_jacobi(bracket)
+        first = min((t for t in oracle if t[0] <= t[1] <= t[2]), default=None)
+        assert same_witness(jac, first and (first, brute_jacobi_residual(bracket, *first)))
+        inv = check_invariance(form, bracket)
+        assert same_witness(inv, ref_invariance(form, bracket))
+        sym = form.check_supersymmetry()
+        assert same_witness(sym, ref_supersymmetry(form))
+        seen["supersymmetry"] += sym is not None
+        seen["even"] += even is not None
+        seen["skew"] += skew is not None
+        seen["jacobi"] += jac is not None
+        seen["invariance"] += inv is not None
+        if d is not None:
+            der, mskew = is_derivation(d, bracket), is_metric_skew(d, form)
+            assert der == ref_is_derivation(d, bracket)
+            assert mskew == ref_is_metric_skew(d, form)
+            seen["derivation"] += not der
+            seen["metric-skew"] += not mskew
+    assert min(seen.values()) >= 40
+
+
+def ref_split_violation(g, ideal, a_vectors, h_vectors):
+    """First block-rule failure of the bracket along g = a + h + I, from the
+    dense table and a dense change of basis, scanning (p, q) row-major."""
+    cols = list(a_vectors) + list(h_vectors) + list(ideal)
+    na, nh, n = len(a_vectors), len(h_vectors), g.dim
+    m_inv = linalg.inverse(linalg.transpose(cols))
+    t = g.bracket.table
+    block = ["a"] * na + ["h"] * nh + ["i"] * len(ideal)
+    for p in range(n):
+        for q in range(n):
+            w = [sum((cols[p][i] * cols[q][j] * t[i][j][k] for i in range(n) for j in range(n)), ZERO)
+                 for k in range(n)]
+            z = linalg.mat_vec(m_inv, w)
+            ca, ch, ci = z[:na], z[na:na + nh], z[na + nh:]
+            kinds = {block[p], block[q]}
+            if kinds == {"a"}:
+                continue
+            if kinds == {"a", "h"}:
+                if any(ca):
+                    return "split-a-h", (p, q), ca
+            elif kinds == {"h"}:
+                if any(ca):
+                    return "split-h-h", (p, q), ca
+            elif kinds == {"a", "i"}:
+                if any(ca) or any(ch):
+                    return "split-a-ideal", (p, q), (ca, ch)
+            elif any(z):
+                return "split-centraliser", (p, q), (ca, ch, ci)
+    return None
+
+
+def test_extract_structure_maps_same_first_split_witness():
+    """Random homogeneous bases cut into a / h / I blocks are rarely an ideal
+    split; the first block rule broken must match the dense reference."""
+    rng = random.Random(36)
+    found = 0
+    for _ in range(2):
+        for _, g in EXTENSIONS:
+            cols = random_parity_preserving_basis(rng, g.space)
+            nd = rng.randint(1, g.dim // 2)
+            a, h, ideal = cols[:nd], cols[nd:g.dim - nd], cols[g.dim - nd:]
+            ref = ref_split_violation(g, ideal, a, h)
+            try:
+                dec.extract_structure_maps(g, ideal, a, h)
+                assert ref is None
+            except NotAnIdealSplit as exc:
+                v = exc.violations[0]
+                if ref is None:
+                    assert not v.equation.startswith(("split-a-", "split-h-h", "split-centraliser"))
+                else:
+                    assert (v.equation, v.indices, v.residual) == ref
+                    found += 1
+    assert found >= 10
+
+
+def test_isometry_witness_on_a_planted_extension(monkeypatch):
+    """decompose compares g in the split basis with the re-extension; a
+    coefficient planted in the re-extension is reported at its pair, with the
+    dense residual, whether or not g has a nonzero bracket there."""
+    rng = random.Random(37)
+    real = dec.double_extend
+    planted_at = []
+
+    def planted_extension(context):
+        ext = real(context)
+        i, j, k = (rng.randrange(ext.dim) for _ in range(3))
+        c = rand_scalar(rng, nonzero=True)
+        planted_at.append((i, j, k, c))
+        bad = SuperBracket.from_entries(ext.space, ext.bracket.entries() + [(i, j, k, c)])
+        return SimpleNamespace(bracket=bad, metric=ext.metric, space=ext.space, dim=ext.dim)
+
+    monkeypatch.setattr(dec, "double_extend", planted_extension)
+    zero_in_g = 0
+    for ctx, g in EXTENSIONS:
+        na = ctx.a.dim
+        with pytest.raises(ClaimViolated) as exc:
+            dec.decompose(g, [unit_vec(g.dim, g.dim - na + k) for k in range(na)])
+        i, j, k, c = planted_at[-1]
+        v = exc.value.violations[0]
+        assert v.equation == "isometry-bracket" and v.indices == (i, j)
+        assert v.residual == tuple(-c if r == k else ZERO for r in range(g.dim))
+        zero_in_g += g.bracket.value(i, j) == linalg.zero_vec(g.dim)
+    assert zero_in_g >= 3
