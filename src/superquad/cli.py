@@ -166,6 +166,9 @@ def cmd_decompose(args) -> int:
     else:
         ideal_doc = _expect(_load(args.ideal), IdealDocument, "an ideal")
         ideal = list(ideal_doc.vectors)
+        for r, v in enumerate(ideal):
+            if len(v) != g.dim:
+                raise ParseError(f"ideal vector {r} has length {len(v)}, the algebra has dim {g.dim}")
     res = decompose(g, ideal)
     out_doc = context_to_document(res.context, doc.name)
     _write(args.out, serialize_document(out_doc, args.format))

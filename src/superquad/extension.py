@@ -75,6 +75,9 @@ class DeltaContext:
         if self.omega.left.basis != self.a.space.basis or self.omega.right.basis != self.a.space.basis \
                 or self.omega.target.basis != dual.basis:
             raise ValueError("omega must map a x a into the dual block")
+        labels = self.a.space.labels + self.h.space.labels + dual.labels
+        if len(set(labels)) != len(labels):
+            raise ValueError("a, h and dual-block labels must be pairwise distinct")
 
     @property
     def dual_block(self) -> SuperSpace:

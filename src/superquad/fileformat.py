@@ -483,7 +483,10 @@ def parse_document(text: str) -> Document:
 
 def document_to_raw(doc: AlgebraDocument):
     """(space, bracket, form-or-None) without running any axiom checks."""
-    space = SuperSpace(doc.basis)
+    try:
+        space = SuperSpace(doc.basis)
+    except ValueError as exc:
+        raise ParseError(f"{exc} in {doc.name!r}") from exc
     bracket = SuperBracket.from_entries(space, doc.bracket)
     form = None
     if doc.metric_degree is not None:
@@ -533,7 +536,10 @@ def document_to_context(doc: ContextDocument) -> DeltaContext:
     lam = GradedBilinearMap.from_entries(a.space, a.space, h.space, doc.lam)
     dual = p_delta_dual(a.space, doc.delta)
     omega = GradedBilinearMap.from_entries(a.space, a.space, dual, doc.omega)
-    return DeltaContext(doc.delta, a, h, rho, lam, omega)
+    try:
+        return DeltaContext(doc.delta, a, h, rho, lam, omega)
+    except ValueError as exc:
+        raise ParseError(f"{exc} in {doc.name!r}") from exc
 
 
 def context_to_document(ctx: DeltaContext, name: str) -> ContextDocument:

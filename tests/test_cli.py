@@ -240,6 +240,30 @@ def test_json_ideal_float_and_zero_denominator_exit_2(tmp_path, capsys):
         assert code == 2 and err.startswith("error: ")
 
 
+def test_label_clashes_and_ideal_length_exit_2(tmp_path, capsys):
+    """Repeated or malformed basis labels, a, h and dual-block labels that
+    collide, and an ideal vector of the wrong length are input errors."""
+    out = str(tmp_path / "x")
+    context = (SAMPLES / "heisenberg.context").read_text()
+    cases = [
+        ("dup.algebra", "algebra d\nbasis x 0\nbasis x 1\nend algebra\n", ("verify", "DOC")),
+        ("space.json", json.dumps({"kind": "algebra", "name": "j", "basis": [["a b", 0]], "bracket": []}),
+         ("verify", "DOC")),
+        ("short.ideal", "ideal short\nvector 0 0 1\nend ideal\n",
+         ("decompose", str(SAMPLES / "heisenberg.algebra"), "--ideal", "DOC", "--out", out)),
+    ]
+    for label in ("x", "P(x)*"):  # an h label equal to the a label, or to its dual
+        text = context.replace("basis e 0", f"basis {label} 0")
+        cases += [("clash.context", text, ("extend", "--context", "DOC", "--out", out)),
+                  ("clash.context", text, ("roundtrip", "DOC"))]
+    for name, content, argv in cases:
+        f = tmp_path / name
+        f.write_text(content)
+        code, _, err = run(capsys, *[str(f) if a == "DOC" else a for a in argv])
+        assert code == 2 and err.startswith("error: "), (argv, err)
+    assert not (tmp_path / "x").exists()
+
+
 def test_catalog_bad_arguments_exit_2(tmp_path, capsys):
     out = tmp_path / "x"
     for argv, message in ((("heisenberg", "--pairs", "0"), "field --pairs: need at least one hyperbolic pair"),

@@ -1,9 +1,12 @@
+import importlib
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from generators import random_witt_instance
+from generators import context_corpus, random_witt_instance
 from superquad import linalg
 from superquad.algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, delta_coadjoint
 from superquad.catalog import (
@@ -24,8 +27,9 @@ from superquad.decompose import (
 )
 from superquad.errors import ClaimViolated, DegeneratePairing, NotAnIdealSplit
 from superquad.extension import contexts_equal, double_extend
+from superquad.fileformat import document_to_algebra, parse_document
 from superquad.linalg import ONE, ZERO, unit_vec
-from superquad.spaces import GradedBilinearForm, SuperSpace
+from superquad.spaces import GradedBilinearForm, GradedLinearMap, SuperSpace
 
 F = Fraction
 
@@ -263,3 +267,117 @@ def test_decompose_six_dim_two_pairs():
     res = decompose(g, [unit_vec(6, 5)])
     from superquad.extension import contexts_equal
     assert contexts_equal(res.context, heisenberg_context(p))
+
+
+# the package exports the function decompose under the module's name
+dec = importlib.import_module("superquad.decompose")
+
+
+def _corpus_extensions():
+    for ctx in context_corpus(0, 8, seed=99) + context_corpus(1, 8, seed=99):
+        g = double_extend(ctx)
+        na = ctx.a.dim
+        yield g, [unit_vec(g.dim, g.dim - na + k) for k in range(na)]
+
+
+def test_decompose_changes_basis_once(monkeypatch):
+    counts = {}
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counting(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, counting)
+
+    count(linalg, "inverse")
+    count(dec, "_bracket_in_basis")
+    count(dec, "_gram")
+    for g, ideal in _corpus_extensions():
+        counts.clear()
+        decompose(g, ideal)
+        assert counts == {"inverse": 1, "_bracket_in_basis": 1, "_gram": 1}
+
+
+def _plant_one(maps, block, rng):
+    """maps with one coefficient of ``block`` raised by one, at a position its
+    grading allows; None when the block has no such position."""
+    value = getattr(maps, block)
+    if isinstance(value, tuple):  # rho, tau, sigma: one linear map per a-vector
+        spots = [(x, r, c) for x, t in enumerate(value) for r in range(t.target.dim)
+                 for c in range(t.source.dim)
+                 if t.target.parity(r) == (t.source.parity(c) + t.degree) % 2]
+        if not spots:
+            return None
+        x, r, c = rng.choice(spots)
+        t = value[x]
+        rows = [list(row) for row in t.matrix]
+        rows[r][c] += 1
+        bad = GradedLinearMap(t.source, t.target, t.degree, tuple(map(tuple, rows)))
+        return replace(maps, **{block: value[:x] + (bad,) + value[x + 1:]})
+    spots = [(i, j, k) for i in range(value.left.dim) for j in range(value.right.dim)
+             for k in range(value.target.dim)
+             if value.target.parity(k) == (value.left.parity(i) + value.right.parity(j)) % 2]
+    if not spots:
+        return None
+    i, j, k = rng.choice(spots)
+    bad = type(value).from_entries(value.left, value.right, value.target,
+                                   value.entries() + [(i, j, k, ONE)])
+    return replace(maps, **{block: bad})
+
+
+@pytest.mark.parametrize("block, claims", [
+    ("rho", {"context", "isometry-bracket"}),
+    ("lam", {"context", "isometry-bracket"}),
+    ("mu", {"context", "isometry-bracket"}),
+    ("tau", {"tau-chi"}),
+    ("sigma", {"sigma-coadjoint"}),
+    ("gamma", {"gamma-phi"}),
+])
+def test_planted_extraction_corruption_is_caught(monkeypatch, block, claims):
+    """One wrong coefficient in an extracted block is caught by the checks
+    that remain: the context axioms or the isometry for the maps that enter
+    the context, the realisation checks for the ones that do not."""
+    rng = random.Random(block)
+    real = dec.extract_structure_maps
+    planted = []
+
+    def corrupted(*args):
+        maps = real(*args)
+        bad = _plant_one(maps, block, rng)
+        planted.append(bad is not None)
+        return maps if bad is None else bad
+
+    monkeypatch.setattr(dec, "extract_structure_maps", corrupted)
+    for g, ideal in _corpus_extensions():
+        try:
+            decompose(g, ideal)
+        except ClaimViolated as exc:
+            assert planted[-1], "an uncorrupted split was rejected"
+            assert exc.claim in claims
+            assert exc.violations and exc.violations[0].indices
+        else:
+            assert not planted[-1], "a corrupted split was accepted"
+    assert sum(planted) >= 8
+
+
+@pytest.mark.parametrize("label", ["a0", "P(a0)*"])
+def test_fallback_a_label_clashes_with_no_reused_h_label(label):
+    """With the ideal spanned by 2 P(x)*, the complement x/2 is no unit vector
+    and gets the fallback label a0, while h reuses g's label of e."""
+    sample = Path(__file__).resolve().parent.parent / "samples" / "heisenberg.algebra"
+    g = document_to_algebra(parse_document(sample.read_text().replace("basis e 0", f"basis {label} 0")))
+    ideal = [(ZERO, ZERO, ZERO, F(2))]
+    res = decompose(g, ideal)
+    ctx = res.context
+    labels = ctx.a.space.labels + ctx.h.space.labels + ctx.dual_block.labels
+    assert len(set(labels)) == len(labels)
+    assert contexts_equal(ctx, decompose(heisenberg_extension(default_heisenberg_params()), ideal).context)
+    # the context re-extends to g: the isometry carries g's bracket and metric onto the extension's
+    ext = double_extend(ctx)
+    cols = res.a_basis + res.h_basis + res.ideal_basis
+    for p, u in enumerate(cols):
+        for q, v in enumerate(cols):
+            assert linalg.mat_vec(res.isometry.matrix, g.bracket.value_vectors(u, v)) == ext.bracket.value(p, q)
+            assert g.metric.value(u, v) == ext.metric.matrix[p][q]
