@@ -17,6 +17,7 @@ order would find, and a residual is reported as a dense tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
@@ -117,22 +118,28 @@ def check_jacobi(bracket: SuperBracket) -> Violation | None:
 
     Once super skew-symmetry holds, the cyclic sum for a permuted triple is a
     sign multiple of the sum for the sorted one, so scanning i <= j <= k is
-    exhaustive.
+    exhaustive. The scan runs on the integer view, where every double bracket
+    is d^2 times the rational one; the residual is divided back.
     """
     n = bracket.space.dim
     par = bracket.space.parities
-    pairs = bracket.pairs
-    right = bracket.right_sparse
+    d, pairs = bracket.scaled_pairs
+    get = pairs.get
 
-    def piece(x, y, z):  # [e_x, [e_y, e_z]]
-        v = pairs.get((y, z))
-        return right(x, v) if v else EMPTY
+    def piece(x, y, z):  # d^2 [e_x, [e_y, e_z]]
+        out: dict = {}
+        for m, c in get((y, z), EMPTY).items():
+            w = get((x, m))
+            if w:
+                add_scaled(out, c, w)
+        return out
 
     for i, j, k in cyclic_triples(pairs, pairs):
         if i <= j <= k:
             res = cyclic_residual(par, i, j, k, piece)
             if res:
-                return Violation("jacobi", (i, j, k), dense_vec(res, n))
+                return Violation("jacobi", (i, j, k),
+                                 dense_vec({m: Fraction(c, d * d) for m, c in res.items()}, n))
     return None
 
 
@@ -162,11 +169,14 @@ class LieSuperAlgebra:
 
 
 def check_invariance(form: GradedBilinearForm, bracket: SuperBracket) -> Violation | None:
-    """B([x,y],z) = B(x,[y,z]) on all basis triples; witness on failure."""
+    """B([x,y],z) = B(x,[y,z]) on all basis triples; witness on failure.
+
+    Both sides are evaluated on the integer views, so each is d_b d_f times
+    its rational value; the residual is divided back."""
     if form.space.basis != bracket.space.basis:
         raise ValueError("form and bracket live on different spaces")
-    pairs = bracket.pairs
-    rows = form.sparse_rows
+    d_b, pairs = bracket.scaled_pairs
+    d_f, rows = form.scaled_rows
     # A triple is visited when one side has a nonzero term: B(e_m, e_k) != 0
     # for some e_m in [e_i, e_j], or B(e_i, e_m) != 0 for some e_m in [e_j, e_k].
     in_column = [[] for _ in rows]  # in_column[m]: the i with B(e_i, e_m) != 0
@@ -179,10 +189,10 @@ def check_invariance(form: GradedBilinearForm, bracket: SuperBracket) -> Violati
             triples.update((x, y, k) for k in rows[m])
             triples.update((i, x, y) for i in in_column[m])
     for i, j, k in sorted(triples):
-        lhs = sum((c * rows[m].get(k, ZERO) for m, c in pairs.get((i, j), EMPTY).items()), ZERO)
-        rhs = sum((c * rows[i].get(m, ZERO) for m, c in pairs.get((j, k), EMPTY).items()), ZERO)
+        lhs = sum(c * rows[m].get(k, 0) for m, c in pairs.get((i, j), EMPTY).items())
+        rhs = sum(c * rows[i].get(m, 0) for m, c in pairs.get((j, k), EMPTY).items())
         if lhs != rhs:
-            return Violation("invariance", (i, j, k), lhs - rhs)
+            return Violation("invariance", (i, j, k), Fraction(lhs - rhs, d_b * d_f))
     return None
 
 

@@ -8,6 +8,7 @@ All serialised output is deterministic, byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -222,7 +223,10 @@ def cmd_roundtrip(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and shared after:
+    parsing reads the parser and never changes it."""
     parser = argparse.ArgumentParser(
         prog="superquad",
         description="Construct, verify and decompose homogeneous quadratic Lie "

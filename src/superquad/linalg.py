@@ -191,15 +191,10 @@ def in_span(rows: Sequence[Sequence], v: Sequence) -> bool:
 
 
 def extend_independent(base: Sequence[Sequence], candidates: Sequence[Sequence]) -> list[int]:
-    """Indices of candidates that grow the span of ``base``, scanned in order."""
-    stack = [list(r) for r in base]
-    current = rank(stack) if stack else 0
-    chosen = []
-    for i, cand in enumerate(candidates):
-        trial = stack + [list(cand)]
-        r = rank(trial)
-        if r > current:
-            chosen.append(i)
-            stack = trial
-            current = r
-    return chosen
+    """Indices of candidates that grow the span of ``base``, scanned in order.
+
+    One rref of all the vectors taken as columns, base first: a column is a
+    pivot exactly when it is outside the span of the columns before it."""
+    nb = len(base)
+    _, pivots = rref(transpose(tuple(base) + tuple(candidates)), nb + len(candidates))
+    return [p - nb for p in pivots if p >= nb]

@@ -10,6 +10,7 @@ everywhere. All values are immutable and all operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -59,6 +60,17 @@ def add_scaled(acc: dict, c, v) -> None:
 
 def drop_zeros(v: dict) -> dict:
     return {k: c for k, c in v.items() if c}
+
+
+def scaled_to_ints(vectors) -> tuple[int, tuple[dict, ...]]:
+    """(d, scaled): d is the lcm of the denominators of every coefficient of
+    the sparse vectors (1 if there are none), and scaled holds the same
+    vectors, in order, times d, with int coefficients. Scaling every
+    constant of an identity by one positive number keeps each of its sums
+    zero exactly when the rational sum is, so a scan can run on ints."""
+    vectors = list(vectors)
+    d = math.lcm(*{c.denominator for v in vectors for c in v.values()})
+    return d, tuple({k: c.numerator * (d // c.denominator) for k, c in v.items()} for v in vectors)
 
 
 def _check_parity(p) -> int:
@@ -257,6 +269,11 @@ class GradedBilinearForm:
         """Row i as a sparse vector: j -> B(e_i, e_j)."""
         return tuple(sparse_vec(row) for row in self.matrix)
 
+    @cached_property
+    def scaled_rows(self) -> tuple[int, tuple[dict, ...]]:
+        """(d, rows): ``sparse_rows`` times d as ints; see ``scaled_to_ints``."""
+        return scaled_to_ints(self.sparse_rows)
+
     def value(self, u: Sequence, v: Sequence) -> Fraction:
         nzv = [(j, b) for j, b in enumerate(v) if b]
         total = ZERO
@@ -322,11 +339,12 @@ class GradedBilinearMap:
     ``{k: c}``. Pairs and coefficients are kept in lexicographic order and
     no zero coefficient or empty value is ever stored, so a kernel that walks
     ``pairs`` touches only nonzero structure constants, in scan order. The
-    map is immutable; ``pairs`` must not be mutated. ``table`` is a dense view
-    derived from ``pairs`` on first use.
+    map is immutable; ``pairs`` must not be mutated. ``table`` (dense) and
+    ``scaled_pairs`` (integer) are views derived from ``pairs`` on first use;
+    neither takes part in equality, hashing or ``repr``.
     """
 
-    __slots__ = ("left", "right", "target", "pairs", "_table")
+    __slots__ = ("left", "right", "target", "pairs", "_table", "_scaled_pairs")
 
     def __init__(self, left: SuperSpace, right: SuperSpace, target: SuperSpace, table):
         """Dense form: table[i][j] is the coordinate vector of the value on (e_i, e_j)."""
@@ -367,7 +385,7 @@ class GradedBilinearMap:
             if v:
                 pairs[key] = v
         for name, value in (("left", left), ("right", right), ("target", target),
-                            ("pairs", pairs), ("_table", None)):
+                            ("pairs", pairs), ("_table", None), ("_scaled_pairs", None)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -403,6 +421,16 @@ class GradedBilinearMap:
                       for j in range(self.right.dim))
                 for i in range(self.left.dim)))
         return self._table
+
+    @property
+    def scaled_pairs(self) -> tuple[int, dict]:
+        """(d, pairs): ``pairs`` times d with int coefficients, d the lcm of
+        their denominators (see ``scaled_to_ints``). Built on first use and
+        cached."""
+        if self._scaled_pairs is None:
+            d, values = scaled_to_ints(self.pairs.values())
+            object.__setattr__(self, "_scaled_pairs", (d, dict(zip(self.pairs, values))))
+        return self._scaled_pairs
 
     def value(self, i: int, j: int) -> Vector:
         return dense_vec(self.pairs.get((i, j), EMPTY), self.target.dim)

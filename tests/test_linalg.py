@@ -88,3 +88,51 @@ def test_vec_refuses_floats_and_bools():
         linalg.rank([[ONE, 0.5]])
     with pytest.raises(TypeError):
         linalg.solve([[ONE]], [0.5])
+
+
+def extend_independent_by_rank(base, candidates):
+    """Reference: one rank of the growing stack per candidate."""
+    stack = [list(r) for r in base]
+    current = linalg.rank(stack) if stack else 0
+    chosen = []
+    for i, cand in enumerate(candidates):
+        trial = stack + [list(cand)]
+        r = linalg.rank(trial)
+        if r > current:
+            chosen.append(i)
+            stack = trial
+            current = r
+    return chosen
+
+
+def test_extend_independent_matches_rank_loop():
+    """Rank-deficient, empty and zero-dim bases; zero, repeated and dependent candidates."""
+    rng = random.Random(7)
+    kinds = {"empty-base": 0, "no-candidates": 0, "dim-0": 0, "deficient-base": 0,
+             "zero": 0, "repeat": 0, "dependent": 0}
+    for _ in range(600):
+        n = rng.randint(0, 5)
+        pool = [tuple(r) for r in rand_mat(rng, rng.randint(0, 4), n)]
+
+        def draw():
+            roll = rng.random()
+            if roll < 0.15:
+                kinds["zero"] += 1
+                return linalg.zero_vec(n)
+            if pool and roll < 0.35:
+                kinds["repeat"] += 1
+                return rng.choice(pool)
+            if len(pool) >= 2 and roll < 0.55:
+                kinds["dependent"] += 1
+                u, w = rng.sample(pool, 2)
+                return linalg.vec_add(linalg.vec_scale(rng.randint(-2, 2), u), w)
+            return tuple(rand_mat(rng, 1, n)[0])
+
+        base = [draw() for _ in range(rng.randint(0, 4))]
+        cands = [draw() for _ in range(rng.randint(0, 6))]
+        kinds["empty-base"] += not base
+        kinds["no-candidates"] += not cands
+        kinds["dim-0"] += n == 0
+        kinds["deficient-base"] += bool(base) and linalg.rank(base, n) < len(base)
+        assert linalg.extend_independent(base, cands) == extend_independent_by_rank(base, cands)
+    assert min(kinds.values()) >= 30

@@ -186,3 +186,44 @@ def test_bilinear_map_stores_only_nonzeros():
         GradedBilinearMap.from_entries(v, v, v, [(0, 2, 0, 1)])
     with pytest.raises(AttributeError):
         m.pairs = {}
+
+
+def test_integer_views_scale_by_the_lcm_of_denominators():
+    v = space([0, 1, 1])
+    m = GradedBilinearMap.from_entries(v, v, v, [(0, 1, 1, Fraction(1, 6)), (1, 2, 0, Fraction(-3, 4)),
+                                                 (2, 1, 0, 5)])
+    assert m.scaled_pairs == (12, {(0, 1): {1: 2}, (1, 2): {0: -9}, (2, 1): {0: 60}})
+    assert GradedBilinearMap.zero(v, v, v).scaled_pairs == (1, {})
+    form = GradedBilinearForm(v, 0, ((Fraction(2, 3), 0, 0), (0, 0, Fraction(1, 5)), (0, Fraction(-1, 5), 0)))
+    assert form.scaled_rows == (15, ({0: 10}, {2: 3}, {1: -3}))
+    assert GradedBilinearForm(space([]), 0, ()).scaled_rows == (1, ())
+    assert all(type(c) is int for w in m.scaled_pairs[1].values() for c in w.values())
+    assert all(type(c) is int for row in form.scaled_rows[1] for c in row.values())
+
+
+def test_cached_integer_view_stays_invisible():
+    """Building the view changes no equality, hash, repr, stored coefficient
+    or immutability of the map or form it belongs to."""
+    v = space([0, 1])
+    entries = [(0, 1, 1, Fraction(1, 3)), (1, 0, 1, Fraction(-1, 3)), (1, 1, 0, Fraction(2, 7))]
+    built, fresh = (GradedBilinearMap.from_entries(v, v, v, entries) for _ in range(2))
+    before = repr(built)
+    assert built.scaled_pairs[0] == 21
+    assert built == fresh and fresh == built and hash(built) == hash(fresh)
+    assert repr(built) == before == repr(fresh)
+    assert all(type(c) is Fraction for _, _, _, c in built.entries())
+    assert all(type(c) is Fraction for w in built.pairs.values() for c in w.values())
+    with pytest.raises(AttributeError):
+        built._scaled_pairs = None
+    with pytest.raises(AttributeError):
+        built.pairs = {}
+
+    rows = ((0, Fraction(1, 4)), (Fraction(1, 4), 0))
+    f_built, f_fresh = GradedBilinearForm(v, 1, rows), GradedBilinearForm(v, 1, rows)
+    before = repr(f_built)
+    assert f_built.scaled_rows == (4, ({1: 1}, {0: 1}))
+    assert f_built == f_fresh and hash(f_built) == hash(f_fresh)
+    assert repr(f_built) == before == repr(f_fresh)
+    assert all(type(c) is Fraction for row in f_built.sparse_rows for c in row.values())
+    with pytest.raises(AttributeError):
+        f_built.matrix = ()

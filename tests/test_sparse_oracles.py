@@ -9,19 +9,29 @@ dense residual (or the same verdict, for the bool predicates).
 
 import importlib
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from generators import rand_scalar, random_context, random_parity_preserving_basis, space_of
+from generators import (
+    change_basis,
+    rand_scalar,
+    random_context,
+    random_parity_preserving_basis,
+    space_of,
+)
 from superquad import linalg
 from superquad.algebra import (
+    LieSuperAlgebra,
+    QuadraticLieSuperAlgebra,
     SuperBracket,
     check_invariance,
     check_jacobi,
     is_derivation,
     is_metric_skew,
 )
+from superquad.catalog import default_heisenberg_params, heisenberg_extension
 from superquad.errors import ClaimViolated, NotAnIdealSplit
 from superquad.extension import double_extend
 from test_algebra import brute_jacobi, brute_jacobi_residual
@@ -121,10 +131,10 @@ EXTENSIONS = sample_extensions()
 dec = importlib.import_module("superquad.decompose")  # the package exports a function of that name
 
 
-def planted(rng, bmap, cls=GradedBilinearMap):
-    """The map with one extra coefficient at a random (i, j, k)."""
+def planted(rng, bmap, cls=GradedBilinearMap, draw=rand_scalar):
+    """The map with one extra coefficient, from draw, at a random (i, j, k)."""
     i, j, k = (rng.randrange(s.dim) for s in (bmap.left, bmap.right, bmap.target))
-    entries = bmap.entries() + [(i, j, k, rand_scalar(rng, nonzero=True))]
+    entries = bmap.entries() + [(i, j, k, draw(rng, nonzero=True))]
     if cls is SuperBracket:
         return SuperBracket.from_entries(bmap.target, entries)
     return GradedBilinearMap.from_entries(bmap.left, bmap.right, bmap.target, entries)
@@ -367,3 +377,80 @@ def test_isometry_witness_on_a_planted_extension(monkeypatch):
         assert v.residual == tuple(-c if r == k else ZERO for r in range(g.dim))
         zero_in_g += g.bracket.value(i, j) == linalg.zero_vec(g.dim)
     assert zero_in_g >= 3
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89)
+
+
+def moved_extension(rng, g):
+    """g in a parity-preserving basis whose column j is scaled by p_j / q_j,
+    all primes distinct: constants and metric get large coprime denominators."""
+    primes = rng.sample(PRIMES, 2 * g.dim)
+    cols = [linalg.vec_scale(Fraction(p, q), col) for col, p, q in
+            zip(random_parity_preserving_basis(rng, g.space), primes[::2], primes[1::2])]
+    return change_basis(g, cols)
+
+
+def ref_jacobi(bracket):
+    """First i <= j <= k, in lexicographic order, where the oracle's cyclic sum is nonzero."""
+    n = bracket.space.dim
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                res = brute_jacobi_residual(bracket, i, j, k)
+                if any(res):
+                    return (i, j, k), res
+    return None
+
+
+def assert_integer_kernels_match(form, bracket):
+    """check_jacobi and check_invariance against the Fraction references:
+    same first witness, residual coordinates equal and of type Fraction."""
+    jac, inv = check_jacobi(bracket), check_invariance(form, bracket)
+    assert same_witness(jac, ref_jacobi(bracket))
+    assert same_witness(inv, ref_invariance(form, bracket))
+    if jac is not None:
+        assert all(type(c) is Fraction for c in jac.residual)
+    if inv is not None:
+        assert type(inv.residual) is Fraction
+    return jac is not None, inv is not None
+
+
+def test_integer_kernels_match_references_on_coprime_denominators():
+    rng = random.Random(38)
+    found = {"jacobi": 0, "invariance": 0}
+    for _, g in EXTENSIONS[::2]:
+        moved = moved_extension(rng, g)
+        assert moved.bracket.scaled_pairs[0] > 10 ** 6 and moved.metric.scaled_rows[0] > 10 ** 3
+        assert assert_integer_kernels_match(moved.metric, moved.bracket) == (False, False)
+        for _ in range(3):
+            bad = planted(rng, moved.bracket, SuperBracket)
+            jac, inv = assert_integer_kernels_match(moved.metric, bad)
+            found["jacobi"] += jac
+            found["invariance"] += inv
+            rows = [list(r) for r in moved.metric.matrix]
+            rows[rng.randrange(g.dim)][rng.randrange(g.dim)] += rand_scalar(rng, nonzero=True)
+            _, inv = assert_integer_kernels_match(GradedBilinearForm(moved.space, g.delta, rows), moved.bracket)
+            found["invariance"] += inv
+    assert min(found.values()) >= 10
+
+
+def test_integer_kernels_on_integer_and_zero_brackets():
+    """d = 1 (every constant an integer, plantings too) and the zero bracket."""
+    rng = random.Random(39)
+    integral = [g for _, g in EXTENSIONS] + [heisenberg_extension(default_heisenberg_params(3))]
+    integral = [g for g in integral if g.bracket.scaled_pairs[0] == g.metric.scaled_rows[0] == 1]
+    assert len(integral) >= 3
+    space = space_of([0, 1, 1, 0])
+    zero = QuadraticLieSuperAlgebra(LieSuperAlgebra.abelian(space), GradedBilinearForm(space, 0, (
+        (0, 0, 0, 1), (0, 0, 1, 0), (0, -1, 0, 0), (1, 0, 0, 0))))
+    assert zero.bracket.scaled_pairs == (1, {})
+    found = 0
+    for g in integral + [zero]:
+        assert assert_integer_kernels_match(g.metric, g.bracket) == (False, False)
+        for _ in range(4):
+            bad = planted(rng, g.bracket, SuperBracket, draw=lambda rng, nonzero: rng.choice((-2, -1, 1, 2)))
+            assert bad.scaled_pairs[0] == 1
+            jac, inv = assert_integer_kernels_match(g.metric, bad)
+            found += jac + inv
+    assert found >= 10
