@@ -33,7 +33,6 @@ from .catalog import (
 from .decompose import (
     DecompositionResult,
     build_xi,
-    decompose,
     extract_structure_maps,
     find_central_minimal_ideal,
     orthogonal_complement,

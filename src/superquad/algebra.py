@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import linalg
 from .errors import ConditionViolated, ValidationError, Violation
-from .linalg import Matrix, ZERO
+from .linalg import Matrix
 from .spaces import (
     EMPTY,
     GradedBilinearForm,
@@ -35,7 +35,7 @@ from .spaces import (
     dense_vec,
     drop_zeros,
     dual_space,
-    sparse_vec,
+    sparse_transpose,
 )
 
 
@@ -69,18 +69,7 @@ class SuperBracket(GradedBilinearMap):
 
     def ad_matrix(self, i: int) -> Matrix:
         """Matrix of ad(e_i): column j is [e_i, e_j]."""
-        return self.ad_vector_matrix(linalg.unit_vec(self.space.dim, i))
-
-    def ad_vector_matrix(self, w: Sequence) -> Matrix:
-        """Matrix of ad(w) for a coordinate vector w: column j is [w, e_j]."""
-        n = self.space.dim
-        rows = [[ZERO] * n for _ in range(n)]
-        for (i, j), v in self.pairs.items():
-            c = w[i]
-            if c:
-                for k, x in v.items():
-                    rows[k][j] += c * x
-        return tuple(tuple(r) for r in rows)
+        return linalg.transpose(tuple(self.value(i, j) for j in range(self.space.dim)))
 
 
 def cyclic_residual(parities: Sequence[int], i: int, j: int, k: int, piece) -> dict:
@@ -245,7 +234,7 @@ def is_derivation(d: GradedLinearMap, bracket: SuperBracket) -> bool:
     pairs = bracket.pairs
     get = pairs.get
     cols = d.sparse_columns
-    d_rows = [sparse_vec(row) for row in d.matrix]
+    d_rows = sparse_transpose(cols, d.target.dim)
     # (i, j) can fail only if [e_i, e_j], [D e_i, e_j] or [e_i, D e_j] has a term
     candidates = set(pairs)
     for x, y in pairs:
@@ -274,7 +263,7 @@ def is_metric_skew(d: GradedLinearMap, form: GradedBilinearForm) -> bool:
     par = form.space.parities
     rows = form.sparse_rows
     cols = d.sparse_columns
-    d_rows = [sparse_vec(row) for row in d.matrix]
+    d_rows = sparse_transpose(cols, d.target.dim)
     for i in range(n):
         sign = -1 if (par[i] * d.degree) % 2 else 1
         acc: dict = {}  # j -> B(D e_i, e_j) + sign B(e_i, D e_j)
@@ -289,8 +278,8 @@ def is_metric_skew(d: GradedLinearMap, form: GradedBilinearForm) -> bool:
 
 def b_flat(form: GradedBilinearForm) -> GradedLinearMap:
     """Musical map g -> g*, x -> B(x, .); degree |B|, bijective iff B non-degenerate."""
-    return GradedLinearMap(form.space, dual_space(form.space), form.degree,
-                           linalg.transpose(form.matrix))
+    return GradedLinearMap.from_entries(form.space, dual_space(form.space), form.degree,
+                                        ((k, j, c) for j, k, c in form.entries()))
 
 
 @dataclass(frozen=True)
@@ -341,16 +330,15 @@ def coadjoint(g: LieSuperAlgebra) -> Representation:
 
 def delta_coadjoint(g: LieSuperAlgebra, delta: int) -> Representation:
     """Action on P_delta(g)*: ad*_d(x)(P_d(f))(P_d(y)) = -(-1)^{(|f|+d)|x|} f([x,y])."""
-    n = g.dim
     par = g.space.parities
     module = dual_space(apply_p_delta(delta, g.space))
-    mats = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    entries = [[] for _ in range(g.dim)]  # entries[i]: the matrix of ad*_d(e_i)
     for (i, k), v in g.bracket.pairs.items():
         for j, c in v.items():
             sign = -1 if ((par[j] + delta) * par[i]) % 2 else 1
-            mats[i][k][j] = -sign * c
+            entries[i].append((k, j, -sign * c))
     return Representation(g, module, tuple(
-        GradedLinearMap(module, module, par[i], tuple(tuple(r) for r in mats[i])) for i in range(n)))
+        GradedLinearMap.from_entries(module, module, par[i], e) for i, e in enumerate(entries)))
 
 
 def curvature_failures(a: LieSuperAlgebra, h_bracket: SuperBracket,

@@ -23,8 +23,8 @@ from .algebra import (
 )
 from .errors import InvalidParams, ValidationError, Violation
 from .extension import DeltaContext
-from .linalg import Vector, ZERO, ONE
-from .spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace, sparse_vec
+from .linalg import Vector, ZERO
+from .spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace, dense_vec, sparse_vec
 
 ODD = 1
 
@@ -43,13 +43,8 @@ def _omega_entries(p, last: int) -> list:
 
 def _hyperbolic_metric(space: SuperSpace, h: QuadraticLieSuperAlgebra) -> GradedBilinearForm:
     """B_h on the middle block and B(x, P(x)*) = 1 on the outer two vectors."""
-    n = space.dim
-    rows = [[ZERO] * n for _ in range(n)]
-    for m, row in enumerate(h.metric.matrix):
-        rows[1 + m][1:n - 1] = row
-    rows[0][n - 1] = ONE
-    rows[n - 1][0] = ONE
-    return GradedBilinearForm(space, ODD, tuple(tuple(r) for r in rows))
+    last = space.dim - 1
+    return GradedBilinearForm.from_entries(space, ODD, h.metric.entries(1, 1) + [(0, last, 1), (last, 0, 1)])
 
 
 def _fresh_label(h_space: SuperSpace, base: str = "x") -> str:
@@ -92,13 +87,14 @@ class OddExtensionParams:
             raise InvalidParams("d-derivation")
         if not is_metric_skew(self.d, self.h.metric):
             raise InvalidParams("d-skew")
-        for r, c in enumerate(self.w):
-            if c != 0 and self.h.space.parity(r) != 0:
-                raise InvalidParams("w-parity", message="w must be even")
-        twice_dd = linalg.mat_scale(2, linalg.mat_mul(self.d.matrix, self.d.matrix))
-        if twice_dd != self.h.bracket.ad_vector_matrix(self.w):
+        w = sparse_vec(self.w)
+        if any(self.h.space.parity(r) != 0 for r in w):
+            raise InvalidParams("w-parity", message="w must be even")
+        # column j of 2 D^2 = ad_h(w): 2 D(D(e_j)) = [w, e_j]
+        if any({k: 2 * c for k, c in self.d.apply_sparse(col).items()} != self.h.bracket.left_sparse(w, j)
+               for j, col in enumerate(self.d.sparse_columns)):
             raise InvalidParams("deh1", message="D^2 must equal (1/2) ad_h(w)")
-        if not linalg.vec_is_zero(self.d.apply(self.w)):
+        if self.d.apply_sparse(w):
             raise InvalidParams("deh2", message="D(w) must vanish")
 
 
@@ -120,7 +116,7 @@ def odd_extension_dim1(p: OddExtensionParams) -> QuadraticLieSuperAlgebra:
     entries = [(0, 0, 1 + r, c) for r, c in w.items()] + [(0, 0, n - 1, p.eta)]
     for m, col in enumerate(p.d.sparse_columns):
         sign = -1 if h.space.parity(m) else 1
-        coeff = -sign * sum((c * h.metric.matrix[m][r] for r, c in w.items()), ZERO)
+        coeff = -sign * sum((c * h.metric.sparse_rows[m].get(r, ZERO) for r, c in w.items()), ZERO)
         for r, c in list(col.items()) + [(nh, coeff)]:
             entries.append((0, 1 + m, 1 + r, c))
             entries.append((1 + m, 0, 1 + r, -sign * c))
@@ -209,7 +205,8 @@ def psi_preconditions_hold(p: HeisenbergExtensionParams) -> bool:
     """h Abelian and (u,v) -> B_h(D(u),v) non-degenerate."""
     if not p.h.bracket.is_zero():
         return False
-    w = linalg.mat_mul(linalg.transpose(p.d.matrix), p.h.metric.matrix)
+    # row m of the form: B_h(D(u_m), .)
+    w = [dense_vec(p.h.metric.covector(col), p.h.dim) for col in p.d.sparse_columns]
     return linalg.rank(w, p.h.dim) == p.h.dim
 
 
@@ -227,16 +224,16 @@ def check_psi_isometry(p: HeisenbergExtensionParams) -> GradedLinearMap:
     if g.bracket.pairs != target.bracket.pairs:
         raise ValidationError(Violation("psi-bracket", (), None,
                                         "brackets differ under the basis correspondence"))
-    if g.metric.matrix != target.metric.matrix:
+    if g.metric.sparse_rows != target.metric.sparse_rows:
         raise ValidationError(Violation("psi-metric"))
-    return GradedLinearMap(g.space, target.space, 0, linalg.identity_mat(g.dim))
+    return GradedLinearMap.from_entries(g.space, target.space, 0, ((i, i, 1) for i in range(g.dim)))
 
 
 def default_odd_dim1_params(eta=Fraction(1)) -> OddExtensionParams:
     """Trivial-h instance: the 2-dimensional algebra [x,x] = eta P(x)*."""
     h_space = SuperSpace(())
     h = QuadraticLieSuperAlgebra(LieSuperAlgebra.abelian(h_space),
-                                 GradedBilinearForm(h_space, ODD, ()))
+                                 GradedBilinearForm.from_entries(h_space, ODD, ()))
     d = GradedLinearMap.zero(h_space, h_space, 1)
     return OddExtensionParams(h, d, (), eta)
 
@@ -251,15 +248,9 @@ def default_heisenberg_params(pairs: int = 1) -> HeisenbergExtensionParams:
         basis.append((f"e{suffix}", 0))
         basis.append((f"f{suffix}", 1))
     h_space = SuperSpace(tuple(basis))
-    nh = 2 * pairs
-    rows = [[ZERO] * nh for _ in range(nh)]
-    dmat = [[ZERO] * nh for _ in range(nh)]
-    for i in range(pairs):
-        rows[2 * i][2 * i + 1] = ONE
-        rows[2 * i + 1][2 * i] = ONE
-        dmat[2 * i][2 * i] = ONE
-        dmat[2 * i + 1][2 * i + 1] = -ONE
+    metric = [e for i in range(0, 2 * pairs, 2) for e in ((i, i + 1, 1), (i + 1, i, 1))]
     h = QuadraticLieSuperAlgebra(LieSuperAlgebra.abelian(h_space),
-                                 GradedBilinearForm(h_space, ODD, tuple(tuple(r) for r in rows)))
-    d = GradedLinearMap(h_space, h_space, 0, tuple(tuple(r) for r in dmat))
+                                 GradedBilinearForm.from_entries(h_space, ODD, metric))
+    d = GradedLinearMap.from_entries(h_space, h_space, 0,
+                                     [(i, i, 1 - 2 * (i % 2)) for i in range(2 * pairs)])
     return HeisenbergExtensionParams(h, d)

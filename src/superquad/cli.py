@@ -211,7 +211,7 @@ def cmd_roundtrip(args) -> int:
     ideal = [unit_vec(g.dim, g.dim - na + k) for k in range(na)]
     res = decompose(g, ideal)
     print("roundtrip: decomposition claims and isometry verified")
-    if res.extension.bracket.pairs != g.bracket.pairs or res.extension.metric.matrix != g.metric.matrix:
+    if res.extension.bracket.pairs != g.bracket.pairs or res.extension.metric.sparse_rows != g.metric.sparse_rows:
         print("roundtrip: re-extension differs from the original", file=sys.stderr)
         return 1
     print("roundtrip: re-extension equals the original exactly")

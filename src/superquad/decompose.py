@@ -56,7 +56,7 @@ HALF = Fraction(1, 2)
 def orthogonal_complement(vectors: Sequence[Sequence], form: GradedBilinearForm) -> list[Vector]:
     """Homogeneous basis of {v : B(s, v) = 0 for all s in the span}."""
     n = form.space.dim
-    rows = [linalg.mat_vec(linalg.transpose(form.matrix), s) for s in vectors]
+    rows = [dense_vec(form.covector(sparse_vec(s)), n) for s in vectors]  # c -> B(s, e_c)
     basis = linalg.nullspace(rows, n)
     for v in basis:
         if form.space.vector_parity(v) is None:
@@ -99,22 +99,18 @@ def _dual_vectors(form: GradedBilinearForm, ideal: Sequence[Vector],
     orthogonal to every avoid vector; first-pivot, free coordinates zero."""
     space = form.space
     n = space.dim
-    bt = linalg.transpose(form.matrix)
-    rows = [linalg.mat_vec(bt, e) for e in ideal]      # row m: c -> B(e_m, e_c)
-    avoid_rows = [linalg.mat_vec(bt, w) for w in avoid]
+    rows = [form.covector(sparse_vec(e)) for e in ideal]      # row m: c -> B(e_m, e_c)
+    avoid_rows = [form.covector(sparse_vec(w)) for w in avoid]
     duals = []
     for i, e in enumerate(ideal):
         want = (_homogeneous_parity(space, e) + form.degree) % 2
         cols = [c for c in range(n) if space.parity(c) == want]
-        sys_rows = [[r[c] for c in cols] for r in rows + avoid_rows]
+        sys_rows = [[r.get(c, ZERO) for c in cols] for r in rows + avoid_rows]
         rhs = [linalg.ONE if m == i else ZERO for m in range(len(ideal))] + [ZERO] * len(avoid_rows)
         sol = linalg.solve(sys_rows, rhs, len(cols))
         if sol is None:
             raise DegenerateInput(f"no dual vector for ideal vector {i}")
-        full = [ZERO] * n
-        for c, val in zip(cols, sol):
-            full[c] = val
-        duals.append(tuple(full))
+        duals.append(dense_vec(dict(zip(cols, sol)), n))
     return duals
 
 
@@ -186,14 +182,12 @@ def build_xi(form: GradedBilinearForm, ideal: Sequence[Sequence], a_vectors: Seq
         a_space = _block_space(space, a_vectors, "a", reuse=False)
     if ideal_space is None:
         ideal_space = _block_space(space, ideal, "i", reuse=False)
-    matrix = tuple(
-        tuple(form.value(alpha, a_vectors[j]) for alpha in ideal)
-        for j in range(len(a_vectors))
-    )
-    if linalg.rank(matrix, len(ideal)) != len(ideal):
+    pairing = [[form.value(alpha, x) for alpha in ideal] for x in a_vectors]
+    if linalg.rank(pairing, len(ideal)) != len(ideal):
         raise DegeneratePairing("pairing between the ideal and its complement is singular")
-    xi_delta = GradedLinearMap(ideal_space, p_delta_dual(a_space, delta), 0, matrix)
-    xi = GradedLinearMap(ideal_space, dual_space(a_space), delta, matrix)
+    entries = [(j, m, c) for j, row in enumerate(pairing) for m, c in enumerate(row)]
+    xi_delta = GradedLinearMap.from_entries(ideal_space, p_delta_dual(a_space, delta), 0, entries)
+    xi = GradedLinearMap.from_entries(ideal_space, dual_space(a_space), delta, entries)
     return xi_delta, xi
 
 
@@ -224,15 +218,8 @@ def _bracket_in_basis(bracket: GradedBilinearMap, cols: Sequence[Vector], m_inv)
 def _gram(form: GradedBilinearForm, vectors: Sequence[Vector]) -> tuple[Vector, ...]:
     """Matrix of B(vectors[p], vectors[q])."""
     sparse_vectors = [sparse_vec(v) for v in vectors]
-    rows = form.sparse_rows
-    out = []
-    for u in sparse_vectors:
-        bu: dict = {}  # B(u, e_j) over j
-        for i, a in u.items():
-            add_scaled(bu, a, rows[i])
-        out.append(tuple(sum((b * bu[j] for j, b in v.items() if j in bu), ZERO)
-                         for v in sparse_vectors))
-    return tuple(out)
+    return tuple(tuple(sum((b * bu[j] for j, b in v.items() if j in bu), ZERO) for v in sparse_vectors)
+                 for bu in map(form.covector, sparse_vectors))
 
 
 def _unit_index(v: Sequence) -> int | None:
@@ -302,10 +289,8 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence
     ideal_space = _block_space(g.space, cols[na + nh:], "i")
 
     a_ent, lam_ent, mu_ent, h_ent, gamma_ent = [], [], [], [], []
-    # rho, tau, sigma: per a-vector, row-major matrices on h -> h, h -> I, I -> I
-    rho_m = [[[ZERO] * nh for _ in range(nh)] for _ in range(na)]
-    tau_m = [[[ZERO] * nh for _ in range(nd)] for _ in range(na)]
-    sigma_m = [[[ZERO] * nd for _ in range(nd)] for _ in range(na)]
+    # rho, tau, sigma: per a-vector, the (r, c, x) entries of maps h -> h, h -> I, I -> I
+    rho_ent, tau_ent, sigma_ent = ([[] for _ in range(na)] for _ in range(3))
 
     split = _bracket_in_basis(g.bracket, cols, m_inv)
     # pairs with a zero bracket pass every block rule, so only nonzeros are visited
@@ -327,10 +312,8 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence
                 raise NotAnIdealSplit(Violation("split-a-h", (p, q), dense_vec(ca, na),
                                                 "[a,h] has an a-component"))
             if p < na:
-                for r, c in ch.items():
-                    rho_m[p][r][q - na] = c
-                for r, c in ci.items():
-                    tau_m[p][r][q - na] = c
+                rho_ent[p] += [(r, q - na, c) for r, c in ch.items()]
+                tau_ent[p] += [(r, q - na, c) for r, c in ci.items()]
             continue
         if in_h_p and in_h_q:
             if ca:
@@ -345,17 +328,16 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence
                                                 (dense_vec(ca, na), dense_vec(ch, nh)),
                                                 "[a,I] leaves the ideal"))
             if p < na:
-                for r, c in ci.items():
-                    sigma_m[p][r][q - na - nh] = c
+                sigma_ent[p] += [(r, q - na - nh, c) for r, c in ci.items()]
             continue
         # remaining blocks: [h,I], [I,h], [I,I] must vanish outright
         raise NotAnIdealSplit(Violation("split-centraliser", (p, q),
                                         (dense_vec(ca, na), dense_vec(ch, nh), dense_vec(ci, nd)),
                                         "[h,I] or [I,I] is nonzero"))
 
-    def maps_from(mats, source, target):
-        return tuple(GradedLinearMap(source, target, a_space.parity(i), tuple(tuple(r) for r in m))
-                     for i, m in enumerate(mats))
+    def maps_from(entries, source, target):
+        return tuple(GradedLinearMap.from_entries(source, target, a_space.parity(i), e)
+                     for i, e in enumerate(entries))
 
     try:
         extracted = ExtractedMaps(
@@ -365,9 +347,9 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence
             GradedBilinearMap.from_entries(a_space, a_space, h_space, lam_ent),
             GradedBilinearMap.from_entries(a_space, a_space, ideal_space, mu_ent),
             GradedBilinearMap.from_entries(h_space, h_space, ideal_space, gamma_ent),
-            maps_from(rho_m, h_space, h_space),
-            maps_from(tau_m, h_space, ideal_space),
-            maps_from(sigma_m, ideal_space, ideal_space),
+            maps_from(rho_ent, h_space, h_space),
+            maps_from(tau_ent, h_space, ideal_space),
+            maps_from(sigma_ent, ideal_space, ideal_space),
             m_inv, split,
         )
     except SuperquadError as exc:
@@ -460,7 +442,8 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
 
     cols = list(a_vectors) + list(h_vectors) + list(ideal)
     gram = _gram(g.metric, cols)
-    b_h = GradedBilinearForm(maps.h_space, delta, tuple(row[na:na + nh] for row in gram[na:na + nh]))
+    b_h = GradedBilinearForm.from_entries(maps.h_space, delta, [
+        (p, q, gram[na + p][na + q]) for p in range(nh) for q in range(nh) if gram[na + p][na + q]])
     try:
         h_alg = QuadraticLieSuperAlgebra(LieSuperAlgebra(maps.h_table), b_h)
     except (ValidationError, SuperquadError) as exc:
@@ -469,10 +452,10 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
     # sigma is the delta-coadjoint representation through xi
     rep = delta_coadjoint(a_alg, delta)
     for i in range(na):
-        lhs = linalg.mat_mul(xi_delta.matrix, maps.sigma[i].matrix)
-        rhs = linalg.mat_mul(rep.action[i].matrix, xi_delta.matrix)
-        if lhs != rhs:
-            raise ClaimViolated("sigma-coadjoint", [Violation("sigma-coadjoint", (i,))])
+        # column by column: xi_delta(sigma(x_i)(alpha)) = ad*_d(x_i)(xi_delta(alpha))
+        for sigma_col, xi_col in zip(maps.sigma[i].sparse_columns, xi_delta.sparse_columns):
+            if xi_delta.apply_sparse(sigma_col) != rep.action[i].apply_sparse(xi_col):
+                raise ClaimViolated("sigma-coadjoint", [Violation("sigma-coadjoint", (i,))])
 
     omega = GradedBilinearMap.from_entries(
         maps.a_space, maps.a_space, p_delta_dual(maps.a_space, delta),
@@ -495,9 +478,10 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
             add_scaled(res, -1, ext_pairs.get((p, q), EMPTY))
             raise ClaimViolated("isometry-bracket",
                                 [Violation("isometry-bracket", (p, q), dense_vec(res, g.dim))])
+    ext_rows = ext.metric.sparse_rows
     for p, row in enumerate(gram):
         for q, c in enumerate(row):
-            if c != ext.metric.matrix[p][q]:
+            if c != ext_rows[p].get(q, ZERO):
                 raise ClaimViolated("isometry-metric",
                                     [Violation("isometry-metric", (p, q))])
 
@@ -513,7 +497,8 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
         if xi_delta.apply_sparse(gamma_pairs.get((m, l), EMPTY)) != phi.pairs.get((m, l), EMPTY):
             raise ClaimViolated("gamma-phi", [Violation("gamma-phi", (m, l))])
 
-    isometry = GradedLinearMap(g.space, ext.space, 0, maps.inverse)
+    isometry = GradedLinearMap.from_entries(g.space, ext.space, 0, (
+        (r, c, x) for r, row in enumerate(maps.inverse) for c, x in enumerate(row) if x))
     return DecompositionResult(
         tuple(a_vectors), tuple(h_vectors), tuple(ideal), maps,
         xi_delta, xi, context, ext, isometry,

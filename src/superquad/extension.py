@@ -29,7 +29,6 @@ from .algebra import (
     semidirect_product,
 )
 from .errors import InvalidContext, LemmaViolation, Violation
-from .linalg import ONE, ZERO
 from .spaces import (
     EMPTY,
     GradedBilinearForm,
@@ -275,20 +274,12 @@ def extension_derivations(ctx: DeltaContext, chi: GradedBilinearMap,
                           ce_space: SuperSpace) -> tuple[GradedLinearMap, ...]:
     """Theta(x) = rho(x) + ad*_d(x) + chi(x, .) acting on h + dual block."""
     rep = delta_coadjoint(ctx.a, ctx.delta)
-    nh, n = ctx.h.dim, ce_space.dim
-    mats = [[[ZERO] * n for _ in range(n)] for _ in range(ctx.a.dim)]
-    for i, rows in enumerate(mats):
-        for m, col in enumerate(ctx.rho[i].sparse_columns):
-            for r, c in col.items():
-                rows[r][m] = c
-        for k, col in enumerate(rep.action[i].sparse_columns):
-            for r, c in col.items():
-                rows[nh + r][nh + k] = c
+    nh = ctx.h.dim
+    entries = [ctx.rho[i].entries() + rep.action[i].entries(nh, nh) for i in range(ctx.a.dim)]
     for (i, m), v in chi.pairs.items():
-        for k, c in v.items():
-            mats[i][nh + k][m] = c
-    return tuple(GradedLinearMap(ce_space, ce_space, ctx.a.space.parity(i), tuple(tuple(r) for r in rows))
-                 for i, rows in enumerate(mats))
+        entries[i] += [(nh + k, m, c) for k, c in v.items()]
+    return tuple(GradedLinearMap.from_entries(ce_space, ce_space, ctx.a.space.parity(i), e)
+                 for i, e in enumerate(entries))
 
 
 def extension_metric(ctx: DeltaContext, space: SuperSpace) -> GradedBilinearForm:
@@ -299,16 +290,11 @@ def extension_metric(ctx: DeltaContext, space: SuperSpace) -> GradedBilinearForm
     unique super-symmetric completion of the natural evaluation pairing.
     """
     na, nh = ctx.a.dim, ctx.h.dim
-    n = na + nh + na
-    rows = [[ZERO] * n for _ in range(n)]
-    for m in range(nh):
-        for l in range(nh):
-            rows[na + m][na + l] = ctx.h.metric.matrix[m][l]
+    entries = ctx.h.metric.entries(na, na)
     for i in range(na):
-        rows[na + nh + i][i] = ONE
         sign = -1 if (ctx.a.space.parity(i) * (1 + ctx.delta)) % 2 else 1
-        rows[i][na + nh + i] = sign * ONE
-    return GradedBilinearForm(space, ctx.delta, tuple(tuple(r) for r in rows))
+        entries += [(na + nh + i, i, 1), (i, na + nh + i, sign)]
+    return GradedBilinearForm.from_entries(space, ctx.delta, entries)
 
 
 def double_extend(ctx: DeltaContext) -> QuadraticLieSuperAlgebra:
@@ -344,8 +330,8 @@ def contexts_equal(c1: DeltaContext, c2: DeltaContext) -> bool:
         and c1.h.space.parities == c2.h.space.parities
         and c1.a.bracket.pairs == c2.a.bracket.pairs
         and c1.h.bracket.pairs == c2.h.bracket.pairs
-        and c1.h.metric.matrix == c2.h.metric.matrix
-        and tuple(t.matrix for t in c1.rho) == tuple(t.matrix for t in c2.rho)
+        and c1.h.metric.sparse_rows == c2.h.metric.sparse_rows
+        and tuple(t.sparse_columns for t in c1.rho) == tuple(t.sparse_columns for t in c2.rho)
         and c1.lam.pairs == c2.lam.pairs
         and c1.omega.pairs == c2.omega.pairs
     )

@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket
 from .errors import ParseError, ValidationError, Violation
 from .extension import DeltaContext
@@ -32,6 +31,10 @@ def format_scalar(c: Fraction) -> str:
 
 
 def parse_scalar(text: str, line: int = 0, field_name: str = "") -> Fraction:
+    """"p", "p/q" or a decimal. Exponent notation is refused: Fraction would
+    write out every digit of 1e100000000 and stall."""
+    if "e" in text or "E" in text:
+        raise ParseError(f"bad rational {text!r}: exponent notation is not accepted", line, field_name)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -462,6 +465,10 @@ def parse_document(text: str) -> Document:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", exc.lineno) from exc
+        except ValueError as exc:  # int's digit limit, the only other ValueError of json.loads
+            raise ParseError("bad JSON: an integer literal has too many digits") from exc
+        except RecursionError as exc:
+            raise ParseError("bad JSON: nested too deeply") from exc
         return document_from_obj(obj)
     cur = _Cursor(text)
     line, fields = cur.peek()
@@ -490,11 +497,7 @@ def document_to_raw(doc: AlgebraDocument):
     bracket = SuperBracket.from_entries(space, doc.bracket)
     form = None
     if doc.metric_degree is not None:
-        n = space.dim
-        rows = [[linalg.ZERO] * n for _ in range(n)]
-        for i, j, c in doc.metric:
-            rows[i][j] += c
-        form = GradedBilinearForm(space, doc.metric_degree, tuple(tuple(r) for r in rows))
+        form = GradedBilinearForm.from_entries(space, doc.metric_degree, doc.metric)
     return space, bracket, form
 
 
@@ -509,10 +512,8 @@ def document_to_algebra(doc: AlgebraDocument) -> LieSuperAlgebra | QuadraticLieS
 
 def algebra_to_document(g: LieSuperAlgebra | QuadraticLieSuperAlgebra, name: str) -> AlgebraDocument:
     if isinstance(g, QuadraticLieSuperAlgebra):
-        metric = tuple((i, j, c) for i, row in enumerate(g.metric.matrix)
-                       for j, c in enumerate(row) if c)
         return AlgebraDocument(name, g.space.basis, tuple(g.bracket.entries()),
-                               g.metric.degree, metric).canonical()
+                               g.metric.degree, tuple(g.metric.entries())).canonical()
     return AlgebraDocument(name, g.space.basis, tuple(g.bracket.entries())).canonical()
 
 
@@ -525,14 +526,11 @@ def document_to_context(doc: ContextDocument) -> DeltaContext:
         raise ValidationError(Violation("a-metric", (), None,
                                         "the embedded a-algebra must not carry a metric"))
     a = document_to_algebra(doc.a_doc)
-    na, nh = a.dim, h.dim
-    mats = [[[linalg.ZERO] * nh for _ in range(nh)] for _ in range(na)]
+    entries = [[] for _ in range(a.dim)]  # entries[x]: the (row, col, coeff) of rho(x)
     for x, r, c, v in doc.rho:
-        mats[x][r][c] += v
-    rho = tuple(
-        GradedLinearMap(h.space, h.space, a.space.parity(i), tuple(tuple(r) for r in mats[i]))
-        for i in range(na)
-    )
+        entries[x].append((r, c, v))
+    rho = tuple(GradedLinearMap.from_entries(h.space, h.space, a.space.parity(x), e)
+                for x, e in enumerate(entries))
     lam = GradedBilinearMap.from_entries(a.space, a.space, h.space, doc.lam)
     dual = p_delta_dual(a.space, doc.delta)
     omega = GradedBilinearMap.from_entries(a.space, a.space, dual, doc.omega)
@@ -545,7 +543,6 @@ def document_to_context(doc: ContextDocument) -> DeltaContext:
 def context_to_document(ctx: DeltaContext, name: str) -> ContextDocument:
     h_doc = algebra_to_document(ctx.h, "h")
     a_doc = algebra_to_document(ctx.a, "a")
-    rho = tuple((i, r, c, v) for i, t in enumerate(ctx.rho)
-                for r, row in enumerate(t.matrix) for c, v in enumerate(row) if v)
+    rho = tuple((i, r, c, v) for i, t in enumerate(ctx.rho) for r, c, v in t.entries())
     return ContextDocument(name, ctx.delta, h_doc, a_doc, rho,
                            tuple(ctx.lam.entries()), tuple(ctx.omega.entries())).canonical()

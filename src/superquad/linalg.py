@@ -101,10 +101,6 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return tuple(vec_scale(c, r) for r in a)
 
 
-def mat_is_zero(a: Matrix) -> bool:
-    return all(vec_is_zero(r) for r in a)
-
-
 def rref(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     work = [list(vec(r)) for r in rows]
@@ -163,14 +159,6 @@ def solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int | None = None) -> 
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return tuple(x)
-
-
-def solve_affine(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> tuple[Vector, list[Vector]] | None:
-    """Full solution set of rows @ x = rhs as (particular, nullspace basis)."""
-    part = solve(rows, rhs, ncols)
-    if part is None:
-        return None
-    return part, nullspace(rows, ncols)
 
 
 def inverse(a: Matrix) -> Matrix | None:

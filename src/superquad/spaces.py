@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
 from typing import Sequence
 
@@ -73,10 +72,95 @@ def scaled_to_ints(vectors) -> tuple[int, tuple[dict, ...]]:
     return d, tuple({k: c.numerator * (d // c.denominator) for k, c in v.items()} for v in vectors)
 
 
+def sparse_transpose(vectors, n: int) -> list[dict]:
+    """The n sparse vectors w with w[k][i] = vectors[i][k]: the rows of the
+    matrix whose columns are ``vectors``, or the other way round."""
+    out = [{} for _ in range(n)]
+    for i, v in enumerate(vectors):
+        for k, c in v.items():
+            out[k][i] = c
+    return out
+
+
 def _check_parity(p) -> int:
     if p not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {p!r}")
     return p
+
+
+def _normalize(entries, bounds: tuple[int, ...], what: str) -> dict:
+    """The one normalisation point of every graded map and form. Each entry
+    is (*indices, c); the result maps each index tuple in range to its exact
+    coefficient (``linalg.scalar``), repeated indices summed, zeros dropped,
+    keys in lexicographic order. An index out of range raises ValueError."""
+    acc: dict = {}
+    arity, scalar = len(bounds), linalg.scalar
+    for *key, c in entries:
+        key = tuple(key)
+        bad = len(key) != arity
+        for i, b in zip(key, bounds):
+            bad = bad or not 0 <= i < b
+        if bad:
+            raise ValueError(f"{what} entry ({','.join(map(str, key))}) out of range")
+        c = scalar(c)
+        if c:
+            acc[key] = acc[key] + c if key in acc else c
+    return {key: acc[key] for key in sorted(acc) if acc[key]}
+
+
+def _dense_entries(matrix, nrows: int, ncols: int, what: str):
+    """(r, c, x) for every entry of a dense nrows x ncols matrix, after a shape check."""
+    rows = tuple(tuple(r) for r in matrix)
+    if len(rows) != nrows or any(len(r) != ncols for r in rows):
+        raise ValueError(what)
+    return ((r, c, x) for r, row in enumerate(rows) for c, x in enumerate(row))
+
+
+class _Sparse:
+    """An immutable value stored by its nonzeros.
+
+    ``FIELDS`` names what equality compares: the spaces and degree, then the
+    stored nonzeros last; the hash takes ``entries()`` in their place. Dense
+    and integer views are cached in slots of their own and take no part in
+    equality, hashing or ``repr``.
+    """
+
+    __slots__ = ()
+    FIELDS: tuple[str, ...] = ()
+
+    @classmethod
+    def _build(cls, *args):
+        self = object.__new__(cls)
+        self._set(*args)
+        return self
+
+    def _init(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _view(self, slot: str, build):
+        """The view cached in ``slot``, built on first use."""
+        if getattr(self, slot) is None:
+            object.__setattr__(self, slot, build())
+        return getattr(self, slot)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.FIELDS)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self.FIELDS[:-1]) + tuple(self.entries()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.FIELDS)})"
+
+    def __reduce__(self):
+        """Pickled and copied as its spaces and entries, rebuilt through ``_set``."""
+        return type(self)._build, tuple(getattr(self, f) for f in self.FIELDS[:-1]) + (self.entries(),)
 
 
 @dataclass(frozen=True)
@@ -155,50 +239,62 @@ def p_delta_dual(space: SuperSpace, delta: int) -> SuperSpace:
     return SuperSpace(tuple((f"P({l})*", (p + 1) % 2) for l, p in space.basis))
 
 
-@dataclass(frozen=True)
-class GradedLinearMap:
-    """Homogeneous linear map; matrix columns are images of source basis vectors."""
+class GradedLinearMap(_Sparse):
+    """Homogeneous linear map, stored by its columns.
 
-    source: SuperSpace
-    target: SuperSpace
-    degree: int
-    matrix: Matrix
+    ``sparse_columns[c]`` is the image of the c-th source basis vector as a
+    sparse vector ``{r: x}``, rows in order, no zeros. ``matrix`` is the
+    dense view, built on first use. The map is immutable; its columns must
+    not be mutated.
+    """
 
-    def __post_init__(self):
-        _check_parity(self.degree)
-        object.__setattr__(self, "matrix", linalg.mat(self.matrix))
-        if len(self.matrix) != self.target.dim or any(len(r) != self.source.dim for r in self.matrix):
-            raise ValueError("matrix shape does not match source/target dimensions")
-        for r in range(self.target.dim):
-            for c in range(self.source.dim):
-                if self.matrix[r][c] != 0 and self.target.parity(r) != (self.source.parity(c) + self.degree) % 2:
-                    raise NotHomogeneous(
-                        f"entry ({r},{c}) breaks homogeneity of a degree-{self.degree} map"
-                    )
+    __slots__ = ("source", "target", "degree", "sparse_columns", "_matrix")
+    FIELDS = ("source", "target", "degree", "sparse_columns")
+
+    def __init__(self, source: SuperSpace, target: SuperSpace, degree: int, matrix):
+        """Dense form: matrix[r][c] is coordinate r of the image of e_c."""
+        self._set(source, target, degree, _dense_entries(
+            matrix, target.dim, source.dim, "matrix shape does not match source/target dimensions"))
+
+    @classmethod
+    def from_entries(cls, source: SuperSpace, target: SuperSpace, degree: int, entries) -> "GradedLinearMap":
+        """entries: iterable of (r, c, x), x coordinate r of the image of e_c;
+        coefficients of a repeated (r, c) add up."""
+        return cls._build(source, target, degree, entries)
+
+    def _set(self, source, target, degree, entries) -> None:
+        _check_parity(degree)
+        tp, sp = target.parities, source.parities
+        cols = [{} for _ in range(source.dim)]
+        for (r, c), x in _normalize(entries, (target.dim, source.dim), "map").items():
+            if tp[r] != (sp[c] + degree) % 2:
+                raise NotHomogeneous(f"entry ({r},{c}) breaks homogeneity of a degree-{degree} map")
+            cols[c][r] = x
+        self._init(source=source, target=target, degree=degree, sparse_columns=tuple(cols), _matrix=None)
 
     @classmethod
     def zero(cls, source: SuperSpace, target: SuperSpace, degree: int) -> "GradedLinearMap":
-        return cls(source, target, degree, linalg.zero_mat(target.dim, source.dim))
+        return cls._build(source, target, degree, ())
 
     @classmethod
     def identity(cls, space: SuperSpace) -> "GradedLinearMap":
-        return cls(space, space, EVEN, linalg.identity_mat(space.dim))
+        return cls._build(space, space, EVEN, ((i, i, 1) for i in range(space.dim)))
+
+    def entries(self, dr: int = 0, dc: int = 0) -> list:
+        """Nonzero entries as (r, c, x) in row-major order, the indices shifted
+        by (dr, dc) for embedding into a larger map."""
+        return sorted((r + dr, c + dc, x) for c, col in enumerate(self.sparse_columns)
+                      for r, x in col.items())
+
+    @property
+    def matrix(self) -> Matrix:
+        """Dense view: matrix[r][c] is coordinate r of the image of e_c."""
+        return self._view("_matrix", lambda: tuple(
+            dense_vec(row, self.source.dim)
+            for row in sparse_transpose(self.sparse_columns, self.target.dim)))
 
     def column(self, j: int) -> Vector:
-        return tuple(self.matrix[r][j] for r in range(self.target.dim))
-
-    def apply(self, v: Sequence) -> Vector:
-        return linalg.mat_vec(self.matrix, v)
-
-    @cached_property
-    def sparse_columns(self) -> tuple[dict, ...]:
-        """Column j as a sparse vector: the image of the j-th source basis vector."""
-        cols = [{} for _ in range(self.source.dim)]
-        for r, row in enumerate(self.matrix):
-            for c, x in enumerate(row):
-                if x:
-                    cols[c][r] = x
-        return tuple(cols)
+        return dense_vec(self.sparse_columns[j], self.target.dim)
 
     def apply_sparse(self, v) -> dict:
         out: dict = {}
@@ -211,23 +307,18 @@ class GradedLinearMap:
         """self after other."""
         if other.target.basis != self.source.basis:
             raise ValueError("composition spaces do not match")
-        return GradedLinearMap(
+        return GradedLinearMap.from_entries(
             other.source, self.target, (self.degree + other.degree) % 2,
-            linalg.mat_mul(self.matrix, other.matrix),
-        )
-
-    def add(self, other: "GradedLinearMap") -> "GradedLinearMap":
-        if (self.source, self.target, self.degree) != (other.source, other.target, other.degree):
-            raise ValueError("can only add maps of identical type")
-        return GradedLinearMap(self.source, self.target, self.degree,
-                               linalg.mat_add(self.matrix, other.matrix))
+            ((r, c, x) for c, col in enumerate(other.sparse_columns)
+             for r, x in self.apply_sparse(col).items()))
 
     def scale(self, c) -> "GradedLinearMap":
-        return GradedLinearMap(self.source, self.target, self.degree,
-                               linalg.mat_scale(c, self.matrix))
+        c = linalg.scalar(c)
+        return GradedLinearMap.from_entries(self.source, self.target, self.degree,
+                                            ((r, k, c * x) for r, k, x in self.entries()))
 
     def is_zero(self) -> bool:
-        return linalg.mat_is_zero(self.matrix)
+        return not any(self.sparse_columns)
 
     def rank(self) -> int:
         return linalg.rank(self.matrix, self.source.dim)
@@ -238,50 +329,67 @@ class GradedLinearMap:
 
 def parity_shift_map(t: GradedLinearMap) -> GradedLinearMap:
     """P(T): source parities flipped, same entries, degree raised; P(T)(P(v)) = T(v)."""
-    return GradedLinearMap(parity_shift(t.source), t.target, (t.degree + 1) % 2, t.matrix)
+    return GradedLinearMap.from_entries(parity_shift(t.source), t.target, (t.degree + 1) % 2,
+                                        t.entries())
 
 
-@dataclass(frozen=True)
-class GradedBilinearForm:
-    """Bilinear form with a declared degree; matrix[i][j] = B(e_i, e_j).
+class GradedBilinearForm(_Sparse):
+    """Bilinear form with a declared degree, stored by its rows.
 
-    The constructor checks shapes only: whether the matrix actually realises
-    the declared degree pattern is a checkable property (check_form_degree),
-    so invalid forms can be represented and flagged.
+    ``sparse_rows[i]`` is ``{j: B(e_i, e_j)}``, columns in order, no zeros.
+    ``matrix`` (dense) and ``scaled_rows`` (integer) are views built on first
+    use. The constructors check shapes only: whether the entries actually
+    realise the declared degree pattern is a checkable property
+    (check_form_degree), so invalid forms can be represented and flagged.
     """
 
-    space: SuperSpace
-    degree: int
-    matrix: Matrix
+    __slots__ = ("space", "degree", "sparse_rows", "_matrix", "_scaled_rows")
+    FIELDS = ("space", "degree", "sparse_rows")
 
-    def __post_init__(self):
-        _check_parity(self.degree)
-        object.__setattr__(self, "matrix", linalg.mat(self.matrix))
-        n = self.space.dim
-        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
-            raise ValueError("form matrix must be dim x dim")
+    def __init__(self, space: SuperSpace, degree: int, matrix):
+        """Dense form: matrix[i][j] = B(e_i, e_j)."""
+        self._set(space, degree, _dense_entries(matrix, space.dim, space.dim,
+                                                "form matrix must be dim x dim"))
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.matrix[i][j]
+    @classmethod
+    def from_entries(cls, space: SuperSpace, degree: int, entries) -> "GradedBilinearForm":
+        """entries: iterable of (i, j, c) meaning B(e_i, e_j) = c; coefficients
+        of a repeated (i, j) add up."""
+        return cls._build(space, degree, entries)
 
-    @cached_property
-    def sparse_rows(self) -> tuple[dict, ...]:
-        """Row i as a sparse vector: j -> B(e_i, e_j)."""
-        return tuple(sparse_vec(row) for row in self.matrix)
+    def _set(self, space, degree, entries) -> None:
+        _check_parity(degree)
+        rows = [{} for _ in range(space.dim)]
+        for (i, j), c in _normalize(entries, (space.dim, space.dim), "form").items():
+            rows[i][j] = c
+        self._init(space=space, degree=degree, sparse_rows=tuple(rows), _matrix=None, _scaled_rows=None)
 
-    @cached_property
+    def entries(self, di: int = 0, dj: int = 0) -> list:
+        """Nonzero entries as (i, j, c) in row-major order, the indices shifted
+        by (di, dj) for embedding into a larger form."""
+        return [(i + di, j + dj, c) for i, row in enumerate(self.sparse_rows) for j, c in row.items()]
+
+    @property
+    def matrix(self) -> Matrix:
+        """Dense view: matrix[i][j] = B(e_i, e_j)."""
+        return self._view("_matrix", lambda: tuple(dense_vec(row, self.space.dim)
+                                                   for row in self.sparse_rows))
+
+    @property
     def scaled_rows(self) -> tuple[int, tuple[dict, ...]]:
         """(d, rows): ``sparse_rows`` times d as ints; see ``scaled_to_ints``."""
-        return scaled_to_ints(self.sparse_rows)
+        return self._view("_scaled_rows", lambda: scaled_to_ints(self.sparse_rows))
+
+    def covector(self, u) -> dict:
+        """B(u, e_j) over j, as a sparse vector, for a sparse vector u."""
+        out: dict = {}
+        rows = self.sparse_rows
+        for i, a in u.items():
+            add_scaled(out, a, rows[i])
+        return drop_zeros(out)
 
     def value(self, u: Sequence, v: Sequence) -> Fraction:
-        nzv = [(j, b) for j, b in enumerate(v) if b]
-        total = ZERO
-        for i, a in enumerate(u):
-            if a:
-                row = self.matrix[i]
-                total += a * sum((row[j] * b for j, b in nzv), ZERO)
-        return total
+        return sum((c * v[j] for j, c in self.covector(sparse_vec(u)).items()), ZERO)
 
     def rank(self) -> int:
         return linalg.rank(self.matrix, self.space.dim)
@@ -332,7 +440,7 @@ def check_form_degree(form: GradedBilinearForm) -> int:
     )
 
 
-class GradedBilinearMap:
+class GradedBilinearMap(_Sparse):
     """Even bilinear map left x right -> target, stored by its nonzeros.
 
     ``pairs[(i, j)]`` is the value on (e_i, e_j) as a sparse vector
@@ -340,11 +448,11 @@ class GradedBilinearMap:
     no zero coefficient or empty value is ever stored, so a kernel that walks
     ``pairs`` touches only nonzero structure constants, in scan order. The
     map is immutable; ``pairs`` must not be mutated. ``table`` (dense) and
-    ``scaled_pairs`` (integer) are views derived from ``pairs`` on first use;
-    neither takes part in equality, hashing or ``repr``.
+    ``scaled_pairs`` (integer) are views derived from ``pairs`` on first use.
     """
 
     __slots__ = ("left", "right", "target", "pairs", "_table", "_scaled_pairs")
+    FIELDS = ("left", "right", "target", "pairs")
 
     def __init__(self, left: SuperSpace, right: SuperSpace, target: SuperSpace, table):
         """Dense form: table[i][j] is the coordinate vector of the value on (e_i, e_j)."""
@@ -362,75 +470,31 @@ class GradedBilinearMap:
         """entries: iterable of (i, j, k, c); coefficients of a repeated (i, j, k) add up."""
         return cls._build(left, right, target, entries)
 
-    @classmethod
-    def _build(cls, left, right, target, entries):
-        self = object.__new__(cls)
-        self._set(left, right, target, entries)
-        return self
-
     def _set(self, left, right, target, entries) -> None:
-        """The one normalisation point: exact coefficients, indices in range, no zeros."""
-        nl, nr, nt = left.dim, right.dim, target.dim
-        acc: dict = {}
-        for i, j, k, c in entries:
-            if not (0 <= i < nl and 0 <= j < nr and 0 <= k < nt):
-                raise ValueError(f"bilinear entry ({i},{j},{k}) out of range")
-            c = linalg.scalar(c)
-            if c:
-                v = acc.setdefault((i, j), {})
-                v[k] = v[k] + c if k in v else c
-        pairs = {}
-        for key in sorted(acc):
-            v = {k: c for k, c in sorted(acc[key].items()) if c}
-            if v:
-                pairs[key] = v
-        for name, value in (("left", left), ("right", right), ("target", target),
-                            ("pairs", pairs), ("_table", None), ("_scaled_pairs", None)):
-            object.__setattr__(self, name, value)
+        pairs: dict = {}
+        for (i, j, k), c in _normalize(entries, (left.dim, right.dim, target.dim), "bilinear").items():
+            pairs.setdefault((i, j), {})[k] = c
+        self._init(left=left, right=right, target=target, pairs=pairs, _table=None, _scaled_pairs=None)
 
     @classmethod
     def zero(cls, left: SuperSpace, right: SuperSpace, target: SuperSpace) -> "GradedBilinearMap":
         return cls._build(left, right, target, ())
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.left, self.right, self.target, self.pairs) == \
-            (other.left, other.right, other.target, other.pairs)
-
-    def __hash__(self):
-        return hash((self.left, self.right, self.target, tuple(self.entries())))
-
-    def __repr__(self):
-        return (f"{type(self).__name__}({self.left!r}, {self.right!r}, {self.target!r}, "
-                f"pairs={self.pairs!r})")
-
     @property
     def table(self) -> tuple[tuple[Vector, ...], ...]:
-        """Dense view: table[i][j] is the value on (e_i, e_j). Built on first
-        use and cached; no kernel of the library reads it."""
-        if self._table is None:
-            nt = self.target.dim
-            zero = linalg.zero_vec(nt)
-            pairs = self.pairs
-            object.__setattr__(self, "_table", tuple(
-                tuple(dense_vec(pairs[(i, j)], nt) if (i, j) in pairs else zero
-                      for j in range(self.right.dim))
-                for i in range(self.left.dim)))
-        return self._table
+        """Dense view: table[i][j] is the value on (e_i, e_j). No kernel of
+        the library reads it."""
+        return self._view("_table", lambda: tuple(
+            tuple(self.value(i, j) for j in range(self.right.dim)) for i in range(self.left.dim)))
 
     @property
     def scaled_pairs(self) -> tuple[int, dict]:
         """(d, pairs): ``pairs`` times d with int coefficients, d the lcm of
-        their denominators (see ``scaled_to_ints``). Built on first use and
-        cached."""
-        if self._scaled_pairs is None:
+        their denominators (see ``scaled_to_ints``)."""
+        def build():
             d, values = scaled_to_ints(self.pairs.values())
-            object.__setattr__(self, "_scaled_pairs", (d, dict(zip(self.pairs, values))))
-        return self._scaled_pairs
+            return d, dict(zip(self.pairs, values))
+        return self._view("_scaled_pairs", build)
 
     def value(self, i: int, j: int) -> Vector:
         return dense_vec(self.pairs.get((i, j), EMPTY), self.target.dim)

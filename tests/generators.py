@@ -33,6 +33,14 @@ from superquad.spaces import (
 F = Fraction
 
 
+def solve_affine(rows, rhs, ncols):
+    """Full solution set of rows @ x = rhs as (particular, nullspace basis), or None."""
+    part = linalg.solve(rows, rhs, ncols)
+    if part is None:
+        return None
+    return part, linalg.nullspace(rows, ncols)
+
+
 def rand_scalar(rng, nonzero=False):
     while True:
         c = F(rng.randint(-5, 5), rng.randint(1, 5))
@@ -464,7 +472,7 @@ def solve_lambda(rng, a: LieSuperAlgebra, h: QuadraticLieSuperAlgebra,
                                          (F(s), lam_expr_vec(x, a.bracket.table[y][z])[r]))
                     emit(terms, ZERO)
 
-    res = linalg.solve_affine(rows, rhs, pv.nvars())
+    res = solve_affine(rows, rhs, pv.nvars())
     if res is None:
         return None
     return pv.realise(_sample_affine(rng, *res))
@@ -521,7 +529,7 @@ def solve_omega(rng, delta, a: LieSuperAlgebra, h: QuadraticLieSuperAlgebra,
                 rhs_terms = pv.coeff_rows(j, k)[i]
                 emit(_combine((ONE, lhs), (F(-sign), rhs_terms)), ZERO)
 
-    res = linalg.solve_affine(rows, rhs, pv.nvars())
+    res = solve_affine(rows, rhs, pv.nvars())
     if res is None:
         return None
     return pv.realise(_sample_affine(rng, *res))
@@ -684,7 +692,7 @@ def random_odd_dim1_params(rng):
         for k in range(n):
             rows.append([d.matrix[k][r] for r in even_cols])
             rhs.append(ZERO)
-        res = linalg.solve_affine(rows, rhs, len(even_cols))
+        res = solve_affine(rows, rhs, len(even_cols))
         if res is None:
             continue
         sol = _sample_affine(rng, *res)

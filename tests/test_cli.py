@@ -313,3 +313,36 @@ def test_heisenberg_pairs_16_extend_and_roundtrip(tmp_path, capsys):
     assert out.read_text() == serialize_document(expected)
     code, stdout, _ = run(capsys, "roundtrip", str(ctx))
     assert code == 0 and stdout.splitlines()[-1] == "PASS"
+
+
+def test_inputs_that_would_stall_or_crash_the_parser_exit_2(tmp_path, capsys):
+    """An exponent that Fraction would write out digit by digit, a JSON
+    integer past int's digit limit and deeply nested JSON each end as a parse
+    error within a second, in the text format, in JSON strings and in --eta."""
+    import time
+
+    deep = "[" * 100000 + "]" * 100000
+    cases = [
+        ("big.algebra", "algebra big\nbasis x 0\nbracket 0 0 0 1e100000000\nend algebra\n",
+         "line 3: bad rational '1e100000000': exponent notation is not accepted"),
+        ("big.json", json.dumps({"kind": "algebra", "name": "b", "basis": [["x", 0]],
+                                 "bracket": [[0, 0, 0, "1E100000000"]]}),
+         "bad rational '1E100000000': exponent notation is not accepted"),
+        ("long.json", '{"kind": "algebra", "name": "b", "basis": [["x", 0]], "bracket": [[0, 0, 0, '
+         + "7" * 4301 + "]]}", "bad JSON: an integer literal has too many digits"),
+        ("deep.json", '{"kind": "algebra", "name": "b", "basis": ' + deep + "}",
+         "bad JSON: nested too deeply"),
+    ]
+    for name, content, message in cases:
+        f = tmp_path / name
+        f.write_text(content)
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify", str(f))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and err.startswith("error: ") and message in err, (name, err)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "catalog", "odd-dim1", "--eta", "2e100000000", "--out", str(tmp_path / "x"))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err == "error: input, field --eta: bad rational '2e100000000': exponent notation is not accepted\n"
+    assert not (tmp_path / "x").exists()

@@ -1,4 +1,3 @@
-import importlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from generators import context_corpus, random_witt_instance
+import superquad.decompose as dec
 from superquad import linalg
 from superquad.algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, delta_coadjoint
 from superquad.catalog import (
@@ -267,10 +267,6 @@ def test_decompose_six_dim_two_pairs():
     res = decompose(g, [unit_vec(6, 5)])
     from superquad.extension import contexts_equal
     assert contexts_equal(res.context, heisenberg_context(p))
-
-
-# the package exports the function decompose under the module's name
-dec = importlib.import_module("superquad.decompose")
 
 
 def _corpus_extensions():

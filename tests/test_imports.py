@@ -31,3 +31,19 @@ def test_no_unused_imports():
 def test_unused_import_is_reported():
     source = "from .algebra import cyclic_residual, is_derivation\n\nis_derivation(1)\n"
     assert unused_imports(source) == ["line 1: cyclic_residual"]
+
+
+def test_submodules_are_not_shadowed_by_package_exports():
+    """``import superquad.X as m`` and ``from superquad import X`` give the
+    module for every submodule: the package binds no other value to its name."""
+    import importlib
+    import types
+
+    import superquad
+    import superquad.decompose as dec
+
+    assert isinstance(dec, types.ModuleType) and dec.decompose.__module__ == "superquad.decompose"
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"superquad.{path.stem}")
+            assert getattr(superquad, path.stem) is module

@@ -227,3 +227,147 @@ def test_cached_integer_view_stays_invisible():
     assert all(type(c) is Fraction for row in f_built.sparse_rows for c in row.values())
     with pytest.raises(AttributeError):
         f_built.matrix = ()
+
+
+# ---------------------------------------------------------------------------
+# Linear maps and forms stored by their nonzeros: the dense constructors and
+# from_entries build the same value
+
+
+entry_st = st.sampled_from([0, 0, 0, 1, -1, Fraction(1, 2), Fraction(-2, 3)])
+
+
+def ref_inhomogeneity(source, target, degree, matrix):
+    """The message of the dense scan: the first (r, c) in row-major order with
+    a nonzero entry outside the degree pattern, or None."""
+    for r in range(target.dim):
+        for c in range(source.dim):
+            if matrix[r][c] != 0 and target.parity(r) != (source.parity(c) + degree) % 2:
+                return f"entry ({r},{c}) breaks homogeneity of a degree-{degree} map"
+    return None
+
+
+def scattered(data, matrix):
+    """The entries of a dense matrix, some split into two summands, some with
+    a zero entry or a cancelling pair added, in a drawn order."""
+    out = []
+    for r, row in enumerate(matrix):
+        for c, x in enumerate(row):
+            y = data.draw(entry_st)
+            out += data.draw(st.sampled_from([[(r, c, x)], [(r, c, x - y), (r, c, y)],
+                                              [(r, c, 0), (r, c, x)], [(r, c, y), (r, c, -y), (r, c, x)]]))
+    return data.draw(st.permutations(out))
+
+
+@given(st.data())
+def test_linear_map_from_entries_matches_the_dense_constructor(data):
+    source, target = space(data.draw(parities_st)), space(data.draw(parities_st), "w")
+    degree = data.draw(st.integers(0, 1))
+    homogeneous = data.draw(st.booleans())
+    matrix = [[data.draw(entry_st) if not homogeneous or tp == (sp + degree) % 2 else 0
+               for sp in source.parities] for tp in target.parities]
+    entries = scattered(data, matrix)
+    expected = ref_inhomogeneity(source, target, degree, matrix)
+    if expected is not None:
+        with pytest.raises(NotHomogeneous) as dense_error:
+            GradedLinearMap(source, target, degree, matrix)
+        with pytest.raises(NotHomogeneous) as sparse_error:
+            GradedLinearMap.from_entries(source, target, degree, entries)
+        assert str(dense_error.value) == str(sparse_error.value) == expected
+        return
+    dense = GradedLinearMap(source, target, degree, matrix)
+    sparse = GradedLinearMap.from_entries(source, target, degree, entries)
+    assert dense == sparse and hash(dense) == hash(sparse) and repr(dense) == repr(sparse)
+    assert dense.matrix == sparse.matrix == tuple(tuple(row) for row in matrix)
+    assert all(type(x) is Fraction for row in sparse.matrix for x in row)
+    assert sparse.entries() == [(r, c, x) for r, row in enumerate(matrix) for c, x in enumerate(row) if x]
+    assert all(list(col) == sorted(col) and all(col.values()) for col in sparse.sparse_columns)
+    assert GradedLinearMap.from_entries(source, target, degree, sparse.entries()) == sparse
+
+
+@given(st.data())
+def test_form_from_entries_matches_the_dense_constructor(data):
+    v = space(data.draw(parities_st))
+    degree = data.draw(st.integers(0, 1))
+    matrix = [[data.draw(entry_st) for _ in range(v.dim)] for _ in range(v.dim)]
+    dense = GradedBilinearForm(v, degree, matrix)
+    sparse = GradedBilinearForm.from_entries(v, degree, scattered(data, matrix))
+    assert dense == sparse and hash(dense) == hash(sparse) and repr(dense) == repr(sparse)
+    assert dense.matrix == sparse.matrix == tuple(tuple(row) for row in matrix)
+    assert all(type(x) is Fraction for row in sparse.matrix for x in row)
+    assert sparse.entries() == [(i, j, c) for i, row in enumerate(matrix) for j, c in enumerate(row) if c]
+    assert all(list(row) == sorted(row) and all(row.values()) for row in sparse.sparse_rows)
+    assert dense != GradedBilinearForm(v, 1 - degree, matrix)
+
+
+def test_first_inhomogeneous_entry_in_row_major_order():
+    v = space([0, 1, 0])
+    matrix = ((0, 1, 0), (1, 0, 0), (0, 1, 0))
+    expected = "entry (0,1) breaks homogeneity of a degree-0 map"
+    assert ref_inhomogeneity(v, v, 0, matrix) == expected
+    with pytest.raises(NotHomogeneous, match=r"^entry \(0,1\) breaks homogeneity of a degree-0 map$"):
+        GradedLinearMap(v, v, 0, matrix)
+    with pytest.raises(NotHomogeneous, match=r"^entry \(0,1\) breaks homogeneity of a degree-0 map$"):
+        GradedLinearMap.from_entries(v, v, 0, [(2, 1, 1), (1, 0, 1), (0, 1, 1)])
+    # entries that cancel leave nothing to break homogeneity
+    assert GradedLinearMap.from_entries(v, v, 0, [(0, 1, 1), (0, 1, -1)]).is_zero()
+
+
+def test_map_and_form_constructors_reject_bad_shapes_indices_and_scalars():
+    v = space([0, 1])
+    for bad in ([[1, 0]], [[1, 0], [0]], [[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]):
+        with pytest.raises(ValueError, match="matrix shape does not match"):
+            GradedLinearMap(v, v, 0, bad)
+        with pytest.raises(ValueError, match="form matrix must be dim x dim"):
+            GradedBilinearForm(v, 0, bad)
+    for entry in [(2, 0, 1), (0, 2, 0), (-1, 0, 1), (0, -1, 1), (0, 0, 0, 1), (0, 1)]:
+        with pytest.raises(ValueError, match="out of range"):
+            GradedLinearMap.from_entries(v, v, 0, [entry])
+        with pytest.raises(ValueError, match="out of range"):
+            GradedBilinearForm.from_entries(v, 0, [entry])
+    for bad in (0.5, 1.0, True, False):
+        with pytest.raises(TypeError):
+            GradedLinearMap.from_entries(v, v, 0, [(0, 0, bad)])
+        with pytest.raises(TypeError):
+            GradedBilinearForm.from_entries(v, 0, [(1, 0, bad)])
+    for degree in (2, -1):
+        with pytest.raises(ValueError):
+            GradedLinearMap.from_entries(v, v, degree, ())
+        with pytest.raises(ValueError):
+            GradedBilinearForm.from_entries(v, degree, ())
+
+
+def test_dense_views_are_cached_and_invisible():
+    v = space([0, 1])
+    t = GradedLinearMap.from_entries(v, v, 1, [(1, 0, Fraction(1, 3)), (0, 1, 2)])
+    fresh = GradedLinearMap.from_entries(v, v, 1, [(0, 1, 2), (1, 0, Fraction(1, 3))])
+    before = repr(t)
+    assert t.matrix is t.matrix and t.matrix == ((0, 2), (Fraction(1, 3), 0))
+    assert t == fresh and hash(t) == hash(fresh) and repr(t) == before == repr(fresh)
+    assert t.sparse_columns == ({1: Fraction(1, 3)}, {0: Fraction(2)})
+    assert t.column(0) == (0, Fraction(1, 3)) and t.apply_sparse({0: 3, 1: 1}) == {0: 2, 1: 1}
+    for name in ("matrix", "sparse_columns", "_matrix", "degree"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, None)
+    assert t != GradedLinearMap.from_entries(v, space([0, 1], "w"), 1, t.entries())
+    assert t != GradedLinearMap.from_entries(v, v, 1, [(1, 0, Fraction(1, 3)), (0, 1, 3)])
+    assert t != GradedLinearMap.zero(v, v, 1) and len({t, fresh, GradedLinearMap.zero(v, v, 1)}) == 2
+    form = GradedBilinearForm.from_entries(v, 1, [(0, 1, 1), (1, 0, 1)])
+    assert form != GradedBilinearForm.from_entries(v, 1, [(0, 1, 1), (1, 0, 2)])
+    assert form.matrix is form.matrix and form.scaled_rows == (1, ({1: 1}, {0: 1}))
+
+
+def test_maps_and_forms_survive_pickle_and_copy():
+    import copy
+    import pickle
+
+    from superquad.algebra import SuperBracket
+
+    v = space([0, 1])
+    values = [GradedLinearMap.from_entries(v, v, 1, [(1, 0, Fraction(1, 3)), (0, 1, 2)]),
+              GradedBilinearForm.from_entries(v, 1, [(0, 1, 1), (1, 0, 1)]),
+              GradedBilinearMap.from_entries(v, v, v, [(0, 1, 1, Fraction(1, 2))]),
+              SuperBracket.from_entries(v, [(0, 1, 1, 1), (1, 0, 1, -1)])]
+    for value in values:
+        for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert type(again) is type(value) and again == value and hash(again) == hash(value)

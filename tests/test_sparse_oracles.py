@@ -7,7 +7,6 @@ single-entry corruptions they must report the same first witness and the same
 dense residual (or the same verdict, for the bool predicates).
 """
 
-import importlib
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -19,8 +18,10 @@ from generators import (
     rand_scalar,
     random_context,
     random_parity_preserving_basis,
+    random_witt_instance,
     space_of,
 )
+import superquad.decompose as dec
 from superquad import linalg
 from superquad.algebra import (
     LieSuperAlgebra,
@@ -28,15 +29,16 @@ from superquad.algebra import (
     SuperBracket,
     check_invariance,
     check_jacobi,
+    delta_coadjoint,
     is_derivation,
     is_metric_skew,
 )
 from superquad.catalog import default_heisenberg_params, heisenberg_extension
-from superquad.errors import ClaimViolated, NotAnIdealSplit
-from superquad.extension import double_extend
+from superquad.errors import ClaimViolated, DegenerateInput, NotAnIdealSplit
+from superquad.extension import derive_chi, double_extend, extension_derivations
 from test_algebra import brute_jacobi, brute_jacobi_residual
 from superquad.linalg import ZERO, unit_vec
-from superquad.spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap
+from superquad.spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace, sparse_vec
 
 
 def ref_invariance(form, bracket):
@@ -128,7 +130,6 @@ def sample_extensions():
 
 
 EXTENSIONS = sample_extensions()
-dec = importlib.import_module("superquad.decompose")  # the package exports a function of that name
 
 
 def planted(rng, bmap, cls=GradedBilinearMap, draw=rand_scalar):
@@ -454,3 +455,212 @@ def test_integer_kernels_on_integer_and_zero_brackets():
             jac, inv = assert_integer_kernels_match(g.metric, bad)
             found += jac + inv
     assert found >= 10
+
+
+# ---------------------------------------------------------------------------
+# Linear maps and forms, stored by their nonzeros, against dense references
+
+
+def ref_mat_vec(m, v):
+    return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in m)
+
+
+def ref_value(form, u, v):
+    n, b = form.space.dim, form.matrix
+    return sum((u[i] * b[i][j] * v[j] for i in range(n) for j in range(n)), ZERO)
+
+
+def ref_orthogonal_complement(vectors, form):
+    """Nullspace of the rows c -> B(s, e_c), each from the dense transpose of B."""
+    bt = linalg.transpose(form.matrix)
+    return linalg.nullspace([ref_mat_vec(bt, s) for s in vectors], form.space.dim)
+
+
+def ref_dual_vectors(form, ideal, avoid):
+    """B(e_m, d_i) = delta_mi with d_i in the right parity block, orthogonal to
+    avoid; first-pivot solve on dense rows. None where no dual exists."""
+    space, n = form.space, form.space.dim
+    bt = linalg.transpose(form.matrix)
+    rows = [ref_mat_vec(bt, e) for e in ideal] + [ref_mat_vec(bt, w) for w in avoid]
+    duals = []
+    for i, e in enumerate(ideal):
+        want = (space.vector_parity(e) + form.degree) % 2
+        cols = [c for c in range(n) if space.parity(c) == want]
+        rhs = [Fraction(m == i) for m in range(len(ideal))] + [ZERO] * len(avoid)
+        sol = linalg.solve([[r[c] for c in cols] for r in rows], rhs, len(cols))
+        if sol is None:
+            return None
+        full = dict(zip(cols, sol))
+        duals.append(tuple(full.get(c, ZERO) for c in range(n)))
+    return duals
+
+
+def ref_delta_coadjoint(g, delta):
+    """Matrix of ad*_d(e_i): entry (k, j) is -(-1)^{(p_j + d) p_i} [e_i, e_k]_j."""
+    n, par, t = g.dim, g.space.parities, g.bracket.table
+    return [tuple(tuple(-(-1) ** (((par[j] + delta) * par[i]) % 2) * t[i][k][j] for j in range(n))
+                  for k in range(n)) for i in range(n)]
+
+
+def ref_extension_metric(ctx):
+    """B_h on h, B(P_d(a_i)*, a_i) = 1 and B(a_i, P_d(a_i)*) = (-1)^{|a_i|(1 + d)}."""
+    na, nh = ctx.a.dim, ctx.h.dim
+    b_h = ctx.h.metric.matrix
+
+    def entry(p, q):
+        if na <= p < na + nh and na <= q < na + nh:
+            return b_h[p - na][q - na]
+        if p >= na + nh and q == p - na - nh:
+            return Fraction(1)
+        if p < na and q == p + na + nh:
+            return Fraction((-1) ** ((ctx.a.space.parity(p) * (1 + ctx.delta)) % 2))
+        return ZERO
+    return tuple(tuple(entry(p, q) for q in range(2 * na + nh)) for p in range(2 * na + nh))
+
+
+def ref_extension_derivations(ctx, chi):
+    """Theta(x_i) on h + dual: rho(x_i) on h, ad*_d(x_i) on the dual block, and
+    column m of the (dual, h) block the value chi(x_i, u_m)."""
+    na, nh = ctx.a.dim, ctx.h.dim
+    rep, chi_t = ref_delta_coadjoint(ctx.a, ctx.delta), chi.table
+    out = []
+    for i in range(na):
+        rho = ctx.rho[i].matrix
+
+        def entry(r, c):
+            if r < nh and c < nh:
+                return rho[r][c]
+            if r >= nh and c >= nh:
+                return rep[i][r - nh][c - nh]
+            if r >= nh:
+                return chi_t[i][c][r - nh]
+            return ZERO
+        out.append(tuple(tuple(entry(r, c) for c in range(nh + na)) for r in range(nh + na)))
+    return out
+
+
+def ref_extracted_maps(g, ideal, a_vectors, h_vectors):
+    """rho, tau and sigma from a dense change of basis: column c of rho(x_p)
+    and tau(x_p) are the h- and I-parts of [x_p, u_c], column c of sigma(x_p)
+    the I-part of [x_p, alpha_c]."""
+    cols = list(a_vectors) + list(h_vectors) + list(ideal)
+    na, nh, nd, n = len(a_vectors), len(h_vectors), len(ideal), g.dim
+    m_inv, t = linalg.inverse(linalg.transpose(cols)), g.bracket.table
+
+    def coords(u, v):
+        terms = [(u[i] * v[j], t[i][j]) for i in range(n) if u[i] for j in range(n) if v[j]]
+        return ref_mat_vec(m_inv, [sum((c * w[k] for c, w in terms), ZERO) for k in range(n)])
+    rho, tau, sigma = [], [], []
+    for p in range(na):
+        zh = [coords(cols[p], cols[na + c]) for c in range(nh)]
+        zi = [coords(cols[p], cols[na + nh + c]) for c in range(nd)]
+        rho.append(tuple(tuple(z[na + r] for z in zh) for r in range(nh)))
+        tau.append(tuple(tuple(z[na + nh + r] for z in zh) for r in range(nd)))
+        sigma.append(tuple(tuple(z[na + nh + r] for z in zi) for r in range(nd)))
+    return rho, tau, sigma
+
+
+def moved_with_ideal(rng, ctx, g):
+    """g in a random parity-preserving basis, with its dual block in the new coordinates."""
+    cols = random_parity_preserving_basis(rng, g.space)
+    m_inv = linalg.inverse(linalg.transpose(cols))
+    na = ctx.a.dim
+    ideal = [tuple(row[k] for row in m_inv) for k in range(g.dim - na, g.dim)]
+    return change_basis(g, cols), ideal
+
+
+def splits():
+    """(g, decomposition) for every sample extension along its dual block, and
+    for every other one moved to a random basis, along the moved block."""
+    rng = random.Random(40)
+    out = []
+    for ctx, g in EXTENSIONS:
+        na = ctx.a.dim
+        out.append((g, dec.decompose(g, [unit_vec(g.dim, g.dim - na + k) for k in range(na)])))
+    for ctx, g in EXTENSIONS[::2]:
+        moved, ideal = moved_with_ideal(rng, ctx, g)
+        out.append((moved, dec.decompose(moved, ideal)))
+    return out
+
+
+SPLITS = splits()
+
+
+def random_vector(rng, space, parity=None):
+    return tuple(rand_scalar(rng) if parity is None or p == parity else ZERO for p in space.parities)
+
+
+def test_apply_sparse_and_form_value_match_dense_products():
+    rng = random.Random(41)
+    for g, res in SPLITS:
+        maps = [res.isometry, res.xi_delta, *res.maps.rho, *res.maps.tau, *res.maps.sigma,
+                *res.context.rho, *delta_coadjoint(g.algebra, g.delta).action]
+        for t in maps:
+            for _ in range(2):
+                v = random_vector(rng, t.source)
+                assert t.apply_sparse(sparse_vec(v)) == sparse_vec(ref_mat_vec(t.matrix, v))
+        for form in (g.metric, res.context.h.metric, res.extension.metric):
+            for _ in range(3):
+                u, v = random_vector(rng, form.space), random_vector(rng, form.space)
+                value = form.value(u, v)
+                assert value == ref_value(form, u, v) and type(value) is Fraction
+
+
+def test_orthogonal_complement_and_dual_vectors_match_dense_references():
+    rng = random.Random(42)
+    cases = []
+    for g, res in SPLITS:
+        cases.append((g.metric, list(res.ideal_basis), list(res.h_basis)))
+    for delta in (0, 1):
+        for _ in range(15):
+            _, form, ideal = random_witt_instance(rng, delta)
+            cases.append((form, ideal, []))
+    for form, ideal, avoid in cases:
+        assert dec.orthogonal_complement(ideal, form) == ref_orthogonal_complement(ideal, form)
+        assert dec._dual_vectors(form, ideal, avoid) == ref_dual_vectors(form, ideal, avoid)
+        one = [ideal[rng.randrange(len(ideal))]]
+        assert dec.orthogonal_complement(one, form) == ref_orthogonal_complement(one, form)
+
+
+def test_dual_vectors_report_a_missing_dual_like_the_reference():
+    """An ideal vector among the avoid vectors leaves its dual unsolvable."""
+    found = 0
+    for g, res in SPLITS:
+        ideal = list(res.ideal_basis)
+        avoid = list(res.h_basis) + ideal[-1:]
+        ref = ref_dual_vectors(g.metric, ideal, avoid)
+        try:
+            assert dec._dual_vectors(g.metric, ideal, avoid) == ref
+        except DegenerateInput:
+            assert ref is None
+            found += 1
+    assert found >= 10
+
+
+def test_delta_coadjoint_matches_the_dense_formula():
+    for g, res in SPLITS:
+        for alg in (g.algebra, res.context.a):
+            for delta in (0, 1):
+                rep = delta_coadjoint(alg, delta)
+                assert [t.matrix for t in rep.action] == ref_delta_coadjoint(alg, delta)
+
+
+def test_extension_metric_and_derivations_match_dense_blocks():
+    for g, res in SPLITS:
+        ctx = res.context
+        assert res.extension.metric.matrix == ref_extension_metric(ctx)
+        chi = derive_chi(ctx)
+        ce_space = SuperSpace(ctx.h.space.basis + ctx.dual_block.basis)
+        theta = extension_derivations(ctx, chi, ce_space)
+        assert [t.matrix for t in theta] == ref_extension_derivations(ctx, chi)
+
+
+def test_extracted_rho_tau_sigma_match_a_dense_change_of_basis():
+    nonzero = 0
+    for g, res in SPLITS:
+        rho, tau, sigma = ref_extracted_maps(g, res.ideal_basis, res.a_basis, res.h_basis)
+        assert [t.matrix for t in res.maps.rho] == rho
+        assert [t.matrix for t in res.maps.tau] == tau
+        assert [t.matrix for t in res.maps.sigma] == sigma
+        nonzero += sum(not t.is_zero() for t in res.maps.rho + res.maps.tau + res.maps.sigma)
+    assert nonzero >= 20
