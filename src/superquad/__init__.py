@@ -40,7 +40,6 @@ from .decompose import (
 )
 from .errors import (
     ClaimViolated,
-    ConditionViolated,
     DegenerateInput,
     DegeneratePairing,
     InvalidContext,

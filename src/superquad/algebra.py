@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .errors import ConditionViolated, ValidationError, Violation
+from .errors import ValidationError, Violation
 from .linalg import Matrix
 from .spaces import (
     EMPTY,
@@ -373,12 +373,16 @@ def semidirect_product(a: LieSuperAlgebra, h: LieSuperAlgebra,
                        lam: GradedBilinearMap) -> LieSuperAlgebra:
     """Generalized semi-direct product of h by a via (theta, lam).
 
-    Preconditions checked on all basis tuples before the bracket is built:
-    each theta(x) is a derivation of h, [theta(x),theta(y)] - theta([x,y]_a)
-    = ad_h(lam(x,y)), and the cyclic compatibility of theta with lam.
-    Raises ConditionViolated with the witnessing equation and indices.
+    The bracket is [x,y] = [x,y]_a + lam(x,y), [x,u] = theta(x)(u) and
+    [u,v] = [u,v]_h. It is a Lie superalgebra exactly when each theta(x) is
+    a derivation of h, [theta(x),theta(y)] - theta([x,y]_a) = ad_h(lam(x,y))
+    and the cyclic sum of theta(x)(lam(y,z)) + lam(x,[y,z]_a) vanishes. These
+    conditions, with lam even and super skew, are the mixed a/h blocks of the
+    grading, super skew and Jacobi identities of the assembled bracket, so
+    its certificate is the only check: a failure raises ValidationError with
+    the first grading, super-skew or jacobi witness.
     """
-    na, nh = a.dim, h.dim
+    na = a.dim
     par_a = a.space.parities
     if len(theta) != na:
         raise ValueError("one theta map per a-basis vector required")
@@ -386,34 +390,10 @@ def semidirect_product(a: LieSuperAlgebra, h: LieSuperAlgebra,
         if t.source.basis != h.space.basis or t.target.basis != h.space.basis:
             raise ValueError("theta maps must act on h")
         if t.degree != par_a[i]:
-            raise ConditionViolated(Violation("theta-degree", (i,), t.degree))
-        if not is_derivation(t, h.bracket):
-            raise ConditionViolated(Violation("theta-derivation", (i,)))
+            raise ValidationError(Violation("theta-degree", (i,), t.degree))
     if lam.left.basis != a.space.basis or lam.right.basis != a.space.basis or lam.target.basis != h.space.basis:
         raise ValueError("lambda must be a bilinear map a x a -> h")
-    for check, name in ((lam.check_even, "lambda-even"), (lam.check_super_skew, "lambda-skew")):
-        v = check(name)
-        if v is not None:
-            raise ConditionViolated(v)
 
-    # [theta(x),theta(y)] - theta([x,y]_a) must be the inner derivation of lam(x,y)
-    for ij in curvature_failures(a, h.bracket, theta, lam):
-        raise ConditionViolated(Violation("semidirect-1", ij))
-
-    # Cyclic sum of theta(x)(lam(y,z)) + lam(x, [y,z]_a)
-    def piece(x, y, z):
-        out = theta[x].apply_sparse(lam.pairs.get((y, z), EMPTY))
-        add_scaled(out, 1, lam.right_sparse(x, a.bracket.pairs.get((y, z), EMPTY)))
-        return out
-
-    for i in range(na):
-        for j in range(na):
-            for k in range(na):
-                total = cyclic_residual(par_a, i, j, k, piece)
-                if total:
-                    raise ConditionViolated(Violation("semidirect-2", (i, j, k), dense_vec(total, nh)))
-
-    # blocks a, h: [x,y] = [x,y]_a + lam(x,y), [x,u] = theta(x)(u), [u,v] = [u,v]_h
     entries = a.bracket.entries() + lam.entries(dk=na) + h.bracket.entries(na, na, na)
     for i in range(na):
         for m, col in enumerate(theta[i].sparse_columns):

@@ -13,14 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
-from .algebra import (
-    LieSuperAlgebra,
-    QuadraticLieSuperAlgebra,
-    SuperBracket,
-    is_derivation,
-    is_metric_skew,
-)
+from . import extension, linalg
+from .algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket
 from .errors import InvalidParams, ValidationError, Violation
 from .extension import DeltaContext
 from .linalg import Vector, ZERO
@@ -58,13 +52,28 @@ def _fresh_label(h_space: SuperSpace, base: str = "x") -> str:
         k += 1
 
 
+# context axiom -> the catalog's name for it, D playing rho(x) and w lambda(x, x)
+_CONDITION_NAMES = {"rho-degree": "d-degree", "rho-derivation": "d-derivation",
+                    "rho-skew": "d-skew", "lambda-even": "w-parity"}
+
+
+def _check_params(ctx: DeltaContext) -> None:
+    """Raise InvalidParams carrying the companion context's violations,
+    named after the first one."""
+    violations = extension.validate_context(ctx)
+    if violations:
+        name = violations[0].equation
+        raise InvalidParams(_CONDITION_NAMES.get(name, name), violations)
+
+
 @dataclass(frozen=True)
 class OddExtensionParams:
     """Data for the odd extension by a single odd generator x.
 
-    D plays rho(x), w plays lambda(x,x) and eta scales omega(x,x); the three
-    stated conditions are exactly the context axioms specialised to this
-    shape: D an odd B_h-skew derivation with D^2 = (1/2) ad_h(w) and D(w) = 0.
+    D plays rho(x), w plays lambda(x,x) and eta scales omega(x,x). The
+    conditions (D an odd B_h-skew derivation, w even, D^2 = (1/2) ad_h(w) and
+    D(w) = 0) are the axioms of the companion context, and ``validate``
+    checks them as such.
     """
 
     h: QuadraticLieSuperAlgebra
@@ -79,23 +88,7 @@ class OddExtensionParams:
             raise ValueError("w must be a vector of h")
 
     def validate(self) -> None:
-        if self.h.delta != ODD:
-            raise InvalidParams("metric-degree", message="h must carry an odd metric")
-        if self.d.degree != 1:
-            raise InvalidParams("d-degree", message="D must be odd")
-        if not is_derivation(self.d, self.h.bracket):
-            raise InvalidParams("d-derivation")
-        if not is_metric_skew(self.d, self.h.metric):
-            raise InvalidParams("d-skew")
-        w = sparse_vec(self.w)
-        if any(self.h.space.parity(r) != 0 for r in w):
-            raise InvalidParams("w-parity", message="w must be even")
-        # column j of 2 D^2 = ad_h(w): 2 D(D(e_j)) = [w, e_j]
-        if any({k: 2 * c for k, c in self.d.apply_sparse(col).items()} != self.h.bracket.left_sparse(w, j)
-               for j, col in enumerate(self.d.sparse_columns)):
-            raise InvalidParams("deh1", message="D^2 must equal (1/2) ad_h(w)")
-        if self.d.apply_sparse(w):
-            raise InvalidParams("deh2", message="D(w) must vanish")
+        _check_params(_odd_context(self))
 
 
 def odd_extension_dim1(p: OddExtensionParams) -> QuadraticLieSuperAlgebra:
@@ -128,6 +121,10 @@ def odd_extension_dim1(p: OddExtensionParams) -> QuadraticLieSuperAlgebra:
 def odd_extension_context(p: OddExtensionParams) -> DeltaContext:
     """The context whose double extension the explicit construction realises."""
     p.validate()
+    return _odd_context(p)
+
+
+def _odd_context(p: OddExtensionParams) -> DeltaContext:
     lab = _fresh_label(p.h.space)
     a = _one_dim_algebra(lab, 1)
     lam = GradedBilinearMap.from_entries(a.space, a.space, p.h.space,
@@ -145,14 +142,7 @@ class HeisenbergExtensionParams:
     d: GradedLinearMap
 
     def validate(self) -> None:
-        if self.h.delta != ODD:
-            raise InvalidParams("metric-degree", message="h must carry an odd metric")
-        if self.d.degree != 0:
-            raise InvalidParams("d-degree", message="D must be even")
-        if not is_derivation(self.d, self.h.bracket):
-            raise InvalidParams("d-derivation")
-        if not is_metric_skew(self.d, self.h.metric):
-            raise InvalidParams("d-skew")
+        _check_params(_heisenberg_context(self))
 
 
 def _action_entries(p: HeisenbergExtensionParams) -> list:
@@ -182,6 +172,10 @@ def heisenberg_extension(p: HeisenbergExtensionParams) -> QuadraticLieSuperAlgeb
 def heisenberg_context(p: HeisenbergExtensionParams) -> DeltaContext:
     """The context for the even-generator extension: lambda = omega = 0."""
     p.validate()
+    return _heisenberg_context(p)
+
+
+def _heisenberg_context(p: HeisenbergExtensionParams) -> DeltaContext:
     a = _one_dim_algebra(_fresh_label(p.h.space), 0)
     ctx = DeltaContext.trivial(ODD, a, p.h)
     return DeltaContext(ODD, a, p.h, (p.d,), ctx.lam, ctx.omega)

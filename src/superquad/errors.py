@@ -64,10 +64,6 @@ class ValidationError(SuperquadError):
         super().__init__(text)
 
 
-class ConditionViolated(ValidationError):
-    """A semidirect-product compatibility condition failed."""
-
-
 class InvalidContext(ValidationError):
     """A double-extension context failed its axioms."""
 
@@ -97,11 +93,14 @@ class DegeneratePairing(SuperquadError):
 
 
 class InvalidParams(ValidationError):
-    """Catalog construction data violates one of its stated conditions."""
+    """Catalog construction data violates one of its stated conditions.
+
+    Without a message the text is that of the violations, or else the
+    condition's name."""
 
     def __init__(self, condition: str, violations=(), message: str = ""):
         self.condition = condition
-        super().__init__(violations, message or condition)
+        super().__init__(violations, message or ("" if violations else condition))
 
 
 @dataclass

@@ -8,8 +8,11 @@ the quadratic Lie superalgebra of degree delta on a + h + P_delta(a)*.
 
 The construction goes through the proof path: a central extension of h by
 the dual block via the cocycle Phi, then the generalized semi-direct product
-with a. Every intermediate constructor re-validates its own axioms, so a
-successful return is a machine proof for the instance at hand.
+with a. Each layer is certified by the grading, super skew and Jacobi scans
+of its own bracket, which for the semi-direct product contain its three
+conditions on (Theta, Lambda), and the result by its invariant metric; so a
+successful return is a machine proof for the instance at hand. The context
+axioms are checked once, by ``validate_context``, before any layer is built.
 """
 
 from __future__ import annotations

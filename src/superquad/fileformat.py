@@ -23,7 +23,7 @@ from .algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket
 from .errors import ParseError, ValidationError, Violation
 from .extension import DeltaContext
 from .linalg import Vector
-from .spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace, p_delta_dual
+from .spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace, is_token, p_delta_dual
 
 
 def format_scalar(c: Fraction) -> str:
@@ -351,6 +351,16 @@ def _json_int(x, what: str = "index") -> int:
     return x
 
 
+def _json_token(x, what: str) -> str:
+    """A name or basis label: a JSON string that is one text-format token,
+    so that the document can be written as text and read back."""
+    if not isinstance(x, str):
+        raise ParseError(f"{what} must be a JSON string, got {json.dumps(x)}")
+    if not is_token(x):
+        raise ParseError(f"{what} {json.dumps(x)} must be nonempty, without whitespace or '#'")
+    return x
+
+
 def _json_scalar(c) -> Fraction:
     """A rational string or a JSON integer; never a float, whose binary value
     would be silently inexact."""
@@ -375,7 +385,7 @@ def _check_ranges(entries, bounds, what: str):
 
 def _algebra_from_obj(obj: dict) -> AlgebraDocument:
     try:
-        basis = tuple((str(l), _json_int(p, "parity")) for l, p in obj["basis"])
+        basis = tuple((_json_token(l, "basis label"), _json_int(p, "parity")) for l, p in obj["basis"])
         bracket = _dedup([_json_entry(i, j, k, c) for i, j, k, c in obj["bracket"]], "bracket")
         degree = None
         metric = ()
@@ -390,7 +400,7 @@ def _algebra_from_obj(obj: dict) -> AlgebraDocument:
         dim = len(basis)
         _check_ranges(bracket, (dim, dim, dim), "bracket")
         _check_ranges(metric, (dim, dim), "metric")
-        return AlgebraDocument(str(obj["name"]), basis, bracket, degree, metric)
+        return AlgebraDocument(_json_token(obj["name"], "name"), basis, bracket, degree, metric)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed algebra object: {exc}") from exc
 
@@ -424,7 +434,7 @@ def document_from_obj(obj: dict) -> Document:
     if kind == "context":
         try:
             doc = ContextDocument(
-                str(obj["name"]), _json_int(obj["delta"], "delta"),
+                _json_token(obj["name"], "name"), _json_int(obj["delta"], "delta"),
                 _algebra_from_obj(obj["h"]), _algebra_from_obj(obj["a"]),
                 _dedup([_json_entry(x, r, c, v) for x, r, c, v in obj["rho"]], "rho"),
                 _dedup([_json_entry(i, j, k, v) for i, j, k, v in obj["lambda"]], "lambda"),
@@ -441,10 +451,13 @@ def document_from_obj(obj: dict) -> Document:
         return doc
     if kind == "ideal":
         try:
-            return IdealDocument(str(obj["name"]),
-                                 tuple(tuple(_json_scalar(c) for c in v) for v in obj["vectors"]))
+            doc = IdealDocument(_json_token(obj["name"], "name"),
+                                tuple(tuple(_json_scalar(c) for c in v) for v in obj["vectors"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed ideal object: {exc}") from exc
+        if len({len(v) for v in doc.vectors}) > 1:
+            raise ParseError("ideal vectors have inconsistent lengths")
+        return doc
     raise ParseError(f"unknown document kind {kind!r}")
 
 

@@ -163,6 +163,12 @@ class _Sparse:
         return type(self)._build, tuple(getattr(self, f) for f in self.FIELDS[:-1]) + (self.entries(),)
 
 
+def is_token(text: str) -> bool:
+    """One field of the text formats, as labels and names must be: nonempty,
+    no whitespace, and no '#', which starts a comment."""
+    return bool(text) and "#" not in text and not any(ch.isspace() for ch in text)
+
+
 @dataclass(frozen=True)
 class SuperSpace:
     basis: tuple[tuple[str, int], ...]
@@ -173,8 +179,7 @@ class SuperSpace:
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be unique")
         for l in labels:
-            # labels are format atoms: no whitespace, and '#' starts comments
-            if not l or "#" in l or any(ch.isspace() for ch in l):
+            if not is_token(l):
                 raise ValueError(f"bad basis label {l!r}")
 
     @property

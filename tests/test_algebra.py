@@ -18,7 +18,7 @@ from superquad.algebra import (
     semidirect_product,
 )
 from superquad.catalog import default_heisenberg_params, heisenberg_extension
-from superquad.errors import ConditionViolated, ValidationError
+from superquad.errors import ValidationError
 from superquad.linalg import ONE, ZERO, unit_vec
 from superquad.spaces import (
     GradedBilinearForm,
@@ -331,11 +331,58 @@ def test_semidirect_condition_violation_witness():
     tx = GradedLinearMap(h.space, h.space, 0, ((0, 1), (0, 0)))
     ty = GradedLinearMap(h.space, h.space, 0, ((0, 0), (1, 0)))
     lam = GradedBilinearMap.zero(a.space, a.space, h.space)
-    # [tx, ty] != 0 but a is abelian and lam = 0: first compatibility fails
-    with pytest.raises(ConditionViolated) as exc:
+    # [tx, ty] != 0 but a is abelian and lam = 0: the curvature condition
+    # fails, and the Jacobi scan of the product finds [x0, [x1, h0]] = h0
+    with pytest.raises(ValidationError) as exc:
         semidirect_product(a, h, (tx, ty), lam)
     v = exc.value.violations[0]
-    assert v.equation == "semidirect-1" and tuple(v.indices) == (0, 1)
+    assert v.equation == "jacobi" and tuple(v.indices) == (0, 1, 2)
+    assert v.residual == (ZERO, ZERO, ONE, ZERO)
+
+
+def test_semidirect_odd_lambda_and_wrong_theta_degree():
+    a = LieSuperAlgebra.abelian(space_of([0, 0]))
+    h = LieSuperAlgebra.abelian(space_of([0, 1], prefix="h"))
+    theta = tuple(GradedLinearMap.zero(h.space, h.space, 0) for _ in range(2))
+    # lam(x0, x1) = h1 is odd on an even pair: the product is not graded
+    lam = GradedBilinearMap.from_entries(a.space, a.space, h.space, [(0, 1, 1, ONE), (1, 0, 1, -ONE)])
+    with pytest.raises(ValidationError) as exc:
+        semidirect_product(a, h, theta, lam)
+    v = exc.value.violations[0]
+    assert v.equation == "grading" and tuple(v.indices) == (0, 1, 3)
+    # an odd theta(x1) for an even x1 is refused before the bracket is built
+    odd = (theta[0], GradedLinearMap.zero(h.space, h.space, 1))
+    with pytest.raises(ValidationError) as exc:
+        semidirect_product(a, h, odd, GradedBilinearMap.zero(a.space, a.space, h.space))
+    assert type(exc.value) is ValidationError
+    assert exc.value.violations[0].equation == "theta-degree" and exc.value.violations[0].indices == (1,)
+
+
+def test_semidirect_lambda_not_super_skew():
+    a = LieSuperAlgebra.abelian(space_of([0, 0]))
+    h = LieSuperAlgebra.abelian(space_of([0], prefix="h"))
+    theta = tuple(GradedLinearMap.zero(h.space, h.space, 0) for _ in range(2))
+    lam = GradedBilinearMap.from_entries(a.space, a.space, h.space, [(0, 1, 0, ONE)])  # no (1, 0) partner
+    with pytest.raises(ValidationError) as exc:
+        semidirect_product(a, h, theta, lam)
+    v = exc.value.violations[0]
+    assert v.equation == "super-skew" and tuple(v.indices) == (0, 1)
+    assert v.residual == (ZERO, ZERO, ONE)
+
+
+def test_semidirect_cyclic_condition_failure():
+    # a = span(x0, x1, x2), [x0, x1] = x1, x2 central; theta = 0 and h abelian,
+    # so theta is a derivation and the curvature condition holds, but the
+    # cyclic sum of lam(x, [y, z]_a) on (x0, x1, x2) is lam(x2, x1) = -h0
+    a = LieSuperAlgebra(build_bracket(space_of([0, 0, 0]), [(0, 1, 1, ONE)]))
+    h = LieSuperAlgebra.abelian(space_of([0], prefix="h"))
+    theta = tuple(GradedLinearMap.zero(h.space, h.space, 0) for _ in range(3))
+    lam = GradedBilinearMap.from_entries(a.space, a.space, h.space, [(1, 2, 0, ONE), (2, 1, 0, -ONE)])
+    with pytest.raises(ValidationError) as exc:
+        semidirect_product(a, h, theta, lam)
+    v = exc.value.violations[0]
+    assert v.equation == "jacobi" and tuple(v.indices) == (0, 1, 2)
+    assert v.residual == (ZERO, ZERO, ZERO, -ONE)
 
 
 def test_parity_shift_map_on_representation_matrices():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from generators import random_heisenberg_params, random_odd_dim1_params
+from generators import build_bracket, random_heisenberg_params, random_odd_dim1_params
 from superquad import linalg
 from superquad.algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, check_jacobi
 from superquad.catalog import (
@@ -20,7 +20,7 @@ from superquad.catalog import (
     psi_preconditions_hold,
 )
 from superquad.errors import InvalidParams
-from superquad.extension import double_extend
+from superquad.extension import DeltaContext, double_extend
 from superquad.linalg import ONE, ZERO
 from superquad.spaces import GradedBilinearForm, GradedLinearMap, SuperSpace
 
@@ -100,6 +100,28 @@ def test_odd_dim1_invalid_params():
     with pytest.raises(InvalidParams) as exc:
         odd_extension_dim1(OddExtensionParams(h2, deven, (ZERO, ZERO), ZERO))
     assert exc.value.condition == "d-degree"
+
+
+def test_odd_dim1_deh1_with_nonzero_d_squared():
+    """2 D^2 = ad_h(w) with both sides nonzero: D = ad_h(v) for the odd v of
+    s = (t, e | v), [t,v] = v, [t,e] = 2e, [v,v] = e, and w = [v,v]."""
+    s = LieSuperAlgebra(build_bracket(SuperSpace((("t", 0), ("e", 0), ("v", 1))),
+                                      [(0, 2, 2, ONE), (0, 1, 1, F(2)), (2, 2, 1, ONE)]))
+    empty = SuperSpace(())
+    h0 = QuadraticLieSuperAlgebra(LieSuperAlgebra.abelian(empty), GradedBilinearForm.from_entries(empty, 1, ()))
+    h = double_extend(DeltaContext.trivial(1, s, h0))
+    d = GradedLinearMap(h.space, h.space, 1, h.bracket.ad_matrix(2))
+    w = h.bracket.value(2, 2)
+    assert not d.compose(d).is_zero()
+    p = OddExtensionParams(h, d, w, F(3))
+    g1 = odd_extension_dim1(p)
+    g2 = double_extend(odd_extension_context(p))
+    assert g1.space.basis == g2.space.basis
+    assert g1.bracket.pairs == g2.bracket.pairs
+    assert g1.metric.sparse_rows == g2.metric.sparse_rows
+    with pytest.raises(InvalidParams) as exc:
+        odd_extension_dim1(OddExtensionParams(h, d, tuple(c / 2 for c in w), F(3)))
+    assert exc.value.condition == "deh1"
 
 
 def test_heisenberg_explicit_shape():

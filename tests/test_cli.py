@@ -1,7 +1,10 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from superquad.cli import main
+from superquad.errors import ParseError
 from superquad.fileformat import (
     algebra_to_document,
     context_to_document,
@@ -240,6 +243,33 @@ def test_json_ideal_float_and_zero_denominator_exit_2(tmp_path, capsys):
         assert code == 2 and err.startswith("error: ")
 
 
+def test_json_names_and_labels_must_be_text_tokens_exit_2(tmp_path, capsys):
+    """A name or label that is not a JSON string, or a name that is not one
+    text token, would be written as text that does not read back."""
+    out = tmp_path / "x"
+    for bad in ("my ctx", "", "a#b", "tab\there", 5, None, ["x"]):
+        for path in (("name",), ("h", "name"), ("a", "name"), ("h", "basis", 0, 0)):
+            obj = _json_doc("heisenberg.context")
+            node = obj
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = bad
+            code, _, err = _run_json(tmp_path, capsys, obj, "extend", "--context", "DOC", "--out", str(out))
+            assert code == 2 and err.startswith("error: "), (path, bad, err)
+            assert not out.exists()
+    obj = _json_doc("heisenberg.ideal")
+    obj["name"] = "the center"
+    with pytest.raises(ParseError, match="name"):
+        parse_document(json.dumps(obj))
+
+
+def test_json_ideal_vectors_of_unequal_lengths_are_a_parse_error():
+    obj = _json_doc("heisenberg.ideal")
+    obj["vectors"].append(["0", "1"])
+    with pytest.raises(ParseError, match="inconsistent lengths"):
+        parse_document(json.dumps(obj))
+
+
 def test_label_clashes_and_ideal_length_exit_2(tmp_path, capsys):
     """Repeated or malformed basis labels, a, h and dual-block labels that
     collide, and an ideal vector of the wrong length are input errors."""
@@ -299,6 +329,32 @@ def test_validate_context_calls_per_command(tmp_path, capsys, monkeypatch):
             calls.clear()
             assert run(capsys, *argv)[0] == 0
             assert len(calls) == expected, argv
+
+
+def test_extend_scans_each_context_condition_once(tmp_path, capsys, monkeypatch):
+    """The curvature check runs once per extend (deh1) and the derivation
+    check once per rho map: the semi-direct product is certified by its own
+    bracket, not by a second pass over the same conditions."""
+    import sys
+    import superquad.algebra as algebra
+    calls = {"curvature_failures": 0, "is_derivation": 0}
+    for name in calls:
+        original = getattr(algebra, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("superquad") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    for sample in ("heisenberg", "odd-dim1"):
+        path = SAMPLES / f"{sample}.context"
+        na = len(parse_document(path.read_text()).a_doc.basis)
+        for name in calls:
+            calls[name] = 0
+        assert run(capsys, "extend", "--context", str(path), "--out", str(tmp_path / "out"))[0] == 0
+        assert calls == {"curvature_failures": 1, "is_derivation": na}, sample
 
 
 def test_heisenberg_pairs_16_extend_and_roundtrip(tmp_path, capsys):

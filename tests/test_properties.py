@@ -106,6 +106,26 @@ def test_text_json_text_is_byte_identical(doc):
     assert serialize_document(via_json) == text
 
 
+@BOUNDED
+@given(st.one_of(algebra_docs(), context_docs(), ideal_docs()),
+       st.one_of(atoms, st.text(max_size=6), st.integers(), st.none(), st.lists(atoms, max_size=2)))
+def test_json_text_json_keeps_a_name_or_refuses_it(doc, name):
+    """A JSON name (top level and embedded) that is one text token survives
+    JSON -> text -> JSON byte for byte; any other name is a ParseError."""
+    obj = document_to_obj(doc)
+    for block in [obj] + [obj[k] for k in ("h", "a") if k in obj]:
+        block["name"] = name
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    token = isinstance(name, str) and name != "" and not any(ch.isspace() or ch == "#" for ch in name)
+    try:
+        parsed = parse_document(text)
+    except ParseError:
+        assert not token
+        return
+    assert token
+    assert serialize_document(parse_document(serialize_document(parsed)), "json") == text
+
+
 # a label pool that repeats, collides across the a, h and dual blocks, and
 # holds labels that are not format atoms
 LABELS = ["x", "e", "f", "a0", "h0", "x*", "P(x)*", "P(a0)*", "a b", "#", "x#y"]
