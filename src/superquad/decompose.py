@@ -8,7 +8,9 @@ isotropic complement a dual to I, changes basis once to (a, h, I), extracts
 all structure maps of the split bracket, reconstructs a double-extension
 context and certifies the isometry onto its extension; ``decompose`` names
 the one check behind each fact. Every step is deterministic: linear solves
-take first pivots in canonical basis order.
+take first pivots in canonical basis order. Vectors may be given dense or
+as sparse dicts ``{index: coefficient}``; ``decompose`` carries its bases
+sparse and returns them dense.
 """
 
 from __future__ import annotations
@@ -47,16 +49,28 @@ from .spaces import (
     drop_zeros,
     dual_space,
     p_delta_dual,
+    scaled_to_ints,
+    sparse_transpose,
     sparse_vec,
 )
 
 HALF = Fraction(1, 2)
 
 
-def orthogonal_complement(vectors: Sequence[Sequence], form: GradedBilinearForm) -> list[Vector]:
+def _sparse(v) -> dict:
+    """A vector, dense or sparse, as a sparse vector with exact coefficients."""
+    return drop_zeros(v) if hasattr(v, "items") else sparse_vec(linalg.vec(v))
+
+
+def _pair(form: GradedBilinearForm, u: dict, v: dict) -> Fraction:
+    """B(u, v) for sparse vectors."""
+    return sum((c * v[j] for j, c in form.covector(u).items() if j in v), ZERO)
+
+
+def orthogonal_complement(vectors: Sequence, form: GradedBilinearForm) -> list[Vector]:
     """Homogeneous basis of {v : B(s, v) = 0 for all s in the span}."""
     n = form.space.dim
-    rows = [dense_vec(form.covector(sparse_vec(s)), n) for s in vectors]  # c -> B(s, e_c)
+    rows = [form.covector(_sparse(s)) for s in vectors]  # c -> B(s, e_c)
     basis = linalg.nullspace(rows, n)
     for v in basis:
         if form.space.vector_parity(v) is None:
@@ -64,11 +78,12 @@ def orthogonal_complement(vectors: Sequence[Sequence], form: GradedBilinearForm)
     return basis
 
 
-def _homogeneous_parity(space: SuperSpace, v: Sequence) -> int:
-    p = space.vector_parity(v)
-    if p is None:
+def _homogeneous_parity(space: SuperSpace, v: dict) -> int:
+    """Parity of a homogeneous sparse vector."""
+    seen = {space.parity(i) for i in v}
+    if len(seen) != 1:
         raise ValueError("vector is not homogeneous (or zero)")
-    return p
+    return seen.pop()
 
 
 def find_central_minimal_ideal(g: QuadraticLieSuperAlgebra) -> list[Vector] | None:
@@ -83,7 +98,7 @@ def find_central_minimal_ideal(g: QuadraticLieSuperAlgebra) -> list[Vector] | No
     rows: dict = {}  # row (j, k) of the system [x, e_j]_k = 0; all-zero rows left out
     for (i, j), v in g.bracket.pairs.items():
         for k, c in v.items():
-            rows.setdefault((j, k), [ZERO] * n)[i] = c
+            rows.setdefault((j, k), {})[i] = c
     center = linalg.nullspace([rows[key] for key in sorted(rows)], n)
     for v in center:
         if g.space.vector_parity(v) is None:
@@ -93,20 +108,21 @@ def find_central_minimal_ideal(g: QuadraticLieSuperAlgebra) -> list[Vector] | No
     return None
 
 
-def _dual_vectors(form: GradedBilinearForm, ideal: Sequence[Vector],
-                  avoid: Sequence[Vector]) -> list[Vector]:
+def _dual_vectors(form: GradedBilinearForm, ideal: Sequence, avoid: Sequence) -> list[Vector]:
     """Solve B(e_m, d_i) = delta_mi with d_i in the right parity block,
     orthogonal to every avoid vector; first-pivot, free coordinates zero."""
     space = form.space
     n = space.dim
-    rows = [form.covector(sparse_vec(e)) for e in ideal]      # row m: c -> B(e_m, e_c)
-    avoid_rows = [form.covector(sparse_vec(w)) for w in avoid]
+    ideal = [_sparse(e) for e in ideal]
+    rows = [form.covector(e) for e in ideal]      # row m: c -> B(e_m, e_c)
+    rows += [form.covector(_sparse(w)) for w in avoid]
     duals = []
     for i, e in enumerate(ideal):
         want = (_homogeneous_parity(space, e) + form.degree) % 2
         cols = [c for c in range(n) if space.parity(c) == want]
-        sys_rows = [[r.get(c, ZERO) for c in cols] for r in rows + avoid_rows]
-        rhs = [linalg.ONE if m == i else ZERO for m in range(len(ideal))] + [ZERO] * len(avoid_rows)
+        pos = {c: t for t, c in enumerate(cols)}
+        sys_rows = [{pos[c]: x for c, x in r.items() if c in pos} for r in rows]
+        rhs = [linalg.ONE if m == i else ZERO for m in range(len(rows))]
         sol = linalg.solve(sys_rows, rhs, len(cols))
         if sol is None:
             raise DegenerateInput(f"no dual vector for ideal vector {i}")
@@ -114,8 +130,8 @@ def _dual_vectors(form: GradedBilinearForm, ideal: Sequence[Vector],
     return duals
 
 
-def witt_complement(form: GradedBilinearForm, ideal: Sequence[Sequence],
-                    avoid: Sequence[Sequence] = ()) -> list[Vector]:
+def witt_complement(form: GradedBilinearForm, ideal: Sequence,
+                    avoid: Sequence = ()) -> list[Vector]:
     """Isotropic complement a dual to an isotropic subspace I.
 
     Output a satisfies: a isotropic, dim a = dim I, a and I intersect
@@ -130,46 +146,44 @@ def witt_complement(form: GradedBilinearForm, ideal: Sequence[Sequence],
     half coefficient (characteristic zero).
     """
     space = form.space
-    ideal = [linalg.vec(v) for v in ideal]
+    ideal = [_sparse(v) for v in ideal]
     if not ideal:
         return []
     for i, u in enumerate(ideal):
         for v in ideal[i:]:
-            if form.value(u, v) != 0:
+            if _pair(form, u, v) != 0:
                 raise ValueError("input subspace is not isotropic")
     if linalg.rank(ideal, space.dim) != len(ideal):
         raise ValueError("ideal vectors are linearly dependent")
 
-    duals = _dual_vectors(form, ideal, [linalg.vec(w) for w in avoid])
+    duals = _dual_vectors(form, ideal, avoid)
     parities = [_homogeneous_parity(space, e) for e in ideal]
-    gram = [[form.value(duals[i], duals[j]) for j in range(len(duals))] for i in range(len(duals))]
+    sparse_duals = [sparse_vec(d) for d in duals]
 
     out = []
     for i, d in enumerate(duals):
-        corr = list(d)
-        if form.degree == 1:
-            if parities[i] == 0:
-                for m, e in enumerate(ideal):
-                    if parities[m] == 1 and gram[i][m] != 0:
-                        corr = [x - gram[i][m] * y for x, y in zip(corr, e)]
-        else:
-            for m, e in enumerate(ideal):
-                if gram[i][m] != 0:
-                    corr = [x - HALF * gram[i][m] * y for x, y in zip(corr, e)]
-        out.append(tuple(corr))
+        corr = dict(enumerate(d))
+        for m, e in enumerate(ideal):
+            if form.degree == 1 and (parities[i], parities[m]) != (0, 1):
+                continue
+            c = _pair(form, sparse_duals[i], sparse_duals[m])
+            if c:
+                add_scaled(corr, -c if form.degree == 1 else -HALF * c, e)
+        out.append(dense_vec(corr, space.dim))
 
+    out_s = [sparse_vec(v) for v in out]
     for i in range(len(out)):
         for j in range(len(out)):
-            if form.value(out[i], out[j]) != 0:
+            if _pair(form, out_s[i], out_s[j]) != 0:
                 raise DegenerateInput("correction failed to produce an isotropic complement")
-            if form.value(ideal[i], out[j]) != (linalg.ONE if i == j else ZERO):
+            if _pair(form, ideal[i], out_s[j]) != (linalg.ONE if i == j else ZERO):
                 raise DegenerateInput("dual pairing broke under correction")
-    if linalg.rank(ideal + out, space.dim) != 2 * len(ideal):
+    if linalg.rank(ideal + out_s, space.dim) != 2 * len(ideal):
         raise DegenerateInput("complement is not transverse to the ideal")
     return out
 
 
-def build_xi(form: GradedBilinearForm, ideal: Sequence[Sequence], a_vectors: Sequence[Sequence],
+def build_xi(form: GradedBilinearForm, ideal: Sequence, a_vectors: Sequence,
              delta: int, a_space: SuperSpace | None = None,
              ideal_space: SuperSpace | None = None) -> tuple[GradedLinearMap, GradedLinearMap]:
     """The bijections xi_delta: I -> P_delta(a)* and xi: I -> a*.
@@ -178,11 +192,13 @@ def build_xi(form: GradedBilinearForm, ideal: Sequence[Sequence], a_vectors: Seq
     with degree delta, and the target-side parity shift of xi is xi_delta.
     """
     space = form.space
+    ideal = [_sparse(v) for v in ideal]
+    a_vectors = [_sparse(v) for v in a_vectors]
     if a_space is None:
         a_space = _block_space(space, a_vectors, "a", reuse=False)
     if ideal_space is None:
         ideal_space = _block_space(space, ideal, "i", reuse=False)
-    pairing = [[form.value(alpha, x) for alpha in ideal] for x in a_vectors]
+    pairing = [[_pair(form, alpha, x) for alpha in ideal] for x in a_vectors]
     if linalg.rank(pairing, len(ideal)) != len(ideal):
         raise DegeneratePairing("pairing between the ideal and its complement is singular")
     entries = [(j, m, c) for j, row in enumerate(pairing) for m, c in enumerate(row)]
@@ -191,45 +207,65 @@ def build_xi(form: GradedBilinearForm, ideal: Sequence[Sequence], a_vectors: Seq
     return xi_delta, xi
 
 
-def _bracket_in_basis(bracket: GradedBilinearMap, cols: Sequence[Vector], m_inv) -> dict:
-    """Structure constants in the basis ``cols``, with ``m_inv`` the inverse of
-    the matrix whose columns are ``cols``: {(p, q): {k: c}}, no zeros, keys in
-    row-major order."""
-    get = bracket.pairs.get
-    sparse_cols = [sparse_vec(c) for c in cols]
-    inv_cols = [sparse_vec(c) for c in linalg.transpose(m_inv)]
+def _bracket_in_basis(bracket: GradedBilinearMap, cols: Sequence[dict], m_inv: Matrix) -> dict:
+    """Structure constants in the basis of the sparse vectors ``cols``, with
+    ``m_inv`` the inverse of the matrix whose columns are ``cols``:
+    {(p, q): {k: c}}, no zeros, keys in row-major order.
+
+    The sums run on integers: the bracket's integer view (scale d_b), the
+    columns times the lcm d_c of their denominators and m_inv times the lcm
+    d_i of its own. Every coefficient of [c_p, c_q] in the new basis is then
+    d_b * d_c**2 * d_i times its rational value, and is divided back once.
+    Only pairs (p, q) that meet a nonzero of the bracket are visited."""
+    n = len(cols)
+    d_b, pairs = bracket.scaled_pairs
+    d_c, int_cols = scaled_to_ints(cols)
+    d_i, inv_cols = scaled_to_ints(sparse_transpose((sparse_vec(row) for row in m_inv), n))
+    scale = d_b * d_c * d_c * d_i
+    by_left: dict = {}  # i -> [(j, [e_i, e_j])]
+    for (i, j), w in pairs.items():
+        by_left.setdefault(i, []).append((j, w))
+    by_coord = sparse_transpose(int_cols, n)  # j -> {q: coordinate j of c_q}
     out = {}
-    for p, u in enumerate(sparse_cols):
-        for q, v in enumerate(sparse_cols):
-            w: dict = {}
-            for i, a in u.items():
-                for j, b in v.items():
-                    add_scaled(w, a * b, get((i, j), EMPTY))
+    for p, u in enumerate(int_cols):
+        acc: dict = {}  # q -> [c_p, c_q] in g's basis
+        for i, a in u.items():
+            for j, w in by_left.get(i, ()):
+                for q, b in by_coord[j].items():
+                    add_scaled(acc.setdefault(q, {}), a * b, w)
+        for q in sorted(acc):
             z: dict = {}
-            for k, c in w.items():
+            for k, c in acc[q].items():
                 if c:
                     add_scaled(z, c, inv_cols[k])
-            z = drop_zeros(z)
+            z = {k: Fraction(c, scale) for k, c in z.items() if c}
             if z:
                 out[(p, q)] = z
     return out
 
 
-def _gram(form: GradedBilinearForm, vectors: Sequence[Vector]) -> tuple[Vector, ...]:
-    """Matrix of B(vectors[p], vectors[q])."""
-    sparse_vectors = [sparse_vec(v) for v in vectors]
-    return tuple(tuple(sum((b * bu[j] for j, b in v.items() if j in bu), ZERO) for v in sparse_vectors)
-                 for bu in map(form.covector, sparse_vectors))
+def _gram(form: GradedBilinearForm, vectors: Sequence[dict]) -> list[dict]:
+    """Rows {q: B(vectors[p], vectors[q])} of the Gram matrix of sparse
+    vectors, columns in order, no zeros."""
+    by_coord = sparse_transpose(vectors, form.space.dim)  # j -> {q: coordinate j of vectors[q]}
+    rows = []
+    for u in vectors:
+        row: dict = {}
+        for j, b in form.covector(u).items():
+            add_scaled(row, b, by_coord[j])
+        rows.append({q: row[q] for q in sorted(row) if row[q]})
+    return rows
 
 
-def _unit_index(v: Sequence) -> int | None:
-    hits = [i for i, c in enumerate(v) if c != 0]
-    if len(hits) == 1 and v[hits[0]] == 1:
-        return hits[0]
+def _unit_index(v: dict) -> int | None:
+    if len(v) == 1:
+        ((k, c),) = v.items()
+        if c == 1:
+            return k
     return None
 
 
-def _block_space(g_space: SuperSpace, vectors: Sequence[Vector], prefix: str,
+def _block_space(g_space: SuperSpace, vectors: Sequence[dict], prefix: str,
                  reuse: bool = True) -> SuperSpace:
     """With reuse on, labels reuse g's labels where block vectors are unit
     vectors; the others, or all of them if a label repeats, are prefix + index."""
@@ -262,8 +298,8 @@ class ExtractedMaps:
     split: dict                   # g's bracket in the (a, h, I) basis, as GradedBilinearMap.pairs
 
 
-def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence],
-                           a_vectors: Sequence[Sequence], h_vectors: Sequence[Sequence]) -> ExtractedMaps:
+def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
+                           a_vectors: Sequence, h_vectors: Sequence) -> ExtractedMaps:
     """Split every basis bracket into its a / h / I components.
 
     Raises NotAnIdealSplit when a component lands outside the block structure
@@ -271,11 +307,11 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence
     or [I,I], ...).
     """
     na, nh, nd = len(a_vectors), len(h_vectors), len(ideal)
-    cols = [linalg.vec(v) for v in a_vectors] + [linalg.vec(v) for v in h_vectors] + [linalg.vec(v) for v in ideal]
+    cols = [_sparse(v) for v in (*a_vectors, *h_vectors, *ideal)]
     n = g.dim
     if na + nh + nd != n:
         raise ValueError("blocks do not fill the algebra")
-    m_inv = linalg.inverse(linalg.transpose(cols))
+    m_inv = linalg.inverse(sparse_transpose(cols, n))
     if m_inv is None:
         raise ValueError("a, h and I do not form a basis")
 
@@ -393,11 +429,12 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: list[Vector]) -> None:
                 raise ClaimViolated("ideal-isotropic", [Violation("ideal-isotropic", (i, j))])
             if not linalg.vec_is_zero(g.bracket.value_vectors(u, v)):
                 raise ClaimViolated("ideal-abelian", [Violation("ideal-abelian", (i, j))])
+    sparse_ideal = [sparse_vec(v) for v in ideal]
     for p in range(n):
-        for r, v in enumerate(ideal):
-            w = g.bracket.right_vector(p, v)
-            if not linalg.in_span(ideal, w):
-                raise ClaimViolated("ideal-invariant", [Violation("ideal-invariant", (p, r), w)])
+        for r, v in enumerate(sparse_ideal):
+            w = g.bracket.right_sparse(p, v)
+            if not linalg.in_span(sparse_ideal, w):
+                raise ClaimViolated("ideal-invariant", [Violation("ideal-invariant", (p, r), dense_vec(w, n))])
 
 
 def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> DecompositionResult:
@@ -417,16 +454,20 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
     _validate_ideal(g, ideal)
     delta = g.delta
 
+    # the bases travel as sparse vectors; the result holds them dense
     i_perp = orthogonal_complement(ideal, g.metric)
-    chosen = linalg.extend_independent(ideal, i_perp)
-    h_vectors = [i_perp[c] for c in chosen]
+    sparse_perp = [sparse_vec(v) for v in i_perp]
+    sparse_ideal = [sparse_vec(v) for v in ideal]
+    chosen = linalg.extend_independent(sparse_ideal, sparse_perp)
+    h_vectors = [sparse_perp[c] for c in chosen]
 
     try:
-        a_vectors = witt_complement(g.metric, ideal, avoid=h_vectors)
+        a_dense = witt_complement(g.metric, sparse_ideal, avoid=h_vectors)
     except (DegenerateInput, ValueError) as exc:
         raise ClaimViolated("witt-complement", message=str(exc)) from exc
+    a_vectors = [sparse_vec(v) for v in a_dense]
 
-    maps = extract_structure_maps(g, ideal, a_vectors, h_vectors)
+    maps = extract_structure_maps(g, sparse_ideal, a_vectors, h_vectors)
     na, nh = len(a_vectors), len(h_vectors)
 
     try:
@@ -435,15 +476,14 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
         raise ClaimViolated("a-superalgebra", exc.violations) from exc
 
     try:
-        xi_delta, xi = build_xi(g.metric, ideal, a_vectors, delta,
+        xi_delta, xi = build_xi(g.metric, sparse_ideal, a_vectors, delta,
                                 a_space=maps.a_space, ideal_space=maps.ideal_space)
     except DegeneratePairing as exc:
         raise ClaimViolated("xi-bijective", message=str(exc)) from exc
 
-    cols = list(a_vectors) + list(h_vectors) + list(ideal)
-    gram = _gram(g.metric, cols)
+    gram = _gram(g.metric, a_vectors + h_vectors + sparse_ideal)
     b_h = GradedBilinearForm.from_entries(maps.h_space, delta, [
-        (p, q, gram[na + p][na + q]) for p in range(nh) for q in range(nh) if gram[na + p][na + q]])
+        (p - na, q - na, c) for p in range(na, na + nh) for q, c in gram[p].items() if na <= q < na + nh])
     try:
         h_alg = QuadraticLieSuperAlgebra(LieSuperAlgebra(maps.h_table), b_h)
     except (ValidationError, SuperquadError) as exc:
@@ -480,10 +520,10 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
                                 [Violation("isometry-bracket", (p, q), dense_vec(res, g.dim))])
     ext_rows = ext.metric.sparse_rows
     for p, row in enumerate(gram):
-        for q, c in enumerate(row):
-            if c != ext_rows[p].get(q, ZERO):
-                raise ClaimViolated("isometry-metric",
-                                    [Violation("isometry-metric", (p, q))])
+        if row != ext_rows[p]:
+            q = min(q for q in row.keys() | ext_rows[p].keys()
+                    if row.get(q, ZERO) != ext_rows[p].get(q, ZERO))
+            raise ClaimViolated("isometry-metric", [Violation("isometry-metric", (p, q))])
 
     # the returned tau and gamma realise chi and Phi, through xi
     chi = derive_chi(context)
@@ -500,6 +540,6 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
     isometry = GradedLinearMap.from_entries(g.space, ext.space, 0, (
         (r, c, x) for r, row in enumerate(maps.inverse) for c, x in enumerate(row) if x))
     return DecompositionResult(
-        tuple(a_vectors), tuple(h_vectors), tuple(ideal), maps,
+        tuple(a_dense), tuple(i_perp[c] for c in chosen), tuple(ideal), maps,
         xi_delta, xi, context, ext, isometry,
     )

@@ -2,13 +2,32 @@
 
 Vectors are tuples and matrices are tuples of row tuples, all with Fraction
 entries; ``scalar`` and ``vec`` refuse floats and bools. Routines never
-mutate their arguments. Elimination always takes the first usable pivot in
-row-major order and free variables are filled in column order, so every
-result is deterministic and reproducible bit-for-bit.
+mutate their arguments and every result is deterministic and reproducible
+bit-for-bit.
+
+The elimination routines (``rref``, ``rank``, ``nullspace``, ``solve``,
+``inverse``, ``in_span``, ``extend_independent``) take each row either as a
+dense sequence or as a sparse dict ``{column: coefficient}``, and run one
+kernel on sparse integer rows. Each row is scaled by the lcm of its own
+denominators, one positive number per row, which changes neither the row
+space nor which entries are zero. Elimination is fraction-free Gauss-Jordan:
+columns in order, the first row at or below the current one with a nonzero
+in the column is the pivot, a row is cleared by an integer combination with
+the pivot row and then divided by the gcd of its entries. So every working
+row is a nonzero multiple of the row that rational elimination with the same
+pivots would hold, and a pivot row divided by its pivot is exactly the
+rational reduced row. Only the results are turned into Fractions, once, at
+the end; ``rank``, ``in_span`` and ``extend_independent`` run the forward
+pass alone and build none. Free variables are filled in column order.
+
+With ``ncols`` less than the row width (the augmented column of ``solve``),
+pivots are sought only in the first ``ncols`` columns, and ``rref`` returns a
+row past the rank as a nonzero multiple of the rational one.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -101,38 +120,110 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return tuple(vec_scale(c, r) for r in a)
 
 
-def rref(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    work = [list(vec(r)) for r in rows]
-    if ncols is None:
-        ncols = len(work[0]) if work else 0
+def _items(row):
+    """(column, coefficient) pairs of a dense or a sparse row."""
+    items = getattr(row, "items", None)
+    return items() if items is not None else enumerate(row)
+
+
+def _width(rows) -> int:
+    """Number of columns: the longest dense row, or one past the largest sparse index."""
+    return max((max(r, default=-1) + 1 if hasattr(r, "items") else len(r) for r in rows), default=0)
+
+
+def _int_row(items) -> dict:
+    """The nonzeros of a row as {column: int}: every coefficient made exact
+    through ``scalar`` (so floats and bools raise TypeError), times the lcm of
+    the row's denominators, divided by the gcd of the results."""
+    row = {}
+    for k, c in items:
+        if type(c) is not int:
+            c = scalar(c)
+        if c:
+            row[k] = c
+    d = math.lcm(*{c.denominator for c in row.values()})
+    row = {k: c.numerator * (d // c.denominator) for k, c in row.items()}
+    g = math.gcd(*row.values())
+    return {k: x // g for k, x in row.items()} if g > 1 else row
+
+
+def _eliminate(rows: list, ncols: int, full: bool) -> list[int]:
+    """Fraction-free elimination of the integer rows in place, pivots in the
+    first ``ncols`` columns; returns the pivot columns. Row r ends with its
+    pivot at column pivots[r], and the rows past the rank are zero in every
+    column below ``ncols``. With ``full`` each pivot column is cleared in
+    every other row (Gauss-Jordan), otherwise only below (forward pass)."""
     pivots: list[int] = []
+    m = len(rows)
     r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+    # a row update only mixes rows, so a column with no nonzero at the start never gains one
+    for c in sorted({k for row in rows for k in row if k < ncols}):
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if c in rows[i]), None)
         if pr is None:
             continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [inv * x if x else x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y if y else x for x, y in zip(work[i], work[r])]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(0 if full else r + 1, m):
+            row = rows[i]
+            a = row.get(c)
+            if a is None or i == r:
+                continue
+            g = math.gcd(a, p)
+            a, s = a // g, p // g
+            new = {k: s * x for k, x in row.items()} if s != 1 else dict(row)
+            for k, y in prow.items():
+                x = new.get(k, 0) - a * y
+                if x:
+                    new[k] = x
+                else:
+                    new.pop(k, None)
+            g = math.gcd(*new.values())
+            rows[i] = {k: x // g for k, x in new.items()} if g > 1 else new
         pivots.append(c)
         r += 1
-        if r == len(work):
-            break
-    return work, pivots
+    return pivots
 
 
-def rank(rows: Sequence[Sequence], ncols: int | None = None) -> int:
-    return len(rref(rows, ncols)[1])
+def _reduced(rows, ncols: int | None, full: bool = True) -> tuple[list[dict], list[int], int]:
+    """(integer rows after elimination, pivots, width) for dense or sparse rows."""
+    width = _width(rows)
+    if ncols is None:
+        ncols = width
+    work = [_int_row(_items(r)) for r in rows]
+    return work, _eliminate(work, ncols, full), max(width, ncols)
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int) -> list[Vector]:
+def rref(rows: Sequence, ncols: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Pivots are taken in the first ``ncols`` columns (default: all). The rows
+    come back dense, of the full width. When ``ncols`` is the width they are
+    the unique reduced echelon form, zero past the rank. When it is less
+    (an augmented system), a row past the rank is returned as some nonzero
+    multiple of what rational elimination with the same pivots leaves there:
+    only whether such a row is zero carries meaning.
+    """
+    work, pivots, width = _reduced(rows, ncols)
+    out = []
+    for i, row in enumerate(work):
+        p = row[pivots[i]] if i < len(pivots) else 1
+        dense = [ZERO] * width
+        for k, x in row.items():
+            dense[k] = Fraction(x, p)
+        out.append(dense)
+    return out, pivots
+
+
+def rank(rows: Sequence, ncols: int | None = None) -> int:
+    return len(_reduced(rows, ncols, full=False)[1])
+
+
+def nullspace(rows: Sequence, ncols: int) -> list[Vector]:
     """Basis of {v : rows @ v = 0}, one vector per free column, in column order."""
-    red, pivots = rref(rows, ncols)
+    work, pivots, _ = _reduced(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -140,49 +231,68 @@ def nullspace(rows: Sequence[Sequence], ncols: int) -> list[Vector]:
             continue
         v = [ZERO] * ncols
         v[free] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
+        for row, pc in zip(work, pivots):
+            x = row.get(free)
+            if x:
+                v[pc] = Fraction(-x, row[pc])
         basis.append(tuple(v))
     return basis
 
 
-def solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int | None = None) -> Vector | None:
+def solve(rows: Sequence, rhs: Sequence, ncols: int | None = None) -> Vector | None:
     """First-pivot particular solution of rows @ x = rhs (free variables zero)."""
     if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, ncols)
-    for r in range(len(pivots), len(red)):
-        if red[r][ncols] != 0:
-            return None
+        ncols = _width(rows)
+    aug = [{**dict(_items(r)), ncols: b} for r, b in zip(rows, rhs)]
+    work, pivots, _ = _reduced(aug, ncols)
+    if any(work[len(pivots):]):
+        return None
     x = [ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+    for row, pc in zip(work, pivots):
+        b = row.get(ncols)
+        if b:
+            x[pc] = Fraction(b, row[pc])
     return tuple(x)
 
 
-def inverse(a: Matrix) -> Matrix | None:
+def inverse(a: Sequence) -> Matrix | None:
+    """The inverse of a square matrix, None if it is singular."""
     n = len(a)
-    aug = [list(r) + list(unit_vec(n, i)) for i, r in enumerate(a)]
-    red, pivots = rref(aug, None)
-    if pivots[:n] != list(range(n)):
+    aug = [{**dict(_items(r)), n + i: ONE} for i, r in enumerate(a)]
+    work, pivots, _ = _reduced(aug, n)
+    if len(pivots) != n:
         return None
-    return tuple(tuple(red[i][n:]) for i in range(n))
+    out = []
+    for i, row in enumerate(work):
+        p = row[i]
+        dense = [ZERO] * n
+        for k, x in row.items():
+            if k >= n:
+                dense[k - n] = Fraction(x, p)
+        out.append(tuple(dense))
+    return tuple(out)
 
 
-def in_span(rows: Sequence[Sequence], v: Sequence) -> bool:
-    if vec_is_zero(v):
+def in_span(rows: Sequence, v) -> bool:
+    if not any(c for _, c in _items(v)):
         return True
     if not rows:
         return False
-    return rank(rows) == rank(list(rows) + [list(v)])
+    width = _width(list(rows) + [v])
+    return rank(rows, width) == rank(list(rows) + [v], width)
 
 
-def extend_independent(base: Sequence[Sequence], candidates: Sequence[Sequence]) -> list[int]:
+def extend_independent(base: Sequence, candidates: Sequence) -> list[int]:
     """Indices of candidates that grow the span of ``base``, scanned in order.
 
-    One rref of all the vectors taken as columns, base first: a column is a
-    pivot exactly when it is outside the span of the columns before it."""
+    One forward elimination of all the vectors taken as columns, base first:
+    a column is a pivot exactly when it is outside the span of the columns
+    before it."""
+    vectors = list(base) + list(candidates)
+    coords: dict = {}  # coordinate -> {vector index: coefficient}
+    for i, v in enumerate(vectors):
+        for k, c in _items(v):
+            coords.setdefault(k, {})[i] = c
     nb = len(base)
-    _, pivots = rref(transpose(tuple(base) + tuple(candidates)), nb + len(candidates))
+    _, pivots, _ = _reduced([coords[k] for k in sorted(coords)], len(vectors), full=False)
     return [p - nb for p in pivots if p >= nb]

@@ -326,7 +326,7 @@ class GradedLinearMap(_Sparse):
         return not any(self.sparse_columns)
 
     def rank(self) -> int:
-        return linalg.rank(self.matrix, self.source.dim)
+        return linalg.rank(self.sparse_columns, self.target.dim)
 
     def is_bijective(self) -> bool:
         return self.source.dim == self.target.dim and self.rank() == self.source.dim
@@ -397,7 +397,7 @@ class GradedBilinearForm(_Sparse):
         return sum((c * v[j] for j, c in self.covector(sparse_vec(u)).items()), ZERO)
 
     def rank(self) -> int:
-        return linalg.rank(self.matrix, self.space.dim)
+        return linalg.rank(self.scaled_rows[1], self.space.dim)
 
     def is_non_degenerate(self) -> bool:
         return self.rank() == self.space.dim

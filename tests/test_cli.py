@@ -135,6 +135,39 @@ def test_roundtrip_samples(capsys):
         assert "context recovered exactly" in out
 
 
+def test_command_paths_read_no_dense_view(tmp_path, capsys, monkeypatch):
+    """verify, decompose --ideal auto and roundtrip on both samples never read
+    the dense matrix view of a form or a linear map: with both views made to
+    raise, every command still exits 0 with the same stdout and output file."""
+    from superquad.spaces import GradedBilinearForm, GradedLinearMap
+
+    commands = []
+    for name in ("heisenberg", "odd-dim1"):
+        commands += [
+            ("verify", str(SAMPLES / f"{name}.algebra")),
+            ("decompose", str(SAMPLES / f"{name}.algebra"), "--ideal", "auto",
+             "--out", str(tmp_path / f"{name}.context")),
+            ("roundtrip", str(SAMPLES / f"{name}.context")),
+        ]
+
+    def outputs():
+        results = []
+        for argv in commands:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            written = Path(argv[-1])
+            results.append((out, written.read_bytes() if argv[0] == "decompose" else None))
+        return results
+
+    before = outputs()
+
+    def dense_view(self):
+        raise AssertionError(f"dense view of a {type(self).__name__} read on a command path")
+    monkeypatch.setattr(GradedBilinearForm, "matrix", property(dense_view))
+    monkeypatch.setattr(GradedLinearMap, "matrix", property(dense_view))
+    assert outputs() == before
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     f = tmp_path / "junk.alg"
     f.write_text("algebra broken\nbasis x\nend algebra\n")

@@ -3,6 +3,7 @@
 sympy is an optional test-only dependency: without it these tests are skipped.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -80,3 +81,140 @@ def test_inverse_matches_sympy():
         assert [list(r) for r in inv] == ref
         invertible += 1
     assert singular >= 3 and invertible >= 3
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel on sparse and dense rows
+
+from test_linalg import extend_independent_by_rank  # noqa: E402
+
+# distinct primes above 100: three in one row's denominators push its lcm past 10^6
+PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191)
+
+
+def sparse_rows(rows):
+    return [{k: c for k, c in enumerate(r) if c} for r in rows]
+
+
+def prime_shapes(seed, count=80):
+    """Rows with entries +-p/q, p and q distinct primes, about a fifth of them
+    zero; some rows are combinations of others, some first rows start with a
+    zero so that the first pivot needs a row swap."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = []
+        for _ in range(m):
+            dens = rng.sample(PRIMES, n)
+            rows.append([Fraction(rng.choice((-1, 1)) * rng.choice(PRIMES[:6]), q) if rng.random() < 0.8
+                         else Fraction(0) for q in dens])
+        if m >= 3 and rng.random() < 0.4:
+            rows[-1] = [rng.choice((-2, 1, 3)) * x + Fraction(1, 5) * y for x, y in zip(rows[0], rows[1])]
+        if m >= 2 and rng.random() < 0.4:
+            rows[0][0] = Fraction(0)
+        yield rows, m, n
+
+
+def all_shapes():
+    yield from shapes(74)
+    yield from prime_shapes(75)
+
+
+def ref_nullspace(red, pivots, n):
+    """One vector per free column of sympy's rref, that coordinate 1 (sympy's
+    own nullspace basis need not be scaled so on these entries)."""
+    red = from_dm(red)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(int(c == free)) for c in range(n)]
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][free]
+        basis.append(v)
+    return basis
+
+
+def test_dict_and_dense_rows_give_the_same_results_as_sympy():
+    kinds = {"big-lcm": 0, "negative-pivot": 0, "swap": 0, "deficient": 0, "inverse": 0}
+    for rows, m, n in all_shapes():
+        sp = sparse_rows(rows)
+        dm = to_dm(rows, m, n)
+        ref_red, ref_pivots = dm.rref()
+        for given in (rows, sp):
+            red, pivots = linalg.rref(given, n)
+            assert pivots == list(ref_pivots)
+            assert [list(r) for r in red] == from_dm(ref_red)
+            assert linalg.rank(given, n) == dm.rank()
+            assert [list(v) for v in linalg.nullspace(given, n)] == ref_nullspace(ref_red, ref_pivots, n)
+        if m == n:
+            try:
+                ref_inv = from_dm(dm.inv())
+            except DMNonInvertibleMatrixError:
+                ref_inv = None
+            for given in (linalg.mat(rows), sp):
+                inv = linalg.inverse(given)
+                assert (inv if inv is None else [list(r) for r in inv]) == ref_inv
+            kinds["inverse"] += ref_inv is not None
+        kinds["big-lcm"] += any(math.lcm(*(c.denominator for c in r)) > 10**6 for r in rows)
+        first = next((r for r in rows if r[0]), None) if n else None
+        kinds["negative-pivot"] += first is not None and first[0] < 0
+        kinds["swap"] += first is not None and rows[0][0] == 0
+        kinds["deficient"] += dm.rank() < min(m, n)
+    assert min(kinds.values()) >= 8, kinds
+
+
+def ref_solve(rows, rhs, m, n):
+    """Particular solution with free variables zero, from sympy's rref of [A | b]; None if inconsistent."""
+    red, pivots = to_dm([list(r) + [b] for r, b in zip(rows, rhs)], m, n + 1).rref()
+    if n in pivots:
+        return None
+    red = from_dm(red)
+    x = [Fraction(0)] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][n]
+    return tuple(x)
+
+
+def test_solve_on_dict_and_dense_rows_matches_sympy():
+    rng = random.Random(76)
+    kinds = {"consistent": 0, "inconsistent": 0, "deficient": 0}
+    for rows, m, n in all_shapes():
+        if not m:
+            continue
+        x = [rand_entry(rng) for _ in range(n)]
+        consistent = [sum((a * c for a, c in zip(r, x)), Fraction(0)) for r in rows]
+        other = [rand_entry(rng) for _ in range(m)]
+        for rhs in (consistent, other):
+            ref = ref_solve(rows, rhs, m, n)
+            assert linalg.solve(rows, rhs, n) == ref
+            assert linalg.solve(sparse_rows(rows), rhs, n) == ref
+            kinds["consistent" if ref is not None else "inconsistent"] += 1
+            kinds["deficient"] += ref is not None and to_dm(rows, m, n).rank() < n
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_extend_independent_on_sparse_vectors_matches_the_rank_loop():
+    rng = random.Random(77)
+    for rows, m, n in all_shapes():
+        pool = [tuple(r) for r in rows] + [tuple(Fraction(0) for _ in range(n))]
+        base = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+        cands = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+        assert linalg.extend_independent(sparse_rows(base), sparse_rows(cands)) == \
+            extend_independent_by_rank(base, cands)
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.0, True, False])
+def test_float_or_bool_in_a_dict_row_raises(bad):
+    row = {0: Fraction(1), 1: bad}
+    calls = [
+        lambda: linalg.rref([row], 2),
+        lambda: linalg.rank([row], 2),
+        lambda: linalg.nullspace([row], 2),
+        lambda: linalg.solve([row], [Fraction(1)], 2),
+        lambda: linalg.solve([{0: Fraction(1)}], [bad], 1),
+        lambda: linalg.inverse([row, {1: Fraction(1)}]),
+        lambda: linalg.in_span([row], {0: Fraction(1)}),
+        lambda: linalg.extend_independent([row], []),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()

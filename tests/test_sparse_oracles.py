@@ -38,7 +38,14 @@ from superquad.errors import ClaimViolated, DegenerateInput, NotAnIdealSplit
 from superquad.extension import derive_chi, double_extend, extension_derivations
 from test_algebra import brute_jacobi, brute_jacobi_residual
 from superquad.linalg import ZERO, unit_vec
-from superquad.spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace, sparse_vec
+from superquad.spaces import (
+    GradedBilinearForm,
+    GradedBilinearMap,
+    GradedLinearMap,
+    SuperSpace,
+    scaled_to_ints,
+    sparse_vec,
+)
 
 
 def ref_invariance(form, bracket):
@@ -383,13 +390,17 @@ def test_isometry_witness_on_a_planted_extension(monkeypatch):
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89)
 
 
+def scaled_basis(rng, space):
+    """A parity-preserving basis whose column j is scaled by p_j / q_j, all
+    primes distinct."""
+    primes = rng.sample(PRIMES, 2 * space.dim)
+    return [linalg.vec_scale(Fraction(p, q), col) for col, p, q in
+            zip(random_parity_preserving_basis(rng, space), primes[::2], primes[1::2])]
+
+
 def moved_extension(rng, g):
-    """g in a parity-preserving basis whose column j is scaled by p_j / q_j,
-    all primes distinct: constants and metric get large coprime denominators."""
-    primes = rng.sample(PRIMES, 2 * g.dim)
-    cols = [linalg.vec_scale(Fraction(p, q), col) for col, p, q in
-            zip(random_parity_preserving_basis(rng, g.space), primes[::2], primes[1::2])]
-    return change_basis(g, cols)
+    """g in a ``scaled_basis``: constants and metric get large coprime denominators."""
+    return change_basis(g, scaled_basis(rng, g.space))
 
 
 def ref_jacobi(bracket):
@@ -455,6 +466,46 @@ def test_integer_kernels_on_integer_and_zero_brackets():
             jac, inv = assert_integer_kernels_match(g.metric, bad)
             found += jac + inv
     assert found >= 10
+
+
+def ref_bracket_in_basis(bracket, cols):
+    """{(p, q): nonzero coordinates of M^-1 [c_p, c_q]}, M the matrix with
+    columns ``cols``, in Fractions over the dense table."""
+    n, t = len(cols), bracket.table
+    m_inv = linalg.inverse(linalg.transpose(cols))
+    out = {}
+    for p in range(n):
+        for q in range(n):
+            w = linalg.zero_vec(n)
+            for i in range(n):
+                for j in range(n):
+                    if cols[p][i] and cols[q][j]:
+                        w = linalg.vec_add(w, linalg.vec_scale(cols[p][i] * cols[q][j], t[i][j]))
+            z = sparse_vec(linalg.mat_vec(m_inv, w))
+            if z:
+                out[(p, q)] = z
+    return out
+
+
+def test_integer_change_of_basis_matches_the_dense_reference():
+    """The integer change of basis of decompose against the Fraction
+    reference, on moved extensions and catalog Heisenberg, into bases whose
+    columns are scaled by p/q: the columns and the inverse then carry
+    different lcms, both above 10^3, and the bracket's own scale differs
+    from both on the moved extensions."""
+    rng = random.Random(44)
+    algebras = [moved_extension(rng, g) for _, g in EXTENSIONS[::2]]
+    algebras.append(heisenberg_extension(default_heisenberg_params(3)))
+    for g in algebras:
+        cols = scaled_basis(rng, g.space)
+        sparse_cols = [sparse_vec(c) for c in cols]
+        m_inv = linalg.inverse(linalg.transpose(cols))
+        d_c, d_i = scaled_to_ints(sparse_cols)[0], scaled_to_ints(map(sparse_vec, m_inv))[0]
+        assert d_c != d_i and min(d_c, d_i) > 10 ** 3
+        got = dec._bracket_in_basis(g.bracket, sparse_cols, m_inv)
+        assert got and got == ref_bracket_in_basis(g.bracket, cols)
+        assert list(got) == sorted(got)
+        assert all(type(c) is Fraction and c for z in got.values() for c in z.values())
 
 
 # ---------------------------------------------------------------------------
