@@ -32,6 +32,7 @@ from .spaces import (
     add_scaled,
     apply_p_delta,
     check_form_degree,
+    common_scale,
     dense_vec,
     drop_zeros,
     dual_space,
@@ -227,13 +228,18 @@ class QuadraticLieSuperAlgebra:
 
 
 def is_derivation(d: GradedLinearMap, bracket: SuperBracket) -> bool:
-    """Leibniz rule D[x,y] = [Dx,y] + (-1)^{|D||x|}[x,Dy] on all basis pairs."""
+    """Leibniz rule D[x,y] = [Dx,y] + (-1)^{|D||x|}[x,Dy] on all basis pairs.
+
+    Every term is a product of one constant of D and one of the bracket, so
+    on the integer views each is d_D d_b times its rational value."""
     if d.source.basis != bracket.space.basis or d.target.basis != bracket.space.basis:
         raise ValueError("derivation candidate must map the algebra to itself")
     par = bracket.space.parities
-    pairs = bracket.pairs
+    _, pairs = bracket.scaled_pairs
+    if not pairs:
+        return True  # every term has a factor from the bracket
     get = pairs.get
-    cols = d.sparse_columns
+    _, cols = d.scaled_columns
     d_rows = sparse_transpose(cols, d.target.dim)
     # (i, j) can fail only if [e_i, e_j], [D e_i, e_j] or [e_i, D e_j] has a term
     candidates = set(pairs)
@@ -256,13 +262,16 @@ def is_derivation(d: GradedLinearMap, bracket: SuperBracket) -> bool:
 
 
 def is_metric_skew(d: GradedLinearMap, form: GradedBilinearForm) -> bool:
-    """B(Dx,y) = -(-1)^{|x||D|} B(x,Dy) on all basis pairs."""
+    """B(Dx,y) = -(-1)^{|x||D|} B(x,Dy) on all basis pairs.
+
+    Both sides are compared on the integer views, each d_D d_f times its
+    rational value."""
     if d.source.basis != form.space.basis:
         raise ValueError("map and form live on different spaces")
     n = form.space.dim
     par = form.space.parities
-    rows = form.sparse_rows
-    cols = d.sparse_columns
+    _, rows = form.scaled_rows
+    _, cols = d.scaled_columns
     d_rows = sparse_transpose(cols, d.target.dim)
     for i in range(n):
         sign = -1 if (par[i] * d.degree) % 2 else 1
@@ -345,24 +354,33 @@ def curvature_failures(a: LieSuperAlgebra, h_bracket: SuperBracket,
                        theta: Sequence[GradedLinearMap], lam: GradedBilinearMap):
     """Pairs (i, j), in scan order, where the curvature condition
     [theta(x_i), theta(x_j)] - theta([x_i, x_j]_a) = ad_h(lam(x_i, x_j)) fails,
-    with [S, T] = ST - (-1)^{|S||T|} TS; compared column by column on h."""
-    h_pairs = h_bracket.pairs
-    cols = [t.sparse_columns for t in theta]
+    with [S, T] = ST - (-1)^{|S||T|} TS; compared column by column on h.
+
+    The comparison runs on integer views: the theta maps share one scale
+    d_t, and a's bracket, lam and h's bracket have their own d_a, d_l, d_h.
+    The theta-theta terms are multiplied by d_a d_l d_h, the theta([x,y]_a)
+    term by d_t d_l d_h and the ad_h(lam) term by d_t^2 d_a, so every term is
+    d_t^2 d_a d_l d_h times its rational value."""
+    d_a, a_pairs = a.bracket.scaled_pairs
+    d_l, lam_pairs = lam.scaled_pairs
+    d_h, h_pairs = h_bracket.scaled_pairs
+    d_t, cols = common_scale(t.scaled_columns for t in theta)
+    k_tt, k_ta, k_l = d_a * d_l * d_h, d_t * d_l * d_h, d_t * d_t * d_a
     for i in range(a.dim):
         for j in range(a.dim):
             sign = -1 if (theta[i].degree * theta[j].degree) % 2 else 1
-            a_ij = a.bracket.pairs.get((i, j), EMPTY)
-            lam_ij = lam.pairs.get((i, j), EMPTY)
+            a_ij = a_pairs.get((i, j), EMPTY)
+            lam_ij = lam_pairs.get((i, j), EMPTY)
             for u in range(h_bracket.space.dim):
                 acc: dict = {}
                 for r, c in cols[j][u].items():
-                    add_scaled(acc, c, cols[i][r])
+                    add_scaled(acc, c * k_tt, cols[i][r])
                 for r, c in cols[i][u].items():
-                    add_scaled(acc, -sign * c, cols[j][r])
+                    add_scaled(acc, -sign * c * k_tt, cols[j][r])
                 for m, c in a_ij.items():
-                    add_scaled(acc, -c, cols[m][u])
+                    add_scaled(acc, -c * k_ta, cols[m][u])
                 for r, c in lam_ij.items():
-                    add_scaled(acc, -c, h_pairs.get((r, u), EMPTY))
+                    add_scaled(acc, -c * k_l, h_pairs.get((r, u), EMPTY))
                 if any(acc.values()):
                     yield i, j
                     break

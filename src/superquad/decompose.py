@@ -67,13 +67,15 @@ def _pair(form: GradedBilinearForm, u: dict, v: dict) -> Fraction:
     return sum((c * v[j] for j, c in form.covector(u).items() if j in v), ZERO)
 
 
-def orthogonal_complement(vectors: Sequence, form: GradedBilinearForm) -> list[Vector]:
-    """Homogeneous basis of {v : B(s, v) = 0 for all s in the span}."""
+def orthogonal_complement(vectors: Sequence, form: GradedBilinearForm) -> list[dict]:
+    """Homogeneous basis of {v : B(s, v) = 0 for all s in the span}: the
+    canonical nullspace basis, as sparse vectors."""
     n = form.space.dim
+    par = form.space.parities
     rows = [form.covector(_sparse(s)) for s in vectors]  # c -> B(s, e_c)
-    basis = linalg.nullspace(rows, n)
+    basis = [sparse_vec(v) for v in linalg.nullspace(rows, n)]
     for v in basis:
-        if form.space.vector_parity(v) is None:
+        if len({par[i] for i in v}) != 1:
             raise SuperquadError("orthogonal complement produced a non-homogeneous vector")
     return basis
 
@@ -455,11 +457,9 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
     delta = g.delta
 
     # the bases travel as sparse vectors; the result holds them dense
-    i_perp = orthogonal_complement(ideal, g.metric)
-    sparse_perp = [sparse_vec(v) for v in i_perp]
     sparse_ideal = [sparse_vec(v) for v in ideal]
-    chosen = linalg.extend_independent(sparse_ideal, sparse_perp)
-    h_vectors = [sparse_perp[c] for c in chosen]
+    i_perp = orthogonal_complement(sparse_ideal, g.metric)
+    h_vectors = [i_perp[c] for c in linalg.extend_independent(sparse_ideal, i_perp)]
 
     try:
         a_dense = witt_complement(g.metric, sparse_ideal, avoid=h_vectors)
@@ -540,6 +540,6 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
     isometry = GradedLinearMap.from_entries(g.space, ext.space, 0, (
         (r, c, x) for r, row in enumerate(maps.inverse) for c, x in enumerate(row) if x))
     return DecompositionResult(
-        tuple(a_dense), tuple(i_perp[c] for c in chosen), tuple(ideal), maps,
+        tuple(a_dense), tuple(dense_vec(v, g.dim) for v in h_vectors), tuple(ideal), maps,
         xi_delta, xi, context, ext, isometry,
     )

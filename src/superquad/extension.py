@@ -13,11 +13,21 @@ of its own bracket, which for the semi-direct product contain its three
 conditions on (Theta, Lambda), and the result by its invariant metric; so a
 successful return is a machine proof for the instance at hand. The context
 axioms are checked once, by ``validate_context``, before any layer is built.
+
+The axioms and the derivation of chi and Phi run on the integer views of the
+maps (``scaled_pairs``, ``scaled_rows``, ``scaled_columns``): each identity is
+multiplied by one positive constant, so it holds exactly when the rational
+one does, and a residual or a derived coefficient is divided back once. Only
+``check_lemma_identities``, a diagnostic that no command runs, still sums
+``Fraction``s.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import (
     LieSuperAlgebra,
@@ -39,9 +49,11 @@ from .spaces import (
     GradedLinearMap,
     SuperSpace,
     add_scaled,
+    common_scale,
     dense_vec,
     drop_zeros,
     p_delta_dual,
+    super_skew_violation,
 )
 
 
@@ -81,7 +93,7 @@ class DeltaContext:
         if len(set(labels)) != len(labels):
             raise ValueError("a, h and dual-block labels must be pairwise distinct")
 
-    @property
+    @functools.cached_property
     def dual_block(self) -> SuperSpace:
         return p_delta_dual(self.a.space, self.delta)
 
@@ -97,39 +109,60 @@ class DeltaContext:
 
 
 def derive_chi(ctx: DeltaContext) -> GradedBilinearMap:
-    """chi(x,u)(P_d(y)) = -(-1)^{|u||y|} B_h(lambda(x,y), u), valued in the dual block."""
+    """chi(x,u)(P_d(y)) = -(-1)^{|u||y|} B_h(lambda(x,y), u), valued in the dual block.
+
+    Summed on the integer views of lambda and B_h, so each sum is d_l d_b
+    times its coefficient, which becomes a Fraction once, from the sum."""
     a_sp, h_sp, dual = ctx.a.space, ctx.h.space, ctx.dual_block
-    bh_rows = ctx.h.metric.sparse_rows
-    entries = []
-    for (i, k), v in ctx.lam.pairs.items():
+    pa, ph = a_sp.parities, h_sp.parities
+    d_l, lam_pairs = ctx.lam.scaled_pairs
+    d_b, bh_rows = ctx.h.metric.scaled_rows
+    acc: dict = {}
+    for (i, k), v in lam_pairs.items():
         for r, c in v.items():
             for m, b in bh_rows[r].items():
-                sign = -1 if h_sp.parity(m) * a_sp.parity(k) else 1
-                entries.append((i, m, k, -sign * c * b))
-    return GradedBilinearMap.from_entries(a_sp, h_sp, dual, entries)
+                key = (i, m, k)
+                acc[key] = acc.get(key, 0) + (c * b if ph[m] * pa[k] else -c * b)
+    scale = d_l * d_b
+    return GradedBilinearMap.from_entries(a_sp, h_sp, dual, (
+        (i, m, k, Fraction(c, scale)) for (i, m, k), c in acc.items() if c))
 
 
 def derive_phi(ctx: DeltaContext) -> GradedBilinearMap:
-    """Phi(u,v)(P_d(x)) = (-1)^{|x|(|u|+|v|)} B_h(rho(x)(u), v); checked super skew."""
+    """Phi(u,v)(P_d(x)) = (-1)^{|x|(|u|+|v|)} B_h(rho(x)(u), v); checked super skew.
+
+    Summed on the integer views of B_h and of the rho maps, which share one
+    scale d_t, so each sum is d_t d_b times its coefficient. The super skew
+    check runs on the sums; each coefficient then becomes a Fraction once."""
     a_sp, h_sp, dual = ctx.a.space, ctx.h.space, ctx.dual_block
-    bh_rows = ctx.h.metric.sparse_rows
-    entries = []
-    for k, t in enumerate(ctx.rho):
-        for m, col in enumerate(t.sparse_columns):
+    pa, ph = a_sp.parities, h_sp.parities
+    d_b, bh_rows = ctx.h.metric.scaled_rows
+    d_t, rho_cols = common_scale(t.scaled_columns for t in ctx.rho)
+    scale = d_t * d_b
+    pairs: dict = {}  # (m, l) -> {k: Phi(u_m, u_l)(P_d(x_k)) times scale}
+    for k, cols in enumerate(rho_cols):
+        for m, col in enumerate(cols):
+            acc: dict = {}  # l -> B_h(rho(x_k)(u_m), u_l), times scale
             for r, c in col.items():
-                for l, b in bh_rows[r].items():
-                    sign = -1 if (a_sp.parity(k) * (h_sp.parity(m) + h_sp.parity(l))) % 2 else 1
-                    entries.append((m, l, k, sign * c * b))
-    phi = GradedBilinearMap.from_entries(h_sp, h_sp, dual, entries)
-    v = phi.check_super_skew("phi-skew")
+                add_scaled(acc, c, bh_rows[r])
+            for l, c in acc.items():
+                if c:
+                    pairs.setdefault((m, l), {})[k] = -c if (pa[k] * (ph[m] + ph[l])) % 2 else c
+    v = super_skew_violation("phi-skew", ph, pairs, scale, dual.dim)
     if v is not None:
         # rho not metric-skew would surface here; report as a context defect
         raise InvalidContext(v)
-    return phi
+    return GradedBilinearMap.from_entries(h_sp, h_sp, dual, (
+        (m, l, k, Fraction(c, scale)) for (m, l), w in pairs.items() for k, c in w.items()))
 
 
 def validate_context(ctx: DeltaContext) -> list[Violation]:
-    """All context axioms, exhaustively on basis tuples; empty list means ok."""
+    """All context axioms, exhaustively on basis tuples; empty list means ok.
+
+    The identities are compared on integer views (``scaled_pairs``,
+    ``scaled_columns``): every term of one identity is multiplied by one
+    positive constant, so a sum vanishes exactly when the rational one does,
+    and a residual is divided back by that constant once."""
     out: list[Violation] = []
     a_sp = ctx.a.space
     na = a_sp.dim
@@ -163,38 +196,57 @@ def validate_context(ctx: DeltaContext) -> list[Violation]:
     # deh1: [rho(x),rho(y)] - rho([x,y]_a) = ad_h(lambda(x,y))
     out += [Violation("deh1", ij) for ij in curvature_failures(ctx.a, ctx.h.bracket, ctx.rho, ctx.lam)]
 
-    a_pairs, lam_pairs, omega_pairs = ctx.a.bracket.pairs, ctx.lam.pairs, ctx.omega.pairs
+    d_a, a_pairs = ctx.a.bracket.scaled_pairs
+    d_l, lam_pairs = ctx.lam.scaled_pairs
+    d_o, omega_pairs = ctx.omega.scaled_pairs
+    d_c, chi_pairs = chi.scaled_pairs
+    d_t, rho_cols = common_scale(t.scaled_columns for t in ctx.rho)
+    d_r, rep_cols = common_scale(t.scaled_columns for t in rep.action)
 
-    # deh2: cyclic sum of rho(x)(lambda(y,z)) + lambda(x,[y,z]_a)
+    # deh2: cyclic sum of rho(x)(lambda(y,z)) + lambda(x,[y,z]_a). The terms
+    # are d_t d_l and d_l d_a times their values; multiplied by d_a and d_t.
     def deh2_piece(x, y, z):
-        t = ctx.rho[x].apply_sparse(lam_pairs.get((y, z), EMPTY))
-        add_scaled(t, 1, ctx.lam.right_sparse(x, a_pairs.get((y, z), EMPTY)))
+        t: dict = {}
+        for r, c in lam_pairs.get((y, z), EMPTY).items():
+            add_scaled(t, d_a * c, rho_cols[x][r])
+        for m, c in a_pairs.get((y, z), EMPTY).items():
+            add_scaled(t, d_t * c, lam_pairs.get((x, m), EMPTY))
         return t
 
-    # deh3: cyclic sum of ad*_d(x)(omega(y,z)) + omega(x,[y,z]_a) + chi(x,lambda(y,z))
+    # deh3: cyclic sum of ad*_d(x)(omega(y,z)) + omega(x,[y,z]_a) + chi(x,lambda(y,z)).
+    # The terms are d_r d_o, d_o d_a and d_c d_l times their values; each is
+    # multiplied by the other scales.
+    k_rep, k_omega, k_chi = d_a * d_c * d_l, d_r * d_c * d_l, d_r * d_o * d_a
+
     def deh3_piece(x, y, z):
-        t = rep.action[x].apply_sparse(omega_pairs.get((y, z), EMPTY))
-        add_scaled(t, 1, ctx.omega.right_sparse(x, a_pairs.get((y, z), EMPTY)))
-        add_scaled(t, 1, chi.right_sparse(x, lam_pairs.get((y, z), EMPTY)))
+        t: dict = {}
+        for r, c in omega_pairs.get((y, z), EMPTY).items():
+            add_scaled(t, k_rep * c, rep_cols[x][r])
+        for m, c in a_pairs.get((y, z), EMPTY).items():
+            add_scaled(t, k_omega * c, omega_pairs.get((x, m), EMPTY))
+        for m, c in lam_pairs.get((y, z), EMPTY).items():
+            add_scaled(t, k_chi * c, chi_pairs.get((x, m), EMPTY))
         return t
 
-    for name, piece, dim in (("deh2", deh2_piece, ctx.h.dim), ("deh3", deh3_piece, na)):
+    for name, piece, dim, scale in (("deh2", deh2_piece, ctx.h.dim, d_t * d_l * d_a),
+                                    ("deh3", deh3_piece, na, d_r * d_o * d_a * d_c * d_l)):
+        pieces = {xyz: piece(*xyz) for xyz in itertools.product(range(na), repeat=3)}
         for i in range(na):
             for j in range(na):
                 for k in range(na):
-                    total = cyclic_residual(par, i, j, k, piece)
+                    total = cyclic_residual(par, i, j, k, lambda *xyz: pieces[xyz])
                     if total:
-                        out.append(Violation(name, (i, j, k), dense_vec(total, dim)))
+                        out.append(Violation(name, (i, j, k),
+                                             dense_vec({m: Fraction(c, scale) for m, c in total.items()}, dim)))
 
     # super cyclic condition on omega
     for i in range(na):
         for j in range(na):
             for k in range(na):
                 sign = -1 if ((par[j] + par[k]) * par[i]) % 2 else 1
-                lhs = ctx.omega.coefficient(i, j, k)
-                rhs = sign * ctx.omega.coefficient(j, k, i)
-                if lhs != rhs:
-                    out.append(Violation("super-cyclic", (i, j, k), lhs - rhs))
+                res = omega_pairs.get((i, j), EMPTY).get(k, 0) - sign * omega_pairs.get((j, k), EMPTY).get(i, 0)
+                if res:
+                    out.append(Violation("super-cyclic", (i, j, k), Fraction(res, d_o)))
 
     return out
 

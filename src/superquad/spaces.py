@@ -72,6 +72,17 @@ def scaled_to_ints(vectors) -> tuple[int, tuple[dict, ...]]:
     return d, tuple({k: c.numerator * (d // c.denominator) for k, c in v.items()} for v in vectors)
 
 
+def common_scale(views) -> tuple[int, list[tuple[dict, ...]]]:
+    """(d, scaled): integer views ``(d_t, vectors)``, each from
+    ``scaled_to_ints``, brought to one scale d, the lcm of the d_t; d is then
+    the lcm of the denominators of every vector, as if all had been scaled
+    together."""
+    views = list(views)
+    d = math.lcm(*(dt for dt, _ in views))
+    return d, [vs if dt == d else tuple({k: c * (d // dt) for k, c in v.items()} for v in vs)
+               for dt, vs in views]
+
+
 def sparse_transpose(vectors, n: int) -> list[dict]:
     """The n sparse vectors w with w[k][i] = vectors[i][k]: the rows of the
     matrix whose columns are ``vectors``, or the other way round."""
@@ -248,12 +259,12 @@ class GradedLinearMap(_Sparse):
     """Homogeneous linear map, stored by its columns.
 
     ``sparse_columns[c]`` is the image of the c-th source basis vector as a
-    sparse vector ``{r: x}``, rows in order, no zeros. ``matrix`` is the
-    dense view, built on first use. The map is immutable; its columns must
-    not be mutated.
+    sparse vector ``{r: x}``, rows in order, no zeros. ``matrix`` (dense)
+    and ``scaled_columns`` (integer) are views built on first use. The map
+    is immutable; its columns must not be mutated.
     """
 
-    __slots__ = ("source", "target", "degree", "sparse_columns", "_matrix")
+    __slots__ = ("source", "target", "degree", "sparse_columns", "_matrix", "_scaled_columns")
     FIELDS = ("source", "target", "degree", "sparse_columns")
 
     def __init__(self, source: SuperSpace, target: SuperSpace, degree: int, matrix):
@@ -275,7 +286,8 @@ class GradedLinearMap(_Sparse):
             if tp[r] != (sp[c] + degree) % 2:
                 raise NotHomogeneous(f"entry ({r},{c}) breaks homogeneity of a degree-{degree} map")
             cols[c][r] = x
-        self._init(source=source, target=target, degree=degree, sparse_columns=tuple(cols), _matrix=None)
+        self._init(source=source, target=target, degree=degree, sparse_columns=tuple(cols),
+                   _matrix=None, _scaled_columns=None)
 
     @classmethod
     def zero(cls, source: SuperSpace, target: SuperSpace, degree: int) -> "GradedLinearMap":
@@ -297,6 +309,11 @@ class GradedLinearMap(_Sparse):
         return self._view("_matrix", lambda: tuple(
             dense_vec(row, self.source.dim)
             for row in sparse_transpose(self.sparse_columns, self.target.dim)))
+
+    @property
+    def scaled_columns(self) -> tuple[int, tuple[dict, ...]]:
+        """(d, columns): ``sparse_columns`` times d as ints; see ``scaled_to_ints``."""
+        return self._view("_scaled_columns", lambda: scaled_to_ints(self.sparse_columns))
 
     def column(self, j: int) -> Vector:
         return dense_vec(self.sparse_columns[j], self.target.dim)
@@ -404,15 +421,16 @@ class GradedBilinearForm(_Sparse):
 
     def check_supersymmetry(self) -> Violation | None:
         """B(x,y) = (-1)^{|x||y|} B(y,x) entrywise; pairs where both entries
-        vanish are skipped, so the first failing (i, j) is in row-major order."""
+        vanish are skipped, so the first failing (i, j) is in row-major order.
+        Compared on the integer view; the residual is divided back by d. The
+        residual at (j, i) is -+ the one at (i, j), so only i <= j is scanned."""
         par = self.space.parities
-        rows = self.sparse_rows
-        nonzero = {(i, j) for i, row in enumerate(rows) for j in row}
-        for i, j in sorted(nonzero | {(j, i) for i, j in nonzero}):
-            sign = -1 if par[i] * par[j] else 1
-            res = rows[i].get(j, ZERO) - sign * rows[j].get(i, ZERO)
+        d, rows = self.scaled_rows
+        nonzero = {(i, j) if i <= j else (j, i) for i, row in enumerate(rows) for j in row}
+        for i, j in sorted(nonzero):
+            res = rows[i].get(j, 0) - (-1 if par[i] * par[j] else 1) * rows[j].get(i, 0)
             if res:
-                return Violation("super-symmetry", (i, j), res)
+                return Violation("super-symmetry", (i, j), Fraction(res, d))
         return None
 
 
@@ -527,9 +545,6 @@ class GradedBilinearMap(_Sparse):
                 add_scaled(out, c, w)
         return drop_zeros(out)
 
-    def right_vector(self, i: int, v: Sequence) -> Vector:
-        return dense_vec(self.right_sparse(i, sparse_vec(v)), self.target.dim)
-
     def value_vectors(self, u: Sequence, v: Sequence) -> Vector:
         out: dict = {}
         sv = sparse_vec(v)
@@ -558,15 +573,23 @@ class GradedBilinearMap(_Sparse):
         return None
 
     def check_super_skew(self, name: str = "bilinear-skew") -> Violation | None:
-        """value(e_j, e_i) = -(-1)^{p_i p_j} value(e_i, e_j), first failing (i, j)
-        in row-major order; pairs where both values vanish are skipped."""
+        """value(e_j, e_i) = -(-1)^{p_i p_j} value(e_i, e_j); see ``super_skew_violation``."""
         if self.left.basis != self.right.basis:
             raise ValueError("super skew-symmetry needs equal source spaces")
-        par = self.left.parities
-        pairs = self.pairs
-        for i, j in sorted(set(pairs) | {(j, i) for i, j in pairs}):
-            res = dict(pairs.get((j, i), EMPTY))
-            add_scaled(res, -1 if par[i] * par[j] else 1, pairs.get((i, j), EMPTY))
-            if any(res.values()):
-                return Violation(name, (i, j), dense_vec(res, self.target.dim))
-        return None
+        d, pairs = self.scaled_pairs
+        return super_skew_violation(name, self.left.parities, pairs, d, self.target.dim)
+
+
+def super_skew_violation(name: str, parities, pairs: dict, d: int, dim: int) -> Violation | None:
+    """First (i, j), in row-major order, with value(e_j, e_i) != -(-1)^{p_i p_j}
+    value(e_i, e_j), for the integer view ``pairs`` (the nonzeros of a map
+    on a space with these parities, times d); pairs where both values vanish
+    are skipped. The residual at (j, i) is +- the one at (i, j), so only
+    i <= j is scanned; the witness carries the residual divided back by d,
+    as a dense vector of length dim."""
+    for i, j in sorted({(i, j) if i <= j else (j, i) for i, j in pairs}):
+        res = dict(pairs.get((j, i), EMPTY))
+        add_scaled(res, -1 if parities[i] * parities[j] else 1, pairs.get((i, j), EMPTY))
+        if any(res.values()):
+            return Violation(name, (i, j), dense_vec({k: Fraction(c, d) for k, c in res.items()}, dim))
+    return None

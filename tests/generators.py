@@ -27,7 +27,9 @@ from superquad.spaces import (
     GradedBilinearMap,
     GradedLinearMap,
     SuperSpace,
+    dense_vec,
     p_delta_dual,
+    sparse_vec,
 )
 
 F = Fraction
@@ -478,6 +480,11 @@ def solve_lambda(rng, a: LieSuperAlgebra, h: QuadraticLieSuperAlgebra,
     return pv.realise(_sample_affine(rng, *res))
 
 
+def right_value(bmap: GradedBilinearMap, i: int, v) -> tuple:
+    """bmap(e_i, v) as a dense vector, for a dense vector v of the right space."""
+    return dense_vec(bmap.right_sparse(i, sparse_vec(v)), bmap.target.dim)
+
+
 def solve_omega(rng, delta, a: LieSuperAlgebra, h: QuadraticLieSuperAlgebra,
                 rho, lam: GradedBilinearMap) -> GradedBilinearMap | None:
     """Random solution of the cocycle and super cyclic conditions for omega."""
@@ -518,7 +525,7 @@ def solve_omega(rng, delta, a: LieSuperAlgebra, h: QuadraticLieSuperAlgebra,
                         terms_vec[r] = _combine(
                             (ONE, terms_vec[r]),
                             (F(s), omega_expr_vec(x, a.bracket.table[y][z])[r]))
-                    chi_term = chi.right_vector(x, lam.value(y, z))
+                    chi_term = right_value(chi, x, lam.value(y, z))
                     for r in range(na):
                         const_vec[r] += s * chi_term[r]
                 for r in range(na):

@@ -53,7 +53,7 @@ def test_orthogonal_complement_isotropic_line():
     g = odd_hyperbolic_2dim()
     perp = orthogonal_complement([unit_vec(2, 0)], g.metric)
     # B(x, cx + dy) = d, so the complement is the span of x itself
-    assert perp == [(ONE, ZERO)]
+    assert perp == [{0: ONE}]
 
 
 def test_find_central_ideal_abelian():

@@ -3,8 +3,12 @@
 ``golden/cases.json`` was recorded from the implementation before the
 checkers shared their cyclic-sum and curvature kernels; it covers every
 command on the shipped samples and ``extend`` on one planted violation per
-context axiom (``golden/*.context``). A change here is a change of the
-user-facing contract and must be deliberate.
+context axiom (``golden/*.context``). The ``coprime`` cases were recorded
+before the context checks moved onto integer views: a context whose h is
+moved by a basis with coprime p/q column scales (the lcm of its
+denominators is above 10^10), its extension, and planted deh1, deh2, deh3
+and rho-skew defects. A change here is a change of the user-facing contract
+and must be deliberate.
 """
 
 import json

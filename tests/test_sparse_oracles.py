@@ -29,13 +29,22 @@ from superquad.algebra import (
     SuperBracket,
     check_invariance,
     check_jacobi,
+    curvature_failures,
     delta_coadjoint,
     is_derivation,
     is_metric_skew,
 )
 from superquad.catalog import default_heisenberg_params, heisenberg_extension
-from superquad.errors import ClaimViolated, DegenerateInput, NotAnIdealSplit
-from superquad.extension import derive_chi, double_extend, extension_derivations
+from superquad.catalog import default_odd_dim1_params, heisenberg_context, odd_extension_context
+from superquad.errors import ClaimViolated, DegenerateInput, InvalidContext, NotAnIdealSplit
+from superquad.extension import (
+    DeltaContext,
+    derive_chi,
+    derive_phi,
+    double_extend,
+    extension_derivations,
+    validate_context,
+)
 from test_algebra import brute_jacobi, brute_jacobi_residual
 from superquad.linalg import ZERO, unit_vec
 from superquad.spaces import (
@@ -43,6 +52,8 @@ from superquad.spaces import (
     GradedBilinearMap,
     GradedLinearMap,
     SuperSpace,
+    dense_vec,
+    p_delta_dual,
     scaled_to_ints,
     sparse_vec,
 )
@@ -667,10 +678,14 @@ def test_orthogonal_complement_and_dual_vectors_match_dense_references():
             _, form, ideal = random_witt_instance(rng, delta)
             cases.append((form, ideal, []))
     for form, ideal, avoid in cases:
-        assert dec.orthogonal_complement(ideal, form) == ref_orthogonal_complement(ideal, form)
+        n = form.space.dim
+        perp = dec.orthogonal_complement(ideal, form)
+        assert [dense_vec(v, n) for v in perp] == ref_orthogonal_complement(ideal, form)
+        assert all(perp) and all(c for v in perp for c in v.values())
         assert dec._dual_vectors(form, ideal, avoid) == ref_dual_vectors(form, ideal, avoid)
         one = [ideal[rng.randrange(len(ideal))]]
-        assert dec.orthogonal_complement(one, form) == ref_orthogonal_complement(one, form)
+        perp = dec.orthogonal_complement(one, form)
+        assert [dense_vec(v, n) for v in perp] == ref_orthogonal_complement(one, form)
 
 
 def test_dual_vectors_report_a_missing_dual_like_the_reference():
@@ -715,3 +730,301 @@ def test_extracted_rho_tau_sigma_match_a_dense_change_of_basis():
         assert [t.matrix for t in res.maps.sigma] == sigma
         nonzero += sum(not t.is_zero() for t in res.maps.rho + res.maps.tau + res.maps.sigma)
     assert nonzero >= 20
+
+
+# ---------------------------------------------------------------------------
+# The context layer on integer views, against Fraction references
+
+
+def ref_chi(ctx):
+    """chi[i][m][k] = -(-1)^{|u_m||y_k|} sum_r lambda(x_i, x_k)_r B_h(u_r, u_m)."""
+    na, nh, b, lam = ctx.a.dim, ctx.h.dim, ctx.h.metric.matrix, ctx.lam.table
+    pa, ph = ctx.a.space.parities, ctx.h.space.parities
+    return tuple(tuple(tuple(
+        -(-1) ** (ph[m] * pa[k]) * sum((lam[i][k][r] * b[r][m] for r in range(nh)), ZERO)
+        for k in range(na)) for m in range(nh)) for i in range(na))
+
+
+def ref_phi(ctx):
+    """phi[m][l][k] = (-1)^{|x_k|(|u_m|+|u_l|)} sum_r rho(x_k)[r][m] B_h(u_r, u_l)."""
+    na, nh, b = ctx.a.dim, ctx.h.dim, ctx.h.metric.matrix
+    pa, ph = ctx.a.space.parities, ctx.h.space.parities
+    rho = [t.matrix for t in ctx.rho]
+    return tuple(tuple(tuple(
+        (-1) ** ((pa[k] * (ph[m] + ph[l])) % 2) * sum((rho[k][r][m] * b[r][l] for r in range(nh)), ZERO)
+        for k in range(na)) for l in range(nh)) for m in range(nh))
+
+
+def ref_curvature(ctx):
+    """(i, j), row-major, where the matrix [rho_i, rho_j] - rho([x_i, x_j]_a)
+    - ad_h(lambda(x_i, x_j)) is nonzero, with ad_h(e_r) the matrix whose
+    column u is [e_r, e_u]_h."""
+    na, nh = ctx.a.dim, ctx.h.dim
+    rho, a_t, lam = [t.matrix for t in ctx.rho], ctx.a.bracket.table, ctx.lam.table
+    ad = [ctx.h.bracket.ad_matrix(r) for r in range(nh)]
+    out = []
+    for i in range(na):
+        for j in range(na):
+            sign = -1 if ctx.rho[i].degree * ctx.rho[j].degree else 1
+            m = linalg.mat_sub(linalg.mat_mul(rho[i], rho[j]),
+                               linalg.mat_scale(sign, linalg.mat_mul(rho[j], rho[i])))
+            for k in range(na):
+                m = linalg.mat_sub(m, linalg.mat_scale(a_t[i][j][k], rho[k]))
+            for r in range(nh):
+                m = linalg.mat_sub(m, linalg.mat_scale(lam[i][j][r], ad[r]))
+            if any(any(row) for row in m):
+                out.append((i, j))
+    return out
+
+
+def ref_context_identities(ctx):
+    """(equation, indices, residual) of every deh1, deh2, deh3 and
+    super-cyclic failure, in the order validate_context reports them, from
+    dense tables: deh2 and deh3 as the signed cyclic sums of their pieces."""
+    na, nh, delta = ctx.a.dim, ctx.h.dim, ctx.delta
+    pa = ctx.a.space.parities
+    a_t, lam, om = ctx.a.bracket.table, ctx.lam.table, ctx.omega.table
+    rho = [t.matrix for t in ctx.rho]
+    rep, chi = ref_delta_coadjoint(ctx.a, delta), ref_chi(ctx)
+
+    def combo(vectors, coeffs, n):
+        return tuple(sum((c * v[r] for c, v in zip(coeffs, vectors)), ZERO) for r in range(n))
+
+    def deh2(x, y, z):
+        return linalg.vec_add(ref_mat_vec(rho[x], lam[y][z]), combo(lam[x], a_t[y][z], nh))
+
+    def deh3(x, y, z):
+        t = linalg.vec_add(ref_mat_vec(rep[x], om[y][z]), combo(om[x], a_t[y][z], na))
+        return linalg.vec_add(t, combo(chi[x], lam[y][z], na))
+
+    out = [("deh1", ij, None) for ij in ref_curvature(ctx)]
+    for name, piece, n in (("deh2", deh2, nh), ("deh3", deh3, na)):
+        for i in range(na):
+            for j in range(na):
+                for k in range(na):
+                    total = linalg.zero_vec(n)
+                    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                        total = linalg.vec_add(total, linalg.vec_scale((-1) ** (pa[x] * pa[z]), piece(x, y, z)))
+                    if any(total):
+                        out.append((name, (i, j, k), total))
+    for i in range(na):
+        for j in range(na):
+            for k in range(na):
+                res = om[i][j][k] - (-1) ** (((pa[j] + pa[k]) * pa[i]) % 2) * om[j][k][i]
+                if res:
+                    out.append(("super-cyclic", (i, j, k), res))
+    return out
+
+
+def scaled_matrix(cols):
+    """(M, M^-1) for the matrix M whose columns are ``cols``."""
+    m = linalg.transpose(cols)
+    return m, linalg.inverse(m)
+
+
+def moved_context(rng, ctx):
+    """ctx with a and h each moved by a ``scaled_basis``: every map is
+    transported, so the context stays valid exactly when ctx is, and its
+    constants get large coprime denominators. New a-vectors a'_p = sum_i
+    P_ip a_i and h-vectors u'_c = sum_r C_rc u_r; a functional on P_d(a)
+    takes the coordinates P^T f."""
+    na, nh = ctx.a.dim, ctx.h.dim
+    p, p_inv = scaled_matrix(scaled_basis(rng, ctx.a.space))
+    c, c_inv = scaled_matrix(scaled_basis(rng, ctx.h.space))
+    a_sp = SuperSpace(tuple((f"x{i}", q) for i, q in enumerate(ctx.a.space.parities)))
+    h_sp = SuperSpace(tuple((f"u{i}", q) for i, q in enumerate(ctx.h.space.parities)))
+
+    def pair_values(bmap, left, right):  # value on (left_p, right_q) in the old coordinates
+        t = bmap.table
+        return [[combo_pairs(t, left[i], right[j], bmap.target.dim) for j in range(len(right))]
+                for i in range(len(left))]
+
+    def combo_pairs(t, u, v, n):
+        return tuple(sum((u[i] * v[j] * t[i][j][r] for i in range(len(u)) for j in range(len(v))), ZERO)
+                     for r in range(n))
+
+    p_cols, c_cols = linalg.transpose(p), linalg.transpose(c)
+    a_vals = pair_values(ctx.a.bracket, p_cols, p_cols)
+    a_br = SuperBracket(a_sp, [[ref_mat_vec(p_inv, v) for v in row] for row in a_vals])
+    h_vals = pair_values(ctx.h.bracket, c_cols, c_cols)
+    h_br = SuperBracket(h_sp, [[ref_mat_vec(c_inv, v) for v in row] for row in h_vals])
+    b = linalg.mat_mul(linalg.transpose(c), linalg.mat_mul(ctx.h.metric.matrix, c))
+    h = QuadraticLieSuperAlgebra(LieSuperAlgebra(h_br), GradedBilinearForm(h_sp, ctx.h.delta, b))
+    a = LieSuperAlgebra(a_br)
+    rho = []
+    for q in range(na):
+        t = linalg.zero_mat(nh, nh)
+        for i in range(na):
+            if p[i][q]:
+                t = linalg.mat_add(t, linalg.mat_scale(p[i][q], ctx.rho[i].matrix))
+        rho.append(GradedLinearMap(h_sp, h_sp, ctx.rho[q].degree, linalg.mat_mul(c_inv, linalg.mat_mul(t, c))))
+    lam = GradedBilinearMap(a_sp, a_sp, h_sp, [[ref_mat_vec(c_inv, v) for v in row]
+                                               for row in pair_values(ctx.lam, p_cols, p_cols)])
+    dual = p_delta_dual(a_sp, ctx.delta)
+    p_t = linalg.transpose(p)
+    omega = GradedBilinearMap(a_sp, a_sp, dual, [[ref_mat_vec(p_t, v) for v in row]
+                                                 for row in pair_values(ctx.omega, p_cols, p_cols)])
+    return DeltaContext(ctx.delta, a, h, tuple(rho), lam, omega)
+
+
+def bare(parities, table):
+    """What ref_super_skew reads of a bilinear map: left parities and the table."""
+    return SimpleNamespace(left=SimpleNamespace(parities=parities), table=table)
+
+
+def context_scales(ctx):
+    """The d of every integer view the context layer reads."""
+    return {"a": ctx.a.bracket.scaled_pairs[0], "h": ctx.h.bracket.scaled_pairs[0],
+            "b": ctx.h.metric.scaled_rows[0], "lam": ctx.lam.scaled_pairs[0],
+            "omega": ctx.omega.scaled_pairs[0],
+            "rho": scaled_to_ints(c for t in ctx.rho for c in t.sparse_columns)[0]}
+
+
+def assert_context_layer_matches(ctx):
+    """Every context-layer kernel against its Fraction reference: the rho
+    predicates, the lambda/omega grading and skew witnesses, B_h super symmetry,
+    curvature_failures, chi, Phi (or its phi-skew witness) and, once the
+    pieces are well formed, validate_context's deh1/deh2/deh3/super-cyclic
+    list. Returns the equations that failed."""
+    seen = set()
+    h, ph = ctx.h, ctx.h.space.parities
+    assert same_witness(h.metric.check_supersymmetry(), ref_supersymmetry(h.metric))
+    for t in ctx.rho:
+        der, skew = is_derivation(t, h.bracket), is_metric_skew(t, h.metric)
+        assert der == ref_is_derivation(t, h.bracket) and skew == ref_is_metric_skew(t, h.metric)
+        seen.update(name for name, ok in (("rho-derivation", der), ("rho-skew", skew)) if not ok)
+    for bmap, name in ((ctx.lam, "lambda"), (ctx.omega, "omega")):
+        even, skew = bmap.check_even(), bmap.check_super_skew()
+        assert same_witness(even, ref_check_even(bmap)) and same_witness(skew, ref_super_skew(bmap))
+        seen.update(f"{name}-{check}" for check, v in (("even", even), ("skew", skew)) if v is not None)
+        if skew is not None:
+            assert all(type(c) is Fraction for c in skew.residual)
+    assert list(curvature_failures(ctx.a, h.bracket, ctx.rho, ctx.lam)) == ref_curvature(ctx)
+    chi = derive_chi(ctx)
+    assert chi.table == ref_chi(ctx)
+    assert all(type(c) is Fraction for _, _, _, c in chi.entries())
+    phi_ref = ref_phi(ctx)
+    skew_ref = ref_super_skew(bare(ph, phi_ref))
+    if skew_ref is None:
+        phi = derive_phi(ctx)
+        assert phi.table == phi_ref
+        assert all(type(c) is Fraction for _, _, _, c in phi.entries())
+    else:
+        with pytest.raises(InvalidContext) as exc:
+            derive_phi(ctx)
+        assert same_witness(exc.value.violations[0], skew_ref)
+        seen.add("phi-skew")
+    got = validate_context(ctx)
+    seen.update(v.equation for v in got)
+    if not seen & {"rho-derivation", "rho-skew", "lambda-even", "lambda-skew", "omega-even", "omega-skew"}:
+        assert [(v.equation, v.indices, v.residual) for v in got] == ref_context_identities(ctx)
+        for v in got:
+            assert v.residual is None or type(v.residual) is Fraction \
+                or all(type(c) is Fraction for c in v.residual)
+    return seen
+
+
+def plant_skew_pair(rng, bmap, draw):
+    """bmap plus c e_k at (i, j) and its super skew partner at (j, i), with
+    e_k in the parity block of (i, j); None when bmap has no room."""
+    pl, pt = bmap.left.parities, bmap.target.parities
+    room = [(i, j, k) for i in range(len(pl)) for j in range(i, len(pl)) for k in range(len(pt))
+            if pt[k] == (pl[i] + pl[j]) % 2 and (i != j or pl[i])]
+    if not room:
+        return None
+    i, j, k = rng.choice(room)
+    c = draw(rng)
+    extra = [(i, j, k, c)] + ([(j, i, k, c if pl[i] * pl[j] else -c)] if i != j else [])
+    return GradedBilinearMap.from_entries(bmap.left, bmap.right, bmap.target, bmap.entries() + extra)
+
+
+def coprime(rng):
+    p, q = rng.sample(PRIMES, 2)
+    return Fraction(p, q) * rng.choice((-1, 1))
+
+
+def plantings(rng, ctx, draw):
+    """ctx with one planted change each: a skew pair in lambda and in omega,
+    a single entry in each, and a single homogeneous entry in one rho map."""
+    out = []
+    for which in ("lam", "omega"):
+        bad = plant_skew_pair(rng, getattr(ctx, which), draw)
+        if bad is not None:
+            out.append(DeltaContext(ctx.delta, ctx.a, ctx.h, ctx.rho,
+                                    bad if which == "lam" else ctx.lam, bad if which == "omega" else ctx.omega))
+    for which in ("lam", "omega"):
+        bmap = getattr(ctx, which)
+        if bmap.target.dim:
+            i, j, k = (rng.randrange(s.dim) for s in (bmap.left, bmap.right, bmap.target))
+            bad = GradedBilinearMap.from_entries(bmap.left, bmap.right, bmap.target,
+                                                 bmap.entries() + [(i, j, k, draw(rng))])
+            out.append(DeltaContext(ctx.delta, ctx.a, ctx.h, ctx.rho, bad if which == "lam" else ctx.lam,
+                                    bad if which == "omega" else ctx.omega))
+    x = rng.randrange(ctx.a.dim)
+    t = ctx.rho[x]
+    room = [(r, c) for r in range(ctx.h.dim) for c in range(ctx.h.dim)
+            if t.target.parity(r) == (t.source.parity(c) + t.degree) % 2]
+    if room:
+        r, c = rng.choice(room)
+        rho = list(ctx.rho)
+        rho[x] = GradedLinearMap.from_entries(t.source, t.target, t.degree, t.entries() + [(r, c, draw(rng))])
+        out.append(DeltaContext(ctx.delta, ctx.a, ctx.h, tuple(rho), ctx.lam, ctx.omega))
+    return out
+
+
+MOVED_CONTEXTS = [moved_context(random.Random(45 + n), ctx) for n, (ctx, _) in enumerate(EXTENSIONS)]
+
+
+def test_moved_contexts_are_valid_with_large_scales():
+    big = {key: 0 for key in ("a", "h", "b", "lam", "omega", "rho")}
+    for ctx in MOVED_CONTEXTS:
+        assert validate_context(ctx) == []
+        for key, d in context_scales(ctx).items():
+            big[key] += d > 10 ** 3
+    assert min(big.values()) >= 4
+
+
+def test_context_layer_matches_references_on_moved_contexts():
+    rng = random.Random(46)
+    seen: dict = {}
+    for ctx in MOVED_CONTEXTS:
+        assert assert_context_layer_matches(ctx) == set()
+        for _ in range(2):
+            for bad in plantings(rng, ctx, coprime):
+                for name in assert_context_layer_matches(bad):
+                    seen[name] = seen.get(name, 0) + 1
+            if ctx.h.dim:
+                # B_h with one planted entry: its super symmetry, and rho against it
+                rows = [list(r) for r in ctx.h.metric.matrix]
+                rows[rng.randrange(ctx.h.dim)][rng.randrange(ctx.h.dim)] += coprime(rng)
+                form = GradedBilinearForm(ctx.h.space, ctx.delta, rows)
+                sym = form.check_supersymmetry()
+                assert same_witness(sym, ref_supersymmetry(form))
+                assert sym is None or type(sym.residual) is Fraction
+                seen["super-symmetry"] = seen.get("super-symmetry", 0) + (sym is not None)
+                for t in ctx.rho:
+                    assert is_metric_skew(t, form) == ref_is_metric_skew(t, form)
+    assert set(seen) >= {"deh1", "deh2", "deh3", "super-cyclic", "rho-skew", "phi-skew",
+                         "lambda-skew", "omega-skew"}
+    assert min(seen[name] for name in ("deh1", "deh2", "deh3", "super-cyclic", "rho-skew",
+                                       "super-symmetry")) >= 10
+
+
+def test_context_layer_matches_references_on_integer_and_zero_contexts():
+    """d = 1 in every view, plantings integral too, and contexts whose maps
+    are all zero."""
+    rng = random.Random(47)
+    integral = [ctx for ctx, _ in EXTENSIONS] + [heisenberg_context(default_heisenberg_params(2)),
+                                                 odd_extension_context(default_odd_dim1_params())]
+    integral = [ctx for ctx in integral if set(context_scales(ctx).values()) == {1}]
+    assert len(integral) >= 3
+    zero = [DeltaContext.trivial(ctx.delta, ctx.a, ctx.h) for ctx, _ in EXTENSIONS[::4]]
+    seen: dict = {}
+    for ctx, is_integral in [(ctx, True) for ctx in integral] + [(ctx, False) for ctx in zero]:
+        assert assert_context_layer_matches(ctx) == set()
+        for _ in range(3):
+            for bad in plantings(rng, ctx, lambda rng: Fraction(rng.choice((-2, -1, 1, 2)))):
+                assert not is_integral or set(context_scales(bad).values()) == {1}
+                for name in assert_context_layer_matches(bad):
+                    seen[name] = seen.get(name, 0) + 1
+    assert min(seen.get(name, 0) for name in ("deh1", "deh2", "deh3", "super-cyclic", "omega-skew")) >= 4
