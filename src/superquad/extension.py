@@ -236,17 +236,18 @@ def validate_context(ctx: DeltaContext) -> list[Violation]:
                 for k in range(na):
                     total = cyclic_residual(par, i, j, k, lambda *xyz: pieces[xyz])
                     if total:
-                        out.append(Violation(name, (i, j, k),
-                                             dense_vec({m: Fraction(c, scale) for m, c in total.items()}, dim)))
+                        residual = {m: Fraction(c, scale) for m, c in total.items()}
+                        out.append(Violation(name, (i, j, k), dense_vec(residual, dim)))
 
     # super cyclic condition on omega
     for i in range(na):
         for j in range(na):
             for k in range(na):
                 sign = -1 if ((par[j] + par[k]) * par[i]) % 2 else 1
-                res = omega_pairs.get((i, j), EMPTY).get(k, 0) - sign * omega_pairs.get((j, k), EMPTY).get(i, 0)
-                if res:
-                    out.append(Violation("super-cyclic", (i, j, k), Fraction(res, d_o)))
+                lhs = omega_pairs.get((i, j), EMPTY).get(k, 0)
+                rhs = sign * omega_pairs.get((j, k), EMPTY).get(i, 0)
+                if lhs != rhs:
+                    out.append(Violation("super-cyclic", (i, j, k), Fraction(lhs - rhs, d_o)))
 
     return out
 
