@@ -522,9 +522,6 @@ class GradedBilinearMap(_Sparse):
     def value(self, i: int, j: int) -> Vector:
         return dense_vec(self.pairs.get((i, j), EMPTY), self.target.dim)
 
-    def coefficient(self, i: int, j: int, k: int) -> Fraction:
-        return self.pairs.get((i, j), EMPTY).get(k, ZERO)
-
     def left_sparse(self, u, j: int) -> dict:
         """Value on (u, e_j) for a sparse vector u of the left space."""
         out: dict = {}
