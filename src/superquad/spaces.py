@@ -582,11 +582,15 @@ def super_skew_violation(name: str, parities, pairs: dict, d: int, dim: int) -> 
     value(e_i, e_j), for the integer view ``pairs`` (the nonzeros of a map
     on a space with these parities, times d); pairs where both values vanish
     are skipped. The residual at (j, i) is +- the one at (i, j), so only
-    i <= j is scanned; the witness carries the residual divided back by d,
-    as a dense vector of length dim."""
+    i <= j is scanned; the values hold no zeros, so a pair passes exactly
+    when one value equals the other or its negative. The witness carries the
+    residual divided back by d, as a dense vector of length dim."""
     for i, j in sorted({(i, j) if i <= j else (j, i) for i, j in pairs}):
-        res = dict(pairs.get((j, i), EMPTY))
-        add_scaled(res, -1 if parities[i] * parities[j] else 1, pairs.get((i, j), EMPTY))
-        if any(res.values()):
-            return Violation(name, (i, j), dense_vec({k: Fraction(c, d) for k, c in res.items()}, dim))
+        u, w = pairs.get((i, j), EMPTY), pairs.get((j, i), EMPTY)
+        sign = -1 if parities[i] * parities[j] else 1
+        if w == (u if sign == -1 else {k: -c for k, c in u.items()}):
+            continue
+        res = dict(w)
+        add_scaled(res, sign, u)
+        return Violation(name, (i, j), dense_vec({k: Fraction(c, d) for k, c in res.items()}, dim))
     return None
