@@ -816,12 +816,6 @@ def ref_context_identities(ctx):
     return out
 
 
-def scaled_matrix(cols):
-    """(M, M^-1) for the matrix M whose columns are ``cols``."""
-    m = linalg.transpose(cols)
-    return m, linalg.inverse(m)
-
-
 def moved_context(rng, ctx):
     """ctx with a and h each moved by a ``scaled_basis``: every map is
     transported, so the context stays valid exactly when ctx is, and its
@@ -829,28 +823,21 @@ def moved_context(rng, ctx):
     P_ip a_i and h-vectors u'_c = sum_r C_rc u_r; a functional on P_d(a)
     takes the coordinates P^T f."""
     na, nh = ctx.a.dim, ctx.h.dim
-    p, p_inv = scaled_matrix(scaled_basis(rng, ctx.a.space))
-    c, c_inv = scaled_matrix(scaled_basis(rng, ctx.h.space))
+    p_cols, c_cols = scaled_basis(rng, ctx.a.space), scaled_basis(rng, ctx.h.space)
+    p, c = linalg.transpose(p_cols), linalg.transpose(c_cols)
+    p_inv, c_inv = linalg.inverse(p), linalg.inverse(c)
     a_sp = SuperSpace(tuple((f"x{i}", q) for i, q in enumerate(ctx.a.space.parities)))
     h_sp = SuperSpace(tuple((f"u{i}", q) for i, q in enumerate(ctx.h.space.parities)))
 
-    def pair_values(bmap, left, right):  # value on (left_p, right_q) in the old coordinates
-        t = bmap.table
-        return [[combo_pairs(t, left[i], right[j], bmap.target.dim) for j in range(len(right))]
-                for i in range(len(left))]
+    def transported(bmap, cols, coords):
+        """coords times the value on (cols[p], cols[q]), for every p and q."""
+        t, n = bmap.table, bmap.target.dim
+        return [[ref_mat_vec(coords, [sum((u[i] * v[j] * t[i][j][r] for i in range(len(u)) for j in range(len(v))),
+                                          ZERO) for r in range(n)]) for v in cols] for u in cols]
 
-    def combo_pairs(t, u, v, n):
-        return tuple(sum((u[i] * v[j] * t[i][j][r] for i in range(len(u)) for j in range(len(v))), ZERO)
-                     for r in range(n))
-
-    p_cols, c_cols = linalg.transpose(p), linalg.transpose(c)
-    a_vals = pair_values(ctx.a.bracket, p_cols, p_cols)
-    a_br = SuperBracket(a_sp, [[ref_mat_vec(p_inv, v) for v in row] for row in a_vals])
-    h_vals = pair_values(ctx.h.bracket, c_cols, c_cols)
-    h_br = SuperBracket(h_sp, [[ref_mat_vec(c_inv, v) for v in row] for row in h_vals])
     b = linalg.mat_mul(linalg.transpose(c), linalg.mat_mul(ctx.h.metric.matrix, c))
-    h = QuadraticLieSuperAlgebra(LieSuperAlgebra(h_br), GradedBilinearForm(h_sp, ctx.h.delta, b))
-    a = LieSuperAlgebra(a_br)
+    h = QuadraticLieSuperAlgebra(LieSuperAlgebra(SuperBracket(h_sp, transported(ctx.h.bracket, c_cols, c_inv))),
+                                 GradedBilinearForm(h_sp, ctx.h.delta, b))
     rho = []
     for q in range(na):
         t = linalg.zero_mat(nh, nh)
@@ -858,13 +845,10 @@ def moved_context(rng, ctx):
             if p[i][q]:
                 t = linalg.mat_add(t, linalg.mat_scale(p[i][q], ctx.rho[i].matrix))
         rho.append(GradedLinearMap(h_sp, h_sp, ctx.rho[q].degree, linalg.mat_mul(c_inv, linalg.mat_mul(t, c))))
-    lam = GradedBilinearMap(a_sp, a_sp, h_sp, [[ref_mat_vec(c_inv, v) for v in row]
-                                               for row in pair_values(ctx.lam, p_cols, p_cols)])
-    dual = p_delta_dual(a_sp, ctx.delta)
-    p_t = linalg.transpose(p)
-    omega = GradedBilinearMap(a_sp, a_sp, dual, [[ref_mat_vec(p_t, v) for v in row]
-                                                 for row in pair_values(ctx.omega, p_cols, p_cols)])
-    return DeltaContext(ctx.delta, a, h, tuple(rho), lam, omega)
+    return DeltaContext(
+        ctx.delta, LieSuperAlgebra(SuperBracket(a_sp, transported(ctx.a.bracket, p_cols, p_inv))), h, tuple(rho),
+        GradedBilinearMap(a_sp, a_sp, h_sp, transported(ctx.lam, p_cols, c_inv)),
+        GradedBilinearMap(a_sp, a_sp, p_delta_dual(a_sp, ctx.delta), transported(ctx.omega, p_cols, p_cols)))
 
 
 def bare(parities, table):
