@@ -103,34 +103,86 @@ def cyclic_triples(outer, inner) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
+def slot_width(terms: int, bound: int) -> int:
+    """Bits per slot of a packed sum of at most ``terms`` products, each at
+    most ``bound`` in absolute value: every slot then stays below 2**w in
+    absolute value, which is what ``pack`` needs to be exact."""
+    return (terms * bound).bit_length()
+
+
+def pack(v, w: int) -> int:
+    """The int vector v as one int, coordinate k in the bit slot w*k
+    (Kronecker substitution): sum of v[k] * 2**(w*k).
+
+    Packing is linear, so a sum of packed vectors is the packed sum. When
+    every coordinate of that sum is below 2**w in absolute value, the int is
+    0 exactly when every coordinate is, and its lowest set bit lies in the
+    slot of the first nonzero coordinate (``lowest_slot``): the slots below
+    add nothing, and the ones above are multiples of 2**(w*(k+1))."""
+    return sum(c << (w * k) for k, c in v.items())
+
+
+def lowest_slot(p: int, w: int) -> int:
+    """The first nonzero coordinate of a nonzero packed sum (see ``pack``)."""
+    return ((p & -p).bit_length() - 1) // w
+
+
 def check_jacobi(bracket: SuperBracket) -> Violation | None:
     """First violating triple of the Jacobi super identity, or None.
 
     Once super skew-symmetry holds, the cyclic sum for a permuted triple is a
     sign multiple of the sum for the sorted one, so scanning i <= j <= k is
     exhaustive. The scan runs on the integer view, where every double bracket
-    is d^2 times the rational one; the residual is divided back.
+    is d^2 times the rational one, with each [e_x, e_m] packed into one int
+    (``pack``): every term c^m_yz [e_x, e_m] of the cyclic sum is added, with
+    its sign, to the sorted triple of which (x, y, z) is a shift, in one pass
+    over the nonzeros. A slot of a sum holds at most 3n products of two
+    constants, each at most M^2 for M the largest constant of the view, so
+    slots of width ``slot_width(3n, M^2)`` keep every sum exact. The first
+    sorted triple with a nonzero sum is the witness; its residual is
+    recomputed by ``cyclic_residual`` and divided back.
     """
     n = bracket.space.dim
     par = bracket.space.parities
     d, pairs = bracket.scaled_pairs
+    if not pairs:
+        return None
+    top = max(abs(c) for v in pairs.values() for c in v.values())
+    w = slot_width(3 * n, top * top)
+    # left[p][m]: (x, (-1)^{|x| p} [e_x, e_m] packed) for the x with [e_x, e_m] != 0
+    left: tuple[dict, dict] = ({}, {})
+    for (x, m), v in pairs.items():
+        packed = pack(v, w)
+        left[0].setdefault(m, []).append((x, packed))
+        left[1].setdefault(m, []).append((x, -packed if par[x] else packed))
+    sums: dict = {}  # sorted triple -> its cyclic sum, packed, times d^2
+    for (y, z), v in pairs.items():
+        left_z = left[par[z]]
+        for m, c in v.items():
+            for x, packed in left_z.get(m, ()):
+                if x <= y <= z:
+                    key = (x, y, z)
+                elif y <= z <= x:
+                    key = (y, z, x)
+                elif z <= x <= y:
+                    key = (z, x, y)
+                else:
+                    continue
+                sums[key] = sums.get(key, 0) + c * packed
+    failed = [key for key, s in sums.items() if s]
+    if not failed:
+        return None
     get = pairs.get
 
     def piece(x, y, z):  # d^2 [e_x, [e_y, e_z]]
         out: dict = {}
         for m, c in get((y, z), EMPTY).items():
-            w = get((x, m))
-            if w:
-                add_scaled(out, c, w)
+            add_scaled(out, c, get((x, m), EMPTY))
         return out
 
-    for i, j, k in cyclic_triples(pairs, pairs):
-        if i <= j <= k:
-            res = cyclic_residual(par, i, j, k, piece)
-            if res:
-                return Violation("jacobi", (i, j, k),
-                                 dense_vec({m: Fraction(c, d * d) for m, c in res.items()}, n))
-    return None
+    i, j, k = min(failed)
+    res = cyclic_residual(par, i, j, k, piece)
+    return Violation("jacobi", (i, j, k), dense_vec({m: Fraction(c, d * d) for m, c in res.items()}, n))
 
 
 @dataclass(frozen=True)
@@ -162,28 +214,50 @@ def check_invariance(form: GradedBilinearForm, bracket: SuperBracket) -> Violati
     """B([x,y],z) = B(x,[y,z]) on all basis triples; witness on failure.
 
     Both sides are evaluated on the integer views, so each is d_b d_f times
-    its rational value; the residual is divided back."""
+    its rational value. For each pair (i, j) the residual over k is one
+    packed int (``pack``): the sum over m of c^m_ij B(e_m, .) minus the sum
+    of B(e_i, e_m) times the e_m coordinate of [e_j, .]. A slot holds at most
+    2n products of a constant and a metric entry, so slots of width
+    ``slot_width(2n, M_b M_f)`` keep every sum exact. Only the pairs with a
+    nonzero term on either side are visited; the first with a nonzero sum,
+    at its lowest nonzero slot, is the witness, whose residual is recomputed
+    on the views and divided back."""
     if form.space.basis != bracket.space.basis:
         raise ValueError("form and bracket live on different spaces")
+    n = form.space.dim
     d_b, pairs = bracket.scaled_pairs
     d_f, rows = form.scaled_rows
-    # A triple is visited when one side has a nonzero term: B(e_m, e_k) != 0
-    # for some e_m in [e_i, e_j], or B(e_i, e_m) != 0 for some e_m in [e_j, e_k].
+    if not pairs or not any(rows):
+        return None  # every term has a factor from each
+    top_b = max(abs(c) for v in pairs.values() for c in v.values())
+    top_f = max(abs(b) for row in rows for b in row.values())
+    w = slot_width(2 * n, top_b * top_f)
+    packed_rows = [pack(row, w) for row in rows]
     in_column = [[] for _ in rows]  # in_column[m]: the i with B(e_i, e_m) != 0
     for i, row in enumerate(rows):
         for m in row:
             in_column[m].append(i)
-    triples = set()
-    for (x, y), v in pairs.items():
-        for m in v:
-            triples.update((x, y, k) for k in rows[m])
-            triples.update((i, x, y) for i in in_column[m])
-    for i, j, k in sorted(triples):
-        lhs = sum(c * rows[m].get(k, 0) for m, c in pairs.get((i, j), EMPTY).items())
-        rhs = sum(c * rows[i].get(m, 0) for m, c in pairs.get((j, k), EMPTY).items())
-        if lhs != rhs:
-            return Violation("invariance", (i, j, k), Fraction(lhs - rhs, d_b * d_f))
-    return None
+    ad: dict = {}  # (j, m) -> the e_m coordinates of [e_j, e_k] over k, packed
+    for (j, k), v in pairs.items():
+        for m, c in v.items():
+            if in_column[m]:
+                ad[j, m] = ad.get((j, m), 0) + (c << (w * k))
+    diff: dict = {}  # (i, j) -> B([e_i, e_j], .) - B(e_i, [e_j, .]), packed, times d_b d_f
+    for ij, v in pairs.items():
+        s = sum(c * packed_rows[m] for m, c in v.items())
+        if s:
+            diff[ij] = s
+    for (j, m), packed in ad.items():
+        for i in in_column[m]:
+            diff[i, j] = diff.get((i, j), 0) - rows[i][m] * packed
+    failed = [ij for ij, s in diff.items() if s]
+    if not failed:
+        return None
+    i, j = min(failed)
+    k = lowest_slot(diff[i, j], w)
+    lhs = sum(c * rows[m].get(k, 0) for m, c in pairs.get((i, j), EMPTY).items())
+    rhs = sum(c * rows[i].get(m, 0) for m, c in pairs.get((j, k), EMPTY).items())
+    return Violation("invariance", (i, j, k), Fraction(lhs - rhs, d_b * d_f))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from generators import (
     change_basis,
@@ -33,6 +34,9 @@ from superquad.algebra import (
     delta_coadjoint,
     is_derivation,
     is_metric_skew,
+    lowest_slot,
+    pack,
+    slot_width,
 )
 from superquad.catalog import default_heisenberg_params, heisenberg_extension
 from superquad.catalog import default_odd_dim1_params, heisenberg_context, odd_extension_context
@@ -477,6 +481,158 @@ def test_integer_kernels_on_integer_and_zero_brackets():
             jac, inv = assert_integer_kernels_match(g.metric, bad)
             found += jac + inv
     assert found >= 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_sums_inside_the_bound_are_exact(data):
+    """A sum of at most ``terms`` products c * pack(v), every factor at most
+    ``top`` in absolute value, packed with ``slot_width(terms, top**2)``: it
+    is the packed coordinate-wise sum, 0 only for the zero vector, and its
+    lowest set bit is in the slot of the first nonzero coordinate."""
+    top = data.draw(st.sampled_from([1, 2, 3, 7, 2 ** 64, 2 ** 200 + 1]))
+    n, terms = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    coeff = st.one_of(st.sampled_from([-top, top]), st.integers(-top, top))
+    products = data.draw(st.lists(st.tuples(coeff, st.dictionaries(st.integers(0, n - 1), coeff)),
+                                  max_size=terms))
+    w = slot_width(terms, top * top)
+    total, exact = 0, {}
+    for c, v in products:
+        total += c * pack(v, w)
+        for k, x in v.items():
+            exact[k] = exact.get(k, 0) + c * x
+    assert total == sum(x << (w * k) for k, x in exact.items())
+    nonzero = [k for k, x in exact.items() if x]
+    assert (total == 0) == (not nonzero)
+    if nonzero:
+        assert lowest_slot(total, w) == min(nonzero)
+
+
+def test_slot_width_is_the_narrowest_exact_width():
+    for terms, bound in ((1, 1), (3, 4), (30, 2 ** 400), (20, 3 ** 250)):
+        w = slot_width(terms, bound)
+        assert 2 ** (w - 1) <= terms * bound < 2 ** w
+        # one bit fewer, a slot holding 2**(w-1) carries into the next one
+        assert pack({0: 2 ** (w - 1), 1: -1}, w - 1) == 0
+
+
+def scaled_up(g, k_bracket, k_metric):
+    """The bracket and metric of g times k_bracket and k_metric. Jacobi is
+    quadratic and invariance bilinear in them, so both hold or fail as on g."""
+    bracket = SuperBracket.from_entries(g.space, [(i, j, k, k_bracket * c) for i, j, k, c in g.bracket.entries()])
+    form = GradedBilinearForm.from_entries(g.space, g.delta, [(i, j, k_metric * c) for i, j, c in g.metric.entries()])
+    return bracket, form
+
+
+def huge(rng, nonzero=True):
+    return Fraction(rng.choice((-1, 1)) * rng.randrange(2 ** 199, 2 ** 200), rng.choice(PRIMES))
+
+
+def test_packed_kernels_on_coefficients_near_2_to_the_200():
+    """Moved extensions scaled by about 2^200, valid and with huge plantings:
+    in the bracket, and in the metric at (p, 0), (p, n-1) or both with
+    opposite signs, so that a residual sits only in slot 0, only in the top
+    slot, or in both."""
+    rng = random.Random(48)
+    found = {"jacobi": 0, "invariance": 0}
+    for _, g in EXTENSIONS[1::2]:
+        bracket, form = scaled_up(moved_extension(rng, g), 2 ** 200 + 1, 3 ** 120)
+        assert max(abs(c) for v in bracket.scaled_pairs[1].values() for c in v.values()) > 2 ** 200
+        assert assert_integer_kernels_match(form, bracket) == (False, False)
+        bad = planted(rng, bracket, SuperBracket, draw=huge)
+        jac, inv = assert_integer_kernels_match(form, bad)
+        found["jacobi"] += jac
+        found["invariance"] += inv
+        n, p, b = g.dim, rng.randrange(g.dim), huge(rng)
+        for slots in ({0: b}, {n - 1: b}, {0: b, n - 1: -b}):
+            rows = [list(r) for r in form.matrix]
+            for q, x in slots.items():
+                rows[p][q] += x
+            bad_form = GradedBilinearForm(form.space, form.degree, rows)
+            v = check_invariance(bad_form, bracket)
+            assert same_witness(v, ref_invariance(bad_form, bracket))
+            found["invariance"] += v is not None
+    assert found["jacobi"] >= 5 and found["invariance"] >= 15
+
+
+def jacobi_plant(parities, a, vectors):
+    """A bracket whose only nonzero sorted cyclic sum is at (0, 1, 2): [e_1, e_2]
+    = sum of a[t] e_{3+t} and [e_0, e_{3+t}] = vectors[t], each supported on
+    0, 1 and dim-1 (the top slot), so the residual is
+    (-1)^{|e_0||e_2|} sum of a[t] vectors[t]."""
+    n = len(parities)
+    entries = [(1, 2, 3 + t, c) for t, c in enumerate(a)]
+    entries += [(0, 3 + t, k, c) for t, v in enumerate(vectors) for k, c in v.items()]
+    bracket = SuperBracket.from_entries(space_of(parities), entries)
+    sign = -1 if parities[0] * parities[2] else 1
+    residual = [ZERO] * n
+    for c, v in zip(a, vectors):
+        for k, x in v.items():
+            residual[k] += sign * c * x
+    return bracket, tuple(residual)
+
+
+def invariance_plant(parities, a, rows):
+    """A bracket and form with B(e_i, [e_j, e_k]) = 0 everywhere and
+    B([e_0, e_1], e_k) the only nonzero left side: [e_0, e_1] = sum of
+    a[t] e_{2+t} and B(e_{2+t}, .) = rows[t], supported on 0, 1 and dim-1."""
+    sp = space_of(parities)
+    bracket = SuperBracket.from_entries(sp, [(0, 1, 2 + t, c) for t, c in enumerate(a)])
+    form = GradedBilinearForm.from_entries(sp, 0, [(2 + t, k, c) for t, v in enumerate(rows) for k, c in v.items()])
+    return bracket, form
+
+
+def test_packed_kernels_on_residuals_at_the_slot_edges():
+    """Residuals placed in slot 0 only, in the top slot only, in both with
+    opposite signs, and r M^2 in one slot against -1 in the next, with M a
+    power of two: a slot narrower than the bound lets the r M^2 carry into
+    the next slot, where it cancels the -1 or moves the lowest set bit."""
+    rng = random.Random(49)
+    for e in list(range(9)) + [200]:
+        big = 2 ** e
+        for r in (1, 2, 4, 8):
+            n = r + 6
+            parities = [rng.randint(0, 1) for _ in range(n)]
+            cases = [[(big, {0: big})], [(big, {n - 1: -big})], [(big, {0: big, n - 1: -big})],
+                     [(big, {0: big})] * r + [(1, {1: -1})], [(big, {1: big})] * r]
+            for case in cases:
+                a, vectors = [c for c, _ in case], [v for _, v in case]
+                bracket, residual = jacobi_plant(parities, a, vectors)
+                assert residual == brute_jacobi_residual(bracket, 0, 1, 2)
+                assert same_witness(check_jacobi(bracket), ((0, 1, 2), residual))
+                bracket, form = invariance_plant(parities, a, vectors)
+                k = min(k for k in range(n) if sum(c * v.get(k, 0) for c, v in case))
+                v = check_invariance(form, bracket)
+                assert v is not None and v.indices == (0, 1, k)
+                assert v.residual == sum(c * w.get(k, 0) for c, w in case)
+    # the same shapes on a few small dims against the dense references
+    for r in (1, 2):
+        parities = [rng.randint(0, 1) for _ in range(r + 6)]
+        case = [(8, {0: 8})] * r + [(1, {1: -1})]
+        bracket, _ = jacobi_plant(parities, [c for c, _ in case], [v for _, v in case])
+        assert same_witness(check_jacobi(bracket), ref_jacobi(bracket))
+        bracket, form = invariance_plant(parities, [c for c, _ in case], [v for _, v in case])
+        assert same_witness(check_invariance(form, bracket), ref_invariance(form, bracket))
+
+
+def test_packed_kernels_on_dims_0_and_1_and_zero_tables():
+    empty = space_of([])
+    assert check_jacobi(SuperBracket.zero(empty)) is None
+    assert check_invariance(GradedBilinearForm.from_entries(empty, 0, ()), SuperBracket.zero(empty)) is None
+    for parity in (0, 1):
+        sp = space_of([parity])
+        for c in (Fraction(0), Fraction(-3, 7), Fraction(2 ** 200 + 1, 3)):
+            bracket = SuperBracket.from_entries(sp, [(0, 0, 0, c)])
+            # [e, [e, e]] three times over: the three shifts of (0, 0, 0) coincide
+            assert same_witness(check_jacobi(bracket), ref_jacobi(bracket))
+            for b in (Fraction(0), Fraction(5, 3)):
+                form = GradedBilinearForm.from_entries(sp, parity, [(0, 0, b)])
+                assert same_witness(check_invariance(form, bracket), ref_invariance(form, bracket))
+    for _, g in EXTENSIONS[:4]:
+        zero_form = GradedBilinearForm.from_entries(g.space, g.delta, ())
+        assert check_invariance(zero_form, g.bracket) is None
+        assert check_invariance(g.metric, SuperBracket.zero(g.space)) is None
+        assert check_jacobi(SuperBracket.zero(g.space)) is None
 
 
 def ref_bracket_in_basis(bracket, cols):
