@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
     Violation,
 )
-from .extension import DeltaContext, derive_chi, derive_phi, double_extend
+from .extension import DeltaContext, double_extend
 from .linalg import Matrix, Vector, ZERO
 from .spaces import (
     EMPTY,
@@ -526,12 +526,12 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
             raise ClaimViolated("isometry-metric", [Violation("isometry-metric", (p, q))])
 
     # the returned tau and gamma realise chi and Phi, through xi
-    chi = derive_chi(context)
+    chi = context.chi
     for i in range(na):
         for m, col in enumerate(maps.tau[i].sparse_columns):
             if xi_delta.apply_sparse(col) != chi.pairs.get((i, m), EMPTY):
                 raise ClaimViolated("tau-chi", [Violation("tau-chi", (i, m))])
-    phi = derive_phi(context)
+    phi = context.phi
     gamma_pairs = maps.gamma.pairs
     for m, l in sorted(gamma_pairs.keys() | phi.pairs.keys()):
         if xi_delta.apply_sparse(gamma_pairs.get((m, l), EMPTY)) != phi.pairs.get((m, l), EMPTY):

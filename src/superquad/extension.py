@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .algebra import (
@@ -93,9 +93,25 @@ class DeltaContext:
         if len(set(labels)) != len(labels):
             raise ValueError("a, h and dual-block labels must be pairwise distinct")
 
+    # The derived pieces below are cached in the instance's __dict__: they take
+    # no part in equality or hashing, which compare the fields, nor in pickling
+    # and copying (``__getstate__``), and are rebuilt on first use.
     @functools.cached_property
     def dual_block(self) -> SuperSpace:
         return p_delta_dual(self.a.space, self.delta)
+
+    @functools.cached_property
+    def chi(self) -> GradedBilinearMap:
+        """``derive_chi`` of this context, derived once."""
+        return derive_chi(self)
+
+    @functools.cached_property
+    def phi(self) -> GradedBilinearMap:
+        """``derive_phi`` of this context, derived once; raises as it does."""
+        return derive_phi(self)
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def trivial(cls, delta: int, a: LieSuperAlgebra, h: QuadraticLieSuperAlgebra) -> "DeltaContext":
@@ -190,7 +206,7 @@ def validate_context(ctx: DeltaContext) -> list[Violation]:
     if out:
         return out  # derived maps below assume well-formed pieces
 
-    chi = derive_chi(ctx)
+    chi = ctx.chi
     rep = delta_coadjoint(ctx.a, ctx.delta)
 
     # deh1: [rho(x),rho(y)] - rho([x,y]_a) = ad_h(lambda(x,y))
@@ -268,8 +284,7 @@ def check_lemma_identities(ctx: DeltaContext) -> list[Violation]:
 
 def _lemma_residuals(ctx: DeltaContext) -> list[Violation]:
     out: list[Violation] = []
-    chi = derive_chi(ctx)
-    phi = derive_phi(ctx)
+    chi, phi = ctx.chi, ctx.phi
     rep = delta_coadjoint(ctx.a, ctx.delta)
     a_sp, h_sp = ctx.a.space, ctx.h.space
     na, nh = a_sp.dim, h_sp.dim
@@ -365,10 +380,8 @@ def double_extend(ctx: DeltaContext) -> QuadraticLieSuperAlgebra:
     if violations:
         raise InvalidContext(violations)
 
-    chi = derive_chi(ctx)
-    phi = derive_phi(ctx)
-    ce = central_extension(ctx, phi)
-    theta = extension_derivations(ctx, chi, ce.space)
+    ce = central_extension(ctx, ctx.phi)
+    theta = extension_derivations(ctx, ctx.chi, ce.space)
 
     big_lambda = GradedBilinearMap.from_entries(
         ctx.a.space, ctx.a.space, ce.space, ctx.lam.entries() + ctx.omega.entries(dk=ctx.h.dim))

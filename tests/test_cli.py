@@ -364,6 +364,29 @@ def test_validate_context_calls_per_command(tmp_path, capsys, monkeypatch):
             assert len(calls) == expected, argv
 
 
+def test_roundtrip_derives_chi_and_phi_once_per_context(capsys, monkeypatch):
+    """A roundtrip builds two equal contexts (the input and the recovered
+    one); chi and Phi are derived once on each, whichever check reads them."""
+    import sys
+    import superquad.extension as extension
+    calls = {"derive_chi": 0, "derive_phi": 0}
+    for name in calls:
+        original = getattr(extension, name)
+        # every caller reaches it through the extension module, so the patch sees all calls
+        assert [module_name for module_name, module in sys.modules.items()
+                if module_name.startswith("superquad.") and module_name != "superquad.extension"
+                and getattr(module, name, None) is original] == []
+
+        def counting(ctx, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(ctx)
+
+        monkeypatch.setattr(extension, name, counting)
+    golden = Path(__file__).resolve().parent / "golden" / "coprime.context"
+    assert run(capsys, "roundtrip", str(golden))[0] == 0
+    assert calls == {"derive_chi": 2, "derive_phi": 2}
+
+
 def test_extend_scans_each_context_condition_once(tmp_path, capsys, monkeypatch):
     """The curvature check runs once per extend (deh1) and the derivation
     check once per rho map: the semi-direct product is certified by its own

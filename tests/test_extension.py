@@ -246,3 +246,20 @@ def test_lemma_residuals_reported_for_invalid_context():
     assert validate_context(ctx)  # fails deh1
     residuals = check_lemma_identities(ctx)
     assert any(v.equation == "lemma-1" for v in residuals)
+
+
+def test_cached_chi_and_phi_stay_out_of_equality_hashing_and_pickling():
+    import copy
+    import pickle
+
+    ctx = heisenberg_context(default_heisenberg_params())
+    fresh = heisenberg_context(default_heisenberg_params())
+    assert ctx.chi is ctx.chi and ctx.phi is ctx.phi and ctx.dual_block is ctx.dual_block
+    assert ctx.chi == derive_chi(fresh) and ctx.phi == derive_phi(fresh)
+    assert ctx == fresh and hash(ctx) == hash(fresh)
+    assert {"chi", "phi", "dual_block"} <= vars(ctx).keys() and not vars(fresh).keys() & {"chi", "phi"}
+    for again in (pickle.loads(pickle.dumps(ctx)), copy.deepcopy(ctx), copy.copy(ctx)):
+        assert again == ctx and hash(again) == hash(ctx)
+        assert not vars(again).keys() & {"chi", "phi", "dual_block"}
+        assert again.chi == ctx.chi and again.phi == ctx.phi
+    assert pickle.dumps(ctx) == pickle.dumps(fresh)
