@@ -11,7 +11,12 @@ Checks run on basis tuples only; bilinearity extends them to arbitrary
 vectors, so basis exhaustiveness is completeness. The scans walk the nonzero
 structure constants and skip only tuples on which every term of the identity
 vanishes, so the first witness is the one an exhaustive scan in the same
-order would find, and a residual is reported as a dense tuple.
+order would find, and a residual is reported as a dense tuple. The Jacobi
+and invariance scans add whole vectors at once: each integer vector is
+packed into one int (``pack``), with slots wide enough for the sums they
+hold, so a packed sum is zero exactly when every coordinate is. The least
+failing tuple is the witness, and only its residual is computed coordinate
+by coordinate.
 """
 
 from __future__ import annotations
@@ -86,23 +91,6 @@ def cyclic_residual(parities: Sequence[int], i: int, j: int, k: int, piece) -> d
     return drop_zeros(total)
 
 
-def cyclic_triples(outer, inner) -> list[tuple[int, int, int]]:
-    """Triples (i, j, k), in lexicographic order, with a shift (x, y, z) on
-    which outer(e_x, inner(e_y, e_z)) has a nonzero term: e_m occurs in
-    inner(e_y, e_z) and outer(e_x, e_m) is nonzero. ``outer`` and ``inner``
-    are the ``pairs`` of two bilinear maps. A cyclic sum whose pieces
-    factor as outer(x, inner(y, z)) vanishes on every other triple."""
-    left_of: dict = {}  # m -> the x with outer(e_x, e_m) nonzero
-    for x, m in outer:
-        left_of.setdefault(m, []).append(x)
-    out = set()
-    for (y, z), v in inner.items():
-        for m in v:
-            for x in left_of.get(m, ()):
-                out.update(((x, y, z), (z, x, y), (y, z, x)))
-    return sorted(out)
-
-
 def slot_width(terms: int, bound: int) -> int:
     """Bits per slot of a packed sum of at most ``terms`` products, each at
     most ``bound`` in absolute value: every slot then stays below 2**w in
@@ -136,11 +124,13 @@ def check_jacobi(bracket: SuperBracket) -> Violation | None:
     is d^2 times the rational one, with each [e_x, e_m] packed into one int
     (``pack``): every term c^m_yz [e_x, e_m] of the cyclic sum is added, with
     its sign, to the sorted triple of which (x, y, z) is a shift, in one pass
-    over the nonzeros. A slot of a sum holds at most 3n products of two
-    constants, each at most M^2 for M the largest constant of the view, so
-    slots of width ``slot_width(3n, M^2)`` keep every sum exact. The first
-    sorted triple with a nonzero sum is the witness; its residual is
-    recomputed by ``cyclic_residual`` and divided back.
+    over the nonzeros (once when i = j = k, whose three shifts coincide and
+    whose sum is then a third of the cyclic one). A slot of a sum holds at
+    most 3n products of two constants, each at most M^2 for M the largest
+    constant of the view, so slots of width ``slot_width(3n, M^2)`` keep
+    every sum exact. The first sorted triple with a nonzero sum is the
+    witness; its residual is recomputed by ``cyclic_residual`` and divided
+    back.
     """
     n = bracket.space.dim
     par = bracket.space.parities

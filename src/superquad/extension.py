@@ -35,7 +35,6 @@ from .algebra import (
     SuperBracket,
     curvature_failures,
     cyclic_residual,
-    cyclic_triples,
     delta_coadjoint,
     is_derivation,
     is_metric_skew,
@@ -325,7 +324,7 @@ def _lemma_residuals(ctx: DeltaContext) -> list[Violation]:
     def phi_piece(x, y, z):
         return phi.right_sparse(x, h_pairs.get((y, z), EMPTY))
 
-    for m, l, r in cyclic_triples(phi.pairs, h_pairs):
+    for m, l, r in itertools.product(range(nh), repeat=3):
         total = cyclic_residual(qh, m, l, r, phi_piece)
         if total:
             out.append(Violation("phi-cocycle", (m, l, r), dense_vec(total, na)))
