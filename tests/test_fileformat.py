@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -204,3 +205,220 @@ def test_json_rejects_out_of_range_indices():
     cobj["rho"] = [[5, 0, 0, "1"]]
     with pytest.raises(ParseError):
         parse_document(json.dumps(cobj))
+
+
+# ---------------------------------------------------------------------------
+# The exact text of every ParseError of the text and JSON readers
+
+ALGEBRA = """algebra t
+basis x 1
+basis d 0
+bracket 0 0 1 1
+metric-degree 1
+metric 0 1 1
+metric 1 0 1
+end algebra
+"""
+
+CONTEXT = """context c
+delta 1
+h-algebra
+algebra h
+basis e 0
+basis f 1
+metric-degree 1
+metric 0 1 1
+metric 1 0 1
+end algebra
+a-algebra
+algebra a
+basis x 0
+end algebra
+rho 0 0 0 1
+rho 0 1 1 -1
+lambda 0 0 1 1
+omega 0 0 0 1
+end context
+"""
+
+IDEAL = """ideal c
+vector 0 0 0 1
+end ideal
+"""
+
+TEXT_ERRORS = [
+    ("algebra-head", ALGEBRA.replace("algebra t", "algebra t u"), "line 1: expected 'algebra NAME'"),
+    ("basis-fields", ALGEBRA.replace("basis x 1", "basis x"), "line 2: expected 'basis LABEL PARITY'"),
+    ("bad-parity-int", ALGEBRA.replace("basis x 1", "basis x one"), "line 2, field parity: bad integer 'one'"),
+    ("bad-parity", ALGEBRA.replace("basis x 1", "basis x 2"), "line 2: parity must be 0 or 1, got 2"),
+    ("bracket-fields", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 0 1"),
+     "line 4: expected 'bracket I J K COEFF'"),
+    ("bracket-bad-i", ALGEBRA.replace("bracket 0 0 1 1", "bracket a 0 1 1"), "line 4, field i: bad integer 'a'"),
+    ("bracket-bad-j", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 1.0 1 1"),
+     "line 4, field j: bad integer '1.0'"),
+    ("bracket-bad-k", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 0 1/1 1"),
+     "line 4, field k: bad integer '1/1'"),
+    ("bracket-duplicate", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 0 1 1\nbracket 0 0 1 0"),
+     "line 5: duplicate bracket entry (0, 0, 1)"),
+    ("bracket-out-of-range", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 0 2 1"),
+     "line 8: bracket index out of range in 't'"),
+    ("bracket-negative-index", ALGEBRA.replace("bracket 0 0 1 1", "bracket -1 0 1 1"),
+     "line 8: bracket index out of range in 't'"),
+    ("bad-rational", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 0 1 1/x"), "line 4: bad rational '1/x'"),
+    ("zero-denominator", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 0 1 1/0"), "line 4: bad rational '1/0'"),
+    ("exponent", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 0 1 1e3"),
+     "line 4: bad rational '1e3': exponent notation is not accepted"),
+    ("metric-degree-twice", ALGEBRA.replace("metric 0 1 1", "metric-degree 1"),
+     "line 6: expected a single 'metric-degree D'"),
+    ("metric-degree-fields", ALGEBRA.replace("metric-degree 1", "metric-degree"),
+     "line 5: expected a single 'metric-degree D'"),
+    ("bad-degree-int", ALGEBRA.replace("metric-degree 1", "metric-degree odd"),
+     "line 5, field degree: bad integer 'odd'"),
+    ("bad-degree", ALGEBRA.replace("metric-degree 1", "metric-degree 2"), "line 5: metric degree must be 0 or 1"),
+    ("metric-before-degree", ALGEBRA.replace("metric-degree 1\n", ""),
+     "line 5: 'metric' entries must follow 'metric-degree'"),
+    ("metric-fields", ALGEBRA.replace("metric 0 1 1", "metric 0 1"), "line 6: expected 'metric I J COEFF'"),
+    ("metric-bad-i", ALGEBRA.replace("metric 0 1 1", "metric x 1 1"), "line 6, field i: bad integer 'x'"),
+    ("metric-bad-j", ALGEBRA.replace("metric 0 1 1", "metric 0 y 1"), "line 6, field j: bad integer 'y'"),
+    ("metric-duplicate", ALGEBRA.replace("metric 1 0 1", "metric 0 1 2"), "line 7: duplicate metric entry (0, 1)"),
+    ("metric-out-of-range", ALGEBRA.replace("metric 1 0 1", "metric 1 2 1"),
+     "line 8: metric index out of range in 't'"),
+    ("metric-bad-rational", ALGEBRA.replace("metric 1 0 1", "metric 1 0 --1"), "line 7: bad rational '--1'"),
+    ("unknown-algebra-line", ALGEBRA.replace("basis d 0", "bases d 0"), "line 3: unknown algebra line 'bases'"),
+    ("bad-end", ALGEBRA.replace("end algebra", "end"), "line 8: expected 'end algebra'"),
+    ("unexpected-end", ALGEBRA.replace("end algebra\n", ""), "line 7: unexpected end of input"),
+    ("algebra-trailing", ALGEBRA + "basis y 0\n", "line 9: trailing content after 'end algebra'"),
+    ("context-head", CONTEXT.replace("context c", "context"), "line 1: expected 'context NAME'"),
+    ("delta-line", CONTEXT.replace("delta 1", "delta"), "line 2: expected 'delta D'"),
+    ("bad-delta-int", CONTEXT.replace("delta 1", "delta x"), "line 2, field delta: bad integer 'x'"),
+    ("bad-delta", CONTEXT.replace("delta 1", "delta 2"), "line 2: delta must be 0 or 1"),
+    ("h-algebra-line", CONTEXT.replace("h-algebra", "h"), "line 3: expected 'h-algebra'"),
+    ("a-algebra-line", CONTEXT.replace("a-algebra", "a-algebra x"), "line 11: expected 'a-algebra'"),
+    ("unknown-context-line", CONTEXT.replace("lambda 0 0 1 1", "mu 0 0 1 1"), "line 17: unknown context line 'mu'"),
+    ("rho-fields", CONTEXT.replace("rho 0 0 0 1", "rho 0 0 1"), "line 15: expected 'rho I J K COEFF'"),
+    ("lambda-fields", CONTEXT.replace("lambda 0 0 1 1", "lambda 0 0 1 1 1"),
+     "line 17: expected 'lambda I J K COEFF'"),
+    ("rho-bad-i", CONTEXT.replace("rho 0 0 0 1", "rho i 0 0 1"), "line 15, field i: bad integer 'i'"),
+    ("rho-bad-j", CONTEXT.replace("rho 0 0 0 1", "rho 0 j 0 1"), "line 15, field j: bad integer 'j'"),
+    ("rho-bad-k", CONTEXT.replace("rho 0 0 0 1", "rho 0 0 k 1"), "line 15, field k: bad integer 'k'"),
+    ("omega-bad-k", CONTEXT.replace("omega 0 0 0 1", "omega 0 0 0.0 1"), "line 18, field k: bad integer '0.0'"),
+    ("rho-duplicate", CONTEXT.replace("rho 0 1 1 -1", "rho 0 0 0 -1"), "line 16: duplicate rho entry (0, 0, 0)"),
+    ("lambda-duplicate", CONTEXT.replace("lambda 0 0 1 1", "lambda 0 0 1 1\nlambda 0 0 1 0"),
+     "line 18: duplicate lambda entry (0, 0, 1)"),
+    ("omega-duplicate", CONTEXT.replace("omega 0 0 0 1", "omega 0 0 0 0\nomega 0 0 0 1"),
+     "line 19: duplicate omega entry (0, 0, 0)"),
+    ("rho-out-of-range", CONTEXT.replace("rho 0 1 1 -1", "rho 1 1 1 -1"), "line 19: rho index out of range"),
+    ("lambda-out-of-range", CONTEXT.replace("lambda 0 0 1 1", "lambda 0 0 2 1"),
+     "line 19: lambda index out of range"),
+    ("omega-out-of-range", CONTEXT.replace("omega 0 0 0 1", "omega 0 1 0 1"), "line 19: omega index out of range"),
+    ("context-bad-rational", CONTEXT.replace("omega 0 0 0 1", "omega 0 0 0 1/-2"), "line 18: bad rational '1/-2'"),
+    ("bad-end-context", CONTEXT.replace("end context", "end algebra"), "line 19: expected 'end context'"),
+    ("context-trailing", CONTEXT + "rho 0 0 0 1\n", "line 20: trailing content after 'end context'"),
+    ("ideal-head", IDEAL.replace("ideal c", "ideal"), "line 1: expected 'ideal NAME'"),
+    ("ideal-unknown-line", IDEAL.replace("vector", "vec"), "line 2: expected 'vector C0 C1 ...' or 'end ideal'"),
+    ("ideal-bad-rational", IDEAL.replace("vector 0 0 0 1", "vector 0 0 0 1.x"), "line 2: bad rational '1.x'"),
+    ("ideal-exponent", IDEAL.replace("vector 0 0 0 1", "vector 0 0 0 1E0"),
+     "line 2: bad rational '1E0': exponent notation is not accepted"),
+    ("ideal-lengths", IDEAL.replace("end ideal", "vector 1 0\nend ideal"),
+     "line 3: ideal vectors have inconsistent lengths"),
+    ("ideal-trailing", IDEAL + "end ideal\n", "line 4: trailing content after 'end ideal'"),
+    ("empty", "# only a comment\n\n", "input: empty document"),
+    ("unknown-head", "widget w\n", "line 1: unknown document head 'widget'"),
+]
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in TEXT_ERRORS], ids=[case[0] for case in TEXT_ERRORS])
+def test_text_reader_error_texts(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert str(exc.value) == message
+
+
+DELETE = object()
+
+# (id, base document, path to the changed value, new value, message); a path
+# of a list entry holds its index, DELETE removes the key
+JSON_ERRORS = [
+    ("bracket-too-few", ALGEBRA, ("bracket", 0), [0, 0, 1],
+     "input: malformed algebra object: not enough values to unpack (expected 4, got 3)"),
+    ("bracket-too-many", ALGEBRA, ("bracket", 0), [0, 0, 1, "1", 0],
+     "input: malformed algebra object: too many values to unpack (expected 4)"),
+    ("bracket-not-a-list", ALGEBRA, ("bracket",), 3, "input: malformed algebra object: 'int' object is not iterable"),
+    ("bracket-missing", ALGEBRA, ("bracket",), DELETE, "input: malformed algebra object: 'bracket'"),
+    ("basis-entry-too-few", ALGEBRA, ("basis", 0), ["x"],
+     "input: malformed algebra object: not enough values to unpack (expected 2, got 1)"),
+    ("metric-entries-missing", ALGEBRA, ("metric", "entries"), DELETE, "input: malformed algebra object: 'entries'"),
+    ("metric-too-few", ALGEBRA, ("metric", "entries", 1), [1, "1"],
+     "input: malformed algebra object: not enough values to unpack (expected 3, got 2)"),
+    ("bracket-bad-i", ALGEBRA, ("bracket", 0, 0), "0", 'input: index must be a JSON integer, got "0"'),
+    ("bracket-bad-j", ALGEBRA, ("bracket", 0, 1), 0.0, "input: index must be a JSON integer, got 0.0"),
+    ("bracket-bad-k", ALGEBRA, ("bracket", 0, 2), True, "input: index must be a JSON integer, got true"),
+    ("metric-bad-i", ALGEBRA, ("metric", "entries", 0, 0), None, "input: index must be a JSON integer, got null"),
+    ("metric-bad-j", ALGEBRA, ("metric", "entries", 0, 1), [1], "input: index must be a JSON integer, got [1]"),
+    ("bad-parity-int", ALGEBRA, ("basis", 0, 1), "1", 'input: parity must be a JSON integer, got "1"'),
+    ("bad-parity", ALGEBRA, ("basis", 0, 1), 2, "input: parity must be 0 or 1"),
+    ("bad-degree-int", ALGEBRA, ("metric", "degree"), 1.0, "input: metric degree must be a JSON integer, got 1.0"),
+    ("bad-degree", ALGEBRA, ("metric", "degree"), -1, "input: metric degree must be 0 or 1"),
+    ("bracket-duplicate", ALGEBRA, ("bracket",), [[0, 0, 1, "1"], [0, 0, 1, "0"]],
+     "input: duplicate bracket entry (0, 0, 1)"),
+    ("metric-duplicate", ALGEBRA, ("metric", "entries", 1), [0, 1, "1"], "input: duplicate metric entry (0, 1)"),
+    ("bracket-out-of-range", ALGEBRA, ("bracket", 0, 2), 2, "input, field bracket: bracket index 2 out of range"),
+    ("bracket-negative-index", ALGEBRA, ("bracket", 0, 0), -1,
+     "input, field bracket: bracket index -1 out of range"),
+    ("metric-out-of-range", ALGEBRA, ("metric", "entries", 1, 0), 5,
+     "input, field metric: metric index 5 out of range"),
+    ("bad-rational", ALGEBRA, ("bracket", 0, 3), "1/x", "input: bad rational '1/x'"),
+    ("zero-denominator", ALGEBRA, ("bracket", 0, 3), "1/0", "input: bad rational '1/0'"),
+    ("exponent", ALGEBRA, ("bracket", 0, 3), "1e3",
+     "input: bad rational '1e3': exponent notation is not accepted"),
+    ("float-coefficient", ALGEBRA, ("bracket", 0, 3), 0.5,
+     "input: coefficient must be a rational string or a JSON integer, got 0.5"),
+    ("bool-coefficient", ALGEBRA, ("metric", "entries", 0, 2), False,
+     "input: coefficient must be a rational string or a JSON integer, got false"),
+    ("bad-name", ALGEBRA, ("name",), "a b", 'input: name "a b" must be nonempty, without whitespace or \'#\''),
+    ("bad-label", ALGEBRA, ("basis", 1, 0), 7, "input: basis label must be a JSON string, got 7"),
+    ("context-missing", CONTEXT, ("omega",), DELETE, "input: malformed context object: 'omega'"),
+    ("context-rho-too-few", CONTEXT, ("rho", 0), [0, 0, "1"],
+     "input: malformed context object: not enough values to unpack (expected 4, got 3)"),
+    ("context-lambda-too-many", CONTEXT, ("lambda", 0), [0, 0, 1, "1", "1"],
+     "input: malformed context object: too many values to unpack (expected 4)"),
+    ("context-h-malformed", CONTEXT, ("h", "basis"), DELETE, "input: malformed algebra object: 'basis'"),
+    ("bad-delta-int", CONTEXT, ("delta",), "1", 'input: delta must be a JSON integer, got "1"'),
+    ("bad-delta", CONTEXT, ("delta",), 2, "input: delta must be 0 or 1"),
+    ("rho-bad-i", CONTEXT, ("rho", 0, 0), "0", 'input: index must be a JSON integer, got "0"'),
+    ("lambda-bad-j", CONTEXT, ("lambda", 0, 1), 0.5, "input: index must be a JSON integer, got 0.5"),
+    ("omega-bad-k", CONTEXT, ("omega", 0, 2), None, "input: index must be a JSON integer, got null"),
+    ("rho-duplicate", CONTEXT, ("rho", 1), [0, 0, 0, "-1"], "input: duplicate rho entry (0, 0, 0)"),
+    ("lambda-duplicate", CONTEXT, ("lambda",), [[0, 0, 1, "1"], [0, 0, 1, "1"]],
+     "input: duplicate lambda entry (0, 0, 1)"),
+    ("omega-duplicate", CONTEXT, ("omega",), [[0, 0, 0, "0"], [0, 0, 0, "1"]],
+     "input: duplicate omega entry (0, 0, 0)"),
+    ("rho-out-of-range", CONTEXT, ("rho", 1, 0), 1, "input, field rho: rho index 1 out of range"),
+    ("lambda-out-of-range", CONTEXT, ("lambda", 0, 2), 2, "input, field lambda: lambda index 2 out of range"),
+    ("omega-out-of-range", CONTEXT, ("omega", 0, 1), 1, "input, field omega: omega index 1 out of range"),
+    ("context-bad-rational", CONTEXT, ("omega", 0, 3), "1/-2", "input: bad rational '1/-2'"),
+    ("ideal-malformed", IDEAL, ("vectors",), 1, "input: malformed ideal object: 'int' object is not iterable"),
+    ("ideal-bad-rational", IDEAL, ("vectors", 0, 3), "1.x", "input: bad rational '1.x'"),
+    ("ideal-float", IDEAL, ("vectors", 0, 3), 1.5,
+     "input: coefficient must be a rational string or a JSON integer, got 1.5"),
+    ("ideal-lengths", IDEAL, ("vectors",), [["1"], ["1", "0"]], "input: ideal vectors have inconsistent lengths"),
+    ("unknown-kind", IDEAL, ("kind",), "widget", "input: unknown document kind 'widget'"),
+]
+
+
+@pytest.mark.parametrize("base, path, value, message", [case[1:] for case in JSON_ERRORS],
+                         ids=[case[0] for case in JSON_ERRORS])
+def test_json_reader_error_texts(base, path, value, message):
+    obj = json.loads(serialize_document(parse_document(base), "json"))
+    *parents, last = path
+    target = obj
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    with pytest.raises(ParseError) as exc:
+        parse_document(json.dumps(obj))
+    assert str(exc.value) == message
+
