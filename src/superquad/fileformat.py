@@ -16,6 +16,7 @@ one.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,15 +31,38 @@ def format_scalar(c: Fraction) -> str:
     return str(Fraction(c))
 
 
+# Fraction(str)'s grammar on Python 3.10, less exponents: the part that every
+# supported Python reads alike
+_RATIONAL = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?\s*")
+
+
 def parse_scalar(text: str, line: int = 0, field_name: str = "") -> Fraction:
-    """"p", "p/q" or a decimal. Exponent notation is refused: Fraction would
-    write out every digit of 1e100000000 and stall."""
+    """An exact rational: "p", "p/q" or a decimal such as "0.5", ".5" or "5.",
+    where p and q are digit strings, with an optional sign and optional
+    whitespace around the whole. The grammar is fixed here rather than taken
+    from ``Fraction(str)``, whose grammar grew in later Pythons, so it is the
+    same on every supported Python: underscores, whitespace around "/" and
+    exponents are refused everywhere. Exponent notation gets its own message;
+    Fraction would write out every digit of 1e100000000 and stall."""
+    m = _RATIONAL.fullmatch(text)
+    if m is not None:
+        sign, num, den, dec = m.groups()
+        try:
+            n = int(num) if num else 0
+            if den is not None:
+                d = int(den)
+            elif dec:
+                d = 10 ** len(dec)
+                n = n * d + int(dec)
+            else:
+                return Fraction(-n if sign == "-" else n)
+            if d:
+                return Fraction(-n if sign == "-" else n, d)
+        except ValueError:  # a digit string over int's digit limit
+            pass
     if "e" in text or "E" in text:
         raise ParseError(f"bad rational {text!r}: exponent notation is not accepted", line, field_name)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}", line, field_name) from exc
+    raise ParseError(f"bad rational {text!r}", line, field_name)
 
 
 @dataclass(frozen=True)
@@ -87,26 +111,29 @@ Document = AlgebraDocument | ContextDocument | IdealDocument
 
 
 class _Cursor:
-    def __init__(self, text: str):
-        self.rows: list[tuple[int, list[str]]] = []
-        for num, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                self.rows.append((num, line.split()))
-        self.pos = 0
+    """The non-blank lines of a text document, comments removed, as
+    (line number, fields); ``lines`` hands them out in order."""
 
-    def peek(self):
-        return self.rows[self.pos] if self.pos < len(self.rows) else (0, None)
+    def __init__(self, text: str):
+        lines = text.splitlines()
+        if "#" in text:
+            lines = [raw.split("#", 1)[0] for raw in lines]
+        self.rows = [(num, fields) for num, raw in enumerate(lines, start=1) if (fields := raw.split())]
+        self.lines = iter(self.rows)
+
+    def end_of_input(self) -> ParseError:
+        return ParseError("unexpected end of input", self.rows[-1][0] if self.rows else 0)
 
     def next(self):
-        if self.pos >= len(self.rows):
-            raise ParseError("unexpected end of input", self.rows[-1][0] if self.rows else 0)
-        row = self.rows[self.pos]
-        self.pos += 1
+        row = next(self.lines, None)
+        if row is None:
+            raise self.end_of_input()
         return row
 
-    def done(self) -> bool:
-        return self.pos >= len(self.rows)
+    def expect_done(self, block: str) -> None:
+        row = next(self.lines, None)
+        if row is not None:
+            raise ParseError(f"trailing content after 'end {block}'", row[0])
 
 
 def _int(tok: str, line: int, what: str) -> int:
@@ -116,79 +143,100 @@ def _int(tok: str, line: int, what: str) -> int:
         raise ParseError(f"bad integer {tok!r}", line, what) from exc
 
 
+def _indices(fields: list[str], line: int) -> tuple[int, ...]:
+    """The index fields of an entry line, all but the first and the last, as
+    ints; a bad one raises a ParseError that names it i, j or k. The entry
+    loops convert with plain int() and call this only to name the bad field."""
+    return tuple(_int(tok, line, what) for tok, what in zip(fields[1:-1], "ijk"))
+
+
+def _entries(table: dict) -> tuple:
+    """The nonzero (*indices, coefficient) of an index -> coefficient table, sorted."""
+    return tuple(sorted(key + (c,) for key, c in table.items() if c))
+
+
+def _out_of_range(entries, bounds: tuple[int, ...]):
+    """The first index, in entry order, outside 0 <= index < its bound; None if all are inside."""
+    if all(0 <= min(column) and max(column) < bound for column, bound in zip(zip(*entries), bounds)):
+        return None
+    for entry in entries:
+        for index, bound in zip(entry, bounds):
+            if not 0 <= index < bound:
+                return index
+
+
 def _parse_algebra_block(cur: _Cursor) -> AlgebraDocument:
     line, fields = cur.next()
     if fields[0] != "algebra" or len(fields) != 2:
         raise ParseError("expected 'algebra NAME'", line)
     name = fields[1]
     basis: list[tuple[str, int]] = []
-    bracket: list[tuple[int, int, int, Fraction]] = []
     metric_degree: int | None = None
-    metric: list[tuple[int, int, Fraction]] = []
-    seen_bracket: set[tuple[int, int, int]] = set()
-    seen_metric: set[tuple[int, int]] = set()
-    while True:
-        line, fields = cur.next()
+    # every entry read, zeros included, so that a repeated one is found
+    bracket: dict[tuple[int, ...], Fraction] = {}
+    metric: dict[tuple[int, ...], Fraction] = {}
+    for line, fields in cur.lines:
         key = fields[0]
-        if key == "end":
-            if fields != ["end", "algebra"]:
-                raise ParseError("expected 'end algebra'", line)
-            break
-        if key == "basis":
+        if key == "bracket":
+            if len(fields) != 5:
+                raise ParseError("expected 'bracket I J K COEFF'", line)
+            try:
+                trip = (int(fields[1]), int(fields[2]), int(fields[3]))
+            except ValueError:
+                trip = _indices(fields, line)
+            if trip in bracket:
+                raise ParseError(f"duplicate bracket entry {trip}", line)
+            bracket[trip] = parse_scalar(fields[4], line)
+        elif key == "metric":
+            if metric_degree is None:
+                raise ParseError("'metric' entries must follow 'metric-degree'", line)
+            if len(fields) != 4:
+                raise ParseError("expected 'metric I J COEFF'", line)
+            try:
+                pair = (int(fields[1]), int(fields[2]))
+            except ValueError:
+                pair = _indices(fields, line)
+            if pair in metric:
+                raise ParseError(f"duplicate metric entry {pair}", line)
+            metric[pair] = parse_scalar(fields[3], line)
+        elif key == "basis":
             if len(fields) != 3:
                 raise ParseError("expected 'basis LABEL PARITY'", line)
             p = _int(fields[2], line, "parity")
             if p not in (0, 1):
                 raise ParseError(f"parity must be 0 or 1, got {p}", line)
             basis.append((fields[1], p))
-        elif key == "bracket":
-            if len(fields) != 5:
-                raise ParseError("expected 'bracket I J K COEFF'", line)
-            i, j, k = (_int(t, line, w) for t, w in zip(fields[1:4], "ijk"))
-            trip = (i, j, k)
-            if trip in seen_bracket:
-                raise ParseError(f"duplicate bracket entry {trip}", line)
-            seen_bracket.add(trip)
-            c = parse_scalar(fields[4], line)
-            if c:
-                bracket.append((i, j, k, c))
         elif key == "metric-degree":
             if len(fields) != 2 or metric_degree is not None:
                 raise ParseError("expected a single 'metric-degree D'", line)
             metric_degree = _int(fields[1], line, "degree")
             if metric_degree not in (0, 1):
                 raise ParseError("metric degree must be 0 or 1", line)
-        elif key == "metric":
-            if metric_degree is None:
-                raise ParseError("'metric' entries must follow 'metric-degree'", line)
-            if len(fields) != 4:
-                raise ParseError("expected 'metric I J COEFF'", line)
-            i, j = _int(fields[1], line, "i"), _int(fields[2], line, "j")
-            if (i, j) in seen_metric:
-                raise ParseError(f"duplicate metric entry {(i, j)}", line)
-            seen_metric.add((i, j))
-            c = parse_scalar(fields[3], line)
-            if c:
-                metric.append((i, j, c))
+        elif key == "end":
+            if fields != ["end", "algebra"]:
+                raise ParseError("expected 'end algebra'", line)
+            break
         else:
             raise ParseError(f"unknown algebra line {key!r}", line)
+    else:
+        raise cur.end_of_input()
     dim = len(basis)
-    for i, j, k, _ in bracket:
-        if not all(0 <= t < dim for t in (i, j, k)):
-            raise ParseError(f"bracket index out of range in {name!r}", line)
-    for i, j, _ in metric:
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise ParseError(f"metric index out of range in {name!r}", line)
-    return AlgebraDocument(name, tuple(basis), tuple(sorted(bracket)),
-                           metric_degree, tuple(sorted(metric)))
+    bracket_entries, metric_entries = _entries(bracket), _entries(metric)
+    if _out_of_range(bracket_entries, (dim, dim, dim)) is not None:
+        raise ParseError(f"bracket index out of range in {name!r}", line)
+    if _out_of_range(metric_entries, (dim, dim)) is not None:
+        raise ParseError(f"metric index out of range in {name!r}", line)
+    return AlgebraDocument(name, tuple(basis), bracket_entries, metric_degree, metric_entries)
+
+
+def _parse_algebra(cur: _Cursor) -> AlgebraDocument:
+    doc = _parse_algebra_block(cur)
+    cur.expect_done("algebra")
+    return doc
 
 
 def parse_algebra_text(text: str) -> AlgebraDocument:
-    cur = _Cursor(text)
-    doc = _parse_algebra_block(cur)
-    if not cur.done():
-        raise ParseError("trailing content after 'end algebra'", cur.peek()[0])
-    return doc
+    return _parse_algebra(_Cursor(text))
 
 
 def serialize_algebra_lines(doc: AlgebraDocument) -> list[str]:
@@ -207,8 +255,7 @@ def serialize_algebra_text(doc: AlgebraDocument) -> str:
     return "\n".join(serialize_algebra_lines(doc)) + "\n"
 
 
-def parse_context_text(text: str) -> ContextDocument:
-    cur = _Cursor(text)
+def _parse_context(cur: _Cursor) -> ContextDocument:
     line, fields = cur.next()
     if fields[0] != "context" or len(fields) != 2:
         raise ParseError("expected 'context NAME'", line)
@@ -227,43 +274,39 @@ def parse_context_text(text: str) -> ContextDocument:
     if fields != ["a-algebra"]:
         raise ParseError("expected 'a-algebra'", line)
     a_doc = _parse_algebra_block(cur)
-    rho: list[tuple[int, int, int, Fraction]] = []
-    lam: list[tuple[int, int, int, Fraction]] = []
-    omega: list[tuple[int, int, int, Fraction]] = []
-    seen: dict[str, set] = {"rho": set(), "lambda": set(), "omega": set()}
-    while True:
-        line, fields = cur.next()
+    tables: dict[str, dict] = {"rho": {}, "lambda": {}, "omega": {}}
+    for line, fields in cur.lines:
         key = fields[0]
-        if key == "end":
+        table = tables.get(key)
+        if table is None:
+            if key != "end":
+                raise ParseError(f"unknown context line {key!r}", line)
             if fields != ["end", "context"]:
                 raise ParseError("expected 'end context'", line)
             break
-        if key not in ("rho", "lambda", "omega"):
-            raise ParseError(f"unknown context line {key!r}", line)
         if len(fields) != 5:
             raise ParseError(f"expected '{key} I J K COEFF'", line)
-        i, j, k = (_int(t, line, w) for t, w in zip(fields[1:4], "ijk"))
-        if (i, j, k) in seen[key]:
-            raise ParseError(f"duplicate {key} entry {(i, j, k)}", line)
-        seen[key].add((i, j, k))
-        c = parse_scalar(fields[4], line)
-        if not c:
-            continue
-        {"rho": rho, "lambda": lam, "omega": omega}[key].append((i, j, k, c))
-    if not cur.done():
-        raise ParseError("trailing content after 'end context'", cur.peek()[0])
+        try:
+            trip = (int(fields[1]), int(fields[2]), int(fields[3]))
+        except ValueError:
+            trip = _indices(fields, line)
+        if trip in table:
+            raise ParseError(f"duplicate {key} entry {trip}", line)
+        table[trip] = parse_scalar(fields[4], line)
+    else:
+        raise cur.end_of_input()
+    cur.expect_done("context")
+    rho, lam, omega = (_entries(tables[key]) for key in ("rho", "lambda", "omega"))
     na, nh = len(a_doc.basis), len(h_doc.basis)
-    for x, r, c, _ in rho:
-        if not (0 <= x < na and 0 <= r < nh and 0 <= c < nh):
-            raise ParseError("rho index out of range", line)
-    for i, j, k, _ in lam:
-        if not (0 <= i < na and 0 <= j < na and 0 <= k < nh):
-            raise ParseError("lambda index out of range", line)
-    for i, j, k, _ in omega:
-        if not (0 <= i < na and 0 <= j < na and 0 <= k < na):
-            raise ParseError("omega index out of range", line)
-    return ContextDocument(name, delta, h_doc, a_doc,
-                           tuple(sorted(rho)), tuple(sorted(lam)), tuple(sorted(omega)))
+    for what, entries, bounds in (("rho", rho, (na, nh, nh)), ("lambda", lam, (na, na, nh)),
+                                  ("omega", omega, (na, na, na))):
+        if _out_of_range(entries, bounds) is not None:
+            raise ParseError(f"{what} index out of range", line)
+    return ContextDocument(name, delta, h_doc, a_doc, rho, lam, omega)
+
+
+def parse_context_text(text: str) -> ContextDocument:
+    return _parse_context(_Cursor(text))
 
 
 def serialize_context_text(doc: ContextDocument) -> str:
@@ -279,29 +322,29 @@ def serialize_context_text(doc: ContextDocument) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_ideal_text(text: str) -> IdealDocument:
-    cur = _Cursor(text)
+def _parse_ideal(cur: _Cursor) -> IdealDocument:
     line, fields = cur.next()
     if fields[0] != "ideal" or len(fields) != 2:
         raise ParseError("expected 'ideal NAME'", line)
     name = fields[1]
     vectors: list[Vector] = []
-    width: int | None = None
-    while True:
-        line, fields = cur.next()
+    for line, fields in cur.lines:
         if fields == ["end", "ideal"]:
             break
         if fields[0] != "vector":
             raise ParseError("expected 'vector C0 C1 ...' or 'end ideal'", line)
-        v = tuple(parse_scalar(t, line) for t in fields[1:])
-        if width is None:
-            width = len(v)
-        elif len(v) != width:
+        v = tuple([parse_scalar(t, line) for t in fields[1:]])
+        if vectors and len(v) != len(vectors[0]):
             raise ParseError("ideal vectors have inconsistent lengths", line)
         vectors.append(v)
-    if not cur.done():
-        raise ParseError("trailing content after 'end ideal'", cur.peek()[0])
+    else:
+        raise cur.end_of_input()
+    cur.expect_done("ideal")
     return IdealDocument(name, tuple(vectors))
+
+
+def parse_ideal_text(text: str) -> IdealDocument:
+    return _parse_ideal(_Cursor(text))
 
 
 def serialize_ideal_text(doc: IdealDocument) -> str:
@@ -331,19 +374,6 @@ def _algebra_obj(doc: AlgebraDocument) -> dict:
     return obj
 
 
-def _dedup(entries, what: str):
-    out = []
-    seen = set()
-    for entry in entries:
-        key = entry[:-1]
-        if key in seen:
-            raise ParseError(f"duplicate {what} entry {key}")
-        seen.add(key)
-        if entry[-1]:
-            out.append(entry)
-    return tuple(sorted(out))
-
-
 def _json_int(x, what: str = "index") -> int:
     """A JSON integer; bools and floats are rejected."""
     if type(x) is not int:
@@ -371,27 +401,43 @@ def _json_scalar(c) -> Fraction:
     return Fraction(c)
 
 
-def _json_entry(*fields) -> tuple:
-    """JSON integer indices followed by a coefficient."""
-    return tuple(_json_int(i) for i in fields[:-1]) + (_json_scalar(fields[-1]),)
+def _json_entry(indices: tuple, c) -> tuple:
+    """(indices, coefficient) of one JSON entry: integer indices, then an
+    exact coefficient."""
+    for i in indices:
+        if type(i) is not int:
+            _json_int(i)
+    return indices, parse_scalar(c) if type(c) is str else _json_scalar(c)
+
+
+def _dedup(rows: list, what: str) -> tuple:
+    """The nonzero entries of (indices, coefficient) rows, sorted; the first
+    repeated index tuple is refused."""
+    table = dict(rows)
+    if len(table) < len(rows):
+        seen = set()
+        for key, _ in rows:
+            if key in seen:
+                raise ParseError(f"duplicate {what} entry {key}")
+            seen.add(key)
+    return _entries(table)
 
 
 def _check_ranges(entries, bounds, what: str):
-    for entry in entries:
-        for index, bound in zip(entry, bounds):
-            if not 0 <= index < bound:
-                raise ParseError(f"{what} index {index} out of range", field_name=what)
+    index = _out_of_range(entries, bounds)
+    if index is not None:
+        raise ParseError(f"{what} index {index} out of range", field_name=what)
 
 
 def _algebra_from_obj(obj: dict) -> AlgebraDocument:
     try:
         basis = tuple((_json_token(l, "basis label"), _json_int(p, "parity")) for l, p in obj["basis"])
-        bracket = _dedup([_json_entry(i, j, k, c) for i, j, k, c in obj["bracket"]], "bracket")
+        bracket = _dedup([_json_entry((i, j, k), c) for i, j, k, c in obj["bracket"]], "bracket")
         degree = None
         metric = ()
         if "metric" in obj:
             degree = _json_int(obj["metric"]["degree"], "metric degree")
-            metric = _dedup([_json_entry(i, j, c) for i, j, c in obj["metric"]["entries"]], "metric")
+            metric = _dedup([_json_entry((i, j), c) for i, j, c in obj["metric"]["entries"]], "metric")
         if degree is not None and degree not in (0, 1):
             raise ParseError("metric degree must be 0 or 1")
         for _, p in basis:
@@ -436,9 +482,9 @@ def document_from_obj(obj: dict) -> Document:
             doc = ContextDocument(
                 _json_token(obj["name"], "name"), _json_int(obj["delta"], "delta"),
                 _algebra_from_obj(obj["h"]), _algebra_from_obj(obj["a"]),
-                _dedup([_json_entry(x, r, c, v) for x, r, c, v in obj["rho"]], "rho"),
-                _dedup([_json_entry(i, j, k, v) for i, j, k, v in obj["lambda"]], "lambda"),
-                _dedup([_json_entry(i, j, k, v) for i, j, k, v in obj["omega"]], "omega"),
+                _dedup([_json_entry((x, r, c), v) for x, r, c, v in obj["rho"]], "rho"),
+                _dedup([_json_entry((i, j, k), v) for i, j, k, v in obj["lambda"]], "lambda"),
+                _dedup([_json_entry((i, j, k), v) for i, j, k, v in obj["omega"]], "omega"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed context object: {exc}") from exc
@@ -484,17 +530,13 @@ def parse_document(text: str) -> Document:
             raise ParseError("bad JSON: nested too deeply") from exc
         return document_from_obj(obj)
     cur = _Cursor(text)
-    line, fields = cur.peek()
-    if fields is None:
+    if not cur.rows:
         raise ParseError("empty document")
-    head = fields[0]
-    if head == "algebra":
-        return parse_algebra_text(text)
-    if head == "context":
-        return parse_context_text(text)
-    if head == "ideal":
-        return parse_ideal_text(text)
-    raise ParseError(f"unknown document head {head!r}", line)
+    line, fields = cur.rows[0]
+    parse = {"algebra": _parse_algebra, "context": _parse_context, "ideal": _parse_ideal}.get(fields[0])
+    if parse is None:
+        raise ParseError(f"unknown document head {fields[0]!r}", line)
+    return parse(cur)
 
 
 # ---------------------------------------------------------------------------

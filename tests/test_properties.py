@@ -9,9 +9,11 @@ import contextlib
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from superquad.cli import main
 from superquad.errors import ParseError
@@ -21,6 +23,7 @@ from superquad.fileformat import (
     IdealDocument,
     document_to_obj,
     parse_document,
+    parse_scalar,
     serialize_document,
 )
 
@@ -172,3 +175,54 @@ def test_cli_on_fuzzed_documents_exits_0_1_or_2(kind_and_text):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code in (0, 1, 2), argv
+
+
+def _reference_scalar(text):
+    """Fraction(text) on the grammar that every supported Python reads alike;
+    None where parse_scalar must raise. Python 3.11 added underscores and 3.12
+    whitespace around '/', so those are refused, and exponents always are."""
+    if any(ch in text for ch in "eE_") or " /" in text or "/ " in text:
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@BOUNDED
+@given(st.text(alphabet="0123456789+-/._eE ", max_size=10))
+@example("1_0/3")
+@example("1/ 2")
+@example("5.")
+@example("-.5")
+def test_parse_scalar_reads_one_grammar_on_every_python(text):
+    expected = _reference_scalar(text)
+    try:
+        value = parse_scalar(text)
+    except ParseError as exc:
+        assert expected is None, text
+        assert exc.message.startswith(f"bad rational {text!r}")
+        return
+    assert type(value) is Fraction and value == expected, text
+
+
+@pytest.mark.parametrize("text, value", [
+    (" 1/2 ", Fraction(1, 2)), ("+3", Fraction(3)), ("-0/7", Fraction(0)), ("-2.50", Fraction(-5, 2)),
+    ("1/0", None), ("1_000", None), ("1 / 2", None), ("9" * 5000, None), ("1/" + "9" * 5000, None),
+])
+def test_parse_scalar_pinned_cases(text, value):
+    if value is not None:
+        assert parse_scalar(text) == value
+        return
+    with pytest.raises(ParseError) as exc:
+        parse_scalar(text)
+    assert exc.value.message == f"bad rational {text!r}"
+
+
+def test_eta_with_underscores_is_a_parse_error(tmp_path):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["catalog", "odd-dim1", "--eta", "1_000", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert err.getvalue() == "error: input, field --eta: bad rational '1_000'\n"
+    assert not (tmp_path / "x").exists()
