@@ -7,6 +7,7 @@ single-entry corruptions they must report the same first witness and the same
 dense residual (or the same verdict, for the bool predicates).
 """
 
+import functools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -139,7 +140,10 @@ def ref_is_metric_skew(d, form):
     return True
 
 
-def sample_extensions():
+# The samples below are built on first use, not at import, so that a kernel
+# defect fails the tests that use them instead of the module's collection.
+@functools.cache
+def extensions() -> tuple:
     """Double extensions of seeded random contexts with dim a 2 to 4, delta 0 and 1."""
     out = []
     for delta in (0, 1):
@@ -148,10 +152,7 @@ def sample_extensions():
             ctx = random_context(rng, delta, max_a=4)
             if ctx.a.dim >= 2:
                 out.append((ctx, double_extend(ctx)))
-    return out
-
-
-EXTENSIONS = sample_extensions()
+    return tuple(out)
 
 
 def planted(rng, bmap, cls=GradedBilinearMap, draw=rand_scalar):
@@ -171,14 +172,14 @@ def same_witness(violation, reference):
 
 
 def test_sample_covers_both_parities_and_dims():
-    dims = {ctx.a.dim for ctx, _ in EXTENSIONS}
-    assert {ctx.delta for ctx, _ in EXTENSIONS} == {0, 1}
+    dims = {ctx.a.dim for ctx, _ in extensions()}
+    assert {ctx.delta for ctx, _ in extensions()} == {0, 1}
     assert min(dims) >= 2 and max(dims) >= 3
-    assert sum(1 for _, g in EXTENSIONS if len(set(g.space.parities)) == 2) >= 8
+    assert sum(1 for _, g in extensions() if len(set(g.space.parities)) == 2) >= 8
 
 
 def test_valid_algebras_pass_both():
-    for ctx, g in EXTENSIONS:
+    for ctx, g in extensions():
         assert check_invariance(g.metric, g.bracket) is None
         assert ref_invariance(g.metric, g.bracket) is None
         for bmap in (g.bracket, ctx.lam, ctx.omega, ctx.h.bracket, ctx.a.bracket):
@@ -194,7 +195,7 @@ def test_planted_bracket_entry_same_first_witness():
     rng = random.Random(31)
     found = {"even": 0, "skew": 0, "invariance": 0}
     for _ in range(4):
-        for _, g in EXTENSIONS:
+        for _, g in extensions():
             bad = planted(rng, g.bracket, SuperBracket)
             even, skew = bad.check_even("grading", "bracket"), bad.check_super_skew("super-skew")
             assert same_witness(even, ref_check_even(bad))
@@ -211,7 +212,7 @@ def test_planted_metric_entry_same_invariance_witness():
     rng = random.Random(32)
     found = 0
     for _ in range(4):
-        for _, g in EXTENSIONS:
+        for _, g in extensions():
             n = g.dim
             rows = [list(r) for r in g.metric.matrix]
             rows[rng.randrange(n)][rng.randrange(n)] += rand_scalar(rng, nonzero=True)
@@ -226,7 +227,7 @@ def test_planted_lambda_omega_entry_same_first_witness():
     rng = random.Random(33)
     found = 0
     for _ in range(4):
-        for ctx, _ in EXTENSIONS:
+        for ctx, _ in extensions():
             for bmap in (ctx.lam, ctx.omega):
                 if not bmap.target.dim:
                     continue
@@ -255,7 +256,7 @@ def test_planted_map_entry_same_verdict():
     rng = random.Random(34)
     failed = {"derivation": 0, "skew": 0}
     for _ in range(3):
-        for ctx, g in EXTENSIONS:
+        for ctx, g in extensions():
             cases = [(t, ctx.h) for t in ctx.rho if ctx.h.dim]
             for i in rng.sample(range(g.dim), 3):
                 ad = GradedLinearMap(g.space, g.space, g.space.parity(i), g.bracket.ad_matrix(i))
@@ -354,7 +355,7 @@ def test_extract_structure_maps_same_first_split_witness():
     rng = random.Random(36)
     found = 0
     for _ in range(2):
-        for _, g in EXTENSIONS:
+        for _, g in extensions():
             cols = random_parity_preserving_basis(rng, g.space)
             nd = rng.randint(1, g.dim // 2)
             a, h, ideal = cols[:nd], cols[nd:g.dim - nd], cols[g.dim - nd:]
@@ -390,7 +391,7 @@ def test_isometry_witness_on_a_planted_extension(monkeypatch):
 
     monkeypatch.setattr(dec, "double_extend", planted_extension)
     zero_in_g = 0
-    for ctx, g in EXTENSIONS:
+    for ctx, g in extensions():
         na = ctx.a.dim
         with pytest.raises(ClaimViolated) as exc:
             dec.decompose(g, [unit_vec(g.dim, g.dim - na + k) for k in range(na)])
@@ -446,7 +447,7 @@ def assert_integer_kernels_match(form, bracket):
 def test_integer_kernels_match_references_on_coprime_denominators():
     rng = random.Random(38)
     found = {"jacobi": 0, "invariance": 0}
-    for _, g in EXTENSIONS[::2]:
+    for _, g in extensions()[::2]:
         moved = moved_extension(rng, g)
         assert moved.bracket.scaled_pairs[0] > 10 ** 6 and moved.metric.scaled_rows[0] > 10 ** 3
         assert assert_integer_kernels_match(moved.metric, moved.bracket) == (False, False)
@@ -465,7 +466,7 @@ def test_integer_kernels_match_references_on_coprime_denominators():
 def test_integer_kernels_on_integer_and_zero_brackets():
     """d = 1 (every constant an integer, plantings too) and the zero bracket."""
     rng = random.Random(39)
-    integral = [g for _, g in EXTENSIONS] + [heisenberg_extension(default_heisenberg_params(3))]
+    integral = [g for _, g in extensions()] + [heisenberg_extension(default_heisenberg_params(3))]
     integral = [g for g in integral if g.bracket.scaled_pairs[0] == g.metric.scaled_rows[0] == 1]
     assert len(integral) >= 3
     space = space_of([0, 1, 1, 0])
@@ -535,7 +536,7 @@ def test_packed_kernels_on_coefficients_near_2_to_the_200():
     slot, or in both."""
     rng = random.Random(48)
     found = {"jacobi": 0, "invariance": 0}
-    for _, g in EXTENSIONS[1::2]:
+    for _, g in extensions()[1::2]:
         bracket, form = scaled_up(moved_extension(rng, g), 2 ** 200 + 1, 3 ** 120)
         assert max(abs(c) for v in bracket.scaled_pairs[1].values() for c in v.values()) > 2 ** 200
         assert assert_integer_kernels_match(form, bracket) == (False, False)
@@ -628,7 +629,7 @@ def test_packed_kernels_on_dims_0_and_1_and_zero_tables():
             for b in (Fraction(0), Fraction(5, 3)):
                 form = GradedBilinearForm.from_entries(sp, parity, [(0, 0, b)])
                 assert same_witness(check_invariance(form, bracket), ref_invariance(form, bracket))
-    for _, g in EXTENSIONS[:4]:
+    for _, g in extensions()[:4]:
         zero_form = GradedBilinearForm.from_entries(g.space, g.delta, ())
         assert check_invariance(zero_form, g.bracket) is None
         assert check_invariance(g.metric, SuperBracket.zero(g.space)) is None
@@ -661,7 +662,7 @@ def test_integer_change_of_basis_matches_the_dense_reference():
     different lcms, both above 10^3, and the bracket's own scale differs
     from both on the moved extensions."""
     rng = random.Random(44)
-    algebras = [moved_extension(rng, g) for _, g in EXTENSIONS[::2]]
+    algebras = [moved_extension(rng, g) for _, g in extensions()[::2]]
     algebras.append(heisenberg_extension(default_heisenberg_params(3)))
     for g in algebras:
         cols = scaled_basis(rng, g.space)
@@ -787,21 +788,19 @@ def moved_with_ideal(rng, ctx, g):
     return change_basis(g, cols), ideal
 
 
-def splits():
+@functools.cache
+def splits() -> tuple:
     """(g, decomposition) for every sample extension along its dual block, and
     for every other one moved to a random basis, along the moved block."""
     rng = random.Random(40)
     out = []
-    for ctx, g in EXTENSIONS:
+    for ctx, g in extensions():
         na = ctx.a.dim
         out.append((g, dec.decompose(g, [unit_vec(g.dim, g.dim - na + k) for k in range(na)])))
-    for ctx, g in EXTENSIONS[::2]:
+    for ctx, g in extensions()[::2]:
         moved, ideal = moved_with_ideal(rng, ctx, g)
         out.append((moved, dec.decompose(moved, ideal)))
-    return out
-
-
-SPLITS = splits()
+    return tuple(out)
 
 
 def random_vector(rng, space, parity=None):
@@ -810,7 +809,7 @@ def random_vector(rng, space, parity=None):
 
 def test_apply_sparse_and_form_value_match_dense_products():
     rng = random.Random(41)
-    for g, res in SPLITS:
+    for g, res in splits():
         maps = [res.isometry, res.xi_delta, *res.maps.rho, *res.maps.tau, *res.maps.sigma,
                 *res.context.rho, *delta_coadjoint(g.algebra, g.delta).action]
         for t in maps:
@@ -827,7 +826,7 @@ def test_apply_sparse_and_form_value_match_dense_products():
 def test_orthogonal_complement_and_dual_vectors_match_dense_references():
     rng = random.Random(42)
     cases = []
-    for g, res in SPLITS:
+    for g, res in splits():
         cases.append((g.metric, list(res.ideal_basis), list(res.h_basis)))
     for delta in (0, 1):
         for _ in range(15):
@@ -847,7 +846,7 @@ def test_orthogonal_complement_and_dual_vectors_match_dense_references():
 def test_dual_vectors_report_a_missing_dual_like_the_reference():
     """An ideal vector among the avoid vectors leaves its dual unsolvable."""
     found = 0
-    for g, res in SPLITS:
+    for g, res in splits():
         ideal = list(res.ideal_basis)
         avoid = list(res.h_basis) + ideal[-1:]
         ref = ref_dual_vectors(g.metric, ideal, avoid)
@@ -860,7 +859,7 @@ def test_dual_vectors_report_a_missing_dual_like_the_reference():
 
 
 def test_delta_coadjoint_matches_the_dense_formula():
-    for g, res in SPLITS:
+    for g, res in splits():
         for alg in (g.algebra, res.context.a):
             for delta in (0, 1):
                 rep = delta_coadjoint(alg, delta)
@@ -868,7 +867,7 @@ def test_delta_coadjoint_matches_the_dense_formula():
 
 
 def test_extension_metric_and_derivations_match_dense_blocks():
-    for g, res in SPLITS:
+    for g, res in splits():
         ctx = res.context
         assert res.extension.metric.matrix == ref_extension_metric(ctx)
         chi = derive_chi(ctx)
@@ -879,7 +878,7 @@ def test_extension_metric_and_derivations_match_dense_blocks():
 
 def test_extracted_rho_tau_sigma_match_a_dense_change_of_basis():
     nonzero = 0
-    for g, res in SPLITS:
+    for g, res in splits():
         rho, tau, sigma = ref_extracted_maps(g, res.ideal_basis, res.a_basis, res.h_basis)
         assert [t.matrix for t in res.maps.rho] == rho
         assert [t.matrix for t in res.maps.tau] == tau
@@ -1112,12 +1111,15 @@ def plantings(rng, ctx, draw):
     return out
 
 
-MOVED_CONTEXTS = [moved_context(random.Random(45 + n), ctx) for n, (ctx, _) in enumerate(EXTENSIONS)]
+@functools.cache
+def moved_contexts() -> tuple:
+    """Each sample extension's context, moved by moved_context."""
+    return tuple(moved_context(random.Random(45 + n), ctx) for n, (ctx, _) in enumerate(extensions()))
 
 
 def test_moved_contexts_are_valid_with_large_scales():
     big = {key: 0 for key in ("a", "h", "b", "lam", "omega", "rho")}
-    for ctx in MOVED_CONTEXTS:
+    for ctx in moved_contexts():
         assert validate_context(ctx) == []
         for key, d in context_scales(ctx).items():
             big[key] += d > 10 ** 3
@@ -1127,7 +1129,7 @@ def test_moved_contexts_are_valid_with_large_scales():
 def test_context_layer_matches_references_on_moved_contexts():
     rng = random.Random(46)
     seen: dict = {}
-    for ctx in MOVED_CONTEXTS:
+    for ctx in moved_contexts():
         assert assert_context_layer_matches(ctx) == set()
         for _ in range(2):
             for bad in plantings(rng, ctx, coprime):
@@ -1154,11 +1156,11 @@ def test_context_layer_matches_references_on_integer_and_zero_contexts():
     """d = 1 in every view, plantings integral too, and contexts whose maps
     are all zero."""
     rng = random.Random(47)
-    integral = [ctx for ctx, _ in EXTENSIONS] + [heisenberg_context(default_heisenberg_params(2)),
+    integral = [ctx for ctx, _ in extensions()] + [heisenberg_context(default_heisenberg_params(2)),
                                                  odd_extension_context(default_odd_dim1_params())]
     integral = [ctx for ctx in integral if set(context_scales(ctx).values()) == {1}]
     assert len(integral) >= 3
-    zero = [DeltaContext.trivial(ctx.delta, ctx.a, ctx.h) for ctx, _ in EXTENSIONS[::4]]
+    zero = [DeltaContext.trivial(ctx.delta, ctx.a, ctx.h) for ctx, _ in extensions()[::4]]
     seen: dict = {}
     for ctx, is_integral in [(ctx, True) for ctx in integral] + [(ctx, False) for ctx in zero]:
         assert assert_context_layer_matches(ctx) == set()
