@@ -406,7 +406,7 @@ def _json_entry(indices: tuple, c) -> tuple:
     exact coefficient."""
     for i in indices:
         if type(i) is not int:
-            _json_int(i)
+            _json_int(i)  # raises, naming the value
     return indices, parse_scalar(c) if type(c) is str else _json_scalar(c)
 
 
