@@ -8,7 +8,6 @@ from .algebra import (
     QuadraticLieSuperAlgebra,
     Representation,
     SuperBracket,
-    b_flat,
     check_invariance,
     check_jacobi,
     coadjoint,
@@ -44,7 +43,6 @@ from .errors import (
     DegeneratePairing,
     InvalidContext,
     InvalidParams,
-    LemmaViolation,
     NotAnIdealSplit,
     NotHomogeneous,
     ParseError,
@@ -54,7 +52,6 @@ from .errors import (
 )
 from .extension import (
     DeltaContext,
-    check_lemma_identities,
     contexts_equal,
     derive_chi,
     derive_phi,

@@ -25,9 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg
 from .errors import ValidationError, Violation
-from .linalg import Matrix
 from .spaces import (
     EMPTY,
     GradedBilinearForm,
@@ -72,10 +70,6 @@ class SuperBracket(GradedBilinearMap):
         [e_i, e_j] has coefficient c on e_k. Both (i,j) and (j,i) rows are
         expected in the input; nothing is symmetrised."""
         return cls._build(space, space, space, entries)
-
-    def ad_matrix(self, i: int) -> Matrix:
-        """Matrix of ad(e_i): column j is [e_i, e_j]."""
-        return linalg.transpose(tuple(self.value(i, j) for j in range(self.space.dim)))
 
 
 def cyclic_residual(parities: Sequence[int], i: int, j: int, k: int, piece) -> dict:
@@ -349,12 +343,6 @@ def is_metric_skew(d: GradedLinearMap, form: GradedBilinearForm) -> bool:
     return True
 
 
-def b_flat(form: GradedBilinearForm) -> GradedLinearMap:
-    """Musical map g -> g*, x -> B(x, .); degree |B|, bijective iff B non-degenerate."""
-    return GradedLinearMap.from_entries(form.space, dual_space(form.space), form.degree,
-                                        ((k, j, c) for j, k, c in form.entries()))
-
-
 @dataclass(frozen=True)
 class Representation:
     """Action of an algebra on a module space; action[i] realises basis vector i."""
@@ -371,29 +359,6 @@ class Representation:
                 raise ValueError(f"action of basis vector {i} has wrong degree")
             if m.source.basis != self.module_space.basis or m.target.basis != self.module_space.basis:
                 raise ValueError("action maps must be endomorphisms of the module space")
-
-    def act_vector(self, w: Sequence) -> Matrix:
-        n = self.module_space.dim
-        out = linalg.zero_mat(n, n)
-        for i, c in enumerate(w):
-            if c:
-                out = linalg.mat_add(out, linalg.mat_scale(c, self.action[i].matrix))
-        return out
-
-    def check_bracket_law(self) -> Violation | None:
-        """action([x,y]) = action(x)action(y) - (-1)^{|x||y|}action(y)action(x)."""
-        par = self.algebra.space.parities
-        for i in range(self.algebra.dim):
-            for j in range(self.algebra.dim):
-                lhs = self.act_vector(self.algebra.bracket.value(i, j))
-                ab = linalg.mat_mul(self.action[i].matrix, self.action[j].matrix)
-                ba = linalg.mat_mul(self.action[j].matrix, self.action[i].matrix)
-                sign = -1 if par[i] * par[j] else 1
-                rhs = linalg.mat_sub(ab, linalg.mat_scale(sign, ba))
-                if lhs != rhs:
-                    return Violation("representation", (i, j),
-                                     linalg.mat_sub(lhs, rhs))
-        return None
 
 
 def coadjoint(g: LieSuperAlgebra) -> Representation:

@@ -68,10 +68,6 @@ class InvalidContext(ValidationError):
     """A double-extension context failed its axioms."""
 
 
-class LemmaViolation(ValidationError):
-    """A derived identity failed on a validated context (internal bug)."""
-
-
 class NotAnIdealSplit(ValidationError):
     """A bracket component landed outside its asserted block."""
 

@@ -2,9 +2,11 @@
 
 A delta-context carries (h, [.,.]_h, B_h, rho, lambda, omega) over an
 auxiliary algebra a. ``validate_context`` machine-checks the defining axioms
-exhaustively on basis tuples, ``check_lemma_identities`` verifies the derived
-identities that the axioms are known to imply, and ``double_extend`` builds
-the quadratic Lie superalgebra of degree delta on a + h + P_delta(a)*.
+exhaustively on basis tuples, and ``double_extend`` builds the quadratic Lie
+superalgebra of degree delta on a + h + P_delta(a)*. The derived identities
+for chi and Phi that the axioms imply are consequences, not conditions, so
+the library does not check them; the test suite does, on every valid context
+it generates.
 
 The construction goes through the proof path: a central extension of h by
 the dual block via the cocycle Phi, then the generalized semi-direct product
@@ -17,9 +19,8 @@ axioms are checked once, by ``validate_context``, before any layer is built.
 The axioms and the derivation of chi and Phi run on the integer views of the
 maps (``scaled_pairs``, ``scaled_rows``, ``scaled_columns``): each identity is
 multiplied by one positive constant, so it holds exactly when the rational
-one does, and a residual or a derived coefficient is divided back once. Only
-``check_lemma_identities``, a diagnostic that no command runs, still sums
-``Fraction``s.
+one does, and a residual or a derived coefficient is divided back once; no
+check or derivation here sums ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .algebra import (
     is_metric_skew,
     semidirect_product,
 )
-from .errors import InvalidContext, LemmaViolation, Violation
+from .errors import InvalidContext, Violation
 from .spaces import (
     EMPTY,
     GradedBilinearForm,
@@ -50,7 +51,6 @@ from .spaces import (
     add_scaled,
     common_scale,
     dense_vec,
-    drop_zeros,
     p_delta_dual,
     super_skew_violation,
 )
@@ -263,71 +263,6 @@ def validate_context(ctx: DeltaContext) -> list[Violation]:
                 rhs = sign * omega_pairs.get((j, k), EMPTY).get(i, 0)
                 if lhs != rhs:
                     out.append(Violation("super-cyclic", (i, j, k), Fraction(lhs - rhs, d_o)))
-
-    return out
-
-
-def check_lemma_identities(ctx: DeltaContext) -> list[Violation]:
-    """Derived identities for chi and Phi; empty for every valid context.
-
-    On a context that fails its own axioms the residuals are returned as
-    diagnostics. If the axioms hold and a residual is still nonzero, that is
-    an internal inconsistency and LemmaViolation is raised: the identities
-    are consequences, never independent conditions.
-    """
-    out = _lemma_residuals(ctx)
-    if out and not validate_context(ctx):
-        raise LemmaViolation(out)
-    return out
-
-
-def _lemma_residuals(ctx: DeltaContext) -> list[Violation]:
-    out: list[Violation] = []
-    chi, phi = ctx.chi, ctx.phi
-    rep = delta_coadjoint(ctx.a, ctx.delta)
-    a_sp, h_sp = ctx.a.space, ctx.h.space
-    na, nh = a_sp.dim, h_sp.dim
-    pa, qh = a_sp.parities, h_sp.parities
-    a_pairs, h_pairs = ctx.a.bracket.pairs, ctx.h.bracket.pairs
-
-    # Phi(rho(x)u, v) + (-1)^{|x||u|} Phi(u, rho(x)v) - ad*_d(x)(Phi(u,v)) - chi(x,[u,v]_h) = 0
-    for i in range(na):
-        cols = ctx.rho[i].sparse_columns
-        for m in range(nh):
-            sign = -1 if pa[i] * qh[m] else 1
-            for l in range(nh):
-                total = phi.left_sparse(cols[m], l)
-                add_scaled(total, sign, phi.right_sparse(m, cols[l]))
-                add_scaled(total, -1, rep.action[i].apply_sparse(phi.pairs.get((m, l), EMPTY)))
-                add_scaled(total, -1, chi.right_sparse(i, h_pairs.get((m, l), EMPTY)))
-                total = drop_zeros(total)
-                if total:
-                    out.append(Violation("lemma-1", (i, m, l), dense_vec(total, na)))
-
-    # chi([x,y]_a,u) - chi(x,rho(y)u) + (-1)^{|x||y|} chi(y,rho(x)u)
-    #   - ad*_d(x)(chi(y,u)) + (-1)^{|x||y|} ad*_d(y)(chi(x,u)) + Phi(lambda(x,y),u) = 0
-    for i in range(na):
-        for j in range(na):
-            sign = -1 if pa[i] * pa[j] else 1
-            for m in range(nh):
-                total = chi.left_sparse(a_pairs.get((i, j), EMPTY), m)
-                add_scaled(total, -1, chi.right_sparse(i, ctx.rho[j].sparse_columns[m]))
-                add_scaled(total, sign, chi.right_sparse(j, ctx.rho[i].sparse_columns[m]))
-                add_scaled(total, -1, rep.action[i].apply_sparse(chi.pairs.get((j, m), EMPTY)))
-                add_scaled(total, sign, rep.action[j].apply_sparse(chi.pairs.get((i, m), EMPTY)))
-                add_scaled(total, 1, phi.left_sparse(ctx.lam.pairs.get((i, j), EMPTY), m))
-                total = drop_zeros(total)
-                if total:
-                    out.append(Violation("lemma-2", (i, j, m), dense_vec(total, na)))
-
-    # cyclic sum of (-1)^{|u||w|} Phi(u,[v,w]_h) = 0
-    def phi_piece(x, y, z):
-        return phi.right_sparse(x, h_pairs.get((y, z), EMPTY))
-
-    for m, l, r in itertools.product(range(nh), repeat=3):
-        total = cyclic_residual(qh, m, l, r, phi_piece)
-        if total:
-            out.append(Violation("phi-cocycle", (m, l, r), dense_vec(total, na)))
 
     return out
 

@@ -155,12 +155,13 @@ def _entries(table: dict) -> tuple:
     return tuple(sorted(key + (c,) for key, c in table.items() if c))
 
 
-def _out_of_range(entries, bounds: tuple[int, ...]):
-    """The first index, in entry order, outside 0 <= index < its bound; None if all are inside."""
-    if all(0 <= min(column) and max(column) < bound for column, bound in zip(zip(*entries), bounds)):
+def _out_of_range(keys, bounds: tuple[int, ...]):
+    """The first index, in the sorted order of the index tuples ``keys``,
+    outside 0 <= index < its bound; None if all are inside."""
+    if all(0 <= min(column) and max(column) < bound for column, bound in zip(zip(*keys), bounds)):
         return None
-    for entry in entries:
-        for index, bound in zip(entry, bounds):
+    for key in sorted(keys):
+        for index, bound in zip(key, bounds):
             if not 0 <= index < bound:
                 return index
 
@@ -221,22 +222,18 @@ def _parse_algebra_block(cur: _Cursor) -> AlgebraDocument:
     else:
         raise cur.end_of_input()
     dim = len(basis)
-    bracket_entries, metric_entries = _entries(bracket), _entries(metric)
-    if _out_of_range(bracket_entries, (dim, dim, dim)) is not None:
+    # every index read is checked, a zero coefficient's too, before the zeros are dropped
+    if _out_of_range(bracket, (dim, dim, dim)) is not None:
         raise ParseError(f"bracket index out of range in {name!r}", line)
-    if _out_of_range(metric_entries, (dim, dim)) is not None:
+    if _out_of_range(metric, (dim, dim)) is not None:
         raise ParseError(f"metric index out of range in {name!r}", line)
-    return AlgebraDocument(name, tuple(basis), bracket_entries, metric_degree, metric_entries)
+    return AlgebraDocument(name, tuple(basis), _entries(bracket), metric_degree, _entries(metric))
 
 
 def _parse_algebra(cur: _Cursor) -> AlgebraDocument:
     doc = _parse_algebra_block(cur)
     cur.expect_done("algebra")
     return doc
-
-
-def parse_algebra_text(text: str) -> AlgebraDocument:
-    return _parse_algebra(_Cursor(text))
 
 
 def serialize_algebra_lines(doc: AlgebraDocument) -> list[str]:
@@ -296,17 +293,12 @@ def _parse_context(cur: _Cursor) -> ContextDocument:
     else:
         raise cur.end_of_input()
     cur.expect_done("context")
-    rho, lam, omega = (_entries(tables[key]) for key in ("rho", "lambda", "omega"))
     na, nh = len(a_doc.basis), len(h_doc.basis)
-    for what, entries, bounds in (("rho", rho, (na, nh, nh)), ("lambda", lam, (na, na, nh)),
-                                  ("omega", omega, (na, na, na))):
-        if _out_of_range(entries, bounds) is not None:
+    for what, bounds in (("rho", (na, nh, nh)), ("lambda", (na, na, nh)), ("omega", (na, na, na))):
+        if _out_of_range(tables[what], bounds) is not None:
             raise ParseError(f"{what} index out of range", line)
+    rho, lam, omega = (_entries(tables[key]) for key in ("rho", "lambda", "omega"))
     return ContextDocument(name, delta, h_doc, a_doc, rho, lam, omega)
-
-
-def parse_context_text(text: str) -> ContextDocument:
-    return _parse_context(_Cursor(text))
 
 
 def serialize_context_text(doc: ContextDocument) -> str:
@@ -341,10 +333,6 @@ def _parse_ideal(cur: _Cursor) -> IdealDocument:
         raise cur.end_of_input()
     cur.expect_done("ideal")
     return IdealDocument(name, tuple(vectors))
-
-
-def parse_ideal_text(text: str) -> IdealDocument:
-    return _parse_ideal(_Cursor(text))
 
 
 def serialize_ideal_text(doc: IdealDocument) -> str:
@@ -410,9 +398,9 @@ def _json_entry(indices: tuple, c) -> tuple:
     return indices, parse_scalar(c) if type(c) is str else _json_scalar(c)
 
 
-def _dedup(rows: list, what: str) -> tuple:
-    """The nonzero entries of (indices, coefficient) rows, sorted; the first
-    repeated index tuple is refused."""
+def _dedup(rows: list, what: str) -> dict:
+    """The table {indices: coefficient} of (indices, coefficient) rows, zeros
+    included; the first repeated index tuple is refused."""
     table = dict(rows)
     if len(table) < len(rows):
         seen = set()
@@ -420,13 +408,16 @@ def _dedup(rows: list, what: str) -> tuple:
             if key in seen:
                 raise ParseError(f"duplicate {what} entry {key}")
             seen.add(key)
-    return _entries(table)
+    return table
 
 
-def _check_ranges(entries, bounds, what: str):
-    index = _out_of_range(entries, bounds)
+def _in_range(table: dict, bounds, what: str) -> tuple:
+    """The nonzero entries of a ``_dedup`` table, sorted, once every index
+    read, a zero coefficient's too, is inside its bound."""
+    index = _out_of_range(table, bounds)
     if index is not None:
         raise ParseError(f"{what} index {index} out of range", field_name=what)
+    return _entries(table)
 
 
 def _algebra_from_obj(obj: dict) -> AlgebraDocument:
@@ -434,7 +425,7 @@ def _algebra_from_obj(obj: dict) -> AlgebraDocument:
         basis = tuple((_json_token(l, "basis label"), _json_int(p, "parity")) for l, p in obj["basis"])
         bracket = _dedup([_json_entry((i, j, k), c) for i, j, k, c in obj["bracket"]], "bracket")
         degree = None
-        metric = ()
+        metric = {}
         if "metric" in obj:
             degree = _json_int(obj["metric"]["degree"], "metric degree")
             metric = _dedup([_json_entry((i, j), c) for i, j, c in obj["metric"]["entries"]], "metric")
@@ -444,8 +435,8 @@ def _algebra_from_obj(obj: dict) -> AlgebraDocument:
             if p not in (0, 1):
                 raise ParseError("parity must be 0 or 1")
         dim = len(basis)
-        _check_ranges(bracket, (dim, dim, dim), "bracket")
-        _check_ranges(metric, (dim, dim), "metric")
+        bracket = _in_range(bracket, (dim, dim, dim), "bracket")
+        metric = _in_range(metric, (dim, dim), "metric")
         return AlgebraDocument(_json_token(obj["name"], "name"), basis, bracket, degree, metric)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed algebra object: {exc}") from exc
@@ -479,22 +470,18 @@ def document_from_obj(obj: dict) -> Document:
         return _algebra_from_obj(obj)
     if kind == "context":
         try:
-            doc = ContextDocument(
-                _json_token(obj["name"], "name"), _json_int(obj["delta"], "delta"),
-                _algebra_from_obj(obj["h"]), _algebra_from_obj(obj["a"]),
-                _dedup([_json_entry((x, r, c), v) for x, r, c, v in obj["rho"]], "rho"),
-                _dedup([_json_entry((i, j, k), v) for i, j, k, v in obj["lambda"]], "lambda"),
-                _dedup([_json_entry((i, j, k), v) for i, j, k, v in obj["omega"]], "omega"),
-            )
+            name, delta = _json_token(obj["name"], "name"), _json_int(obj["delta"], "delta")
+            h_doc, a_doc = _algebra_from_obj(obj["h"]), _algebra_from_obj(obj["a"])
+            rho, lam, omega = (_dedup([_json_entry((i, j, k), c) for i, j, k, c in obj[key]], key)
+                               for key in ("rho", "lambda", "omega"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed context object: {exc}") from exc
-        if doc.delta not in (0, 1):
+        if delta not in (0, 1):
             raise ParseError("delta must be 0 or 1")
-        na, nh = len(doc.a_doc.basis), len(doc.h_doc.basis)
-        _check_ranges(doc.rho, (na, nh, nh), "rho")
-        _check_ranges(doc.lam, (na, na, nh), "lambda")
-        _check_ranges(doc.omega, (na, na, na), "omega")
-        return doc
+        na, nh = len(a_doc.basis), len(h_doc.basis)
+        return ContextDocument(name, delta, h_doc, a_doc, _in_range(rho, (na, nh, nh), "rho"),
+                               _in_range(lam, (na, na, nh), "lambda"),
+                               _in_range(omega, (na, na, na), "omega"))
     if kind == "ideal":
         try:
             doc = IdealDocument(_json_token(obj["name"], "name"),

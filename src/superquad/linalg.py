@@ -64,10 +64,6 @@ def vec_add(u: Sequence, v: Sequence) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: Sequence, v: Sequence) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c, v: Sequence) -> Vector:
     c = scalar(c)
     return tuple(c * a for a in v)
@@ -110,10 +106,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(vec_add(r, s) for r, s in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_sub(r, s) for r, s in zip(a, b))
 
 
 def mat_scale(c, a: Matrix) -> Matrix:

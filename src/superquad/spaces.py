@@ -3,9 +3,8 @@ of parity.
 
 A super-space is an ordered homogeneous basis: a tuple of (label, parity)
 pairs with parity in {0, 1}. Basis order is data (extension outputs keep the
-a / h / dual block order); ``SuperSpace.normalized`` produces the canonical
-even-first ordering when one is wanted. Zero-dimensional spaces are legal
-everywhere. All values are immutable and all operations are pure.
+a / h / dual block order) and is never rearranged. Zero-dimensional spaces
+are legal everywhere. All values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -219,10 +218,6 @@ class SuperSpace:
     def label(self, i: int) -> str:
         return self.basis[i][0]
 
-    def normalized(self) -> "SuperSpace":
-        """Canonical order: even basis vectors first, stable within blocks."""
-        return SuperSpace(tuple(sorted(self.basis, key=lambda lp: lp[1])))
-
     def vector_parity(self, v: Sequence) -> int | None:
         """Parity of a homogeneous coordinate vector; None if mixed or zero."""
         seen = {self.parity(i) for i, c in enumerate(v) if c != 0}
@@ -293,10 +288,6 @@ class GradedLinearMap(_Sparse):
     def zero(cls, source: SuperSpace, target: SuperSpace, degree: int) -> "GradedLinearMap":
         return cls._build(source, target, degree, ())
 
-    @classmethod
-    def identity(cls, space: SuperSpace) -> "GradedLinearMap":
-        return cls._build(space, space, EVEN, ((i, i, 1) for i in range(space.dim)))
-
     def entries(self, dr: int = 0, dc: int = 0) -> list:
         """Nonzero entries as (r, c, x) in row-major order, the indices shifted
         by (dr, dc) for embedding into a larger map."""
@@ -315,9 +306,6 @@ class GradedLinearMap(_Sparse):
         """(d, columns): ``sparse_columns`` times d as ints; see ``scaled_to_ints``."""
         return self._view("_scaled_columns", lambda: scaled_to_ints(self.sparse_columns))
 
-    def column(self, j: int) -> Vector:
-        return dense_vec(self.sparse_columns[j], self.target.dim)
-
     def apply_sparse(self, v) -> dict:
         out: dict = {}
         cols = self.sparse_columns
@@ -325,29 +313,11 @@ class GradedLinearMap(_Sparse):
             add_scaled(out, c, cols[j])
         return drop_zeros(out)
 
-    def compose(self, other: "GradedLinearMap") -> "GradedLinearMap":
-        """self after other."""
-        if other.target.basis != self.source.basis:
-            raise ValueError("composition spaces do not match")
-        return GradedLinearMap.from_entries(
-            other.source, self.target, (self.degree + other.degree) % 2,
-            ((r, c, x) for c, col in enumerate(other.sparse_columns)
-             for r, x in self.apply_sparse(col).items()))
-
-    def scale(self, c) -> "GradedLinearMap":
-        c = linalg.scalar(c)
-        return GradedLinearMap.from_entries(self.source, self.target, self.degree,
-                                            ((r, k, c * x) for r, k, x in self.entries()))
-
     def is_zero(self) -> bool:
         return not any(self.sparse_columns)
 
     def rank(self) -> int:
         return linalg.rank(self.sparse_columns, self.target.dim)
-
-    def is_bijective(self) -> bool:
-        return self.source.dim == self.target.dim and self.rank() == self.source.dim
-
 
 def parity_shift_map(t: GradedLinearMap) -> GradedLinearMap:
     """P(T): source parities flipped, same entries, degree raised; P(T)(P(v)) = T(v)."""
@@ -521,16 +491,6 @@ class GradedBilinearMap(_Sparse):
 
     def value(self, i: int, j: int) -> Vector:
         return dense_vec(self.pairs.get((i, j), EMPTY), self.target.dim)
-
-    def left_sparse(self, u, j: int) -> dict:
-        """Value on (u, e_j) for a sparse vector u of the left space."""
-        out: dict = {}
-        get = self.pairs.get
-        for i, c in u.items():
-            w = get((i, j))
-            if w:
-                add_scaled(out, c, w)
-        return drop_zeros(out)
 
     def right_sparse(self, i: int, v) -> dict:
         """Value on (e_i, v) for a sparse vector v of the right space."""

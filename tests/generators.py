@@ -10,6 +10,7 @@ downstream tests exercise the theorems, never the generator's intent.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,16 +19,23 @@ from superquad.algebra import (
     LieSuperAlgebra,
     QuadraticLieSuperAlgebra,
     SuperBracket,
+    coadjoint,
+    cyclic_residual,
     delta_coadjoint,
 )
+from superquad.errors import Violation
 from superquad.extension import DeltaContext, derive_chi, validate_context
 from superquad.linalg import ZERO, ONE
 from superquad.spaces import (
+    EMPTY,
     GradedBilinearForm,
     GradedBilinearMap,
     GradedLinearMap,
     SuperSpace,
+    add_scaled,
     dense_vec,
+    drop_zeros,
+    dual_space,
     p_delta_dual,
     sparse_vec,
 )
@@ -431,16 +439,16 @@ def solve_lambda(rng, a: LieSuperAlgebra, h: QuadraticLieSuperAlgebra,
         rows.append(row)
         rhs.append(-const)
 
-    ad_cols = [h.bracket.ad_matrix(r) for r in range(nh)]
+    ad_cols = [ad_map(h.bracket, r).matrix for r in range(nh)]
     for i in range(na):
         for j in range(na):
             sign = -1 if pa[i] * pa[j] else 1
-            k_mat = linalg.mat_sub(
+            k_mat = mat_sub(
                 linalg.mat_mul(rho[i].matrix, rho[j].matrix),
                 linalg.mat_scale(sign, linalg.mat_mul(rho[j].matrix, rho[i].matrix)))
             for m, c in enumerate(a.bracket.table[i][j]):
                 if c:
-                    k_mat = linalg.mat_sub(k_mat, linalg.mat_scale(c, rho[m].matrix))
+                    k_mat = mat_sub(k_mat, linalg.mat_scale(c, rho[m].matrix))
             lam_ij = pv.coeff_rows(i, j)
             for u in range(nh):
                 for v in range(nh):
@@ -691,7 +699,7 @@ def random_odd_dim1_params(rng):
         even_cols = [r for r in range(n) if h.space.parity(r) == 0]
         rows, rhs = [], []
         dd2 = linalg.mat_scale(2, linalg.mat_mul(d.matrix, d.matrix))
-        ad_cols = [h.bracket.ad_matrix(r) for r in even_cols]
+        ad_cols = [ad_map(h.bracket, r).matrix for r in even_cols]
         for u in range(n):
             for v in range(n):
                 rows.append([ad_cols[t][u][v] for t in range(len(even_cols))])
@@ -713,3 +721,114 @@ def random_odd_dim1_params(rng):
             continue
         return params
     raise RuntimeError("odd-dim1 parameter sampling failed")
+
+
+# ---------------------------------------------------------------------------
+# Oracles for maps and identities that no command needs
+
+
+def ad_map(bracket: SuperBracket, i: int) -> GradedLinearMap:
+    """ad(e_i): column j is [e_i, e_j]."""
+    sp = bracket.space
+    return GradedLinearMap.from_entries(sp, sp, sp.parity(i), (
+        (k, j, c) for (x, j), v in bracket.pairs.items() if x == i for k, c in v.items()))
+
+
+def identity_map(space: SuperSpace) -> GradedLinearMap:
+    return GradedLinearMap(space, space, 0, linalg.identity_mat(space.dim))
+
+
+def column(t: GradedLinearMap, j: int) -> tuple:
+    """The image of e_j under t, dense."""
+    return tuple(row[j] for row in t.matrix)
+
+
+def mat_sub(a, b):
+    return linalg.mat_add(a, linalg.mat_scale(-1, b))
+
+
+def b_flat(form: GradedBilinearForm) -> GradedLinearMap:
+    """Musical map g -> g*, x -> B(x, .); degree |B|, bijective iff B non-degenerate."""
+    return GradedLinearMap(form.space, dual_space(form.space), form.degree, linalg.transpose(form.matrix))
+
+
+def bracket_law_violation(rep) -> tuple | None:
+    """First (i, j) with action(e_i) action(e_j) - (-1)^{|e_i||e_j|}
+    action(e_j) action(e_i) - action([e_i, e_j]) != 0, or None."""
+    g, mats, par = rep.algebra, [t.matrix for t in rep.action], rep.algebra.space.parities
+    for i in range(g.dim):
+        for j in range(g.dim):
+            ba = linalg.mat_scale(-1 if par[i] * par[j] else 1, linalg.mat_mul(mats[j], mats[i]))
+            res = mat_sub(linalg.mat_mul(mats[i], mats[j]), ba)
+            for k, c in g.bracket.pairs.get((i, j), EMPTY).items():
+                res = mat_sub(res, linalg.mat_scale(c, mats[k]))
+            if any(map(any, res)):
+                return i, j
+    return None
+
+
+def intertwining_violation(g: LieSuperAlgebra, delta: int) -> int | None:
+    """First i with ad*_d(e_i) P != (-1)^{d|e_i|} P ad*(e_i), for P the
+    degree-delta identity g* -> P_delta(g)*, or None."""
+    rep, repd = coadjoint(g), delta_coadjoint(g, delta)
+    shift = GradedLinearMap(rep.module_space, repd.module_space, delta, linalg.identity_mat(g.dim)).matrix
+    for i in range(g.dim):
+        sign = -1 if (delta * g.space.parity(i)) % 2 else 1
+        lhs = linalg.mat_mul(repd.action[i].matrix, shift)
+        if lhs != linalg.mat_scale(sign, linalg.mat_mul(shift, rep.action[i].matrix)):
+            return i
+    return None
+
+
+def lemma_residuals(ctx: DeltaContext) -> list[Violation]:
+    """Residuals, summed in Fractions on the sparse maps, of the identities for
+    chi and Phi that the context axioms imply; empty on every valid context."""
+    out: list[Violation] = []
+    chi, phi, lam, rho = ctx.chi, ctx.phi, ctx.lam, ctx.rho
+    rep = delta_coadjoint(ctx.a, ctx.delta)
+    na, nh = ctx.a.dim, ctx.h.dim
+    pa, qh = ctx.a.space.parities, ctx.h.space.parities
+    a_pairs, h_pairs = ctx.a.bracket.pairs, ctx.h.bracket.pairs
+
+    def left(bmap, u, j):  # bmap(u, e_j) for a sparse u
+        total: dict = {}
+        for i, c in u.items():
+            add_scaled(total, c, bmap.pairs.get((i, j), EMPTY))
+        return total
+
+    # Phi(rho(x)u, v) + (-1)^{|x||u|} Phi(u, rho(x)v) - ad*_d(x)(Phi(u,v)) - chi(x,[u,v]_h) = 0
+    for i in range(na):
+        cols = rho[i].sparse_columns
+        for m in range(nh):
+            sign = -1 if pa[i] * qh[m] else 1
+            for l in range(nh):
+                total = left(phi, cols[m], l)
+                add_scaled(total, sign, phi.right_sparse(m, cols[l]))
+                add_scaled(total, -1, rep.action[i].apply_sparse(phi.pairs.get((m, l), EMPTY)))
+                add_scaled(total, -1, chi.right_sparse(i, h_pairs.get((m, l), EMPTY)))
+                if total := drop_zeros(total):
+                    out.append(Violation("lemma-1", (i, m, l), dense_vec(total, na)))
+
+    # chi([x,y]_a,u) - chi(x,rho(y)u) + (-1)^{|x||y|} chi(y,rho(x)u)
+    #   - ad*_d(x)(chi(y,u)) + (-1)^{|x||y|} ad*_d(y)(chi(x,u)) + Phi(lambda(x,y),u) = 0
+    for i in range(na):
+        for j in range(na):
+            sign = -1 if pa[i] * pa[j] else 1
+            for m in range(nh):
+                total = left(chi, a_pairs.get((i, j), EMPTY), m)
+                add_scaled(total, -1, chi.right_sparse(i, rho[j].sparse_columns[m]))
+                add_scaled(total, sign, chi.right_sparse(j, rho[i].sparse_columns[m]))
+                add_scaled(total, -1, rep.action[i].apply_sparse(chi.pairs.get((j, m), EMPTY)))
+                add_scaled(total, sign, rep.action[j].apply_sparse(chi.pairs.get((i, m), EMPTY)))
+                add_scaled(total, 1, left(phi, lam.pairs.get((i, j), EMPTY), m))
+                if total := drop_zeros(total):
+                    out.append(Violation("lemma-2", (i, j, m), dense_vec(total, na)))
+
+    # cyclic sum of (-1)^{|u||w|} Phi(u,[v,w]_h) = 0
+    def phi_piece(x, y, z):
+        return phi.right_sparse(x, h_pairs.get((y, z), EMPTY))
+
+    for m, l, r in itertools.product(range(nh), repeat=3):
+        if total := cyclic_residual(qh, m, l, r, phi_piece):
+            out.append(Violation("phi-cocycle", (m, l, r), dense_vec(total, na)))
+    return out

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from generators import build_bracket, random_heisenberg_params, random_odd_dim1_params
+from generators import ad_map, build_bracket, identity_map, random_heisenberg_params, random_odd_dim1_params
 from superquad import linalg
 from superquad.algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, check_jacobi
 from superquad.catalog import (
@@ -110,9 +110,9 @@ def test_odd_dim1_deh1_with_nonzero_d_squared():
     empty = SuperSpace(())
     h0 = QuadraticLieSuperAlgebra(LieSuperAlgebra.abelian(empty), GradedBilinearForm.from_entries(empty, 1, ()))
     h = double_extend(DeltaContext.trivial(1, s, h0))
-    d = GradedLinearMap(h.space, h.space, 1, h.bracket.ad_matrix(2))
+    d = ad_map(h.bracket, 2)
     w = h.bracket.value(2, 2)
-    assert not d.compose(d).is_zero()
+    assert linalg.mat_mul(d.matrix, d.matrix) != linalg.zero_mat(h.dim, h.dim)
     p = OddExtensionParams(h, d, w, F(3))
     g1 = odd_extension_dim1(p)
     g2 = double_extend(odd_extension_context(p))
@@ -145,7 +145,7 @@ def test_heisenberg_invalid_params():
     # identity map is not a derivation of a non-abelian h
     h4 = heisenberg_extension(default_heisenberg_params())
     with pytest.raises(InvalidParams) as exc:
-        heisenberg_extension(HeisenbergExtensionParams(h4, GradedLinearMap.identity(h4.space)))
+        heisenberg_extension(HeisenbergExtensionParams(h4, identity_map(h4.space)))
     assert exc.value.condition == "d-derivation"
     # even metric h is rejected outright
     s = _sl2_killing()
@@ -192,7 +192,7 @@ def test_psi_preconditions_rejected():
 
 def test_psi_skipped_for_nonabelian_h():
     h4 = heisenberg_extension(default_heisenberg_params())
-    d = GradedLinearMap(h4.space, h4.space, 0, h4.bracket.ad_matrix(0))
+    d = ad_map(h4.bracket, 0)
     p = HeisenbergExtensionParams(h4, d)
     assert not psi_preconditions_hold(p)
 
@@ -200,7 +200,7 @@ def test_psi_skipped_for_nonabelian_h():
 def test_nested_extension_labels_stay_unique():
     # use a previous extension (labels x, e, f, P(x)*) as the next h
     h4 = heisenberg_extension(default_heisenberg_params())
-    d = GradedLinearMap(h4.space, h4.space, 0, h4.bracket.ad_matrix(0))
+    d = ad_map(h4.bracket, 0)
     g = heisenberg_extension(HeisenbergExtensionParams(h4, d))
     assert g.dim == 6
     assert g.space.labels[0] == "x1" and g.space.labels[-1] == "P(x1)*"

@@ -176,6 +176,15 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_zero_coefficient_out_of_range_exit_2(tmp_path, capsys):
+    """An entry is range-checked before its zero coefficient is dropped."""
+    f = tmp_path / "bad.context"
+    f.write_text((SAMPLES / "heisenberg.context").read_text().replace("end context", "rho 3 3 3 0\nend context"))
+    code, _, err = run(capsys, "extend", "--context", str(f), "--out", str(tmp_path / "out.algebra"))
+    assert code == 2 and err.startswith("error: line ") and err.endswith(": rho index out of range\n")
+    assert not (tmp_path / "out.algebra").exists()
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "verify", "/no/such/file")
     assert code == 2

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from generators import lemma_residuals
 from superquad import linalg
 from superquad.algebra import (
     LieSuperAlgebra,
@@ -21,7 +22,6 @@ from superquad.errors import InvalidContext
 from superquad.extension import (
     DeltaContext,
     central_extension,
-    check_lemma_identities,
     derive_chi,
     derive_phi,
     double_extend,
@@ -60,7 +60,7 @@ def test_trivial_context_validates():
     h = QuadraticLieSuperAlgebra(LieSuperAlgebra.abelian(hsp), GradedBilinearForm(hsp, 1, ()))
     ctx = DeltaContext.trivial(1, a, h)
     assert validate_context(ctx) == []
-    assert check_lemma_identities(ctx) == []
+    assert lemma_residuals(ctx) == []
 
 
 def test_derive_chi_zero_when_lambda_zero():
@@ -123,13 +123,13 @@ def test_validate_flags_exactly_deh1_when_w_not_matching():
 def test_validate_heisenberg_context_ok():
     ctx = heisenberg_context(default_heisenberg_params())
     assert validate_context(ctx) == []
-    assert check_lemma_identities(ctx) == []
+    assert lemma_residuals(ctx) == []
 
 
 def test_lemma_identities_on_odd_dim1_context():
     ctx = odd_dim1_ctx(beta=F(2), w_coeff=F(3), eta=F(1, 2))
     assert validate_context(ctx) == []
-    assert check_lemma_identities(ctx) == []
+    assert lemma_residuals(ctx) == []
 
 
 def test_double_extend_trivial_context():
@@ -244,7 +244,7 @@ def test_lemma_residuals_reported_for_invalid_context():
     omega = GradedBilinearMap.zero(a.space, a.space, dual)
     ctx = DeltaContext(1, a, h4, rho, lam, omega)
     assert validate_context(ctx)  # fails deh1
-    residuals = check_lemma_identities(ctx)
+    residuals = lemma_residuals(ctx)
     assert any(v.equation == "lemma-1" for v in residuals)
 
 

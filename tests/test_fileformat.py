@@ -21,9 +21,7 @@ from superquad.fileformat import (
     context_to_document,
     document_to_algebra,
     document_to_context,
-    parse_algebra_text,
     parse_document,
-    parse_ideal_text,
     serialize_document,
 )
 
@@ -71,7 +69,7 @@ metric 0 1 1
 metric 1 0 3/3
 end algebra
 """
-    doc = parse_algebra_text(text)
+    doc = parse_document(text)
     assert doc.bracket == ((0, 0, 1, F(1, 2)),)
     out = serialize_document(doc, "text")
     assert "1/2" in out and "2/4" not in out and "3/3" not in out
@@ -86,7 +84,7 @@ bracket 0 0 0 2
 end algebra
 """
     with pytest.raises(ParseError) as exc:
-        parse_algebra_text(text)
+        parse_document(text)
     assert exc.value.line == 4
 
 
@@ -97,7 +95,7 @@ basis b 0
 bracket 0 1 1 1
 end algebra
 """
-    doc = parse_algebra_text(text)
+    doc = parse_document(text)
     with pytest.raises(ValidationError) as exc:
         document_to_algebra(doc)
     assert any(v.equation == "super-skew" for v in exc.value.violations)
@@ -110,7 +108,7 @@ bracket 0 1 0 1
 end algebra
 """
     with pytest.raises(ParseError):
-        parse_algebra_text(text)
+        parse_document(text)
 
 
 def test_context_roundtrip_and_reconstruction():
@@ -167,7 +165,7 @@ vector 1 0 0
 end ideal
 """
     with pytest.raises(ParseError):
-        parse_ideal_text(text)
+        parse_document(text)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -182,7 +180,7 @@ metric 0 1 1
 metric 1 0 1
 end algebra
 """
-    doc = parse_algebra_text(text)
+    doc = parse_document(text)
     assert doc.basis == (("x", 1), ("d", 0))
     g = document_to_algebra(doc)
     assert g.dim == 2
@@ -264,6 +262,8 @@ TEXT_ERRORS = [
      "line 8: bracket index out of range in 't'"),
     ("bracket-negative-index", ALGEBRA.replace("bracket 0 0 1 1", "bracket -1 0 1 1"),
      "line 8: bracket index out of range in 't'"),
+    ("bracket-zero-out-of-range", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 0 1 1\nbracket 5 5 5 0"),
+     "line 9: bracket index out of range in 't'"),
     ("bad-rational", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 0 1 1/x"), "line 4: bad rational '1/x'"),
     ("zero-denominator", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 0 1 1/0"), "line 4: bad rational '1/0'"),
     ("exponent", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 0 1 1e3"),
@@ -283,6 +283,8 @@ TEXT_ERRORS = [
     ("metric-duplicate", ALGEBRA.replace("metric 1 0 1", "metric 0 1 2"), "line 7: duplicate metric entry (0, 1)"),
     ("metric-out-of-range", ALGEBRA.replace("metric 1 0 1", "metric 1 2 1"),
      "line 8: metric index out of range in 't'"),
+    ("metric-zero-out-of-range", ALGEBRA.replace("metric 1 0 1", "metric 1 0 1\nmetric 2 2 0"),
+     "line 9: metric index out of range in 't'"),
     ("metric-bad-rational", ALGEBRA.replace("metric 1 0 1", "metric 1 0 --1"), "line 7: bad rational '--1'"),
     ("unknown-algebra-line", ALGEBRA.replace("basis d 0", "bases d 0"), "line 3: unknown algebra line 'bases'"),
     ("bad-end", ALGEBRA.replace("end algebra", "end"), "line 8: expected 'end algebra'"),
@@ -308,6 +310,8 @@ TEXT_ERRORS = [
     ("omega-duplicate", CONTEXT.replace("omega 0 0 0 1", "omega 0 0 0 0\nomega 0 0 0 1"),
      "line 19: duplicate omega entry (0, 0, 0)"),
     ("rho-out-of-range", CONTEXT.replace("rho 0 1 1 -1", "rho 1 1 1 -1"), "line 19: rho index out of range"),
+    ("rho-zero-out-of-range", CONTEXT.replace("rho 0 1 1 -1", "rho 0 1 1 -1\nrho 3 3 3 0"),
+     "line 20: rho index out of range"),
     ("lambda-out-of-range", CONTEXT.replace("lambda 0 0 1 1", "lambda 0 0 2 1"),
      "line 19: lambda index out of range"),
     ("omega-out-of-range", CONTEXT.replace("omega 0 0 0 1", "omega 0 1 0 1"), "line 19: omega index out of range"),
@@ -367,6 +371,10 @@ JSON_ERRORS = [
      "input, field bracket: bracket index -1 out of range"),
     ("metric-out-of-range", ALGEBRA, ("metric", "entries", 1, 0), 5,
      "input, field metric: metric index 5 out of range"),
+    ("bracket-zero-out-of-range", ALGEBRA, ("bracket",), [[0, 0, 1, "1"], [5, -1, 5, "0"]],
+     "input, field bracket: bracket index 5 out of range"),
+    ("metric-zero-out-of-range", ALGEBRA, ("metric", "entries", 1), [1, 2, 0],
+     "input, field metric: metric index 2 out of range"),
     ("bad-rational", ALGEBRA, ("bracket", 0, 3), "1/x", "input: bad rational '1/x'"),
     ("zero-denominator", ALGEBRA, ("bracket", 0, 3), "1/0", "input: bad rational '1/0'"),
     ("exponent", ALGEBRA, ("bracket", 0, 3), "1e3",
@@ -394,6 +402,7 @@ JSON_ERRORS = [
     ("omega-duplicate", CONTEXT, ("omega",), [[0, 0, 0, "0"], [0, 0, 0, "1"]],
      "input: duplicate omega entry (0, 0, 0)"),
     ("rho-out-of-range", CONTEXT, ("rho", 1, 0), 1, "input, field rho: rho index 1 out of range"),
+    ("rho-zero-out-of-range", CONTEXT, ("rho", 1), [3, 3, 3, "0"], "input, field rho: rho index 3 out of range"),
     ("lambda-out-of-range", CONTEXT, ("lambda", 0, 2), 2, "input, field lambda: lambda index 2 out of range"),
     ("omega-out-of-range", CONTEXT, ("omega", 0, 1), 1, "input, field omega: omega index 1 out of range"),
     ("context-bad-rational", CONTEXT, ("omega", 0, 3), "1/-2", "input: bad rational '1/-2'"),

@@ -1,6 +1,8 @@
-"""Every module of the package except ``__init__`` uses each name it imports."""
+"""Every module of the package except ``__init__`` uses each name it
+imports, and every definition in it is reached from the package itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "superquad"
@@ -31,6 +33,60 @@ def test_no_unused_imports():
 def test_unused_import_is_reported():
     source = "from .algebra import cyclic_residual, is_derivation\n\nis_derivation(1)\n"
     assert unused_imports(source) == ["line 1: cyclic_residual"]
+
+
+# Definitions that nothing in src/ refers to, each with the one reason it
+# stays there: the benchmark imports it, or README describes it as API (the
+# dense views, the coadjoint representation, the parity-shift transfer and the
+# isometry onto h(D)).
+KEPT = {**dict.fromkeys(("rref", "table"), "perfbench/tracer.py"),
+        **dict.fromkeys(("mat", "mat_vec", "mat_mul", "mat_add", "mat_scale", "zero_mat", "identity_mat"),
+                        "perfbench/gen.py"),
+        **dict.fromkeys(("matrix", "coadjoint", "parity_shift_map", "check_psi_isometry"), "README API")}
+
+
+def unreached(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes of the modules other than
+    ``__init__`` that no ``Name`` or ``Attribute`` outside their own
+    definition refers to, and methods (dunders aside) that no ``Attribute``
+    outside their own definition refers to, as ``module:name``. The match is
+    by name alone, so a name that two definitions share, such as
+    ``is_zero``, counts as reached for both, and an ``__init__`` export,
+    which is an import, reaches nothing."""
+    def refs(node, kinds) -> Counter:
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, kinds))
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    anything = (ast.Name, ast.Attribute)
+    totals = {kinds: sum((refs(t, kinds) for t in trees.values()), Counter()) for kinds in (anything, ast.Attribute)}
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body if module != "__init__" else ():
+            defs = []  # (qualified name, definition, the references that reach it)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((node.name, node, anything))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m, ast.Attribute) for m in node.body
+                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+            out += [f"{module}:{name}" for name, d, kinds in defs if totals[kinds][d.name] == refs(d, kinds)[d.name]]
+    return out
+
+
+def test_every_definition_is_reached_or_kept():
+    """No function, class or method in src/ is there only for the tests."""
+    found = unreached({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))})
+    assert {name.split(":")[1].split(".")[-1] for name in found} == set(KEPT), found
+    assert set(KEPT.values()) <= {"perfbench/gen.py", "perfbench/tracer.py", "README API"}
+
+
+def test_unreached_definition_is_reported():
+    sources = {
+        "__init__": "from .a import f, g, C\n",
+        "b": "from .a import g\n\ng()\n",
+        "a": "def f():\n    return f()\n\n\ndef g():\n    return C().used()\n\n\n"
+             "class C:\n    def used(self):\n        return 1\n\n    def unused(self):\n        return self.unused()\n",
+    }
+    assert unreached(sources) == ["a:f", "a:C.unused"]
 
 
 def test_submodules_are_not_shadowed_by_package_exports():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from generators import column, identity_map
 from superquad.errors import NotHomogeneous
 from superquad.spaces import (
     GradedBilinearForm,
@@ -50,13 +51,6 @@ def test_apply_p_delta():
     assert apply_p_delta(1, empty) == empty
 
 
-def test_normalized_even_first():
-    v = space([1, 0, 1, 0])
-    n = v.normalized()
-    assert n.parities == (0, 0, 1, 1)
-    assert n.normalized() == n
-
-
 def test_unique_labels_enforced():
     with pytest.raises(ValueError):
         SuperSpace((("x", 0), ("x", 1)))
@@ -64,7 +58,7 @@ def test_unique_labels_enforced():
 
 def test_parity_shift_map_identity():
     v = space([0, 1])
-    t = GradedLinearMap.identity(v)
+    t = identity_map(v)
     p = parity_shift_map(t)
     assert p.source == parity_shift(v)
     assert p.target == v
@@ -89,7 +83,7 @@ def test_parity_shift_map_pointwise():
     t = GradedLinearMap(v, v, 0, ((1, 2, 0), (3, 4, 0), (0, 0, 5)))
     p = parity_shift_map(t)
     for j in range(v.dim):
-        assert p.column(j) == t.column(j)
+        assert column(p, j) == column(t, j)
 
 
 def test_dual_space():
@@ -345,7 +339,7 @@ def test_dense_views_are_cached_and_invisible():
     assert t.matrix is t.matrix and t.matrix == ((0, 2), (Fraction(1, 3), 0))
     assert t == fresh and hash(t) == hash(fresh) and repr(t) == before == repr(fresh)
     assert t.sparse_columns == ({1: Fraction(1, 3)}, {0: Fraction(2)})
-    assert t.column(0) == (0, Fraction(1, 3)) and t.apply_sparse({0: 3, 1: 1}) == {0: 2, 1: 1}
+    assert column(t, 0) == (0, Fraction(1, 3)) and t.apply_sparse({0: 3, 1: 1}) == {0: 2, 1: 1}
     for name in ("matrix", "sparse_columns", "_matrix", "degree"):
         with pytest.raises(AttributeError):
             setattr(t, name, None)

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from generators import (
+    ad_map,
     change_basis,
+    mat_sub,
     rand_scalar,
     random_context,
     random_parity_preserving_basis,
@@ -259,7 +261,7 @@ def test_planted_map_entry_same_verdict():
         for ctx, g in extensions():
             cases = [(t, ctx.h) for t in ctx.rho if ctx.h.dim]
             for i in rng.sample(range(g.dim), 3):
-                ad = GradedLinearMap(g.space, g.space, g.space.parity(i), g.bracket.ad_matrix(i))
+                ad = ad_map(g.bracket, i)
                 assert is_derivation(ad, g.bracket) and is_metric_skew(ad, g.metric)
                 cases.append((ad, g))
             for t, alg in cases:
@@ -916,17 +918,16 @@ def ref_curvature(ctx):
     column u is [e_r, e_u]_h."""
     na, nh = ctx.a.dim, ctx.h.dim
     rho, a_t, lam = [t.matrix for t in ctx.rho], ctx.a.bracket.table, ctx.lam.table
-    ad = [ctx.h.bracket.ad_matrix(r) for r in range(nh)]
+    ad = [ad_map(ctx.h.bracket, r).matrix for r in range(nh)]
     out = []
     for i in range(na):
         for j in range(na):
             sign = -1 if ctx.rho[i].degree * ctx.rho[j].degree else 1
-            m = linalg.mat_sub(linalg.mat_mul(rho[i], rho[j]),
-                               linalg.mat_scale(sign, linalg.mat_mul(rho[j], rho[i])))
+            m = mat_sub(linalg.mat_mul(rho[i], rho[j]), linalg.mat_scale(sign, linalg.mat_mul(rho[j], rho[i])))
             for k in range(na):
-                m = linalg.mat_sub(m, linalg.mat_scale(a_t[i][j][k], rho[k]))
+                m = mat_sub(m, linalg.mat_scale(a_t[i][j][k], rho[k]))
             for r in range(nh):
-                m = linalg.mat_sub(m, linalg.mat_scale(lam[i][j][r], ad[r]))
+                m = mat_sub(m, linalg.mat_scale(lam[i][j][r], ad[r]))
             if any(any(row) for row in m):
                 out.append((i, j))
     return out
