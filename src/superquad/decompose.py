@@ -9,8 +9,8 @@ all structure maps of the split bracket, reconstructs a double-extension
 context and certifies the isometry onto its extension; ``decompose`` names
 the one check behind each fact. Every step is deterministic: linear solves
 take first pivots in canonical basis order. Vectors may be given dense or
-as sparse dicts ``{index: coefficient}``; ``decompose`` carries its bases
-sparse and returns them dense.
+as sparse dicts ``{index: coefficient}``; inside ``decompose`` every vector is
+sparse, and only the returned bases are dense.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
     Violation,
 )
 from .extension import DeltaContext, double_extend
-from .linalg import Matrix, Vector, ZERO
+from .linalg import Vector, ZERO
 from .spaces import (
     EMPTY,
     GradedBilinearForm,
@@ -110,31 +110,30 @@ def find_central_minimal_ideal(g: QuadraticLieSuperAlgebra) -> list[Vector] | No
     return None
 
 
-def _dual_vectors(form: GradedBilinearForm, ideal: Sequence, avoid: Sequence) -> list[Vector]:
+def _dual_vectors(form: GradedBilinearForm, ideal: Sequence, avoid: Sequence) -> list[dict]:
     """Solve B(e_m, d_i) = delta_mi with d_i in the right parity block,
     orthogonal to every avoid vector; first-pivot, free coordinates zero."""
     space = form.space
-    n = space.dim
     ideal = [_sparse(e) for e in ideal]
     rows = [form.covector(e) for e in ideal]      # row m: c -> B(e_m, e_c)
     rows += [form.covector(_sparse(w)) for w in avoid]
     duals = []
     for i, e in enumerate(ideal):
         want = (_homogeneous_parity(space, e) + form.degree) % 2
-        cols = [c for c in range(n) if space.parity(c) == want]
+        cols = [c for c in range(space.dim) if space.parity(c) == want]
         pos = {c: t for t, c in enumerate(cols)}
         sys_rows = [{pos[c]: x for c, x in r.items() if c in pos} for r in rows]
         rhs = [linalg.ONE if m == i else ZERO for m in range(len(rows))]
         sol = linalg.solve(sys_rows, rhs, len(cols))
         if sol is None:
             raise DegenerateInput(f"no dual vector for ideal vector {i}")
-        duals.append(dense_vec(dict(zip(cols, sol)), n))
+        duals.append({c: x for c, x in zip(cols, sol) if x})
     return duals
 
 
 def witt_complement(form: GradedBilinearForm, ideal: Sequence,
-                    avoid: Sequence = ()) -> list[Vector]:
-    """Isotropic complement a dual to an isotropic subspace I.
+                    avoid: Sequence = ()) -> list[dict]:
+    """Isotropic complement a dual to an isotropic subspace I, as sparse vectors.
 
     Output a satisfies: a isotropic, dim a = dim I, a and I intersect
     trivially, a + I non-degenerate, and B(I_i, a_j) = delta_ij (for odd B
@@ -160,27 +159,25 @@ def witt_complement(form: GradedBilinearForm, ideal: Sequence,
 
     duals = _dual_vectors(form, ideal, avoid)
     parities = [_homogeneous_parity(space, e) for e in ideal]
-    sparse_duals = [sparse_vec(d) for d in duals]
 
     out = []
     for i, d in enumerate(duals):
-        corr = dict(enumerate(d))
+        corr = dict(d)
         for m, e in enumerate(ideal):
             if form.degree == 1 and (parities[i], parities[m]) != (0, 1):
                 continue
-            c = _pair(form, sparse_duals[i], sparse_duals[m])
+            c = _pair(form, d, duals[m])
             if c:
                 add_scaled(corr, -c if form.degree == 1 else -HALF * c, e)
-        out.append(dense_vec(corr, space.dim))
+        out.append(drop_zeros(corr))
 
-    out_s = [sparse_vec(v) for v in out]
     for i in range(len(out)):
         for j in range(len(out)):
-            if _pair(form, out_s[i], out_s[j]) != 0:
+            if _pair(form, out[i], out[j]) != 0:
                 raise DegenerateInput("correction failed to produce an isotropic complement")
-            if _pair(form, ideal[i], out_s[j]) != (linalg.ONE if i == j else ZERO):
+            if _pair(form, ideal[i], out[j]) != (linalg.ONE if i == j else ZERO):
                 raise DegenerateInput("dual pairing broke under correction")
-    if linalg.rank(ideal + out_s, space.dim) != 2 * len(ideal):
+    if linalg.rank(ideal + out, space.dim) != 2 * len(ideal):
         raise DegenerateInput("complement is not transverse to the ideal")
     return out
 
@@ -209,20 +206,20 @@ def build_xi(form: GradedBilinearForm, ideal: Sequence, a_vectors: Sequence,
     return xi_delta, xi
 
 
-def _bracket_in_basis(bracket: GradedBilinearMap, cols: Sequence[dict], m_inv: Matrix) -> dict:
+def _bracket_in_basis(bracket: GradedBilinearMap, cols: Sequence[dict], inv: Sequence[dict]) -> dict:
     """Structure constants in the basis of the sparse vectors ``cols``, with
-    ``m_inv`` the inverse of the matrix whose columns are ``cols``:
-    {(p, q): {k: c}}, no zeros, keys in row-major order.
+    ``inv`` the sparse columns of the inverse of the matrix whose columns
+    are ``cols``: {(p, q): {k: c}}, no zeros, keys in row-major order.
 
-    The sums run on integers: the bracket's integer view (scale d_b), the
-    columns times the lcm d_c of their denominators and m_inv times the lcm
-    d_i of its own. Every coefficient of [c_p, c_q] in the new basis is then
+    The sums run on integers: the bracket's integer view (scale d_b), and
+    ``cols`` and ``inv`` times the lcms d_c and d_i of their denominators.
+    Every coefficient of [c_p, c_q] in the new basis is then
     d_b * d_c**2 * d_i times its rational value, and is divided back once.
     Only pairs (p, q) that meet a nonzero of the bracket are visited."""
     n = len(cols)
     d_b, pairs = bracket.scaled_pairs
     d_c, int_cols = scaled_to_ints(cols)
-    d_i, inv_cols = scaled_to_ints(sparse_transpose((sparse_vec(row) for row in m_inv), n))
+    d_i, inv_cols = scaled_to_ints(inv)
     scale = d_b * d_c * d_c * d_i
     by_left: dict = {}  # i -> [(j, [e_i, e_j])]
     for (i, j), w in pairs.items():
@@ -296,7 +293,7 @@ class ExtractedMaps:
     rho: tuple[GradedLinearMap, ...]    # a-indexed endomorphisms of h
     tau: tuple[GradedLinearMap, ...]    # a-indexed maps h -> I
     sigma: tuple[GradedLinearMap, ...]  # a-indexed endomorphisms of I
-    inverse: Matrix               # g-coordinates -> (a, h, I)-coordinates
+    inverse: tuple[dict, ...]     # column k: the (a, h, I)-coordinates of g's e_k
     split: dict                   # g's bracket in the (a, h, I) basis, as GradedBilinearMap.pairs
 
 
@@ -316,6 +313,7 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
     m_inv = linalg.inverse(sparse_transpose(cols, n))
     if m_inv is None:
         raise ValueError("a, h and I do not form a basis")
+    inv_cols = tuple(sparse_transpose(map(sparse_vec, m_inv), n))
 
     a_space = _block_space(g.space, cols[:na], "a")
     h_space = _block_space(g.space, cols[na:na + nh], "h")
@@ -330,7 +328,7 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
     # rho, tau, sigma: per a-vector, the (r, c, x) entries of maps h -> h, h -> I, I -> I
     rho_ent, tau_ent, sigma_ent = ([[] for _ in range(na)] for _ in range(3))
 
-    split = _bracket_in_basis(g.bracket, cols, m_inv)
+    split = _bracket_in_basis(g.bracket, cols, inv_cols)
     # pairs with a zero bracket pass every block rule, so only nonzeros are visited
     for (p, q), z in split.items():
         ca = {k: c for k, c in z.items() if k < na}
@@ -388,7 +386,7 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
             maps_from(rho_ent, h_space, h_space),
             maps_from(tau_ent, h_space, ideal_space),
             maps_from(sigma_ent, ideal_space, ideal_space),
-            m_inv, split,
+            inv_cols, split,
         )
     except SuperquadError as exc:
         raise NotAnIdealSplit(Violation("split-grading", (), None, str(exc))) from exc
@@ -414,7 +412,9 @@ class DecompositionResult:
     isometry: GradedLinearMap
 
 
-def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: list[Vector]) -> None:
+def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: list[Vector]) -> list[dict]:
+    """The ideal as sparse vectors, once its hypotheses hold. The first image
+    [e_p, ideal_r], in (p, r) order, to grow the ideal's span lies outside it."""
     n = g.dim
     if not ideal:
         raise ClaimViolated("ideal-empty", message="the ideal must be nonzero")
@@ -423,20 +423,24 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: list[Vector]) -> None:
             raise ClaimViolated("ideal-shape", message=f"vector {r} has wrong length")
         if g.space.vector_parity(v) is None:
             raise ClaimViolated("ideal-homogeneous", [Violation("ideal-homogeneous", (r,))])
+    ideal = [sparse_vec(v) for v in ideal]
     if linalg.rank(ideal, n) != len(ideal):
         raise ClaimViolated("ideal-independent", [Violation("ideal-independent")])
     for i, u in enumerate(ideal):
         for j, v in enumerate(ideal):
-            if g.metric.value(u, v) != 0:
+            if _pair(g.metric, u, v) != 0:
                 raise ClaimViolated("ideal-isotropic", [Violation("ideal-isotropic", (i, j))])
-            if not linalg.vec_is_zero(g.bracket.value_vectors(u, v)):
+            uv: dict = {}
+            for k, a in u.items():
+                add_scaled(uv, a, g.bracket.right_sparse(k, v))
+            if any(uv.values()):
                 raise ClaimViolated("ideal-abelian", [Violation("ideal-abelian", (i, j))])
-    sparse_ideal = [sparse_vec(v) for v in ideal]
-    for p in range(n):
-        for r, v in enumerate(sparse_ideal):
-            w = g.bracket.right_sparse(p, v)
-            if not linalg.in_span(sparse_ideal, w):
-                raise ClaimViolated("ideal-invariant", [Violation("ideal-invariant", (p, r), dense_vec(w, n))])
+    images = [g.bracket.right_sparse(p, v) for p in range(n) for v in ideal]
+    k = next(iter(linalg.extend_independent(ideal, images)), None)
+    if k is not None:
+        raise ClaimViolated("ideal-invariant",
+                            [Violation("ideal-invariant", divmod(k, len(ideal)), dense_vec(images[k], n))])
+    return ideal
 
 
 def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> DecompositionResult:
@@ -453,19 +457,16 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
     realise chi and Phi through xi (``tau-chi``, ``gamma-phi``).
     """
     ideal = [linalg.vec(v) for v in ideal]
-    _validate_ideal(g, ideal)
+    sparse_ideal = _validate_ideal(g, ideal)
     delta = g.delta
 
-    # the bases travel as sparse vectors; the result holds them dense
-    sparse_ideal = [sparse_vec(v) for v in ideal]
     i_perp = orthogonal_complement(sparse_ideal, g.metric)
     h_vectors = [i_perp[c] for c in linalg.extend_independent(sparse_ideal, i_perp)]
 
     try:
-        a_dense = witt_complement(g.metric, sparse_ideal, avoid=h_vectors)
+        a_vectors = witt_complement(g.metric, sparse_ideal, avoid=h_vectors)
     except (DegenerateInput, ValueError) as exc:
         raise ClaimViolated("witt-complement", message=str(exc)) from exc
-    a_vectors = [sparse_vec(v) for v in a_dense]
 
     maps = extract_structure_maps(g, sparse_ideal, a_vectors, h_vectors)
     na, nh = len(a_vectors), len(h_vectors)
@@ -538,8 +539,8 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
             raise ClaimViolated("gamma-phi", [Violation("gamma-phi", (m, l))])
 
     isometry = GradedLinearMap.from_entries(g.space, ext.space, 0, (
-        (r, c, x) for r, row in enumerate(maps.inverse) for c, x in enumerate(row) if x))
+        (r, c, x) for c, col in enumerate(maps.inverse) for r, x in col.items()))
     return DecompositionResult(
-        tuple(a_dense), tuple(dense_vec(v, g.dim) for v in h_vectors), tuple(ideal), maps,
-        xi_delta, xi, context, ext, isometry,
+        tuple(dense_vec(v, g.dim) for v in a_vectors), tuple(dense_vec(v, g.dim) for v in h_vectors),
+        tuple(ideal), maps, xi_delta, xi, context, ext, isometry,
     )

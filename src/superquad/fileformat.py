@@ -156,20 +156,28 @@ def _entries(table: dict) -> tuple:
 
 
 def _out_of_range(keys, bounds: tuple[int, ...]):
-    """The first index, in the sorted order of the index tuples ``keys``,
-    outside 0 <= index < its bound; None if all are inside."""
+    """(key, index): the first index tuple of ``keys``, in sorted order, with an
+    index outside 0 <= index < its bound, and that index; None if all are inside."""
     if all(0 <= min(column) and max(column) < bound for column, bound in zip(zip(*keys), bounds)):
         return None
     for key in sorted(keys):
         for index, bound in zip(key, bounds):
             if not 0 <= index < bound:
-                return index
+                return key, index
+
+
+def _check_range(cur: _Cursor, head: int, end: int, what: str, table: dict, bounds, message: str) -> None:
+    """A ParseError at the line, between lines head and end, of the first ``what`` entry out of range."""
+    bad = _out_of_range(table, bounds)
+    if bad is not None:
+        raise ParseError(message, next(num for num, fields in cur.rows if head < num < end
+                                       and fields[0] == what and tuple(map(int, fields[1:-1])) == bad[0]))
 
 
 def _parse_algebra_block(cur: _Cursor) -> AlgebraDocument:
-    line, fields = cur.next()
+    head, fields = cur.next()
     if fields[0] != "algebra" or len(fields) != 2:
-        raise ParseError("expected 'algebra NAME'", line)
+        raise ParseError("expected 'algebra NAME'", head)
     name = fields[1]
     basis: list[tuple[str, int]] = []
     metric_degree: int | None = None
@@ -223,10 +231,8 @@ def _parse_algebra_block(cur: _Cursor) -> AlgebraDocument:
         raise cur.end_of_input()
     dim = len(basis)
     # every index read is checked, a zero coefficient's too, before the zeros are dropped
-    if _out_of_range(bracket, (dim, dim, dim)) is not None:
-        raise ParseError(f"bracket index out of range in {name!r}", line)
-    if _out_of_range(metric, (dim, dim)) is not None:
-        raise ParseError(f"metric index out of range in {name!r}", line)
+    for what, table, bounds in (("bracket", bracket, (dim, dim, dim)), ("metric", metric, (dim, dim))):
+        _check_range(cur, head, line, what, table, bounds, f"{what} index out of range in {name!r}")
     return AlgebraDocument(name, tuple(basis), _entries(bracket), metric_degree, _entries(metric))
 
 
@@ -253,9 +259,9 @@ def serialize_algebra_text(doc: AlgebraDocument) -> str:
 
 
 def _parse_context(cur: _Cursor) -> ContextDocument:
-    line, fields = cur.next()
+    head, fields = cur.next()
     if fields[0] != "context" or len(fields) != 2:
-        raise ParseError("expected 'context NAME'", line)
+        raise ParseError("expected 'context NAME'", head)
     name = fields[1]
     line, fields = cur.next()
     if fields[0] != "delta" or len(fields) != 2:
@@ -295,8 +301,7 @@ def _parse_context(cur: _Cursor) -> ContextDocument:
     cur.expect_done("context")
     na, nh = len(a_doc.basis), len(h_doc.basis)
     for what, bounds in (("rho", (na, nh, nh)), ("lambda", (na, na, nh)), ("omega", (na, na, na))):
-        if _out_of_range(tables[what], bounds) is not None:
-            raise ParseError(f"{what} index out of range", line)
+        _check_range(cur, head, line, what, tables[what], bounds, f"{what} index out of range")
     rho, lam, omega = (_entries(tables[key]) for key in ("rho", "lambda", "omega"))
     return ContextDocument(name, delta, h_doc, a_doc, rho, lam, omega)
 
@@ -414,9 +419,9 @@ def _dedup(rows: list, what: str) -> dict:
 def _in_range(table: dict, bounds, what: str) -> tuple:
     """The nonzero entries of a ``_dedup`` table, sorted, once every index
     read, a zero coefficient's too, is inside its bound."""
-    index = _out_of_range(table, bounds)
-    if index is not None:
-        raise ParseError(f"{what} index {index} out of range", field_name=what)
+    bad = _out_of_range(table, bounds)
+    if bad is not None:
+        raise ParseError(f"{what} index {bad[1]} out of range", field_name=what)
     return _entries(table)
 
 

@@ -69,10 +69,6 @@ def vec_scale(c, v: Sequence) -> Vector:
     return tuple(c * a for a in v)
 
 
-def vec_is_zero(v: Sequence) -> bool:
-    return all(a == 0 for a in v)
-
-
 def mat(rows: Iterable[Iterable]) -> Matrix:
     return tuple(vec(row) for row in rows)
 
@@ -266,12 +262,7 @@ def inverse(a: Sequence) -> Matrix | None:
 
 
 def in_span(rows: Sequence, v) -> bool:
-    if not any(c for _, c in _items(v)):
-        return True
-    if not rows:
-        return False
-    width = _width(list(rows) + [v])
-    return rank(rows, width) == rank(list(rows) + [v], width)
+    return not extend_independent(rows, [v])
 
 
 def extend_independent(base: Sequence, candidates: Sequence) -> list[int]:

@@ -58,6 +58,7 @@ from superquad.spaces import (
     GradedLinearMap,
     SuperSpace,
     check_form_degree,
+    dense_vec,
 )
 
 F = Fraction
@@ -109,7 +110,7 @@ def test_criterion_4_witt_complement_conclusions():
     for delta in (1, 0):
         for _ in range(CORPUS_SIZE):
             space, form, ideal = random_witt_instance(rng, delta)
-            a = witt_complement(form, ideal)
+            a = [dense_vec(v, space.dim) for v in witt_complement(form, ideal)]
             r = len(ideal)
             assert len(a) == r                                    # (ii)
             for i in range(r):

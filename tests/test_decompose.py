@@ -29,7 +29,7 @@ from superquad.errors import ClaimViolated, DegeneratePairing, NotAnIdealSplit
 from superquad.extension import contexts_equal, double_extend
 from superquad.fileformat import document_to_algebra, parse_document
 from superquad.linalg import ONE, ZERO, unit_vec
-from superquad.spaces import GradedBilinearForm, GradedLinearMap, SuperSpace
+from superquad.spaces import GradedBilinearForm, GradedLinearMap, SuperSpace, dense_vec
 
 F = Fraction
 
@@ -77,7 +77,7 @@ def test_find_central_ideal_none_for_sl2():
 
 def test_witt_complement_forced_2dim():
     g = odd_hyperbolic_2dim()
-    a = witt_complement(g.metric, [unit_vec(2, 0)])
+    a = [dense_vec(v, 2) for v in witt_complement(g.metric, [unit_vec(2, 0)])]
     assert a == [(ZERO, ONE)]
     assert g.metric.value(unit_vec(2, 0), a[0]) == 1
 
@@ -88,7 +88,7 @@ def test_witt_complement_heisenberg_recovers_x():
     perp = orthogonal_complement(ideal, g.metric)
     chosen = linalg.extend_independent(ideal, perp)
     h_vectors = [perp[c] for c in chosen]
-    a = witt_complement(g.metric, ideal, avoid=h_vectors)
+    a = [dense_vec(v, 4) for v in witt_complement(g.metric, ideal, avoid=h_vectors)]
     assert a == [(ONE, ZERO, ZERO, ZERO)]
     assert g.metric.value(ideal[0], a[0]) == 1
 
@@ -98,7 +98,7 @@ def test_witt_complement_mixed_parity_random():
     for delta in (0, 1):
         for _ in range(10):
             space, form, ideal = random_witt_instance(rng, delta)
-            a = witt_complement(form, ideal)
+            a = [dense_vec(v, space.dim) for v in witt_complement(form, ideal)]
             r = len(ideal)
             assert len(a) == r
             for i in range(r):
@@ -223,8 +223,31 @@ def test_decompose_rejects_non_isotropic_ideal():
     from generators import _sl2_killing
     g = _sl2_killing()
     # the whole algebra is an ideal but badly non-isotropic and non-abelian
-    with pytest.raises(ClaimViolated):
+    with pytest.raises(ClaimViolated) as exc:
         decompose(g, [unit_vec(3, 0)])
+    assert exc.value.claim == "ideal-isotropic"
+    assert [(v.equation, v.indices) for v in exc.value.violations] == [("ideal-isotropic", (0, 0))]
+
+
+X, E, FF, PX = (unit_vec(4, k) for k in range(4))  # x, e, f, P(x)* of catalog Heisenberg
+
+
+@pytest.mark.parametrize("ideal, claim, violations", [
+    ([], "ideal-empty", []),
+    ([(0, 0, 1)], "ideal-shape", []),
+    ([(1, 0, 1, 0)], "ideal-homogeneous", [("ideal-homogeneous", (0,), None)]),
+    ([PX, linalg.vec_scale(2, PX)], "ideal-independent", [("ideal-independent", (), None)]),
+    ([E, FF], "ideal-isotropic", [("ideal-isotropic", (0, 1), None)]),
+    ([X, E], "ideal-abelian", [("ideal-abelian", (0, 1), None)]),
+    # [x, e] = e is a nonzero image inside the span, before the witness [f, e] = -P(x)*
+    ([E], "ideal-invariant", [("ideal-invariant", (2, 0), (0, 0, 0, -1))]),
+], ids=["empty", "shape", "homogeneous", "independent", "isotropic", "abelian", "invariant"])
+def test_decompose_names_each_ideal_hypothesis(ideal, claim, violations):
+    g = heisenberg_extension(default_heisenberg_params())
+    with pytest.raises(ClaimViolated) as exc:
+        decompose(g, ideal)
+    assert exc.value.claim == claim
+    assert [(v.equation, v.indices, v.residual) for v in exc.value.violations] == violations
 
 
 def test_extracted_maps_even_and_skew_random_roundtrips():

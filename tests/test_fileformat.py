@@ -259,11 +259,14 @@ TEXT_ERRORS = [
     ("bracket-duplicate", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 0 1 1\nbracket 0 0 1 0"),
      "line 5: duplicate bracket entry (0, 0, 1)"),
     ("bracket-out-of-range", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 0 2 1"),
-     "line 8: bracket index out of range in 't'"),
+     "line 4: bracket index out of range in 't'"),
     ("bracket-negative-index", ALGEBRA.replace("bracket 0 0 1 1", "bracket -1 0 1 1"),
-     "line 8: bracket index out of range in 't'"),
+     "line 4: bracket index out of range in 't'"),
     ("bracket-zero-out-of-range", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 0 1 1\nbracket 5 5 5 0"),
-     "line 9: bracket index out of range in 't'"),
+     "line 5: bracket index out of range in 't'"),
+    # the first bad entry in index order, not in line order
+    ("bracket-out-of-range-order", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 0 3 1\nbracket 0 0 2 1"),
+     "line 5: bracket index out of range in 't'"),
     ("bad-rational", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 0 1 1/x"), "line 4: bad rational '1/x'"),
     ("zero-denominator", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 0 1 1/0"), "line 4: bad rational '1/0'"),
     ("exponent", ALGEBRA.replace("bracket 0 0 1 1", "bracket 0 0 1 1e3"),
@@ -282,9 +285,9 @@ TEXT_ERRORS = [
     ("metric-bad-j", ALGEBRA.replace("metric 0 1 1", "metric 0 y 1"), "line 6, field j: bad integer 'y'"),
     ("metric-duplicate", ALGEBRA.replace("metric 1 0 1", "metric 0 1 2"), "line 7: duplicate metric entry (0, 1)"),
     ("metric-out-of-range", ALGEBRA.replace("metric 1 0 1", "metric 1 2 1"),
-     "line 8: metric index out of range in 't'"),
+     "line 7: metric index out of range in 't'"),
     ("metric-zero-out-of-range", ALGEBRA.replace("metric 1 0 1", "metric 1 0 1\nmetric 2 2 0"),
-     "line 9: metric index out of range in 't'"),
+     "line 8: metric index out of range in 't'"),
     ("metric-bad-rational", ALGEBRA.replace("metric 1 0 1", "metric 1 0 --1"), "line 7: bad rational '--1'"),
     ("unknown-algebra-line", ALGEBRA.replace("basis d 0", "bases d 0"), "line 3: unknown algebra line 'bases'"),
     ("bad-end", ALGEBRA.replace("end algebra", "end"), "line 8: expected 'end algebra'"),
@@ -309,12 +312,15 @@ TEXT_ERRORS = [
      "line 18: duplicate lambda entry (0, 0, 1)"),
     ("omega-duplicate", CONTEXT.replace("omega 0 0 0 1", "omega 0 0 0 0\nomega 0 0 0 1"),
      "line 19: duplicate omega entry (0, 0, 0)"),
-    ("rho-out-of-range", CONTEXT.replace("rho 0 1 1 -1", "rho 1 1 1 -1"), "line 19: rho index out of range"),
+    ("rho-out-of-range", CONTEXT.replace("rho 0 1 1 -1", "rho 1 1 1 -1"), "line 16: rho index out of range"),
     ("rho-zero-out-of-range", CONTEXT.replace("rho 0 1 1 -1", "rho 0 1 1 -1\nrho 3 3 3 0"),
-     "line 20: rho index out of range"),
+     "line 17: rho index out of range"),
     ("lambda-out-of-range", CONTEXT.replace("lambda 0 0 1 1", "lambda 0 0 2 1"),
-     "line 19: lambda index out of range"),
-    ("omega-out-of-range", CONTEXT.replace("omega 0 0 0 1", "omega 0 1 0 1"), "line 19: omega index out of range"),
+     "line 17: lambda index out of range"),
+    ("omega-out-of-range", CONTEXT.replace("omega 0 0 0 1", "omega 0 1 0 1"), "line 18: omega index out of range"),
+    # the same entry sits in range in the h-algebra, above the a-algebra's block
+    ("a-bracket-out-of-range", CONTEXT.replace("basis f 1\n", "basis f 1\nbracket 0 0 1 0\n")
+     .replace("basis x 0\n", "basis x 0\nbracket 0 0 1 1\n"), "line 15: bracket index out of range in 'a'"),
     ("context-bad-rational", CONTEXT.replace("omega 0 0 0 1", "omega 0 0 0 1/-2"), "line 18: bad rational '1/-2'"),
     ("bad-end-context", CONTEXT.replace("end context", "end algebra"), "line 19: expected 'end context'"),
     ("context-trailing", CONTEXT + "rho 0 0 0 1\n", "line 20: trailing content after 'end context'"),

@@ -36,13 +36,14 @@ def test_unused_import_is_reported():
 
 
 # Definitions that nothing in src/ refers to, each with the one reason it
-# stays there: the benchmark imports it, or README describes it as API (the
-# dense views, the coadjoint representation, the parity-shift transfer and the
-# isometry onto h(D)).
-KEPT = {**dict.fromkeys(("rref", "table"), "perfbench/tracer.py"),
+# stays there: the benchmark imports it, or README's "Public API" section
+# names it (the dense views, the coadjoint representation, the parity-shift
+# transfer and the isometry onto h(D)).
+KEPT = {**dict.fromkeys(("rref", "table", "in_span"), "perfbench/tracer.py"),
         **dict.fromkeys(("mat", "mat_vec", "mat_mul", "mat_add", "mat_scale", "zero_mat", "identity_mat"),
                         "perfbench/gen.py"),
-        **dict.fromkeys(("matrix", "coadjoint", "parity_shift_map", "check_psi_isometry"), "README API")}
+        **dict.fromkeys(("matrix", "value_vectors", "coadjoint", "parity_shift_map", "check_psi_isometry"),
+                        "README API")}
 
 
 def unreached(sources: dict[str, str]) -> list[str]:
@@ -77,6 +78,16 @@ def test_every_definition_is_reached_or_kept():
     found = unreached({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))})
     assert {name.split(":")[1].split(".")[-1] for name in found} == set(KEPT), found
     assert set(KEPT.values()) <= {"perfbench/gen.py", "perfbench/tracer.py", "README API"}
+
+
+def test_public_names_are_in_readme():
+    """README names, in backticks, every export of the package and every
+    definition ``KEPT`` for the reason "README API"."""
+    import superquad
+
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    names = [*superquad.__all__, *(name for name, reason in KEPT.items() if reason == "README API")]
+    assert [name for name in names if f"`{name}`" not in readme] == []
 
 
 def test_unreached_definition_is_reported():
