@@ -18,7 +18,7 @@ from .algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket
 from .errors import InvalidParams, ValidationError, Violation
 from .extension import DeltaContext
 from .linalg import Vector, ZERO
-from .spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace, dense_vec, sparse_vec
+from .spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace, p_delta_dual, sparse_vec
 
 ODD = 1
 
@@ -129,8 +129,7 @@ def _odd_context(p: OddExtensionParams) -> DeltaContext:
     a = _one_dim_algebra(lab, 1)
     lam = GradedBilinearMap.from_entries(a.space, a.space, p.h.space,
                                          [(0, 0, r, c) for r, c in enumerate(p.w)])
-    dual = SuperSpace(((f"P({lab})*", 0),))
-    omega = GradedBilinearMap.from_entries(a.space, a.space, dual, [(0, 0, 0, p.eta)])
+    omega = GradedBilinearMap.from_entries(a.space, a.space, p_delta_dual(a.space, ODD), [(0, 0, 0, p.eta)])
     return DeltaContext(ODD, a, p.h, (p.d,), lam, omega)
 
 
@@ -200,7 +199,7 @@ def psi_preconditions_hold(p: HeisenbergExtensionParams) -> bool:
     if not p.h.bracket.is_zero():
         return False
     # row m of the form: B_h(D(u_m), .)
-    w = [dense_vec(p.h.metric.covector(col), p.h.dim) for col in p.d.sparse_columns]
+    w = [p.h.metric.covector(col) for col in p.d.sparse_columns]
     return linalg.rank(w, p.h.dim) == p.h.dim
 
 

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import catalog as cat
-from .algebra import QuadraticLieSuperAlgebra, check_invariance, check_jacobi
+from .algebra import check_invariance, check_jacobi
 from .decompose import decompose, find_central_minimal_ideal
 from .errors import (
     NotHomogeneous,
@@ -154,10 +154,9 @@ def cmd_extend(args) -> int:
 
 def cmd_decompose(args) -> int:
     doc = _expect(_load(args.file), AlgebraDocument, "an algebra")
+    if doc.metric_degree is None:
+        raise ParseError("decompose needs a quadratic algebra (no metric in document)")
     g = document_to_algebra(doc)
-    if not isinstance(g, QuadraticLieSuperAlgebra):
-        print("decompose needs a quadratic algebra (no metric in document)", file=sys.stderr)
-        return 1
     if args.ideal == "auto":
         ideal = find_central_minimal_ideal(g)
         if ideal is None:

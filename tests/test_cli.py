@@ -117,6 +117,20 @@ def test_decompose_with_ideal_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_decompose_without_metric_is_a_usage_error(tmp_path, capsys):
+    """An algebra document with no metric is refused before it is built:
+    exit 2 with ``error:``, no violation line and no output file."""
+    f = tmp_path / "plain.alg"
+    text = (SAMPLES / "heisenberg.algebra").read_text()
+    f.write_text("".join(line for line in text.splitlines(keepends=True) if not line.startswith("metric")))
+    out = tmp_path / "x"
+    for ideal in ("auto", str(SAMPLES / "heisenberg.ideal")):
+        code, _, err = run(capsys, "decompose", str(f), "--ideal", ideal, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: ") and "needs a quadratic algebra" in err and "violation" not in err
+        assert not out.exists()
+
+
 def test_decompose_auto_fails_cleanly_without_central_line(tmp_path, capsys):
     from generators import _sl2_killing
     f = tmp_path / "sl2.alg"

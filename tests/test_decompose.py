@@ -299,6 +299,20 @@ def _corpus_extensions():
         yield g, [unit_vec(g.dim, g.dim - na + k) for k in range(na)]
 
 
+def test_xi_is_the_identity_on_the_witt_basis():
+    """decompose compares sigma, omega, tau and gamma with their targets
+    index for index; that holds because the Witt complement makes
+    B(I_i, a_j) = delta_ij, so xi_delta and xi are the identity."""
+    golden = Path(__file__).resolve().parent / "golden" / "coprime.algebra"
+    coprime = document_to_algebra(parse_document(golden.read_text()))
+    cases = [*_corpus_extensions(), (coprime, [unit_vec(coprime.dim, k) for k in (7, 8, 9)])]
+    for g, ideal in cases:
+        res = decompose(g, ideal)
+        identity = tuple({m: 1} for m in range(len(ideal)))
+        assert res.xi_delta.sparse_columns == identity
+        assert res.xi.sparse_columns == identity
+
+
 def test_decompose_changes_basis_once(monkeypatch):
     counts = {}
 
