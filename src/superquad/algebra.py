@@ -109,64 +109,80 @@ def lowest_slot(p: int, w: int) -> int:
     return ((p & -p).bit_length() - 1) // w
 
 
-def check_jacobi(bracket: SuperBracket) -> Violation | None:
-    """First violating triple of the Jacobi super identity, or None.
+def cyclic_failures(par: Sequence[int], terms) -> set:
+    """The sorted triples i <= j <= k at which a cyclic identity fails: the
+    ``cyclic_residual`` of the piece sum_m inner[y, z]_m outer[x, m], summed
+    over the terms (inner, outer), is nonzero. Each table maps an index pair
+    to a sparse vector; Jacobi is the single term (pairs, pairs).
 
-    Once super skew-symmetry holds, the cyclic sum for a permuted triple is a
-    sign multiple of the sum for the sorted one, so scanning i <= j <= k is
-    exhaustive. The scan runs on the integer view, where every double bracket
-    is d^2 times the rational one, with each [e_x, e_m] packed into one int
-    (``pack``): every term c^m_yz [e_x, e_m] of the cyclic sum is added, with
-    its sign, to the sorted triple of which (x, y, z) is a shift, in one pass
-    over the nonzeros (once when i = j = k, whose three shifts coincide and
-    whose sum is then a third of the cyclic one). A slot of a sum holds at
-    most 3n products of two constants, each at most M^2 for M the largest
-    constant of the view, so slots of width ``slot_width(3n, M^2)`` keep
-    every sum exact. The first sorted triple with a nonzero sum is the
-    witness; its residual is recomputed by ``cyclic_residual`` and divided
-    back.
-    """
-    n = bracket.space.dim
-    par = bracket.space.parities
-    d, pairs = bracket.scaled_pairs
-    if not pairs:
-        return None
-    top = max(abs(c) for v in pairs.values() for c in v.values())
-    w = slot_width(3 * n, top * top)
-    # left[p][m]: (x, (-1)^{|x| p} [e_x, e_m] packed) for the x with [e_x, e_m] != 0
-    left: tuple[dict, dict] = ({}, {})
-    for (x, m), v in pairs.items():
-        packed = pack(v, w)
-        left[0].setdefault(m, []).append((x, packed))
-        left[1].setdefault(m, []).append((x, -packed if par[x] else packed))
-    sums: dict = {}  # sorted triple -> its cyclic sum, packed, times d^2
-    for (y, z), v in pairs.items():
-        left_z = left[par[z]]
-        for m, c in v.items():
-            for x, packed in left_z.get(m, ()):
-                if x <= y <= z:
-                    key = (x, y, z)
-                elif y <= z <= x:
-                    key = (y, z, x)
-                elif z <= x <= y:
-                    key = (z, x, y)
-                else:
-                    continue
-                sums[key] = sums.get(key, 0) + c * packed
-    failed = [key for key, s in sums.items() if s]
-    if not failed:
-        return None
-    get = pairs.get
+    Every inner table must be super skew on the space with parities par.
+    Then the sum for a transposed triple is a sign multiple of the sum for
+    the triple, and the three shifts have equal sums, so an ordered triple
+    fails exactly when its sorted one does. The scan packs each outer vector
+    into one int (``pack``) and adds every product c outer[x, m], c the m
+    coordinate of inner[y, z], with its sign, to the sorted triple of which
+    (x, y, z) is a shift, in one pass over the nonzeros (once when i = j = k:
+    its three shifts coincide, so its sum is a third of the cyclic one). A
+    slot of a sum holds at most 3L products per term, L the most nonzeros of
+    an inner value, each at most M^2 for M the largest entry of any table,
+    so slots of width ``slot_width(3 * sum of L, M^2)`` keep every sum
+    exact. A term with an empty table adds nothing and is skipped."""
+    terms = [(inner, outer) for inner, outer in terms if inner and outer]
+    if not terms:
+        return set()
+    products = 3 * sum(max(map(len, inner.values())) for inner, _ in terms)
+    tables = {id(t): t for term in terms for t in term}.values()  # Jacobi's two tables are one
+    top = max(abs(c) for t in tables for v in t.values() for c in v.values())
+    w = slot_width(products, top * top)
+    sums: dict = {}  # sorted triple -> its cyclic sum, packed
+    for inner, outer in terms:
+        # left[p][m]: (x, (-1)^{|x| p} outer[x, m] packed) for the x with outer[x, m] != 0
+        left: tuple[dict, dict] = ({}, {})
+        for (x, m), v in outer.items():
+            packed = pack(v, w)
+            left[0].setdefault(m, []).append((x, packed))
+            left[1].setdefault(m, []).append((x, -packed if par[x] else packed))
+        for (y, z), v in inner.items():
+            left_z = left[par[z]]
+            for m, c in v.items():
+                for x, packed in left_z.get(m, ()):
+                    if x <= y <= z:
+                        key = (x, y, z)
+                    elif y <= z <= x:
+                        key = (y, z, x)
+                    elif z <= x <= y:
+                        key = (z, x, y)
+                    else:
+                        continue
+                    sums[key] = sums.get(key, 0) + c * packed
+    return {key for key, s in sums.items() if s}
 
-    def piece(x, y, z):  # d^2 [e_x, [e_y, e_z]]
+
+def cyclic_violation(name: str, par: Sequence[int], terms, ijk, scale: int, dim: int) -> Violation:
+    """Violation ``name`` at the triple ijk of the cyclic identity with these
+    terms (see ``cyclic_failures``): its residual divided by scale, as a
+    dense vector of length dim."""
+    def piece(x, y, z):
         out: dict = {}
-        for m, c in get((y, z), EMPTY).items():
-            add_scaled(out, c, get((x, m), EMPTY))
+        for inner, outer in terms:
+            for m, c in inner.get((y, z), EMPTY).items():
+                add_scaled(out, c, outer.get((x, m), EMPTY))
         return out
 
-    i, j, k = min(failed)
-    res = cyclic_residual(par, i, j, k, piece)
-    return Violation("jacobi", (i, j, k), dense_vec({m: Fraction(c, d * d) for m, c in res.items()}, n))
+    res = cyclic_residual(par, *ijk, piece)
+    return Violation(name, ijk, dense_vec({m: Fraction(c, scale) for m, c in res.items()}, dim))
+
+
+def check_jacobi(bracket: SuperBracket) -> Violation | None:
+    """First violating triple of the Jacobi super identity, or None: the
+    ``cyclic_failures`` scan of the one term (pairs, pairs) on the integer
+    view, where every double bracket is d^2 times the rational one. Under
+    super skew-symmetry it finds every failure; the least is the witness."""
+    par = bracket.space.parities
+    d, pairs = bracket.scaled_pairs
+    terms = [(pairs, pairs)]
+    failed = cyclic_failures(par, terms)
+    return cyclic_violation("jacobi", par, terms, min(failed), d * d, bracket.space.dim) if failed else None
 
 
 @dataclass(frozen=True)
@@ -385,31 +401,25 @@ def curvature_failures(a: LieSuperAlgebra, h_bracket: SuperBracket,
     [theta(x_i), theta(x_j)] - theta([x_i, x_j]_a) = ad_h(lam(x_i, x_j)) fails,
     with [S, T] = ST - (-1)^{|S||T|} TS; compared column by column on h.
 
-    The comparison runs on integer views: the theta maps share one scale
-    d_t, and a's bracket, lam and h's bracket have their own d_a, d_l, d_h.
-    The theta-theta terms are multiplied by d_a d_l d_h, the theta([x,y]_a)
-    term by d_t d_l d_h and the ad_h(lam) term by d_t^2 d_a, so every term is
-    d_t^2 d_a d_l d_h times its rational value."""
-    d_a, a_pairs = a.bracket.scaled_pairs
-    d_l, lam_pairs = lam.scaled_pairs
-    d_h, h_pairs = h_bracket.scaled_pairs
-    d_t, cols = common_scale(t.scaled_columns for t in theta)
-    k_tt, k_ta, k_l = d_a * d_l * d_h, d_t * d_l * d_h, d_t * d_t * d_a
+    The comparison runs on the integer views of a's bracket, lam, h's
+    bracket and the theta maps, brought to one scale d (``common_scale``),
+    so every term is d^2 times its rational value."""
+    _, (a_pairs, lam_pairs, h_pairs, *cols) = common_scale(
+        [a.bracket.scaled_pairs, lam.scaled_pairs, h_bracket.scaled_pairs] + [t.scaled_columns for t in theta])
     for i in range(a.dim):
         for j in range(a.dim):
             sign = -1 if (theta[i].degree * theta[j].degree) % 2 else 1
-            a_ij = a_pairs.get((i, j), EMPTY)
-            lam_ij = lam_pairs.get((i, j), EMPTY)
+            a_ij, lam_ij = a_pairs.get((i, j), EMPTY), lam_pairs.get((i, j), EMPTY)
             for u in range(h_bracket.space.dim):
                 acc: dict = {}
                 for r, c in cols[j][u].items():
-                    add_scaled(acc, c * k_tt, cols[i][r])
+                    add_scaled(acc, c, cols[i][r])
                 for r, c in cols[i][u].items():
-                    add_scaled(acc, -sign * c * k_tt, cols[j][r])
+                    add_scaled(acc, -sign * c, cols[j][r])
                 for m, c in a_ij.items():
-                    add_scaled(acc, -c * k_ta, cols[m][u])
+                    add_scaled(acc, -c, cols[m][u])
                 for r, c in lam_ij.items():
-                    add_scaled(acc, -c * k_l, h_pairs.get((r, u), EMPTY))
+                    add_scaled(acc, -c, h_pairs.get((r, u), EMPTY))
                 if any(acc.values()):
                     yield i, j
                     break

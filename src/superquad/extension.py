@@ -35,7 +35,8 @@ from .algebra import (
     QuadraticLieSuperAlgebra,
     SuperBracket,
     curvature_failures,
-    cyclic_residual,
+    cyclic_failures,
+    cyclic_violation,
     delta_coadjoint,
     is_derivation,
     is_metric_skew,
@@ -50,7 +51,6 @@ from .spaces import (
     SuperSpace,
     add_scaled,
     common_scale,
-    dense_vec,
     p_delta_dual,
     super_skew_violation,
 )
@@ -175,13 +175,14 @@ def validate_context(ctx: DeltaContext) -> list[Violation]:
     """All context axioms, exhaustively on basis tuples; empty list means ok.
 
     The identities are compared on integer views (``scaled_pairs``,
-    ``scaled_columns``): every term of one identity is multiplied by one
-    positive constant, so a sum vanishes exactly when the rational one does,
-    and a residual is divided back by that constant once."""
+    ``scaled_columns``) brought to one scale d, so every term of one identity
+    is d^2 (super-cyclic: d) times its value: a sum vanishes exactly when the
+    rational one does, and a residual is divided back once. deh2 and deh3
+    are found by one ``cyclic_failures`` scan each, exhaustive because
+    lambda, omega and a's bracket are super skew by then; every ordering of
+    a failing sorted triple is reported, in row-major order."""
     out: list[Violation] = []
-    a_sp = ctx.a.space
-    na = a_sp.dim
-    par = a_sp.parities
+    na, par = ctx.a.dim, ctx.a.space.parities
 
     if ctx.h.delta != ctx.delta:
         out.append(Violation("metric-degree", (), ctx.h.delta,
@@ -195,74 +196,39 @@ def validate_context(ctx: DeltaContext) -> list[Violation]:
         if not is_metric_skew(t, ctx.h.metric):
             out.append(Violation("rho-skew", (i,)))
 
-    for check, name in ((ctx.lam.check_even, "lambda-even"),
-                        (ctx.lam.check_super_skew, "lambda-skew"),
-                        (ctx.omega.check_even, "omega-even"),
-                        (ctx.omega.check_super_skew, "omega-skew")):
-        v = check(name)
-        if v is not None:
-            out.append(v)
+    out += [v for v in (ctx.lam.check_even("lambda-even"), ctx.lam.check_super_skew("lambda-skew"),
+                        ctx.omega.check_even("omega-even"), ctx.omega.check_super_skew("omega-skew"))
+            if v is not None]
     if out:
         return out  # derived maps below assume well-formed pieces
-
-    chi = ctx.chi
-    rep = delta_coadjoint(ctx.a, ctx.delta)
 
     # deh1: [rho(x),rho(y)] - rho([x,y]_a) = ad_h(lambda(x,y))
     out += [Violation("deh1", ij) for ij in curvature_failures(ctx.a, ctx.h.bracket, ctx.rho, ctx.lam)]
 
-    d_a, a_pairs = ctx.a.bracket.scaled_pairs
-    d_l, lam_pairs = ctx.lam.scaled_pairs
-    d_o, omega_pairs = ctx.omega.scaled_pairs
-    d_c, chi_pairs = chi.scaled_pairs
-    d_t, rho_cols = common_scale(t.scaled_columns for t in ctx.rho)
-    d_r, rep_cols = common_scale(t.scaled_columns for t in rep.action)
+    # deh2, deh3 and super-cyclic read their views at one scale d, so every
+    # product of two constants is d^2 times its value
+    d, (a_pairs, lam_pairs, omega_pairs, chi_pairs, *cols) = common_scale(
+        [ctx.a.bracket.scaled_pairs, ctx.lam.scaled_pairs, ctx.omega.scaled_pairs, ctx.chi.scaled_pairs]
+        + [t.scaled_columns for t in ctx.rho + delta_coadjoint(ctx.a, ctx.delta).action])
+    # column r of the map of x, keyed (x, r)
+    rho, ad_star = ({(x, r): col for x, t in enumerate(maps) for r, col in enumerate(t) if col}
+                    for maps in (cols[:na], cols[na:]))
 
-    # deh2: cyclic sum of rho(x)(lambda(y,z)) + lambda(x,[y,z]_a). The terms
-    # are d_t d_l and d_l d_a times their values; multiplied by d_a and d_t.
-    def deh2_piece(x, y, z):
-        t: dict = {}
-        for r, c in lam_pairs.get((y, z), EMPTY).items():
-            add_scaled(t, d_a * c, rho_cols[x][r])
-        for m, c in a_pairs.get((y, z), EMPTY).items():
-            add_scaled(t, d_t * c, lam_pairs.get((x, m), EMPTY))
-        return t
-
-    # deh3: cyclic sum of ad*_d(x)(omega(y,z)) + omega(x,[y,z]_a) + chi(x,lambda(y,z)).
-    # The terms are d_r d_o, d_o d_a and d_c d_l times their values; each is
-    # multiplied by the other scales.
-    k_rep, k_omega, k_chi = d_a * d_c * d_l, d_r * d_c * d_l, d_r * d_o * d_a
-
-    def deh3_piece(x, y, z):
-        t: dict = {}
-        for r, c in omega_pairs.get((y, z), EMPTY).items():
-            add_scaled(t, k_rep * c, rep_cols[x][r])
-        for m, c in a_pairs.get((y, z), EMPTY).items():
-            add_scaled(t, k_omega * c, omega_pairs.get((x, m), EMPTY))
-        for m, c in lam_pairs.get((y, z), EMPTY).items():
-            add_scaled(t, k_chi * c, chi_pairs.get((x, m), EMPTY))
-        return t
-
-    for name, piece, dim, scale in (("deh2", deh2_piece, ctx.h.dim, d_t * d_l * d_a),
-                                    ("deh3", deh3_piece, na, d_r * d_o * d_a * d_c * d_l)):
-        pieces = {xyz: piece(*xyz) for xyz in itertools.product(range(na), repeat=3)}
-        for i in range(na):
-            for j in range(na):
-                for k in range(na):
-                    total = cyclic_residual(par, i, j, k, lambda *xyz: pieces[xyz])
-                    if total:
-                        residual = {m: Fraction(c, scale) for m, c in total.items()}
-                        out.append(Violation(name, (i, j, k), dense_vec(residual, dim)))
+    # deh2: cyclic sum of rho(x)(lambda(y,z)) + lambda(x,[y,z]_a);
+    # deh3: cyclic sum of ad*_d(x)(omega(y,z)) + omega(x,[y,z]_a) + chi(x,lambda(y,z))
+    for name, terms, dim in (("deh2", [(lam_pairs, rho), (a_pairs, lam_pairs)], ctx.h.dim),
+                             ("deh3", [(omega_pairs, ad_star), (a_pairs, omega_pairs),
+                                       (lam_pairs, chi_pairs)], na)):
+        failed = cyclic_failures(par, terms)
+        out += [cyclic_violation(name, par, terms, ijk, d * d, dim)
+                for ijk in sorted({p for t in failed for p in itertools.permutations(t)})]
 
     # super cyclic condition on omega
-    for i in range(na):
-        for j in range(na):
-            for k in range(na):
-                sign = -1 if ((par[j] + par[k]) * par[i]) % 2 else 1
-                lhs = omega_pairs.get((i, j), EMPTY).get(k, 0)
-                rhs = sign * omega_pairs.get((j, k), EMPTY).get(i, 0)
-                if lhs != rhs:
-                    out.append(Violation("super-cyclic", (i, j, k), Fraction(lhs - rhs, d_o)))
+    for i, j, k in itertools.product(range(na), repeat=3):
+        sign = -1 if ((par[j] + par[k]) * par[i]) % 2 else 1
+        res = omega_pairs.get((i, j), EMPTY).get(k, 0) - sign * omega_pairs.get((j, k), EMPTY).get(i, 0)
+        if res:
+            out.append(Violation("super-cyclic", (i, j, k), Fraction(res, d)))
 
     return out
 

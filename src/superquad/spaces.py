@@ -71,15 +71,24 @@ def scaled_to_ints(vectors) -> tuple[int, tuple[dict, ...]]:
     return d, tuple({k: c.numerator * (d // c.denominator) for k, c in v.items()} for v in vectors)
 
 
-def common_scale(views) -> tuple[int, list[tuple[dict, ...]]]:
+def common_scale(views) -> tuple[int, list]:
     """(d, scaled): integer views ``(d_t, vectors)``, each from
-    ``scaled_to_ints``, brought to one scale d, the lcm of the d_t; d is then
-    the lcm of the denominators of every vector, as if all had been scaled
-    together."""
+    ``scaled_to_ints`` or a ``scaled_*`` property, brought to one scale d,
+    the lcm of the d_t; d is then the lcm of the denominators of every
+    vector, as if all had been scaled together. ``vectors`` is a tuple of
+    sparse vectors, or a dict of them by key, and keeps its shape."""
     views = list(views)
     d = math.lcm(*(dt for dt, _ in views))
-    return d, [vs if dt == d else tuple({k: c * (d // dt) for k, c in v.items()} for v in vs)
-               for dt, vs in views]
+    out = []
+    for dt, vs in views:
+        if dt != d:
+            f = d // dt
+            if isinstance(vs, dict):
+                vs = {key: {k: c * f for k, c in v.items()} for key, v in vs.items()}
+            else:
+                vs = tuple({k: c * f for k, c in v.items()} for v in vs)
+        out.append(vs)
+    return d, out
 
 
 def sparse_transpose(vectors, n: int) -> list[dict]:

@@ -75,6 +75,60 @@ def test_verify_flags_violation(tmp_path, capsys):
     assert "FAIL" in out and "RESULT violation" in out
 
 
+def test_verify_does_not_pass_jacobi_without_super_skew(tmp_path, capsys):
+    """The Jacobi scan of sorted triples is exhaustive only under super
+    skew-symmetry. Here [e_0, e_0] = e_2 breaks it, and the sorted scan finds
+    nothing while the cyclic sum at (0, 2, 1) is -e_2: the jacobi line fails
+    as not checked, in text and JSON, and RESULT and the exit code stay."""
+    f = tmp_path / "skew.alg"
+    f.write_text("algebra skew\nbasis a 0\nbasis b 0\nbasis c 0\n"
+                 "bracket 0 0 2 1\nbracket 2 1 0 -1\nbracket 2 1 2 1\nend algebra\n")
+    code, out, _ = run(capsys, "verify", str(f))
+    assert code == 1
+    assert "check super-skew      FAIL" in out
+    assert "check jacobi          FAIL  not checked: needs super skew-symmetry\n" in out
+    assert "RESULT violation" in out and "jacobi          PASS" not in out
+    code, out, _ = run(capsys, "verify", str(f), "--format", "json")
+    report = json.loads(out)
+    assert code == 1 and report["ok"] is False
+    jacobi = [c for c in report["checks"] if c["name"] == "jacobi"]
+    assert jacobi == [{"name": "jacobi", "ok": False, "detail": "not checked: needs super skew-symmetry"}]
+
+
+H_WITH_METRIC = "algebra h\nbasis u 0\nmetric-degree 0\nmetric 0 0 1\nend algebra\n"
+
+
+def context_text(h, a):
+    return f"context c\ndelta 0\nh-algebra\n{h}a-algebra\n{a}end context\n"
+
+
+def test_context_metric_misplaced_is_a_usage_error(tmp_path, capsys):
+    """extend and roundtrip refuse a context whose h-algebra has no metric,
+    or whose a-algebra has one, before anything is built: exit 2 with
+    ``error:``, no violation line and no output file."""
+    for h, a in (("algebra h\nbasis u 0\nend algebra\n", "algebra a\nbasis x 0\nend algebra\n"),
+                 (H_WITH_METRIC, "algebra a\nbasis x 0\nmetric-degree 0\nmetric 0 0 1\nend algebra\n")):
+        f = tmp_path / "c.context"
+        f.write_text(context_text(h, a))
+        out = tmp_path / "x"
+        for argv in (("extend", "--context", str(f), "--out", str(out)), ("roundtrip", str(f))):
+            code, stdout, err = run(capsys, *argv)
+            assert code == 2 and stdout == ""
+            assert err.startswith("error: ") and "metric-degree" in err and "violation" not in err
+            assert not out.exists()
+
+
+def test_roundtrip_of_dim_a_zero_is_a_usage_error(tmp_path, capsys):
+    """With dim a = 0 the dual block is zero, so there is no ideal to
+    decompose along: roundtrip refuses it before extending."""
+    f = tmp_path / "c.context"
+    f.write_text(context_text(H_WITH_METRIC, "algebra a\nend algebra\n"))
+    code, stdout, err = run(capsys, "roundtrip", str(f))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and "dim a" in err and "violation" not in err
+    assert run(capsys, "extend", "--context", str(f), "--out", str(tmp_path / "x"))[0] == 0
+
+
 def test_extend_sample_matches_catalog_algebra(tmp_path, capsys):
     out = tmp_path / "ext.alg"
     code, _, _ = run(capsys, "extend", "--context", str(SAMPLES / "heisenberg.context"),
@@ -137,7 +191,7 @@ def test_decompose_auto_fails_cleanly_without_central_line(tmp_path, capsys):
     f.write_text(serialize_document(algebra_to_document(_sl2_killing(), "sl2"), "text"))
     code, _, err = run(capsys, "decompose", str(f), "--ideal", "auto",
                        "--out", str(tmp_path / "x"))
-    assert code == 1
+    assert code == 2
     assert "supply --ideal" in err
 
 

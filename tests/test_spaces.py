@@ -12,10 +12,12 @@ from superquad.spaces import (
     SuperSpace,
     apply_p_delta,
     check_form_degree,
+    common_scale,
     dual_space,
     p_delta_dual,
     parity_shift,
     parity_shift_map,
+    scaled_to_ints,
 )
 
 parities_st = st.lists(st.integers(0, 1), min_size=0, max_size=6)
@@ -365,3 +367,20 @@ def test_maps_and_forms_survive_pickle_and_copy():
     for value in values:
         for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
             assert type(again) is type(value) and again == value and hash(again) == hash(value)
+
+
+def test_common_scale_of_a_tuple_and_a_dict_view():
+    """A tuple view and a dict view at different scales, brought to one: as
+    if every vector had been scaled by ``scaled_to_ints`` at once, each view
+    keeping its shape and keys."""
+    columns = ({0: Fraction(1, 3)}, {}, {1: Fraction(-5, 2), 2: Fraction(7)})
+    pairs = {(0, 1): {2: Fraction(3, 4)}, (1, 0): {2: Fraction(-3, 4), 0: Fraction(1, 5)}}
+    tuple_view, dict_view = scaled_to_ints(columns), scaled_to_ints(pairs.values())
+    dict_view = (dict_view[0], dict(zip(pairs, dict_view[1])))
+    assert tuple_view[0] == 6 and dict_view[0] == 20
+    d, (cols, scaled_pairs) = common_scale([tuple_view, dict_view])
+    d_all, together = scaled_to_ints(list(columns) + list(pairs.values()))
+    assert d == d_all == 60
+    assert type(cols) is tuple and cols == together[:3]
+    assert list(scaled_pairs) == list(pairs) and list(scaled_pairs.values()) == list(together[3:])
+    assert common_scale([dict_view]) == (20, [dict_view[1]])
