@@ -77,15 +77,17 @@ def describe(v: Violation) -> str:
 
 def _load(path: str):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: byte {exc.start}: {exc.reason}") from exc
     return parse_document(text)
 
 
 def _write(path: str, content: str) -> None:
     try:
-        Path(path).write_text(content)
+        Path(path).write_text(content, encoding="utf-8")
     except OSError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -177,6 +179,8 @@ def cmd_decompose(args) -> int:
     else:
         ideal_doc = _expect(_load(args.ideal), IdealDocument, "an ideal")
         ideal = list(ideal_doc.vectors)
+        if not ideal:
+            raise ParseError("the ideal document has no vectors: decompose needs a nonzero ideal")
         for r, v in enumerate(ideal):
             if len(v) != g.dim:
                 raise ParseError(f"ideal vector {r} has length {len(v)}, the algebra has dim {g.dim}")

@@ -20,12 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .algebra import (
-    LieSuperAlgebra,
-    QuadraticLieSuperAlgebra,
-    SuperBracket,
-    delta_coadjoint,
-)
+from .algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket
 from .errors import (
     ClaimViolated,
     DegenerateInput,
@@ -412,11 +407,13 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: list[Vector]) -> list[di
     for r, v in enumerate(ideal):
         if len(v) != n:
             raise ClaimViolated("ideal-shape", message=f"vector {r} has wrong length")
-        if g.space.vector_parity(v) is None:
+        if any(v) and g.space.vector_parity(v) is None:  # zero is homogeneous of either parity
             raise ClaimViolated("ideal-homogeneous", [Violation("ideal-homogeneous", (r,))])
     ideal = [sparse_vec(v) for v in ideal]
-    if linalg.rank(ideal, n) != len(ideal):
-        raise ClaimViolated("ideal-independent", [Violation("ideal-independent")])
+    grows = linalg.extend_independent([], ideal)
+    if len(grows) != len(ideal):  # the first vector in the span of those before it
+        r = next((r for r, k in enumerate(grows) if k != r), len(grows))
+        raise ClaimViolated("ideal-independent", [Violation("ideal-independent", (r,))])
     for i, u in enumerate(ideal):
         for j, v in enumerate(ideal[i:], i):  # (j, i) repeats (i, j) up to sign
             if _pair(g.metric, u, v) != 0:
@@ -483,15 +480,15 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
     except (ValidationError, SuperquadError) as exc:
         raise ClaimViolated("h-quadratic", message=str(exc)) from exc
 
-    # B(I_i, a_j) = delta_ij makes xi_delta the identity: I is read as P_delta(a)*
-    rep = delta_coadjoint(a_alg, delta)
-    for i in range(na):
-        if maps.sigma[i].sparse_columns != rep.action[i].sparse_columns:
-            raise ClaimViolated("sigma-coadjoint", [Violation("sigma-coadjoint", (i,))])
-
     omega = GradedBilinearMap.from_entries(
         maps.a_space, maps.a_space, p_delta_dual(maps.a_space, delta), maps.mu.entries())
     context = DeltaContext(delta, a_alg, h_alg, maps.rho, maps.lam, omega)
+
+    # B(I_i, a_j) = delta_ij makes xi_delta the identity: I is read as P_delta(a)*
+    for i, s in enumerate(context.ad_star):
+        if maps.sigma[i].sparse_columns != s.sparse_columns:
+            raise ClaimViolated("sigma-coadjoint", [Violation("sigma-coadjoint", (i,))])
+
     try:
         ext = double_extend(context)
     except InvalidContext as exc:

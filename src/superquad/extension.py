@@ -109,6 +109,11 @@ class DeltaContext:
         """``derive_phi`` of this context, derived once; raises as it does."""
         return derive_phi(self)
 
+    @functools.cached_property
+    def ad_star(self) -> tuple[GradedLinearMap, ...]:
+        """The maps ad*_delta(x_i) on the dual block, one per a-basis vector, derived once."""
+        return delta_coadjoint(self.a, self.delta).action
+
     def __getstate__(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -209,7 +214,7 @@ def validate_context(ctx: DeltaContext) -> list[Violation]:
     # product of two constants is d^2 times its value
     d, (a_pairs, lam_pairs, omega_pairs, chi_pairs, *cols) = common_scale(
         [ctx.a.bracket.scaled_pairs, ctx.lam.scaled_pairs, ctx.omega.scaled_pairs, ctx.chi.scaled_pairs]
-        + [t.scaled_columns for t in ctx.rho + delta_coadjoint(ctx.a, ctx.delta).action])
+        + [t.scaled_columns for t in ctx.rho + ctx.ad_star])
     # column r of the map of x, keyed (x, r)
     rho, ad_star = ({(x, r): col for x, t in enumerate(maps) for r, col in enumerate(t) if col}
                     for maps in (cols[:na], cols[na:]))
@@ -233,21 +238,19 @@ def validate_context(ctx: DeltaContext) -> list[Violation]:
     return out
 
 
-def central_extension(ctx: DeltaContext, phi: GradedBilinearMap) -> LieSuperAlgebra:
+def central_extension(ctx: DeltaContext) -> LieSuperAlgebra:
     """h + dual block with [u + a, v + b]' = [u,v]_h + Phi(u,v), dual block central."""
     h_sp, dual = ctx.h.space, ctx.dual_block
     space = SuperSpace(h_sp.basis + dual.basis)
     return LieSuperAlgebra(SuperBracket.from_entries(
-        space, ctx.h.bracket.entries() + phi.entries(dk=h_sp.dim)))
+        space, ctx.h.bracket.entries() + ctx.phi.entries(dk=h_sp.dim)))
 
 
-def extension_derivations(ctx: DeltaContext, chi: GradedBilinearMap,
-                          ce_space: SuperSpace) -> tuple[GradedLinearMap, ...]:
+def extension_derivations(ctx: DeltaContext, ce_space: SuperSpace) -> tuple[GradedLinearMap, ...]:
     """Theta(x) = rho(x) + ad*_d(x) + chi(x, .) acting on h + dual block."""
-    rep = delta_coadjoint(ctx.a, ctx.delta)
     nh = ctx.h.dim
-    entries = [ctx.rho[i].entries() + rep.action[i].entries(nh, nh) for i in range(ctx.a.dim)]
-    for (i, m), v in chi.pairs.items():
+    entries = [t.entries() + s.entries(nh, nh) for t, s in zip(ctx.rho, ctx.ad_star)]
+    for (i, m), v in ctx.chi.pairs.items():
         entries[i] += [(nh + k, m, c) for k, c in v.items()]
     return tuple(GradedLinearMap.from_entries(ce_space, ce_space, ctx.a.space.parity(i), e)
                  for i, e in enumerate(entries))
@@ -280,8 +283,8 @@ def double_extend(ctx: DeltaContext) -> QuadraticLieSuperAlgebra:
     if violations:
         raise InvalidContext(violations)
 
-    ce = central_extension(ctx, ctx.phi)
-    theta = extension_derivations(ctx, ctx.chi, ce.space)
+    ce = central_extension(ctx)
+    theta = extension_derivations(ctx, ce.space)
 
     big_lambda = GradedBilinearMap.from_entries(
         ctx.a.space, ctx.a.space, ce.space, ctx.lam.entries() + ctx.omega.entries(dk=ctx.h.dim))

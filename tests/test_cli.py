@@ -195,6 +195,18 @@ def test_decompose_auto_fails_cleanly_without_central_line(tmp_path, capsys):
     assert "supply --ideal" in err
 
 
+def test_decompose_empty_ideal_document_is_a_usage_error(tmp_path, capsys):
+    """An ideal document with no vectors names no ideal to split along:
+    exit 2 with ``error:``, no violation line and no output file."""
+    ideal, out = tmp_path / "empty.ideal", tmp_path / "x"
+    ideal.write_text("ideal empty\nend ideal\n")
+    code, _, err = run(capsys, "decompose", str(SAMPLES / "heisenberg.algebra"), "--ideal", str(ideal),
+                       "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and "no vectors" in err and "violation" not in err
+    assert not out.exists()
+
+
 def test_roundtrip_samples(capsys):
     for sample in ("heisenberg.context", "odd-dim1.context"):
         code, out, _ = run(capsys, "roundtrip", str(SAMPLES / sample))
@@ -256,6 +268,37 @@ def test_zero_coefficient_out_of_range_exit_2(tmp_path, capsys):
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "verify", "/no/such/file")
     assert code == 2
+
+
+def test_document_not_utf8_exit_2(tmp_path, capsys):
+    """Documents are UTF-8: a byte sequence that is not is a parse error."""
+    f = tmp_path / "latin.alg"
+    f.write_bytes(b"algebra x\nbasis a\xff 0\nend algebra\n")
+    code, out, err = run(capsys, "verify", str(f))
+    assert code == 2 and out == "" and err.startswith("error: ") and "not UTF-8" in err
+
+
+def test_non_ascii_label_reads_and_writes_under_an_ascii_locale(tmp_path):
+    """The locale's encoding plays no part: under an ASCII locale a UTF-8
+    label reads, and the output is the same bytes as under a UTF-8 one."""
+    import os
+    import subprocess
+    import sys
+
+    ctx = tmp_path / "eps.context"
+    ctx.write_text((SAMPLES / "heisenberg.context").read_text().replace("basis e 0", "basis \u03b5 0"),
+                   encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for name, env in (("utf8", {"PYTHONUTF8": "1"}),
+                      ("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})):
+        out = tmp_path / f"{name}.algebra"
+        proc = subprocess.run(
+            [sys.executable, "-m", "superquad.cli", "extend", "--context", str(ctx), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True, text=True)
+        assert proc.returncode == 0, (name, proc.stderr)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] and "basis \u03b5 0".encode() in outputs[0]
 
 
 def test_json_output_format(tmp_path, capsys):
@@ -488,6 +531,33 @@ def test_extend_scans_each_context_condition_once(tmp_path, capsys, monkeypatch)
             calls[name] = 0
         assert run(capsys, "extend", "--context", str(path), "--out", str(tmp_path / "out"))[0] == 0
         assert calls == {"curvature_failures": 1, "is_derivation": na}, sample
+
+
+def test_delta_coadjoint_built_once_per_context(tmp_path, capsys, monkeypatch):
+    """ad*_delta is derived once per context, beside chi and Phi: once per
+    extend and per decompose, twice per roundtrip (the input and the
+    recovered context), whichever checks and layers read it."""
+    import sys
+    import superquad.algebra as algebra
+    calls = []
+    original = algebra.delta_coadjoint
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("superquad") and getattr(module, "delta_coadjoint", None) is original:
+            monkeypatch.setattr(module, "delta_coadjoint", counting)
+    golden = Path(__file__).resolve().parent / "golden"
+    for stem in (SAMPLES / "heisenberg", SAMPLES / "odd-dim1", golden / "coprime"):
+        out = str(tmp_path / "out")
+        for argv, expected in ((("extend", "--context", f"{stem}.context", "--out", out), 1),
+                               (("decompose", f"{stem}.algebra", "--out", out), 1),
+                               (("roundtrip", f"{stem}.context"), 2)):
+            calls.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert len(calls) == expected, argv
 
 
 def test_heisenberg_pairs_16_extend_and_roundtrip(tmp_path, capsys):

@@ -236,12 +236,13 @@ X, E, FF, PX = (unit_vec(4, k) for k in range(4))  # x, e, f, P(x)* of catalog H
     ([], "ideal-empty", []),
     ([(0, 0, 1)], "ideal-shape", []),
     ([(1, 0, 1, 0)], "ideal-homogeneous", [("ideal-homogeneous", (0,), None)]),
-    ([PX, linalg.vec_scale(2, PX)], "ideal-independent", [("ideal-independent", (), None)]),
+    ([PX, linalg.vec_scale(2, PX)], "ideal-independent", [("ideal-independent", (1,), None)]),
+    ([PX, (0, 0, 0, 0), X], "ideal-independent", [("ideal-independent", (1,), None)]),
     ([E, FF], "ideal-isotropic", [("ideal-isotropic", (0, 1), None)]),
     ([X, E], "ideal-abelian", [("ideal-abelian", (0, 1), None)]),
     # [x, e] = e is a nonzero image inside the span, before the witness [f, e] = -P(x)*
     ([E], "ideal-invariant", [("ideal-invariant", (2, 0), (0, 0, 0, -1))]),
-], ids=["empty", "shape", "homogeneous", "independent", "isotropic", "abelian", "invariant"])
+], ids=["empty", "shape", "homogeneous", "independent", "zero", "isotropic", "abelian", "invariant"])
 def test_decompose_names_each_ideal_hypothesis(ideal, claim, violations):
     g = heisenberg_extension(default_heisenberg_params())
     with pytest.raises(ClaimViolated) as exc:

@@ -8,6 +8,7 @@ from superquad.algebra import (
     QuadraticLieSuperAlgebra,
     check_invariance,
     check_jacobi,
+    delta_coadjoint,
     is_derivation,
 )
 from superquad.catalog import (
@@ -192,10 +193,8 @@ def test_metric_restricts_to_h_and_dual_block_is_central_ideal():
 def test_theta_is_derivation_of_central_extension():
     for ctx in (heisenberg_context(default_heisenberg_params()),
                 odd_dim1_ctx(beta=F(1), w_coeff=F(1), eta=F(1))):
-        chi = derive_chi(ctx)
-        phi = derive_phi(ctx)
-        ce = central_extension(ctx, phi)
-        for theta in extension_derivations(ctx, chi, ce.space):
+        ce = central_extension(ctx)
+        for theta in extension_derivations(ctx, ce.space):
             assert is_derivation(theta, ce.bracket)
 
 
@@ -254,11 +253,14 @@ def test_cached_chi_and_phi_stay_out_of_equality_hashing_and_pickling():
     ctx = heisenberg_context(default_heisenberg_params())
     fresh = heisenberg_context(default_heisenberg_params())
     assert ctx.chi is ctx.chi and ctx.phi is ctx.phi and ctx.dual_block is ctx.dual_block
+    assert ctx.ad_star is ctx.ad_star
     assert ctx.chi == derive_chi(fresh) and ctx.phi == derive_phi(fresh)
+    assert ctx.ad_star == delta_coadjoint(fresh.a, fresh.delta).action
     assert ctx == fresh and hash(ctx) == hash(fresh)
-    assert {"chi", "phi", "dual_block"} <= vars(ctx).keys() and not vars(fresh).keys() & {"chi", "phi"}
+    derived = {"chi", "phi", "ad_star", "dual_block"}
+    assert derived <= vars(ctx).keys() and not vars(fresh).keys() & {"chi", "phi", "ad_star"}
     for again in (pickle.loads(pickle.dumps(ctx)), copy.deepcopy(ctx), copy.copy(ctx)):
         assert again == ctx and hash(again) == hash(ctx)
-        assert not vars(again).keys() & {"chi", "phi", "dual_block"}
-        assert again.chi == ctx.chi and again.phi == ctx.phi
+        assert not vars(again).keys() & derived
+        assert again.chi == ctx.chi and again.phi == ctx.phi and again.ad_star == ctx.ad_star
     assert pickle.dumps(ctx) == pickle.dumps(fresh)

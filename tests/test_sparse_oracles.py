@@ -877,7 +877,7 @@ def test_extension_metric_and_derivations_match_dense_blocks():
         assert res.extension.metric.matrix == ref_extension_metric(ctx)
         chi = derive_chi(ctx)
         ce_space = SuperSpace(ctx.h.space.basis + ctx.dual_block.basis)
-        theta = extension_derivations(ctx, chi, ce_space)
+        theta = extension_derivations(ctx, ce_space)
         assert [t.matrix for t in theta] == ref_extension_derivations(ctx, chi)
 
 
