@@ -75,6 +75,13 @@ def describe(v: Violation) -> str:
     return ": ".join([parts[0], " ".join(parts[1:])]) if len(parts) > 1 else parts[0]
 
 
+def _shown(name: str) -> str:
+    """A document name as stdout prints it: each non-ASCII character as its
+    backslash escape (\\u03b5 for an epsilon), so that the line is the same
+    bytes under every locale; an ASCII name is printed as it is."""
+    return name.encode("ascii", "backslashreplace").decode("ascii")
+
+
 def _load(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -137,7 +144,7 @@ def cmd_verify(args) -> int:
             "ok": ok_all,
         }, sort_keys=True, separators=(",", ":")))
     else:
-        print(f"algebra {doc.name} dim {space.dim} ({space.dim_even}|{space.dim_odd})")
+        print(f"algebra {_shown(doc.name)} dim {space.dim} ({space.dim_even}|{space.dim_odd})")
         for name, ok, detail in checks:
             status = "PASS" if ok else "FAIL"
             line = f"check {name:<15} {status}"
@@ -161,7 +168,7 @@ def cmd_extend(args) -> int:
     g = double_extend(document_to_context(doc))
     out_doc = algebra_to_document(g, doc.name)
     _write(args.out, serialize_document(out_doc, args.format))
-    print(f"extended {doc.name}: dim {g.dim} ({g.space.dim_even}|{g.space.dim_odd}), "
+    print(f"extended {_shown(doc.name)}: dim {g.dim} ({g.space.dim_even}|{g.space.dim_odd}), "
           f"metric degree {g.delta} -> {args.out}")
     return 0
 
@@ -187,7 +194,7 @@ def cmd_decompose(args) -> int:
     res = decompose(g, ideal)
     out_doc = context_to_document(res.context, doc.name)
     _write(args.out, serialize_document(out_doc, args.format))
-    print(f"decomposed {doc.name}: dim a {len(res.a_basis)}, dim h {len(res.h_basis)}, "
+    print(f"decomposed {_shown(doc.name)}: dim a {len(res.a_basis)}, dim h {len(res.h_basis)}, "
           f"ideal dim {len(res.ideal_basis)}; isometry verified -> {args.out}")
     return 0
 
@@ -220,12 +227,12 @@ def cmd_roundtrip(args) -> int:
     if not doc.a_doc.basis:
         raise ParseError("roundtrip needs dim a > 0: it decomposes along the nonzero dual block")
     ctx = document_to_context(doc)
-    g = double_extend(ctx)
+    g = ctx.extension
     print("roundtrip: context valid")
     print(f"roundtrip: extension dim {g.dim}")
     na = ctx.a.dim
     ideal = [unit_vec(g.dim, g.dim - na + k) for k in range(na)]
-    res = decompose(g, ideal)
+    res = decompose(g, ideal, source=ctx)
     print("roundtrip: decomposition claims and isometry verified")
     if res.extension.bracket.pairs != g.bracket.pairs or res.extension.metric.sparse_rows != g.metric.sparse_rows:
         print("roundtrip: re-extension differs from the original", file=sys.stderr)

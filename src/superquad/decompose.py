@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
     Violation,
 )
-from .extension import DeltaContext, double_extend
+from .extension import DeltaContext
 from .linalg import Vector, ZERO
 from .spaces import (
     EMPTY,
@@ -431,7 +431,8 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: list[Vector]) -> list[di
     return ideal
 
 
-def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> DecompositionResult:
+def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence], *,
+              source: DeltaContext | None = None) -> DecompositionResult:
     """Split g along an isotropic abelian ideal and certify the rebuilt extension.
 
     Each fact is checked once, under the claim named: the ideal hypotheses
@@ -445,6 +446,13 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
     realise chi and Phi (``tau-chi``, ``gamma-phi``). The Witt pairing makes
     xi the identity, so sigma, tau and gamma are compared with ad*_delta, chi
     and Phi index for index.
+
+    ``source`` is the context g is believed to extend, if any. A piece
+    exactly equal to one of its already certified pieces is taken from it
+    rather than certified again: a when its bracket equals source's, h when
+    its bracket and metric equal source's, and the whole context, with its
+    derived maps and its extension, when it equals source. Every claim above
+    still runs, in the same order, so any source gives the same result as none.
     """
     ideal = [linalg.vec(v) for v in ideal]
     sparse_ideal = _validate_ideal(g, ideal)
@@ -462,7 +470,10 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
     na, nh = len(a_vectors), len(h_vectors)
 
     try:
-        a_alg = LieSuperAlgebra(maps.a_table)
+        if source is not None and maps.a_table == source.a.bracket:
+            a_alg = source.a
+        else:
+            a_alg = LieSuperAlgebra(maps.a_table)
     except ValidationError as exc:
         raise ClaimViolated("a-superalgebra", exc.violations) from exc
 
@@ -476,13 +487,18 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
     b_h = GradedBilinearForm.from_entries(maps.h_space, delta, [
         (p - na, q - na, c) for p in range(na, na + nh) for q, c in gram[p].items() if na <= q < na + nh])
     try:
-        h_alg = QuadraticLieSuperAlgebra(LieSuperAlgebra(maps.h_table), b_h)
+        if source is not None and maps.h_table == source.h.bracket and b_h == source.h.metric:
+            h_alg = source.h
+        else:
+            h_alg = QuadraticLieSuperAlgebra(LieSuperAlgebra(maps.h_table), b_h)
     except (ValidationError, SuperquadError) as exc:
         raise ClaimViolated("h-quadratic", message=str(exc)) from exc
 
     omega = GradedBilinearMap.from_entries(
         maps.a_space, maps.a_space, p_delta_dual(maps.a_space, delta), maps.mu.entries())
     context = DeltaContext(delta, a_alg, h_alg, maps.rho, maps.lam, omega)
+    if context == source:
+        context = source  # ad*_delta, chi, Phi and the extension are derived once, on source
 
     # B(I_i, a_j) = delta_ij makes xi_delta the identity: I is read as P_delta(a)*
     for i, s in enumerate(context.ad_star):
@@ -490,7 +506,7 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence]) -> Decompo
             raise ClaimViolated("sigma-coadjoint", [Violation("sigma-coadjoint", (i,))])
 
     try:
-        ext = double_extend(context)
+        ext = context.extension
     except InvalidContext as exc:
         raise ClaimViolated("context", exc.violations) from exc
 

@@ -114,6 +114,11 @@ class DeltaContext:
         """The maps ad*_delta(x_i) on the dual block, one per a-basis vector, derived once."""
         return delta_coadjoint(self.a, self.delta).action
 
+    @functools.cached_property
+    def extension(self) -> QuadraticLieSuperAlgebra:
+        """``double_extend`` of this context, built and certified once; raises as it does."""
+        return double_extend(self)
+
     def __getstate__(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 

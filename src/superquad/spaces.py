@@ -9,6 +9,7 @@ are legal everywhere. All values are immutable and all operations are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -205,13 +206,18 @@ class SuperSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
+    # labels and parities are built once per space, cached in the instance's
+    # __dict__; equality, hashing and pickling see the basis only
+    @functools.cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.basis)
 
-    @property
+    @functools.cached_property
     def parities(self) -> tuple[int, ...]:
         return tuple(p for _, p in self.basis)
+
+    def __getstate__(self):
+        return {"basis": self.basis}
 
     @property
     def dim_even(self) -> int:

@@ -13,6 +13,7 @@ from superquad.fileformat import (
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -475,18 +476,19 @@ def test_validate_context_calls_per_command(tmp_path, capsys, monkeypatch):
             and getattr(module, "validate_context", None) is original] == []
     monkeypatch.setattr(extension, "validate_context", counting)
     out = str(tmp_path / "out")
-    for sample in ("heisenberg", "odd-dim1"):
-        for argv, expected in ((("extend", "--context", str(SAMPLES / f"{sample}.context"), "--out", out), 1),
-                               (("decompose", str(SAMPLES / f"{sample}.algebra"), "--out", out), 1),
-                               (("roundtrip", str(SAMPLES / f"{sample}.context")), 2)):
+    # roundtrip recovers a context equal to its input, and validates only the input
+    for stem in (SAMPLES / "heisenberg", SAMPLES / "odd-dim1", GOLDEN / "coprime"):
+        for argv, expected in ((("extend", "--context", f"{stem}.context", "--out", out), 1),
+                               (("decompose", f"{stem}.algebra", "--out", out), 1),
+                               (("roundtrip", f"{stem}.context"), 1)):
             calls.clear()
             assert run(capsys, *argv)[0] == 0
             assert len(calls) == expected, argv
 
 
 def test_roundtrip_derives_chi_and_phi_once_per_context(capsys, monkeypatch):
-    """A roundtrip builds two equal contexts (the input and the recovered
-    one); chi and Phi are derived once on each, whichever check reads them."""
+    """A roundtrip recovers a context equal to its input and reads chi and
+    Phi from the input: each is derived once, whichever check reads it."""
     import sys
     import superquad.extension as extension
     calls = {"derive_chi": 0, "derive_phi": 0}
@@ -502,9 +504,10 @@ def test_roundtrip_derives_chi_and_phi_once_per_context(capsys, monkeypatch):
             return _original(ctx)
 
         monkeypatch.setattr(extension, name, counting)
-    golden = Path(__file__).resolve().parent / "golden" / "coprime.context"
-    assert run(capsys, "roundtrip", str(golden))[0] == 0
-    assert calls == {"derive_chi": 2, "derive_phi": 2}
+    for stem in (SAMPLES / "heisenberg", SAMPLES / "odd-dim1", GOLDEN / "coprime"):
+        calls.update(dict.fromkeys(calls, 0))
+        assert run(capsys, "roundtrip", f"{stem}.context")[0] == 0
+        assert calls == {"derive_chi": 1, "derive_phi": 1}, stem
 
 
 def test_extend_scans_each_context_condition_once(tmp_path, capsys, monkeypatch):
@@ -535,8 +538,8 @@ def test_extend_scans_each_context_condition_once(tmp_path, capsys, monkeypatch)
 
 def test_delta_coadjoint_built_once_per_context(tmp_path, capsys, monkeypatch):
     """ad*_delta is derived once per context, beside chi and Phi: once per
-    extend and per decompose, twice per roundtrip (the input and the
-    recovered context), whichever checks and layers read it."""
+    extend, decompose and roundtrip (whose recovered context equals its
+    input), whichever checks and layers read it."""
     import sys
     import superquad.algebra as algebra
     calls = []
@@ -549,15 +552,75 @@ def test_delta_coadjoint_built_once_per_context(tmp_path, capsys, monkeypatch):
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("superquad") and getattr(module, "delta_coadjoint", None) is original:
             monkeypatch.setattr(module, "delta_coadjoint", counting)
-    golden = Path(__file__).resolve().parent / "golden"
-    for stem in (SAMPLES / "heisenberg", SAMPLES / "odd-dim1", golden / "coprime"):
+    for stem in (SAMPLES / "heisenberg", SAMPLES / "odd-dim1", GOLDEN / "coprime"):
         out = str(tmp_path / "out")
         for argv, expected in ((("extend", "--context", f"{stem}.context", "--out", out), 1),
                                (("decompose", f"{stem}.algebra", "--out", out), 1),
-                               (("roundtrip", f"{stem}.context"), 2)):
+                               (("roundtrip", f"{stem}.context"), 1)):
             calls.clear()
             assert run(capsys, *argv)[0] == 0
             assert len(calls) == expected, argv
+
+
+def test_roundtrip_certifies_each_distinct_bracket_once(tmp_path, capsys, monkeypatch):
+    """A roundtrip scans each distinct bracket once with Jacobi: decompose
+    takes a, h and the re-extension from the certified input context they
+    equal. The decompose command certifies the algebra it reads and then its
+    re-extension, which equals it when --ideal auto finds the dual block (the
+    two samples) and differs when it finds another line (coprime)."""
+    import sys
+    import superquad.algebra as algebra
+    calls = []
+    original = algebra.check_jacobi
+
+    def counting(bracket):
+        calls.append(bracket)
+        return original(bracket)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("superquad") and getattr(module, "check_jacobi", None) is original:
+            monkeypatch.setattr(module, "check_jacobi", counting)
+    out = str(tmp_path / "out")
+    for stem, decompose_distinct in ((SAMPLES / "heisenberg", 4), (SAMPLES / "odd-dim1", 4),
+                                     (GOLDEN / "coprime", 5)):
+        for argv, expected in ((("extend", "--context", f"{stem}.context", "--out", out), (4, 4)),
+                               (("decompose", f"{stem}.algebra", "--out", out), (5, decompose_distinct)),
+                               (("roundtrip", f"{stem}.context"), (4, 4))):
+            calls.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert (len(calls), len(set(calls))) == expected, argv
+
+
+@pytest.mark.parametrize("command", ["extend", "verify", "decompose"])
+def test_non_ascii_name_prints_escaped_under_an_ascii_locale(tmp_path, command):
+    """A document name prints with each non-ASCII character as its backslash
+    escape, so stdout is the same bytes under an ASCII locale as under a
+    UTF-8 one, and the command exits 0 with nothing on stderr."""
+    import os
+    import subprocess
+    import sys
+
+    kind = "context" if command == "extend" else "algebra"
+    doc = tmp_path / f"eps.{kind}"
+    doc.write_text((SAMPLES / f"heisenberg.{kind}").read_text().replace(
+        f"{kind} heisenberg\n", f"{kind} \u03b5\n"), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = tmp_path / "out"
+    argv = {"extend": ["extend", "--context", str(doc), "--out", str(out)],
+            "verify": ["verify", str(doc)],
+            "decompose": ["decompose", str(doc), "--out", str(out)]}[command]
+    outputs = []
+    for name, env in (("utf8", {"PYTHONUTF8": "1"}),
+                      ("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})):
+        proc = subprocess.run([sys.executable, "-m", "superquad.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b""), name
+        outputs.append((proc.stdout, out.read_bytes() if out.exists() else None))
+    assert outputs[0] == outputs[1]
+    stdout, written = outputs[0]
+    assert b" \\u03b5" in stdout.splitlines()[0]
+    if written is not None:  # the output file keeps the name itself, in UTF-8
+        assert written.splitlines()[0].endswith(" \u03b5".encode())
 
 
 def test_heisenberg_pairs_16_extend_and_roundtrip(tmp_path, capsys):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from generators import context_corpus, random_witt_instance
+from generators import context_corpus, random_heisenberg_params, random_odd_dim1_params, random_witt_instance
 import superquad.decompose as dec
 from superquad import linalg
 from superquad.algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, delta_coadjoint
@@ -26,8 +26,8 @@ from superquad.decompose import (
     witt_complement,
 )
 from superquad.errors import ClaimViolated, DegeneratePairing, NotAnIdealSplit
-from superquad.extension import contexts_equal, double_extend
-from superquad.fileformat import document_to_algebra, parse_document
+from superquad.extension import DeltaContext, contexts_equal, double_extend
+from superquad.fileformat import document_to_algebra, document_to_context, parse_document
 from superquad.linalg import ONE, ZERO, unit_vec
 from superquad.spaces import GradedBilinearForm, GradedLinearMap, SuperSpace, dense_vec
 
@@ -415,3 +415,46 @@ def test_fallback_a_label_clashes_with_no_reused_h_label(label):
         for q, v in enumerate(cols):
             assert linalg.mat_vec(res.isometry.matrix, g.bracket.value_vectors(u, v)) == ext.bracket.value(p, q)
             assert g.metric.value(u, v) == ext.metric.matrix[p][q]
+
+
+def _source_cases():
+    """(ctx, g, ideal): every context with dim a > 0 of the corpus for both
+    deltas, of the catalog families and of the coprime golden file, its
+    extension, and the dual block as the ideal, as roundtrip splits it."""
+    rng = random.Random(18)
+    golden = Path(__file__).resolve().parent / "golden" / "coprime.context"
+    contexts = [*context_corpus(0), *context_corpus(1),
+                *(heisenberg_context(default_heisenberg_params(pairs)) for pairs in (1, 3)),
+                *(heisenberg_context(random_heisenberg_params(rng)) for _ in range(3)),
+                *(odd_extension_context(default_odd_dim1_params(eta)) for eta in (F(1), F(-3, 2))),
+                *(odd_extension_context(random_odd_dim1_params(rng)) for _ in range(3)),
+                document_to_context(parse_document(golden.read_text()))]
+    for ctx in contexts:
+        if ctx.a.dim:
+            g = ctx.extension
+            yield ctx, g, [unit_vec(g.dim, g.dim - ctx.a.dim + k) for k in range(ctx.a.dim)]
+
+
+def test_decompose_with_source_matches_decompose_without():
+    """source only lends decompose pieces it already certified: the result
+    equals the one without source in every field, for the true source, for
+    an equal source whose extension was never built, for another valid
+    context and for the trivial context on the same a and h (a and h
+    reused, the context only if ctx is trivial). With the true source the
+    recovered context is the source itself and the re-extension is g."""
+    import copy
+
+    cases = list(_source_cases())
+    assert len(cases) >= 100
+    for n, (ctx, g, ideal) in enumerate(cases):
+        expected = decompose(g, ideal)
+        unbuilt = copy.deepcopy(ctx)
+        assert "extension" not in vars(unbuilt)
+        sources = [ctx, unbuilt, cases[(n + 1) % len(cases)][0],
+                   DeltaContext.trivial(ctx.delta, ctx.a, ctx.h)]
+        for source in sources:
+            res = decompose(g, ideal, source=source)
+            for name in expected.__dataclass_fields__:
+                assert getattr(res, name) == getattr(expected, name), (n, name)
+        res = decompose(g, ideal, source=ctx)
+        assert res.context is ctx and res.extension is g, n

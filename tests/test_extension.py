@@ -253,14 +253,16 @@ def test_cached_chi_and_phi_stay_out_of_equality_hashing_and_pickling():
     ctx = heisenberg_context(default_heisenberg_params())
     fresh = heisenberg_context(default_heisenberg_params())
     assert ctx.chi is ctx.chi and ctx.phi is ctx.phi and ctx.dual_block is ctx.dual_block
-    assert ctx.ad_star is ctx.ad_star
+    assert ctx.ad_star is ctx.ad_star and ctx.extension is ctx.extension
     assert ctx.chi == derive_chi(fresh) and ctx.phi == derive_phi(fresh)
     assert ctx.ad_star == delta_coadjoint(fresh.a, fresh.delta).action
+    assert ctx.extension == double_extend(heisenberg_context(default_heisenberg_params()))
     assert ctx == fresh and hash(ctx) == hash(fresh)
-    derived = {"chi", "phi", "ad_star", "dual_block"}
-    assert derived <= vars(ctx).keys() and not vars(fresh).keys() & {"chi", "phi", "ad_star"}
+    derived = {"chi", "phi", "ad_star", "extension", "dual_block"}
+    assert derived <= vars(ctx).keys() and not vars(fresh).keys() & {"chi", "phi", "ad_star", "extension"}
     for again in (pickle.loads(pickle.dumps(ctx)), copy.deepcopy(ctx), copy.copy(ctx)):
         assert again == ctx and hash(again) == hash(ctx)
         assert not vars(again).keys() & derived
         assert again.chi == ctx.chi and again.phi == ctx.phi and again.ad_star == ctx.ad_star
+        assert again.extension == ctx.extension
     assert pickle.dumps(ctx) == pickle.dumps(fresh)

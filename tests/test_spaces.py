@@ -53,6 +53,20 @@ def test_apply_p_delta():
     assert apply_p_delta(1, empty) == empty
 
 
+def test_parities_and_labels_built_once_per_space():
+    import copy
+    import pickle
+
+    v, fresh = space([0, 1, 1]), space([0, 1, 1])
+    assert v.parities is v.parities and v.labels is v.labels
+    assert (v.parities, v.labels) == ((0, 1, 1), ("v0", "v1", "v2"))
+    assert v == fresh and hash(v) == hash(fresh) and repr(v) == repr(fresh)
+    assert pickle.dumps(v) == pickle.dumps(fresh)
+    for again in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
+        assert again == v and not vars(again).keys() & {"parities", "labels"}
+        assert again.parities == v.parities and again.labels == v.labels
+
+
 def test_unique_labels_enforced():
     with pytest.raises(ValueError):
         SuperSpace((("x", 0), ("x", 1)))

@@ -379,9 +379,13 @@ def test_extract_structure_maps_same_first_split_witness():
 def test_isometry_witness_on_a_planted_extension(monkeypatch):
     """decompose compares g in the split basis with the re-extension; a
     coefficient planted in the re-extension is reported at its pair, with the
-    dense residual, whether or not g has a nonzero bracket there."""
+    dense residual, whether or not g has a nonzero bracket there. The
+    re-extension is the recovered context's ``extension``, which calls the
+    extension module's double_extend."""
+    import superquad.extension as extension_module
+
     rng = random.Random(37)
-    real = dec.double_extend
+    real = extension_module.double_extend
     planted_at = []
 
     def planted_extension(context):
@@ -392,7 +396,7 @@ def test_isometry_witness_on_a_planted_extension(monkeypatch):
         bad = SuperBracket.from_entries(ext.space, ext.bracket.entries() + [(i, j, k, c)])
         return SimpleNamespace(bracket=bad, metric=ext.metric, space=ext.space, dim=ext.dim)
 
-    monkeypatch.setattr(dec, "double_extend", planted_extension)
+    monkeypatch.setattr(extension_module, "double_extend", planted_extension)
     zero_in_g = 0
     for ctx, g in extensions():
         na = ctx.a.dim
