@@ -8,13 +8,24 @@ isotropic complement a dual to I, changes basis once to (a, h, I), extracts
 all structure maps of the split bracket, reconstructs a double-extension
 context and certifies the isometry onto its extension; ``decompose`` names
 the one check behind each fact. Every step is deterministic: linear solves
-take first pivots in canonical basis order. Vectors may be given dense or
-as sparse dicts ``{index: coefficient}``; inside ``decompose`` every vector is
-sparse, and only the returned bases are dense.
+take first pivots in canonical basis order. Vectors, the ideal's included,
+may be given dense or as sparse dicts ``{index: coefficient}``; inside
+``decompose`` every vector is sparse, and only the returned bases are dense.
+
+The pairings, the centre, the dual solves and the ideal's images run on
+integer views: the metric's ``scaled_rows``, the bracket's ``scaled_pairs``,
+and each set of vectors (the ideal, the I-perp basis, h, the duals and a)
+scaled to integers once, where it enters (``ScaledVectors``). Each sum is
+then one positive constant times the rational one, so it is zero exactly
+when the rational sum is, and a returned coefficient or a residual is
+divided back once; no step here sums ``Fraction``s. The eliminations hand
+their results over as integer views too (``linalg.nullspace_ints``,
+``solve_ints`` and ``inverse_ints``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -40,6 +51,7 @@ from .spaces import (
     GradedLinearMap,
     SuperSpace,
     add_scaled,
+    common_scale,
     dense_vec,
     drop_zeros,
     dual_space,
@@ -49,30 +61,95 @@ from .spaces import (
     sparse_vec,
 )
 
-HALF = Fraction(1, 2)
+
+class ScaledVectors(list):
+    """Sparse vectors ``{index: coefficient}`` with exact coefficients, and
+    ``view``, the same vectors as one integer view ``(d, vectors)`` (see
+    ``scaled_to_ints``). The view is made once, where the vectors enter the
+    pipeline, and every later step sums on it; like the maps' views it
+    assumes the vectors are not mutated."""
+
+    def __init__(self, vectors=(), view=None):
+        super().__init__(vectors)
+        self.view = scaled_to_ints(self) if view is None else view
+
+    @classmethod
+    def from_ints(cls, d: int, vectors) -> "ScaledVectors":
+        """The vectors of an integer view, each coefficient built once as a Fraction."""
+        d, vectors = linalg.lowest_terms(d, vectors)
+        return cls(({k: Fraction(c, d) for k, c in v.items()} for v in vectors), (d, vectors))
+
+    def take(self, indices) -> "ScaledVectors":
+        """The vectors at ``indices``, in that order, with their view."""
+        d, ints = self.view
+        return ScaledVectors([self[i] for i in indices], linalg.lowest_terms(d, [ints[i] for i in indices]))
 
 
 def _sparse(v) -> dict:
     """A vector, dense or sparse, as a sparse vector with exact coefficients."""
-    return drop_zeros(v) if hasattr(v, "items") else sparse_vec(linalg.vec(v))
+    if hasattr(v, "items"):
+        return drop_zeros({k: linalg.scalar(c) for k, c in v.items()})
+    return sparse_vec(linalg.vec(v))
 
 
-def _pair(form: GradedBilinearForm, u: dict, v: dict) -> Fraction:
-    """B(u, v) for sparse vectors."""
-    return sum((c * v[j] for j, c in form.covector(u).items() if j in v), ZERO)
+def _entering(vectors) -> ScaledVectors:
+    """Vectors as they enter a step: kept if they carry their view, else made sparse and scaled once."""
+    return vectors if isinstance(vectors, ScaledVectors) else ScaledVectors(map(_sparse, vectors))
 
 
-def orthogonal_complement(vectors: Sequence, form: GradedBilinearForm) -> list[dict]:
+def _join(*blocks: ScaledVectors) -> ScaledVectors:
+    """The blocks one after another, their views brought to one scale."""
+    d, views = common_scale(b.view for b in blocks)
+    return ScaledVectors([v for b in blocks for v in b], (d, tuple(v for vs in views for v in vs)))
+
+
+def _covector(rows, u: dict) -> dict:
+    """sum_i u_i rows[i] for integer rows and an integer vector u; zeros may remain."""
+    out: dict = {}
+    for i, a in u.items():
+        add_scaled(out, a, rows[i])
+    return out
+
+
+def _gram(form: GradedBilinearForm, us: Sequence[dict], vs: Sequence[dict]) -> list[dict]:
+    """Rows {q: B(us[p], vs[q])} of the Gram matrix of integer sparse vectors
+    on the metric's integer view: d_B times the scales of us and vs times the
+    rational Gram. Columns in order, no zeros."""
+    rows = form.scaled_rows[1]
+    by_coord = sparse_transpose(vs, form.space.dim)  # j -> {q: coordinate j of vs[q]}
+    out = []
+    for u in us:
+        row: dict = {}
+        for j, b in _covector(rows, u).items():
+            if b:
+                add_scaled(row, b, by_coord[j])
+        out.append({q: row[q] for q in sorted(row) if row[q]})
+    return out
+
+
+def _right(pairs: dict, i: int, v: dict) -> dict:
+    """[e_i, v] on an integer view of the bracket, for an integer vector v; zeros may remain."""
+    out: dict = {}
+    for j, c in v.items():
+        w = pairs.get((i, j))
+        if w:
+            add_scaled(out, c, w)
+    return out
+
+
+def orthogonal_complement(vectors: Sequence, form: GradedBilinearForm) -> ScaledVectors:
     """Homogeneous basis of {v : B(s, v) = 0 for all s in the span}: the
-    canonical nullspace basis, as sparse vectors."""
+    canonical nullspace basis, as sparse vectors. The rows c -> B(s, e_c)
+    are integer covectors, each a positive multiple of the rational one,
+    which leaves the nullspace and its canonical basis as they are."""
     n = form.space.dim
     par = form.space.parities
-    rows = [form.covector(_sparse(s)) for s in vectors]  # c -> B(s, e_c)
-    basis = [sparse_vec(v) for v in linalg.nullspace(rows, n)]
+    rows = form.scaled_rows[1]
+    d, basis = linalg.nullspace_ints([_covector(rows, s) for s in _entering(vectors).view[1]], n)
     for v in basis:
         if len({par[i] for i in v}) != 1:
             raise SuperquadError("orthogonal complement produced a non-homogeneous vector")
-    return basis
+    return ScaledVectors.from_ints(d, basis)
 
 
 def _homogeneous_parity(space: SuperSpace, v: dict) -> int:
@@ -89,43 +166,51 @@ def find_central_minimal_ideal(g: QuadraticLieSuperAlgebra) -> list[Vector] | No
     Any subspace of the center is an ideal and 1-dimensional ideals are
     minimal. Candidates are the canonical nullspace basis of the centraliser
     system, scanned in order; None when the center is zero or none of the
-    candidates is isotropic.
+    candidates is isotropic. The system is read from the bracket's integer
+    view: it is homogeneous, so the scale changes neither its kernel nor
+    the canonical basis.
     """
     n = g.dim
     rows: dict = {}  # row (j, k) of the system [x, e_j]_k = 0; all-zero rows left out
-    for (i, j), v in g.bracket.pairs.items():
+    for (i, j), v in g.bracket.scaled_pairs[1].items():
         for k, c in v.items():
             rows.setdefault((j, k), {})[i] = c
-    center = linalg.nullspace([rows[key] for key in sorted(rows)], n)
+    d, center = linalg.nullspace_ints([rows[key] for key in sorted(rows)], n)
     for v in center:
-        if g.metric.value(v, v) == 0:
-            return [v]
+        if not _gram(g.metric, [v], [v])[0]:
+            return [dense_vec({k: Fraction(c, d) for k, c in v.items()}, n)]
     return None
 
 
-def _dual_vectors(form: GradedBilinearForm, ideal: Sequence, avoid: Sequence) -> list[dict]:
+def _dual_vectors(form: GradedBilinearForm, ideal: Sequence, avoid: Sequence) -> tuple[int, tuple[dict, ...]]:
     """Solve B(e_m, d_i) = delta_mi with d_i in the right parity block,
-    orthogonal to every avoid vector; first-pivot, free coordinates zero."""
+    orthogonal to every avoid vector; first-pivot, free coordinates zero.
+    The duals come back as one integer view (d, duals). Row m of the system
+    is an integer covector, d_B d_e times the rational one, so its
+    right-hand side is d_B d_e delta_mi."""
     space = form.space
-    ideal = [_sparse(e) for e in ideal]
-    rows = [form.covector(e) for e in ideal]      # row m: c -> B(e_m, e_c)
-    rows += [form.covector(_sparse(w)) for w in avoid]
+    ideal, avoid = _entering(ideal), _entering(avoid)
+    d_b, metric_rows = form.scaled_rows
+    d_e, e_ints = ideal.view
+    rows = [_covector(metric_rows, e) for e in e_ints]        # row m: c -> B(e_m, e_c)
+    rows += [_covector(metric_rows, w) for w in avoid.view[1]]
     duals = []
     for i, e in enumerate(ideal):
         want = (_homogeneous_parity(space, e) + form.degree) % 2
         cols = [c for c in range(space.dim) if space.parity(c) == want]
         pos = {c: t for t, c in enumerate(cols)}
         sys_rows = [{pos[c]: x for c, x in r.items() if c in pos} for r in rows]
-        rhs = [linalg.ONE if m == i else ZERO for m in range(len(rows))]
-        sol = linalg.solve(sys_rows, rhs, len(cols))
+        rhs = [d_b * d_e if m == i else 0 for m in range(len(rows))]
+        sol = linalg.solve_ints(sys_rows, rhs, len(cols))
         if sol is None:
             raise DegenerateInput(f"no dual vector for ideal vector {i}")
-        duals.append({c: x for c, x in zip(cols, sol) if x})
-    return duals
+        duals.append((sol[0], {cols[t]: x for t, x in sol[1].items()}))
+    d = math.lcm(*(s for s, _ in duals))
+    return d, tuple({c: x * (d // s) for c, x in v.items()} for s, v in duals)
 
 
 def witt_complement(form: GradedBilinearForm, ideal: Sequence,
-                    avoid: Sequence = ()) -> list[dict]:
+                    avoid: Sequence = ()) -> ScaledVectors:
     """Isotropic complement a dual to an isotropic subspace I, as sparse vectors.
 
     Output a satisfies: a isotropic, dim a = dim I, a and I intersect
@@ -137,42 +222,49 @@ def witt_complement(form: GradedBilinearForm, ideal: Sequence,
     Odd B follows the dual-vector-plus-correction recipe: duals of even
     I-vectors are corrected by odd I-vectors, duals of odd I-vectors need no
     correction. Even B applies the analogous per-parity correction with a
-    half coefficient (characteristic zero).
+    half coefficient (characteristic zero). With the duals d_i = D_i / s and
+    I_m = E_m / t on integers, a_i times S = f d_B s^2 t is the integer
+    vector f d_B s t D_i - sum_m G_im E_m, G the integer Gram of the D's
+    and f = 2 for even B (the half), 1 for odd B.
     """
     space = form.space
-    ideal = [_sparse(v) for v in ideal]
+    ideal = _entering(ideal)
     if not ideal:
-        return []
-    for i, u in enumerate(ideal):
-        for v in ideal[i:]:
-            if _pair(form, u, v) != 0:
-                raise ValueError("input subspace is not isotropic")
-    if linalg.rank(ideal, space.dim) != len(ideal):
+        return ScaledVectors()
+    d_e, e = ideal.view
+    for i, row in enumerate(_gram(form, e, e)):
+        if any(j >= i for j in row):
+            raise ValueError("input subspace is not isotropic")
+    if linalg.rank(e, space.dim) != len(e):
         raise ValueError("ideal vectors are linearly dependent")
 
-    duals = _dual_vectors(form, ideal, avoid)
-    parities = [_homogeneous_parity(space, e) for e in ideal]
-
+    s, duals = _dual_vectors(form, ideal, avoid)
+    parities = [_homogeneous_parity(space, v) for v in ideal]
+    d_b = form.scaled_rows[0]
+    f = 1 if form.degree == 1 else 2
+    lead = f * d_b * s * d_e
     out = []
-    for i, d in enumerate(duals):
-        corr = dict(d)
-        for m, e in enumerate(ideal):
+    for i, row in enumerate(_gram(form, duals, duals)):
+        corr = {k: lead * x for k, x in duals[i].items()}
+        for m, c in row.items():
             if form.degree == 1 and (parities[i], parities[m]) != (0, 1):
                 continue
-            c = _pair(form, d, duals[m])
-            if c:
-                add_scaled(corr, -c if form.degree == 1 else -HALF * c, e)
+            add_scaled(corr, -c, e[m])
         out.append(drop_zeros(corr))
+    a = ScaledVectors.from_ints(f * d_b * s * s * d_e, out)
 
-    for i in range(len(out)):
-        for j in range(len(out)):
-            if _pair(form, out[i], out[j]) != 0:
+    d_a, a_ints = a.view
+    aa, ia = _gram(form, a_ints, a_ints), _gram(form, e, a_ints)
+    one = d_b * d_e * d_a  # B(I_i, a_i) = 1 on the views
+    for i in range(len(a)):
+        for j in range(len(a)):
+            if aa[i].get(j):
                 raise DegenerateInput("correction failed to produce an isotropic complement")
-            if _pair(form, ideal[i], out[j]) != (linalg.ONE if i == j else ZERO):
+            if ia[i].get(j, 0) != (one if i == j else 0):
                 raise DegenerateInput("dual pairing broke under correction")
-    if linalg.rank(ideal + out, space.dim) != 2 * len(ideal):
+    if linalg.rank([*e, *a_ints], space.dim) != 2 * len(e):
         raise DegenerateInput("complement is not transverse to the ideal")
-    return out
+    return a
 
 
 def build_xi(form: GradedBilinearForm, ideal: Sequence, a_vectors: Sequence,
@@ -182,37 +274,39 @@ def build_xi(form: GradedBilinearForm, ideal: Sequence, a_vectors: Sequence,
 
     xi_delta(alpha)(P_delta(x)) = B(alpha, x); xi has the same matrix into a*
     with degree delta, and the target-side parity shift of xi is xi_delta.
+    The pairing is one integer Gram; each entry is divided back once.
     """
     space = form.space
-    ideal = [_sparse(v) for v in ideal]
-    a_vectors = [_sparse(v) for v in a_vectors]
+    ideal, a_vectors = _entering(ideal), _entering(a_vectors)
     if a_space is None:
         a_space = _block_space(space, a_vectors, "a", reuse=False)
     if ideal_space is None:
         ideal_space = _block_space(space, ideal, "i", reuse=False)
-    pairing = [[_pair(form, alpha, x) for alpha in ideal] for x in a_vectors]
-    if linalg.rank(pairing, len(ideal)) != len(ideal):
+    (d_e, e), (d_a, a_ints) = ideal.view, a_vectors.view
+    pairing = _gram(form, e, a_ints)  # row m: {j: B(alpha_m, x_j)} on the views
+    if linalg.rank(pairing, len(a_vectors)) != len(ideal):
         raise DegeneratePairing("pairing between the ideal and its complement is singular")
-    entries = [(j, m, c) for j, row in enumerate(pairing) for m, c in enumerate(row)]
+    scale = form.scaled_rows[0] * d_e * d_a
+    entries = [(j, m, Fraction(c, scale)) for m, row in enumerate(pairing) for j, c in row.items()]
     xi_delta = GradedLinearMap.from_entries(ideal_space, p_delta_dual(a_space, delta), 0, entries)
     xi = GradedLinearMap.from_entries(ideal_space, dual_space(a_space), delta, entries)
     return xi_delta, xi
 
 
-def _bracket_in_basis(bracket: GradedBilinearMap, cols: Sequence[dict], inv: Sequence[dict]) -> dict:
-    """Structure constants in the basis of the sparse vectors ``cols``, with
-    ``inv`` the sparse columns of the inverse of the matrix whose columns
-    are ``cols``: {(p, q): {k: c}}, no zeros, keys in row-major order.
+def _bracket_in_basis(bracket: GradedBilinearMap, cols: tuple, inv: tuple) -> dict:
+    """Structure constants in the basis of the columns of the integer view
+    ``cols``, with ``inv`` the integer view of the columns of the inverse of
+    the matrix whose columns are those of ``cols``: {(p, q): {k: c}}, no
+    zeros, keys in row-major order.
 
     The sums run on integers: the bracket's integer view (scale d_b), and
-    ``cols`` and ``inv`` times the lcms d_c and d_i of their denominators.
+    the views of the columns and of the inverse, at scales d_c and d_i.
     Every coefficient of [c_p, c_q] in the new basis is then
     d_b * d_c**2 * d_i times its rational value, and is divided back once.
     Only pairs (p, q) that meet a nonzero of the bracket are visited."""
-    n = len(cols)
+    (d_c, int_cols), (d_i, inv_cols) = cols, inv
+    n = len(int_cols)
     d_b, pairs = bracket.scaled_pairs
-    d_c, int_cols = scaled_to_ints(cols)
-    d_i, inv_cols = scaled_to_ints(inv)
     scale = d_b * d_c * d_c * d_i
     by_left: dict = {}  # i -> [(j, [e_i, e_j])]
     for (i, j), w in pairs.items():
@@ -236,17 +330,12 @@ def _bracket_in_basis(bracket: GradedBilinearMap, cols: Sequence[dict], inv: Seq
     return out
 
 
-def _gram(form: GradedBilinearForm, vectors: Sequence[dict]) -> list[dict]:
-    """Rows {q: B(vectors[p], vectors[q])} of the Gram matrix of sparse
-    vectors, columns in order, no zeros."""
-    by_coord = sparse_transpose(vectors, form.space.dim)  # j -> {q: coordinate j of vectors[q]}
-    rows = []
-    for u in vectors:
-        row: dict = {}
-        for j, b in form.covector(u).items():
-            add_scaled(row, b, by_coord[j])
-        rows.append({q: row[q] for q in sorted(row) if row[q]})
-    return rows
+def _metric_in_basis(form: GradedBilinearForm, cols: ScaledVectors) -> list[dict]:
+    """Rows {q: B(cols[p], cols[q])}, columns in order, no zeros: one integer
+    Gram, each entry divided back once."""
+    d, ints = cols.view
+    scale = form.scaled_rows[0] * d * d
+    return [{q: Fraction(c, scale) for q, c in row.items()} for row in _gram(form, ints, ints)]
 
 
 def _unit_index(v: dict) -> int | None:
@@ -299,14 +388,17 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
     or [I,I], ...).
     """
     na, nh, nd = len(a_vectors), len(h_vectors), len(ideal)
-    cols = [_sparse(v) for v in (*a_vectors, *h_vectors, *ideal)]
+    cols = _join(*map(_entering, (a_vectors, h_vectors, ideal)))
     n = g.dim
     if na + nh + nd != n:
         raise ValueError("blocks do not fill the algebra")
-    m_inv = linalg.inverse(sparse_transpose(cols, n))
-    if m_inv is None:
+    # the rows of the inverse of the matrix whose rows are the integer columns
+    # are the columns of the inverse of the change of basis divided by d_c
+    d_c, int_cols = cols.view
+    inv = linalg.inverse_ints(int_cols)
+    if inv is None:
         raise ValueError("a, h and I do not form a basis")
-    inv_cols = tuple(sparse_transpose(map(sparse_vec, m_inv), n))
+    inverse = ScaledVectors.from_ints(inv[0], ({k: d_c * x for k, x in v.items()} for v in inv[1]))
 
     a_space = _block_space(g.space, cols[:na], "a")
     h_space = _block_space(g.space, cols[na:na + nh], "h")
@@ -321,7 +413,7 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
     # rho, tau, sigma: per a-vector, the (r, c, x) entries of maps h -> h, h -> I, I -> I
     rho_ent, tau_ent, sigma_ent = ([[] for _ in range(na)] for _ in range(3))
 
-    split = _bracket_in_basis(g.bracket, cols, inv_cols)
+    split = _bracket_in_basis(g.bracket, cols.view, inverse.view)
     # pairs with a zero bracket pass every block rule, so only nonzeros are visited
     for (p, q), z in split.items():
         ca = {k: c for k, c in z.items() if k < na}
@@ -379,7 +471,7 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
             maps_from(rho_ent, h_space, h_space),
             maps_from(tau_ent, h_space, ideal_space),
             maps_from(sigma_ent, ideal_space, ideal_space),
-            inv_cols, split,
+            tuple(inverse), split,
         )
     except SuperquadError as exc:
         raise NotAnIdealSplit(Violation("split-grading", (), None, str(exc))) from exc
@@ -398,36 +490,51 @@ class DecompositionResult:
     isometry: GradedLinearMap
 
 
-def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: list[Vector]) -> list[dict]:
-    """The ideal as sparse vectors, once its hypotheses hold. The first image
-    [e_p, ideal_r], in (p, r) order, to grow the ideal's span lies outside it."""
+def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> ScaledVectors:
+    """The ideal as sparse vectors, once its hypotheses hold; each vector is
+    dense, of length dim, or a sparse dict with indices in range(dim). The
+    pairings and brackets are read on the integer views: the isotropy check
+    from one integer Gram, the abelian check and the images [e_p, ideal_r]
+    from the bracket's ``scaled_pairs``, a positive multiple of each exact
+    image, which keeps its span. The first image, in (p, r) order, to grow
+    the ideal's span lies outside it; its witness residual is the exact
+    image, divided back once."""
     n = g.dim
+    ideal = list(ideal)
+    vectors = [_sparse(v) for v in ideal]
     if not ideal:
         raise ClaimViolated("ideal-empty", message="the ideal must be nonzero")
-    for r, v in enumerate(ideal):
-        if len(v) != n:
+    for r, (v, s) in enumerate(zip(ideal, vectors)):
+        if hasattr(v, "items"):
+            if any(k not in range(n) for k in v):
+                raise ClaimViolated("ideal-shape", message=f"vector {r} has an index outside range({n})")
+        elif len(v) != n:
             raise ClaimViolated("ideal-shape", message=f"vector {r} has wrong length")
-        if any(v) and g.space.vector_parity(v) is None:  # zero is homogeneous of either parity
+        if len({g.space.parity(k) for k in s}) > 1:  # zero is homogeneous of either parity
             raise ClaimViolated("ideal-homogeneous", [Violation("ideal-homogeneous", (r,))])
-    ideal = [sparse_vec(v) for v in ideal]
-    grows = linalg.extend_independent([], ideal)
-    if len(grows) != len(ideal):  # the first vector in the span of those before it
+    ideal = ScaledVectors(vectors)
+    d_e, e = ideal.view
+    grows = linalg.extend_independent([], e)
+    if len(grows) != len(e):  # the first vector in the span of those before it
         r = next((r for r, k in enumerate(grows) if k != r), len(grows))
         raise ClaimViolated("ideal-independent", [Violation("ideal-independent", (r,))])
-    for i, u in enumerate(ideal):
-        for j, v in enumerate(ideal[i:], i):  # (j, i) repeats (i, j) up to sign
-            if _pair(g.metric, u, v) != 0:
+    d_b, pairs = g.bracket.scaled_pairs
+    images = [_right(pairs, p, v) for p in range(n) for v in e]  # [e_p, ideal_r] at p * len(e) + r
+    gram = _gram(g.metric, e, e)
+    for i, u in enumerate(e):
+        for j in range(i, len(e)):  # (j, i) repeats (i, j) up to sign
+            if j in gram[i]:
                 raise ClaimViolated("ideal-isotropic", [Violation("ideal-isotropic", (i, j))])
             uv: dict = {}
             for k, a in u.items():
-                add_scaled(uv, a, g.bracket.right_sparse(k, v))
+                add_scaled(uv, a, images[k * len(e) + j])
             if any(uv.values()):
                 raise ClaimViolated("ideal-abelian", [Violation("ideal-abelian", (i, j))])
-    images = [g.bracket.right_sparse(p, v) for p in range(n) for v in ideal]
-    k = next(iter(linalg.extend_independent(ideal, images)), None)
+    k = next(iter(linalg.extend_independent(e, images)), None)
     if k is not None:
+        image = {c: Fraction(x, d_b * d_e) for c, x in images[k].items()}
         raise ClaimViolated("ideal-invariant",
-                            [Violation("ideal-invariant", divmod(k, len(ideal)), dense_vec(images[k], n))])
+                            [Violation("ideal-invariant", divmod(k, len(e)), dense_vec(image, n))])
     return ideal
 
 
@@ -447,6 +554,9 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence], *,
     xi the identity, so sigma, tau and gamma are compared with ad*_delta, chi
     and Phi index for index.
 
+    Each ideal vector is dense, of length dim, or a sparse dict with indices
+    in range(dim); ``ideal_basis`` holds them dense.
+
     ``source`` is the context g is believed to extend, if any. A piece
     exactly equal to one of its already certified pieces is taken from it
     rather than certified again: a when its bracket equals source's, h when
@@ -454,12 +564,11 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence], *,
     derived maps and its extension, when it equals source. Every claim above
     still runs, in the same order, so any source gives the same result as none.
     """
-    ideal = [linalg.vec(v) for v in ideal]
     sparse_ideal = _validate_ideal(g, ideal)
     delta = g.delta
 
     i_perp = orthogonal_complement(sparse_ideal, g.metric)
-    h_vectors = [i_perp[c] for c in linalg.extend_independent(sparse_ideal, i_perp)]
+    h_vectors = i_perp.take(linalg.extend_independent(sparse_ideal.view[1], i_perp.view[1]))
 
     try:
         a_vectors = witt_complement(g.metric, sparse_ideal, avoid=h_vectors)
@@ -483,7 +592,7 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence], *,
     except DegeneratePairing as exc:
         raise ClaimViolated("xi-bijective", message=str(exc)) from exc
 
-    gram = _gram(g.metric, a_vectors + h_vectors + sparse_ideal)
+    gram = _metric_in_basis(g.metric, _join(a_vectors, h_vectors, sparse_ideal))
     b_h = GradedBilinearForm.from_entries(maps.h_space, delta, [
         (p - na, q - na, c) for p in range(na, na + nh) for q, c in gram[p].items() if na <= q < na + nh])
     try:
@@ -545,5 +654,5 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence], *,
         (r, c, x) for c, col in enumerate(maps.inverse) for r, x in col.items()))
     return DecompositionResult(
         tuple(dense_vec(v, g.dim) for v in a_vectors), tuple(dense_vec(v, g.dim) for v in h_vectors),
-        tuple(ideal), maps, xi_delta, xi, context, ext, isometry,
+        tuple(dense_vec(v, g.dim) for v in sparse_ideal), maps, xi_delta, xi, context, ext, isometry,
     )

@@ -20,6 +20,14 @@ rational reduced row. Only the results are turned into Fractions, once, at
 the end; ``rank``, ``in_span`` and ``extend_independent`` run the forward
 pass alone and build none. Free variables are filled in column order.
 
+``nullspace_ints``, ``solve_ints`` and ``inverse_ints`` hand the results of
+``nullspace``, ``solve`` and ``inverse`` over as integers: one view
+``(d, vectors)``, sparse int vectors that are the rational results times d,
+d the lcm of their denominators (the form ``spaces.scaled_to_ints`` gives).
+The public routines build their dense Fractions from these views, so a
+caller that sums on integers never has its results turned into Fractions
+and back. Integer rows skip the conversion to Fractions.
+
 With ``ncols`` less than the row width (the augmented column of ``solve``),
 pivots are sought only in the first ``ncols`` columns, and ``rref`` returns a
 row past the rank as a nonzero multiple of the rational one.
@@ -122,15 +130,19 @@ def _width(rows) -> int:
 def _int_row(items) -> dict:
     """The nonzeros of a row as {column: int}: every coefficient made exact
     through ``scalar`` (so floats and bools raise TypeError), times the lcm of
-    the row's denominators, divided by the gcd of the results."""
+    the row's denominators, divided by the gcd of the results. A row of ints
+    is only divided."""
     row = {}
+    ints = True
     for k, c in items:
         if type(c) is not int:
             c = scalar(c)
+            ints = False
         if c:
             row[k] = c
-    d = math.lcm(*{c.denominator for c in row.values()})
-    row = {k: c.numerator * (d // c.denominator) for k, c in row.items()}
+    if not ints:
+        d = math.lcm(*{c.denominator for c in row.values()})
+        row = {k: c.numerator * (d // c.denominator) for k, c in row.items()}
     g = math.gcd(*row.values())
     return {k: x // g for k, x in row.items()} if g > 1 else row
 
@@ -209,56 +221,96 @@ def rank(rows: Sequence, ncols: int | None = None) -> int:
     return len(_reduced(rows, ncols, full=False)[1])
 
 
-def nullspace(rows: Sequence, ncols: int) -> list[Vector]:
-    """Basis of {v : rows @ v = 0}, one vector per free column, in column order."""
+def lowest_terms(d: int, vectors) -> tuple[int, tuple[dict, ...]]:
+    """The integer view ``(d, vectors)`` over its least scale: d and every
+    coefficient divided by their gcd. For d > 0 that scale is the lcm of the
+    denominators of the rational vectors the view stands for."""
+    vectors = tuple(vectors)
+    g = math.gcd(d, *(c for v in vectors for c in v.values()))
+    if g == 1:
+        return d, vectors
+    return d // g, tuple({k: c // g for k, c in v.items()} for v in vectors)
+
+
+def _dense(d: int, v: dict, n: int) -> Vector:
+    out = [ZERO] * n
+    for k, c in v.items():
+        out[k] = Fraction(c, d)
+    return tuple(out)
+
+
+def nullspace_ints(rows: Sequence, ncols: int) -> tuple[int, tuple[dict, ...]]:
+    """The basis of ``nullspace`` as one integer view ``(d, vectors)``.
+
+    After Gauss-Jordan a pivot row holds its pivot and the free columns
+    only, so the basis vector of free column f is d at f and
+    ``-row[f] * d / row[pivot]`` at each pivot, d the lcm of the pivots of
+    the rows with a free entry."""
     work, pivots, _ = _reduced(rows, ncols)
+    d = math.lcm(*(abs(row[pc]) for row, pc in zip(work, pivots) if len(row) > 1))
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [ZERO] * ncols
-        v[free] = ONE
+        v = {free: d}
         for row, pc in zip(work, pivots):
             x = row.get(free)
             if x:
-                v[pc] = Fraction(-x, row[pc])
-        basis.append(tuple(v))
-    return basis
+                v[pc] = -x * d // row[pc]
+        basis.append({k: v[k] for k in sorted(v)})
+    return lowest_terms(d, basis)
 
 
-def solve(rows: Sequence, rhs: Sequence, ncols: int | None = None) -> Vector | None:
-    """First-pivot particular solution of rows @ x = rhs (free variables zero)."""
+def nullspace(rows: Sequence, ncols: int) -> list[Vector]:
+    """Basis of {v : rows @ v = 0}, one vector per free column, in column order."""
+    d, basis = nullspace_ints(rows, ncols)
+    return [_dense(d, v, ncols) for v in basis]
+
+
+def solve_ints(rows: Sequence, rhs: Sequence, ncols: int | None = None) -> tuple[int, dict] | None:
+    """The solution of ``solve`` as ``(d, x)``: x the sparse solution times
+    d, as ints, d the lcm of its denominators; None if there is none."""
     if ncols is None:
         ncols = _width(rows)
     aug = [{**dict(_items(r)), ncols: b} for r, b in zip(rows, rhs)]
     work, pivots, _ = _reduced(aug, ncols)
     if any(work[len(pivots):]):
         return None
-    x = [ZERO] * ncols
-    for row, pc in zip(work, pivots):
-        b = row.get(ncols)
-        if b:
-            x[pc] = Fraction(b, row[pc])
-    return tuple(x)
+    solved = [(pc, row[ncols], row[pc]) for row, pc in zip(work, pivots) if ncols in row]
+    d = math.lcm(*(abs(p) for _, _, p in solved))
+    d, (x,) = lowest_terms(d, [{pc: b * d // p for pc, b, p in solved}])
+    return d, x
+
+
+def solve(rows: Sequence, rhs: Sequence, ncols: int | None = None) -> Vector | None:
+    """First-pivot particular solution of rows @ x = rhs (free variables zero)."""
+    if ncols is None:
+        ncols = _width(rows)
+    sol = solve_ints(rows, rhs, ncols)
+    return None if sol is None else _dense(*sol, ncols)
+
+
+def inverse_ints(a: Sequence) -> tuple[int, tuple[dict, ...]] | None:
+    """The rows of ``inverse`` as one integer view ``(d, rows)``, keys in
+    order; None if the matrix is singular."""
+    n = len(a)
+    aug = [{**dict(_items(r)), n + i: 1} for i, r in enumerate(a)]
+    work, pivots, _ = _reduced(aug, n)
+    if len(pivots) != n:
+        return None
+    d = math.lcm(*(abs(row[i]) for i, row in enumerate(work)))
+    return lowest_terms(d, ({k - n: row[k] * d // row[i] for k in sorted(row) if k >= n}
+                            for i, row in enumerate(work)))
 
 
 def inverse(a: Sequence) -> Matrix | None:
     """The inverse of a square matrix, None if it is singular."""
-    n = len(a)
-    aug = [{**dict(_items(r)), n + i: ONE} for i, r in enumerate(a)]
-    work, pivots, _ = _reduced(aug, n)
-    if len(pivots) != n:
+    inv = inverse_ints(a)
+    if inv is None:
         return None
-    out = []
-    for i, row in enumerate(work):
-        p = row[i]
-        dense = [ZERO] * n
-        for k, x in row.items():
-            if k >= n:
-                dense[k - n] = Fraction(x, p)
-        out.append(tuple(dense))
-    return tuple(out)
+    d, rows = inv
+    return tuple(_dense(d, row, len(a)) for row in rows)
 
 
 def in_span(rows: Sequence, v) -> bool:

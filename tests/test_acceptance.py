@@ -23,6 +23,7 @@ from generators import (
     random_odd_dim1_params,
     random_superalgebra_scrambled,
     random_witt_instance,
+    vector_parity,
 )
 from superquad import linalg
 from superquad.algebra import (
@@ -114,7 +115,7 @@ def test_criterion_4_witt_complement_conclusions():
             r = len(ideal)
             assert len(a) == r                                    # (ii)
             for i in range(r):
-                assert space.vector_parity(a[i]) is not None
+                assert vector_parity(space, a[i]) is not None
                 for j in range(r):
                     assert form.value(a[i], a[j]) == 0            # (i)
                     want = ONE if i == j else ZERO

@@ -1,0 +1,429 @@
+"""decompose on integer views against the Fraction implementations it replaced.
+
+The oracles below are the pipeline steps as they were written over
+``Fraction``s: pairings through ``GradedBilinearForm.covector``, Gram rows
+and dual rows from rational covectors, the ideal's images through
+``GradedBilinearMap.right_sparse``, and the centraliser rows read from the
+bracket's rational ``pairs``. ``oracle_decompose`` runs ``decompose`` with
+these steps in place of the integer ones, so every field of the result and
+every claim, witness and residual can be compared with the integer run.
+"""
+
+import contextlib
+import functools
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from generators import (
+    change_basis,
+    context_corpus,
+    random_heisenberg_params,
+    random_odd_dim1_params,
+    random_parity_preserving_basis,
+)
+import superquad.decompose as dec
+from superquad import linalg
+from superquad.catalog import (
+    default_heisenberg_params,
+    default_odd_dim1_params,
+    heisenberg_context,
+    heisenberg_extension,
+    odd_extension_context,
+)
+from superquad.errors import ClaimViolated, DegenerateInput, DegeneratePairing, SuperquadError, Violation
+from superquad.fileformat import document_to_algebra, document_to_context, parse_document
+from superquad.linalg import ONE, ZERO, unit_vec
+from superquad.spaces import (
+    GradedBilinearForm,
+    GradedBilinearMap,
+    GradedLinearMap,
+    add_scaled,
+    dense_vec,
+    drop_zeros,
+    dual_space,
+    p_delta_dual,
+    sparse_transpose,
+    sparse_vec,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+HALF = Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# The Fraction oracles
+
+
+def _sparse(v) -> dict:
+    return {k: linalg.scalar(c) for k, c in v.items() if c} if hasattr(v, "items") else sparse_vec(linalg.vec(v))
+
+
+def pair(form, u, v):
+    """B(u, v) for sparse vectors, through the rational covector of u."""
+    return sum((c * v[j] for j, c in form.covector(u).items() if j in v), ZERO)
+
+
+def gram(form, vectors):
+    """Rows {q: B(vectors[p], vectors[q])}, columns in order, no zeros."""
+    by_coord = sparse_transpose(vectors, form.space.dim)
+    rows = []
+    for u in vectors:
+        row: dict = {}
+        for j, b in form.covector(u).items():
+            add_scaled(row, b, by_coord[j])
+        rows.append({q: row[q] for q in sorted(row) if row[q]})
+    return rows
+
+
+def metric_in_basis(form, cols):
+    return gram(form, list(cols))
+
+
+def validate_ideal(g, ideal):
+    n = g.dim
+    ideal = list(ideal)
+    vectors = [_sparse(v) for v in ideal]
+    if not ideal:
+        raise ClaimViolated("ideal-empty", message="the ideal must be nonzero")
+    for r, (v, s) in enumerate(zip(ideal, vectors)):
+        if hasattr(v, "items"):
+            if any(k not in range(n) for k in v):
+                raise ClaimViolated("ideal-shape", message=f"vector {r} has an index outside range({n})")
+        elif len(v) != n:
+            raise ClaimViolated("ideal-shape", message=f"vector {r} has wrong length")
+        if len({g.space.parity(k) for k in s}) > 1:
+            raise ClaimViolated("ideal-homogeneous", [Violation("ideal-homogeneous", (r,))])
+    grows = linalg.extend_independent([], vectors)
+    if len(grows) != len(vectors):
+        r = next((r for r, k in enumerate(grows) if k != r), len(grows))
+        raise ClaimViolated("ideal-independent", [Violation("ideal-independent", (r,))])
+    for i, u in enumerate(vectors):
+        for j, v in enumerate(vectors[i:], i):
+            if pair(g.metric, u, v) != 0:
+                raise ClaimViolated("ideal-isotropic", [Violation("ideal-isotropic", (i, j))])
+            uv: dict = {}
+            for k, a in u.items():
+                add_scaled(uv, a, g.bracket.right_sparse(k, v))
+            if any(uv.values()):
+                raise ClaimViolated("ideal-abelian", [Violation("ideal-abelian", (i, j))])
+    images = [g.bracket.right_sparse(p, v) for p in range(n) for v in vectors]
+    k = next(iter(linalg.extend_independent(vectors, images)), None)
+    if k is not None:
+        raise ClaimViolated("ideal-invariant", [Violation(
+            "ideal-invariant", divmod(k, len(vectors)), dense_vec(images[k], n))])
+    return dec.ScaledVectors(vectors)
+
+
+def orthogonal_complement(vectors, form):
+    rows = [form.covector(_sparse(s)) for s in vectors]
+    basis = [sparse_vec(v) for v in linalg.nullspace(rows, form.space.dim)]
+    for v in basis:
+        if len({form.space.parity(i) for i in v}) != 1:
+            raise SuperquadError("orthogonal complement produced a non-homogeneous vector")
+    return dec.ScaledVectors(basis)
+
+
+def find_central_minimal_ideal(g):
+    rows: dict = {}
+    for (i, j), v in g.bracket.pairs.items():
+        for k, c in v.items():
+            rows.setdefault((j, k), {})[i] = c
+    for v in linalg.nullspace([rows[key] for key in sorted(rows)], g.dim):
+        if g.metric.value(v, v) == 0:
+            return [v]
+    return None
+
+
+def dual_vectors(form, ideal, avoid):
+    """Duals from rational covector rows, one ``linalg.solve`` each."""
+    space = form.space
+    ideal = [_sparse(e) for e in ideal]
+    rows = [form.covector(e) for e in ideal] + [form.covector(_sparse(w)) for w in avoid]
+    duals = []
+    for i, e in enumerate(ideal):
+        want = (dec._homogeneous_parity(space, e) + form.degree) % 2
+        cols = [c for c in range(space.dim) if space.parity(c) == want]
+        pos = {c: t for t, c in enumerate(cols)}
+        sys_rows = [{pos[c]: x for c, x in r.items() if c in pos} for r in rows]
+        sol = linalg.solve(sys_rows, [ONE if m == i else ZERO for m in range(len(rows))], len(cols))
+        if sol is None:
+            raise DegenerateInput(f"no dual vector for ideal vector {i}")
+        duals.append({c: x for c, x in zip(cols, sol) if x})
+    return duals
+
+
+def witt_complement(form, ideal, avoid=()):
+    space = form.space
+    ideal = [_sparse(v) for v in ideal]
+    if not ideal:
+        return dec.ScaledVectors()
+    for i, u in enumerate(ideal):
+        for v in ideal[i:]:
+            if pair(form, u, v) != 0:
+                raise ValueError("input subspace is not isotropic")
+    if linalg.rank(ideal, space.dim) != len(ideal):
+        raise ValueError("ideal vectors are linearly dependent")
+    duals = dual_vectors(form, ideal, avoid)
+    parities = [dec._homogeneous_parity(space, e) for e in ideal]
+    out = []
+    for i, d in enumerate(duals):
+        corr = dict(d)
+        for m, e in enumerate(ideal):
+            if form.degree == 1 and (parities[i], parities[m]) != (0, 1):
+                continue
+            c = pair(form, d, duals[m])
+            if c:
+                add_scaled(corr, -c if form.degree == 1 else -HALF * c, e)
+        out.append(drop_zeros(corr))
+    for i in range(len(out)):
+        for j in range(len(out)):
+            if pair(form, out[i], out[j]) != 0:
+                raise DegenerateInput("correction failed to produce an isotropic complement")
+            if pair(form, ideal[i], out[j]) != (ONE if i == j else ZERO):
+                raise DegenerateInput("dual pairing broke under correction")
+    if linalg.rank(ideal + out, space.dim) != 2 * len(ideal):
+        raise DegenerateInput("complement is not transverse to the ideal")
+    return dec.ScaledVectors(out)
+
+
+def build_xi(form, ideal, a_vectors, delta, a_space=None, ideal_space=None):
+    ideal = [_sparse(v) for v in ideal]
+    a_vectors = [_sparse(v) for v in a_vectors]
+    if a_space is None:
+        a_space = dec._block_space(form.space, a_vectors, "a", reuse=False)
+    if ideal_space is None:
+        ideal_space = dec._block_space(form.space, ideal, "i", reuse=False)
+    pairing = [[pair(form, alpha, x) for alpha in ideal] for x in a_vectors]
+    if linalg.rank(pairing, len(ideal)) != len(ideal):
+        raise DegeneratePairing("pairing between the ideal and its complement is singular")
+    entries = [(j, m, c) for j, row in enumerate(pairing) for m, c in enumerate(row)]
+    return (GradedLinearMap.from_entries(ideal_space, p_delta_dual(a_space, delta), 0, entries),
+            GradedLinearMap.from_entries(ideal_space, dual_space(a_space), delta, entries))
+
+
+ORACLES = {"_validate_ideal": validate_ideal, "orthogonal_complement": orthogonal_complement,
+           "witt_complement": witt_complement, "build_xi": build_xi, "_metric_in_basis": metric_in_basis}
+
+
+def outcome(run, *args):
+    """("ok", result) or ("claim", claim, message, violations) of one run."""
+    try:
+        return ("ok", run(*args))
+    except ClaimViolated as exc:
+        return ("claim", exc.claim, str(exc), exc.violations)
+
+
+def oracle_decompose(g, ideal):
+    with pytest.MonkeyPatch.context() as mp:
+        for name, oracle in ORACLES.items():
+            mp.setattr(dec, name, oracle)
+        return outcome(dec.decompose, g, ideal)
+
+
+def assert_same(g, ideal):
+    """The integer run and the oracle run agree on every field or on the claim
+    and its witnesses; returns the integer run's outcome."""
+    got, want = outcome(dec.decompose, g, ideal), oracle_decompose(g, ideal)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ok":
+        for name in want[1].__dataclass_fields__:
+            assert getattr(got[1], name) == getattr(want[1], name), name
+    else:
+        assert got == want
+    return got
+
+
+# ---------------------------------------------------------------------------
+# Cases
+
+BIG_PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079, 10091, 10093, 10099, 10103,
+              10111, 10133, 10139, 10141, 10151, 10159, 10163, 10169, 10177, 10181, 10193, 10211)
+
+
+def big_scaled_basis(rng, space):
+    """A parity-preserving basis whose column j is scaled by p_j / q_j, five-digit primes."""
+    primes = rng.sample(BIG_PRIMES, 2 * space.dim)
+    return [linalg.vec_scale(Fraction(p, q), col) for col, p, q in
+            zip(random_parity_preserving_basis(rng, space), primes[::2], primes[1::2])]
+
+
+def moved(rng, ctx):
+    """The extension of ctx moved to a ``big_scaled_basis``, and its dual block in the new coordinates."""
+    g = ctx.extension
+    cols = big_scaled_basis(rng, g.space)
+    m_inv = linalg.inverse(linalg.transpose(cols))
+    ideal = [tuple(row[k] for row in m_inv) for k in range(g.dim - ctx.a.dim, g.dim)]
+    return change_basis(g, cols), ideal
+
+
+@functools.cache
+def moved_cases() -> tuple:
+    rng = random.Random(19)
+    out = []
+    for delta in (0, 1):
+        contexts = [ctx for ctx in context_corpus(delta) if ctx.a.dim and ctx.extension.dim <= 12]
+        out += [moved(rng, ctx) for ctx in contexts[::6]]
+    return tuple(out)
+
+
+def corpus_cases():
+    for ctx in context_corpus(0) + context_corpus(1):
+        if ctx.a.dim:
+            g = ctx.extension
+            yield g, [unit_vec(g.dim, g.dim - ctx.a.dim + k) for k in range(ctx.a.dim)]
+
+
+def catalog_cases():
+    rng = random.Random(20)
+    contexts = [*(heisenberg_context(default_heisenberg_params(pairs)) for pairs in (1, 2, 3)),
+                *(heisenberg_context(random_heisenberg_params(rng)) for _ in range(4)),
+                *(odd_extension_context(default_odd_dim1_params(eta)) for eta in (Fraction(1), Fraction(-3, 2))),
+                *(odd_extension_context(random_odd_dim1_params(rng)) for _ in range(4)),
+                document_to_context(parse_document((GOLDEN / "coprime.context").read_text()))]
+    for ctx in contexts:
+        g = ctx.extension
+        yield g, [unit_vec(g.dim, g.dim - ctx.a.dim + k) for k in range(ctx.a.dim)]
+    coprime = document_to_algebra(parse_document((GOLDEN / "coprime.algebra").read_text()))
+    yield coprime, [unit_vec(coprime.dim, k) for k in (7, 8, 9)]
+
+
+def test_moved_cases_cover_both_parities_with_large_denominators():
+    deltas = [g.delta for g, _ in moved_cases()]
+    assert deltas.count(0) >= 4 and deltas.count(1) >= 4
+    assert all(max(c.denominator for v in ideal for c in v) > 10 ** 4 for _, ideal in moved_cases())
+
+
+def test_moved_extensions_match_the_oracle_with_the_file_ideal_and_auto():
+    auto = 0
+    for g, ideal in moved_cases():
+        assert assert_same(g, ideal)[0] == "ok"
+        found = dec.find_central_minimal_ideal(g)
+        assert found == find_central_minimal_ideal(g)
+        if found is not None:
+            assert_same(g, found)
+            auto += 1
+    assert auto >= 4
+
+
+def test_corpus_extensions_match_the_oracle():
+    n = 0
+    for g, ideal in corpus_cases():
+        assert assert_same(g, ideal)[0] == "ok"
+        n += 1
+    assert n >= 90
+
+
+def test_catalog_families_and_coprime_golden_match_the_oracle():
+    for g, ideal in catalog_cases():
+        assert assert_same(g, ideal)[0] == "ok"
+        found = dec.find_central_minimal_ideal(g)
+        assert found == find_central_minimal_ideal(g)
+        if found is not None:
+            assert_same(g, found)
+
+
+def planted_ideals(rng, g, ideal):
+    """Ideals that break one hypothesis or another: the ideal with a vector
+    of g added, a single vector of g, and a random homogeneous vector."""
+    n = g.dim
+    for k in rng.sample(range(n), min(n, 3)):
+        yield list(ideal) + [unit_vec(n, k)]
+        yield [unit_vec(n, k)]
+    p = rng.randrange(2)
+    yield [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if q == p else ZERO
+                 for q in g.space.parities)]
+
+
+def test_planted_ideals_report_the_oracle_claims_and_witnesses():
+    rng = random.Random(21)
+    claims = []
+    cases = [*moved_cases(), *list(corpus_cases())[::5], *catalog_cases()]
+    for g, ideal in cases:
+        for bad in planted_ideals(rng, g, ideal):
+            got = assert_same(g, bad)
+            claims.append(got[1] if got[0] == "claim" else "ok")
+    for claim in ("ideal-isotropic", "ideal-abelian", "ideal-invariant", "ideal-independent"):
+        assert claims.count(claim) >= 3, (claim, sorted(set(claims)))
+
+
+@pytest.mark.parametrize("ideal, claim, witness", [
+    ([unit_vec(4, 1), unit_vec(4, 2)], "ideal-isotropic", (0, 1)),
+    ([unit_vec(4, 0), unit_vec(4, 1)], "ideal-abelian", (0, 1)),
+    ([unit_vec(4, 1)], "ideal-invariant", (2, 0)),
+])
+def test_heisenberg_planted_ideals_match_the_oracle(ideal, claim, witness):
+    g = heisenberg_extension(default_heisenberg_params())
+    got = assert_same(g, ideal)
+    assert got[1] == claim and got[3][0].indices == witness
+
+
+# ---------------------------------------------------------------------------
+# decompose makes no rational pairing and no rational bracket
+
+
+@contextlib.contextmanager
+def no_rational_sums():
+    def refuse(*args):
+        raise AssertionError("a rational sum during decompose")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GradedBilinearForm, "covector", refuse)
+        mp.setattr(GradedBilinearMap, "right_sparse", refuse)
+        yield
+
+
+def test_decompose_calls_neither_covector_nor_right_sparse():
+    """Every case is certified before the patch (its integer views are then
+    cached, as certifying g caches them in the CLI); under the patch
+    decompose and the auto ideal still run, with the same results."""
+    rng = random.Random(22)
+    cases = [*moved_cases()[::2], *list(corpus_cases())[::10], *catalog_cases()]
+    expected = [(outcome(dec.decompose, g, ideal), dec.find_central_minimal_ideal(g)) for g, ideal in cases]
+    planted = [(g, bad) for g, ideal in cases[::3] for bad in planted_ideals(rng, g, ideal)]
+    planted_expected = [outcome(dec.decompose, g, bad) for g, bad in planted]
+    with no_rational_sums():
+        for (g, ideal), (res, found) in zip(cases, expected):
+            assert outcome(dec.decompose, g, ideal) == res
+            assert dec.find_central_minimal_ideal(g) == found
+            if found is not None:
+                dec.decompose(g, found)
+        for (g, bad), res in zip(planted, planted_expected):
+            assert outcome(dec.decompose, g, bad) == res
+
+
+def test_the_pin_catches_a_rational_sum():
+    g, ideal = next(iter(catalog_cases()))
+    with no_rational_sums(), pytest.raises(AssertionError, match="rational sum"):
+        oracle_decompose(g, ideal)
+
+
+# ---------------------------------------------------------------------------
+# Ideal vectors as sparse dicts
+
+
+def test_dict_tuple_and_list_ideals_give_equal_results():
+    sample = Path(__file__).resolve().parent.parent / "samples" / "heisenberg.algebra"
+    heis = document_to_algebra(parse_document(sample.read_text()))
+    cases = [(heis, [(0, 0, 0, 1)]), *list(moved_cases())[:3], *list(corpus_cases())[::20]]
+    for g, ideal in cases:
+        dense = dec.decompose(g, [tuple(v) for v in ideal])
+        forms = ([list(v) for v in ideal],
+                 [dict(enumerate(v)) for v in ideal],                     # every index, zeros included
+                 [{k: c for k, c in enumerate(v) if c} for v in ideal])   # nonzeros only
+        for form in forms:
+            res = dec.decompose(g, form)
+            for name in dense.__dataclass_fields__:
+                assert getattr(res, name) == getattr(dense, name), name
+            assert all(type(v) is tuple and len(v) == g.dim for v in res.ideal_basis)
+
+
+def test_dict_ideal_indices_outside_the_dimension_are_the_shape_claim():
+    g = heisenberg_extension(default_heisenberg_params())
+    for bad in ({4: 1}, {3: 1, 7: 0}, {-1: 1}):
+        with pytest.raises(ClaimViolated) as exc:
+            dec.decompose(g, [bad])
+        assert exc.value.claim == "ideal-shape"
+    with pytest.raises(TypeError):
+        dec.decompose(g, [{3: 0.5}])

@@ -136,3 +136,54 @@ def test_extend_independent_matches_rank_loop():
         kinds["deficient-base"] += bool(base) and linalg.rank(base, n) < len(base)
         assert linalg.extend_independent(base, cands) == extend_independent_by_rank(base, cands)
     assert min(kinds.values()) >= 30
+
+
+def view_of(vectors):
+    """(d, ints) of dense rational vectors: their nonzeros times the lcm d of their denominators."""
+    from superquad.spaces import scaled_to_ints, sparse_vec
+    d, ints = scaled_to_ints(map(sparse_vec, vectors))
+    return d, list(ints)
+
+
+def test_integer_results_are_the_least_views_of_the_rational_ones():
+    """nullspace_ints, solve_ints and inverse_ints give the views
+    scaled_to_ints gives of nullspace, solve and inverse, keys in order, on
+    rational rows and on the same rows scaled to ints (a positive multiple
+    of each row leaves every result as it is)."""
+    rng = random.Random(8)
+    seen = {"singular": 0, "inconsistent": 0, "free": 0}
+    for _ in range(300):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        rows = rand_mat(rng, m, n)
+        rhs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
+        basis, x = linalg.nullspace(rows, n), linalg.solve(rows, rhs, n)
+        seen["free"] += bool(basis)
+        seen["inconsistent"] += x is None
+        # denominators are at most 3, so 6 times every row and right-hand side is an int
+        int_rows, int_rhs = [[int(6 * c) for c in r] for r in rows], [int(6 * c) for c in rhs]
+        for given, b in ((rows, rhs), (int_rows, int_rhs)):
+            d, ints = linalg.nullspace_ints(given, n)
+            assert (d, list(ints)) == view_of(basis)
+            assert all(list(v) == sorted(v) for v in ints)
+            sol = linalg.solve_ints(given, b, n)
+            assert (sol is None) == (x is None)
+            if x is not None:
+                assert (sol[0], [sol[1]]) == view_of([x])
+        square = rows[:min(m, n)]
+        square = [r[:len(square)] for r in square]
+        if len(square) >= 2 and rng.random() < 0.2:
+            square[-1] = square[0]
+        inv = linalg.inverse(square)
+        got = linalg.inverse_ints(square)
+        seen["singular"] += inv is None
+        assert (got is None) == (inv is None)
+        if inv is not None:
+            assert (got[0], list(got[1])) == view_of(inv)
+            assert all(list(v) == sorted(v) for v in got[1])
+    assert min(seen.values()) >= 20
+
+
+def test_lowest_terms_divides_by_the_common_gcd():
+    assert linalg.lowest_terms(6, [{0: 4, 2: -2}, {1: 8}]) == (3, ({0: 2, 2: -1}, {1: 4}))
+    assert linalg.lowest_terms(5, [{0: 4}]) == (5, ({0: 4},))
+    assert linalg.lowest_terms(4, []) == (1, ())
