@@ -538,7 +538,7 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> ScaledVecto
     return ideal
 
 
-def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence[Sequence], *,
+def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
               source: DeltaContext | None = None) -> DecompositionResult:
     """Split g along an isotropic abelian ideal and certify the rebuilt extension.
 
