@@ -233,6 +233,13 @@ class SuperSpace:
     def label(self, i: int) -> str:
         return self.basis[i][0]
 
+    def vector_parity(self, v: Sequence) -> int | None:
+        """Parity of a homogeneous coordinate vector; None if mixed or zero."""
+        seen = {self.parity(i) for i, c in enumerate(v) if c != 0}
+        if len(seen) == 1:
+            return seen.pop()
+        return None
+
 
 def parity_shift(space: SuperSpace) -> SuperSpace:
     """P(V): same labels, every parity flipped."""

@@ -43,12 +43,6 @@ from superquad.spaces import (
 F = Fraction
 
 
-def vector_parity(space, v) -> int | None:
-    """Parity of a homogeneous dense coordinate vector; None if mixed or zero."""
-    seen = {space.parity(i) for i, c in enumerate(v) if c != 0}
-    return seen.pop() if len(seen) == 1 else None
-
-
 def solve_affine(rows, rhs, ncols):
     """Full solution set of rows @ x = rhs as (particular, nullspace basis), or None."""
     part = linalg.solve(rows, rhs, ncols)
@@ -88,7 +82,7 @@ def change_basis(g: QuadraticLieSuperAlgebra, cols) -> QuadraticLieSuperAlgebra:
     n = g.dim
     m = linalg.transpose(cols)
     m_inv = linalg.inverse(m)
-    space = SuperSpace(tuple((f"b{i}", vector_parity(g.space, cols[i])) for i in range(n)))
+    space = SuperSpace(tuple((f"b{i}", g.space.vector_parity(cols[i])) for i in range(n)))
     table = tuple(
         tuple(linalg.mat_vec(m_inv, g.bracket.value_vectors(cols[p], cols[q])) for q in range(n))
         for p in range(n)
@@ -177,7 +171,7 @@ def random_superalgebra_scrambled(rng, max_dim=5) -> LieSuperAlgebra:
     cols = random_parity_preserving_basis(rng, g.space)
     n = g.dim
     m_inv = linalg.inverse(linalg.transpose(cols))
-    space = SuperSpace(tuple((f"b{i}", vector_parity(g.space, cols[i])) for i in range(n)))
+    space = SuperSpace(tuple((f"b{i}", g.space.vector_parity(cols[i])) for i in range(n)))
     table = tuple(
         tuple(linalg.mat_vec(m_inv, g.bracket.value_vectors(cols[p], cols[q])) for q in range(n))
         for p in range(n)
@@ -678,7 +672,7 @@ def random_witt_instance(rng, delta, max_dim=8):
 
 def change_basis_form(form: GradedBilinearForm, cols) -> GradedBilinearForm:
     n = form.space.dim
-    space = SuperSpace(tuple((f"w{i}", vector_parity(form.space, cols[i])) for i in range(n)))
+    space = SuperSpace(tuple((f"w{i}", form.space.vector_parity(cols[i])) for i in range(n)))
     rows = tuple(tuple(form.value(cols[p], cols[q]) for q in range(n)) for p in range(n))
     return GradedBilinearForm(space, form.degree, rows)
 

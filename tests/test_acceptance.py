@@ -23,7 +23,6 @@ from generators import (
     random_odd_dim1_params,
     random_superalgebra_scrambled,
     random_witt_instance,
-    vector_parity,
 )
 from superquad import linalg
 from superquad.algebra import (
@@ -115,7 +114,7 @@ def test_criterion_4_witt_complement_conclusions():
             r = len(ideal)
             assert len(a) == r                                    # (ii)
             for i in range(r):
-                assert vector_parity(space, a[i]) is not None
+                assert space.vector_parity(a[i]) is not None
                 for j in range(r):
                     assert form.value(a[i], a[j]) == 0            # (i)
                     want = ONE if i == j else ZERO

@@ -5,13 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from generators import (
-    context_corpus,
-    random_heisenberg_params,
-    random_odd_dim1_params,
-    random_witt_instance,
-    vector_parity,
-)
+from generators import context_corpus, random_heisenberg_params, random_odd_dim1_params, random_witt_instance
 import superquad.decompose as dec
 from superquad import linalg
 from superquad.algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, delta_coadjoint
@@ -108,7 +102,7 @@ def test_witt_complement_mixed_parity_random():
             r = len(ideal)
             assert len(a) == r
             for i in range(r):
-                assert vector_parity(space, a[i]) is not None
+                assert space.vector_parity(a[i]) is not None
                 for j in range(r):
                     assert form.value(a[i], a[j]) == 0
                     assert form.value(ideal[i], a[j]) == (ONE if i == j else ZERO)

@@ -24,7 +24,6 @@ from generators import (
     random_parity_preserving_basis,
     random_witt_instance,
     space_of,
-    vector_parity,
 )
 import superquad.decompose as dec
 from superquad import linalg
@@ -712,7 +711,7 @@ def ref_dual_vectors(form, ideal, avoid):
     rows = [ref_mat_vec(bt, e) for e in ideal] + [ref_mat_vec(bt, w) for w in avoid]
     duals = []
     for i, e in enumerate(ideal):
-        want = (vector_parity(space, e) + form.degree) % 2
+        want = (space.vector_parity(e) + form.degree) % 2
         cols = [c for c in range(n) if space.parity(c) == want]
         rhs = [Fraction(m == i) for m in range(len(ideal))] + [ZERO] * len(avoid)
         sol = linalg.solve([[r[c] for c in cols] for r in rows], rhs, len(cols))
