@@ -6,11 +6,12 @@ I inside I-perp (any complement is automatically non-degenerate because the
 radical of B restricted to I-perp is exactly I), produces a Witt-style
 isotropic complement a dual to I, changes basis once to (a, h, I), extracts
 all structure maps of the split bracket, reconstructs a double-extension
-context and certifies the isometry onto its extension; ``decompose`` names
-the one check behind each fact. Every step is deterministic: linear solves
-take first pivots in canonical basis order. Vectors, the ideal's included,
-may be given dense or as sparse dicts ``{index: coefficient}``; inside
-``decompose`` every vector is sparse, and only the returned bases are dense.
+context and certifies the isometry onto its extension, which is then the
+extension's certificate; ``decompose`` names the one check behind each
+fact. Every step is deterministic: linear solves take first pivots in
+canonical basis order. Vectors, the ideal's included, may be given dense or
+as sparse dicts ``{index: coefficient}``; inside ``decompose`` every vector
+is sparse, and only the returned bases are dense.
 
 The pairings, the centre, the dual solves and the ideal's images run on
 integer views: the metric's ``scaled_rows``, the bracket's ``scaled_pairs``,
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg
+from . import extension, linalg
 from .algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket
 from .errors import (
     ClaimViolated,
@@ -164,18 +165,21 @@ def find_central_minimal_ideal(g: QuadraticLieSuperAlgebra) -> list[Vector] | No
     """A 1-dimensional homogeneous isotropic subspace of the center, or None.
 
     Any subspace of the center is an ideal and 1-dimensional ideals are
-    minimal. Candidates are the canonical nullspace basis of the centraliser
-    system, scanned in order; None when the center is zero or none of the
-    candidates is isotropic. The system is read from the bracket's integer
-    view: it is homogeneous, so the scale changes neither its kernel nor
-    the canonical basis.
+    minimal. The center is [g,g]^perp, B being invariant and non-degenerate:
+    B([x,y],z) = B(x,[y,z]) vanishes for all x, y exactly when z is central.
+    So one forward elimination picks a basis of the span of the bracket
+    values [e_i, e_j], i <= j, from the bracket's integer view, and the
+    center is the nullspace of the at most n integer covectors B(w, .) of
+    that basis. That system has the kernel of the centraliser system
+    [x, e_j] = 0, so the same reduced row echelon form and the same
+    canonical nullspace basis. Its vectors are the candidates, scanned in
+    order; None when the center is zero or none of them is isotropic.
     """
     n = g.dim
-    rows: dict = {}  # row (j, k) of the system [x, e_j]_k = 0; all-zero rows left out
-    for (i, j), v in g.bracket.scaled_pairs[1].items():
-        for k, c in v.items():
-            rows.setdefault((j, k), {})[i] = c
-    d, center = linalg.nullspace_ints([rows[key] for key in sorted(rows)], n)
+    values = [v for (i, j), v in g.bracket.scaled_pairs[1].items() if i <= j]
+    rows = g.metric.scaled_rows[1]
+    d, center = linalg.nullspace_ints(
+        [_covector(rows, values[k]) for k in linalg.extend_independent([], values)], n)
     for v in center:
         if not _gram(g.metric, [v], [v])[0]:
             return [dense_vec({k: Fraction(c, d) for k, c in v.items()}, n)]
@@ -538,6 +542,31 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> ScaledVecto
     return ideal
 
 
+def _transported(maps: ExtractedMaps, bracket: SuperBracket,
+                 metric: GradedBilinearForm) -> QuadraticLieSuperAlgebra:
+    """The extension's tables as a certified algebra, without their scans.
+
+    Called only once ``isometry-bracket`` and ``isometry-metric`` have
+    passed, which makes the certificate of g the certificate of the tables:
+    g is certified; ``inverse_ints`` has shown the change of basis to the
+    (a, h, I) columns invertible; the columns are homogeneous with the
+    parities of the extension's basis (checked here); and in that basis g's
+    structure constants and metric equal the tables exactly. Grading, super
+    skew, Jacobi, the metric's degree, super-symmetry, invariance and
+    non-degeneracy all carry over through an even invertible change of
+    basis. The algebra is built as ``spaces._build`` builds a map: the
+    fields are set on a new instance, and ``__post_init__`` is not run."""
+    columns = maps.a_space.parities + maps.h_space.parities + maps.ideal_space.parities
+    if columns != bracket.space.parities:
+        raise SuperquadError("the split basis and the extension's basis differ in parity")
+    lie = object.__new__(LieSuperAlgebra)
+    object.__setattr__(lie, "bracket", bracket)
+    out = object.__new__(QuadraticLieSuperAlgebra)
+    object.__setattr__(out, "algebra", lie)
+    object.__setattr__(out, "metric", metric)
+    return out
+
+
 def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
               source: DeltaContext | None = None) -> DecompositionResult:
     """Split g along an isotropic abelian ideal and certify the rebuilt extension.
@@ -546,13 +575,16 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     (``ideal-*``), the dual complement (``witt-complement``), the block rules
     of the split bracket (``split-*``), a and h (``a-superalgebra``,
     ``h-quadratic``), xi (``xi-bijective``) and sigma (``sigma-coadjoint``);
-    every context axiom by validate_context inside double_extend
-    (``context``); then g in the (a, h, I) basis equals the re-extension
-    (``isometry-bracket``, ``isometry-metric``), so x + u + alpha ->
-    x + u + xi_delta(alpha) is an isometry; last, the returned tau and gamma
-    realise chi and Phi (``tau-chi``, ``gamma-phi``). The Witt pairing makes
-    xi the identity, so sigma, tau and gamma are compared with ad*_delta, chi
-    and Phi index for index.
+    every context axiom by validate_context (``context``); then g in the
+    (a, h, I) basis equals the tables of the re-extension, as
+    ``extension_tables`` assembles them (``isometry-bracket``,
+    ``isometry-metric``), so x + u + alpha -> x + u + xi_delta(alpha) is an
+    isometry; last, the returned tau and gamma realise chi and Phi
+    (``tau-chi``, ``gamma-phi``). The Witt pairing makes xi the identity, so
+    sigma, tau and gamma are compared with ad*_delta, chi and Phi index for
+    index. The isometry onto the certified g is the re-extension's
+    certificate: its tables are not scanned again (``_transported``), and the
+    returned context's ``extension`` is that algebra.
 
     Each ideal vector is dense, of length dim, or a sparse dict with indices
     in range(dim); ``ideal_basis`` holds them dense.
@@ -615,7 +647,14 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
             raise ClaimViolated("sigma-coadjoint", [Violation("sigma-coadjoint", (i,))])
 
     try:
-        ext = context.extension
+        if context is source:
+            ext = context.extension
+            bracket, metric = ext.bracket, ext.metric
+        else:
+            violations = extension.validate_context(context)
+            if violations:
+                raise ClaimViolated("context", violations)
+            bracket, metric = extension.extension_tables(context)
     except InvalidContext as exc:
         raise ClaimViolated("context", exc.violations) from exc
 
@@ -623,7 +662,7 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     # pairing, its matrix in the split basis is the identity, so the claim is
     # that g's structure constants and metric in the (a, h, I) basis equal the
     # extension's exactly.
-    ext_pairs = ext.bracket.pairs
+    ext_pairs = bracket.pairs
     for p, q in sorted(maps.split.keys() | ext_pairs.keys()):
         w = maps.split.get((p, q), EMPTY)
         if w != ext_pairs.get((p, q), EMPTY):
@@ -631,12 +670,15 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
             add_scaled(res, -1, ext_pairs.get((p, q), EMPTY))
             raise ClaimViolated("isometry-bracket",
                                 [Violation("isometry-bracket", (p, q), dense_vec(res, g.dim))])
-    ext_rows = ext.metric.sparse_rows
+    ext_rows = metric.sparse_rows
     for p, row in enumerate(gram):
         if row != ext_rows[p]:
             q = min(q for q in row.keys() | ext_rows[p].keys()
                     if row.get(q, ZERO) != ext_rows[p].get(q, ZERO))
             raise ClaimViolated("isometry-metric", [Violation("isometry-metric", (p, q))])
+    if context is not source:
+        ext = _transported(maps, bracket, metric)
+        vars(context)["extension"] = ext  # the cache of DeltaContext.extension
 
     # the returned tau and gamma are chi and Phi
     chi = context.chi

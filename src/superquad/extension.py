@@ -8,13 +8,17 @@ for chi and Phi that the axioms imply are consequences, not conditions, so
 the library does not check them; the test suite does, on every valid context
 it generates.
 
-The construction goes through the proof path: a central extension of h by
-the dual block via the cocycle Phi, then the generalized semi-direct product
-with a. Each layer is certified by the grading, super skew and Jacobi scans
-of its own bracket, which for the semi-direct product contain its three
-conditions on (Theta, Lambda), and the result by its invariant metric; so a
-successful return is a machine proof for the instance at hand. The context
-axioms are checked once, by ``validate_context``, before any layer is built.
+The tables are assembled in one place, ``extension_tables``: the bracket
+[,]_a + lambda + omega, Theta = rho + ad*_delta + chi with its super skew
+partners, and [,]_h + Phi (the central extension of h by the dual block via
+the cocycle Phi), each through one ``from_entries``, and the metric. The
+context axioms are checked once, by ``validate_context``, before the tables
+are built. ``double_extend`` then certifies the result by the grading, super
+skew and Jacobi scans of the whole bracket and by its invariant metric; the
+bracket's scans contain every triple of the central extension, which is a
+subalgebra, and the three conditions of the semi-direct product on
+(Theta, Lambda), so none of them is scanned on its own, and a successful
+return is a machine proof for the instance at hand.
 
 The axioms and the derivation of chi and Phi run on the integer views of the
 maps (``scaled_pairs``, ``scaled_rows``, ``scaled_columns``): each identity is
@@ -40,7 +44,6 @@ from .algebra import (
     delta_coadjoint,
     is_derivation,
     is_metric_skew,
-    semidirect_product,
 )
 from .errors import InvalidContext, Violation
 from .spaces import (
@@ -116,7 +119,9 @@ class DeltaContext:
 
     @functools.cached_property
     def extension(self) -> QuadraticLieSuperAlgebra:
-        """``double_extend`` of this context, built and certified once; raises as it does."""
+        """``double_extend`` of this context, built and certified once; raises as
+        it does. ``decompose`` sets it to the re-extension that its isometry
+        onto g certifies."""
         return double_extend(self)
 
     def __getstate__(self):
@@ -276,27 +281,42 @@ def extension_metric(ctx: DeltaContext, space: SuperSpace) -> GradedBilinearForm
     return GradedBilinearForm.from_entries(space, ctx.delta, entries)
 
 
+def extension_tables(ctx: DeltaContext) -> tuple[SuperBracket, GradedBilinearForm]:
+    """The bracket and the metric of a + h + P_delta(a)*, assembled, not scanned.
+
+    The bracket is [,]_a + lambda + omega on a x a, Theta(x)(u) = rho(x)(u)
+    + ad*_delta(x)(u) + chi(x, u) on a x (h + dual) with its super skew
+    partners [u, x] = -(-1)^{|x||u|} Theta(x)(u), and [,]_h + Phi on h x h;
+    the metric is ``extension_metric``. The caller certifies them: by their
+    own scans (``double_extend``) or by an exact isometry onto an algebra
+    already certified (``decompose``)."""
+    na, nh = ctx.a.dim, ctx.h.dim
+    nc = na + nh  # first index of the dual block
+    space = SuperSpace(ctx.a.space.basis + ctx.h.space.basis + ctx.dual_block.basis)
+    par = space.parities
+    theta = [(i, j, k, c) for i, t in enumerate(ctx.rho) for k, j, c in t.entries(na, na)]
+    theta += [(i, j, k, c) for i, t in enumerate(ctx.ad_star) for k, j, c in t.entries(nc, nc)]
+    theta += [(i, na + m, nc + k, c) for (i, m), v in ctx.chi.pairs.items() for k, c in v.items()]
+    entries = (ctx.a.bracket.entries() + ctx.lam.entries(dk=na) + ctx.omega.entries(dk=nc) + theta
+               + [(j, i, k, c if par[i] * par[j] else -c) for i, j, k, c in theta]
+               + ctx.h.bracket.entries(na, na, na) + ctx.phi.entries(na, na, nc))
+    return SuperBracket.from_entries(space, entries), extension_metric(ctx, space)
+
+
 def double_extend(ctx: DeltaContext) -> QuadraticLieSuperAlgebra:
     """Quadratic Lie superalgebra of degree delta on a + h + P_delta(a)*.
 
     Raises InvalidContext with all violations when the context axioms fail.
-    The returned algebra has basis blocks (a, h, dual) in that order, with
-    dual functional parities equal to a-parities plus delta; this ordering is
-    part of the file-format contract.
+    The tables of ``extension_tables`` are then certified by one set of
+    scans. The returned algebra has basis blocks (a, h, dual) in that order,
+    with dual functional parities equal to a-parities plus delta; this
+    ordering is part of the file-format contract.
     """
     violations = validate_context(ctx)
     if violations:
         raise InvalidContext(violations)
-
-    ce = central_extension(ctx)
-    theta = extension_derivations(ctx, ce.space)
-
-    big_lambda = GradedBilinearMap.from_entries(
-        ctx.a.space, ctx.a.space, ce.space, ctx.lam.entries() + ctx.omega.entries(dk=ctx.h.dim))
-
-    lie = semidirect_product(ctx.a, ce, theta, big_lambda)
-    metric = extension_metric(ctx, lie.space)
-    return QuadraticLieSuperAlgebra(lie, metric)
+    bracket, metric = extension_tables(ctx)
+    return QuadraticLieSuperAlgebra(LieSuperAlgebra(bracket), metric)
 
 
 def contexts_equal(c1: DeltaContext, c2: DeltaContext) -> bool:

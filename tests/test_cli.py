@@ -563,32 +563,37 @@ def test_delta_coadjoint_built_once_per_context(tmp_path, capsys, monkeypatch):
 
 
 def test_roundtrip_certifies_each_distinct_bracket_once(tmp_path, capsys, monkeypatch):
-    """A roundtrip scans each distinct bracket once with Jacobi: decompose
+    """Every table a command builds is certified once, either by its scans
+    or by an exact isometry onto an algebra already certified. extend scans
+    a, h and the extension, whose one Jacobi scan contains the central
+    extension's; decompose scans the algebra it reads, a and h, and
+    certifies its re-extension by the isometry onto that algebra; roundtrip
     takes a, h and the re-extension from the certified input context they
-    equal. The decompose command certifies the algebra it reads and then its
-    re-extension, which equals it when --ideal auto finds the dual block (the
-    two samples) and differs when it finds another line (coprime)."""
+    equal. So each command makes three Jacobi scans on three distinct
+    tables, and two invariance scans: h's and the one algebra's."""
     import sys
     import superquad.algebra as algebra
-    calls = []
-    original = algebra.check_jacobi
+    calls = {"check_jacobi": [], "check_invariance": []}
+    for name in calls:
+        original = getattr(algebra, name)
 
-    def counting(bracket):
-        calls.append(bracket)
-        return original(bracket)
+        def counting(*args, original=original, seen=calls[name]):
+            seen.append(args[-1])  # the bracket
+            return original(*args)
 
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("superquad") and getattr(module, "check_jacobi", None) is original:
-            monkeypatch.setattr(module, "check_jacobi", counting)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("superquad") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
     out = str(tmp_path / "out")
-    for stem, decompose_distinct in ((SAMPLES / "heisenberg", 4), (SAMPLES / "odd-dim1", 4),
-                                     (GOLDEN / "coprime", 5)):
-        for argv, expected in ((("extend", "--context", f"{stem}.context", "--out", out), (4, 4)),
-                               (("decompose", f"{stem}.algebra", "--out", out), (5, decompose_distinct)),
-                               (("roundtrip", f"{stem}.context"), (4, 4))):
-            calls.clear()
+    for stem in (SAMPLES / "heisenberg", SAMPLES / "odd-dim1", GOLDEN / "coprime"):
+        for argv in (("extend", "--context", f"{stem}.context", "--out", out),
+                     ("decompose", f"{stem}.algebra", "--out", out),
+                     ("roundtrip", f"{stem}.context")):
+            for seen in calls.values():
+                seen.clear()
             assert run(capsys, *argv)[0] == 0
-            assert (len(calls), len(set(calls))) == expected, argv
+            jacobi, invariance = calls["check_jacobi"], calls["check_invariance"]
+            assert (len(jacobi), len(set(jacobi)), len(invariance)) == (3, 3, 2), argv
 
 
 @pytest.mark.parametrize("command", ["extend", "verify", "decompose"])

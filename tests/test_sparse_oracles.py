@@ -376,29 +376,38 @@ def test_extract_structure_maps_same_first_split_witness():
     assert found >= 10
 
 
+def planted_tables(monkeypatch, plant):
+    """The samples, built by the real tables; then the table assembler is
+    patched to pass its tables through ``plant``, and ``_transported``, the
+    unscanned build, to record each time it is reached."""
+    import superquad.extension as extension_module
+
+    samples = extensions()
+    real = extension_module.extension_tables
+    built = []
+    monkeypatch.setattr(extension_module, "extension_tables", lambda context: plant(*real(context)))
+    monkeypatch.setattr(dec, "_transported", lambda *args: built.append(args))
+    return samples, built
+
+
 def test_isometry_witness_on_a_planted_extension(monkeypatch):
     """decompose compares g in the split basis with the re-extension; a
     coefficient planted in the re-extension is reported at its pair, with the
-    dense residual, whether or not g has a nonzero bracket there. The
-    re-extension is the recovered context's ``extension``, which calls the
-    extension module's double_extend."""
-    import superquad.extension as extension_module
-
+    dense residual, whether or not g has a nonzero bracket there, and the
+    planted tables are never built into an algebra. The re-extension's
+    tables are those the extension module's extension_tables assembles."""
     rng = random.Random(37)
-    real = extension_module.double_extend
     planted_at = []
 
-    def planted_extension(context):
-        ext = real(context)
-        i, j, k = (rng.randrange(ext.dim) for _ in range(3))
+    def plant(bracket, metric):
+        i, j, k = (rng.randrange(bracket.space.dim) for _ in range(3))
         c = rand_scalar(rng, nonzero=True)
         planted_at.append((i, j, k, c))
-        bad = SuperBracket.from_entries(ext.space, ext.bracket.entries() + [(i, j, k, c)])
-        return SimpleNamespace(bracket=bad, metric=ext.metric, space=ext.space, dim=ext.dim)
+        return SuperBracket.from_entries(bracket.space, bracket.entries() + [(i, j, k, c)]), metric
 
-    monkeypatch.setattr(extension_module, "double_extend", planted_extension)
+    samples, built = planted_tables(monkeypatch, plant)
     zero_in_g = 0
-    for ctx, g in extensions():
+    for ctx, g in samples:
         na = ctx.a.dim
         with pytest.raises(ClaimViolated) as exc:
             dec.decompose(g, [unit_vec(g.dim, g.dim - na + k) for k in range(na)])
@@ -407,7 +416,30 @@ def test_isometry_witness_on_a_planted_extension(monkeypatch):
         assert v.equation == "isometry-bracket" and v.indices == (i, j)
         assert v.residual == tuple(-c if r == k else ZERO for r in range(g.dim))
         zero_in_g += g.bracket.value(i, j) == linalg.zero_vec(g.dim)
-    assert zero_in_g >= 3
+    assert zero_in_g >= 3 and built == []
+
+
+def test_isometry_metric_witness_on_a_planted_extension(monkeypatch):
+    """An entry planted in the re-extension's metric, after its bracket has
+    passed, is reported by isometry-metric at its (row, column), the first
+    that differs, and the planted tables are never built into an algebra."""
+    rng = random.Random(38)
+    planted_at = []
+
+    def plant(bracket, metric):
+        i, j = (rng.randrange(metric.space.dim) for _ in range(2))
+        planted_at.append((i, j))
+        c = rand_scalar(rng, nonzero=True)
+        return bracket, GradedBilinearForm.from_entries(metric.space, metric.degree, metric.entries() + [(i, j, c)])
+
+    samples, built = planted_tables(monkeypatch, plant)
+    for ctx, g in samples:
+        na = ctx.a.dim
+        with pytest.raises(ClaimViolated) as exc:
+            dec.decompose(g, [unit_vec(g.dim, g.dim - na + k) for k in range(na)])
+        (v,) = exc.value.violations
+        assert (exc.value.claim, v.equation, v.indices) == ("isometry-metric", "isometry-metric", planted_at[-1])
+    assert built == []
 
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89)
