@@ -36,12 +36,12 @@ def test_unused_import_is_reported():
 
 
 # Definitions that nothing in src/ refers to, each with the one reason it
-# stays there: the benchmark imports or traces it (the layers of the
-# extension's proof path, which ``extension_tables`` now assembles in one
-# place, among them), or README's "Public API" section names it (the dense
-# views, the coadjoint representation, the parity-shift transfer, the
-# isometry onto h(D), a map applied to a sparse vector and the parity of a
-# dense vector).
+# stays there: the benchmark imports or traces it (among them the central
+# extension, Theta and the semi-direct product, whose tables
+# ``extension_tables`` assembles in one place), or README's "Public API"
+# section names it (the dense views, the coadjoint representation, the
+# parity-shift transfer, the isometry onto h(D), a map applied to a sparse
+# vector and the parity of a dense vector).
 KEPT = {**dict.fromkeys(("rref", "table", "in_span", "solve", "semidirect_product", "central_extension",
                          "extension_derivations"), "perfbench/tracer.py"),
         **dict.fromkeys(("mat", "mat_vec", "mat_mul", "mat_add", "mat_scale", "zero_mat", "identity_mat",
