@@ -71,6 +71,10 @@ class SuperBracket(GradedBilinearMap):
         expected in the input; nothing is symmetrised."""
         return cls._build(space, space, space, entries)
 
+    @classmethod
+    def from_ints(cls, space: SuperSpace, d: int, table: dict) -> "SuperBracket":
+        return cls._build(space, space, space, table, d)
+
 
 def cyclic_residual(parities: Sequence[int], i: int, j: int, k: int, piece) -> dict:
     """Super-cyclic sum of (-1)^{|x||z|} piece(x, y, z) over the shifts of (i, j, k).
@@ -386,13 +390,13 @@ def delta_coadjoint(g: LieSuperAlgebra, delta: int) -> Representation:
     """Action on P_delta(g)*: ad*_d(x)(P_d(f))(P_d(y)) = -(-1)^{(|f|+d)|x|} f([x,y])."""
     par = g.space.parities
     module = dual_space(apply_p_delta(delta, g.space))
-    entries = [[] for _ in range(g.dim)]  # entries[i]: the matrix of ad*_d(e_i)
-    for (i, k), v in g.bracket.pairs.items():
+    d, pairs = g.bracket.scaled_pairs
+    tables: list[dict] = [{} for _ in range(g.dim)]  # tables[i]: the matrix of ad*_d(e_i), times d
+    for (i, k), v in pairs.items():
         for j, c in v.items():
-            sign = -1 if ((par[j] + delta) * par[i]) % 2 else 1
-            entries[i].append((k, j, -sign * c))
+            tables[i][k, j] = c if ((par[j] + delta) * par[i]) % 2 else -c
     return Representation(g, module, tuple(
-        GradedLinearMap.from_entries(module, module, par[i], e) for i, e in enumerate(entries)))
+        GradedLinearMap.from_ints(module, module, par[i], d, t) for i, t in enumerate(tables)))
 
 
 def curvature_failures(a: LieSuperAlgebra, h_bracket: SuperBracket,
@@ -451,7 +455,7 @@ def semidirect_product(a: LieSuperAlgebra, h: LieSuperAlgebra,
     if lam.left.basis != a.space.basis or lam.right.basis != a.space.basis or lam.target.basis != h.space.basis:
         raise ValueError("lambda must be a bilinear map a x a -> h")
 
-    entries = a.bracket.entries() + lam.entries(dk=na) + h.bracket.entries(na, na, na)
+    entries = a.bracket.entries() + lam.entries(0, 0, na) + h.bracket.entries(na, na, na)
     for i in range(na):
         for m, col in enumerate(theta[i].sparse_columns):
             sign = -1 if par_a[i] * h.space.parity(m) else 1

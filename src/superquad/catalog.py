@@ -214,10 +214,10 @@ def check_psi_isometry(p: HeisenbergExtensionParams) -> GradedLinearMap:
                             message="h must be Abelian with non-degenerate omega")
     g = heisenberg_extension(p)
     target = heisenberg_target(p)
-    if g.bracket.pairs != target.bracket.pairs:
+    if g.bracket.scaled_pairs != target.bracket.scaled_pairs:
         raise ValidationError(Violation("psi-bracket", (), None,
                                         "brackets differ under the basis correspondence"))
-    if g.metric.sparse_rows != target.metric.sparse_rows:
+    if g.metric.scaled_rows != target.metric.scaled_rows:
         raise ValidationError(Violation("psi-metric"))
     return GradedLinearMap.from_entries(g.space, target.space, 0, ((i, i, 1) for i in range(g.dim)))
 

@@ -44,7 +44,7 @@ from .errors import (
     Violation,
 )
 from .extension import DeltaContext
-from .linalg import Vector, ZERO
+from .linalg import Vector
 from .spaces import (
     EMPTY,
     GradedBilinearForm,
@@ -56,23 +56,30 @@ from .spaces import (
     dense_vec,
     drop_zeros,
     dual_space,
+    normalize,
     p_delta_dual,
-    scaled_to_ints,
     sparse_transpose,
     sparse_vec,
 )
 
 
+def _scaled(vectors) -> tuple[int, tuple[dict, ...]]:
+    """(d, ints): the sparse vectors, in order, times d with int coefficients,
+    d the lcm of the denominators of all their coefficients (``normalize``)."""
+    d, table = normalize(((r, k, c) for r, v in enumerate(vectors) for k, c in v.items()), None, "vector")
+    return d, tuple({k: table[r, k] for k in v if (r, k) in table} for r, v in enumerate(vectors))
+
+
 class ScaledVectors(list):
     """Sparse vectors ``{index: coefficient}`` with exact coefficients, and
     ``view``, the same vectors as one integer view ``(d, vectors)`` (see
-    ``scaled_to_ints``). The view is made once, where the vectors enter the
-    pipeline, and every later step sums on it; like the maps' views it
+    ``_scaled``). The view is made once, where the vectors enter the
+    pipeline, and every later step sums on it; like the maps' states it
     assumes the vectors are not mutated."""
 
     def __init__(self, vectors=(), view=None):
         super().__init__(vectors)
-        self.view = scaled_to_ints(self) if view is None else view
+        self.view = _scaled(self) if view is None else view
 
     @classmethod
     def from_ints(cls, d: int, vectors) -> "ScaledVectors":
@@ -278,7 +285,7 @@ def build_xi(form: GradedBilinearForm, ideal: Sequence, a_vectors: Sequence,
 
     xi_delta(alpha)(P_delta(x)) = B(alpha, x); xi has the same matrix into a*
     with degree delta, and the target-side parity shift of xi is xi_delta.
-    The pairing is one integer Gram; each entry is divided back once.
+    The pairing is one integer Gram, whose entries are the maps' integer entries.
     """
     space = form.space
     ideal, a_vectors = _entering(ideal), _entering(a_vectors)
@@ -291,22 +298,22 @@ def build_xi(form: GradedBilinearForm, ideal: Sequence, a_vectors: Sequence,
     if linalg.rank(pairing, len(a_vectors)) != len(ideal):
         raise DegeneratePairing("pairing between the ideal and its complement is singular")
     scale = form.scaled_rows[0] * d_e * d_a
-    entries = [(j, m, Fraction(c, scale)) for m, row in enumerate(pairing) for j, c in row.items()]
-    xi_delta = GradedLinearMap.from_entries(ideal_space, p_delta_dual(a_space, delta), 0, entries)
-    xi = GradedLinearMap.from_entries(ideal_space, dual_space(a_space), delta, entries)
+    table = {(j, m): c for m, row in enumerate(pairing) for j, c in row.items()}
+    xi_delta = GradedLinearMap.from_ints(ideal_space, p_delta_dual(a_space, delta), 0, scale, table)
+    xi = GradedLinearMap.from_ints(ideal_space, dual_space(a_space), delta, scale, table)
     return xi_delta, xi
 
 
-def _bracket_in_basis(bracket: GradedBilinearMap, cols: tuple, inv: tuple) -> dict:
+def _bracket_in_basis(bracket: GradedBilinearMap, cols: tuple, inv: tuple) -> tuple[int, dict]:
     """Structure constants in the basis of the columns of the integer view
     ``cols``, with ``inv`` the integer view of the columns of the inverse of
-    the matrix whose columns are those of ``cols``: {(p, q): {k: c}}, no
-    zeros, keys in row-major order.
+    the matrix whose columns are those of ``cols``, as an integer view
+    (scale, {(p, q): {k: n}}): no zeros, keys in row-major order.
 
-    The sums run on integers: the bracket's integer view (scale d_b), and
+    The sums run on integers: the bracket's integer state (scale d_b), and
     the views of the columns and of the inverse, at scales d_c and d_i.
     Every coefficient of [c_p, c_q] in the new basis is then
-    d_b * d_c**2 * d_i times its rational value, and is divided back once.
+    scale = d_b * d_c**2 * d_i times its rational value.
     Only pairs (p, q) that meet a nonzero of the bracket are visited."""
     (d_c, int_cols), (d_i, inv_cols) = cols, inv
     n = len(int_cols)
@@ -328,18 +335,17 @@ def _bracket_in_basis(bracket: GradedBilinearMap, cols: tuple, inv: tuple) -> di
             for k, c in acc[q].items():
                 if c:
                     add_scaled(z, c, inv_cols[k])
-            z = {k: Fraction(c, scale) for k, c in z.items() if c}
+            z = {k: c for k, c in z.items() if c}
             if z:
                 out[(p, q)] = z
-    return out
+    return scale, out
 
 
-def _metric_in_basis(form: GradedBilinearForm, cols: ScaledVectors) -> list[dict]:
-    """Rows {q: B(cols[p], cols[q])}, columns in order, no zeros: one integer
-    Gram, each entry divided back once."""
+def _metric_in_basis(form: GradedBilinearForm, cols: ScaledVectors) -> tuple[int, list[dict]]:
+    """Rows {q: B(cols[p], cols[q])}, columns in order, no zeros, as one
+    integer Gram at scale d_B d_c^2."""
     d, ints = cols.view
-    scale = form.scaled_rows[0] * d * d
-    return [{q: Fraction(c, scale) for q, c in row.items()} for row in _gram(form, ints, ints)]
+    return form.scaled_rows[0] * d * d, _gram(form, ints, ints)
 
 
 def _unit_index(v: dict) -> int | None:
@@ -380,7 +386,7 @@ class ExtractedMaps:
     tau: tuple[GradedLinearMap, ...]    # a-indexed maps h -> I
     sigma: tuple[GradedLinearMap, ...]  # a-indexed endomorphisms of I
     inverse: tuple[dict, ...]     # column k: the (a, h, I)-coordinates of g's e_k
-    split: dict                   # g's bracket in the (a, h, I) basis, as GradedBilinearMap.pairs
+    split: tuple                  # g's bracket in the (a, h, I) basis, as an integer view (d, pairs)
 
 
 def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
@@ -413,20 +419,26 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
         h_space = _block_space(g.space, cols[na:na + nh], "h", reuse=False)
     ideal_space = _block_space(g.space, cols[na + nh:], "i")
 
-    a_ent, lam_ent, mu_ent, h_ent, gamma_ent = [], [], [], [], []
-    # rho, tau, sigma: per a-vector, the (r, c, x) entries of maps h -> h, h -> I, I -> I
-    rho_ent, tau_ent, sigma_ent = ([[] for _ in range(na)] for _ in range(3))
+    # the integer tables, at the split's scale, of the blocks; rho, tau, sigma:
+    # per a-vector, the {(r, c): n} of maps h -> h, h -> I, I -> I
+    a_ent, lam_ent, mu_ent, h_ent, gamma_ent = {}, {}, {}, {}, {}
+    rho_ent, tau_ent, sigma_ent = ([{} for _ in range(na)] for _ in range(3))
 
     split = _bracket_in_basis(g.bracket, cols.view, inverse.view)
+    scale = split[0]
+
+    def dense(v: dict, dim: int):  # a block component of a witness, divided back
+        return dense_vec({k: Fraction(c, scale) for k, c in v.items()}, dim)
+
     # pairs with a zero bracket pass every block rule, so only nonzeros are visited
-    for (p, q), z in split.items():
+    for (p, q), z in split[1].items():
         ca = {k: c for k, c in z.items() if k < na}
         ch = {k - na: c for k, c in z.items() if na <= k < na + nh}
         ci = {k - na - nh: c for k, c in z.items() if k >= na + nh}
         if p < na and q < na:
-            a_ent += [(p, q, k, c) for k, c in ca.items()]
-            lam_ent += [(p, q, k, c) for k, c in ch.items()]
-            mu_ent += [(p, q, k, c) for k, c in ci.items()]
+            a_ent.update(((p, q, k), c) for k, c in ca.items())
+            lam_ent.update(((p, q, k), c) for k, c in ch.items())
+            mu_ent.update(((p, q, k), c) for k, c in ci.items())
             continue
         in_h_p = na <= p < na + nh
         in_h_q = na <= q < na + nh
@@ -434,44 +446,44 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
         in_i_q = q >= na + nh
         if (p < na and in_h_q) or (q < na and in_h_p):
             if ca:
-                raise NotAnIdealSplit(Violation("split-a-h", (p, q), dense_vec(ca, na),
+                raise NotAnIdealSplit(Violation("split-a-h", (p, q), dense(ca, na),
                                                 "[a,h] has an a-component"))
             if p < na:
-                rho_ent[p] += [(r, q - na, c) for r, c in ch.items()]
-                tau_ent[p] += [(r, q - na, c) for r, c in ci.items()]
+                rho_ent[p].update(((r, q - na), c) for r, c in ch.items())
+                tau_ent[p].update(((r, q - na), c) for r, c in ci.items())
             continue
         if in_h_p and in_h_q:
             if ca:
-                raise NotAnIdealSplit(Violation("split-h-h", (p, q), dense_vec(ca, na),
+                raise NotAnIdealSplit(Violation("split-h-h", (p, q), dense(ca, na),
                                                 "[h,h] has an a-component"))
-            h_ent += [(p - na, q - na, k, c) for k, c in ch.items()]
-            gamma_ent += [(p - na, q - na, k, c) for k, c in ci.items()]
+            h_ent.update(((p - na, q - na, k), c) for k, c in ch.items())
+            gamma_ent.update(((p - na, q - na, k), c) for k, c in ci.items())
             continue
         if (p < na and in_i_q) or (q < na and in_i_p):
             if ca or ch:
                 raise NotAnIdealSplit(Violation("split-a-ideal", (p, q),
-                                                (dense_vec(ca, na), dense_vec(ch, nh)),
+                                                (dense(ca, na), dense(ch, nh)),
                                                 "[a,I] leaves the ideal"))
             if p < na:
-                sigma_ent[p] += [(r, q - na - nh, c) for r, c in ci.items()]
+                sigma_ent[p].update(((r, q - na - nh), c) for r, c in ci.items())
             continue
         # remaining blocks: [h,I], [I,h], [I,I] must vanish outright
         raise NotAnIdealSplit(Violation("split-centraliser", (p, q),
-                                        (dense_vec(ca, na), dense_vec(ch, nh), dense_vec(ci, nd)),
+                                        (dense(ca, na), dense(ch, nh), dense(ci, nd)),
                                         "[h,I] or [I,I] is nonzero"))
 
-    def maps_from(entries, source, target):
-        return tuple(GradedLinearMap.from_entries(source, target, a_space.parity(i), e)
-                     for i, e in enumerate(entries))
+    def maps_from(tables, source, target):
+        return tuple(GradedLinearMap.from_ints(source, target, a_space.parity(i), scale, t)
+                     for i, t in enumerate(tables))
 
     try:
         return ExtractedMaps(
             a_space, h_space, ideal_space,
-            SuperBracket.from_entries(a_space, a_ent),
-            SuperBracket.from_entries(h_space, h_ent),
-            GradedBilinearMap.from_entries(a_space, a_space, h_space, lam_ent),
-            GradedBilinearMap.from_entries(a_space, a_space, ideal_space, mu_ent),
-            GradedBilinearMap.from_entries(h_space, h_space, ideal_space, gamma_ent),
+            SuperBracket.from_ints(a_space, scale, a_ent),
+            SuperBracket.from_ints(h_space, scale, h_ent),
+            GradedBilinearMap.from_ints(a_space, a_space, h_space, scale, lam_ent),
+            GradedBilinearMap.from_ints(a_space, a_space, ideal_space, scale, mu_ent),
+            GradedBilinearMap.from_ints(h_space, h_space, ideal_space, scale, gamma_ent),
             maps_from(rho_ent, h_space, h_space),
             maps_from(tau_ent, h_space, ideal_space),
             maps_from(sigma_ent, ideal_space, ideal_space),
@@ -625,8 +637,8 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
         raise ClaimViolated("xi-bijective", message=str(exc)) from exc
 
     gram = _metric_in_basis(g.metric, _join(a_vectors, h_vectors, sparse_ideal))
-    b_h = GradedBilinearForm.from_entries(maps.h_space, delta, [
-        (p - na, q - na, c) for p in range(na, na + nh) for q, c in gram[p].items() if na <= q < na + nh])
+    b_h = GradedBilinearForm.from_ints(maps.h_space, delta, gram[0], {
+        (p - na, q - na): c for p in range(na, na + nh) for q, c in gram[1][p].items() if na <= q < na + nh})
     try:
         if source is not None and maps.h_table == source.h.bracket and b_h == source.h.metric:
             h_alg = source.h
@@ -635,15 +647,15 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     except (ValidationError, SuperquadError) as exc:
         raise ClaimViolated("h-quadratic", message=str(exc)) from exc
 
-    omega = GradedBilinearMap.from_entries(
-        maps.a_space, maps.a_space, p_delta_dual(maps.a_space, delta), maps.mu.entries())
+    omega = GradedBilinearMap.from_ints(
+        maps.a_space, maps.a_space, p_delta_dual(maps.a_space, delta), *maps.mu.scaled_table())
     context = DeltaContext(delta, a_alg, h_alg, maps.rho, maps.lam, omega)
     if context == source:
         context = source  # ad*_delta, chi, Phi and the extension are derived once, on source
 
     # B(I_i, a_j) = delta_ij makes xi_delta the identity: I is read as P_delta(a)*
     for i, s in enumerate(context.ad_star):
-        if maps.sigma[i].sparse_columns != s.sparse_columns:
+        if maps.sigma[i].scaled_columns != s.scaled_columns:
             raise ClaimViolated("sigma-coadjoint", [Violation("sigma-coadjoint", (i,))])
 
     try:
@@ -661,35 +673,35 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     # isometry x + u + alpha -> x + u + xi_delta(alpha): with the identity
     # pairing, its matrix in the split basis is the identity, so the claim is
     # that g's structure constants and metric in the (a, h, I) basis equal the
-    # extension's exactly.
-    ext_pairs = bracket.pairs
-    for p, q in sorted(maps.split.keys() | ext_pairs.keys()):
-        w = maps.split.get((p, q), EMPTY)
+    # extension's exactly; both are compared on integer views at one scale.
+    d, (split, ext_pairs) = common_scale([maps.split, bracket.scaled_pairs])
+    for p, q in sorted(split.keys() | ext_pairs.keys()):
+        w = split.get((p, q), EMPTY)
         if w != ext_pairs.get((p, q), EMPTY):
             res = dict(w)
             add_scaled(res, -1, ext_pairs.get((p, q), EMPTY))
+            res = {k: Fraction(c, d) for k, c in res.items()}
             raise ClaimViolated("isometry-bracket",
                                 [Violation("isometry-bracket", (p, q), dense_vec(res, g.dim))])
-    ext_rows = metric.sparse_rows
-    for p, row in enumerate(gram):
+    _, (rows, ext_rows) = common_scale([gram, metric.scaled_rows])
+    for p, row in enumerate(rows):
         if row != ext_rows[p]:
             q = min(q for q in row.keys() | ext_rows[p].keys()
-                    if row.get(q, ZERO) != ext_rows[p].get(q, ZERO))
+                    if row.get(q, 0) != ext_rows[p].get(q, 0))
             raise ClaimViolated("isometry-metric", [Violation("isometry-metric", (p, q))])
     if context is not source:
         ext = _transported(maps, bracket, metric)
         vars(context)["extension"] = ext  # the cache of DeltaContext.extension
 
-    # the returned tau and gamma are chi and Phi
-    chi = context.chi
+    # the returned tau and gamma are chi and Phi, compared on integer views at one scale
+    _, (chi, *tau) = common_scale([context.chi.scaled_pairs] + [t.scaled_columns for t in maps.tau])
     for i in range(na):
-        for m, col in enumerate(maps.tau[i].sparse_columns):
-            if col != chi.pairs.get((i, m), EMPTY):
+        for m, col in enumerate(tau[i]):
+            if col != chi.get((i, m), EMPTY):
                 raise ClaimViolated("tau-chi", [Violation("tau-chi", (i, m))])
-    phi = context.phi
-    gamma_pairs = maps.gamma.pairs
-    for m, l in sorted(gamma_pairs.keys() | phi.pairs.keys()):
-        if gamma_pairs.get((m, l), EMPTY) != phi.pairs.get((m, l), EMPTY):
+    _, (gamma, phi) = common_scale([maps.gamma.scaled_pairs, context.phi.scaled_pairs])
+    for m, l in sorted(gamma.keys() | phi.keys()):
+        if gamma.get((m, l), EMPTY) != phi.get((m, l), EMPTY):
             raise ClaimViolated("gamma-phi", [Violation("gamma-phi", (m, l))])
 
     isometry = GradedLinearMap.from_entries(g.space, ext.space, 0, (

@@ -141,8 +141,8 @@ class DeltaContext:
 def derive_chi(ctx: DeltaContext) -> GradedBilinearMap:
     """chi(x,u)(P_d(y)) = -(-1)^{|u||y|} B_h(lambda(x,y), u), valued in the dual block.
 
-    Summed on the integer views of lambda and B_h, so each sum is d_l d_b
-    times its coefficient, which becomes a Fraction once, from the sum."""
+    Summed on the integer states of lambda and B_h, so each sum is d_l d_b
+    times its coefficient; the sums are chi's integer entries over d_l d_b."""
     a_sp, h_sp, dual = ctx.a.space, ctx.h.space, ctx.dual_block
     pa, ph = a_sp.parities, h_sp.parities
     d_l, lam_pairs = ctx.lam.scaled_pairs
@@ -153,17 +153,15 @@ def derive_chi(ctx: DeltaContext) -> GradedBilinearMap:
             for m, b in bh_rows[r].items():
                 key = (i, m, k)
                 acc[key] = acc.get(key, 0) + (c * b if ph[m] * pa[k] else -c * b)
-    scale = d_l * d_b
-    return GradedBilinearMap.from_entries(a_sp, h_sp, dual, (
-        (i, m, k, Fraction(c, scale)) for (i, m, k), c in acc.items() if c))
+    return GradedBilinearMap.from_ints(a_sp, h_sp, dual, d_l * d_b, acc)
 
 
 def derive_phi(ctx: DeltaContext) -> GradedBilinearMap:
     """Phi(u,v)(P_d(x)) = (-1)^{|x|(|u|+|v|)} B_h(rho(x)(u), v); checked super skew.
 
-    Summed on the integer views of B_h and of the rho maps, which share one
+    Summed on the integer states of B_h and of the rho maps, which share one
     scale d_t, so each sum is d_t d_b times its coefficient. The super skew
-    check runs on the sums; each coefficient then becomes a Fraction once."""
+    check runs on the sums, which are then Phi's integer entries."""
     a_sp, h_sp, dual = ctx.a.space, ctx.h.space, ctx.dual_block
     pa, ph = a_sp.parities, h_sp.parities
     d_b, bh_rows = ctx.h.metric.scaled_rows
@@ -182,8 +180,8 @@ def derive_phi(ctx: DeltaContext) -> GradedBilinearMap:
     if v is not None:
         # rho not metric-skew would surface here; report as a context defect
         raise InvalidContext(v)
-    return GradedBilinearMap.from_entries(h_sp, h_sp, dual, (
-        (m, l, k, Fraction(c, scale)) for (m, l), w in pairs.items() for k, c in w.items()))
+    return GradedBilinearMap.from_ints(h_sp, h_sp, dual, scale, {
+        (m, l, k): c for (m, l), w in pairs.items() for k, c in w.items()})
 
 
 def validate_context(ctx: DeltaContext) -> list[Violation]:
@@ -253,7 +251,7 @@ def central_extension(ctx: DeltaContext) -> LieSuperAlgebra:
     h_sp, dual = ctx.h.space, ctx.dual_block
     space = SuperSpace(h_sp.basis + dual.basis)
     return LieSuperAlgebra(SuperBracket.from_entries(
-        space, ctx.h.bracket.entries() + ctx.phi.entries(dk=h_sp.dim)))
+        space, ctx.h.bracket.entries() + ctx.phi.entries(0, 0, h_sp.dim)))
 
 
 def extension_derivations(ctx: DeltaContext, ce_space: SuperSpace) -> tuple[GradedLinearMap, ...]:
@@ -272,13 +270,16 @@ def extension_metric(ctx: DeltaContext, space: SuperSpace) -> GradedBilinearForm
     B(P_d(a_i)*, a_j) = delta_ij and the (a, dual) entries are the
     super-symmetric partners (-1)^{|a_i|(1+delta)} delta_ij; this is the
     unique super-symmetric completion of the natural evaluation pairing.
+    Built on B_h's integer state, at its scale d_b.
     """
     na, nh = ctx.a.dim, ctx.h.dim
-    entries = ctx.h.metric.entries(na, na)
+    d_b, rows = ctx.h.metric.scaled_rows
+    table = {(na + i, na + j): c for i, row in enumerate(rows) for j, c in row.items()}
     for i in range(na):
         sign = -1 if (ctx.a.space.parity(i) * (1 + ctx.delta)) % 2 else 1
-        entries += [(na + nh + i, i, 1), (i, na + nh + i, sign)]
-    return GradedBilinearForm.from_entries(space, ctx.delta, entries)
+        table[na + nh + i, i] = d_b
+        table[i, na + nh + i] = sign * d_b
+    return GradedBilinearForm.from_ints(space, ctx.delta, d_b, table)
 
 
 def extension_tables(ctx: DeltaContext) -> tuple[SuperBracket, GradedBilinearForm]:
@@ -286,21 +287,31 @@ def extension_tables(ctx: DeltaContext) -> tuple[SuperBracket, GradedBilinearFor
 
     The bracket is [,]_a + lambda + omega on a x a, Theta(x)(u) = rho(x)(u)
     + ad*_delta(x)(u) + chi(x, u) on a x (h + dual) with its super skew
-    partners [u, x] = -(-1)^{|x||u|} Theta(x)(u), and [,]_h + Phi on h x h;
-    the metric is ``extension_metric``. The caller certifies them: by their
-    own scans (``double_extend``) or by an exact isometry onto an algebra
-    already certified (``decompose``)."""
+    partners [u, x] = -(-1)^{|x||u|} Theta(x)(u), and [,]_h + Phi on h x h,
+    summed from the pieces' integer states brought to one scale
+    (``common_scale``); the metric is ``extension_metric``. The caller
+    certifies them: by their own scans (``double_extend``) or by an exact
+    isometry onto an algebra already certified (``decompose``)."""
     na, nh = ctx.a.dim, ctx.h.dim
     nc = na + nh  # first index of the dual block
     space = SuperSpace(ctx.a.space.basis + ctx.h.space.basis + ctx.dual_block.basis)
     par = space.parities
-    theta = [(i, j, k, c) for i, t in enumerate(ctx.rho) for k, j, c in t.entries(na, na)]
-    theta += [(i, j, k, c) for i, t in enumerate(ctx.ad_star) for k, j, c in t.entries(nc, nc)]
-    theta += [(i, na + m, nc + k, c) for (i, m), v in ctx.chi.pairs.items() for k, c in v.items()]
-    entries = (ctx.a.bracket.entries() + ctx.lam.entries(dk=na) + ctx.omega.entries(dk=nc) + theta
-               + [(j, i, k, c if par[i] * par[j] else -c) for i, j, k, c in theta]
-               + ctx.h.bracket.entries(na, na, na) + ctx.phi.entries(na, na, nc))
-    return SuperBracket.from_entries(space, entries), extension_metric(ctx, space)
+    d, (a_pairs, lam, omega, chi, h_pairs, phi, *cols) = common_scale(
+        [ctx.a.bracket.scaled_pairs, ctx.lam.scaled_pairs, ctx.omega.scaled_pairs, ctx.chi.scaled_pairs,
+         ctx.h.bracket.scaled_pairs, ctx.phi.scaled_pairs] + [t.scaled_columns for t in ctx.rho + ctx.ad_star])
+    table: dict = {}
+    for pairs, di, dj, dk in ((a_pairs, 0, 0, 0), (lam, 0, 0, na), (omega, 0, 0, nc),
+                              (h_pairs, na, na, na), (phi, na, na, nc)):
+        for (i, j), v in pairs.items():
+            for k, c in v.items():
+                table[i + di, j + dj, k + dk] = c
+    theta = [(i, m + off, r + off, c) for off, maps in ((na, cols[:na]), (nc, cols[na:]))
+             for i, t in enumerate(maps) for m, col in enumerate(t) for r, c in col.items()]
+    theta += [(i, na + m, nc + k, c) for (i, m), v in chi.items() for k, c in v.items()]
+    for i, j, k, c in theta:
+        table[i, j, k] = c
+        table[j, i, k] = c if par[i] * par[j] else -c
+    return SuperBracket.from_ints(space, d, table), extension_metric(ctx, space)
 
 
 def double_extend(ctx: DeltaContext) -> QuadraticLieSuperAlgebra:
@@ -325,10 +336,10 @@ def contexts_equal(c1: DeltaContext, c2: DeltaContext) -> bool:
         c1.delta == c2.delta
         and c1.a.space.parities == c2.a.space.parities
         and c1.h.space.parities == c2.h.space.parities
-        and c1.a.bracket.pairs == c2.a.bracket.pairs
-        and c1.h.bracket.pairs == c2.h.bracket.pairs
-        and c1.h.metric.sparse_rows == c2.h.metric.sparse_rows
-        and tuple(t.sparse_columns for t in c1.rho) == tuple(t.sparse_columns for t in c2.rho)
-        and c1.lam.pairs == c2.lam.pairs
-        and c1.omega.pairs == c2.omega.pairs
+        and c1.a.bracket.scaled_pairs == c2.a.bracket.scaled_pairs
+        and c1.h.bracket.scaled_pairs == c2.h.bracket.scaled_pairs
+        and c1.h.metric.scaled_rows == c2.h.metric.scaled_rows
+        and tuple(t.scaled_columns for t in c1.rho) == tuple(t.scaled_columns for t in c2.rho)
+        and c1.lam.scaled_pairs == c2.lam.scaled_pairs
+        and c1.omega.scaled_pairs == c2.omega.scaled_pairs
     )

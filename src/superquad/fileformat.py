@@ -11,24 +11,53 @@ are auto-detected by their first character.
 An algebra document without a metric section describes a plain Lie
 superalgebra; the a-algebra embedded in a context document must not carry
 one.
+
+The readers parse each coefficient into a numerator and a denominator and
+keep each table of the document as integers, ``(d, {indices: n})``; the
+tuples of ``Fraction`` entries that the document classes hold are built
+only when read, so a passing ``verify`` builds no ``Fraction``. The maps
+are made from those integers (``from_ints``), documents made from
+structures keep the maps' integer states, and the writers format every
+coefficient from integers, after one ``normalize`` per table, which
+refuses a float or a bool coefficient with TypeError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket
 from .errors import ParseError, ValidationError, Violation
 from .extension import DeltaContext
 from .linalg import Vector
-from .spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace, is_token, p_delta_dual
+from .spaces import (
+    GradedBilinearForm,
+    GradedBilinearMap,
+    GradedLinearMap,
+    SuperSpace,
+    common_scale,
+    is_token,
+    normalize,
+    out_of_range,
+    p_delta_dual,
+)
 
 
 def format_scalar(c: Fraction) -> str:
-    return str(Fraction(c))
+    """An exact rational as the formats write it, "p/q" in lowest terms or
+    "p"; a float or a bool raises TypeError (``linalg.scalar``)."""
+    return str(linalg.scalar(c))
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """n/d as ``format_scalar`` writes it."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 # Fraction(str)'s grammar on Python 3.10, less exponents: the part that every
@@ -37,13 +66,27 @@ _RATIONAL = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?\s*")
 
 
 def parse_scalar(text: str, line: int = 0, field_name: str = "") -> Fraction:
-    """An exact rational: "p", "p/q" or a decimal such as "0.5", ".5" or "5.",
+    """``_ratio`` as a Fraction."""
+    return Fraction(*_ratio(text, line, field_name))
+
+
+def _ratio(text: str, line: int = 0, field_name: str = "") -> tuple[int, int]:
+    """(n, q), q > 0, not always in lowest terms: the exact rational n/q
+    written as "p", "p/q" or a decimal such as "0.5", ".5" or "5.",
     where p and q are digit strings, with an optional sign and optional
     whitespace around the whole. The grammar is fixed here rather than taken
     from ``Fraction(str)``, whose grammar grew in later Pythons, so it is the
     same on every supported Python: underscores, whitespace around "/" and
     exponents are refused everywhere. Exponent notation gets its own message;
     Fraction would write out every digit of 1e100000000 and stall."""
+    num, slash, den = text.partition("/")
+    if (num[1:] if num[:1] in ("+", "-") else num).isdecimal() and (den.isdecimal() or not slash):
+        try:  # "p" or "p/q" with an optional sign: the grammar's common case, read without the pattern
+            n, d = int(num), int(den) if slash else 1
+            if d:
+                return n, d
+        except ValueError:  # a digit string over int's digit limit
+            pass
     m = _RATIONAL.fullmatch(text)
     if m is not None:
         sign, num, den, dec = m.groups()
@@ -55,9 +98,9 @@ def parse_scalar(text: str, line: int = 0, field_name: str = "") -> Fraction:
                 d = 10 ** len(dec)
                 n = n * d + int(dec)
             else:
-                return Fraction(-n if sign == "-" else n)
+                d = 1
             if d:
-                return Fraction(-n if sign == "-" else n, d)
+                return (-n if sign == "-" else n), d
         except ValueError:  # a digit string over int's digit limit
             pass
     if "e" in text or "E" in text:
@@ -65,13 +108,55 @@ def parse_scalar(text: str, line: int = 0, field_name: str = "") -> Fraction:
     raise ParseError(f"bad rational {text!r}", line, field_name)
 
 
-@dataclass(frozen=True)
-class AlgebraDocument:
+class _Tables:
+    """A document whose coefficient tables may be kept as integers.
+
+    A document read from text or JSON, or made from a structure, keeps each
+    table named in ``_ints`` as ``(d, {indices: n})``, coefficient n/d,
+    zeros allowed; the field of that name, a tuple of (*indices, Fraction)
+    entries, sorted and without zeros, is built from it on first read. A
+    document made with the tuples keeps them as given. Equality, hashing
+    and ``repr`` read the fields."""
+
+    def __getattr__(self, name):
+        ints = vars(self).get("_ints")
+        if ints is None or name not in ints:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        d, table = ints[name]
+        value = tuple(key + (Fraction(table[key], d),) for key in sorted(table) if table[key])
+        object.__setattr__(self, name, value)
+        return value
+
+    def _fill(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_ints(cls, tables: dict, **fields):
+        """The document with these fields and these integer tables, ``{name: (d, {indices: n})}``."""
+        self = object.__new__(cls)
+        self._fill(_ints=tables, **fields)
+        return self
+
+    def ints(self, name: str) -> tuple[int, dict]:
+        """Table ``name`` as ``(d, {indices: n})``: as kept, or from its entries
+        through ``normalize``, where a float or bool coefficient raises TypeError."""
+        ints = vars(self).get("_ints")
+        if ints is not None and name in ints:
+            return ints[name]
+        return normalize(getattr(self, name), None, name)
+
+
+@dataclass(frozen=True, init=False)
+class AlgebraDocument(_Tables):
     name: str
     basis: tuple[tuple[str, int], ...]
     bracket: tuple[tuple[int, int, int, Fraction], ...]
-    metric_degree: int | None = None
-    metric: tuple[tuple[int, int, Fraction], ...] = ()
+    metric_degree: int | None
+    metric: tuple[tuple[int, int, Fraction], ...]
+
+    def __init__(self, name, basis, bracket, metric_degree=None, metric=()):
+        self._fill(name=name, basis=basis, bracket=bracket, metric_degree=metric_degree, metric=metric)
 
     def canonical(self) -> "AlgebraDocument":
         return AlgebraDocument(
@@ -82,8 +167,8 @@ class AlgebraDocument:
         )
 
 
-@dataclass(frozen=True)
-class ContextDocument:
+@dataclass(frozen=True, init=False)
+class ContextDocument(_Tables):
     name: str
     delta: int
     h_doc: AlgebraDocument
@@ -91,6 +176,9 @@ class ContextDocument:
     rho: tuple[tuple[int, int, int, Fraction], ...]     # (a-index, row, col, coeff)
     lam: tuple[tuple[int, int, int, Fraction], ...]     # (i, j, h-index, coeff)
     omega: tuple[tuple[int, int, int, Fraction], ...]   # (i, j, dual-index, coeff)
+
+    def __init__(self, name, delta, h_doc, a_doc, rho, lam, omega):
+        self._fill(name=name, delta=delta, h_doc=h_doc, a_doc=a_doc, rho=rho, lam=lam, omega=omega)
 
     def canonical(self) -> "ContextDocument":
         return ContextDocument(
@@ -150,25 +238,27 @@ def _indices(fields: list[str], line: int) -> tuple[int, ...]:
     return tuple(_int(tok, line, what) for tok, what in zip(fields[1:-1], "ijk"))
 
 
-def _entries(table: dict) -> tuple:
-    """The nonzero (*indices, coefficient) of an index -> coefficient table, sorted."""
-    return tuple(sorted(key + (c,) for key, c in table.items() if c))
+def _scaled(table: dict) -> tuple[int, dict]:
+    """(d, {indices: n}) of a table {indices: (n, q)} as ``_ratio`` reads
+    it, d the lcm of its denominators; zeros are kept."""
+    d = math.lcm(*{q for _, q in table.values()})
+    if d == 1:
+        return 1, {key: n for key, (n, _) in table.items()}
+    return d, {key: n * (d // q) for key, (n, q) in table.items()}
 
 
-def _out_of_range(keys, bounds: tuple[int, ...]):
-    """(key, index): the first index tuple of ``keys``, in sorted order, with an
-    index outside 0 <= index < its bound, and that index; None if all are inside."""
-    if all(0 <= min(column) and max(column) < bound for column, bound in zip(zip(*keys), bounds)):
-        return None
-    for key in sorted(keys):
-        for index, bound in zip(key, bounds):
-            if not 0 <= index < bound:
-                return key, index
+def _written(doc: _Tables, name: str) -> list[tuple]:
+    """Table ``name`` of a document as the writers emit it: (*indices, text)
+    in sorted order, zeros dropped, each coefficient as ``format_scalar``
+    writes it; a float or bool coefficient raises TypeError (``normalize``)."""
+    d, table = doc.ints(name)
+    d, table = normalize(table, None, name, d)
+    return [key + (_ratio_text(n, d),) for key, n in table.items()]
 
 
 def _check_range(cur: _Cursor, head: int, end: int, what: str, table: dict, bounds, message: str) -> None:
     """A ParseError at the line, between lines head and end, of the first ``what`` entry out of range."""
-    bad = _out_of_range(table, bounds)
+    bad = out_of_range(table, bounds)
     if bad is not None:
         raise ParseError(message, next(num for num, fields in cur.rows if head < num < end
                                        and fields[0] == what and tuple(map(int, fields[1:-1])) == bad[0]))
@@ -181,9 +271,9 @@ def _parse_algebra_block(cur: _Cursor) -> AlgebraDocument:
     name = fields[1]
     basis: list[tuple[str, int]] = []
     metric_degree: int | None = None
-    # every entry read, zeros included, so that a repeated one is found
-    bracket: dict[tuple[int, ...], Fraction] = {}
-    metric: dict[tuple[int, ...], Fraction] = {}
+    # every entry read, zeros included, so that a repeated one is found, as (n, q)
+    bracket: dict[tuple[int, ...], tuple[int, int]] = {}
+    metric: dict[tuple[int, ...], tuple[int, int]] = {}
     for line, fields in cur.lines:
         key = fields[0]
         if key == "bracket":
@@ -195,7 +285,7 @@ def _parse_algebra_block(cur: _Cursor) -> AlgebraDocument:
                 trip = _indices(fields, line)
             if trip in bracket:
                 raise ParseError(f"duplicate bracket entry {trip}", line)
-            bracket[trip] = parse_scalar(fields[4], line)
+            bracket[trip] = _ratio(fields[4], line)
         elif key == "metric":
             if metric_degree is None:
                 raise ParseError("'metric' entries must follow 'metric-degree'", line)
@@ -207,7 +297,7 @@ def _parse_algebra_block(cur: _Cursor) -> AlgebraDocument:
                 pair = _indices(fields, line)
             if pair in metric:
                 raise ParseError(f"duplicate metric entry {pair}", line)
-            metric[pair] = parse_scalar(fields[3], line)
+            metric[pair] = _ratio(fields[3], line)
         elif key == "basis":
             if len(fields) != 3:
                 raise ParseError("expected 'basis LABEL PARITY'", line)
@@ -233,7 +323,8 @@ def _parse_algebra_block(cur: _Cursor) -> AlgebraDocument:
     # every index read is checked, a zero coefficient's too, before the zeros are dropped
     for what, table, bounds in (("bracket", bracket, (dim, dim, dim)), ("metric", metric, (dim, dim))):
         _check_range(cur, head, line, what, table, bounds, f"{what} index out of range in {name!r}")
-    return AlgebraDocument(name, tuple(basis), _entries(bracket), metric_degree, _entries(metric))
+    return AlgebraDocument.from_ints({"bracket": _scaled(bracket), "metric": _scaled(metric)},
+                                     name=name, basis=tuple(basis), metric_degree=metric_degree)
 
 
 def _parse_algebra(cur: _Cursor) -> AlgebraDocument:
@@ -243,13 +334,12 @@ def _parse_algebra(cur: _Cursor) -> AlgebraDocument:
 
 
 def serialize_algebra_lines(doc: AlgebraDocument) -> list[str]:
-    doc = doc.canonical()
     out = [f"algebra {doc.name}"]
     out += [f"basis {lab} {p}" for lab, p in doc.basis]
-    out += [f"bracket {i} {j} {k} {format_scalar(c)}" for i, j, k, c in doc.bracket]
+    out += [f"bracket {i} {j} {k} {c}" for i, j, k, c in _written(doc, "bracket")]
     if doc.metric_degree is not None:
         out.append(f"metric-degree {doc.metric_degree}")
-        out += [f"metric {i} {j} {format_scalar(c)}" for i, j, c in doc.metric]
+        out += [f"metric {i} {j} {c}" for i, j, c in _written(doc, "metric")]
     out.append("end algebra")
     return out
 
@@ -295,26 +385,25 @@ def _parse_context(cur: _Cursor) -> ContextDocument:
             trip = _indices(fields, line)
         if trip in table:
             raise ParseError(f"duplicate {key} entry {trip}", line)
-        table[trip] = parse_scalar(fields[4], line)
+        table[trip] = _ratio(fields[4], line)
     else:
         raise cur.end_of_input()
     cur.expect_done("context")
     na, nh = len(a_doc.basis), len(h_doc.basis)
     for what, bounds in (("rho", (na, nh, nh)), ("lambda", (na, na, nh)), ("omega", (na, na, na))):
         _check_range(cur, head, line, what, tables[what], bounds, f"{what} index out of range")
-    rho, lam, omega = (_entries(tables[key]) for key in ("rho", "lambda", "omega"))
-    return ContextDocument(name, delta, h_doc, a_doc, rho, lam, omega)
+    return ContextDocument.from_ints(
+        {"rho": _scaled(tables["rho"]), "lam": _scaled(tables["lambda"]), "omega": _scaled(tables["omega"])},
+        name=name, delta=delta, h_doc=h_doc, a_doc=a_doc)
 
 
 def serialize_context_text(doc: ContextDocument) -> str:
-    doc = doc.canonical()
     out = [f"context {doc.name}", f"delta {doc.delta}", "h-algebra"]
     out += serialize_algebra_lines(doc.h_doc)
     out.append("a-algebra")
     out += serialize_algebra_lines(doc.a_doc)
-    out += [f"rho {x} {r} {c} {format_scalar(v)}" for x, r, c, v in doc.rho]
-    out += [f"lambda {i} {j} {k} {format_scalar(v)}" for i, j, k, v in doc.lam]
-    out += [f"omega {i} {j} {k} {format_scalar(v)}" for i, j, k, v in doc.omega]
+    out += [f"{key} {i} {j} {k} {v}" for key, name in (("rho", "rho"), ("lambda", "lam"), ("omega", "omega"))
+            for i, j, k, v in _written(doc, name)]
     out.append("end context")
     return "\n".join(out) + "\n"
 
@@ -352,17 +441,16 @@ def serialize_ideal_text(doc: IdealDocument) -> str:
 
 
 def _algebra_obj(doc: AlgebraDocument) -> dict:
-    doc = doc.canonical()
     obj = {
         "kind": "algebra",
         "name": doc.name,
         "basis": [[lab, p] for lab, p in doc.basis],
-        "bracket": [[i, j, k, format_scalar(c)] for i, j, k, c in doc.bracket],
+        "bracket": [list(e) for e in _written(doc, "bracket")],
     }
     if doc.metric_degree is not None:
         obj["metric"] = {
             "degree": doc.metric_degree,
-            "entries": [[i, j, format_scalar(c)] for i, j, c in doc.metric],
+            "entries": [list(e) for e in _written(doc, "metric")],
         }
     return obj
 
@@ -384,23 +472,23 @@ def _json_token(x, what: str) -> str:
     return x
 
 
-def _json_scalar(c) -> Fraction:
-    """A rational string or a JSON integer; never a float, whose binary value
-    would be silently inexact."""
+def _json_ratio(c) -> tuple[int, int]:
+    """A rational string or a JSON integer, as ``_ratio`` gives it; never a
+    float, whose binary value would be silently inexact."""
     if isinstance(c, str):
-        return parse_scalar(c)
+        return _ratio(c)
     if type(c) is not int:
         raise ParseError(f"coefficient must be a rational string or a JSON integer, got {json.dumps(c)}")
-    return Fraction(c)
+    return c, 1
 
 
 def _json_entry(indices: tuple, c) -> tuple:
-    """(indices, coefficient) of one JSON entry: integer indices, then an
+    """(indices, (n, q)) of one JSON entry: integer indices, then an
     exact coefficient."""
     for i in indices:
         if type(i) is not int:
             _json_int(i)  # raises, naming the value
-    return indices, parse_scalar(c) if type(c) is str else _json_scalar(c)
+    return indices, _json_ratio(c)
 
 
 def _dedup(rows: list, what: str) -> dict:
@@ -416,13 +504,13 @@ def _dedup(rows: list, what: str) -> dict:
     return table
 
 
-def _in_range(table: dict, bounds, what: str) -> tuple:
-    """The nonzero entries of a ``_dedup`` table, sorted, once every index
-    read, a zero coefficient's too, is inside its bound."""
-    bad = _out_of_range(table, bounds)
+def _in_range(table: dict, bounds, what: str) -> tuple[int, dict]:
+    """A ``_dedup`` table as integers (``_scaled``), once every index read,
+    a zero coefficient's too, is inside its bound."""
+    bad = out_of_range(table, bounds)
     if bad is not None:
         raise ParseError(f"{what} index {bad[1]} out of range", field_name=what)
-    return _entries(table)
+    return _scaled(table)
 
 
 def _algebra_from_obj(obj: dict) -> AlgebraDocument:
@@ -440,9 +528,10 @@ def _algebra_from_obj(obj: dict) -> AlgebraDocument:
             if p not in (0, 1):
                 raise ParseError("parity must be 0 or 1")
         dim = len(basis)
-        bracket = _in_range(bracket, (dim, dim, dim), "bracket")
-        metric = _in_range(metric, (dim, dim), "metric")
-        return AlgebraDocument(_json_token(obj["name"], "name"), basis, bracket, degree, metric)
+        tables = {"bracket": _in_range(bracket, (dim, dim, dim), "bracket"),
+                  "metric": _in_range(metric, (dim, dim), "metric")}
+        return AlgebraDocument.from_ints(tables, name=_json_token(obj["name"], "name"), basis=basis,
+                                         metric_degree=degree)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed algebra object: {exc}") from exc
 
@@ -451,16 +540,15 @@ def document_to_obj(doc: Document) -> dict:
     if isinstance(doc, AlgebraDocument):
         return _algebra_obj(doc)
     if isinstance(doc, ContextDocument):
-        doc = doc.canonical()
         return {
             "kind": "context",
             "name": doc.name,
             "delta": doc.delta,
             "h": _algebra_obj(doc.h_doc),
             "a": _algebra_obj(doc.a_doc),
-            "rho": [[x, r, c, format_scalar(v)] for x, r, c, v in doc.rho],
-            "lambda": [[i, j, k, format_scalar(v)] for i, j, k, v in doc.lam],
-            "omega": [[i, j, k, format_scalar(v)] for i, j, k, v in doc.omega],
+            "rho": [list(e) for e in _written(doc, "rho")],
+            "lambda": [list(e) for e in _written(doc, "lam")],
+            "omega": [list(e) for e in _written(doc, "omega")],
         }
     return {
         "kind": "ideal",
@@ -484,13 +572,13 @@ def document_from_obj(obj: dict) -> Document:
         if delta not in (0, 1):
             raise ParseError("delta must be 0 or 1")
         na, nh = len(a_doc.basis), len(h_doc.basis)
-        return ContextDocument(name, delta, h_doc, a_doc, _in_range(rho, (na, nh, nh), "rho"),
-                               _in_range(lam, (na, na, nh), "lambda"),
-                               _in_range(omega, (na, na, na), "omega"))
+        tables = {"rho": _in_range(rho, (na, nh, nh), "rho"), "lam": _in_range(lam, (na, na, nh), "lambda"),
+                  "omega": _in_range(omega, (na, na, na), "omega")}
+        return ContextDocument.from_ints(tables, name=name, delta=delta, h_doc=h_doc, a_doc=a_doc)
     if kind == "ideal":
         try:
             doc = IdealDocument(_json_token(obj["name"], "name"),
-                                tuple(tuple(_json_scalar(c) for c in v) for v in obj["vectors"]))
+                                tuple(tuple(Fraction(*_json_ratio(c)) for c in v) for v in obj["vectors"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed ideal object: {exc}") from exc
         if len({len(v) for v in doc.vectors}) > 1:
@@ -536,15 +624,16 @@ def parse_document(text: str) -> Document:
 
 
 def document_to_raw(doc: AlgebraDocument):
-    """(space, bracket, form-or-None) without running any axiom checks."""
+    """(space, bracket, form-or-None) without running any axiom checks; the
+    maps are built from the document's integer tables."""
     try:
         space = SuperSpace(doc.basis)
     except ValueError as exc:
         raise ParseError(f"{exc} in {doc.name!r}") from exc
-    bracket = SuperBracket.from_entries(space, doc.bracket)
+    bracket = SuperBracket.from_ints(space, *doc.ints("bracket"))
     form = None
     if doc.metric_degree is not None:
-        form = GradedBilinearForm.from_entries(space, doc.metric_degree, doc.metric)
+        form = GradedBilinearForm.from_ints(space, doc.metric_degree, *doc.ints("metric"))
     return space, bracket, form
 
 
@@ -559,9 +648,10 @@ def document_to_algebra(doc: AlgebraDocument) -> LieSuperAlgebra | QuadraticLieS
 
 def algebra_to_document(g: LieSuperAlgebra | QuadraticLieSuperAlgebra, name: str) -> AlgebraDocument:
     if isinstance(g, QuadraticLieSuperAlgebra):
-        return AlgebraDocument(name, g.space.basis, tuple(g.bracket.entries()),
-                               g.metric.degree, tuple(g.metric.entries())).canonical()
-    return AlgebraDocument(name, g.space.basis, tuple(g.bracket.entries())).canonical()
+        return AlgebraDocument.from_ints({"bracket": g.bracket.scaled_table(), "metric": g.metric.scaled_table()},
+                                         name=name, basis=g.space.basis, metric_degree=g.metric.degree)
+    return AlgebraDocument.from_ints({"bracket": g.bracket.scaled_table(), "metric": (1, {})},
+                                     name=name, basis=g.space.basis, metric_degree=None)
 
 
 def document_to_context(doc: ContextDocument) -> DeltaContext:
@@ -573,14 +663,15 @@ def document_to_context(doc: ContextDocument) -> DeltaContext:
         raise ValidationError(Violation("a-metric", (), None,
                                         "the embedded a-algebra must not carry a metric"))
     a = document_to_algebra(doc.a_doc)
-    entries = [[] for _ in range(a.dim)]  # entries[x]: the (row, col, coeff) of rho(x)
-    for x, r, c, v in doc.rho:
-        entries[x].append((r, c, v))
-    rho = tuple(GradedLinearMap.from_entries(h.space, h.space, a.space.parity(x), e)
-                for x, e in enumerate(entries))
-    lam = GradedBilinearMap.from_entries(a.space, a.space, h.space, doc.lam)
+    d, table = doc.ints("rho")
+    tables = [{} for _ in range(a.dim)]  # tables[x]: the {(row, col): n} of rho(x)
+    for (x, r, c), n in table.items():
+        tables[x][r, c] = n
+    rho = tuple(GradedLinearMap.from_ints(h.space, h.space, a.space.parity(x), d, t)
+                for x, t in enumerate(tables))
+    lam = GradedBilinearMap.from_ints(a.space, a.space, h.space, *doc.ints("lam"))
     dual = p_delta_dual(a.space, doc.delta)
-    omega = GradedBilinearMap.from_entries(a.space, a.space, dual, doc.omega)
+    omega = GradedBilinearMap.from_ints(a.space, a.space, dual, *doc.ints("omega"))
     try:
         return DeltaContext(doc.delta, a, h, rho, lam, omega)
     except ValueError as exc:
@@ -588,8 +679,8 @@ def document_to_context(doc: ContextDocument) -> DeltaContext:
 
 
 def context_to_document(ctx: DeltaContext, name: str) -> ContextDocument:
-    h_doc = algebra_to_document(ctx.h, "h")
-    a_doc = algebra_to_document(ctx.a, "a")
-    rho = tuple((i, r, c, v) for i, t in enumerate(ctx.rho) for r, c, v in t.entries())
-    return ContextDocument(name, ctx.delta, h_doc, a_doc, rho,
-                           tuple(ctx.lam.entries()), tuple(ctx.omega.entries())).canonical()
+    d, cols = common_scale(t.scaled_columns for t in ctx.rho)
+    rho = {(x, r, c): n for x, t in enumerate(cols) for c, col in enumerate(t) for r, n in col.items()}
+    tables = {"rho": (d, rho), "lam": ctx.lam.scaled_table(), "omega": ctx.omega.scaled_table()}
+    return ContextDocument.from_ints(tables, name=name, delta=ctx.delta, h_doc=algebra_to_document(ctx.h, "h"),
+                                     a_doc=algebra_to_document(ctx.a, "a"))

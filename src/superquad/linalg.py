@@ -23,7 +23,7 @@ pass alone and build none. Free variables are filled in column order.
 ``nullspace_ints``, ``solve_ints`` and ``inverse_ints`` hand the results of
 ``nullspace``, ``solve`` and ``inverse`` over as integers: one view
 ``(d, vectors)``, sparse int vectors that are the rational results times d,
-d the lcm of their denominators (the form ``spaces.scaled_to_ints`` gives).
+d the lcm of their denominators (the form of the maps' stored states).
 The public routines build their dense Fractions from these views, so a
 caller that sums on integers never has its results turned into Fractions
 and back. Integer rows skip the conversion to Fractions.

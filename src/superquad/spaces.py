@@ -5,6 +5,14 @@ A super-space is an ordered homogeneous basis: a tuple of (label, parity)
 pairs with parity in {0, 1}. Basis order is data (extension outputs keep the
 a / h / dual block order) and is never rearranged. Zero-dimensional spaces
 are legal everywhere. All values are immutable and all operations are pure.
+
+Maps and forms store their nonzeros as integers, ``(d, ints)``: every
+coefficient times d, the lcm of their reduced denominators. ``normalize``
+makes every such state, from exact coefficients (``from_entries``) or from
+integers over a common denominator (``from_ints``), so the state is
+canonical and equality compares it. Every check reads the state; the
+``Fraction`` views (``pairs``, ``sparse_columns``, ``sparse_rows``,
+``entries()``) and the dense ones are built from it on first use.
 """
 
 from __future__ import annotations
@@ -61,20 +69,9 @@ def drop_zeros(v: dict) -> dict:
     return {k: c for k, c in v.items() if c}
 
 
-def scaled_to_ints(vectors) -> tuple[int, tuple[dict, ...]]:
-    """(d, scaled): d is the lcm of the denominators of every coefficient of
-    the sparse vectors (1 if there are none), and scaled holds the same
-    vectors, in order, times d, with int coefficients. Scaling every
-    constant of an identity by one positive number keeps each of its sums
-    zero exactly when the rational sum is, so a scan can run on ints."""
-    vectors = list(vectors)
-    d = math.lcm(*{c.denominator for v in vectors for c in v.values()})
-    return d, tuple({k: c.numerator * (d // c.denominator) for k, c in v.items()} for v in vectors)
-
-
 def common_scale(views) -> tuple[int, list]:
-    """(d, scaled): integer views ``(d_t, vectors)``, each from
-    ``scaled_to_ints`` or a ``scaled_*`` property, brought to one scale d,
+    """(d, scaled): integer views ``(d_t, vectors)``, each a stored state
+    (``scaled_*``) or another exact view at scale d_t, brought to one scale d,
     the lcm of the d_t; d is then the lcm of the denominators of every
     vector, as if all had been scaled together. ``vectors`` is a tuple of
     sparse vectors, or a dict of them by key, and keeps its shape."""
@@ -108,24 +105,66 @@ def _check_parity(p) -> int:
     return p
 
 
-def _normalize(entries, bounds: tuple[int, ...], what: str) -> dict:
-    """The one normalisation point of every graded map and form. Each entry
-    is (*indices, c); the result maps each index tuple in range to its exact
-    coefficient (``linalg.scalar``), repeated indices summed, zeros dropped,
-    keys in lexicographic order. An index out of range raises ValueError."""
-    acc: dict = {}
-    arity, scalar = len(bounds), linalg.scalar
-    for *key, c in entries:
-        key = tuple(key)
-        bad = len(key) != arity
-        for i, b in zip(key, bounds):
-            bad = bad or not 0 <= i < b
-        if bad:
-            raise ValueError(f"{what} entry ({','.join(map(str, key))}) out of range")
-        c = scalar(c)
-        if c:
-            acc[key] = acc[key] + c if key in acc else c
-    return {key: acc[key] for key in sorted(acc) if acc[key]}
+def out_of_range(keys, bounds: tuple[int, ...]):
+    """(key, index): the first index tuple of ``keys``, in sorted order, of
+    the wrong length or with an index outside 0 <= index < its bound, and
+    that index (None for a wrong length); None if all are inside."""
+    arity = len(bounds)
+    if set(map(len, keys)) <= {arity} and all(
+            0 <= min(column) and max(column) < bound for column, bound in zip(zip(*keys), bounds)):
+        return None
+    for key in sorted(keys):
+        if len(key) != arity:
+            return key, None
+        for index, bound in zip(key, bounds):
+            if not 0 <= index < bound:
+                return key, index
+
+
+def normalize(entries, bounds, what: str, d: int | None = None) -> tuple[int, dict]:
+    """The one normalisation point of every graded map and form, and of the
+    document writers: ``(d, {indices: n})``, each coefficient n/d with d the
+    lcm of their reduced denominators (1 if there are none), repeated
+    indices summed, zeros dropped, keys in lexicographic order. d is then
+    canonical, so two results are equal exactly when the rational tables
+    are.
+
+    ``entries`` is an iterable of (*indices, c) with c an exact rational
+    (``linalg.scalar``: floats and bools raise TypeError), or, when ``d`` is
+    given, a dict {indices: n} of int numerators over d, zeros allowed. An
+    index tuple out of ``bounds`` raises ValueError; bounds None checks none."""
+    if d is None:
+        items = []
+        scalar = linalg.scalar
+        arity = None if bounds is None else len(bounds)
+        for *key, c in entries:
+            key = tuple(key)
+            if arity is not None:
+                bad = len(key) != arity
+                for i, b in zip(key, bounds):
+                    bad = bad or not 0 <= i < b
+                if bad:
+                    raise ValueError(f"{what} entry ({','.join(map(str, key))}) out of range")
+            items.append((key, c if type(c) is int else scalar(c)))
+        d = math.lcm(*{c.denominator for _, c in items})
+        table: dict = {}
+        for key, c in items:
+            n = c.numerator * (d // c.denominator)
+            table[key] = table[key] + n if key in table else n
+    else:
+        table = entries
+        bad = None if bounds is None else out_of_range(table, bounds)
+        if bad is not None:
+            raise ValueError(f"{what} entry ({','.join(map(str, bad[0]))}) out of range")
+    g = math.gcd(d, *table.values())
+    if g == 1:
+        return d, {key: n for key, n in sorted(table.items()) if n}
+    return d // g, {key: n // g for key, n in sorted(table.items()) if n}
+
+
+def _fractions(d: int, vectors):
+    """The int vectors of a view at scale d as vectors of Fractions."""
+    return tuple({k: Fraction(n, d) for k, n in v.items()} for v in vectors)
 
 
 def _dense_entries(matrix, nrows: int, ncols: int, what: str):
@@ -137,12 +176,14 @@ def _dense_entries(matrix, nrows: int, ncols: int, what: str):
 
 
 class _Sparse:
-    """An immutable value stored by its nonzeros.
+    """An immutable value stored by its nonzeros as integers.
 
-    ``FIELDS`` names what equality compares: the spaces and degree, then the
-    stored nonzeros last; the hash takes ``entries()`` in their place. Dense
-    and integer views are cached in slots of their own and take no part in
-    equality, hashing or ``repr``.
+    ``FIELDS`` names what equality compares: the spaces and degree, then
+    last the stored state ``(d, ints)``, every nonzero coefficient times d,
+    d the lcm of their reduced denominators (``normalize``). The state is
+    canonical, so equality and the hash read it directly. The ``Fraction``
+    and dense views are built from it on first use, cached in slots of their
+    own, and take no part in equality, hashing or ``repr``.
     """
 
     __slots__ = ()
@@ -153,6 +194,13 @@ class _Sparse:
         self = object.__new__(cls)
         self._set(*args)
         return self
+
+    @classmethod
+    def from_ints(cls, *args):
+        """The arguments of ``from_entries`` with the entries replaced by d
+        and a table {indices: n}, each coefficient n/d (see ``normalize``)."""
+        *spaces, d, table = args
+        return cls._build(*spaces, table, d)
 
     def _init(self, **values) -> None:
         for name, value in values.items():
@@ -173,14 +221,24 @@ class _Sparse:
         return all(getattr(self, f) == getattr(other, f) for f in self.FIELDS)
 
     def __hash__(self):
-        return hash(tuple(getattr(self, f) for f in self.FIELDS[:-1]) + tuple(self.entries()))
+        d, table = self.scaled_table()
+        return hash(tuple(getattr(self, f) for f in self.FIELDS[:-1]) + (d,) + tuple(table.items()))
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.FIELDS)})"
 
     def __reduce__(self):
-        """Pickled and copied as its spaces and entries, rebuilt through ``_set``."""
-        return type(self)._build, tuple(getattr(self, f) for f in self.FIELDS[:-1]) + (self.entries(),)
+        """Pickled and copied as its spaces and integer state, rebuilt through ``_set``."""
+        d, table = self.scaled_table()
+        return type(self)._build, tuple(getattr(self, f) for f in self.FIELDS[:-1]) + (table, d)
+
+    def entries(self, *shift: int) -> list:
+        """Nonzero entries as (*indices, c) in lexicographic order, each index
+        shifted by its entry of ``shift`` (0 past its end), for embedding
+        into a larger map."""
+        d, table = self.scaled_table()
+        shift += (0,) * (3 - len(shift))
+        return [tuple(i + s for i, s in zip(key, shift)) + (Fraction(n, d),) for key, n in table.items()]
 
 
 def is_token(text: str) -> bool:
@@ -268,14 +326,15 @@ def p_delta_dual(space: SuperSpace, delta: int) -> SuperSpace:
 class GradedLinearMap(_Sparse):
     """Homogeneous linear map, stored by its columns.
 
-    ``sparse_columns[c]`` is the image of the c-th source basis vector as a
-    sparse vector ``{r: x}``, rows in order, no zeros. ``matrix`` (dense)
-    and ``scaled_columns`` (integer) are views built on first use. The map
-    is immutable; its columns must not be mutated.
+    ``scaled_columns`` is the stored state ``(d, columns)``: column c is the
+    image of the c-th source basis vector times d, a sparse int vector
+    ``{r: n}``, rows in order, no zeros. ``sparse_columns`` (the same with
+    ``Fraction`` coefficients) and ``matrix`` (dense) are views built on
+    first use. The map is immutable; its columns must not be mutated.
     """
 
-    __slots__ = ("source", "target", "degree", "sparse_columns", "_matrix", "_scaled_columns")
-    FIELDS = ("source", "target", "degree", "sparse_columns")
+    __slots__ = ("source", "target", "degree", "scaled_columns", "_columns", "_matrix")
+    FIELDS = ("source", "target", "degree", "scaled_columns")
 
     def __init__(self, source: SuperSpace, target: SuperSpace, degree: int, matrix):
         """Dense form: matrix[r][c] is coordinate r of the image of e_c."""
@@ -288,26 +347,31 @@ class GradedLinearMap(_Sparse):
         coefficients of a repeated (r, c) add up."""
         return cls._build(source, target, degree, entries)
 
-    def _set(self, source, target, degree, entries) -> None:
+    def _set(self, source, target, degree, entries, d=None) -> None:
         _check_parity(degree)
         tp, sp = target.parities, source.parities
         cols = [{} for _ in range(source.dim)]
-        for (r, c), x in _normalize(entries, (target.dim, source.dim), "map").items():
+        d, table = normalize(entries, (target.dim, source.dim), "map", d)
+        for (r, c), n in table.items():
             if tp[r] != (sp[c] + degree) % 2:
                 raise NotHomogeneous(f"entry ({r},{c}) breaks homogeneity of a degree-{degree} map")
-            cols[c][r] = x
-        self._init(source=source, target=target, degree=degree, sparse_columns=tuple(cols),
-                   _matrix=None, _scaled_columns=None)
+            cols[c][r] = n
+        self._init(source=source, target=target, degree=degree, scaled_columns=(d, tuple(cols)),
+                   _columns=None, _matrix=None)
 
     @classmethod
     def zero(cls, source: SuperSpace, target: SuperSpace, degree: int) -> "GradedLinearMap":
         return cls._build(source, target, degree, ())
 
-    def entries(self, dr: int = 0, dc: int = 0) -> list:
-        """Nonzero entries as (r, c, x) in row-major order, the indices shifted
-        by (dr, dc) for embedding into a larger map."""
-        return sorted((r + dr, c + dc, x) for c, col in enumerate(self.sparse_columns)
-                      for r, x in col.items())
+    def scaled_table(self) -> tuple[int, dict]:
+        """(d, {(r, c): n}): the stored state as one table, in row-major order."""
+        d, cols = self.scaled_columns
+        return d, dict(sorted(((r, c), n) for c, col in enumerate(cols) for r, n in col.items()))
+
+    @property
+    def sparse_columns(self) -> tuple[dict, ...]:
+        """The columns with their ``Fraction`` coefficients: column c is the image of e_c."""
+        return self._view("_columns", lambda: _fractions(*self.scaled_columns))
 
     @property
     def matrix(self) -> Matrix:
@@ -315,11 +379,6 @@ class GradedLinearMap(_Sparse):
         return self._view("_matrix", lambda: tuple(
             dense_vec(row, self.source.dim)
             for row in sparse_transpose(self.sparse_columns, self.target.dim)))
-
-    @property
-    def scaled_columns(self) -> tuple[int, tuple[dict, ...]]:
-        """(d, columns): ``sparse_columns`` times d as ints; see ``scaled_to_ints``."""
-        return self._view("_scaled_columns", lambda: scaled_to_ints(self.sparse_columns))
 
     def apply_sparse(self, v) -> dict:
         out: dict = {}
@@ -329,29 +388,31 @@ class GradedLinearMap(_Sparse):
         return drop_zeros(out)
 
     def is_zero(self) -> bool:
-        return not any(self.sparse_columns)
+        return not any(self.scaled_columns[1])
 
     def rank(self) -> int:
-        return linalg.rank(self.sparse_columns, self.target.dim)
+        return linalg.rank(self.scaled_columns[1], self.target.dim)
 
 def parity_shift_map(t: GradedLinearMap) -> GradedLinearMap:
     """P(T): source parities flipped, same entries, degree raised; P(T)(P(v)) = T(v)."""
-    return GradedLinearMap.from_entries(parity_shift(t.source), t.target, (t.degree + 1) % 2,
-                                        t.entries())
+    return GradedLinearMap.from_ints(parity_shift(t.source), t.target, (t.degree + 1) % 2,
+                                     *t.scaled_table())
 
 
 class GradedBilinearForm(_Sparse):
     """Bilinear form with a declared degree, stored by its rows.
 
-    ``sparse_rows[i]`` is ``{j: B(e_i, e_j)}``, columns in order, no zeros.
-    ``matrix`` (dense) and ``scaled_rows`` (integer) are views built on first
-    use. The constructors check shapes only: whether the entries actually
-    realise the declared degree pattern is a checkable property
-    (check_form_degree), so invalid forms can be represented and flagged.
+    ``scaled_rows`` is the stored state ``(d, rows)``: row i is
+    ``{j: B(e_i, e_j)}`` times d as ints, columns in order, no zeros.
+    ``sparse_rows`` (the same with ``Fraction`` coefficients) and ``matrix``
+    (dense) are views built on first use. The constructors check shapes
+    only: whether the entries actually realise the declared degree pattern
+    is a checkable property (check_form_degree), so invalid forms can be
+    represented and flagged.
     """
 
-    __slots__ = ("space", "degree", "sparse_rows", "_matrix", "_scaled_rows")
-    FIELDS = ("space", "degree", "sparse_rows")
+    __slots__ = ("space", "degree", "scaled_rows", "_rows", "_matrix")
+    FIELDS = ("space", "degree", "scaled_rows")
 
     def __init__(self, space: SuperSpace, degree: int, matrix):
         """Dense form: matrix[i][j] = B(e_i, e_j)."""
@@ -364,28 +425,29 @@ class GradedBilinearForm(_Sparse):
         of a repeated (i, j) add up."""
         return cls._build(space, degree, entries)
 
-    def _set(self, space, degree, entries) -> None:
+    def _set(self, space, degree, entries, d=None) -> None:
         _check_parity(degree)
         rows = [{} for _ in range(space.dim)]
-        for (i, j), c in _normalize(entries, (space.dim, space.dim), "form").items():
-            rows[i][j] = c
-        self._init(space=space, degree=degree, sparse_rows=tuple(rows), _matrix=None, _scaled_rows=None)
+        d, table = normalize(entries, (space.dim, space.dim), "form", d)
+        for (i, j), n in table.items():
+            rows[i][j] = n
+        self._init(space=space, degree=degree, scaled_rows=(d, tuple(rows)), _rows=None, _matrix=None)
 
-    def entries(self, di: int = 0, dj: int = 0) -> list:
-        """Nonzero entries as (i, j, c) in row-major order, the indices shifted
-        by (di, dj) for embedding into a larger form."""
-        return [(i + di, j + dj, c) for i, row in enumerate(self.sparse_rows) for j, c in row.items()]
+    def scaled_table(self) -> tuple[int, dict]:
+        """(d, {(i, j): n}): the stored state as one table, in row-major order."""
+        d, rows = self.scaled_rows
+        return d, {(i, j): n for i, row in enumerate(rows) for j, n in row.items()}
+
+    @property
+    def sparse_rows(self) -> tuple[dict, ...]:
+        """The rows with their ``Fraction`` coefficients: row i is {j: B(e_i, e_j)}."""
+        return self._view("_rows", lambda: _fractions(*self.scaled_rows))
 
     @property
     def matrix(self) -> Matrix:
         """Dense view: matrix[i][j] = B(e_i, e_j)."""
         return self._view("_matrix", lambda: tuple(dense_vec(row, self.space.dim)
                                                    for row in self.sparse_rows))
-
-    @property
-    def scaled_rows(self) -> tuple[int, tuple[dict, ...]]:
-        """(d, rows): ``sparse_rows`` times d as ints; see ``scaled_to_ints``."""
-        return self._view("_scaled_rows", lambda: scaled_to_ints(self.sparse_rows))
 
     def covector(self, u) -> dict:
         """B(u, e_j) over j, as a sparse vector, for a sparse vector u."""
@@ -428,7 +490,7 @@ def check_form_degree(form: GradedBilinearForm) -> int:
     """
     par = form.space.parities
     even_bad = odd_bad = None
-    for i, row in enumerate(form.sparse_rows):
+    for i, row in enumerate(form.scaled_rows[1]):
         for j in row:
             if par[i] != par[j]:
                 if even_bad is None:
@@ -451,16 +513,18 @@ def check_form_degree(form: GradedBilinearForm) -> int:
 class GradedBilinearMap(_Sparse):
     """Even bilinear map left x right -> target, stored by its nonzeros.
 
-    ``pairs[(i, j)]`` is the value on (e_i, e_j) as a sparse vector
-    ``{k: c}``. Pairs and coefficients are kept in lexicographic order and
-    no zero coefficient or empty value is ever stored, so a kernel that walks
-    ``pairs`` touches only nonzero structure constants, in scan order. The
-    map is immutable; ``pairs`` must not be mutated. ``table`` (dense) and
-    ``scaled_pairs`` (integer) are views derived from ``pairs`` on first use.
+    ``scaled_pairs`` is the stored state ``(d, pairs)``: ``pairs[(i, j)]``
+    is the value on (e_i, e_j) times d, as a sparse int vector ``{k: n}``.
+    Pairs and coefficients are kept in lexicographic order and no zero
+    coefficient or empty value is ever stored, so a kernel that walks them
+    touches only nonzero structure constants, in scan order. The map is
+    immutable; its values must not be mutated. ``pairs`` (the same with
+    ``Fraction`` coefficients) and ``table`` (dense) are views built on
+    first use.
     """
 
-    __slots__ = ("left", "right", "target", "pairs", "_table", "_scaled_pairs")
-    FIELDS = ("left", "right", "target", "pairs")
+    __slots__ = ("left", "right", "target", "scaled_pairs", "_pairs", "_table")
+    FIELDS = ("left", "right", "target", "scaled_pairs")
 
     def __init__(self, left: SuperSpace, right: SuperSpace, target: SuperSpace, table):
         """Dense form: table[i][j] is the coordinate vector of the value on (e_i, e_j)."""
@@ -478,15 +542,32 @@ class GradedBilinearMap(_Sparse):
         """entries: iterable of (i, j, k, c); coefficients of a repeated (i, j, k) add up."""
         return cls._build(left, right, target, entries)
 
-    def _set(self, left, right, target, entries) -> None:
+    def _set(self, left, right, target, entries, d=None) -> None:
+        d, table = normalize(entries, (left.dim, right.dim, target.dim), "bilinear", d)
         pairs: dict = {}
-        for (i, j, k), c in _normalize(entries, (left.dim, right.dim, target.dim), "bilinear").items():
-            pairs.setdefault((i, j), {})[k] = c
-        self._init(left=left, right=right, target=target, pairs=pairs, _table=None, _scaled_pairs=None)
+        for (i, j, k), n in table.items():
+            if (i, j) in pairs:
+                pairs[i, j][k] = n
+            else:
+                pairs[i, j] = {k: n}
+        self._init(left=left, right=right, target=target, scaled_pairs=(d, pairs), _pairs=None, _table=None)
 
     @classmethod
     def zero(cls, left: SuperSpace, right: SuperSpace, target: SuperSpace) -> "GradedBilinearMap":
         return cls._build(left, right, target, ())
+
+    def scaled_table(self) -> tuple[int, dict]:
+        """(d, {(i, j, k): n}): the stored state as one table, in lexicographic order."""
+        d, pairs = self.scaled_pairs
+        return d, {(i, j, k): n for (i, j), v in pairs.items() for k, n in v.items()}
+
+    @property
+    def pairs(self) -> dict:
+        """The nonzero values with their ``Fraction`` coefficients, keyed (i, j)."""
+        def build():
+            d, pairs = self.scaled_pairs
+            return dict(zip(pairs, _fractions(d, pairs.values())))
+        return self._view("_pairs", build)
 
     @property
     def table(self) -> tuple[tuple[Vector, ...], ...]:
@@ -494,15 +575,6 @@ class GradedBilinearMap(_Sparse):
         the library reads it."""
         return self._view("_table", lambda: tuple(
             tuple(self.value(i, j) for j in range(self.right.dim)) for i in range(self.left.dim)))
-
-    @property
-    def scaled_pairs(self) -> tuple[int, dict]:
-        """(d, pairs): ``pairs`` times d with int coefficients, d the lcm of
-        their denominators (see ``scaled_to_ints``)."""
-        def build():
-            d, values = scaled_to_ints(self.pairs.values())
-            return d, dict(zip(self.pairs, values))
-        return self._view("_scaled_pairs", build)
 
     def value(self, i: int, j: int) -> Vector:
         return dense_vec(self.pairs.get((i, j), EMPTY), self.target.dim)
@@ -525,23 +597,18 @@ class GradedBilinearMap(_Sparse):
                 add_scaled(out, a, self.right_sparse(i, sv))
         return dense_vec(drop_zeros(out), self.target.dim)
 
-    def entries(self, di: int = 0, dj: int = 0, dk: int = 0) -> list:
-        """Nonzero coefficients as (i, j, k, c) in lexicographic order, the
-        indices shifted by (di, dj, dk) for embedding into a larger map."""
-        return [(i + di, j + dj, k + dk, c) for (i, j), v in self.pairs.items()
-                for k, c in v.items()]
-
     def is_zero(self) -> bool:
-        return not self.pairs
+        return not self.scaled_pairs[1]
 
     def check_even(self, name: str = "bilinear-even", what: str = "value") -> Violation | None:
         """As an even map, the value on (e_i, e_j) lies in the (p_i + p_j) block."""
         pl, pr, pt = self.left.parities, self.right.parities, self.target.parities
-        for (i, j), v in self.pairs.items():
+        d, pairs = self.scaled_pairs
+        for (i, j), v in pairs.items():
             want = (pl[i] + pr[j]) % 2
-            for k, c in v.items():
+            for k, n in v.items():
                 if pt[k] != want:
-                    return Violation(name, (i, j, k), c, f"{what} leaves its parity block")
+                    return Violation(name, (i, j, k), Fraction(n, d), f"{what} leaves its parity block")
         return None
 
     def check_super_skew(self, name: str = "bilinear-skew") -> Violation | None:

@@ -11,6 +11,7 @@ downstream tests exercise the theorems, never the generator's intent.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -41,6 +42,40 @@ from superquad.spaces import (
 )
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracle of the stored state: the normalisation the library used
+# before it stored integers, kept as the reference for the integer one.
+
+
+def _normalize(entries, bounds: tuple[int, ...], what: str) -> dict:
+    """Each entry is (*indices, c); the result maps each index tuple in range
+    to its exact coefficient (``linalg.scalar``), repeated indices summed,
+    zeros dropped, keys in lexicographic order. An index out of range raises
+    ValueError."""
+    acc: dict = {}
+    arity, scalar = len(bounds), linalg.scalar
+    for *key, c in entries:
+        key = tuple(key)
+        bad = len(key) != arity
+        for i, b in zip(key, bounds):
+            bad = bad or not 0 <= i < b
+        if bad:
+            raise ValueError(f"{what} entry ({','.join(map(str, key))}) out of range")
+        c = scalar(c)
+        if c:
+            acc[key] = acc[key] + c if key in acc else c
+    return {key: acc[key] for key in sorted(acc) if acc[key]}
+
+
+def scaled_to_ints(vectors) -> tuple[int, tuple[dict, ...]]:
+    """(d, scaled): d is the lcm of the denominators of every coefficient of
+    the sparse vectors (1 if there are none), and scaled holds the same
+    vectors, in order, times d, with int coefficients."""
+    vectors = list(vectors)
+    d = math.lcm(*{c.denominator for v in vectors for c in v.values()})
+    return d, tuple({k: c.numerator * (d // c.denominator) for k, c in v.items()} for v in vectors)
 
 
 def solve_affine(rows, rhs, ncols):

@@ -23,6 +23,7 @@ from generators import (
     random_heisenberg_params,
     random_odd_dim1_params,
     random_parity_preserving_basis,
+    scaled_to_ints,
 )
 import superquad.decompose as dec
 from superquad import linalg
@@ -79,7 +80,9 @@ def gram(form, vectors):
 
 
 def metric_in_basis(form, cols):
-    return gram(form, list(cols))
+    """The rational Gram of the columns, handed over as ``_metric_in_basis``
+    does, as one integer view (d, rows)."""
+    return scaled_to_ints(gram(form, list(cols)))
 
 
 def validate_ideal(g, ideal):

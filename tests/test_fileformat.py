@@ -76,6 +76,35 @@ end algebra
     assert "bracket 1 0 0" not in out  # explicit zeros dropped
 
 
+def inexact_documents(c):
+    """One document per coefficient slot of the writers, each holding c."""
+    h = AlgebraDocument("h", (("u", 0),), (), 0, ((0, 0, 1),))
+    a = AlgebraDocument("a", (("x", 0),), ())
+    return [AlgebraDocument("t", (("x", 0),), ((0, 0, 0, c),)),
+            AlgebraDocument("t", (("x", 0),), (), 0, ((0, 0, c),)),
+            ContextDocument("c", 0, h, a, ((0, 0, 0, c),), (), ()),
+            ContextDocument("c", 0, h, a, (), ((0, 0, 0, c),), ()),
+            ContextDocument("c", 0, h, a, (), (), ((0, 0, 0, c),)),
+            IdealDocument("i", ((c,),))]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("c", [0.1, 0.5, 1.0, True, False])
+def test_writers_refuse_inexact_coefficients(fmt, c):
+    """A float would be written as its binary value (0.1 as
+    3602879701896397/36028797018963968) and a bool as 1 or 0: both formats
+    refuse them, in every table, zero or not, as the readers refuse them."""
+    for doc in inexact_documents(c):
+        with pytest.raises(TypeError, match="coefficient must be an exact rational"):
+            serialize_document(doc, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_writers_accept_exact_coefficients(fmt):
+    for doc in inexact_documents(F(6, 4)):
+        assert "3/2" in serialize_document(doc, fmt)
+
+
 def test_duplicate_entries_rejected():
     text = """algebra t
 basis x 0

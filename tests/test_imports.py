@@ -45,7 +45,7 @@ def test_unused_import_is_reported():
 KEPT = {**dict.fromkeys(("rref", "table", "in_span", "solve", "semidirect_product", "central_extension",
                          "extension_derivations"), "perfbench/tracer.py"),
         **dict.fromkeys(("mat", "mat_vec", "mat_mul", "mat_add", "mat_scale", "zero_mat", "identity_mat",
-                         "nullspace"),
+                         "nullspace", "canonical"),
                         "perfbench/gen.py"),
         **dict.fromkeys(("matrix", "value_vectors", "coadjoint", "parity_shift_map", "check_psi_isometry",
                          "apply_sparse", "vector_parity"), "README API")}

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from generators import column, identity_map
+from generators import column, identity_map, scaled_to_ints
 from superquad.errors import NotHomogeneous
 from superquad.spaces import (
     GradedBilinearForm,
@@ -17,7 +17,6 @@ from superquad.spaces import (
     p_delta_dual,
     parity_shift,
     parity_shift_map,
-    scaled_to_ints,
 )
 
 parities_st = st.lists(st.integers(0, 1), min_size=0, max_size=6)

@@ -23,6 +23,7 @@ from generators import (
     random_context,
     random_parity_preserving_basis,
     random_witt_instance,
+    scaled_to_ints,
     space_of,
 )
 import superquad.decompose as dec
@@ -61,7 +62,6 @@ from superquad.spaces import (
     SuperSpace,
     dense_vec,
     p_delta_dual,
-    scaled_to_ints,
     sparse_transpose,
     sparse_vec,
 )
@@ -710,10 +710,11 @@ def test_integer_change_of_basis_matches_the_dense_reference():
         d_c, d_i = scaled_to_ints(sparse_cols)[0], scaled_to_ints(map(sparse_vec, m_inv))[0]
         assert d_c != d_i and min(d_c, d_i) > 10 ** 3
         inv_cols = sparse_transpose(map(sparse_vec, m_inv), len(cols))
-        got = dec._bracket_in_basis(g.bracket, scaled_to_ints(sparse_cols), scaled_to_ints(inv_cols))
+        scale, ints = dec._bracket_in_basis(g.bracket, scaled_to_ints(sparse_cols), scaled_to_ints(inv_cols))
+        assert all(type(c) is int and c for z in ints.values() for c in z.values())
+        got = {pq: {k: Fraction(c, scale) for k, c in z.items()} for pq, z in ints.items()}
         assert got and got == ref_bracket_in_basis(g.bracket, cols)
         assert list(got) == sorted(got)
-        assert all(type(c) is Fraction and c for z in got.values() for c in z.values())
 
 
 # ---------------------------------------------------------------------------
