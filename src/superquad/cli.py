@@ -234,7 +234,8 @@ def cmd_roundtrip(args) -> int:
     ideal = [unit_vec(g.dim, g.dim - na + k) for k in range(na)]
     res = decompose(g, ideal, source=ctx)
     print("roundtrip: decomposition claims and isometry verified")
-    if res.extension.bracket.scaled_pairs != g.bracket.scaled_pairs or res.extension.metric.scaled_rows != g.metric.scaled_rows:
+    ext = res.extension
+    if ext.bracket.scaled_pairs != g.bracket.scaled_pairs or ext.metric.scaled_rows != g.metric.scaled_rows:
         print("roundtrip: re-extension differs from the original", file=sys.stderr)
         return 1
     print("roundtrip: re-extension equals the original exactly")
