@@ -116,7 +116,9 @@ class _Tables:
     zeros allowed; the field of that name, a tuple of (*indices, Fraction)
     entries, sorted and without zeros, is built from it on first read. A
     document made with the tuples keeps them as given. Equality, hashing
-    and ``repr`` read the fields."""
+    and ``repr`` read the fields. The document classes write their own
+    ``__init__`` so that no field has a class-level default, which would
+    hide a table not yet built from ``__getattr__``."""
 
     def __getattr__(self, name):
         ints = vars(self).get("_ints")
@@ -664,6 +666,9 @@ def document_to_context(doc: ContextDocument) -> DeltaContext:
                                         "the embedded a-algebra must not carry a metric"))
     a = document_to_algebra(doc.a_doc)
     d, table = doc.ints("rho")
+    bad = out_of_range(table, (a.dim, h.dim, h.dim))
+    if bad is not None:
+        raise ValueError(f"rho entry ({','.join(map(str, bad[0]))}) out of range")
     tables = [{} for _ in range(a.dim)]  # tables[x]: the {(row, col): n} of rho(x)
     for (x, r, c), n in table.items():
         tables[x][r, c] = n

@@ -298,6 +298,16 @@ def test_parsed_documents_keep_integers_until_read():
     assert isinstance(ctx, ContextDocument) and ctx == ctx.canonical()
 
 
+@pytest.mark.parametrize("x", [-1, 2])
+def test_rho_entry_outside_a_is_refused(x):
+    """A hand-built context's rho entry for no a-basis vector is an error:
+    x = -1 used to land in the last vector's map, x = dim a to raise IndexError."""
+    h = AlgebraDocument("h", (("u", 0), ("v", 0)), (), 0, ((0, 0, 1), (1, 1, 1)))
+    a = AlgebraDocument("a", (("x", 0), ("y", 0)), ())
+    with pytest.raises(ValueError, match=rf"rho entry \({x},0,1\) out of range"):
+        document_to_context(ContextDocument("c", 0, h, a, ((x, 0, 1, F(1)),), (), ()))
+
+
 # ---------------------------------------------------------------------------
 # Fractions built per command
 
