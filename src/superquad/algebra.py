@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import linalg
 from .errors import ValidationError, Violation
 from .spaces import (
     EMPTY,
@@ -284,9 +285,12 @@ class QuadraticLieSuperAlgebra:
         v = check_invariance(self.metric, self.algebra.bracket)
         if v is not None:
             raise ValidationError(v)
-        if not self.metric.is_non_degenerate():
-            raise ValidationError(Violation("non-degenerate", (), self.metric.rank(),
-                                            f"metric rank below dim {self.space.dim}"))
+        if not self.metric.is_non_degenerate():  # witness: the radical's first canonical vector
+            n = self.space.dim
+            d, radical = linalg.nullspace_ints(self.metric.scaled_rows[1], n)
+            witness = dense_vec({k: Fraction(c, d) for k, c in radical[0].items()}, n)
+            raise ValidationError(Violation("non-degenerate", (), witness,
+                                            f"metric rank {self.metric.rank()} below dim {n}"))
 
     @property
     def space(self) -> SuperSpace:

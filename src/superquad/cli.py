@@ -82,14 +82,21 @@ def _shown(name: str) -> str:
     return name.encode("ascii", "backslashreplace").decode("ascii")
 
 
-def _load(path: str):
+def _load(path: str, klass, what: str):
+    """The document at path, which must be of the class klass; every
+    ParseError raised while reading it names the path."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        doc = parse_document(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(exc.strerror or str(exc), path=path) from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8: byte {exc.start}: {exc.reason}") from exc
-    return parse_document(text)
+        raise ParseError(f"not UTF-8: byte {exc.start}: {exc.reason}", path=path) from exc
+    except ParseError as exc:
+        exc.path = path
+        raise
+    if not isinstance(doc, klass):
+        raise ParseError(f"expected {what} document, got {type(doc).__name__}", path=path)
+    return doc
 
 
 def _write(path: str, content: str) -> None:
@@ -99,14 +106,8 @@ def _write(path: str, content: str) -> None:
         raise ParseError(str(exc)) from exc
 
 
-def _expect(doc, klass, what: str):
-    if not isinstance(doc, klass):
-        raise ParseError(f"expected {what} document, got {type(doc).__name__}")
-    return doc
-
-
 def cmd_verify(args) -> int:
-    doc = _expect(_load(args.file), AlgebraDocument, "an algebra")
+    doc = _load(args.file, AlgebraDocument, "an algebra")
     space, bracket, form = document_to_raw(doc)
     checks: list[tuple[str, bool, str]] = []
 
@@ -157,9 +158,9 @@ def cmd_verify(args) -> int:
 
 def _load_context(path: str) -> ContextDocument:
     """A context document with a metric on its h-algebra and none on its a-algebra."""
-    doc = _expect(_load(path), ContextDocument, "a context")
+    doc = _load(path, ContextDocument, "a context")
     if doc.h_doc.metric_degree is None or doc.a_doc.metric_degree is not None:
-        raise ParseError("a context needs a metric-degree on its h-algebra and none on its a-algebra")
+        raise ParseError("a context needs a metric-degree on its h-algebra and none on its a-algebra", path=path)
     return doc
 
 
@@ -174,9 +175,9 @@ def cmd_extend(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    doc = _expect(_load(args.file), AlgebraDocument, "an algebra")
+    doc = _load(args.file, AlgebraDocument, "an algebra")
     if doc.metric_degree is None:
-        raise ParseError("decompose needs a quadratic algebra (no metric in document)")
+        raise ParseError("decompose needs a quadratic algebra (no metric in document)", path=args.file)
     g = document_to_algebra(doc)
     if args.ideal == "auto":
         ideal = find_central_minimal_ideal(g)
@@ -184,13 +185,13 @@ def cmd_decompose(args) -> int:
             raise ParseError("auto ideal discovery handles only the central case and found no "
                              "isotropic central line; supply --ideal FILE")
     else:
-        ideal_doc = _expect(_load(args.ideal), IdealDocument, "an ideal")
+        ideal_doc = _load(args.ideal, IdealDocument, "an ideal")
         ideal = list(ideal_doc.vectors)
         if not ideal:
-            raise ParseError("the ideal document has no vectors: decompose needs a nonzero ideal")
+            raise ParseError("the ideal document has no vectors: decompose needs a nonzero ideal", path=args.ideal)
         for r, v in enumerate(ideal):
             if len(v) != g.dim:
-                raise ParseError(f"ideal vector {r} has length {len(v)}, the algebra has dim {g.dim}")
+                raise ParseError(f"ideal vector {r} has length {len(v)}, the algebra has dim {g.dim}", path=args.ideal)
     res = decompose(g, ideal)
     out_doc = context_to_document(res.context, doc.name)
     _write(args.out, serialize_document(out_doc, args.format))
@@ -225,7 +226,7 @@ def cmd_catalog(args) -> int:
 def cmd_roundtrip(args) -> int:
     doc = _load_context(args.context)
     if not doc.a_doc.basis:
-        raise ParseError("roundtrip needs dim a > 0: it decomposes along the nonzero dual block")
+        raise ParseError("roundtrip needs dim a > 0: it decomposes along the nonzero dual block", path=args.context)
     ctx = document_to_context(doc)
     g = ctx.extension
     print("roundtrip: context valid")

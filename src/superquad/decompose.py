@@ -6,12 +6,13 @@ I inside I-perp (any complement is automatically non-degenerate because the
 radical of B restricted to I-perp is exactly I), produces a Witt-style
 isotropic complement a dual to I, changes basis once to (a, h, I), extracts
 all structure maps of the split bracket, reconstructs a double-extension
-context and certifies the isometry onto its extension, which is then the
-extension's certificate; ``decompose`` names the one check behind each
-fact. Every step is deterministic: linear solves take first pivots in
-canonical basis order. Vectors, the ideal's included, may be given dense or
-as sparse dicts ``{index: coefficient}``; inside ``decompose`` every vector
-is sparse, and only the returned bases are dense.
+context and certifies the isometry onto its extension. Only g is scanned:
+a, h and the extension are certified by transport from g (``decompose``
+names the one check behind each fact). Every step is deterministic: linear
+solves take first pivots in canonical basis order. Vectors, the ideal's
+included, may be given dense or as sparse dicts ``{index: coefficient}``;
+inside ``decompose`` every vector is sparse, and only the returned bases
+are dense.
 
 The pairings, the centre, the dual solves and the ideal's images run on
 integer views: the metric's ``scaled_rows``, the bracket's ``scaled_pairs``,
@@ -40,7 +41,6 @@ from .errors import (
     InvalidContext,
     NotAnIdealSplit,
     SuperquadError,
-    ValidationError,
     Violation,
 )
 from .extension import DeltaContext
@@ -554,26 +554,29 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> ScaledVecto
     return ideal
 
 
-def _transported(maps: ExtractedMaps, bracket: SuperBracket,
-                 metric: GradedBilinearForm) -> QuadraticLieSuperAlgebra:
-    """The extension's tables as a certified algebra, without their scans.
+def _by_transport(bracket: SuperBracket, columns: tuple,
+                  metric: GradedBilinearForm | None = None):
+    """The bracket, with the metric if given, as a certified algebra, built
+    without their scans; ``columns``, the parities in g of the vectors the
+    tables are read on, must be those of their basis (checked here).
 
-    Called only once ``isometry-bracket`` and ``isometry-metric`` have
-    passed, which makes the certificate of g the certificate of the tables:
-    g is certified; ``inverse_ints`` has shown the change of basis to the
-    (a, h, I) columns invertible; the columns are homogeneous with the
-    parities of the extension's basis (checked here); and in that basis g's
-    structure constants and metric equal the tables exactly. Grading, super
-    skew, Jacobi, the metric's degree, super-symmetry, invariance and
-    non-degeneracy all carry over through an even invertible change of
-    basis. The algebra is built as ``spaces._build`` builds a map: the
-    fields are set on a new instance, and ``__post_init__`` is not run."""
-    columns = maps.a_space.parities + maps.h_space.parities + maps.ideal_space.parities
-    if columns != bracket.space.parities:
-        raise SuperquadError("the split basis and the extension's basis differ in parity")
-    lie = object.__new__(LieSuperAlgebra)
-    object.__setattr__(lie, "bracket", bracket)
-    out = object.__new__(QuadraticLieSuperAlgebra)
+    Where ``decompose`` calls it, g is certified, (a, h, I) is a basis of
+    homogeneous columns (``inverse_ints``) and I-perp an ideal that contains
+    I (``ideal-*``). With dim a = dim I (``a-superalgebra``; ``h-quadratic``
+    checks dim h + dim I = dim I-perp), h + I, taken inside I-perp, is I-perp.
+    So a's bracket is that of g/I-perp, h's that of I-perp/I with the metric
+    B induces, I being the radical of B on I-perp, and, once the isometry
+    claims pass, the re-extension's tables are g's in the (a, h, I) basis.
+    Grading, super skew, Jacobi, invariance, super-symmetry, degree and
+    non-degeneracy carry over to each. As ``spaces._build`` builds a map,
+    the fields are set on a new instance; ``__post_init__`` is not run."""
+    if any(t.space.parities != columns for t in (bracket, metric) if t is not None):
+        raise SuperquadError("a block's basis and its columns in g differ in parity")
+    out = object.__new__(LieSuperAlgebra)
+    object.__setattr__(out, "bracket", bracket)
+    if metric is None:
+        return out
+    lie, out = out, object.__new__(QuadraticLieSuperAlgebra)
     object.__setattr__(out, "algebra", lie)
     object.__setattr__(out, "metric", metric)
     return out
@@ -585,7 +588,8 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
 
     Each fact is checked once, under the claim named: the ideal hypotheses
     (``ideal-*``), the dual complement (``witt-complement``), the block rules
-    of the split bracket (``split-*``), a and h (``a-superalgebra``,
+    of the split bracket (``split-*``), the counts and parities that make a
+    and h a quotient and a subquotient of g (``a-superalgebra``,
     ``h-quadratic``), xi (``xi-bijective``) and sigma (``sigma-coadjoint``);
     every context axiom by validate_context (``context``); then g in the
     (a, h, I) basis equals the tables of the re-extension, as
@@ -594,19 +598,16 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     isometry; last, the returned tau and gamma realise chi and Phi
     (``tau-chi``, ``gamma-phi``). The Witt pairing makes xi the identity, so
     sigma, tau and gamma are compared with ad*_delta, chi and Phi index for
-    index. The isometry onto the certified g is the re-extension's
-    certificate: its tables are not scanned again (``_transported``), and the
-    returned context's ``extension`` is that algebra.
+    index. Only g is scanned: a, h and the re-extension are certified by
+    transport (``_by_transport``); the context's ``extension`` is the last.
 
     Each ideal vector is dense, of length dim, or a sparse dict with indices
     in range(dim); ``ideal_basis`` holds them dense.
 
-    ``source`` is the context g is believed to extend, if any. A piece
-    exactly equal to one of its already certified pieces is taken from it
-    rather than certified again: a when its bracket equals source's, h when
-    its bracket and metric equal source's, and the whole context, with its
-    derived maps and its extension, when it equals source. Every claim above
-    still runs, in the same order, so any source gives the same result as none.
+    ``source`` is the context g is believed to extend, if any: when the
+    recovered context equals it, source is returned, with its derived maps
+    and its extension, rather than derived again. Every claim above still
+    runs, in the same order, so any source gives the same result as none.
     """
     sparse_ideal = _validate_ideal(g, ideal)
     delta = g.delta
@@ -620,15 +621,15 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
         raise ClaimViolated("witt-complement", message=str(exc)) from exc
 
     maps = extract_structure_maps(g, sparse_ideal, a_vectors, h_vectors)
-    na, nh = len(a_vectors), len(h_vectors)
+    na, nh, nd = len(a_vectors), len(h_vectors), len(sparse_ideal)
+    parities = tuple(_homogeneous_parity(g.space, v) for v in (*a_vectors, *h_vectors, *sparse_ideal))
 
     try:
-        if source is not None and maps.a_table == source.a.bracket:
-            a_alg = source.a
-        else:
-            a_alg = LieSuperAlgebra(maps.a_table)
-    except ValidationError as exc:
-        raise ClaimViolated("a-superalgebra", exc.violations) from exc
+        if na != nd:
+            raise SuperquadError(f"dim a is {na}, dim I is {nd}")
+        a_alg = _by_transport(maps.a_table, parities[:na])
+    except SuperquadError as exc:
+        raise ClaimViolated("a-superalgebra", message=str(exc)) from exc
 
     try:
         xi_delta, xi = build_xi(g.metric, sparse_ideal, a_vectors, delta,
@@ -640,11 +641,10 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     b_h = GradedBilinearForm.from_ints(maps.h_space, delta, gram[0], {
         (p - na, q - na): c for p in range(na, na + nh) for q, c in gram[1][p].items() if na <= q < na + nh})
     try:
-        if source is not None and maps.h_table == source.h.bracket and b_h == source.h.metric:
-            h_alg = source.h
-        else:
-            h_alg = QuadraticLieSuperAlgebra(LieSuperAlgebra(maps.h_table), b_h)
-    except (ValidationError, SuperquadError) as exc:
+        if nh + nd != len(i_perp):
+            raise SuperquadError(f"dim h + dim I is {nh + nd}, dim I-perp is {len(i_perp)}")
+        h_alg = _by_transport(maps.h_table, parities[na:na + nh], b_h)
+    except SuperquadError as exc:
         raise ClaimViolated("h-quadratic", message=str(exc)) from exc
 
     omega = GradedBilinearMap.from_ints(
@@ -690,7 +690,7 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
                     if row.get(q, 0) != ext_rows[p].get(q, 0))
             raise ClaimViolated("isometry-metric", [Violation("isometry-metric", (p, q))])
     if context is not source:
-        ext = _transported(maps, bracket, metric)
+        ext = _by_transport(bracket, parities, metric)
         vars(context)["extension"] = ext  # the cache of DeltaContext.extension
 
     # the returned tau and gamma are chi and Phi, compared on integer views at one scale

@@ -101,14 +101,18 @@ class InvalidParams(ValidationError):
 
 @dataclass
 class ParseError(SuperquadError):
-    """A document could not be parsed; carries the offending location."""
+    """A document could not be parsed; carries the offending location. A
+    document read from a file names its path first, in place of ``input``."""
 
     message: str
     line: int = 0
     field_name: str = field(default="")
+    path: str = ""
 
     def __str__(self) -> str:
-        loc = f"line {self.line}" if self.line else "input"
+        loc = [self.path] if self.path else []
+        if self.line or not self.path:
+            loc.append(f"line {self.line}" if self.line else "input")
         if self.field_name:
-            loc += f", field {self.field_name}"
-        return f"{loc}: {self.message}"
+            loc[-1] += f", field {self.field_name}"
+        return ": ".join([*loc, self.message])

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from generators import (ad_map, b_flat, bracket_law_violation, build_bracket, column, identity_map,
-                        intertwining_violation, mat_sub, rand_scalar, random_quadratic,
-                        random_superalgebra_scrambled, space_of)
+from generators import (ad_map, b_flat, bracket_law_violation, build_bracket, change_basis_form, column,
+                        identity_map, intertwining_violation, mat_sub, rand_scalar,
+                        random_parity_preserving_basis, random_quadratic, random_superalgebra_scrambled,
+                        space_of)
 from superquad import linalg
 from superquad.algebra import (
     LieSuperAlgebra,
+    QuadraticLieSuperAlgebra,
     SuperBracket,
     check_invariance,
     check_jacobi,
@@ -374,3 +376,38 @@ def test_parity_shift_map_on_representation_matrices():
     shifted = parity_shift_map(rep.action[0])
     assert shifted.matrix == rep.action[0].matrix
     assert shifted.degree == 1
+
+
+def test_degenerate_metric_witness_is_a_radical_vector():
+    """A metric of rank below dim is refused with the first canonical vector
+    of its radical as the exact residual: nonzero, and paired to zero with
+    every basis vector on either side; the rank stays in the detail. The
+    forms are random, homogeneous and super-symmetric, with one basis vector
+    left out of every pairing, then moved by a parity-preserving basis."""
+    rng = random.Random(23)
+    ranks = set()
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        space = space_of([rng.randint(0, 1) for _ in range(n)])
+        par, delta, dropped = space.parities, rng.randint(0, 1), rng.randrange(n)
+        entries = []
+        for i in range(n):
+            for j in range(i, n):
+                sign = -1 if par[i] * par[j] else 1
+                if dropped in (i, j) or (par[i] + par[j]) % 2 != delta or (i == j and sign < 0) or rng.random() < 0.3:
+                    continue
+                c = rand_scalar(rng, nonzero=True)
+                entries += [(i, j, c)] + ([(j, i, sign * c)] if i != j else [])
+        form = GradedBilinearForm.from_entries(space, delta, entries)
+        form = change_basis_form(form, random_parity_preserving_basis(rng, space))
+        with pytest.raises(ValidationError) as exc:
+            QuadraticLieSuperAlgebra(LieSuperAlgebra.abelian(form.space), form)
+        (v,) = exc.value.violations
+        rank = form.rank()
+        assert v.equation == "non-degenerate" and v.detail == f"metric rank {rank} below dim {n}"
+        w = v.residual
+        assert any(w) and w == linalg.nullspace(form.matrix, n)[0]
+        for i in range(n):
+            assert form.value(unit_vec(n, i), w) == 0 and form.value(w, unit_vec(n, i)) == 0
+        ranks.add(rank)
+    assert len(ranks) >= 4

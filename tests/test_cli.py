@@ -262,8 +262,47 @@ def test_zero_coefficient_out_of_range_exit_2(tmp_path, capsys):
     f = tmp_path / "bad.context"
     f.write_text((SAMPLES / "heisenberg.context").read_text().replace("end context", "rho 3 3 3 0\nend context"))
     code, _, err = run(capsys, "extend", "--context", str(f), "--out", str(tmp_path / "out.algebra"))
-    assert code == 2 and err.startswith("error: line ") and err.endswith(": rho index out of range\n")
+    assert code == 2 and err.startswith(f"error: {f}: line ") and err.endswith(": rho index out of range\n")
     assert not (tmp_path / "out.algebra").exists()
+
+
+def test_parse_errors_name_the_document_path(tmp_path, capsys):
+    """An error raised while reading a document from a path names that path
+    first, in place of ``input``: a bad coefficient in an ideal file, a
+    document of the wrong kind, a context with a misplaced metric or dim a
+    = 0, an algebra with no metric, an ideal with no vectors or too short
+    ones, a file that is missing or not UTF-8 (one path, not two) and a JSON
+    field."""
+    ideal, ctx, latin, bad_json = (tmp_path / name for name in ("bad.ideal", "bad.context", "latin.algebra", "b.json"))
+    empty, short, flat, zero = (tmp_path / name for name in ("e.ideal", "s.ideal", "flat.algebra", "zero.context"))
+    ideal.write_text("ideal bad\nvector 1/0 0 0 0\nend ideal\n")
+    ctx.write_text(context_text("algebra h\nbasis u 0\nend algebra\n", "algebra a\nbasis x 0\nend algebra\n"))
+    empty.write_text("ideal none\nend ideal\n")
+    short.write_text("ideal short\nvector 0 1\nend ideal\n")
+    flat.write_text("algebra flat\nbasis x 0\nend algebra\n")
+    zero.write_text(context_text(H_WITH_METRIC, "algebra a\nend algebra\n"))
+    latin.write_bytes(b"algebra x\nbasis a\xff 0\nend algebra\n")
+    bad_json.write_text(json.dumps({"kind": "algebra", "name": "b", "basis": [["x", 0]], "bracket": [[0, 0, 3, 1]]}))
+    algebra, context, missing = SAMPLES / "heisenberg.algebra", SAMPLES / "heisenberg.context", tmp_path / "none"
+    out = str(tmp_path / "x")
+    for argv, expected in (
+            (("decompose", algebra, "--ideal", ideal, "--out", out), f"{ideal}: line 2: bad rational '1/0'"),
+            (("verify", context), f"{context}: expected an algebra document, got ContextDocument"),
+            (("decompose", algebra, "--ideal", algebra, "--out", out),
+             f"{algebra}: expected an ideal document, got AlgebraDocument"),
+            (("roundtrip", ctx), f"{ctx}: a context needs a metric-degree on its h-algebra and none on its a-algebra"),
+            (("roundtrip", zero), f"{zero}: roundtrip needs dim a > 0: it decomposes along the nonzero dual block"),
+            (("decompose", flat, "--out", out), f"{flat}: decompose needs a quadratic algebra (no metric in document)"),
+            (("decompose", algebra, "--ideal", empty, "--out", out),
+             f"{empty}: the ideal document has no vectors: decompose needs a nonzero ideal"),
+            (("decompose", algebra, "--ideal", short, "--out", out),
+             f"{short}: ideal vector 0 has length 2, the algebra has dim 4"),
+            (("verify", missing), f"{missing}: No such file or directory"),
+            (("verify", latin), f"{latin}: not UTF-8: byte 17: invalid start byte"),
+            (("verify", bad_json), f"{bad_json}, field bracket: bracket index 3 out of range")):
+        code, stdout, err = run(capsys, *map(str, argv))
+        assert (code, stdout, err) == (2, "", f"error: {expected}\n"), argv
+    assert not (tmp_path / "x").exists()
 
 
 def test_missing_file_exit_2(capsys):
@@ -564,13 +603,15 @@ def test_delta_coadjoint_built_once_per_context(tmp_path, capsys, monkeypatch):
 
 def test_roundtrip_certifies_each_distinct_bracket_once(tmp_path, capsys, monkeypatch):
     """Every table a command builds is certified once, either by its scans
-    or by an exact isometry onto an algebra already certified. extend scans
-    a, h and the extension, whose one Jacobi scan contains the central
-    extension's; decompose scans the algebra it reads, a and h, and
-    certifies its re-extension by the isometry onto that algebra; roundtrip
-    takes a, h and the re-extension from the certified input context they
-    equal. So each command makes three Jacobi scans on three distinct
-    tables, and two invariance scans: h's and the one algebra's."""
+    or by transport from an algebra already certified. extend scans a, h
+    and the extension, whose one Jacobi scan contains the central
+    extension's, so it makes three Jacobi scans on three distinct tables
+    and two invariance scans, h's and the extension's. decompose scans only
+    the algebra it reads: a and h are its quotient and subquotient, and the
+    re-extension is certified by the isometry onto it, so it makes one
+    Jacobi scan and one invariance scan. roundtrip scans a, h and the
+    extension as extend does, and takes the re-extension from the certified
+    input context it equals."""
     import sys
     import superquad.algebra as algebra
     calls = {"check_jacobi": [], "check_invariance": []}
@@ -586,14 +627,14 @@ def test_roundtrip_certifies_each_distinct_bracket_once(tmp_path, capsys, monkey
                 monkeypatch.setattr(module, name, counting)
     out = str(tmp_path / "out")
     for stem in (SAMPLES / "heisenberg", SAMPLES / "odd-dim1", GOLDEN / "coprime"):
-        for argv in (("extend", "--context", f"{stem}.context", "--out", out),
-                     ("decompose", f"{stem}.algebra", "--out", out),
-                     ("roundtrip", f"{stem}.context")):
+        for argv, expected in ((("extend", "--context", f"{stem}.context", "--out", out), (3, 3, 2)),
+                               (("decompose", f"{stem}.algebra", "--out", out), (1, 1, 1)),
+                               (("roundtrip", f"{stem}.context"), (3, 3, 2))):
             for seen in calls.values():
                 seen.clear()
             assert run(capsys, *argv)[0] == 0
             jacobi, invariance = calls["check_jacobi"], calls["check_invariance"]
-            assert (len(jacobi), len(set(jacobi)), len(invariance)) == (3, 3, 2), argv
+            assert (len(jacobi), len(set(jacobi)), len(invariance)) == expected, argv
 
 
 @pytest.mark.parametrize("command", ["extend", "verify", "decompose"])

@@ -440,11 +440,11 @@ def _source_cases():
 
 
 def test_decompose_with_source_matches_decompose_without():
-    """source only lends decompose pieces it already certified: the result
-    equals the one without source in every field, for the true source, for
-    an equal source whose extension was never built, for another valid
-    context and for the trivial context on the same a and h (a and h
-    reused, the context only if ctx is trivial). With the true source the
+    """source only lends decompose the whole context, when it equals the
+    recovered one: the result equals the one without source in every field,
+    for the true source, for an equal source whose extension was never
+    built, for another valid context and for the trivial context on the
+    same a and h (equal only if ctx is trivial). With the true source the
     recovered context is the source itself and the re-extension is g."""
     import copy
 

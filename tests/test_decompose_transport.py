@@ -1,13 +1,16 @@
-"""decompose certifies its re-extension by the exact isometry onto g.
+"""decompose scans g alone: a, h and the re-extension are certified by transport.
 
-Once ``isometry-bracket`` and ``isometry-metric`` have passed, the tables of
-``extension_tables`` are g's tables in an even invertible change of basis,
-so g's certificate is theirs and ``_transported`` wraps them unscanned. The
-tests below compare that run with one in which the tables are scanned, check
-the helper's parity precondition, and check the centre found as
-``[g,g]^perp`` against the centraliser system it replaced. The planted
-defects that the isometry claims report before the unscanned build are in
-``test_sparse_oracles.py``.
+Once the ``ideal-*``, ``witt-complement`` and ``split-*`` claims pass, a is
+the quotient g/I-perp and h the subquotient I-perp/I, given the dimension
+counts that ``a-superalgebra`` and ``h-quadratic`` check; once
+``isometry-bracket`` and ``isometry-metric`` have passed, the tables of
+``extension_tables`` are g's tables in an even invertible change of basis.
+So g's certificate is theirs, and ``_by_transport`` wraps them unscanned.
+The tests below compare that run with one in which every table is scanned,
+plant a violation of each precondition the transport checks, and check the
+centre found as ``[g,g]^perp`` against the centraliser system it replaced.
+The planted defects that the isometry claims report before the unscanned
+build are in ``test_sparse_oracles.py``.
 """
 
 import dataclasses
@@ -18,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from generators import (
     _oscillator,
@@ -31,18 +35,18 @@ from generators import (
 )
 import superquad.decompose as dec
 from superquad import linalg
-from superquad.algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra
+from superquad.algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket
 from superquad.catalog import (
     default_heisenberg_params,
     default_odd_dim1_params,
     heisenberg_context,
     odd_extension_context,
 )
-from superquad.errors import SuperquadError
+from superquad.errors import ClaimViolated, SuperquadError
 from superquad.extension import double_extend
 from superquad.fileformat import document_to_algebra, document_to_context, parse_document
 from superquad.linalg import unit_vec
-from superquad.spaces import dense_vec, parity_shift
+from superquad.spaces import GradedBilinearForm, dense_vec, parity_shift
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -85,23 +89,30 @@ def cases() -> tuple:
     return tuple(out)
 
 
-def scanned(maps, bracket, metric):
-    """The re-extension certified by its own scans, as before the isometry carried the certificate."""
-    return QuadraticLieSuperAlgebra(LieSuperAlgebra(bracket), metric)
+def scanned(bracket, columns, metric=None):
+    """The block certified by its own scans, as before the transport carried the certificate."""
+    scanned.calls += 1
+    lie = LieSuperAlgebra(bracket)
+    return lie if metric is None else QuadraticLieSuperAlgebra(lie, metric)
 
 
 def test_transported_result_equals_the_scanned_one(monkeypatch):
-    """Every field of the result equals that of a run whose re-extension is
-    scanned, the re-extension equals ``double_extend`` of the recovered
+    """Every field of the result equals that of a run whose a, h and
+    re-extension are scanned, the transported a and h equal the scanned
+    ones, the re-extension equals ``double_extend`` of the recovered
     context, and that context's ``extension`` is the returned algebra."""
     results = [dec.decompose(g, ideal) for g, ideal in cases()]
+    scanned.calls = 0
     with monkeypatch.context() as mp:
-        mp.setattr(dec, "_transported", scanned)
+        mp.setattr(dec, "_by_transport", scanned)
         expected = [dec.decompose(g, ideal) for g, ideal in cases()]
+    assert scanned.calls == 3 * len(expected)
     moved_or_picked = 0
     for res, want in zip(results, expected):
         for name in want.__dataclass_fields__:
             assert getattr(res, name) == getattr(want, name), name
+        assert res.context.a == LieSuperAlgebra(res.maps.a_table)
+        assert res.context.h == QuadraticLieSuperAlgebra(LieSuperAlgebra(res.maps.h_table), res.context.h.metric)
         assert res.extension == double_extend(res.context)
         assert res.context.extension is res.extension
         moved_or_picked += any(c not in (0, 1) for v in res.ideal_basis for c in v)
@@ -122,14 +133,105 @@ def test_recovered_context_pickles_without_its_extension():
 
 
 def test_transport_refuses_a_basis_of_other_parities():
+    """Each block, and the re-extension, is wrapped only on the parities of
+    its columns; a table on shifted parities, or a metric on them, is refused."""
     for g, ideal in cases()[::7]:
         res = dec.decompose(g, ideal)
         maps, ext = res.maps, res.extension
-        dec._transported(maps, ext.bracket, ext.metric)  # the parities agree
-        for bad in (dataclasses.replace(maps, a_space=parity_shift(maps.a_space)),
-                    dataclasses.replace(maps, ideal_space=parity_shift(maps.ideal_space))):
+        a, h, i = (space.parities for space in (maps.a_space, maps.h_space, maps.ideal_space))
+        for bracket, columns, metric in ((maps.a_table, a, None), (maps.h_table, h, res.context.h.metric),
+                                         (ext.bracket, a + h + i, ext.metric)):
+            dec._by_transport(bracket, columns, metric)  # the parities agree
+        for columns in (parity_shift(maps.a_space).parities + h + i, a + h + parity_shift(maps.ideal_space).parities):
             with pytest.raises(SuperquadError, match="parity"):
-                dec._transported(bad, ext.bracket, ext.metric)
+                dec._by_transport(ext.bracket, columns, ext.metric)
+        with pytest.raises(SuperquadError, match="parity"):
+            dec._by_transport(maps.a_table, parity_shift(maps.a_space).parities)
+        if h:
+            shifted = GradedBilinearForm.from_entries(parity_shift(maps.h_space), res.context.h.metric.degree, [])
+            with pytest.raises(SuperquadError, match="parity"):
+                dec._by_transport(maps.h_table, h, shifted)
+
+
+def test_dim_a_below_dim_ideal_is_an_a_superalgebra_violation(monkeypatch):
+    """On the cases whose a is abelian, with the last a vector planted in
+    I-perp's basis, h takes it and the Witt complement, planted too, gives
+    one vector fewer: every block rule of the split passes, the basis is
+    still one, and a-superalgebra refuses dim a < dim I."""
+    real_perp = dec.orthogonal_complement
+    results = [(g, ideal, dec.decompose(g, ideal)) for g, ideal in cases()[::3]]
+    abelian = [(g, ideal, res) for g, ideal, res in results if not res.maps.a_table.scaled_pairs[1]]
+    for g, ideal, res in abelian:
+        a = dec.ScaledVectors(dec._sparse(v) for v in res.a_basis)
+        with monkeypatch.context() as mp:
+            mp.setattr(dec, "orthogonal_complement", lambda *args: dec._join(real_perp(*args), a.take([len(a) - 1])))
+            mp.setattr(dec, "witt_complement", lambda *args, **kwargs: a.take(range(len(a) - 1)))
+            with pytest.raises(ClaimViolated) as exc:
+                dec.decompose(g, ideal)
+        assert exc.value.claim == "a-superalgebra", exc.value
+        assert f"dim a is {len(a) - 1}, dim I is {len(a)}" in str(exc.value)
+    assert len(abelian) >= 10
+
+
+def test_i_perp_basis_longer_than_h_plus_ideal_is_an_h_quadratic_violation(monkeypatch):
+    """An I-perp basis with a repeated vector leaves h as it was, and
+    h-quadratic refuses dim h + dim I < dim I-perp."""
+    real_perp = dec.orthogonal_complement
+
+    def repeated(*args):  # I-perp's basis with its first vector once more
+        perp = real_perp(*args)
+        return dec._join(perp, perp.take([0]))
+
+    monkeypatch.setattr(dec, "orthogonal_complement", repeated)
+    for g, ideal in cases()[::5]:
+        with pytest.raises(ClaimViolated) as exc:
+            dec.decompose(g, ideal)
+        assert exc.value.claim == "h-quadratic", exc.value
+        assert "dim I-perp is" in str(exc.value)
+
+
+def test_block_on_other_parities_than_its_columns_is_refused(monkeypatch):
+    """A table of a or h on parities other than its columns' is refused
+    under the block's own claim."""
+    real_split = dec.extract_structure_maps
+    for block, claim in (("a", "a-superalgebra"), ("h", "h-quadratic")):
+        def shifted(*args):
+            maps = real_split(*args)
+            space = parity_shift(getattr(maps, f"{block}_space"))
+            return dataclasses.replace(maps, **{f"{block}_table": SuperBracket.zero(space)})
+
+        planted = [(g, ideal) for g, ideal in cases()[::5]
+                   if getattr(dec.decompose(g, ideal).maps, f"{block}_space").dim]
+        with monkeypatch.context() as mp:
+            mp.setattr(dec, "extract_structure_maps", shifted)
+            for g, ideal in planted:
+                with pytest.raises(ClaimViolated) as exc:
+                    dec.decompose(g, ideal)
+                assert exc.value.claim == claim and "parity" in str(exc.value), exc.value
+        assert len(planted) >= 10
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0, 1)))
+def test_auto_line_splits_into_blocks_the_scans_accept(seed, delta):
+    """Along the line ``find_central_minimal_ideal`` returns for a small
+    quadratic algebra moved by a parity-preserving basis, decompose either
+    returns a and h that the scanning constructors accept too, or raises
+    ClaimViolated; any other exception fails."""
+    rng = random.Random(seed)
+    g = random_quadratic(rng, delta, max_dim=6)
+    if g.dim:
+        g = change_basis(g, random_parity_preserving_basis(rng, g.space))
+    line = dec.find_central_minimal_ideal(g)
+    if line is None:
+        return
+    try:
+        res = dec.decompose(g, line)
+    except ClaimViolated:
+        return
+    a, h = res.context.a, res.context.h
+    assert LieSuperAlgebra(a.bracket) == a
+    assert QuadraticLieSuperAlgebra(LieSuperAlgebra(h.bracket), h.metric) == h
 
 
 # ---------------------------------------------------------------------------

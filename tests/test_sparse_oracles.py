@@ -378,15 +378,25 @@ def test_extract_structure_maps_same_first_split_witness():
 
 def planted_tables(monkeypatch, plant):
     """The samples, built by the real tables; then the table assembler is
-    patched to pass its tables through ``plant``, and ``_transported``, the
-    unscanned build, to record each time it is reached."""
+    patched to pass its tables through ``plant``, and ``_by_transport``, the
+    unscanned build, to record each planted table it is handed."""
     import superquad.extension as extension_module
 
     samples = extensions()
-    real = extension_module.extension_tables
-    built = []
-    monkeypatch.setattr(extension_module, "extension_tables", lambda context: plant(*real(context)))
-    monkeypatch.setattr(dec, "_transported", lambda *args: built.append(args))
+    real, transport = extension_module.extension_tables, dec._by_transport
+    planted, built = [], []
+
+    def planting(context):
+        tables = plant(*real(context))
+        planted.extend(tables)
+        return tables
+
+    def recording(bracket, columns, metric=None):
+        built.extend(t for t in (bracket, metric) if any(t is p for p in planted))
+        return transport(bracket, columns, metric)
+
+    monkeypatch.setattr(extension_module, "extension_tables", planting)
+    monkeypatch.setattr(dec, "_by_transport", recording)
     return samples, built
 
 
