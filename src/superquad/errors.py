@@ -110,9 +110,7 @@ class ParseError(SuperquadError):
     path: str = ""
 
     def __str__(self) -> str:
-        loc = [self.path] if self.path else []
-        if self.line or not self.path:
-            loc.append(f"line {self.line}" if self.line else "input")
+        loc = f"line {self.line}" if self.line else "" if self.path else "input"
         if self.field_name:
-            loc[-1] += f", field {self.field_name}"
-        return ": ".join([*loc, self.message])
+            loc = ", ".join(filter(None, (loc, f"field {self.field_name}")))
+        return ": ".join(filter(None, (self.path, loc, self.message)))

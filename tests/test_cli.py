@@ -299,7 +299,7 @@ def test_parse_errors_name_the_document_path(tmp_path, capsys):
              f"{short}: ideal vector 0 has length 2, the algebra has dim 4"),
             (("verify", missing), f"{missing}: No such file or directory"),
             (("verify", latin), f"{latin}: not UTF-8: byte 17: invalid start byte"),
-            (("verify", bad_json), f"{bad_json}, field bracket: bracket index 3 out of range")):
+            (("verify", bad_json), f"{bad_json}: field bracket: bracket index 3 out of range")):
         code, stdout, err = run(capsys, *map(str, argv))
         assert (code, stdout, err) == (2, "", f"error: {expected}\n"), argv
     assert not (tmp_path / "x").exists()
