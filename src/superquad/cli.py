@@ -103,7 +103,7 @@ def _write(path: str, content: str) -> None:
     try:
         Path(path).write_text(content, encoding="utf-8")
     except OSError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(exc.strerror or str(exc), path=path) from exc
 
 
 def cmd_verify(args) -> int:
@@ -183,7 +183,7 @@ def cmd_decompose(args) -> int:
         ideal = find_central_minimal_ideal(g)
         if ideal is None:
             raise ParseError("auto ideal discovery handles only the central case and found no "
-                             "isotropic central line; supply --ideal FILE")
+                             "isotropic central line; supply --ideal FILE", path=args.file)
     else:
         ideal_doc = _load(args.ideal, IdealDocument, "an ideal")
         ideal = list(ideal_doc.vectors)

@@ -102,7 +102,7 @@ class InvalidParams(ValidationError):
 @dataclass
 class ParseError(SuperquadError):
     """A document could not be parsed; carries the offending location. A
-    document read from a file names its path first, in place of ``input``."""
+    file read or written names its path first, in place of ``input``."""
 
     message: str
     line: int = 0

@@ -315,27 +315,34 @@ def test_xi_is_the_identity_on_the_witt_basis():
 
 
 def test_decompose_changes_basis_once(monkeypatch):
-    """One inversion and one change of basis per decompose, and one integer
-    Gram per pairing step: the ideal's isotropy, the Witt complement's
-    isotropy check, correction and final checks (ideal, duals, a with a,
-    ideal with a), build_xi's pairing and the metric in the split basis."""
+    """One inversion and one change of basis per decompose, one integer
+    Gram per pairing step (the ideal's isotropy, the Witt complement's
+    isotropy check, correction and final checks: ideal, duals, a with a,
+    ideal with a; and the metric in the split basis) and one rank, the
+    independence of the ideal. Each fact is proved once: the Witt pairing
+    fixes xi, so build_xi is not called, and the isometry certifies the
+    recovered context, so validate_context is not called either."""
+    import superquad.extension as extension
     counts = {}
 
     def count(owner, name):
         real = getattr(owner, name)
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             counts[name] = counts.get(name, 0) + 1
-            return real(*args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, counting)
 
     count(linalg, "inverse_ints")
+    count(linalg, "rank")
     count(dec, "_bracket_in_basis")
     count(dec, "_gram")
+    count(dec, "build_xi")
+    count(extension, "validate_context")
     for g, ideal in _corpus_extensions():
         counts.clear()
         decompose(g, ideal)
-        assert counts == {"inverse_ints": 1, "_bracket_in_basis": 1, "_gram": 7}
+        assert counts == {"inverse_ints": 1, "rank": 1, "_bracket_in_basis": 1, "_gram": 6}
 
 
 def _plant_one(maps, block, rng):

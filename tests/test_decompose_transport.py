@@ -5,8 +5,11 @@ the quotient g/I-perp and h the subquotient I-perp/I, given the dimension
 counts that ``a-superalgebra`` and ``h-quadratic`` check; once
 ``isometry-bracket`` and ``isometry-metric`` have passed, the tables of
 ``extension_tables`` are g's tables in an even invertible change of basis.
-So g's certificate is theirs, and ``_by_transport`` wraps them unscanned.
-The tests below compare that run with one in which every table is scanned,
+So g's certificate is theirs, and ``_by_transport`` wraps them unscanned;
+the recovered context, whose axioms are blocks of those tables' identities,
+is not validated again, nor is xi built from a pairing the Witt complement
+has already fixed. The tests below check those facts on every split,
+compare the transported run with one in which every table is scanned,
 plant a violation of each precondition the transport checks, and check the
 centre found as ``[g,g]^perp`` against the centraliser system it replaced.
 The planted defects that the isometry claims report before the unscanned
@@ -43,7 +46,7 @@ from superquad.catalog import (
     odd_extension_context,
 )
 from superquad.errors import ClaimViolated, SuperquadError
-from superquad.extension import double_extend
+from superquad.extension import double_extend, validate_context
 from superquad.fileformat import document_to_algebra, document_to_context, parse_document
 from superquad.linalg import unit_vec
 from superquad.spaces import GradedBilinearForm, dense_vec, parity_shift
@@ -117,6 +120,20 @@ def test_transported_result_equals_the_scanned_one(monkeypatch):
         assert res.context.extension is res.extension
         moved_or_picked += any(c not in (0, 1) for v in res.ideal_basis for c in v)
     assert len(results) >= 120 and moved_or_picked >= 10
+
+
+def test_facts_decompose_does_not_prove_again_hold():
+    """What the isometry and the Witt pairing imply, and decompose no longer
+    checks a second time, holds on every split: the recovered context
+    passes validate_context, a is transverse to the ideal, and xi_delta and
+    xi are the identity."""
+    for g, ideal in cases():
+        res = dec.decompose(g, ideal)
+        assert validate_context(res.context) == []
+        dim = len(res.ideal_basis)
+        assert linalg.rank(list(res.ideal_basis + res.a_basis), g.dim) == 2 * dim
+        identity = tuple({m: 1} for m in range(dim))
+        assert res.xi_delta.sparse_columns == identity and res.xi.sparse_columns == identity
 
 
 def test_recovered_context_pickles_without_its_extension():
