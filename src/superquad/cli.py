@@ -82,18 +82,25 @@ def _shown(name: str) -> str:
     return name.encode("ascii", "backslashreplace").decode("ascii")
 
 
+def _converted(path: str, convert, value):
+    """convert(value), every ParseError it raises naming the document at path."""
+    try:
+        return convert(value)
+    except ParseError as exc:
+        exc.path = path
+        raise
+
+
 def _load(path: str, klass, what: str):
     """The document at path, which must be of the class klass; every
     ParseError raised while reading it names the path."""
     try:
-        doc = parse_document(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(exc.strerror or str(exc), path=path) from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8: byte {exc.start}: {exc.reason}", path=path) from exc
-    except ParseError as exc:
-        exc.path = path
-        raise
+    doc = _converted(path, parse_document, text)
     if not isinstance(doc, klass):
         raise ParseError(f"expected {what} document, got {type(doc).__name__}", path=path)
     return doc
@@ -108,7 +115,7 @@ def _write(path: str, content: str) -> None:
 
 def cmd_verify(args) -> int:
     doc = _load(args.file, AlgebraDocument, "an algebra")
-    space, bracket, form = document_to_raw(doc)
+    space, bracket, form = _converted(args.file, document_to_raw, doc)
     checks: list[tuple[str, bool, str]] = []
 
     def run(name, violation):
@@ -166,7 +173,7 @@ def _load_context(path: str) -> ContextDocument:
 
 def cmd_extend(args) -> int:
     doc = _load_context(args.context)
-    g = double_extend(document_to_context(doc))
+    g = double_extend(_converted(args.context, document_to_context, doc))
     out_doc = algebra_to_document(g, doc.name)
     _write(args.out, serialize_document(out_doc, args.format))
     print(f"extended {_shown(doc.name)}: dim {g.dim} ({g.space.dim_even}|{g.space.dim_odd}), "
@@ -178,7 +185,7 @@ def cmd_decompose(args) -> int:
     doc = _load(args.file, AlgebraDocument, "an algebra")
     if doc.metric_degree is None:
         raise ParseError("decompose needs a quadratic algebra (no metric in document)", path=args.file)
-    g = document_to_algebra(doc)
+    g = _converted(args.file, document_to_algebra, doc)
     if args.ideal == "auto":
         ideal = find_central_minimal_ideal(g)
         if ideal is None:
@@ -227,7 +234,7 @@ def cmd_roundtrip(args) -> int:
     doc = _load_context(args.context)
     if not doc.a_doc.basis:
         raise ParseError("roundtrip needs dim a > 0: it decomposes along the nonzero dual block", path=args.context)
-    ctx = document_to_context(doc)
+    ctx = _converted(args.context, document_to_context, doc)
     g = ctx.extension
     print("roundtrip: context valid")
     print(f"roundtrip: extension dim {g.dim}")

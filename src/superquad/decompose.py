@@ -7,12 +7,13 @@ radical of B restricted to I-perp is exactly I), produces a Witt-style
 isotropic complement a dual to I, changes basis once to (a, h, I), extracts
 all structure maps of the split bracket, reconstructs a double-extension
 context and certifies the isometry onto its extension. Only g is scanned:
-a, h, the extension and the context are certified by transport from g, and
-the Witt pairing fixes xi (``decompose`` names the one check behind each
-fact). Every step is deterministic: linear solves take first pivots in
-canonical basis order. Vectors, the ideal's included, may be given dense
-or as sparse dicts ``{index: coefficient}``; inside ``decompose`` every
-vector is sparse, and only the returned bases are dense.
+a, h, the extension and the context are certified by transport from g, the
+Witt pairing fixes xi, and the isometry fixes the split's I-components
+(``decompose`` names the one check behind each fact). Every step is
+deterministic: linear solves take first pivots in canonical basis order.
+Vectors, the ideal's included, may be given dense or as sparse dicts
+``{index: coefficient}``; inside ``decompose`` every vector is sparse, and
+only the returned bases are dense.
 
 The pairings, the centre, the dual solves and the ideal's images run on
 integer views: the metric's ``scaled_rows``, the bracket's ``scaled_pairs``,
@@ -22,7 +23,8 @@ then one positive constant times the rational one, so it is zero exactly
 when the rational sum is, and a returned coefficient or a residual is
 divided back once; no step here sums ``Fraction``s. The eliminations hand
 their results over as integer views too (``linalg.nullspace_ints``,
-``solve_ints`` and ``inverse_ints``).
+``solve_ints`` and ``inverse_ints``), and the inverse of the change of
+basis stays one.
 """
 
 from __future__ import annotations
@@ -381,11 +383,8 @@ class ExtractedMaps:
     h_table: SuperBracket
     lam: GradedBilinearMap        # a x a -> h
     mu: GradedBilinearMap         # a x a -> I
-    gamma: GradedBilinearMap      # h x h -> I
     rho: tuple[GradedLinearMap, ...]    # a-indexed endomorphisms of h
-    tau: tuple[GradedLinearMap, ...]    # a-indexed maps h -> I
-    sigma: tuple[GradedLinearMap, ...]  # a-indexed endomorphisms of I
-    inverse: tuple[dict, ...]     # column k: the (a, h, I)-coordinates of g's e_k
+    inverse: tuple                # integer view (d, columns), column k the (a, h, I)-coordinates of g's e_k
     split: tuple                  # g's bracket in the (a, h, I) basis, as an integer view (d, pairs)
 
 
@@ -395,7 +394,8 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
 
     Raises NotAnIdealSplit when a component lands outside the block structure
     forced by the ideal hypotheses ([x,u] with an a-component, nonzero [h,I]
-    or [I,I], ...).
+    or [I,I], ...). The I-components of [a,h], [a,I] and [h,h] are kept only
+    in ``split``: ``decompose`` certifies them as chi, ad*_delta and Phi.
     """
     na, nh, nd = len(a_vectors), len(h_vectors), len(ideal)
     cols = _join(*map(_entering, (a_vectors, h_vectors, ideal)))
@@ -408,7 +408,7 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
     inv = linalg.inverse_ints(int_cols)
     if inv is None:
         raise ValueError("a, h and I do not form a basis")
-    inverse = ScaledVectors.from_ints(inv[0], ({k: d_c * x for k, x in v.items()} for v in inv[1]))
+    inverse = linalg.lowest_terms(inv[0], ({k: d_c * x for k, x in v.items()} for v in inv[1]))
 
     a_space = _block_space(g.space, cols[:na], "a")
     h_space = _block_space(g.space, cols[na:na + nh], "h")
@@ -419,12 +419,12 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
         h_space = _block_space(g.space, cols[na:na + nh], "h", reuse=False)
     ideal_space = _block_space(g.space, cols[na + nh:], "i")
 
-    # the integer tables, at the split's scale, of the blocks; rho, tau, sigma:
-    # per a-vector, the {(r, c): n} of maps h -> h, h -> I, I -> I
-    a_ent, lam_ent, mu_ent, h_ent, gamma_ent = {}, {}, {}, {}, {}
-    rho_ent, tau_ent, sigma_ent = ([{} for _ in range(na)] for _ in range(3))
+    # the integer tables, at the split's scale, of the blocks; rho: per
+    # a-vector, the {(r, c): n} of a map h -> h
+    a_ent, lam_ent, mu_ent, h_ent = {}, {}, {}, {}
+    rho_ent = [{} for _ in range(na)]
 
-    split = _bracket_in_basis(g.bracket, cols.view, inverse.view)
+    split = _bracket_in_basis(g.bracket, cols.view, inverse)
     scale = split[0]
 
     def dense(v: dict, dim: int):  # a block component of a witness, divided back
@@ -450,31 +450,23 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
                                                 "[a,h] has an a-component"))
             if p < na:
                 rho_ent[p].update(((r, q - na), c) for r, c in ch.items())
-                tau_ent[p].update(((r, q - na), c) for r, c in ci.items())
             continue
         if in_h_p and in_h_q:
             if ca:
                 raise NotAnIdealSplit(Violation("split-h-h", (p, q), dense(ca, na),
                                                 "[h,h] has an a-component"))
             h_ent.update(((p - na, q - na, k), c) for k, c in ch.items())
-            gamma_ent.update(((p - na, q - na, k), c) for k, c in ci.items())
             continue
         if (p < na and in_i_q) or (q < na and in_i_p):
             if ca or ch:
                 raise NotAnIdealSplit(Violation("split-a-ideal", (p, q),
                                                 (dense(ca, na), dense(ch, nh)),
                                                 "[a,I] leaves the ideal"))
-            if p < na:
-                sigma_ent[p].update(((r, q - na - nh), c) for r, c in ci.items())
             continue
         # remaining blocks: [h,I], [I,h], [I,I] must vanish outright
         raise NotAnIdealSplit(Violation("split-centraliser", (p, q),
                                         (dense(ca, na), dense(ch, nh), dense(ci, nd)),
                                         "[h,I] or [I,I] is nonzero"))
-
-    def maps_from(tables, source, target):
-        return tuple(GradedLinearMap.from_ints(source, target, a_space.parity(i), scale, t)
-                     for i, t in enumerate(tables))
 
     try:
         return ExtractedMaps(
@@ -483,11 +475,9 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
             SuperBracket.from_ints(h_space, scale, h_ent),
             GradedBilinearMap.from_ints(a_space, a_space, h_space, scale, lam_ent),
             GradedBilinearMap.from_ints(a_space, a_space, ideal_space, scale, mu_ent),
-            GradedBilinearMap.from_ints(h_space, h_space, ideal_space, scale, gamma_ent),
-            maps_from(rho_ent, h_space, h_space),
-            maps_from(tau_ent, h_space, ideal_space),
-            maps_from(sigma_ent, ideal_space, ideal_space),
-            tuple(inverse), split,
+            tuple(GradedLinearMap.from_ints(h_space, h_space, a_space.parity(i), scale, t)
+                  for i, t in enumerate(rho_ent)),
+            inverse, split,
         )
     except SuperquadError as exc:
         raise NotAnIdealSplit(Violation("split-grading", (), None, str(exc))) from exc
@@ -589,17 +579,17 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     Each fact is checked once, under the claim named: the ideal hypotheses
     (``ideal-*``), the dual complement and B(I_i, a_j) = delta_ij
     (``witt-complement``), the block rules of the split bracket
-    (``split-*``), the counts and parities that make a and h a quotient and
-    a subquotient of g (``a-superalgebra``, ``h-quadratic``) and sigma
-    (``sigma-coadjoint``); then g in the (a, h, I) basis equals the tables
-    of the re-extension, as ``extension_tables`` assembles them
-    (``isometry-bracket``, ``isometry-metric``), so x + u + alpha -> x + u +
-    xi_delta(alpha) is an isometry; last, the returned tau and gamma realise
-    chi and Phi (``tau-chi``, ``gamma-phi``). The Witt pairing makes xi_delta
-    and xi the identity, so sigma, tau and gamma are compared with
-    ad*_delta, chi and Phi index for index. Only g is scanned: a, h and the
-    re-extension are certified by transport (``_by_transport``), and so is
-    the context, each axiom a block of the re-extension's grading, super
+    (``split-*``) and the counts and parities that make a and h a quotient
+    and a subquotient of g (``a-superalgebra``, ``h-quadratic``); then g in
+    the (a, h, I) basis equals the tables of the re-extension, as
+    ``extension_tables`` assembles them (``isometry-bracket``,
+    ``isometry-metric``), so x + u + alpha -> x + u + xi_delta(alpha) is an
+    isometry. The Witt pairing makes xi_delta and xi the identity, so once
+    ``isometry-bracket`` passes, the [a,I], [a,h]->I and [h,h]->I components
+    of g in that basis equal the re-extension's, ad*_delta, chi and Phi,
+    entry for entry, and are not checked again. Only g is scanned: a, h and
+    the re-extension are certified by transport (``_by_transport``), and so
+    is the context, each axiom a block of the re-extension's grading, super
     skew, Jacobi or invariance identities (an ``InvalidContext`` from
     ``derive_phi`` is ``context``); its ``extension`` is the re-extension.
 
@@ -653,11 +643,6 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     if context == source:
         context = source  # ad*_delta, chi, Phi and the extension are derived once, on source
 
-    # xi_delta being the identity, I is read as P_delta(a)*
-    for i, s in enumerate(context.ad_star):
-        if maps.sigma[i].scaled_columns != s.scaled_columns:
-            raise ClaimViolated("sigma-coadjoint", [Violation("sigma-coadjoint", (i,))])
-
     try:
         if context is source:
             ext = context.extension
@@ -690,19 +675,9 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
         ext = _by_transport(bracket, parities, metric)
         vars(context)["extension"] = ext  # the cache of DeltaContext.extension
 
-    # the returned tau and gamma are chi and Phi, compared on integer views at one scale
-    _, (chi, *tau) = common_scale([context.chi.scaled_pairs] + [t.scaled_columns for t in maps.tau])
-    for i in range(na):
-        for m, col in enumerate(tau[i]):
-            if col != chi.get((i, m), EMPTY):
-                raise ClaimViolated("tau-chi", [Violation("tau-chi", (i, m))])
-    _, (gamma, phi) = common_scale([maps.gamma.scaled_pairs, context.phi.scaled_pairs])
-    for m, l in sorted(gamma.keys() | phi.keys()):
-        if gamma.get((m, l), EMPTY) != phi.get((m, l), EMPTY):
-            raise ClaimViolated("gamma-phi", [Violation("gamma-phi", (m, l))])
-
-    isometry = GradedLinearMap.from_entries(g.space, ext.space, 0, (
-        (r, c, x) for c, col in enumerate(maps.inverse) for r, x in col.items()))
+    d_inv, inverse = maps.inverse
+    isometry = GradedLinearMap.from_ints(g.space, ext.space, 0, d_inv, {
+        (r, c): x for c, col in enumerate(inverse) for r, x in col.items()})
     return DecompositionResult(
         tuple(dense_vec(v, g.dim) for v in a_vectors), tuple(dense_vec(v, g.dim) for v in h_vectors),
         tuple(dense_vec(v, g.dim) for v in sparse_ideal), maps, xi_delta, xi, context, ext, isometry,

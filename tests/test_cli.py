@@ -268,13 +268,33 @@ def test_zero_coefficient_out_of_range_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out.algebra").exists()
 
 
+def _conversion_errors(tmp_path, out):
+    """(argv, expected) for documents that parse but do not convert, each
+    written in text and in JSON."""
+    dup = "algebra x\nbasis a 0\nbasis a 0\nmetric-degree 0\nmetric 0 1 1\nend algebra\n"
+    star = context_text("algebra h\nbasis x* 0\nmetric-degree 0\nmetric 0 0 1\nend algebra\n",
+                        "algebra a\nbasis x 0\nend algebra\n")
+    cases = []
+    for fmt in ("text", "json"):
+        algebra, context = tmp_path / f"dup.{fmt}", tmp_path / f"star.{fmt}"
+        algebra.write_text(serialize_document(parse_document(dup), fmt))
+        context.write_text(serialize_document(parse_document(star), fmt))
+        labels = f"{algebra}: basis labels must be unique in 'x'"
+        clash = f"{context}: a, h and dual-block labels must be pairwise distinct in 'c'"
+        cases += [(("verify", algebra), labels), (("decompose", algebra, "--out", out), labels),
+                  (("extend", "--context", context, "--out", out), clash), (("roundtrip", context), clash)]
+    return cases
+
+
 def test_parse_errors_name_the_document_path(tmp_path, capsys):
     """An error raised while reading a document from a path names that path
     first, in place of ``input``: a bad coefficient in an ideal file, a
     document of the wrong kind, a context with a misplaced metric or dim a
     = 0, an algebra with no metric, an ideal with no vectors or too short
-    ones, a file that is missing or not UTF-8 (one path, not two) and a JSON
-    field."""
+    ones, a file that is missing or not UTF-8 (one path, not two), a JSON
+    field, and, in text and JSON, an algebra with a repeated label and a
+    context whose h label is its a label's dual, both found while the
+    document is converted."""
     ideal, ctx, latin, bad_json = (tmp_path / name for name in ("bad.ideal", "bad.context", "latin.algebra", "b.json"))
     empty, short, flat, zero = (tmp_path / name for name in ("e.ideal", "s.ideal", "flat.algebra", "zero.context"))
     ideal.write_text("ideal bad\nvector 1/0 0 0 0\nend ideal\n")
@@ -301,7 +321,8 @@ def test_parse_errors_name_the_document_path(tmp_path, capsys):
              f"{short}: ideal vector 0 has length 2, the algebra has dim 4"),
             (("verify", missing), f"{missing}: No such file or directory"),
             (("verify", latin), f"{latin}: not UTF-8: byte 17: invalid start byte"),
-            (("verify", bad_json), f"{bad_json}: field bracket: bracket index 3 out of range")):
+            (("verify", bad_json), f"{bad_json}: field bracket: bracket index 3 out of range"),
+            *_conversion_errors(tmp_path, out)):
         code, stdout, err = run(capsys, *map(str, argv))
         assert (code, stdout, err) == (2, "", f"error: {expected}\n"), argv
     assert not (tmp_path / "x").exists()
@@ -498,11 +519,14 @@ def test_label_clashes_and_ideal_length_exit_2(tmp_path, capsys):
         text = context.replace("basis e 0", f"basis {label} 0")
         cases += [("clash.context", text, ("extend", "--context", "DOC", "--out", out)),
                   ("clash.context", text, ("roundtrip", "DOC"))]
+    clash = "a, h and dual-block labels must be pairwise distinct in 'heisenberg'"
     for name, content, argv in cases:
         f = tmp_path / name
         f.write_text(content)
         code, _, err = run(capsys, *[str(f) if a == "DOC" else a for a in argv])
         assert code == 2 and err.startswith("error: "), (argv, err)
+        if name == "clash.context":
+            assert err == f"error: {f}: {clash}\n", (argv, err)
     assert not (tmp_path / "x").exists()
 
 

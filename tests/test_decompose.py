@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -148,8 +149,11 @@ def test_extract_maps_abelian_all_zero():
     g = odd_hyperbolic_2dim()
     maps = extract_structure_maps(g, [unit_vec(2, 0)], [unit_vec(2, 1)], [])
     assert maps.a_table.entries() == []
-    assert maps.lam.is_zero() and maps.mu.is_zero() and maps.gamma.is_zero()
-    assert all(t.is_zero() for t in maps.rho + maps.tau + maps.sigma)
+    assert maps.lam.is_zero() and maps.mu.is_zero()
+    assert all(t.is_zero() for t in maps.rho)
+    ctx = decompose(g, [unit_vec(2, 0)]).context  # gamma, tau and sigma are Phi, chi and ad*_delta
+    assert ctx.phi.is_zero() and ctx.chi.is_zero()
+    assert all(t.is_zero() for t in ctx.ad_star)
 
 
 def test_extract_maps_heisenberg():
@@ -159,9 +163,11 @@ def test_extract_maps_heisenberg():
     h = [unit_vec(4, 1), unit_vec(4, 2)]
     maps = extract_structure_maps(g, ideal, a, h)
     assert maps.rho[0].matrix == ((ONE, ZERO), (ZERO, -ONE))   # rho(x) = D
-    assert maps.gamma.value(0, 1) == (ONE,)                    # gamma(e,f) = B(De,f)
     assert maps.lam.is_zero() and maps.mu.is_zero()
-    assert all(t.is_zero() for t in maps.tau + maps.sigma)
+    res = decompose(g, ideal)  # on the same split, gamma, tau and sigma are Phi, chi and ad*_delta
+    assert (res.a_basis, res.h_basis) == (tuple(a), tuple(h))
+    assert res.context.phi.value(0, 1) == (ONE,)               # gamma(e,f) = B(De,f)
+    assert res.context.chi.is_zero() and all(t.is_zero() for t in res.context.ad_star)
 
 
 def test_extract_maps_odd_dim1():
@@ -205,8 +211,14 @@ def test_decompose_verifies_sigma_intertwining():
     g = odd_extension_dim1(params)
     res = decompose(g, [unit_vec(2, 1)])
     rep = delta_coadjoint(res.context.a, 1)
-    for i in range(res.context.a.dim):
-        assert linalg.mat_mul(res.xi_delta.matrix, res.maps.sigma[i].matrix) == \
+    na = len(res.a_basis)
+    for i, x in enumerate(res.a_basis):
+        # sigma(x_i): the I-part of [x_i, alpha_c] in the (a, h, I) basis, read through the isometry
+        images = [linalg.mat_vec(res.isometry.matrix, g.bracket.value_vectors(x, alpha))
+                  for alpha in res.ideal_basis]
+        sigma = tuple(tuple(z[g.dim - na + r] for z in images) for r in range(na))
+        assert sigma == res.context.ad_star[i].matrix
+        assert linalg.mat_mul(res.xi_delta.matrix, sigma) == \
             linalg.mat_mul(rep.action[i].matrix, res.xi_delta.matrix)
     assert len(res.ideal_basis) == len(res.a_basis)
 
@@ -259,7 +271,7 @@ def test_extracted_maps_even_and_skew_random_roundtrips():
             na = ctx.a.dim
             ideal = [unit_vec(g.dim, g.dim - na + k) for k in range(na)]
             res = decompose(g, ideal)
-            for bl in (res.maps.lam, res.maps.mu, res.maps.gamma):
+            for bl in (res.maps.lam, res.maps.mu, res.context.phi):
                 assert bl.check_even() is None
                 assert bl.check_super_skew() is None
             assert contexts_equal(ctx, res.context)
@@ -301,9 +313,10 @@ def _corpus_extensions():
 
 
 def test_xi_is_the_identity_on_the_witt_basis():
-    """decompose compares sigma, omega, tau and gamma with their targets
-    index for index; that holds because the Witt complement makes
-    B(I_i, a_j) = delta_ij, so xi_delta and xi are the identity."""
+    """decompose reads omega off mu, and its isometry compares the split's
+    I-components with ad*_delta, chi and Phi, index for index; that holds
+    because the Witt complement makes B(I_i, a_j) = delta_ij, so xi_delta
+    and xi are the identity."""
     golden = Path(__file__).resolve().parent / "golden" / "coprime.algebra"
     coprime = document_to_algebra(parse_document(golden.read_text()))
     cases = [*_corpus_extensions(), (coprime, [unit_vec(coprime.dim, k) for k in (7, 8, 9)])]
@@ -345,11 +358,34 @@ def test_decompose_changes_basis_once(monkeypatch):
         assert counts == {"inverse_ints": 1, "rank": 1, "_bracket_in_basis": 1, "_gram": 6}
 
 
+def _plant_split(maps, block, rng):
+    """maps with one coefficient of the split's tau ([a,h]->I), sigma
+    ([a,I]) or gamma ([h,h]->I) block raised by one, at a position its
+    grading allows, and that pair (p, q); None when the block has no such
+    position."""
+    na, nh = maps.a_space.dim, maps.h_space.dim
+    par = maps.a_space.parities + maps.h_space.parities + maps.ideal_space.parities
+    a, h, i = range(na), range(na, na + nh), range(na + nh, len(par))
+    block_pairs = {"tau": product(a, h), "sigma": product(a, i), "gamma": product(h, h)}[block]
+    spots = [(p, q, k) for p, q in block_pairs for k in i if par[k] == (par[p] + par[q]) % 2]
+    if not spots:
+        return None
+    p, q, k = rng.choice(spots)
+    d, pairs = maps.split
+    w = dict(pairs.get((p, q), {}))
+    w[k] = w.get(k, 0) + d
+    return replace(maps, split=(d, {**pairs, (p, q): {x: c for x, c in w.items() if c}})), (p, q)
+
+
 def _plant_one(maps, block, rng):
     """maps with one coefficient of ``block`` raised by one, at a position its
-    grading allows; None when the block has no such position."""
+    grading allows, and the pair the isometry must name for a plant in the
+    split (else None); None when the block has no such position. tau, sigma
+    and gamma are blocks of the split, which keeps them."""
+    if block in ("tau", "sigma", "gamma"):
+        return _plant_split(maps, block, rng)
     value = getattr(maps, block)
-    if isinstance(value, tuple):  # rho, tau, sigma: one linear map per a-vector
+    if isinstance(value, tuple):  # rho: one linear map per a-vector
         spots = [(x, r, c) for x, t in enumerate(value) for r in range(t.target.dim)
                  for c in range(t.source.dim)
                  if t.target.parity(r) == (t.source.parity(c) + t.degree) % 2]
@@ -360,7 +396,7 @@ def _plant_one(maps, block, rng):
         rows = [list(row) for row in t.matrix]
         rows[r][c] += 1
         bad = GradedLinearMap(t.source, t.target, t.degree, tuple(map(tuple, rows)))
-        return replace(maps, **{block: value[:x] + (bad,) + value[x + 1:]})
+        return replace(maps, **{block: value[:x] + (bad,) + value[x + 1:]}), None
     spots = [(i, j, k) for i in range(value.left.dim) for j in range(value.right.dim)
              for k in range(value.target.dim)
              if value.target.parity(k) == (value.left.parity(i) + value.right.parity(j)) % 2]
@@ -369,21 +405,22 @@ def _plant_one(maps, block, rng):
     i, j, k = rng.choice(spots)
     bad = type(value).from_entries(value.left, value.right, value.target,
                                    value.entries() + [(i, j, k, ONE)])
-    return replace(maps, **{block: bad})
+    return replace(maps, **{block: bad}), None
 
 
 @pytest.mark.parametrize("block, claims", [
     ("rho", {"context", "isometry-bracket"}),
     ("lam", {"context", "isometry-bracket"}),
     ("mu", {"context", "isometry-bracket"}),
-    ("tau", {"tau-chi"}),
-    ("sigma", {"sigma-coadjoint"}),
-    ("gamma", {"gamma-phi"}),
+    ("tau", {"isometry-bracket"}),
+    ("sigma", {"isometry-bracket"}),
+    ("gamma", {"isometry-bracket"}),
 ])
 def test_planted_extraction_corruption_is_caught(monkeypatch, block, claims):
     """One wrong coefficient in an extracted block is caught by the checks
     that remain: the context axioms or the isometry for the maps that enter
-    the context, the realisation checks for the ones that do not."""
+    the context, and the isometry, at the planted pair, for the split's
+    I-components, which nothing else reads."""
     rng = random.Random(block)
     real = dec.extract_structure_maps
     planted = []
@@ -391,8 +428,8 @@ def test_planted_extraction_corruption_is_caught(monkeypatch, block, claims):
     def corrupted(*args):
         maps = real(*args)
         bad = _plant_one(maps, block, rng)
-        planted.append(bad is not None)
-        return maps if bad is None else bad
+        planted.append(bad)
+        return maps if bad is None else bad[0]
 
     monkeypatch.setattr(dec, "extract_structure_maps", corrupted)
     for g, ideal in _corpus_extensions():
@@ -402,9 +439,11 @@ def test_planted_extraction_corruption_is_caught(monkeypatch, block, claims):
             assert planted[-1], "an uncorrupted split was rejected"
             assert exc.claim in claims
             assert exc.violations and exc.violations[0].indices
+            if planted[-1][1] is not None:
+                assert exc.violations[0].indices == planted[-1][1]
         else:
             assert not planted[-1], "a corrupted split was accepted"
-    assert sum(planted) >= 8
+    assert sum(bad is not None for bad in planted) >= 8
 
 
 @pytest.mark.parametrize("label", ["a0", "P(a0)*"])

@@ -861,7 +861,7 @@ def random_vector(rng, space, parity=None):
 def test_apply_sparse_and_form_value_match_dense_products():
     rng = random.Random(41)
     for g, res in splits():
-        maps = [res.isometry, res.xi_delta, *res.maps.rho, *res.maps.tau, *res.maps.sigma,
+        maps = [res.isometry, res.xi_delta, *res.maps.rho, *res.context.ad_star,
                 *res.context.rho, *delta_coadjoint(g.algebra, g.delta).action]
         for t in maps:
             for _ in range(2):
@@ -934,13 +934,20 @@ def test_extension_metric_and_derivations_match_dense_blocks():
 
 
 def test_extracted_rho_tau_sigma_match_a_dense_change_of_basis():
+    """rho is the split's own; tau and sigma, the [a,h]->I and [a,I]
+    components that the isometry certifies, are the context's chi and
+    ad*_delta: tau[i][k][m] = chi(x_i, u_m)_k, xi_delta being the identity."""
     nonzero = 0
     for g, res in splits():
+        ctx = res.context
+        na, nh = ctx.a.dim, ctx.h.dim
         rho, tau, sigma = ref_extracted_maps(g, res.ideal_basis, res.a_basis, res.h_basis)
         assert [t.matrix for t in res.maps.rho] == rho
-        assert [t.matrix for t in res.maps.tau] == tau
-        assert [t.matrix for t in res.maps.sigma] == sigma
-        nonzero += sum(not t.is_zero() for t in res.maps.rho + res.maps.tau + res.maps.sigma)
+        assert [tuple(tuple(ctx.chi.value(i, m)[k] for m in range(nh)) for k in range(na))
+                for i in range(na)] == tau
+        assert [t.matrix for t in ctx.ad_star] == sigma
+        nonzero += sum(not t.is_zero() for t in res.maps.rho + ctx.ad_star)
+        nonzero += sum(any(map(any, t)) for t in tau)
     assert nonzero >= 20
 
 

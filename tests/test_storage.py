@@ -346,11 +346,11 @@ FRACTIONS = [
     (["extend", "--context", "samples/heisenberg.context", "--out", "OUT"], 0),    # 20
     (["extend", "--context", "samples/odd-dim1.context", "--out", "OUT"], 0),      # 6
     (["extend", "--context", "tests/golden/coprime.context", "--out", "OUT"], 0),  # 200
-    (["decompose", "samples/heisenberg.algebra", "--ideal", "samples/heisenberg.ideal", "--out", "OUT"], 12),  # 43
-    (["decompose", "tests/golden/coprime.algebra", "--ideal", "auto", "--out", "OUT"], 27),  # 256
-    (["roundtrip", "samples/heisenberg.context"], 8),                              # 29
-    (["roundtrip", "samples/odd-dim1.context"], 4),                                # 11
-    (["roundtrip", "tests/golden/coprime.context"], 20),                           # 223
+    (["decompose", "samples/heisenberg.algebra", "--ideal", "samples/heisenberg.ideal", "--out", "OUT"], 8),  # 43
+    (["decompose", "tests/golden/coprime.algebra", "--ideal", "auto", "--out", "OUT"], 14),  # 256
+    (["roundtrip", "samples/heisenberg.context"], 4),                              # 29
+    (["roundtrip", "samples/odd-dim1.context"], 2),                                # 11
+    (["roundtrip", "tests/golden/coprime.context"], 10),                           # 223
 ]
 
 
