@@ -8,6 +8,7 @@ from .algebra import (
     QuadraticLieSuperAlgebra,
     Representation,
     SuperBracket,
+    certify_isometry,
     check_invariance,
     check_jacobi,
     coadjoint,
@@ -19,7 +20,6 @@ from .algebra import (
 from .catalog import (
     HeisenbergExtensionParams,
     OddExtensionParams,
-    check_psi_isometry,
     default_heisenberg_params,
     default_odd_dim1_params,
     heisenberg_context,

@@ -265,6 +265,30 @@ def check_invariance(form: GradedBilinearForm, bracket: SuperBracket) -> Violati
     return Violation("invariance", (i, j, k), Fraction(lhs - rhs, d_b * d_f))
 
 
+def certify_isometry(bracket1, metric1, bracket2, metric2) -> Violation | None:
+    """Both brackets and both metrics are equal, so the identity of the basis
+    is an isometry of the first quadratic algebra onto the second; witness on
+    failure. Brackets are integer views ``(d, pairs)``, metrics ``(d, rows)``,
+    each two brought to one scale (``common_scale``). The witness is the
+    first differing pair (p, q), in sorted order, with the dense residual of
+    [e_p, e_q] (``isometry-bracket``), else the first differing (row, column)
+    of the metrics with its residual (``isometry-metric``), residuals first
+    minus second. Tables in two bases are transported to one first."""
+    d, (pairs1, pairs2) = common_scale([bracket1, bracket2])
+    if pairs1 != pairs2:
+        p, q = min(k for k in pairs1.keys() | pairs2.keys() if pairs1.get(k, EMPTY) != pairs2.get(k, EMPTY))
+        res = dict(pairs1.get((p, q), EMPTY))
+        add_scaled(res, -1, pairs2.get((p, q), EMPTY))
+        return Violation("isometry-bracket", (p, q),
+                         dense_vec({k: Fraction(c, d) for k, c in res.items()}, len(metric1[1])))
+    d, (rows1, rows2) = common_scale([metric1, metric2])
+    for p, (row1, row2) in enumerate(zip(rows1, rows2)):
+        if row1 != row2:
+            q = min(q for q in row1.keys() | row2.keys() if row1.get(q, 0) != row2.get(q, 0))
+            return Violation("isometry-metric", (p, q), Fraction(row1.get(q, 0) - row2.get(q, 0), d))
+    return None
+
+
 @dataclass(frozen=True)
 class QuadraticLieSuperAlgebra:
     """Lie superalgebra with an invariant metric, homogeneous of degree delta."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import extension, linalg
 from .algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket
-from .errors import InvalidParams, ValidationError, Violation
+from .errors import InvalidParams
 from .extension import DeltaContext
 from .linalg import Vector, ZERO
 from .spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace, p_delta_dual, sparse_vec
@@ -201,25 +201,6 @@ def psi_preconditions_hold(p: HeisenbergExtensionParams) -> bool:
     # row m of the form: B_h(D(u_m), .)
     w = [p.h.metric.covector(col) for col in p.d.sparse_columns]
     return linalg.rank(w, p.h.dim) == p.h.dim
-
-
-def check_psi_isometry(p: HeisenbergExtensionParams) -> GradedLinearMap:
-    """Verify eta x + u + zeta P(x)* -> eta D + u + zeta hbar onto h(D).
-
-    Entrywise comparison of structure constants and metrics under the basis
-    correspondence; returns the isometry, raises ValidationError on mismatch.
-    """
-    if not psi_preconditions_hold(p):
-        raise InvalidParams("psi-preconditions",
-                            message="h must be Abelian with non-degenerate omega")
-    g = heisenberg_extension(p)
-    target = heisenberg_target(p)
-    if g.bracket.scaled_pairs != target.bracket.scaled_pairs:
-        raise ValidationError(Violation("psi-bracket", (), None,
-                                        "brackets differ under the basis correspondence"))
-    if g.metric.scaled_rows != target.metric.scaled_rows:
-        raise ValidationError(Violation("psi-metric"))
-    return GradedLinearMap.from_entries(g.space, target.space, 0, ((i, i, 1) for i in range(g.dim)))
 
 
 def default_odd_dim1_params(eta=Fraction(1)) -> OddExtensionParams:

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import catalog as cat
-from .algebra import check_invariance, check_jacobi
+from .algebra import certify_isometry, check_invariance, check_jacobi
 from .decompose import decompose, find_central_minimal_ideal
 from .errors import (
     NotHomogeneous,
@@ -243,9 +243,10 @@ def cmd_roundtrip(args) -> int:
     res = decompose(g, ideal, source=ctx)
     print("roundtrip: decomposition claims and isometry verified")
     ext = res.extension
-    if ext.bracket.scaled_pairs != g.bracket.scaled_pairs or ext.metric.scaled_rows != g.metric.scaled_rows:
-        print("roundtrip: re-extension differs from the original", file=sys.stderr)
-        return 1
+    v = certify_isometry(g.bracket.scaled_pairs, g.metric.scaled_rows,
+                         ext.bracket.scaled_pairs, ext.metric.scaled_rows)
+    if v is not None:
+        raise ValidationError(v)
     print("roundtrip: re-extension equals the original exactly")
     if not contexts_equal(ctx, res.context):
         print("roundtrip: reconstructed context differs from the input", file=sys.stderr)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import extension, linalg
-from .algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket
+from .algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket, certify_isometry
 from .errors import (
     ClaimViolated,
     DegenerateInput,
@@ -48,7 +48,6 @@ from .errors import (
 from .extension import DeltaContext
 from .linalg import Vector
 from .spaces import (
-    EMPTY,
     GradedBilinearForm,
     GradedBilinearMap,
     GradedLinearMap,
@@ -181,18 +180,24 @@ def find_central_minimal_ideal(g: QuadraticLieSuperAlgebra) -> list[Vector] | No
     center is the nullspace of the at most n integer covectors B(w, .) of
     that basis. That system has the kernel of the centraliser system
     [x, e_j] = 0, so the same reduced row echelon form and the same
-    canonical nullspace basis. Its vectors are the candidates, scanned in
-    order; None when the center is zero or none of them is isotropic.
+    canonical nullspace basis. One integer Gram of its vectors picks the
+    line: the first with B(z, z) = 0, else the first canonical vector of the
+    radical of B on the center, which is its meet with [g,g]. None when
+    neither exists.
     """
     n = g.dim
     values = [v for (i, j), v in g.bracket.scaled_pairs[1].items() if i <= j]
     rows = g.metric.scaled_rows[1]
     d, center = linalg.nullspace_ints(
         [_covector(rows, values[k]) for k in linalg.extend_independent([], values)], n)
-    for v in center:
-        if not _gram(g.metric, [v], [v])[0]:
-            return [dense_vec({k: Fraction(c, d) for k, c in v.items()}, n)]
-    return None
+    gram = _gram(g.metric, center, center)
+    line = next((v for i, (v, row) in enumerate(zip(center, gram)) if i not in row), None)
+    if line is None:
+        d_r, radical = linalg.nullspace_ints(gram, len(center))
+        if not radical:
+            return None
+        d, line = d * d_r, _covector(center, radical[0])
+    return [dense_vec({k: Fraction(c, d) for k, c in line.items()}, n)]
 
 
 def _dual_vectors(form: GradedBilinearForm, ideal: Sequence, avoid: Sequence) -> tuple[int, tuple[dict, ...]]:
@@ -653,24 +658,11 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
         raise ClaimViolated("context", exc.violations) from exc
 
     # isometry x + u + alpha -> x + u + xi_delta(alpha): with the identity
-    # pairing, its matrix in the split basis is the identity, so the claim is
-    # that g's structure constants and metric in the (a, h, I) basis equal the
-    # extension's exactly; both are compared on integer views at one scale.
-    d, (split, ext_pairs) = common_scale([maps.split, bracket.scaled_pairs])
-    for p, q in sorted(split.keys() | ext_pairs.keys()):
-        w = split.get((p, q), EMPTY)
-        if w != ext_pairs.get((p, q), EMPTY):
-            res = dict(w)
-            add_scaled(res, -1, ext_pairs.get((p, q), EMPTY))
-            res = {k: Fraction(c, d) for k, c in res.items()}
-            raise ClaimViolated("isometry-bracket",
-                                [Violation("isometry-bracket", (p, q), dense_vec(res, g.dim))])
-    _, (rows, ext_rows) = common_scale([gram, metric.scaled_rows])
-    for p, row in enumerate(rows):
-        if row != ext_rows[p]:
-            q = min(q for q in row.keys() | ext_rows[p].keys()
-                    if row.get(q, 0) != ext_rows[p].get(q, 0))
-            raise ClaimViolated("isometry-metric", [Violation("isometry-metric", (p, q))])
+    # pairing, its matrix in the split basis is the identity, so g's tables
+    # in the (a, h, I) basis must equal the extension's exactly.
+    v = certify_isometry(maps.split, gram, bracket.scaled_pairs, metric.scaled_rows)
+    if v is not None:
+        raise ClaimViolated(v.equation, [v])
     if context is not source:
         ext = _by_transport(bracket, parities, metric)
         vars(context)["extension"] = ext  # the cache of DeltaContext.extension

@@ -29,16 +29,17 @@ from superquad.algebra import (
     LieSuperAlgebra,
     QuadraticLieSuperAlgebra,
     SuperBracket,
+    certify_isometry,
     check_invariance,
     check_jacobi,
     delta_coadjoint,
 )
 from superquad.catalog import (
-    check_psi_isometry,
     default_heisenberg_params,
     default_odd_dim1_params,
     heisenberg_context,
     heisenberg_extension,
+    heisenberg_target,
     odd_extension_context,
     odd_extension_dim1,
     psi_preconditions_hold,
@@ -157,7 +158,9 @@ def test_criterion_6_catalog_specialisations():
         assert g1.bracket.table == g2.bracket.table
         assert g1.metric.matrix == g2.metric.matrix
         if psi_preconditions_hold(p):
-            check_psi_isometry(p)
+            target = heisenberg_target(p)
+            assert certify_isometry(g1.bracket.scaled_pairs, g1.metric.scaled_rows,
+                                    target.bracket.scaled_pairs, target.metric.scaled_rows) is None
             psi_checked += 1
     odd_params = [default_odd_dim1_params(F(1))] + [random_odd_dim1_params(rng)
                                                     for _ in range(20)]

@@ -5,11 +5,10 @@ import pytest
 
 from generators import ad_map, build_bracket, identity_map, random_heisenberg_params, random_odd_dim1_params
 from superquad import linalg
-from superquad.algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, check_jacobi
+from superquad.algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket, certify_isometry, check_jacobi
 from superquad.catalog import (
     HeisenbergExtensionParams,
     OddExtensionParams,
-    check_psi_isometry,
     default_heisenberg_params,
     default_odd_dim1_params,
     heisenberg_context,
@@ -169,32 +168,75 @@ def test_catalog_equals_generic_double_extension():
         assert o1.metric.matrix == o2.metric.matrix
 
 
+def isometry(g, target):
+    """``certify_isometry`` of the identity of the basis, g onto target."""
+    return certify_isometry(g.bracket.scaled_pairs, g.metric.scaled_rows,
+                            target.bracket.scaled_pairs, target.metric.scaled_rows)
+
+
 def test_psi_isometry_default_instance():
+    """eta x + u + zeta P(x)* -> eta D + u + zeta hbar is an isometry onto h(D)."""
     p = default_heisenberg_params()
     assert psi_preconditions_hold(p)
-    psi = check_psi_isometry(p)
-    assert psi.matrix == linalg.identity_mat(4)
-    target = heisenberg_target(p)
+    g, target = heisenberg_extension(p), heisenberg_target(p)
+    assert isometry(g, target) is None
+    assert g.space.labels == ("x", "e", "f", "P(x)*")
     assert target.space.labels == ("D", "e", "f", "hbar")
     # hbar is central and pairs with D
     assert all(not any(target.bracket.value(3, j)) for j in range(4))
     assert target.metric.matrix[0][3] == ONE
 
 
+def test_psi_isometry_reports_a_planted_coefficient():
+    """One structure constant, and apart from it one metric entry, planted
+    in a copy of h(D) is the witness of the isometry from the Heisenberg
+    extension: its pair with the residual extension minus copy, -c at the
+    planted coordinate, whether or not h(D) has a nonzero there."""
+    rng = random.Random(26)
+    params = [default_heisenberg_params(k) for k in (1, 2, 3)]
+    params += [p for p in (random_heisenberg_params(rng) for _ in range(30)) if psi_preconditions_hold(p)]
+    assert len(params) >= 8
+    zero_in_target = 0
+    for p in params:
+        g, target = heisenberg_extension(p), heisenberg_target(p)
+        n = g.dim
+        i, j, k = (rng.randrange(n) for _ in range(3))
+        c = F(rng.choice((-5, -1, 2, 7)), rng.choice((1, 3)))
+        zero_in_target += target.bracket.value(i, j)[k] == ZERO
+        planted = SuperBracket.from_entries(target.space, target.bracket.entries() + [(i, j, k, c)])
+        v = certify_isometry(g.bracket.scaled_pairs, g.metric.scaled_rows,
+                             planted.scaled_pairs, target.metric.scaled_rows)
+        assert (v.equation, v.indices) == ("isometry-bracket", (i, j))
+        assert v.residual == tuple(-c if r == k else ZERO for r in range(n))
+        i, j = rng.randrange(n), rng.randrange(n)
+        planted = GradedBilinearForm.from_entries(target.space, target.delta, target.metric.entries() + [(i, j, c)])
+        v = certify_isometry(g.bracket.scaled_pairs, g.metric.scaled_rows,
+                             target.bracket.scaled_pairs, planted.scaled_rows)
+        assert (v.equation, v.indices, v.residual) == ("isometry-metric", (i, j), -c)
+    assert zero_in_target >= 3
+
+
 def test_psi_preconditions_rejected():
+    """With D = 0, h(D) is abelian, not a Heisenberg superalgebra, although
+    the catalog extension and h(D) still share their tables."""
     h = hyperbolic_pair()
     p = HeisenbergExtensionParams(h, GradedLinearMap.zero(h.space, h.space, 0))
     assert not psi_preconditions_hold(p)
-    with pytest.raises(InvalidParams) as exc:
-        check_psi_isometry(p)
-    assert exc.value.condition == "psi-preconditions"
+    assert isometry(heisenberg_extension(p), heisenberg_target(p)) is None
 
 
 def test_psi_skipped_for_nonabelian_h():
+    """Over a non-abelian h, h(D) drops h's own bracket, so the
+    correspondence fails at the first pair of h with a nonzero bracket, and
+    the residual is that bracket."""
     h4 = heisenberg_extension(default_heisenberg_params())
     d = ad_map(h4.bracket, 0)
     p = HeisenbergExtensionParams(h4, d)
     assert not psi_preconditions_hold(p)
+    v = isometry(heisenberg_extension(p), heisenberg_target(p))
+    i, j = min(h4.bracket.scaled_pairs[1])
+    assert (v.equation, v.indices) == ("isometry-bracket", (1 + i, 1 + j))
+    assert v.residual == (ZERO, *h4.bracket.value(i, j), ZERO)
 
 
 def test_nested_extension_labels_stay_unique():

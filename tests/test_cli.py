@@ -14,6 +14,7 @@ from superquad.fileformat import (
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -187,15 +188,47 @@ def test_decompose_without_metric_is_a_usage_error(tmp_path, capsys):
 
 
 def test_decompose_auto_fails_cleanly_without_central_line(tmp_path, capsys):
+    """sl2 has a zero centre; the even line with B(x, x) = 1 is its own
+    centre, with no isotropic vector and no radical."""
     from generators import _sl2_killing
-    f = tmp_path / "sl2.alg"
-    f.write_text(serialize_document(algebra_to_document(_sl2_killing(), "sl2"), "text"))
-    code, _, err = run(capsys, "decompose", str(f), "--ideal", "auto",
-                       "--out", str(tmp_path / "x"))
-    assert code == 2
-    assert err == (f"error: {f}: auto ideal discovery handles only the central case and found no "
-                   "isotropic central line; supply --ideal FILE\n")
-    assert not (tmp_path / "x").exists()
+    sl2, z = tmp_path / "sl2.alg", tmp_path / "z.alg"
+    sl2.write_text(serialize_document(algebra_to_document(_sl2_killing(), "sl2"), "text"))
+    z.write_text("algebra z\nbasis x 0\nmetric-degree 0\nmetric 0 0 1\nend algebra\n")
+    for f in (sl2, z):
+        code, _, err = run(capsys, "decompose", str(f), "--ideal", "auto",
+                           "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert err == (f"error: {f}: auto ideal discovery handles only the central case and found no "
+                       "isotropic central line; supply --ideal FILE\n")
+        assert not (tmp_path / "x").exists()
+
+
+def test_decompose_auto_takes_the_radical_line_of_the_centre(tmp_path, capsys):
+    """No canonical basis vector of this algebra's centre is isotropic
+    (their Gram is [[1, 3], [3, 9]]), so --ideal auto takes the first
+    canonical vector of the Gram's radical, the line -3 z_1 + z_2, which is
+    central, isotropic and orthogonal to the whole centre. decompose along
+    it exits 0, and the recovered context extends to an algebra that
+    verifies."""
+    from superquad.decompose import find_central_minimal_ideal
+    from superquad.fileformat import document_to_algebra
+    from superquad.linalg import nullspace
+
+    f = DATA / "oscillator-line.algebra"
+    g = document_to_algebra(parse_document(f.read_text()))
+    n = g.dim
+    z1, z2 = nullspace([[g.bracket.value(i, j)[k] for i in range(n)] for j in range(n) for k in range(n)], n)
+    assert [[g.metric.value(u, w) for w in (z1, z2)] for u in (z1, z2)] == [[1, 3], [3, 9]]
+    (line,) = find_central_minimal_ideal(g)
+    assert line == tuple(-3 * a + b for a, b in zip(z1, z2))
+
+    ctx, alg = tmp_path / "o.context", tmp_path / "o.algebra"
+    code, out, err = run(capsys, "decompose", str(f), "--ideal", "auto", "--out", str(ctx))
+    assert (code, err) == (0, "")
+    assert out == f"decomposed oscillator-line: dim a 1, dim h 3, ideal dim 1; isometry verified -> {ctx}\n"
+    assert run(capsys, "extend", "--context", str(ctx), "--out", str(alg))[0] == 0
+    code, out, _ = run(capsys, "verify", str(alg))
+    assert code == 0 and out.endswith("RESULT ok\n")
 
 
 def test_decompose_empty_ideal_document_is_a_usage_error(tmp_path, capsys):
@@ -679,6 +712,46 @@ def test_roundtrip_certifies_each_distinct_bracket_once(tmp_path, capsys, monkey
             assert run(capsys, *argv)[0] == 0
             jacobi, invariance = calls["check_jacobi"], calls["check_invariance"]
             assert (len(jacobi), len(set(jacobi)), len(invariance)) == expected, argv
+
+
+@pytest.mark.parametrize("sample", [SAMPLES / "heisenberg.context", SAMPLES / "odd-dim1.context",
+                                    GOLDEN / "coprime.context"], ids=lambda p: p.name)
+def test_roundtrip_reports_a_re_extension_that_differs(sample, capsys, monkeypatch):
+    """A re-extension with one planted structure constant, or apart from it
+    one planted metric entry, fails roundtrip's isometry certificate: exit 1
+    with the isometry-bracket or isometry-metric witness and its residual,
+    the original's value minus the planted one, after the three lines a
+    passing roundtrip prints first."""
+    import dataclasses
+    from fractions import Fraction
+    from types import SimpleNamespace
+
+    import superquad.cli as cli
+    from superquad.algebra import SuperBracket
+    from superquad.spaces import GradedBilinearForm
+
+    code, passing, _ = run(capsys, "roundtrip", str(sample))
+    assert code == 0
+    head = "".join(passing.splitlines(keepends=True)[:3])
+    zeros = ", ".join(["0"] * (int(head.splitlines()[1].split()[-1]) - 1))  # the rest of [e_0, e_0]
+    real = cli.decompose
+    c = Fraction(2, 3)
+    for plant, expected in (("bracket", "isometry-bracket: witness (0,0) residual (-2/3, {zeros})"),
+                            ("metric", "isometry-metric: witness (0,0) residual -2/3")):
+        def planting(g, ideal, **kwargs):
+            res = real(g, ideal, **kwargs)
+            ext = res.extension
+            bracket, metric = ext.bracket, ext.metric
+            if plant == "bracket":
+                bracket = SuperBracket.from_entries(ext.space, bracket.entries() + [(0, 0, 0, c)])
+            else:
+                metric = GradedBilinearForm.from_entries(ext.space, metric.degree, metric.entries() + [(0, 0, c)])
+            return dataclasses.replace(res, extension=SimpleNamespace(bracket=bracket, metric=metric))
+
+        monkeypatch.setattr(cli, "decompose", planting)
+        code, out, err = run(capsys, "roundtrip", str(sample))
+        assert (code, out) == (1, head)
+        assert err == "violation: " + expected.format(zeros=zeros) + "\n"
 
 
 @pytest.mark.parametrize("command", ["extend", "verify", "decompose"])

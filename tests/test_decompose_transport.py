@@ -255,20 +255,25 @@ def test_auto_line_splits_into_blocks_the_scans_accept(seed, delta):
 # The centre as [g,g]^perp
 
 
-def centraliser_pick(g):
+def centraliser_pick(g, radical=True):
     """The centre as the nullspace of the centraliser system [x, e_j]_k = 0,
     one row per (j, k), read from the bracket's integer view: the first
-    isotropic vector of its canonical basis, dense, or None."""
+    isotropic vector of its canonical basis, else sum_i r_i z_i for r the
+    first canonical vector of the nullspace of the Gram B(z_i, z_j) of that
+    basis (with ``radical`` on), read on dense vectors, dense, or None."""
     rows: dict = {}
     for (i, j), v in g.bracket.scaled_pairs[1].items():
         for k, c in v.items():
             rows.setdefault((j, k), {})[i] = c
     d, center = linalg.nullspace_ints([rows[key] for key in sorted(rows)], g.dim)
-    for v in center:
-        u = dense_vec({k: Fraction(c, d) for k, c in v.items()}, g.dim)
+    basis = [dense_vec({k: Fraction(c, d) for k, c in v.items()}, g.dim) for v in center]
+    for u in basis:
         if g.metric.value(u, u) == 0:
             return [u]
-    return None
+    radical = linalg.nullspace([[g.metric.value(u, w) for w in basis] for u in basis], len(basis)) if radical else []
+    if not radical:
+        return None
+    return [tuple(sum(r * u[k] for r, u in zip(radical[0], basis)) for k in range(g.dim))]
 
 
 def test_centre_from_the_derived_algebra_matches_the_centraliser_system():
@@ -284,5 +289,7 @@ def test_centre_from_the_derived_algebra_matches_the_centraliser_system():
     assert picks == [centraliser_pick(g) for g in algebras]
     assert len(algebras) >= 200
     assert sum(p is None for p in picks) >= 5 and sum(p is not None for p in picks) >= 100
+    # picks no canonical centre vector gives, each a line of the radical of B on the centre
+    assert sum(p is not None and centraliser_pick(g, radical=False) is None for p, g in zip(picks, algebras)) >= 3
     assert any(any(c not in (0, 1) for c in p[0]) for p in picks if p is not None)
     assert centraliser_pick(_sl2_killing()) is None

@@ -40,16 +40,17 @@ def test_unused_import_is_reported():
 # extension, Theta and the semi-direct product, whose tables
 # ``extension_tables`` assembles in one place), or README's "Public API"
 # section names it (the dense views, the coadjoint representation, the
-# parity-shift transfer, the isometry onto h(D), a map applied to a sparse
-# vector, the parity of a dense vector and xi of any ideal and complement,
-# which decompose fixes by the Witt pairing instead).
+# parity-shift transfer, h(D) and the test of its Heisenberg shape, whose
+# isometry from the catalog extension ``certify_isometry`` checks, a map
+# applied to a sparse vector, the parity of a dense vector and xi of any
+# ideal and complement, which decompose fixes by the Witt pairing instead).
 KEPT = {**dict.fromkeys(("rref", "table", "in_span", "solve", "semidirect_product", "central_extension",
                          "extension_derivations"), "perfbench/tracer.py"),
         **dict.fromkeys(("mat", "mat_vec", "mat_mul", "mat_add", "mat_scale", "zero_mat", "identity_mat",
                          "nullspace", "canonical"),
                         "perfbench/gen.py"),
-        **dict.fromkeys(("matrix", "value_vectors", "coadjoint", "parity_shift_map", "check_psi_isometry",
-                         "apply_sparse", "vector_parity", "build_xi"), "README API")}
+        **dict.fromkeys(("matrix", "value_vectors", "coadjoint", "parity_shift_map", "heisenberg_target",
+                         "psi_preconditions_hold", "apply_sparse", "vector_parity", "build_xi"), "README API")}
 
 
 def unreached(sources: dict[str, str]) -> list[str]:

@@ -432,14 +432,15 @@ def test_isometry_witness_on_a_planted_extension(monkeypatch):
 def test_isometry_metric_witness_on_a_planted_extension(monkeypatch):
     """An entry planted in the re-extension's metric, after its bracket has
     passed, is reported by isometry-metric at its (row, column), the first
-    that differs, and the planted tables are never built into an algebra."""
+    that differs, with the residual g's entry minus the re-extension's, and
+    the planted tables are never built into an algebra."""
     rng = random.Random(38)
     planted_at = []
 
     def plant(bracket, metric):
         i, j = (rng.randrange(metric.space.dim) for _ in range(2))
-        planted_at.append((i, j))
         c = rand_scalar(rng, nonzero=True)
+        planted_at.append(((i, j), c))
         return bracket, GradedBilinearForm.from_entries(metric.space, metric.degree, metric.entries() + [(i, j, c)])
 
     samples, built = planted_tables(monkeypatch, plant)
@@ -448,7 +449,9 @@ def test_isometry_metric_witness_on_a_planted_extension(monkeypatch):
         with pytest.raises(ClaimViolated) as exc:
             dec.decompose(g, [unit_vec(g.dim, g.dim - na + k) for k in range(na)])
         (v,) = exc.value.violations
-        assert (exc.value.claim, v.equation, v.indices) == ("isometry-metric", "isometry-metric", planted_at[-1])
+        (i, j), c = planted_at[-1]
+        assert (exc.value.claim, v.equation, v.indices, v.residual) == ("isometry-metric", "isometry-metric",
+                                                                         (i, j), -c)
     assert built == []
 
 

@@ -354,7 +354,7 @@ FRACTIONS = [
 ]
 
 
-@pytest.mark.parametrize("argv, pinned", FRACTIONS, ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
+@pytest.mark.parametrize("argv, pinned", FRACTIONS, ids=[" ".join(argv) for argv, _ in FRACTIONS])
 def test_fractions_built_per_command(argv, pinned, tmp_path):
     """Counted around ``cli.main`` after one warm-up run: a passing verify,
     reading and checking integers only, builds none, and neither does extend,
