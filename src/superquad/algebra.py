@@ -37,7 +37,6 @@ from .spaces import (
     apply_p_delta,
     check_form_degree,
     common_scale,
-    dense_vec,
     drop_zeros,
     dual_space,
     sparse_transpose,
@@ -175,7 +174,7 @@ def cyclic_violation(name: str, par: Sequence[int], terms, ijk, scale: int, dim:
         return out
 
     res = cyclic_residual(par, *ijk, piece)
-    return Violation(name, ijk, dense_vec({m: Fraction(c, scale) for m, c in res.items()}, dim))
+    return Violation(name, ijk, linalg._dense(scale, res, dim))
 
 
 def check_jacobi(bracket: SuperBracket) -> Violation | None:
@@ -280,7 +279,7 @@ def certify_isometry(bracket1, metric1, bracket2, metric2) -> Violation | None:
         res = dict(pairs1.get((p, q), EMPTY))
         add_scaled(res, -1, pairs2.get((p, q), EMPTY))
         return Violation("isometry-bracket", (p, q),
-                         dense_vec({k: Fraction(c, d) for k, c in res.items()}, len(metric1[1])))
+                         linalg._dense(d, res, len(metric1[1])))
     d, (rows1, rows2) = common_scale([metric1, metric2])
     for p, (row1, row2) in enumerate(zip(rows1, rows2)):
         if row1 != row2:
@@ -312,7 +311,7 @@ class QuadraticLieSuperAlgebra:
         if not self.metric.is_non_degenerate():  # witness: the radical's first canonical vector
             n = self.space.dim
             d, radical = linalg.nullspace_ints(self.metric.scaled_rows[1], n)
-            witness = dense_vec({k: Fraction(c, d) for k, c in radical[0].items()}, n)
+            witness = linalg._dense(d, radical[0], n)
             raise ValidationError(Violation("non-degenerate", (), witness,
                                             f"metric rank {self.metric.rank()} below dim {n}"))
 

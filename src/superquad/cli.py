@@ -163,16 +163,8 @@ def cmd_verify(args) -> int:
     return 0 if ok_all else 1
 
 
-def _load_context(path: str) -> ContextDocument:
-    """A context document with a metric on its h-algebra and none on its a-algebra."""
-    doc = _load(path, ContextDocument, "a context")
-    if doc.h_doc.metric_degree is None or doc.a_doc.metric_degree is not None:
-        raise ParseError("a context needs a metric-degree on its h-algebra and none on its a-algebra", path=path)
-    return doc
-
-
 def cmd_extend(args) -> int:
-    doc = _load_context(args.context)
+    doc = _load(args.context, ContextDocument, "a context")
     g = double_extend(_converted(args.context, document_to_context, doc))
     out_doc = algebra_to_document(g, doc.name)
     _write(args.out, serialize_document(out_doc, args.format))
@@ -189,8 +181,8 @@ def cmd_decompose(args) -> int:
     if args.ideal == "auto":
         ideal = find_central_minimal_ideal(g)
         if ideal is None:
-            raise ParseError("auto ideal discovery handles only the central case and found no "
-                             "isotropic central line; supply --ideal FILE", path=args.file)
+            raise ParseError("auto ideal discovery handles only the central case: no canonical centre vector is "
+                             "isotropic and B has no radical on the centre; supply --ideal FILE", path=args.file)
     else:
         ideal_doc = _load(args.ideal, IdealDocument, "an ideal")
         ideal = list(ideal_doc.vectors)
@@ -231,7 +223,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    doc = _load_context(args.context)
+    doc = _load(args.context, ContextDocument, "a context")
     if not doc.a_doc.basis:
         raise ParseError("roundtrip needs dim a > 0: it decomposes along the nonzero dual block", path=args.context)
     ctx = _converted(args.context, document_to_context, doc)

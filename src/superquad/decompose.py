@@ -197,7 +197,7 @@ def find_central_minimal_ideal(g: QuadraticLieSuperAlgebra) -> list[Vector] | No
         if not radical:
             return None
         d, line = d * d_r, _covector(center, radical[0])
-    return [dense_vec({k: Fraction(c, d) for k, c in line.items()}, n)]
+    return [linalg._dense(d, line, n)]
 
 
 def _dual_vectors(form: GradedBilinearForm, ideal: Sequence, avoid: Sequence) -> tuple[int, tuple[dict, ...]]:
@@ -433,7 +433,7 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
     scale = split[0]
 
     def dense(v: dict, dim: int):  # a block component of a witness, divided back
-        return dense_vec({k: Fraction(c, scale) for k, c in v.items()}, dim)
+        return linalg._dense(scale, v, dim)
 
     # pairs with a zero bracket pass every block rule, so only nonzeros are visited
     for (p, q), z in split[1].items():
@@ -543,9 +543,8 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> ScaledVecto
                 raise ClaimViolated("ideal-abelian", [Violation("ideal-abelian", (i, j))])
     k = next(iter(linalg.extend_independent(e, images)), None)
     if k is not None:
-        image = {c: Fraction(x, d_b * d_e) for c, x in images[k].items()}
         raise ClaimViolated("ideal-invariant",
-                            [Violation("ideal-invariant", divmod(k, len(e)), dense_vec(image, n))])
+                            [Violation("ideal-invariant", divmod(k, len(e)), linalg._dense(d_b * d_e, images[k], n))])
     return ideal
 
 

@@ -6,24 +6,28 @@ and reduced, plain "p" for integers). Serialisers emit entries in sorted
 order and never emit zero coefficients, so serialise(parse(text)) is the
 canonical form of text and parse(serialise(doc)) == doc exactly. A JSON
 rendering with identical content is available for machine consumers; inputs
-are auto-detected by their first character.
+are auto-detected by their first character. An algebra document without a
+metric section describes a plain Lie superalgebra.
 
-An algebra document without a metric section describes a plain Lie
-superalgebra; the a-algebra embedded in a context document must not carry
-one.
+Each reader tokenises a document in its own loop, then applies the document
+rules, written once for both: parity, metric degree and delta are 0 or 1,
+every index read is inside its bound, a zero coefficient's too, and an
+ideal's vectors have one length. A broken rule reads the same in both
+syntaxes after its location: the entry's line in text, ``input`` in JSON.
+``document_to_context`` adds that the h-algebra has a metric, the a-algebra none.
 
-The readers parse each coefficient into a numerator and a denominator and
-keep each table of the document as integers, ``(d, {indices: n})``; the
-tuples of ``Fraction`` entries that the document classes hold are built
-only when read, so a passing ``verify`` builds no ``Fraction``. The maps
-are made from those integers (``from_ints``), documents made from
-structures keep the maps' integer states, and the writers format every
-coefficient from integers, after one ``normalize`` per table, which
-refuses a float or a bool coefficient with TypeError.
+The readers keep each table as integers, ``(d, {indices: n})``; the
+``Fraction`` entry tuples of the document classes are built only when read,
+so a passing ``verify`` builds no ``Fraction``. Maps are made from those
+integers (``from_ints``), documents made from structures keep the maps'
+integer states, and the writers format every coefficient from integers,
+after one ``normalize`` per table, which refuses a float or a bool
+coefficient with TypeError.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -32,7 +36,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket
-from .errors import ParseError, ValidationError, Violation
+from .errors import ParseError
 from .extension import DeltaContext
 from .linalg import Vector
 from .spaces import (
@@ -220,10 +224,12 @@ class _Cursor:
             raise self.end_of_input()
         return row
 
-    def expect_done(self, block: str) -> None:
-        row = next(self.lines, None)
-        if row is not None:
-            raise ParseError(f"trailing content after 'end {block}'", row[0])
+    def line_of(self, head: int, end: int, keyword: str, key) -> int:
+        """The line, between lines head and end, of the ``keyword`` entry with
+        the indices key, or of the key-th ``keyword`` line if key is an int."""
+        rows = [num for num, fields in self.rows if head < num < end and fields[0] == keyword
+                and (isinstance(key, int) or tuple(map(int, fields[1:-1])) == key)]
+        return rows[key if isinstance(key, int) else 0]
 
 
 def _int(tok: str, line: int, what: str) -> int:
@@ -240,15 +246,6 @@ def _indices(fields: list[str], line: int) -> tuple[int, ...]:
     return tuple(_int(tok, line, what) for tok, what in zip(fields[1:-1], "ijk"))
 
 
-def _scaled(table: dict) -> tuple[int, dict]:
-    """(d, {indices: n}) of a table {indices: (n, q)} as ``_ratio`` reads
-    it, d the lcm of its denominators; zeros are kept."""
-    d = math.lcm(*{q for _, q in table.values()})
-    if d == 1:
-        return 1, {key: n for key, (n, _) in table.items()}
-    return d, {key: n * (d // q) for key, (n, q) in table.items()}
-
-
 def _written(doc: _Tables, name: str) -> list[tuple]:
     """Table ``name`` of a document as the writers emit it: (*indices, text)
     in sorted order, zeros dropped, each coefficient as ``format_scalar``
@@ -258,15 +255,61 @@ def _written(doc: _Tables, name: str) -> list[tuple]:
     return [key + (_ratio_text(n, d),) for key, n in table.items()]
 
 
-def _check_range(cur: _Cursor, head: int, end: int, what: str, table: dict, bounds, message: str) -> None:
-    """A ParseError at the line, between lines head and end, of the first ``what`` entry out of range."""
+# ---------------------------------------------------------------------------
+# The document rules; ``locate(keyword, key)`` is the line a broken one names
+
+
+def _input(keyword: str, key) -> int:
+    """``locate`` of a JSON document: its errors point at the whole input."""
+    return 0
+
+
+def _bits(values, what: str, locate, keyword: str) -> None:
+    """Parity, metric degree and delta are 0 or 1; value k is on the k-th ``keyword`` line."""
+    if not {0, 1}.issuperset(values):
+        k = next(k for k, value in enumerate(values) if value not in (0, 1))
+        raise ParseError(f"{what} must be 0 or 1, got {values[k]}", locate(keyword, k))
+
+
+def _table(table: dict, bounds, what: str, owner: str, locate) -> tuple[int, dict]:
+    """(d, {indices: n}), d the lcm of the denominators, zeros kept, of a table
+    {indices: (n, q)} whose indices are all inside their bounds; the first
+    entry out of range, in index order, is refused."""
     bad = out_of_range(table, bounds)
     if bad is not None:
-        raise ParseError(message, next(num for num, fields in cur.rows if head < num < end
-                                       and fields[0] == what and tuple(map(int, fields[1:-1])) == bad[0]))
+        raise ParseError(f"{what} index {bad[1]} out of range in {owner!r}", locate(what, bad[0]))
+    d = math.lcm(*{q for _, q in table.values()})
+    if d == 1:
+        return 1, {key: n for key, (n, _) in table.items()}
+    return d, {key: n * (d // q) for key, (n, q) in table.items()}
 
 
-def _parse_algebra_block(cur: _Cursor) -> AlgebraDocument:
+def _algebra_document(name: str, basis: list, degree, bracket: dict, metric: dict, locate) -> AlgebraDocument:
+    _bits([p for _, p in basis], "parity", locate, "basis")
+    if degree is not None:
+        _bits((degree,), "metric degree", locate, "metric-degree")
+    dim = len(basis)
+    tables = {"bracket": _table(bracket, (dim, dim, dim), "bracket", name, locate),
+              "metric": _table(metric, (dim, dim), "metric", name, locate)}
+    return AlgebraDocument.from_ints(tables, name=name, basis=tuple(basis), metric_degree=degree)
+
+
+def _context_document(name: str, delta: int, h_doc, a_doc, tables: dict, locate) -> ContextDocument:
+    _bits((delta,), "delta", locate, "delta")
+    na, nh = len(a_doc.basis), len(h_doc.basis)
+    ints = {field: _table(tables[what], bounds, what, name, locate) for field, what, bounds in (
+        ("rho", "rho", (na, nh, nh)), ("lam", "lambda", (na, na, nh)), ("omega", "omega", (na, na, na)))}
+    return ContextDocument.from_ints(ints, name=name, delta=delta, h_doc=h_doc, a_doc=a_doc)
+
+
+def _ideal_document(name: str, vectors: list, locate) -> IdealDocument:
+    for k, v in enumerate(vectors):
+        if len(v) != len(vectors[0]):
+            raise ParseError("ideal vectors have inconsistent lengths", locate("vector", k))
+    return IdealDocument(name, tuple(vectors))
+
+
+def _parse_algebra(cur: _Cursor) -> AlgebraDocument:
     head, fields = cur.next()
     if fields[0] != "algebra" or len(fields) != 2:
         raise ParseError("expected 'algebra NAME'", head)
@@ -303,16 +346,11 @@ def _parse_algebra_block(cur: _Cursor) -> AlgebraDocument:
         elif key == "basis":
             if len(fields) != 3:
                 raise ParseError("expected 'basis LABEL PARITY'", line)
-            p = _int(fields[2], line, "parity")
-            if p not in (0, 1):
-                raise ParseError(f"parity must be 0 or 1, got {p}", line)
-            basis.append((fields[1], p))
+            basis.append((fields[1], _int(fields[2], line, "parity")))
         elif key == "metric-degree":
             if len(fields) != 2 or metric_degree is not None:
                 raise ParseError("expected a single 'metric-degree D'", line)
             metric_degree = _int(fields[1], line, "degree")
-            if metric_degree not in (0, 1):
-                raise ParseError("metric degree must be 0 or 1", line)
         elif key == "end":
             if fields != ["end", "algebra"]:
                 raise ParseError("expected 'end algebra'", line)
@@ -321,18 +359,7 @@ def _parse_algebra_block(cur: _Cursor) -> AlgebraDocument:
             raise ParseError(f"unknown algebra line {key!r}", line)
     else:
         raise cur.end_of_input()
-    dim = len(basis)
-    # every index read is checked, a zero coefficient's too, before the zeros are dropped
-    for what, table, bounds in (("bracket", bracket, (dim, dim, dim)), ("metric", metric, (dim, dim))):
-        _check_range(cur, head, line, what, table, bounds, f"{what} index out of range in {name!r}")
-    return AlgebraDocument.from_ints({"bracket": _scaled(bracket), "metric": _scaled(metric)},
-                                     name=name, basis=tuple(basis), metric_degree=metric_degree)
-
-
-def _parse_algebra(cur: _Cursor) -> AlgebraDocument:
-    doc = _parse_algebra_block(cur)
-    cur.expect_done("algebra")
-    return doc
+    return _algebra_document(name, basis, metric_degree, bracket, metric, functools.partial(cur.line_of, head, line))
 
 
 def serialize_algebra_lines(doc: AlgebraDocument) -> list[str]:
@@ -359,16 +386,14 @@ def _parse_context(cur: _Cursor) -> ContextDocument:
     if fields[0] != "delta" or len(fields) != 2:
         raise ParseError("expected 'delta D'", line)
     delta = _int(fields[1], line, "delta")
-    if delta not in (0, 1):
-        raise ParseError("delta must be 0 or 1", line)
     line, fields = cur.next()
     if fields != ["h-algebra"]:
         raise ParseError("expected 'h-algebra'", line)
-    h_doc = _parse_algebra_block(cur)
+    h_doc = _parse_algebra(cur)
     line, fields = cur.next()
     if fields != ["a-algebra"]:
         raise ParseError("expected 'a-algebra'", line)
-    a_doc = _parse_algebra_block(cur)
+    a_doc = _parse_algebra(cur)
     tables: dict[str, dict] = {"rho": {}, "lambda": {}, "omega": {}}
     for line, fields in cur.lines:
         key = fields[0]
@@ -390,13 +415,7 @@ def _parse_context(cur: _Cursor) -> ContextDocument:
         table[trip] = _ratio(fields[4], line)
     else:
         raise cur.end_of_input()
-    cur.expect_done("context")
-    na, nh = len(a_doc.basis), len(h_doc.basis)
-    for what, bounds in (("rho", (na, nh, nh)), ("lambda", (na, na, nh)), ("omega", (na, na, na))):
-        _check_range(cur, head, line, what, tables[what], bounds, f"{what} index out of range")
-    return ContextDocument.from_ints(
-        {"rho": _scaled(tables["rho"]), "lam": _scaled(tables["lambda"]), "omega": _scaled(tables["omega"])},
-        name=name, delta=delta, h_doc=h_doc, a_doc=a_doc)
+    return _context_document(name, delta, h_doc, a_doc, tables, functools.partial(cur.line_of, head, line))
 
 
 def serialize_context_text(doc: ContextDocument) -> str:
@@ -411,9 +430,9 @@ def serialize_context_text(doc: ContextDocument) -> str:
 
 
 def _parse_ideal(cur: _Cursor) -> IdealDocument:
-    line, fields = cur.next()
+    head, fields = cur.next()
     if fields[0] != "ideal" or len(fields) != 2:
-        raise ParseError("expected 'ideal NAME'", line)
+        raise ParseError("expected 'ideal NAME'", head)
     name = fields[1]
     vectors: list[Vector] = []
     for line, fields in cur.lines:
@@ -421,14 +440,10 @@ def _parse_ideal(cur: _Cursor) -> IdealDocument:
             break
         if fields[0] != "vector":
             raise ParseError("expected 'vector C0 C1 ...' or 'end ideal'", line)
-        v = tuple([parse_scalar(t, line) for t in fields[1:]])
-        if vectors and len(v) != len(vectors[0]):
-            raise ParseError("ideal vectors have inconsistent lengths", line)
-        vectors.append(v)
+        vectors.append(tuple([parse_scalar(t, line) for t in fields[1:]]))
     else:
         raise cur.end_of_input()
-    cur.expect_done("ideal")
-    return IdealDocument(name, tuple(vectors))
+    return _ideal_document(name, vectors, functools.partial(cur.line_of, head, line))
 
 
 def serialize_ideal_text(doc: IdealDocument) -> str:
@@ -506,36 +521,21 @@ def _dedup(rows: list, what: str) -> dict:
     return table
 
 
-def _in_range(table: dict, bounds, what: str) -> tuple[int, dict]:
-    """A ``_dedup`` table as integers (``_scaled``), once every index read,
-    a zero coefficient's too, is inside its bound."""
-    bad = out_of_range(table, bounds)
-    if bad is not None:
-        raise ParseError(f"{what} index {bad[1]} out of range", field_name=what)
-    return _scaled(table)
-
-
-def _algebra_from_obj(obj: dict) -> AlgebraDocument:
+def _algebra_from_obj(obj: dict, field: str = "") -> AlgebraDocument:
+    """An algebra object: the document, or the field ``field`` of a context object."""
     try:
-        basis = tuple((_json_token(l, "basis label"), _json_int(p, "parity")) for l, p in obj["basis"])
+        if obj["kind"] != "algebra":
+            raise ParseError(f"expected an algebra object, got kind {obj['kind']!r}", field_name=field)
+        name = _json_token(obj["name"], "name")
+        basis = [(_json_token(l, "basis label"), _json_int(p, "parity")) for l, p in obj["basis"]]
         bracket = _dedup([_json_entry((i, j, k), c) for i, j, k, c in obj["bracket"]], "bracket")
-        degree = None
-        metric = {}
+        degree, metric = None, {}
         if "metric" in obj:
             degree = _json_int(obj["metric"]["degree"], "metric degree")
             metric = _dedup([_json_entry((i, j), c) for i, j, c in obj["metric"]["entries"]], "metric")
-        if degree is not None and degree not in (0, 1):
-            raise ParseError("metric degree must be 0 or 1")
-        for _, p in basis:
-            if p not in (0, 1):
-                raise ParseError("parity must be 0 or 1")
-        dim = len(basis)
-        tables = {"bracket": _in_range(bracket, (dim, dim, dim), "bracket"),
-                  "metric": _in_range(metric, (dim, dim), "metric")}
-        return AlgebraDocument.from_ints(tables, name=_json_token(obj["name"], "name"), basis=basis,
-                                         metric_degree=degree)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed algebra object: {exc}") from exc
+    return _algebra_document(name, basis, degree, bracket, metric, _input)
 
 
 def document_to_obj(doc: Document) -> dict:
@@ -566,26 +566,19 @@ def document_from_obj(obj: dict) -> Document:
     if kind == "context":
         try:
             name, delta = _json_token(obj["name"], "name"), _json_int(obj["delta"], "delta")
-            h_doc, a_doc = _algebra_from_obj(obj["h"]), _algebra_from_obj(obj["a"])
-            rho, lam, omega = (_dedup([_json_entry((i, j, k), c) for i, j, k, c in obj[key]], key)
-                               for key in ("rho", "lambda", "omega"))
+            h_doc, a_doc = _algebra_from_obj(obj["h"], "h"), _algebra_from_obj(obj["a"], "a")
+            tables = {key: _dedup([_json_entry((i, j, k), c) for i, j, k, c in obj[key]], key)
+                      for key in ("rho", "lambda", "omega")}
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed context object: {exc}") from exc
-        if delta not in (0, 1):
-            raise ParseError("delta must be 0 or 1")
-        na, nh = len(a_doc.basis), len(h_doc.basis)
-        tables = {"rho": _in_range(rho, (na, nh, nh), "rho"), "lam": _in_range(lam, (na, na, nh), "lambda"),
-                  "omega": _in_range(omega, (na, na, na), "omega")}
-        return ContextDocument.from_ints(tables, name=name, delta=delta, h_doc=h_doc, a_doc=a_doc)
+        return _context_document(name, delta, h_doc, a_doc, tables, _input)
     if kind == "ideal":
         try:
-            doc = IdealDocument(_json_token(obj["name"], "name"),
-                                tuple(tuple(Fraction(*_json_ratio(c)) for c in v) for v in obj["vectors"]))
+            name = _json_token(obj["name"], "name")
+            vectors = [tuple(Fraction(*_json_ratio(c)) for c in v) for v in obj["vectors"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed ideal object: {exc}") from exc
-        if len({len(v) for v in doc.vectors}) > 1:
-            raise ParseError("ideal vectors have inconsistent lengths")
-        return doc
+        return _ideal_document(name, vectors, _input)
     raise ParseError(f"unknown document kind {kind!r}")
 
 
@@ -600,8 +593,7 @@ def serialize_document(doc: Document, fmt: str = "text") -> str:
 
 
 def parse_document(text: str) -> Document:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -610,6 +602,8 @@ def parse_document(text: str) -> Document:
             raise ParseError("bad JSON: an integer literal has too many digits") from exc
         except RecursionError as exc:
             raise ParseError("bad JSON: nested too deeply") from exc
+        if not isinstance(obj, dict):
+            raise ParseError("bad JSON: a document must be a JSON object")
         return document_from_obj(obj)
     cur = _Cursor(text)
     if not cur.rows:
@@ -618,7 +612,11 @@ def parse_document(text: str) -> Document:
     parse = {"algebra": _parse_algebra, "context": _parse_context, "ideal": _parse_ideal}.get(fields[0])
     if parse is None:
         raise ParseError(f"unknown document head {fields[0]!r}", line)
-    return parse(cur)
+    doc = parse(cur)
+    row = next(cur.lines, None)
+    if row is not None:
+        raise ParseError(f"trailing content after 'end {fields[0]}'", row[0])
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -657,14 +655,10 @@ def algebra_to_document(g: LieSuperAlgebra | QuadraticLieSuperAlgebra, name: str
 
 
 def document_to_context(doc: ContextDocument) -> DeltaContext:
-    h = document_to_algebra(doc.h_doc)
-    if not isinstance(h, QuadraticLieSuperAlgebra):
-        raise ValidationError(Violation("h-metric", (), None,
-                                        "the embedded h-algebra must carry a metric"))
-    if doc.a_doc.metric_degree is not None:
-        raise ValidationError(Violation("a-metric", (), None,
-                                        "the embedded a-algebra must not carry a metric"))
-    a = document_to_algebra(doc.a_doc)
+    """The context of doc, whose h-algebra has a metric and whose a-algebra has none."""
+    if doc.h_doc.metric_degree is None or doc.a_doc.metric_degree is not None:
+        raise ParseError("a context needs a metric-degree on its h-algebra and none on its a-algebra")
+    h, a = document_to_algebra(doc.h_doc), document_to_algebra(doc.a_doc)
     d, table = doc.ints("rho")
     bad = out_of_range(table, (a.dim, h.dim, h.dim))
     if bad is not None:

@@ -634,5 +634,5 @@ def super_skew_violation(name: str, parities, pairs: dict, d: int, dim: int) -> 
             continue
         res = dict(w)
         add_scaled(res, sign, u)
-        return Violation(name, (i, j), dense_vec({k: Fraction(c, d) for k, c in res.items()}, dim))
+        return Violation(name, (i, j), linalg._dense(d, res, dim))
     return None

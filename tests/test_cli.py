@@ -189,18 +189,27 @@ def test_decompose_without_metric_is_a_usage_error(tmp_path, capsys):
 
 def test_decompose_auto_fails_cleanly_without_central_line(tmp_path, capsys):
     """sl2 has a zero centre; the even line with B(x, x) = 1 is its own
-    centre, with no isotropic vector and no radical."""
+    centre, with no isotropic vector and no radical. The abelian plane with
+    B = diag(1, -1) has the isotropic central line along (1, 1), but no
+    canonical centre vector is isotropic and B has no radical there, which
+    is all --ideal auto searches, so the message says what it searched;
+    --ideal along (1, 1) splits it."""
     from generators import _sl2_killing
-    sl2, z = tmp_path / "sl2.alg", tmp_path / "z.alg"
+    sl2, z, plane = tmp_path / "sl2.alg", tmp_path / "z.alg", tmp_path / "plane.alg"
     sl2.write_text(serialize_document(algebra_to_document(_sl2_killing(), "sl2"), "text"))
     z.write_text("algebra z\nbasis x 0\nmetric-degree 0\nmetric 0 0 1\nend algebra\n")
-    for f in (sl2, z):
+    plane.write_text("algebra p\nbasis x 0\nbasis y 0\nmetric-degree 0\nmetric 0 0 1\nmetric 1 1 -1\nend algebra\n")
+    for f in (sl2, z, plane):
         code, _, err = run(capsys, "decompose", str(f), "--ideal", "auto",
                            "--out", str(tmp_path / "x"))
         assert code == 2
-        assert err == (f"error: {f}: auto ideal discovery handles only the central case and found no "
-                       "isotropic central line; supply --ideal FILE\n")
+        assert err == (f"error: {f}: auto ideal discovery handles only the central case: no canonical centre "
+                       "vector is isotropic and B has no radical on the centre; supply --ideal FILE\n")
         assert not (tmp_path / "x").exists()
+    line = tmp_path / "line.ideal"
+    line.write_text("ideal l\nvector 1 1\nend ideal\n")
+    code, out, _ = run(capsys, "decompose", str(plane), "--ideal", str(line), "--out", str(tmp_path / "x"))
+    assert code == 0 and "dim a 1, dim h 0" in out
 
 
 def test_decompose_auto_takes_the_radical_line_of_the_centre(tmp_path, capsys):
@@ -292,12 +301,32 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_decompose_certifies_the_metric_it_reads(tmp_path, capsys):
+    """decompose certifies the algebra it reads before splitting it: a
+    metric declared even with an entry between an even and an odd vector
+    fails its homogeneity degree, and the identity metric on sl2 fails
+    invariance; both exit 1 with the witness and write nothing."""
+    sl2 = ("algebra sl2\nbasis s0 0\nbasis s1 0\nbasis s2 0\nbracket 0 1 1 2\nbracket 0 2 2 -2\n"
+           "bracket 1 0 1 -2\nbracket 1 2 0 1\nbracket 2 0 2 2\nbracket 2 1 0 -1\n")
+    for content, violation in (
+            ("algebra m\nbasis x 0\nbasis y 1\nmetric-degree 0\nmetric 0 1 1\nmetric 1 0 1\nend algebra\n",
+             "metric homogeneity degree: residual 1 declared degree 0"),
+            (sl2 + "metric-degree 0\nmetric 0 0 1\nmetric 1 1 1\nmetric 2 2 1\nend algebra\n",
+             "metric invariance: witness (0,1,1) residual 2")):
+        f = tmp_path / "g.algebra"
+        f.write_text(content)
+        code, stdout, err = run(capsys, "decompose", str(f), "--out", str(tmp_path / "x"))
+        assert (code, stdout, err) == (1, "", f"violation: {violation}\n")
+    assert not (tmp_path / "x").exists()
+
+
 def test_zero_coefficient_out_of_range_exit_2(tmp_path, capsys):
     """An entry is range-checked before its zero coefficient is dropped."""
     f = tmp_path / "bad.context"
     f.write_text((SAMPLES / "heisenberg.context").read_text().replace("end context", "rho 3 3 3 0\nend context"))
     code, _, err = run(capsys, "extend", "--context", str(f), "--out", str(tmp_path / "out.algebra"))
-    assert code == 2 and err.startswith(f"error: {f}: line ") and err.endswith(": rho index out of range\n")
+    assert code == 2 and err.startswith(f"error: {f}: line ")
+    assert err.endswith(": rho index 3 out of range in 'heisenberg'\n")
     assert not (tmp_path / "out.algebra").exists()
 
 
@@ -324,10 +353,13 @@ def test_parse_errors_name_the_document_path(tmp_path, capsys):
     first, in place of ``input``: a bad coefficient in an ideal file, a
     document of the wrong kind, a context with a misplaced metric or dim a
     = 0, an algebra with no metric, an ideal with no vectors or too short
-    ones, a file that is missing or not UTF-8 (one path, not two), a JSON
-    field, and, in text and JSON, an algebra with a repeated label and a
-    context whose h label is its a label's dual, both found while the
-    document is converted."""
+    ones, a file that is missing or not UTF-8 (one path, not two), a
+    context and an ideal cut off before their end lines, a JSON object cut
+    off, JSON that is an array, whole or cut off, a JSON context whose h
+    object is not an algebra object, an out-of-range bracket entry in text
+    and in JSON, where the same text follows the location, and, in text and
+    JSON, an algebra with a repeated label and a context whose h label is
+    its a label's dual, both found while the document is converted."""
     ideal, ctx, latin, bad_json = (tmp_path / name for name in ("bad.ideal", "bad.context", "latin.algebra", "b.json"))
     empty, short, flat, zero = (tmp_path / name for name in ("e.ideal", "s.ideal", "flat.algebra", "zero.context"))
     ideal.write_text("ideal bad\nvector 1/0 0 0 0\nend ideal\n")
@@ -339,6 +371,15 @@ def test_parse_errors_name_the_document_path(tmp_path, capsys):
     latin.write_bytes(b"algebra x\nbasis a\xff 0\nend algebra\n")
     bad_json.write_text(json.dumps({"kind": "algebra", "name": "b", "basis": [["x", 0]], "bracket": [[0, 0, 3, 1]]}))
     algebra, context, missing = SAMPLES / "heisenberg.algebra", SAMPLES / "heisenberg.context", tmp_path / "none"
+    h_ideal = json.loads(serialize_document(parse_document(context.read_text()), "json"))
+    h_ideal["h"]["kind"] = "ideal"
+    cut_context = context.read_text().replace("end context\n", "")
+    w = {"b.algebra": "algebra b\nbasis x 0\nbracket 0 0 3 1\nend algebra\n", "cut.context": cut_context,
+         "cut.ideal": "ideal i\nvector 0 0 0 1\n", "cut.json": '{"kind": "algebra", "name": "b"',
+         "array.json": "[1, 2]\n", "cut-array.json": "[1, 2", "h.json": json.dumps(h_ideal)}
+    for name, content in w.items():
+        (tmp_path / name).write_text(content)
+        w[name] = tmp_path / name
     out = str(tmp_path / "x")
     for argv, expected in (
             (("decompose", algebra, "--ideal", ideal, "--out", out), f"{ideal}: line 2: bad rational '1/0'"),
@@ -354,7 +395,17 @@ def test_parse_errors_name_the_document_path(tmp_path, capsys):
              f"{short}: ideal vector 0 has length 2, the algebra has dim 4"),
             (("verify", missing), f"{missing}: No such file or directory"),
             (("verify", latin), f"{latin}: not UTF-8: byte 17: invalid start byte"),
-            (("verify", bad_json), f"{bad_json}: field bracket: bracket index 3 out of range"),
+            (("verify", bad_json), f"{bad_json}: bracket index 3 out of range in 'b'"),
+            (("verify", w["b.algebra"]), f"{w['b.algebra']}: line 3: bracket index 3 out of range in 'b'"),
+            (("extend", "--context", w["cut.context"], "--out", out),
+             f"{w['cut.context']}: line {len(cut_context.splitlines())}: unexpected end of input"),
+            (("decompose", algebra, "--ideal", w["cut.ideal"], "--out", out),
+             f"{w['cut.ideal']}: line 2: unexpected end of input"),
+            (("verify", w["cut.json"]), f"{w['cut.json']}: line 1: bad JSON: Expecting ',' delimiter"),
+            (("verify", w["array.json"]), f"{w['array.json']}: bad JSON: a document must be a JSON object"),
+            (("verify", w["cut-array.json"]), f"{w['cut-array.json']}: line 1: bad JSON: Expecting ',' delimiter"),
+            (("extend", "--context", w["h.json"], "--out", out),
+             f"{w['h.json']}: field h: expected an algebra object, got kind 'ideal'"),
             *_conversion_errors(tmp_path, out)):
         code, stdout, err = run(capsys, *map(str, argv))
         assert (code, stdout, err) == (2, "", f"error: {expected}\n"), argv

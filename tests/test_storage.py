@@ -270,7 +270,7 @@ def test_spellings_read_as_their_canonical_forms(spelled, canonical):
 @pytest.mark.parametrize("zero", ["0", "-0", "0/7", "0.0", ".0"])
 def test_zeros_are_dropped_but_range_and_duplicate_checked(zero):
     out_of_range = ALGEBRA.format(c=1).replace("bracket 1 1 0 1", f"bracket 1 1 2 {zero}")
-    with pytest.raises(ParseError, match="line 5: bracket index out of range in 't'"):
+    with pytest.raises(ParseError, match="line 5: bracket index 2 out of range in 't'"):
         parse_document(out_of_range)
     with pytest.raises(ParseError, match="bracket index 2 out of range"):
         parse_document(json_twin(out_of_range))
