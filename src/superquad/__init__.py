@@ -11,7 +11,6 @@ from .algebra import (
     certify_isometry,
     check_invariance,
     check_jacobi,
-    coadjoint,
     delta_coadjoint,
     is_derivation,
     is_metric_skew,
@@ -42,7 +41,6 @@ from .errors import (
     DegenerateInput,
     DegeneratePairing,
     InvalidContext,
-    InvalidParams,
     NotAnIdealSplit,
     NotHomogeneous,
     ParseError,

@@ -408,11 +408,6 @@ class Representation:
                 raise ValueError("action maps must be endomorphisms of the module space")
 
 
-def coadjoint(g: LieSuperAlgebra) -> Representation:
-    """ad*(x)(f) = -(-1)^{|x||f|} f o ad(x) on the dual space."""
-    return delta_coadjoint(g, 0)
-
-
 def delta_coadjoint(g: LieSuperAlgebra, delta: int) -> Representation:
     """Action on P_delta(g)*: ad*_d(x)(P_d(f))(P_d(y)) = -(-1)^{(|f|+d)|x|} f([x,y])."""
     par = g.space.parities

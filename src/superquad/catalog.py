@@ -1,21 +1,21 @@
 """Worked odd-metric constructions: the one-dimensional odd extension and the
 Heisenberg superalgebra extended by an even derivation.
 
-Both constructors write the explicit bracket rows and metric directly and
-let the quadratic-algebra constructor certify them; the companion
-``*_context`` functions assemble the corresponding double-extension context,
-so the identity between the explicit output and the generic extension is a
-testable theorem rather than a definition.
+Each family is a double-extension context, which ``odd_extension_context``
+and ``heisenberg_context`` return validated; ``superquad catalog`` writes it
+or its ``double_extend``. No command calls the explicit-row constructors
+``odd_extension_dim1`` and ``heisenberg_extension``: they write the bracket
+rows and metric directly, the independent reference that the tests compare
+the generic extension with, so that their agreement is a tested theorem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import extension, linalg
 from .algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket
-from .errors import InvalidParams
 from .extension import DeltaContext
 from .linalg import Vector, ZERO
 from .spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace, p_delta_dual, sparse_vec
@@ -52,28 +52,14 @@ def _fresh_label(h_space: SuperSpace, base: str = "x") -> str:
         k += 1
 
 
-# context axiom -> the catalog's name for it, D playing rho(x) and w lambda(x, x)
-_CONDITION_NAMES = {"rho-degree": "d-degree", "rho-derivation": "d-derivation",
-                    "rho-skew": "d-skew", "lambda-even": "w-parity"}
-
-
-def _check_params(ctx: DeltaContext) -> None:
-    """Raise InvalidParams carrying the companion context's violations,
-    named after the first one."""
-    violations = extension.validate_context(ctx)
-    if violations:
-        name = violations[0].equation
-        raise InvalidParams(_CONDITION_NAMES.get(name, name), violations)
-
-
 @dataclass(frozen=True)
 class OddExtensionParams:
     """Data for the odd extension by a single odd generator x.
 
     D plays rho(x), w plays lambda(x,x) and eta scales omega(x,x). The
     conditions (D an odd B_h-skew derivation, w even, D^2 = (1/2) ad_h(w) and
-    D(w) = 0) are the axioms of the companion context, and ``validate``
-    checks them as such.
+    D(w) = 0) are the axioms of the companion context, and
+    ``odd_extension_context`` checks them as such.
     """
 
     h: QuadraticLieSuperAlgebra
@@ -87,18 +73,15 @@ class OddExtensionParams:
         if len(self.w) != self.h.dim:
             raise ValueError("w must be a vector of h")
 
-    def validate(self) -> None:
-        _check_params(_odd_context(self))
-
 
 def odd_extension_dim1(p: OddExtensionParams) -> QuadraticLieSuperAlgebra:
     """Odd quadratic algebra on Fx + h + F P(x)* with x odd.
 
     Bracket rows: [x,x] = w + eta P(x)*, [x,u] = D(u) - (-1)^{|u|} B_h(u,w) P(x)*,
     [u,v] = [u,v]_h + B_h(D(u),v) P(x)*, P(x)* central. Metric: B_h on h and
-    B(x, P(x)*) = 1.
+    B(x, P(x)*) = 1. Raises as ``odd_extension_context`` does.
     """
-    p.validate()
+    odd_extension_context(p)
     h = p.h
     nh = h.dim
     n = nh + 2
@@ -119,18 +102,12 @@ def odd_extension_dim1(p: OddExtensionParams) -> QuadraticLieSuperAlgebra:
 
 
 def odd_extension_context(p: OddExtensionParams) -> DeltaContext:
-    """The context whose double extension the explicit construction realises."""
-    p.validate()
-    return _odd_context(p)
-
-
-def _odd_context(p: OddExtensionParams) -> DeltaContext:
-    lab = _fresh_label(p.h.space)
-    a = _one_dim_algebra(lab, 1)
-    lam = GradedBilinearMap.from_entries(a.space, a.space, p.h.space,
-                                         [(0, 0, r, c) for r, c in enumerate(p.w)])
+    """The context whose double extension the explicit construction realises,
+    validated: a violated axiom raises InvalidContext, as ``double_extend`` does."""
+    a = _one_dim_algebra(_fresh_label(p.h.space), 1)
+    lam = GradedBilinearMap.from_entries(a.space, a.space, p.h.space, [(0, 0, r, c) for r, c in enumerate(p.w)])
     omega = GradedBilinearMap.from_entries(a.space, a.space, p_delta_dual(a.space, ODD), [(0, 0, 0, p.eta)])
-    return DeltaContext(ODD, a, p.h, (p.d,), lam, omega)
+    return extension._validated(DeltaContext(ODD, a, p.h, (p.d,), lam, omega))
 
 
 @dataclass(frozen=True)
@@ -139,9 +116,6 @@ class HeisenbergExtensionParams:
 
     h: QuadraticLieSuperAlgebra
     d: GradedLinearMap
-
-    def validate(self) -> None:
-        _check_params(_heisenberg_context(self))
 
 
 def _action_entries(p: HeisenbergExtensionParams) -> list:
@@ -155,8 +129,9 @@ def heisenberg_extension(p: HeisenbergExtensionParams) -> QuadraticLieSuperAlgeb
 
     Bracket rows: [x,u] = D(u), [u,v] = [u,v]_h + B_h(D(u),v) P(x)*, P(x)*
     central, [x,x] = [x,P(x)*] = 0. Metric: B_h on h and B(x, P(x)*) = 1.
+    Raises as ``heisenberg_context`` does.
     """
-    p.validate()
+    heisenberg_context(p)
     h = p.h
     nh = h.dim
     n = nh + 2
@@ -169,15 +144,9 @@ def heisenberg_extension(p: HeisenbergExtensionParams) -> QuadraticLieSuperAlgeb
 
 
 def heisenberg_context(p: HeisenbergExtensionParams) -> DeltaContext:
-    """The context for the even-generator extension: lambda = omega = 0."""
-    p.validate()
-    return _heisenberg_context(p)
-
-
-def _heisenberg_context(p: HeisenbergExtensionParams) -> DeltaContext:
-    a = _one_dim_algebra(_fresh_label(p.h.space), 0)
-    ctx = DeltaContext.trivial(ODD, a, p.h)
-    return DeltaContext(ODD, a, p.h, (p.d,), ctx.lam, ctx.omega)
+    """The context for the even-generator extension, lambda = omega = 0, validated."""
+    trivial = DeltaContext.trivial(ODD, _one_dim_algebra(_fresh_label(p.h.space), 0), p.h)
+    return extension._validated(replace(trivial, rho=(p.d,)))
 
 
 def heisenberg_target(p: HeisenbergExtensionParams) -> QuadraticLieSuperAlgebra:

@@ -201,24 +201,21 @@ def cmd_decompose(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.name == "odd-dim1":
-        params = cat.default_odd_dim1_params(parse_scalar(args.eta, field_name="--eta"))
-        algebra = cat.odd_extension_dim1(params)
-        ctx = cat.odd_extension_context(params)
+        ctx = cat.odd_extension_context(cat.default_odd_dim1_params(parse_scalar(args.eta, field_name="--eta")))
     elif args.name == "heisenberg":
         try:
             params = cat.default_heisenberg_params(args.pairs)
         except ValueError as exc:
             raise ParseError(str(exc), field_name="--pairs") from exc
-        algebra = cat.heisenberg_extension(params)
         ctx = cat.heisenberg_context(params)
     else:
         raise ParseError(f"unknown catalog name {args.name!r} (use odd-dim1 or heisenberg)")
     if args.emit == "context":
         doc = context_to_document(ctx, args.name)
     else:
-        doc = algebra_to_document(algebra, args.name)
+        doc = algebra_to_document(ctx.extension, args.name)
     _write(args.out, serialize_document(doc, args.format))
-    print(f"catalog {args.name}: dim {algebra.dim} -> {args.out}")
+    print(f"catalog {args.name}: dim {2 * ctx.a.dim + ctx.h.dim} -> {args.out}")
     return 0
 
 

@@ -88,17 +88,6 @@ class DegeneratePairing(SuperquadError):
     """The pairing between an ideal and its complement is singular."""
 
 
-class InvalidParams(ValidationError):
-    """Catalog construction data violates one of its stated conditions.
-
-    Without a message the text is that of the violations, or else the
-    condition's name."""
-
-    def __init__(self, condition: str, violations=(), message: str = ""):
-        self.condition = condition
-        super().__init__(violations, message or ("" if violations else condition))
-
-
 @dataclass
 class ParseError(SuperquadError):
     """A document could not be parsed; carries the offending location. A

@@ -314,6 +314,14 @@ def extension_tables(ctx: DeltaContext) -> tuple[SuperBracket, GradedBilinearFor
     return SuperBracket.from_ints(space, d, table), extension_metric(ctx, space)
 
 
+def _validated(ctx: DeltaContext) -> DeltaContext:
+    """ctx if it satisfies every context axiom, else InvalidContext with all violations."""
+    violations = validate_context(ctx)
+    if violations:
+        raise InvalidContext(violations)
+    return ctx
+
+
 def double_extend(ctx: DeltaContext) -> QuadraticLieSuperAlgebra:
     """Quadratic Lie superalgebra of degree delta on a + h + P_delta(a)*.
 
@@ -323,10 +331,7 @@ def double_extend(ctx: DeltaContext) -> QuadraticLieSuperAlgebra:
     with dual functional parities equal to a-parities plus delta; this
     ordering is part of the file-format contract.
     """
-    violations = validate_context(ctx)
-    if violations:
-        raise InvalidContext(violations)
-    bracket, metric = extension_tables(ctx)
+    bracket, metric = extension_tables(_validated(ctx))
     return QuadraticLieSuperAlgebra(LieSuperAlgebra(bracket), metric)
 
 

@@ -14,7 +14,9 @@ rules, written once for both: parity, metric degree and delta are 0 or 1,
 every index read is inside its bound, a zero coefficient's too, and an
 ideal's vectors have one length. A broken rule reads the same in both
 syntaxes after its location: the entry's line in text, ``input`` in JSON.
-``document_to_context`` adds that the h-algebra has a metric, the a-algebra none.
+A JSON object has only its kind's keys, and a document built by hand meets
+the range rule once made a structure. ``document_to_context`` adds that the
+h-algebra has a metric, the a-algebra none.
 
 The readers keep each table as integers, ``(d, {indices: n})``; the
 ``Fraction`` entry tuples of the document classes are built only when read,
@@ -144,13 +146,17 @@ class _Tables:
         self._fill(_ints=tables, **fields)
         return self
 
-    def ints(self, name: str) -> tuple[int, dict]:
-        """Table ``name`` as ``(d, {indices: n})``: as kept, or from its entries
-        through ``normalize``, where a float or bool coefficient raises TypeError."""
+    def ints(self, name: str, bounds=None) -> tuple[int, dict]:
+        """Table ``name`` as ``(d, {indices: n})``: as kept, its indices checked by
+        its reader, or from its entries, held to the range rule if ``bounds``
+        are given, through ``normalize``, where a float or bool raises TypeError."""
         ints = vars(self).get("_ints")
         if ints is not None and name in ints:
             return ints[name]
-        return normalize(getattr(self, name), None, name)
+        entries = getattr(self, name)
+        if bounds is not None:
+            _in_range([e[:-1] for e in entries], bounds, "lambda" if name == "lam" else name, self.name, _input)
+        return normalize(entries, None, name)
 
 
 @dataclass(frozen=True, init=False)
@@ -271,13 +277,19 @@ def _bits(values, what: str, locate, keyword: str) -> None:
         raise ParseError(f"{what} must be 0 or 1, got {values[k]}", locate(keyword, k))
 
 
+def _in_range(keys, bounds, what: str, owner: str, locate) -> None:
+    """Refuse the first index tuple of keys, in index order, outside its bounds."""
+    bad = out_of_range(keys, bounds)
+    if bad is not None:  # an index of None: a hand-built entry with too few or too many indices
+        key, index = bad
+        text = f"entry {key} needs {len(bounds)} indices" if index is None else f"index {index} out of range"
+        raise ParseError(f"{what} {text} in {owner!r}", locate(what, key))
+
+
 def _table(table: dict, bounds, what: str, owner: str, locate) -> tuple[int, dict]:
     """(d, {indices: n}), d the lcm of the denominators, zeros kept, of a table
-    {indices: (n, q)} whose indices are all inside their bounds; the first
-    entry out of range, in index order, is refused."""
-    bad = out_of_range(table, bounds)
-    if bad is not None:
-        raise ParseError(f"{what} index {bad[1]} out of range in {owner!r}", locate(what, bad[0]))
+    {indices: (n, q)} whose indices are all inside their bounds (``_in_range``)."""
+    _in_range(table, bounds, what, owner, locate)
     d = math.lcm(*{q for _, q in table.values()})
     if d == 1:
         return 1, {key: n for key, (n, _) in table.items()}
@@ -472,6 +484,19 @@ def _algebra_obj(doc: AlgebraDocument) -> dict:
     return obj
 
 
+# the keys of each JSON object; any other is refused, as the text reader refuses a line it does not know
+_JSON_KEYS = {"algebra": ("kind", "name", "basis", "bracket", "metric"), "metric": ("degree", "entries"),
+              "context": ("kind", "name", "delta", "h", "a", "rho", "lambda", "omega"),
+              "ideal": ("kind", "name", "vectors")}
+
+
+def _json_keys(obj: dict, what: str, field: str = "") -> None:
+    """Refuse the first key of a JSON ``what`` object that is not one of its kind's."""
+    for key in obj:
+        if key not in _JSON_KEYS[what]:
+            raise ParseError(f"unknown {what} key {key!r}", field_name=field)
+
+
 def _json_int(x, what: str = "index") -> int:
     """A JSON integer; bools and floats are rejected."""
     if type(x) is not int:
@@ -533,8 +558,10 @@ def _algebra_from_obj(obj: dict, field: str = "") -> AlgebraDocument:
         if "metric" in obj:
             degree = _json_int(obj["metric"]["degree"], "metric degree")
             metric = _dedup([_json_entry((i, j), c) for i, j, c in obj["metric"]["entries"]], "metric")
+            _json_keys(obj["metric"], "metric", field)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed algebra object: {exc}") from exc
+    _json_keys(obj, "algebra", field)
     return _algebra_document(name, basis, degree, bracket, metric, _input)
 
 
@@ -571,6 +598,7 @@ def document_from_obj(obj: dict) -> Document:
                       for key in ("rho", "lambda", "omega")}
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed context object: {exc}") from exc
+        _json_keys(obj, "context")
         return _context_document(name, delta, h_doc, a_doc, tables, _input)
     if kind == "ideal":
         try:
@@ -578,6 +606,7 @@ def document_from_obj(obj: dict) -> Document:
             vectors = [tuple(Fraction(*_json_ratio(c)) for c in v) for v in obj["vectors"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed ideal object: {exc}") from exc
+        _json_keys(obj, "ideal")
         return _ideal_document(name, vectors, _input)
     raise ParseError(f"unknown document kind {kind!r}")
 
@@ -630,10 +659,10 @@ def document_to_raw(doc: AlgebraDocument):
         space = SuperSpace(doc.basis)
     except ValueError as exc:
         raise ParseError(f"{exc} in {doc.name!r}") from exc
-    bracket = SuperBracket.from_ints(space, *doc.ints("bracket"))
+    bracket = SuperBracket.from_ints(space, *doc.ints("bracket", (space.dim,) * 3))
     form = None
     if doc.metric_degree is not None:
-        form = GradedBilinearForm.from_ints(space, doc.metric_degree, *doc.ints("metric"))
+        form = GradedBilinearForm.from_ints(space, doc.metric_degree, *doc.ints("metric", (space.dim,) * 2))
     return space, bracket, form
 
 
@@ -659,18 +688,15 @@ def document_to_context(doc: ContextDocument) -> DeltaContext:
     if doc.h_doc.metric_degree is None or doc.a_doc.metric_degree is not None:
         raise ParseError("a context needs a metric-degree on its h-algebra and none on its a-algebra")
     h, a = document_to_algebra(doc.h_doc), document_to_algebra(doc.a_doc)
-    d, table = doc.ints("rho")
-    bad = out_of_range(table, (a.dim, h.dim, h.dim))
-    if bad is not None:
-        raise ValueError(f"rho entry ({','.join(map(str, bad[0]))}) out of range")
+    d, table = doc.ints("rho", (a.dim, h.dim, h.dim))
     tables = [{} for _ in range(a.dim)]  # tables[x]: the {(row, col): n} of rho(x)
     for (x, r, c), n in table.items():
         tables[x][r, c] = n
     rho = tuple(GradedLinearMap.from_ints(h.space, h.space, a.space.parity(x), d, t)
                 for x, t in enumerate(tables))
-    lam = GradedBilinearMap.from_ints(a.space, a.space, h.space, *doc.ints("lam"))
+    lam = GradedBilinearMap.from_ints(a.space, a.space, h.space, *doc.ints("lam", (a.dim, a.dim, h.dim)))
     dual = p_delta_dual(a.space, doc.delta)
-    omega = GradedBilinearMap.from_ints(a.space, a.space, dual, *doc.ints("omega"))
+    omega = GradedBilinearMap.from_ints(a.space, a.space, dual, *doc.ints("omega", (a.dim,) * 3))
     try:
         return DeltaContext(doc.delta, a, h, rho, lam, omega)
     except ValueError as exc:

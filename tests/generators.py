@@ -20,7 +20,6 @@ from superquad.algebra import (
     LieSuperAlgebra,
     QuadraticLieSuperAlgebra,
     SuperBracket,
-    coadjoint,
     cyclic_residual,
     delta_coadjoint,
 )
@@ -726,7 +725,7 @@ def random_heisenberg_params(rng):
 
 def random_odd_dim1_params(rng):
     """Odd skew derivation D plus an even w with ad(w) = 2 D^2 and D(w) = 0."""
-    from superquad.catalog import OddExtensionParams
+    from superquad.catalog import OddExtensionParams, odd_extension_context
     for _ in range(200):
         h = random_quadratic(rng, 1, 4)
         n = h.dim
@@ -751,7 +750,7 @@ def random_odd_dim1_params(rng):
             w[r] = sol[t]
         params = OddExtensionParams(h, d, tuple(w), rand_scalar(rng))
         try:
-            params.validate()
+            odd_extension_context(params)
         except Exception:
             continue
         return params
@@ -805,7 +804,7 @@ def bracket_law_violation(rep) -> tuple | None:
 def intertwining_violation(g: LieSuperAlgebra, delta: int) -> int | None:
     """First i with ad*_d(e_i) P != (-1)^{d|e_i|} P ad*(e_i), for P the
     degree-delta identity g* -> P_delta(g)*, or None."""
-    rep, repd = coadjoint(g), delta_coadjoint(g, delta)
+    rep, repd = delta_coadjoint(g, 0), delta_coadjoint(g, delta)
     shift = GradedLinearMap(rep.module_space, repd.module_space, delta, linalg.identity_mat(g.dim)).matrix
     for i in range(g.dim):
         sign = -1 if (delta * g.space.parity(i)) % 2 else 1

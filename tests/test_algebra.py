@@ -14,7 +14,6 @@ from superquad.algebra import (
     SuperBracket,
     check_invariance,
     check_jacobi,
-    coadjoint,
     delta_coadjoint,
     is_derivation,
     is_metric_skew,
@@ -208,11 +207,11 @@ def two_dim_solvable():
 def test_coadjoint_examples():
     sp = space_of([0, 1])
     ab = LieSuperAlgebra.abelian(sp)
-    rep = coadjoint(ab)
+    rep = delta_coadjoint(ab, 0)
     assert all(m.is_zero() for m in rep.action)
 
     g = two_dim_solvable()
-    rep = coadjoint(g)
+    rep = delta_coadjoint(g, 0)
     # ad*(a)(b*) = -b*, ad*(a)(a*) = 0, from the defining formula
     assert column(rep.action[0], 1) == (ZERO, -ONE)
     assert column(rep.action[0], 0) == (ZERO, ZERO)
@@ -223,14 +222,7 @@ def test_coadjoint_law_random():
     rng = random.Random(11)
     for _ in range(20):
         g = random_superalgebra_scrambled(rng, 4)
-        assert bracket_law_violation(coadjoint(g)) is None
-
-
-def test_delta_coadjoint_delta0_equals_coadjoint():
-    g = two_dim_solvable()
-    r0 = coadjoint(g)
-    rd = delta_coadjoint(g, 0)
-    assert tuple(m.matrix for m in r0.action) == tuple(m.matrix for m in rd.action)
+        assert bracket_law_violation(delta_coadjoint(g, 0)) is None
 
 
 def test_delta_coadjoint_abelian_zero():
@@ -268,7 +260,7 @@ def test_b_flat_intertwines_ad_and_coadjoint():
     for _ in range(10):
         g = random_quadratic(rng, rng.randint(0, 1), 4, allow_zero=False)
         flat = b_flat(g.metric)
-        rep = coadjoint(g.algebra)
+        rep = delta_coadjoint(g.algebra, 0)
         for i in range(g.dim):
             sign = -1 if (g.space.parity(i) * g.metric.degree) % 2 else 1
             lhs = linalg.mat_mul(flat.matrix, ad_map(g.bracket, i).matrix)
@@ -372,7 +364,7 @@ def test_semidirect_cyclic_condition_failure():
 def test_parity_shift_map_on_representation_matrices():
     # sanity: shifting the coadjoint action maps still evaluates identically
     g = two_dim_solvable()
-    rep = coadjoint(g)
+    rep = delta_coadjoint(g, 0)
     shifted = parity_shift_map(rep.action[0])
     assert shifted.matrix == rep.action[0].matrix
     assert shifted.degree == 1

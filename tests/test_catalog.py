@@ -18,7 +18,7 @@ from superquad.catalog import (
     odd_extension_dim1,
     psi_preconditions_hold,
 )
-from superquad.errors import InvalidParams
+from superquad.errors import InvalidContext
 from superquad.extension import DeltaContext, double_extend
 from superquad.linalg import ONE, ZERO
 from superquad.spaces import GradedBilinearForm, GradedLinearMap, SuperSpace
@@ -67,9 +67,9 @@ def test_odd_dim1_invalid_params():
     h4 = heisenberg_extension(default_heisenberg_params())
     zero = GradedLinearMap.zero(h4.space, h4.space, 1)
     # D^2 = 0 but ad(w) != 0: the curvature condition fails
-    with pytest.raises(InvalidParams) as exc:
+    with pytest.raises(InvalidContext) as exc:
         odd_extension_dim1(OddExtensionParams(h4, zero, (ONE, ZERO, ZERO, ZERO), ONE))
-    assert exc.value.condition == "deh1"
+    assert exc.value.violations[0].equation == "deh1"
 
     # D(w) != 0 on a (2|2) hyperbolic space with an antisymmetric alpha-block
     sp = SuperSpace((("e1", 0), ("e2", 0), ("f1", 1), ("f2", 1)))
@@ -83,22 +83,22 @@ def test_odd_dim1_invalid_params():
     dmat[3][0] = ONE    # D(e1) = f2
     dmat[2][1] = -ONE   # D(e2) = -f1
     d = GradedLinearMap(sp, sp, 1, tuple(tuple(r) for r in dmat))
-    with pytest.raises(InvalidParams) as exc:
+    with pytest.raises(InvalidContext) as exc:
         odd_extension_dim1(OddExtensionParams(h, d, (ONE, ZERO, ZERO, ZERO), ZERO))
-    assert exc.value.condition == "deh2"
+    assert exc.value.violations[0].equation == "deh2"
 
     # skewness failure: D(e) = f pairs wrongly with the metric
     h2 = hyperbolic_pair()
     dbad = GradedLinearMap(h2.space, h2.space, 1, ((0, 0), (1, 0)))
-    with pytest.raises(InvalidParams) as exc:
+    with pytest.raises(InvalidContext) as exc:
         odd_extension_dim1(OddExtensionParams(h2, dbad, (ZERO, ZERO), ZERO))
-    assert exc.value.condition == "d-skew"
+    assert exc.value.violations[0].equation == "rho-skew"
 
     # wrong parity of D
     deven = GradedLinearMap.zero(h2.space, h2.space, 0)
-    with pytest.raises(InvalidParams) as exc:
+    with pytest.raises(InvalidContext) as exc:
         odd_extension_dim1(OddExtensionParams(h2, deven, (ZERO, ZERO), ZERO))
-    assert exc.value.condition == "d-degree"
+    assert exc.value.violations[0].equation == "rho-degree"
 
 
 def test_odd_dim1_deh1_with_nonzero_d_squared():
@@ -118,9 +118,9 @@ def test_odd_dim1_deh1_with_nonzero_d_squared():
     assert g1.space.basis == g2.space.basis
     assert g1.bracket.pairs == g2.bracket.pairs
     assert g1.metric.sparse_rows == g2.metric.sparse_rows
-    with pytest.raises(InvalidParams) as exc:
+    with pytest.raises(InvalidContext) as exc:
         odd_extension_dim1(OddExtensionParams(h, d, tuple(c / 2 for c in w), F(3)))
-    assert exc.value.condition == "deh1"
+    assert exc.value.violations[0].equation == "deh1"
 
 
 def test_heisenberg_explicit_shape():
@@ -143,14 +143,14 @@ def test_heisenberg_invalid_params():
     from generators import _sl2_killing
     # identity map is not a derivation of a non-abelian h
     h4 = heisenberg_extension(default_heisenberg_params())
-    with pytest.raises(InvalidParams) as exc:
+    with pytest.raises(InvalidContext) as exc:
         heisenberg_extension(HeisenbergExtensionParams(h4, identity_map(h4.space)))
-    assert exc.value.condition == "d-derivation"
+    assert exc.value.violations[0].equation == "rho-derivation"
     # even metric h is rejected outright
     s = _sl2_killing()
-    with pytest.raises(InvalidParams) as exc:
+    with pytest.raises(InvalidContext) as exc:
         heisenberg_extension(HeisenbergExtensionParams(s, GradedLinearMap.zero(s.space, s.space, 0)))
-    assert exc.value.condition == "metric-degree"
+    assert exc.value.violations[0].equation == "metric-degree"
 
 
 def test_catalog_equals_generic_double_extension():

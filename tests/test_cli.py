@@ -46,6 +46,23 @@ def test_catalog_matches_shipped_samples(tmp_path, capsys):
         assert out.read_bytes() == (SAMPLES / sample).read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_catalog_algebra_equals_the_explicit_rows(tmp_path, capsys, fmt):
+    """catalog writes the double extension of its context; the explicit-row
+    constructors, which no command calls, give the same bytes."""
+    from superquad import catalog as cat
+
+    cases = [(("heisenberg", "--pairs", str(n)), cat.heisenberg_extension(cat.default_heisenberg_params(n)))
+             for n in (1, 2, 3, 16)]
+    cases += [(("odd-dim1", f"--eta={eta}"), cat.odd_extension_dim1(cat.default_odd_dim1_params(eta)))
+              for eta in ("0", "1", "1/2", "-3/7")]
+    out = tmp_path / "out"
+    for argv, explicit in cases:
+        code, stdout, _ = run(capsys, "catalog", *argv, "--format", fmt, "--out", str(out))
+        assert code == 0 and stdout == f"catalog {argv[0]}: dim {explicit.dim} -> {out}\n"
+        assert out.read_text() == serialize_document(algebra_to_document(explicit, argv[0]), fmt), argv
+
+
 def test_verify_samples_pass(capsys):
     for sample in ("heisenberg.algebra", "odd-dim1.algebra"):
         code, out, _ = run(capsys, "verify", str(SAMPLES / sample))
@@ -651,6 +668,24 @@ def test_validate_context_calls_per_command(tmp_path, capsys, monkeypatch):
             calls.clear()
             assert run(capsys, *argv)[0] == 0
             assert len(calls) == expected, argv
+
+    # catalog builds its family's context once: validated, with the Jacobi
+    # scans of a and h and the invariance scan of h; --emit algebra writes
+    # its double_extend, which validates it again and scans the extension.
+    # The algebra constructors reach both scans through the algebra module.
+    import superquad.algebra as algebra
+    scans = {name: 0 for name in ("check_jacobi", "check_invariance")}
+    for name in scans:
+        def scan(*args, _name=name, _original=getattr(algebra, name)):
+            scans[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(algebra, name, scan)
+    for family in (("heisenberg", "--pairs", "16"), ("odd-dim1", "--eta", "1/2")):
+        for emit, expected in (("context", (1, 2, 1)), ("algebra", (2, 3, 2))):
+            calls.clear()
+            scans.update(dict.fromkeys(scans, 0))
+            assert run(capsys, "catalog", *family, "--emit", emit, "--out", out)[0] == 0
+            assert (len(calls), scans["check_jacobi"], scans["check_invariance"]) == expected, (family, emit)
 
 
 def test_roundtrip_derives_chi_and_phi_once_per_context(capsys, monkeypatch):

@@ -251,7 +251,7 @@ def test_cached_chi_and_phi_stay_out_of_equality_hashing_and_pickling():
     import pickle
 
     ctx = heisenberg_context(default_heisenberg_params())
-    fresh = heisenberg_context(default_heisenberg_params())
+    fresh = copy.copy(ctx)  # the fields alone: the catalog returns ctx validated, chi and ad*_delta derived
     assert ctx.chi is ctx.chi and ctx.phi is ctx.phi and ctx.dual_block is ctx.dual_block
     assert ctx.ad_star is ctx.ad_star and ctx.extension is ctx.extension
     assert ctx.chi == derive_chi(fresh) and ctx.phi == derive_phi(fresh)

@@ -308,6 +308,8 @@ TEXT_ERRORS = [
     ("metric-duplicate", ALGEBRA.replace("metric 1 0 1", "metric 0 1 2"), "line 7: duplicate metric entry (0, 1)"),
     ("metric-bad-rational", ALGEBRA.replace("metric 1 0 1", "metric 1 0 --1"), "line 7: bad rational '--1'"),
     ("unknown-algebra-line", ALGEBRA.replace("basis d 0", "bases d 0"), "line 3: unknown algebra line 'bases'"),
+    # the text twin of JSON's unknown-algebra-key
+    ("misspelt-metric-line", ALGEBRA.replace("metric 0 1 1", "metrc 0 1 1"), "line 6: unknown algebra line 'metrc'"),
     ("bad-end", ALGEBRA.replace("end algebra", "end"), "line 8: expected 'end algebra'"),
     ("unexpected-end", ALGEBRA.replace("end algebra\n", ""), "line 7: unexpected end of input"),
     ("algebra-trailing", ALGEBRA + "basis y 0\n", "line 9: trailing content after 'end algebra'"),
@@ -483,6 +485,14 @@ JSON_ERRORS = [
     ("ideal-float", IDEAL, ("vectors", 0, 3), 1.5,
      "input: coefficient must be a rational string or a JSON integer, got 1.5"),
     ("unknown-kind", IDEAL, ("kind",), "widget", "input: unknown document kind 'widget'"),
+    # a key that the object's kind does not have, as a text line that its block does not have
+    ("unknown-algebra-key", ALGEBRA, ("metrc",), {"degree": 1, "entries": []}, "input: unknown algebra key 'metrc'"),
+    ("unknown-metric-key", ALGEBRA, ("metric", "degre"), 1, "input: unknown metric key 'degre'"),
+    ("unknown-context-key", CONTEXT, ("mu",), [], "input: unknown context key 'mu'"),
+    ("unknown-h-key", CONTEXT, ("h", "metrc"), {}, "input, field h: unknown algebra key 'metrc'"),
+    ("unknown-a-metric-key", CONTEXT, ("a", "metric"), {"degree": 0, "entries": [], "k": 0},
+     "input, field a: unknown metric key 'k'"),
+    ("unknown-ideal-key", IDEAL, ("vector",), [], "input: unknown ideal key 'vector'"),
 ]
 
 

@@ -300,12 +300,43 @@ def test_parsed_documents_keep_integers_until_read():
 
 @pytest.mark.parametrize("x", [-1, 2])
 def test_rho_entry_outside_a_is_refused(x):
-    """A hand-built context's rho entry for no a-basis vector is an error:
-    x = -1 used to land in the last vector's map, x = dim a to raise IndexError."""
+    """A hand-built context's rho entry for no a-basis vector is refused as
+    the readers refuse it: x = -1 used to land in the last vector's map,
+    x = dim a to raise IndexError."""
     h = AlgebraDocument("h", (("u", 0), ("v", 0)), (), 0, ((0, 0, 1), (1, 1, 1)))
     a = AlgebraDocument("a", (("x", 0), ("y", 0)), ())
-    with pytest.raises(ValueError, match=rf"rho entry \({x},0,1\) out of range"):
+    with pytest.raises(ParseError) as exc:
         document_to_context(ContextDocument("c", 0, h, a, ((x, 0, 1, F(1)),), (), ()))
+    assert str(exc.value) == f"input: rho index {x} out of range in 'c'"
+
+
+def test_hand_built_tables_follow_the_readers_range_rule():
+    """Each of the five tables of a hand-built document, out of range, raises
+    the ParseError that the JSON reader raises for the same document, naming
+    the first bad entry in index order; a zero entry is refused too."""
+    h = AlgebraDocument("h", (("u", 0), ("v", 0)), (), 0, ((0, 0, 1), (1, 1, 1)))
+    a = AlgebraDocument("a", (("x", 0),), ())
+    bad_h = AlgebraDocument("h", h.basis, ((0, 0, 3, F(1)), (0, 0, 2, F(1))), 0, h.metric)
+    cases = [
+        (bad_h, "bracket index 2 out of range in 'h'"),
+        (AlgebraDocument("m", h.basis, (), 0, ((0, 0, 1), (1, -1, 1))), "metric index -1 out of range in 'm'"),
+        (ContextDocument("c", 0, h, a, ((0, 2, 0, F(1)),), (), ()), "rho index 2 out of range in 'c'"),
+        (ContextDocument("c", 0, h, a, (), ((0, 0, 5, F(1)),), ()), "lambda index 5 out of range in 'c'"),
+        (ContextDocument("c", 0, h, a, (), (), ((0, 1, 0, F(1)),)), "omega index 1 out of range in 'c'"),
+        (ContextDocument("c", 0, bad_h, a, (), (), ()), "bracket index 2 out of range in 'h'"),
+    ]
+    for doc, message in cases:
+        convert = document_to_context if isinstance(doc, ContextDocument) else document_to_raw
+        for made in (doc, serialize_document(doc, "json")):
+            with pytest.raises(ParseError) as exc:
+                convert(made) if made is doc else parse_document(made)
+            assert str(exc.value) == f"input: {message}", made
+    zero = ContextDocument("c", 0, h, a, (), (), ((0, 0, 0, F(1)), (0, 1, 0, F(0))))
+    with pytest.raises(ParseError, match="omega index 1 out of range in 'c'"):
+        document_to_context(zero)
+    short = AlgebraDocument("t", h.basis, ((0, 0, F(1)),))
+    with pytest.raises(ParseError, match=r"bracket entry \(0, 0\) needs 3 indices in 't'"):
+        document_to_raw(short)
 
 
 # ---------------------------------------------------------------------------
