@@ -23,10 +23,8 @@ from .catalog import (
     default_odd_dim1_params,
     heisenberg_context,
     heisenberg_extension,
-    heisenberg_target,
     odd_extension_context,
     odd_extension_dim1,
-    psi_preconditions_hold,
 )
 from .decompose import (
     DecompositionResult,

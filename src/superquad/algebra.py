@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .errors import ValidationError, Violation
+from .errors import SuperquadError, ValidationError, Violation
 from .spaces import (
     EMPTY,
     GradedBilinearForm,
@@ -79,9 +79,9 @@ class SuperBracket(GradedBilinearMap):
 def cyclic_residual(parities: Sequence[int], i: int, j: int, k: int, piece) -> dict:
     """Super-cyclic sum of (-1)^{|x||z|} piece(x, y, z) over the shifts of (i, j, k).
 
-    Every cyclic identity of the construction has this shape: Jacobi with
-    piece [x,[y,z]], and the cocycle conditions with their own pieces. Pieces
-    and the sum are sparse vectors; the sum holds no zeros.
+    Jacobi has this shape, with piece [x,[y,z]], and so has each cocycle
+    condition of the construction, a block of its extension's Jacobi
+    identity. Pieces and the sum are sparse vectors; the sum holds no zeros.
     """
     total: dict = {}
     for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
@@ -113,80 +113,71 @@ def lowest_slot(p: int, w: int) -> int:
     return ((p & -p).bit_length() - 1) // w
 
 
-def cyclic_failures(par: Sequence[int], terms) -> set:
-    """The sorted triples i <= j <= k at which a cyclic identity fails: the
-    ``cyclic_residual`` of the piece sum_m inner[y, z]_m outer[x, m], summed
-    over the terms (inner, outer), is nonzero. Each table maps an index pair
-    to a sparse vector; Jacobi is the single term (pairs, pairs).
+def cyclic_failures(par: Sequence[int], pairs: dict) -> set:
+    """The sorted triples i <= j <= k at which the Jacobi super identity of
+    the integer table ``pairs`` (an index pair to a sparse vector) fails:
+    the ``cyclic_residual`` of the piece [e_x, [e_y, e_z]], the sum over m of
+    pairs[y, z]_m pairs[x, m], is nonzero.
 
-    Every inner table must be super skew on the space with parities par.
-    Then the sum for a transposed triple is a sign multiple of the sum for
-    the triple, and the three shifts have equal sums, so an ordered triple
-    fails exactly when its sorted one does. The scan packs each outer vector
-    into one int (``pack``) and adds every product c outer[x, m], c the m
-    coordinate of inner[y, z], with its sign, to the sorted triple of which
+    The table must be super skew on the space with parities par. Then the
+    sum for a transposed triple is a sign multiple of the sum for the
+    triple, and the three shifts have equal sums, so an ordered triple fails
+    exactly when its sorted one does. The scan packs each pairs[x, m] into
+    one int (``pack``) and adds every product c pairs[x, m], c the m
+    coordinate of pairs[y, z], with its sign, to the sorted triple of which
     (x, y, z) is a shift, in one pass over the nonzeros (once when i = j = k:
     its three shifts coincide, so its sum is a third of the cyclic one). A
-    slot of a sum holds at most 3L products per term, L the most nonzeros of
-    an inner value, each at most M^2 for M the largest entry of any table,
-    so slots of width ``slot_width(3 * sum of L, M^2)`` keep every sum
-    exact. A term with an empty table adds nothing and is skipped."""
-    terms = [(inner, outer) for inner, outer in terms if inner and outer]
-    if not terms:
+    slot of a sum holds at most 3L products, L the most nonzeros of a value,
+    each at most M^2 for M the largest entry, so slots of width
+    ``slot_width(3L, M^2)`` keep every sum exact."""
+    if not pairs:
         return set()
-    products = 3 * sum(max(map(len, inner.values())) for inner, _ in terms)
-    tables = {id(t): t for term in terms for t in term}.values()  # Jacobi's two tables are one
-    top = max(abs(c) for t in tables for v in t.values() for c in v.values())
-    w = slot_width(products, top * top)
+    top = max(abs(c) for v in pairs.values() for c in v.values())
+    w = slot_width(3 * max(map(len, pairs.values())), top * top)
+    # left[p][m]: (x, (-1)^{|x| p} pairs[x, m] packed) for the x with pairs[x, m] != 0
+    left: tuple[dict, dict] = ({}, {})
+    for (x, m), v in pairs.items():
+        packed = pack(v, w)
+        left[0].setdefault(m, []).append((x, packed))
+        left[1].setdefault(m, []).append((x, -packed if par[x] else packed))
     sums: dict = {}  # sorted triple -> its cyclic sum, packed
-    for inner, outer in terms:
-        # left[p][m]: (x, (-1)^{|x| p} outer[x, m] packed) for the x with outer[x, m] != 0
-        left: tuple[dict, dict] = ({}, {})
-        for (x, m), v in outer.items():
-            packed = pack(v, w)
-            left[0].setdefault(m, []).append((x, packed))
-            left[1].setdefault(m, []).append((x, -packed if par[x] else packed))
-        for (y, z), v in inner.items():
-            left_z = left[par[z]]
-            for m, c in v.items():
-                for x, packed in left_z.get(m, ()):
-                    if x <= y <= z:
-                        key = (x, y, z)
-                    elif y <= z <= x:
-                        key = (y, z, x)
-                    elif z <= x <= y:
-                        key = (z, x, y)
-                    else:
-                        continue
-                    sums[key] = sums.get(key, 0) + c * packed
+    for (y, z), v in pairs.items():
+        left_z = left[par[z]]
+        for m, c in v.items():
+            for x, packed in left_z.get(m, ()):
+                if x <= y <= z:
+                    key = (x, y, z)
+                elif y <= z <= x:
+                    key = (y, z, x)
+                elif z <= x <= y:
+                    key = (z, x, y)
+                else:
+                    continue
+                sums[key] = sums.get(key, 0) + c * packed
     return {key for key, s in sums.items() if s}
 
 
-def cyclic_violation(name: str, par: Sequence[int], terms, ijk, scale: int, dim: int) -> Violation:
-    """Violation ``name`` at the triple ijk of the cyclic identity with these
-    terms (see ``cyclic_failures``): its residual divided by scale, as a
-    dense vector of length dim."""
+def cyclic_violation(par: Sequence[int], pairs: dict, ijk, scale: int) -> Violation:
+    """The ``jacobi`` violation at the triple ijk of the table pairs (see
+    ``cyclic_failures``): its residual divided by scale, as a dense vector."""
     def piece(x, y, z):
         out: dict = {}
-        for inner, outer in terms:
-            for m, c in inner.get((y, z), EMPTY).items():
-                add_scaled(out, c, outer.get((x, m), EMPTY))
+        for m, c in pairs.get((y, z), EMPTY).items():
+            add_scaled(out, c, pairs.get((x, m), EMPTY))
         return out
 
-    res = cyclic_residual(par, *ijk, piece)
-    return Violation(name, ijk, linalg._dense(scale, res, dim))
+    return Violation("jacobi", ijk, linalg._dense(scale, cyclic_residual(par, *ijk, piece), len(par)))
 
 
 def check_jacobi(bracket: SuperBracket) -> Violation | None:
     """First violating triple of the Jacobi super identity, or None: the
-    ``cyclic_failures`` scan of the one term (pairs, pairs) on the integer
-    view, where every double bracket is d^2 times the rational one. Under
-    super skew-symmetry it finds every failure; the least is the witness."""
+    ``cyclic_failures`` scan of the integer view, where every double bracket
+    is d^2 times the rational one. Under super skew-symmetry it finds every
+    failure; the least is the witness."""
     par = bracket.space.parities
     d, pairs = bracket.scaled_pairs
-    terms = [(pairs, pairs)]
-    failed = cyclic_failures(par, terms)
-    return cyclic_violation("jacobi", par, terms, min(failed), d * d, bracket.space.dim) if failed else None
+    failed = cyclic_failures(par, pairs)
+    return cyclic_violation(par, pairs, min(failed), d * d) if failed else None
 
 
 @dataclass(frozen=True)
@@ -214,8 +205,9 @@ class LieSuperAlgebra:
         return cls(SuperBracket.zero(space))
 
 
-def check_invariance(form: GradedBilinearForm, bracket: SuperBracket) -> Violation | None:
-    """B([x,y],z) = B(x,[y,z]) on all basis triples; witness on failure.
+def invariance_failures(form: GradedBilinearForm, bracket: SuperBracket) -> dict:
+    """Each pair (i, j) at which B([e_i, e_j], e_k) = B(e_i, [e_j, e_k])
+    fails, mapped to its least failing k.
 
     Both sides are evaluated on the integer views, so each is d_b d_f times
     its rational value. For each pair (i, j) the residual over k is one
@@ -223,16 +215,14 @@ def check_invariance(form: GradedBilinearForm, bracket: SuperBracket) -> Violati
     of B(e_i, e_m) times the e_m coordinate of [e_j, .]. A slot holds at most
     2n products of a constant and a metric entry, so slots of width
     ``slot_width(2n, M_b M_f)`` keep every sum exact. Only the pairs with a
-    nonzero term on either side are visited; the first with a nonzero sum,
-    at its lowest nonzero slot, is the witness, whose residual is recomputed
-    on the views and divided back."""
+    nonzero term on either side are visited."""
     if form.space.basis != bracket.space.basis:
         raise ValueError("form and bracket live on different spaces")
     n = form.space.dim
-    d_b, pairs = bracket.scaled_pairs
-    d_f, rows = form.scaled_rows
+    _, pairs = bracket.scaled_pairs
+    _, rows = form.scaled_rows
     if not pairs or not any(rows):
-        return None  # every term has a factor from each
+        return {}  # every term has a factor from each
     top_b = max(abs(c) for v in pairs.values() for c in v.values())
     top_f = max(abs(b) for row in rows for b in row.values())
     w = slot_width(2 * n, top_b * top_f)
@@ -254,14 +244,28 @@ def check_invariance(form: GradedBilinearForm, bracket: SuperBracket) -> Violati
     for (j, m), packed in ad.items():
         for i in in_column[m]:
             diff[i, j] = diff.get((i, j), 0) - rows[i][m] * packed
-    failed = [ij for ij, s in diff.items() if s]
-    if not failed:
-        return None
-    i, j = min(failed)
-    k = lowest_slot(diff[i, j], w)
+    return {ij: lowest_slot(s, w) for ij, s in diff.items() if s}
+
+
+def invariance_violation(name: str, form: GradedBilinearForm, bracket: SuperBracket, ijk) -> Violation:
+    """Violation ``name`` at ijk with residual B([e_i, e_j], e_k) - B(e_i,
+    [e_j, e_k]), computed on the integer views and divided back."""
+    i, j, k = ijk
+    d_b, pairs = bracket.scaled_pairs
+    d_f, rows = form.scaled_rows
     lhs = sum(c * rows[m].get(k, 0) for m, c in pairs.get((i, j), EMPTY).items())
     rhs = sum(c * rows[i].get(m, 0) for m, c in pairs.get((j, k), EMPTY).items())
-    return Violation("invariance", (i, j, k), Fraction(lhs - rhs, d_b * d_f))
+    return Violation(name, ijk, Fraction(lhs - rhs, d_b * d_f))
+
+
+def check_invariance(form: GradedBilinearForm, bracket: SuperBracket) -> Violation | None:
+    """B([x,y],z) = B(x,[y,z]) on all basis triples; witness on failure, the
+    least failing pair of ``invariance_failures`` at its least k."""
+    failed = invariance_failures(form, bracket)
+    if not failed:
+        return None
+    ij = min(failed)
+    return invariance_violation("invariance", form, bracket, (*ij, failed[ij]))
 
 
 def certify_isometry(bracket1, metric1, bracket2, metric2) -> Violation | None:
@@ -330,6 +334,37 @@ class QuadraticLieSuperAlgebra:
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+
+def _by_transport(bracket: SuperBracket, columns: tuple,
+                  metric: GradedBilinearForm | None = None):
+    """The bracket, with the metric if given, as a certified algebra, built
+    without their scans; ``columns``, the parities of the vectors the tables
+    are read on, must be those of their basis (checked here).
+
+    The caller holds the certificate. ``decompose`` reads the tables of a
+    certified g in a basis of homogeneous columns (``inverse_ints``), with
+    I-perp an ideal that contains I (``ideal-*``) and dim a = dim I
+    (``a-superalgebra``), so h + I is I-perp (``h-quadratic`` checks dim h +
+    dim I = dim I-perp): a's bracket is that of g/I-perp, h's that of
+    I-perp/I with the metric B induces, I being the radical of B on I-perp,
+    and, once the isometry claims pass, the re-extension's tables are g's in
+    the (a, h, I) basis. Grading, super skew, Jacobi, invariance,
+    super-symmetry, degree and non-degeneracy carry over to each.
+    ``validate_context`` hands over the extension whose Jacobi and
+    invariance scans it has read, its other checks following from the
+    context's. As ``spaces._build`` builds a map, the fields are set on a
+    new instance; ``__post_init__`` is not run."""
+    if any(t.space.parities != columns for t in (bracket, metric) if t is not None):
+        raise SuperquadError("a table's basis and its columns differ in parity")
+    out = object.__new__(LieSuperAlgebra)
+    object.__setattr__(out, "bracket", bracket)
+    if metric is None:
+        return out
+    lie, out = out, object.__new__(QuadraticLieSuperAlgebra)
+    object.__setattr__(out, "algebra", lie)
+    object.__setattr__(out, "metric", metric)
+    return out
 
 
 def is_derivation(d: GradedLinearMap, bracket: SuperBracket) -> bool:
@@ -419,36 +454,6 @@ def delta_coadjoint(g: LieSuperAlgebra, delta: int) -> Representation:
             tables[i][k, j] = c if ((par[j] + delta) * par[i]) % 2 else -c
     return Representation(g, module, tuple(
         GradedLinearMap.from_ints(module, module, par[i], d, t) for i, t in enumerate(tables)))
-
-
-def curvature_failures(a: LieSuperAlgebra, h_bracket: SuperBracket,
-                       theta: Sequence[GradedLinearMap], lam: GradedBilinearMap):
-    """Pairs (i, j), in scan order, where the curvature condition
-    [theta(x_i), theta(x_j)] - theta([x_i, x_j]_a) = ad_h(lam(x_i, x_j)) fails,
-    with [S, T] = ST - (-1)^{|S||T|} TS; compared column by column on h.
-
-    The comparison runs on the integer views of a's bracket, lam, h's
-    bracket and the theta maps, brought to one scale d (``common_scale``),
-    so every term is d^2 times its rational value."""
-    _, (a_pairs, lam_pairs, h_pairs, *cols) = common_scale(
-        [a.bracket.scaled_pairs, lam.scaled_pairs, h_bracket.scaled_pairs] + [t.scaled_columns for t in theta])
-    for i in range(a.dim):
-        for j in range(a.dim):
-            sign = -1 if (theta[i].degree * theta[j].degree) % 2 else 1
-            a_ij, lam_ij = a_pairs.get((i, j), EMPTY), lam_pairs.get((i, j), EMPTY)
-            for u in range(h_bracket.space.dim):
-                acc: dict = {}
-                for r, c in cols[j][u].items():
-                    add_scaled(acc, c, cols[i][r])
-                for r, c in cols[i][u].items():
-                    add_scaled(acc, -sign * c, cols[j][r])
-                for m, c in a_ij.items():
-                    add_scaled(acc, -c, cols[m][u])
-                for r, c in lam_ij.items():
-                    add_scaled(acc, -c, h_pairs.get((r, u), EMPTY))
-                if any(acc.values()):
-                    yield i, j
-                    break
 
 
 def semidirect_product(a: LieSuperAlgebra, h: LieSuperAlgebra,

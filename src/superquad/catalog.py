@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import extension, linalg
+from . import linalg
 from .algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket
-from .extension import DeltaContext
+from .extension import DeltaContext, double_extend
 from .linalg import Vector, ZERO
 from .spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace, p_delta_dual, sparse_vec
 
@@ -107,7 +107,9 @@ def odd_extension_context(p: OddExtensionParams) -> DeltaContext:
     a = _one_dim_algebra(_fresh_label(p.h.space), 1)
     lam = GradedBilinearMap.from_entries(a.space, a.space, p.h.space, [(0, 0, r, c) for r, c in enumerate(p.w)])
     omega = GradedBilinearMap.from_entries(a.space, a.space, p_delta_dual(a.space, ODD), [(0, 0, 0, p.eta)])
-    return extension._validated(DeltaContext(ODD, a, p.h, (p.d,), lam, omega))
+    ctx = DeltaContext(ODD, a, p.h, (p.d,), lam, omega)
+    double_extend(ctx)  # certifies ctx and caches its extension
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -146,30 +148,9 @@ def heisenberg_extension(p: HeisenbergExtensionParams) -> QuadraticLieSuperAlgeb
 def heisenberg_context(p: HeisenbergExtensionParams) -> DeltaContext:
     """The context for the even-generator extension, lambda = omega = 0, validated."""
     trivial = DeltaContext.trivial(ODD, _one_dim_algebra(_fresh_label(p.h.space), 0), p.h)
-    return extension._validated(replace(trivial, rho=(p.d,)))
-
-
-def heisenberg_target(p: HeisenbergExtensionParams) -> QuadraticLieSuperAlgebra:
-    """h(D) = F D + h + F hbar: the Heisenberg superalgebra of the form
-    omega(u,v) = B_h(D(u),v), extended by D acting as an even derivation."""
-    h = p.h
-    nh = h.dim
-    n = nh + 2
-    dlab = _fresh_label(h.space, "D")
-    hlab = _fresh_label(h.space, "hbar")
-    space = SuperSpace(((dlab, 0),) + h.space.basis + ((hlab, 1),))
-    entries = _action_entries(p) + _omega_entries(p, n - 1)
-    return QuadraticLieSuperAlgebra(LieSuperAlgebra(SuperBracket.from_entries(space, entries)),
-                                    _hyperbolic_metric(space, h))
-
-
-def psi_preconditions_hold(p: HeisenbergExtensionParams) -> bool:
-    """h Abelian and (u,v) -> B_h(D(u),v) non-degenerate."""
-    if not p.h.bracket.is_zero():
-        return False
-    # row m of the form: B_h(D(u_m), .)
-    w = [p.h.metric.covector(col) for col in p.d.sparse_columns]
-    return linalg.rank(w, p.h.dim) == p.h.dim
+    ctx = replace(trivial, rho=(p.d,))
+    double_extend(ctx)  # certifies ctx and caches its extension
+    return ctx
 
 
 def default_odd_dim1_params(eta=Fraction(1)) -> OddExtensionParams:

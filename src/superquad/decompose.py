@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import extension, linalg
-from .algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket, certify_isometry
+from .algebra import QuadraticLieSuperAlgebra, SuperBracket, _by_transport, certify_isometry
 from .errors import (
     ClaimViolated,
     DegenerateInput,
@@ -546,34 +546,6 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> ScaledVecto
         raise ClaimViolated("ideal-invariant",
                             [Violation("ideal-invariant", divmod(k, len(e)), linalg._dense(d_b * d_e, images[k], n))])
     return ideal
-
-
-def _by_transport(bracket: SuperBracket, columns: tuple,
-                  metric: GradedBilinearForm | None = None):
-    """The bracket, with the metric if given, as a certified algebra, built
-    without their scans; ``columns``, the parities in g of the vectors the
-    tables are read on, must be those of their basis (checked here).
-
-    Where ``decompose`` calls it, g is certified, (a, h, I) is a basis of
-    homogeneous columns (``inverse_ints``) and I-perp an ideal that contains
-    I (``ideal-*``). With dim a = dim I (``a-superalgebra``; ``h-quadratic``
-    checks dim h + dim I = dim I-perp), h + I, taken inside I-perp, is I-perp.
-    So a's bracket is that of g/I-perp, h's that of I-perp/I with the metric
-    B induces, I being the radical of B on I-perp, and, once the isometry
-    claims pass, the re-extension's tables are g's in the (a, h, I) basis.
-    Grading, super skew, Jacobi, invariance, super-symmetry, degree and
-    non-degeneracy carry over to each. As ``spaces._build`` builds a map,
-    the fields are set on a new instance; ``__post_init__`` is not run."""
-    if any(t.space.parities != columns for t in (bracket, metric) if t is not None):
-        raise SuperquadError("a block's basis and its columns in g differ in parity")
-    out = object.__new__(LieSuperAlgebra)
-    object.__setattr__(out, "bracket", bracket)
-    if metric is None:
-        return out
-    lie, out = out, object.__new__(QuadraticLieSuperAlgebra)
-    object.__setattr__(out, "algebra", lie)
-    object.__setattr__(out, "metric", metric)
-    return out
 
 
 def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,

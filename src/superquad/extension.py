@@ -2,23 +2,39 @@
 
 A delta-context carries (h, [.,.]_h, B_h, rho, lambda, omega) over an
 auxiliary algebra a. ``validate_context`` machine-checks the defining axioms
-exhaustively on basis tuples, and ``double_extend`` builds the quadratic Lie
-superalgebra of degree delta on a + h + P_delta(a)*. The derived identities
-for chi and Phi that the axioms imply are consequences, not conditions, so
-the library does not check them; the test suite does, on every valid context
-it generates.
+exhaustively on basis tuples, and ``double_extend`` returns the quadratic Lie
+superalgebra of degree delta on a + h + P_delta(a)* that it certifies. The
+derived identities for chi and Phi that the axioms imply are consequences,
+not conditions, so the library does not check them; the test suite does, on
+every valid context it generates.
 
 The tables are assembled in one place, ``extension_tables``: the bracket
 [,]_a + lambda + omega, Theta = rho + ad*_delta + chi with its super skew
-partners, and [,]_h + Phi (the central extension of h by the dual block via
-the cocycle Phi), each through one ``from_entries``, and the metric. The
-context axioms are checked once, by ``validate_context``, before the tables
-are built. ``double_extend`` then certifies the result by the grading, super
-skew and Jacobi scans of the whole bracket and by its invariant metric; the
-bracket's scans contain every triple of the central extension, which is a
-subalgebra, and the three conditions of the semi-direct product on
-(Theta, Lambda), so none of them is scanned on its own, and a successful
-return is a machine proof for the instance at hand.
+partners, and [,]_h + Phi, and the metric. The context axioms hold exactly
+when that bracket is a Lie superalgebra bracket with the metric invariant,
+so ``validate_context``, behind a gate on the pieces, proves each once, as
+a block of the basis (a, h, dual) in one Jacobi and one invariance scan of
+the assembled tables:
+
+| scan | block | component | axiom |
+|---|---|---|---|
+| Jacobi | (a, a, h) | h | deh1 |
+| Jacobi | (a, a, a) | h | deh2 |
+| Jacobi | (a, a, a) | dual | deh3 |
+| invariance | (a, a, a) | | super-cyclic |
+
+The other blocks follow. chi, Phi and ad*_delta are derived so that B is
+invariant on every triple with a vector outside a; then B(J(x, y, z), w),
+J the Jacobi sum, is super alternating, so the dual component of (a, a, h)
+is deh2, of (a, h, h) deh1 and of (h, h, h) rho's derivation rule. The a
+component of (a, a, a) is a's Jacobi identity, the h components with two
+or three h vectors are rho's derivation rule and h's Jacobi identity, the
+blocks with a dual vector are ad*_delta's representation rule and the dual
+block's centrality, and Phi is super skew exactly when rho is skew for B_h;
+the gate checks both rules on rho, and grading and super skew hold by
+construction once lambda and omega pass it. When no axiom fails the scanned
+tables are the extension, kept as the context's ``extension``, so
+``double_extend`` scans nothing again.
 
 The axioms and the derivation of chi and Phi run on the integer views of the
 maps (``scaled_pairs``, ``scaled_rows``, ``scaled_columns``): each identity is
@@ -32,22 +48,24 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 from .algebra import (
     LieSuperAlgebra,
     QuadraticLieSuperAlgebra,
     SuperBracket,
-    curvature_failures,
+    _by_transport,
+    check_invariance,
+    check_jacobi,
     cyclic_failures,
     cyclic_violation,
     delta_coadjoint,
+    invariance_failures,
+    invariance_violation,
     is_derivation,
     is_metric_skew,
 )
-from .errors import InvalidContext, Violation
+from .errors import InvalidContext, ValidationError, Violation
 from .spaces import (
-    EMPTY,
     GradedBilinearForm,
     GradedBilinearMap,
     GradedLinearMap,
@@ -120,8 +138,8 @@ class DeltaContext:
     @functools.cached_property
     def extension(self) -> QuadraticLieSuperAlgebra:
         """``double_extend`` of this context, built and certified once; raises as
-        it does. ``decompose`` sets it to the re-extension that its isometry
-        onto g certifies."""
+        it does. ``validate_context`` sets it when the context passes, and
+        ``decompose`` to the re-extension that its isometry onto g certifies."""
         return double_extend(self)
 
     def __getstate__(self):
@@ -187,13 +205,24 @@ def derive_phi(ctx: DeltaContext) -> GradedBilinearMap:
 def validate_context(ctx: DeltaContext) -> list[Violation]:
     """All context axioms, exhaustively on basis tuples; empty list means ok.
 
-    The identities are compared on integer views (``scaled_pairs``,
-    ``scaled_columns``) brought to one scale d, so every term of one identity
-    is d^2 (super-cyclic: d) times its value: a sum vanishes exactly when the
-    rational one does, and a residual is divided back once. deh2 and deh3
-    are found by one ``cyclic_failures`` scan each, exhaustive because
-    lambda, omega and a's bracket are super skew by then; every ordering of
-    a failing sorted triple is reported, in row-major order."""
+    The gate, whose failures are returned as they are: the metric degree,
+    each rho map's degree, ``is_derivation`` and ``is_metric_skew``, lambda
+    and omega even and super skew. Behind it the axioms are read off one
+    ``cyclic_failures`` scan of the ``extension_tables`` bracket and one
+    ``invariance_failures`` scan of its metric, with indices in the
+    context's numbering, each list in row-major order:
+
+    | scan, block: component | axiom | residual |
+    |---|---|---|
+    | Jacobi, (a, a, h): h | deh1 at (i, j) and (j, i) | none |
+    | Jacobi, (a, a, a): h | deh2 at every ordering | the h slice |
+    | Jacobi, (a, a, a): dual | deh3 at every ordering | the dual slice |
+    | invariance, (a, a, a) | super-cyclic | the scan's |
+
+    The other blocks follow (see the module docstring); a failure there
+    while no axiom fails raises ``ValidationError`` with the first jacobi,
+    else invariance, witness. An empty list leaves the certified tables as
+    ``ctx.extension``, unless that is set already."""
     out: list[Violation] = []
     na, par = ctx.a.dim, ctx.a.space.parities
 
@@ -213,36 +242,30 @@ def validate_context(ctx: DeltaContext) -> list[Violation]:
                         ctx.omega.check_even("omega-even"), ctx.omega.check_super_skew("omega-skew"))
             if v is not None]
     if out:
-        return out  # derived maps below assume well-formed pieces
+        return out  # the extension's tables assume well-formed pieces
 
-    # deh1: [rho(x),rho(y)] - rho([x,y]_a) = ad_h(lambda(x,y))
-    out += [Violation("deh1", ij) for ij in curvature_failures(ctx.a, ctx.h.bracket, ctx.rho, ctx.lam)]
+    bracket, metric = extension_tables(ctx)
+    d, pairs = bracket.scaled_pairs
+    nc, ext_par = na + ctx.h.dim, bracket.space.parities  # nc: the dual block's first index
+    jacobi = cyclic_failures(ext_par, pairs)
+    residual = functools.cache(lambda ijk: cyclic_violation(ext_par, pairs, ijk, d * d).residual)
 
-    # deh2, deh3 and super-cyclic read their views at one scale d, so every
-    # product of two constants is d^2 times its value
-    d, (a_pairs, lam_pairs, omega_pairs, chi_pairs, *cols) = common_scale(
-        [ctx.a.bracket.scaled_pairs, ctx.lam.scaled_pairs, ctx.omega.scaled_pairs, ctx.chi.scaled_pairs]
-        + [t.scaled_columns for t in ctx.rho + ctx.ad_star])
-    # column r of the map of x, keyed (x, r)
-    rho, ad_star = ({(x, r): col for x, t in enumerate(maps) for r, col in enumerate(t) if col}
-                    for maps in (cols[:na], cols[na:]))
+    out += [Violation("deh1", ij) for ij in sorted(
+        {p for i, j, k in jacobi if j < na <= k < nc and any(residual((i, j, k))[na:nc]) for p in ((i, j), (j, i))})]
+    cubes = sorted({p for t in jacobi if t[2] < na for p in itertools.permutations(t)})
+    for name, lo, hi in (("deh2", na, nc), ("deh3", nc, None)):
+        out += [Violation(name, ijk, residual(ijk)[lo:hi]) for ijk in cubes if any(residual(ijk)[lo:hi])]
+    invariance = invariance_failures(metric, bracket)
+    for (i, j), first in sorted(invariance.items()):
+        if i < na and j < na:
+            out += [v for k in range(first, na)
+                    if (v := invariance_violation("super-cyclic", metric, bracket, (i, j, k))).residual]
 
-    # deh2: cyclic sum of rho(x)(lambda(y,z)) + lambda(x,[y,z]_a);
-    # deh3: cyclic sum of ad*_d(x)(omega(y,z)) + omega(x,[y,z]_a) + chi(x,lambda(y,z))
-    for name, terms, dim in (("deh2", [(lam_pairs, rho), (a_pairs, lam_pairs)], ctx.h.dim),
-                             ("deh3", [(omega_pairs, ad_star), (a_pairs, omega_pairs),
-                                       (lam_pairs, chi_pairs)], na)):
-        failed = cyclic_failures(par, terms)
-        out += [cyclic_violation(name, par, terms, ijk, d * d, dim)
-                for ijk in sorted({p for t in failed for p in itertools.permutations(t)})]
-
-    # super cyclic condition on omega
-    for i, j, k in itertools.product(range(na), repeat=3):
-        sign = -1 if ((par[j] + par[k]) * par[i]) % 2 else 1
-        res = omega_pairs.get((i, j), EMPTY).get(k, 0) - sign * omega_pairs.get((j, k), EMPTY).get(i, 0)
-        if res:
-            out.append(Violation("super-cyclic", (i, j, k), Fraction(res, d)))
-
+    if out:
+        return out
+    if jacobi or invariance:  # in a block no axiom names: the extension's own first witness
+        raise ValidationError(check_jacobi(bracket) or check_invariance(metric, bracket))
+    vars(ctx).setdefault("extension", _by_transport(bracket, ext_par, metric))
     return out
 
 
@@ -290,7 +313,7 @@ def extension_tables(ctx: DeltaContext) -> tuple[SuperBracket, GradedBilinearFor
     partners [u, x] = -(-1)^{|x||u|} Theta(x)(u), and [,]_h + Phi on h x h,
     summed from the pieces' integer states brought to one scale
     (``common_scale``); the metric is ``extension_metric``. The caller
-    certifies them: by their own scans (``double_extend``) or by an exact
+    certifies them: by their own scans (``validate_context``) or by an exact
     isometry onto an algebra already certified (``decompose``)."""
     na, nh = ctx.a.dim, ctx.h.dim
     nc = na + nh  # first index of the dual block
@@ -314,25 +337,17 @@ def extension_tables(ctx: DeltaContext) -> tuple[SuperBracket, GradedBilinearFor
     return SuperBracket.from_ints(space, d, table), extension_metric(ctx, space)
 
 
-def _validated(ctx: DeltaContext) -> DeltaContext:
-    """ctx if it satisfies every context axiom, else InvalidContext with all violations."""
+def double_extend(ctx: DeltaContext) -> QuadraticLieSuperAlgebra:
+    """Quadratic Lie superalgebra of degree delta on a + h + P_delta(a)*:
+    ``ctx.extension``, once ``validate_context`` has certified it; raises
+    InvalidContext with all violations when the context axioms fail. Basis
+    blocks (a, h, dual) in that order, with dual functional parities equal
+    to a-parities plus delta; this ordering is part of the file-format
+    contract."""
     violations = validate_context(ctx)
     if violations:
         raise InvalidContext(violations)
-    return ctx
-
-
-def double_extend(ctx: DeltaContext) -> QuadraticLieSuperAlgebra:
-    """Quadratic Lie superalgebra of degree delta on a + h + P_delta(a)*.
-
-    Raises InvalidContext with all violations when the context axioms fail.
-    The tables of ``extension_tables`` are then certified by one set of
-    scans. The returned algebra has basis blocks (a, h, dual) in that order,
-    with dual functional parities equal to a-parities plus delta; this
-    ordering is part of the file-format contract.
-    """
-    bracket, metric = extension_tables(_validated(ctx))
-    return QuadraticLieSuperAlgebra(LieSuperAlgebra(bracket), metric)
+    return vars(ctx)["extension"]  # set by validate_context, or before it
 
 
 def contexts_equal(c1: DeltaContext, c2: DeltaContext) -> bool:

@@ -757,6 +757,32 @@ def random_odd_dim1_params(rng):
     raise RuntimeError("odd-dim1 parameter sampling failed")
 
 
+def heisenberg_target(p) -> QuadraticLieSuperAlgebra:
+    """h(D) = F D + h + F hbar: the Heisenberg superalgebra of the form
+    omega(u,v) = B_h(D(u),v), extended by D acting as an even derivation.
+    Built from the catalog's explicit rows, as ``heisenberg_extension`` is."""
+    from superquad.catalog import _action_entries, _fresh_label, _hyperbolic_metric, _omega_entries
+    h = p.h
+    n = h.dim + 2
+    dlab = _fresh_label(h.space, "D")
+    hlab = _fresh_label(h.space, "hbar")
+    space = SuperSpace(((dlab, 0),) + h.space.basis + ((hlab, 1),))
+    entries = _action_entries(p) + _omega_entries(p, n - 1)
+    return QuadraticLieSuperAlgebra(LieSuperAlgebra(SuperBracket.from_entries(space, entries)),
+                                    _hyperbolic_metric(space, h))
+
+
+def psi_preconditions_hold(p) -> bool:
+    """h Abelian and (u,v) -> B_h(D(u),v) non-degenerate: then h(D) is a
+    Heisenberg superalgebra and ``heisenberg_extension(p)`` is isometric to
+    ``heisenberg_target(p)``."""
+    if not p.h.bracket.is_zero():
+        return False
+    # row m of the form: B_h(D(u_m), .)
+    w = [p.h.metric.covector(col) for col in p.d.sparse_columns]
+    return linalg.rank(w, p.h.dim) == p.h.dim
+
+
 # ---------------------------------------------------------------------------
 # Oracles for maps and identities that no command needs
 

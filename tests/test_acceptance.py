@@ -16,9 +16,11 @@ from generators import (
     ad_map,
     bracket_law_violation,
     context_corpus,
+    heisenberg_target,
     identity_map,
     intertwining_violation,
     lemma_residuals,
+    psi_preconditions_hold,
     random_heisenberg_params,
     random_odd_dim1_params,
     random_superalgebra_scrambled,
@@ -39,10 +41,8 @@ from superquad.catalog import (
     default_odd_dim1_params,
     heisenberg_context,
     heisenberg_extension,
-    heisenberg_target,
     odd_extension_context,
     odd_extension_dim1,
-    psi_preconditions_hold,
 )
 from superquad.decompose import decompose, witt_complement
 from superquad.errors import NotHomogeneous

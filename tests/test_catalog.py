@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from generators import ad_map, build_bracket, identity_map, random_heisenberg_params, random_odd_dim1_params
+from generators import (
+    ad_map,
+    build_bracket,
+    heisenberg_target,
+    identity_map,
+    psi_preconditions_hold,
+    random_heisenberg_params,
+    random_odd_dim1_params,
+)
 from superquad import linalg
 from superquad.algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket, certify_isometry, check_jacobi
 from superquad.catalog import (
@@ -13,10 +21,8 @@ from superquad.catalog import (
     default_odd_dim1_params,
     heisenberg_context,
     heisenberg_extension,
-    heisenberg_target,
     odd_extension_context,
     odd_extension_dim1,
-    psi_preconditions_hold,
 )
 from superquad.errors import InvalidContext
 from superquad.extension import DeltaContext, double_extend

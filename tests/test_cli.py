@@ -670,22 +670,29 @@ def test_validate_context_calls_per_command(tmp_path, capsys, monkeypatch):
             assert len(calls) == expected, argv
 
     # catalog builds its family's context once: validated, with the Jacobi
-    # scans of a and h and the invariance scan of h; --emit algebra writes
-    # its double_extend, which validates it again and scans the extension.
-    # The algebra constructors reach both scans through the algebra module.
+    # scans of a and h, the invariance scan of h and the one cyclic scan of
+    # the extension, which validate_context keeps; --emit algebra writes that
+    # extension and validates nothing again. The algebra constructors reach
+    # check_jacobi and check_invariance through the algebra module.
     import superquad.algebra as algebra
-    scans = {name: 0 for name in ("check_jacobi", "check_invariance")}
+    scans = {name: 0 for name in ("check_jacobi", "check_invariance", "cyclic_failures")}
     for name in scans:
-        def scan(*args, _name=name, _original=getattr(algebra, name)):
+        real = getattr(algebra, name)
+
+        def scan(*args, _name=name, _real=real):
             scans[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(algebra, name, scan)
+            return _real(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("superquad") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, scan)
     for family in (("heisenberg", "--pairs", "16"), ("odd-dim1", "--eta", "1/2")):
-        for emit, expected in (("context", (1, 2, 1)), ("algebra", (2, 3, 2))):
+        for emit in ("context", "algebra"):
             calls.clear()
             scans.update(dict.fromkeys(scans, 0))
             assert run(capsys, "catalog", *family, "--emit", emit, "--out", out)[0] == 0
-            assert (len(calls), scans["check_jacobi"], scans["check_invariance"]) == expected, (family, emit)
+            assert (len(calls), scans["check_jacobi"], scans["check_invariance"], scans["cyclic_failures"]) \
+                == (1, 2, 1, 3), (family, emit)
 
 
 def test_roundtrip_derives_chi_and_phi_once_per_context(capsys, monkeypatch):
@@ -713,12 +720,14 @@ def test_roundtrip_derives_chi_and_phi_once_per_context(capsys, monkeypatch):
 
 
 def test_extend_scans_each_context_condition_once(tmp_path, capsys, monkeypatch):
-    """The curvature check runs once per extend (deh1) and the derivation
-    check once per rho map: the semi-direct product is certified by its own
-    bracket, not by a second pass over the same conditions."""
+    """extend and roundtrip make three cyclic scans, the Jacobi scans of a
+    and h and the one scan of the extension that validate_context reads
+    deh1, deh2 and deh3 from, and check each rho map for a derivation once:
+    the extension is certified by its own bracket, not by a second pass
+    over the same conditions."""
     import sys
     import superquad.algebra as algebra
-    calls = {"curvature_failures": 0, "is_derivation": 0}
+    calls = {"cyclic_failures": 0, "is_derivation": 0}
     for name in calls:
         original = getattr(algebra, name)
 
@@ -729,13 +738,14 @@ def test_extend_scans_each_context_condition_once(tmp_path, capsys, monkeypatch)
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("superquad") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
-    for sample in ("heisenberg", "odd-dim1"):
-        path = SAMPLES / f"{sample}.context"
+    for stem in (SAMPLES / "heisenberg", SAMPLES / "odd-dim1", GOLDEN / "coprime"):
+        path = Path(f"{stem}.context")
         na = len(parse_document(path.read_text()).a_doc.basis)
-        for name in calls:
-            calls[name] = 0
-        assert run(capsys, "extend", "--context", str(path), "--out", str(tmp_path / "out"))[0] == 0
-        assert calls == {"curvature_failures": 1, "is_derivation": na}, sample
+        for argv in (("extend", "--context", str(path), "--out", str(tmp_path / "out")), ("roundtrip", str(path))):
+            for name in calls:
+                calls[name] = 0
+            assert run(capsys, *argv)[0] == 0
+            assert calls == {"cyclic_failures": 3, "is_derivation": na}, argv
 
 
 def test_delta_coadjoint_built_once_per_context(tmp_path, capsys, monkeypatch):
@@ -766,15 +776,15 @@ def test_delta_coadjoint_built_once_per_context(tmp_path, capsys, monkeypatch):
 
 def test_roundtrip_certifies_each_distinct_bracket_once(tmp_path, capsys, monkeypatch):
     """Every table a command builds is certified once, either by its scans
-    or by transport from an algebra already certified. extend scans a, h
-    and the extension, whose one Jacobi scan contains the central
-    extension's, so it makes three Jacobi scans on three distinct tables
-    and two invariance scans, h's and the extension's. decompose scans only
-    the algebra it reads: a and h are its quotient and subquotient, and the
-    re-extension is certified by the isometry onto it, so it makes one
-    Jacobi scan and one invariance scan. roundtrip scans a, h and the
-    extension as extend does, and takes the re-extension from the certified
-    input context it equals."""
+    or by transport from an algebra already certified. extend builds a and
+    h by their constructors, two Jacobi scans on two distinct tables and
+    h's invariance scan; the extension's Jacobi and invariance scans are
+    validate_context's own, which read the context axioms off them and
+    call neither check. decompose scans only the algebra it reads: a and h
+    are its quotient and subquotient, and the re-extension is certified by
+    the isometry onto it, so it makes one Jacobi scan and one invariance
+    scan. roundtrip scans a, h and the extension as extend does, and takes
+    the re-extension from the certified input context it equals."""
     import sys
     import superquad.algebra as algebra
     calls = {"check_jacobi": [], "check_invariance": []}
@@ -790,14 +800,49 @@ def test_roundtrip_certifies_each_distinct_bracket_once(tmp_path, capsys, monkey
                 monkeypatch.setattr(module, name, counting)
     out = str(tmp_path / "out")
     for stem in (SAMPLES / "heisenberg", SAMPLES / "odd-dim1", GOLDEN / "coprime"):
-        for argv, expected in ((("extend", "--context", f"{stem}.context", "--out", out), (3, 3, 2)),
+        for argv, expected in ((("extend", "--context", f"{stem}.context", "--out", out), (2, 2, 1)),
                                (("decompose", f"{stem}.algebra", "--out", out), (1, 1, 1)),
-                               (("roundtrip", f"{stem}.context"), (3, 3, 2))):
+                               (("roundtrip", f"{stem}.context"), (2, 2, 1))):
             for seen in calls.values():
                 seen.clear()
             assert run(capsys, *argv)[0] == 0
             jacobi, invariance = calls["check_jacobi"], calls["check_invariance"]
             assert (len(jacobi), len(set(jacobi)), len(invariance)) == expected, argv
+
+
+@pytest.mark.parametrize("block", ["phi", "chi"])
+@pytest.mark.parametrize("sample", [SAMPLES / "heisenberg.context", GOLDEN / "coprime.context"],
+                         ids=lambda p: p.name)
+def test_extend_refuses_a_failure_in_a_block_no_axiom_names(sample, block, tmp_path, capsys, monkeypatch):
+    """A structure constant planted, with its super skew partner, in the Phi
+    block (h x h -> dual) or the chi block (a x h -> dual) of a valid
+    context's extension breaks no context axiom. validate_context still
+    refuses the tables it scanned: extend exits 1 with the extension's
+    jacobi or invariance witness and writes no file."""
+    from fractions import Fraction
+
+    import superquad.extension as extension
+    from superquad.algebra import SuperBracket
+
+    real = extension.extension_tables
+
+    def planting(ctx):
+        bracket, metric = real(ctx)
+        na, nc, par = ctx.a.dim, ctx.a.dim + ctx.h.dim, bracket.space.parities
+        left = range(na, nc) if block == "phi" else range(na)
+        i, j, k = next((i, j, k) for i in left for j in range(na, nc) for k in range(nc, nc + na)
+                       if i < j and par[k] == (par[i] + par[j]) % 2)
+        c = Fraction(2, 3)
+        extra = [(i, j, k, c), (j, i, k, c if par[i] * par[j] else -c)]
+        return SuperBracket.from_entries(bracket.space, bracket.entries() + extra), metric
+
+    monkeypatch.setattr(extension, "extension_tables", planting)
+    out = tmp_path / "out.algebra"
+    code, stdout, err = run(capsys, "extend", "--context", str(sample), "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err.startswith(("violation: Jacobi super identity: witness", "violation: metric invariance: witness")), err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sample", [SAMPLES / "heisenberg.context", SAMPLES / "odd-dim1.context",

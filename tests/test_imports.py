@@ -39,9 +39,8 @@ def test_unused_import_is_reported():
 # stays there: the benchmark imports or traces it (among them the central
 # extension, Theta and the semi-direct product, whose tables
 # ``extension_tables`` assembles in one place), or README's "Public API"
-# section names it (the dense views, the parity-shift transfer, h(D) and
-# the test of its Heisenberg shape, whose isometry from the catalog
-# extension ``certify_isometry`` checks, a map applied to a sparse vector,
+# section names it (the dense views, the parity-shift transfer, a map
+# applied to a sparse vector, the zero test of a linear or bilinear map,
 # the parity of a dense vector, xi of any ideal and complement, which
 # decompose fixes by the Witt pairing instead, and the catalog's
 # explicit-row constructors, the reference its contexts are tested against).
@@ -50,9 +49,9 @@ KEPT = {**dict.fromkeys(("rref", "table", "in_span", "solve", "semidirect_produc
         **dict.fromkeys(("mat", "mat_vec", "mat_mul", "mat_add", "mat_scale", "zero_mat", "identity_mat",
                          "nullspace", "canonical"),
                         "perfbench/gen.py"),
-        **dict.fromkeys(("matrix", "value_vectors", "parity_shift_map", "heisenberg_target",
-                         "psi_preconditions_hold", "apply_sparse", "vector_parity", "build_xi",
-                         "odd_extension_dim1", "heisenberg_extension"), "README API")}
+        **dict.fromkeys(("matrix", "value_vectors", "parity_shift_map", "apply_sparse", "is_zero",
+                         "vector_parity", "build_xi", "odd_extension_dim1", "heisenberg_extension"),
+                        "README API")}
 
 
 def unreached(sources: dict[str, str]) -> list[str]:

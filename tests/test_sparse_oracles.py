@@ -7,6 +7,7 @@ single-entry corruptions they must report the same first witness and the same
 dense residual (or the same verdict, for the bool predicates).
 """
 
+import copy
 import functools
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from generators import (
     ad_map,
     change_basis,
+    context_corpus,
     mat_sub,
     rand_scalar,
     random_context,
@@ -34,7 +36,6 @@ from superquad.algebra import (
     SuperBracket,
     check_invariance,
     check_jacobi,
-    curvature_failures,
     delta_coadjoint,
     is_derivation,
     is_metric_skew,
@@ -1088,9 +1089,9 @@ def context_scales(ctx):
 def assert_context_layer_matches(ctx):
     """Every context-layer kernel against its Fraction reference: the rho
     predicates, the lambda/omega grading and skew witnesses, B_h super symmetry,
-    curvature_failures, chi, Phi (or its phi-skew witness) and, once the
-    pieces are well formed, validate_context's deh1/deh2/deh3/super-cyclic
-    list. Returns the equations that failed."""
+    chi, Phi (or its phi-skew witness) and, once the pieces are well formed,
+    validate_context's deh1/deh2/deh3/super-cyclic list, whose deh1 oracle is
+    ref_curvature. Returns the equations that failed."""
     seen = set()
     h, ph = ctx.h, ctx.h.space.parities
     assert same_witness(h.metric.check_supersymmetry(), ref_supersymmetry(h.metric))
@@ -1104,7 +1105,6 @@ def assert_context_layer_matches(ctx):
         seen.update(f"{name}-{check}" for check, v in (("even", even), ("skew", skew)) if v is not None)
         if skew is not None:
             assert all(type(c) is Fraction for c in skew.residual)
-    assert list(curvature_failures(ctx.a, h.bracket, ctx.rho, ctx.lam)) == ref_curvature(ctx)
     chi = derive_chi(ctx)
     assert chi.table == ref_chi(ctx)
     assert all(type(c) is Fraction for _, _, _, c in chi.entries())
@@ -1190,6 +1190,22 @@ def test_moved_contexts_are_valid_with_large_scales():
         for key, d in context_scales(ctx).items():
             big[key] += d > 10 ** 3
     assert min(big.values()) >= 4
+
+
+def test_kept_extension_passes_every_constructor_check():
+    """validate_context keeps the extension it scanned without running the
+    algebra constructors: beyond the Jacobi and invariance scans it reads
+    the axioms from, grading, super skew, the metric's degree, super
+    symmetry and non-degeneracy follow from the context's own checks. Built
+    through the constructors, every such extension passes them all."""
+    contexts = list(moved_contexts()) + [ctx for delta in (0, 1) for ctx in context_corpus(delta, 20)]
+    for ctx in contexts:
+        fresh = copy.copy(ctx)  # no cached extension
+        assert validate_context(fresh) == []
+        ext = vars(fresh)["extension"]
+        assert QuadraticLieSuperAlgebra(LieSuperAlgebra(ext.bracket), ext.metric) == ext
+        assert double_extend(fresh) is ext
+    assert len(contexts) >= 50
 
 
 def test_context_layer_matches_references_on_moved_contexts():
