@@ -24,6 +24,7 @@ from generators import (
     rand_scalar,
     random_context,
     random_parity_preserving_basis,
+    random_superalgebra_scrambled,
     random_witt_instance,
     scaled_to_ints,
     space_of,
@@ -36,7 +37,9 @@ from superquad.algebra import (
     SuperBracket,
     check_invariance,
     check_jacobi,
+    cyclic_failures,
     delta_coadjoint,
+    invariance_failures,
     is_derivation,
     is_metric_skew,
     lowest_slot,
@@ -687,6 +690,122 @@ def test_packed_kernels_on_dims_0_and_1_and_zero_tables():
         assert check_invariance(zero_form, g.bracket) is None
         assert check_invariance(g.metric, SuperBracket.zero(g.space)) is None
         assert check_jacobi(SuperBracket.zero(g.space)) is None
+
+
+COEFFS = (-1, 1, -2, 2, -2 ** 64, 2 ** 64, 2 ** 200 + 1)
+
+
+@functools.cache
+def valid_algebras() -> tuple:
+    """Seeded small Lie superalgebras, dims 1 to 7, over scrambled bases."""
+    rng = random.Random(51)
+    return tuple(random_superalgebra_scrambled(rng, max_dim=7) for _ in range(40))
+
+
+def skew_partner(par, i, j, k, c):
+    """The entry (j, i, k) that keeps the table super skew after c at (i, j, k);
+    None when (i, j, k) is its own partner (i = j odd) or forced zero (i = j even)."""
+    return None if i == j else (j, i, k, -c if par[i] * par[j] == 0 else c)
+
+
+@st.composite
+def integer_tables(draw, skew=True):
+    """(parities, entries): a table of integer structure constants, dim 0-7,
+    both parities, coefficients drawn from COEFFS. With ``skew`` it is super
+    skew: random, or a valid algebra's integer table times a coefficient
+    with one planted single-entry defect (or none). Otherwise any entries."""
+    if skew and draw(st.booleans()):
+        g = draw(st.sampled_from(valid_algebras()))
+        par, scale = g.space.parities, draw(st.sampled_from(COEFFS))
+        entries = [(i, j, k, scale * c) for (i, j), v in g.bracket.scaled_pairs[1].items() for k, c in v.items()]
+        n = len(par)
+        plants = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3, st.sampled_from(COEFFS)), max_size=1))
+    else:
+        n = draw(st.integers(0, 7))
+        par = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        entries = []
+        plants = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3, st.sampled_from(COEFFS)),
+                               max_size=24)) if n else []
+    for i, j, k, c in plants:
+        if not skew:
+            entries.append((i, j, k, c))
+        elif i != j or par[i]:
+            entries.append((i, j, k, c))
+            partner = skew_partner(par, i, j, k, c)
+            if partner is not None:
+                entries.append(partner)
+    return par, entries
+
+
+def ref_cyclic_failures(bracket):
+    """Every sorted triple i <= j <= k whose dense cyclic residual, over all
+    three shifts, is nonzero; written on the dense Fraction table."""
+    n, par, t = bracket.space.dim, bracket.space.parities, bracket.table
+    out = set()
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                res = [ZERO] * n
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    sign = -1 if par[x] * par[z] else 1
+                    for m in range(n):
+                        if t[y][z][m]:
+                            for r in range(n):
+                                res[r] += sign * t[y][z][m] * t[x][m][r]
+                if any(res):
+                    out.add((i, j, k))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_tables())
+def test_cyclic_failures_is_the_full_set_on_super_skew_tables(table):
+    """Every failing sorted triple, not only the first: validate_context reads
+    each of them by its block (deh1, deh2, deh3)."""
+    par, entries = table
+    bracket = SuperBracket.from_entries(space_of(par), entries)
+    assert bracket.check_super_skew("super-skew") is None
+    assert cyclic_failures(par, bracket.scaled_pairs[1]) == ref_cyclic_failures(bracket)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_tables(skew=False))
+def test_cyclic_failures_is_the_full_set_on_any_table(table):
+    """No super skew precondition for the set of sorted triples: a sorted
+    triple is reported exactly when its own cyclic residual is nonzero."""
+    par, entries = table
+    bracket = SuperBracket.from_entries(space_of(par), entries)
+    assert cyclic_failures(par, bracket.scaled_pairs[1]) == ref_cyclic_failures(bracket)
+
+
+def ref_invariance_failures(form, bracket):
+    """{(i, j): least k with B([e_i, e_j], e_k) != B(e_i, [e_j, e_k])} on the dense tables."""
+    n, b, t = form.space.dim, form.matrix, bracket.table
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = sum((t[i][j][m] * b[m][k] for m in range(n)), ZERO)
+                rhs = sum((b[i][m] * t[j][k][m] for m in range(n)), ZERO)
+                if lhs != rhs:
+                    out[i, j] = k
+                    break
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_invariance_failures_is_the_full_dict(data):
+    """Every failing pair with its least k, on super skew and arbitrary
+    brackets against random metric rows (a planted metric entry among them)."""
+    par, entries = data.draw(integer_tables(skew=data.draw(st.booleans())))
+    n = len(par)
+    rows = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(COEFFS)),
+                              max_size=2 * n)) if n else []
+    space = space_of(par)
+    bracket = SuperBracket.from_entries(space, entries)
+    form = GradedBilinearForm.from_entries(space, data.draw(st.integers(0, 1)), rows)
+    assert invariance_failures(form, bracket) == ref_invariance_failures(form, bracket)
 
 
 def ref_bracket_in_basis(bracket, cols):
