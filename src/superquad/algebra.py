@@ -14,9 +14,11 @@ vanishes, so the first witness is the one an exhaustive scan in the same
 order would find, and a residual is reported as a dense tuple. The Jacobi
 and invariance scans add whole vectors at once: each integer vector is
 packed into one int (``pack``), with slots wide enough for the sums they
-hold, so a packed sum is zero exactly when every coordinate is. The least
-failing tuple is the witness, and only its residual is computed coordinate
-by coordinate.
+hold, so a packed sum is zero exactly when every coordinate is. Their sums
+are keyed by integer indices, never by a tuple built per step: the Jacobi
+scan by one int per sorted triple, (i n + j) n + k, the invariance scan by
+one dict per index. The least failing tuple is the witness, and only its
+residual is computed coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -129,7 +131,16 @@ def cyclic_failures(par: Sequence[int], pairs: dict) -> set:
     its three shifts coincide, so its sum is a third of the cyclic one). A
     slot of a sum holds at most 3L products, L the most nonzeros of a value,
     each at most M^2 for M the largest entry, so slots of width
-    ``slot_width(3L, M^2)`` keep every sum exact."""
+    ``slot_width(3L, M^2)`` keep every sum exact.
+
+    Each sum is keyed by the int (i n + j) n + k of its sorted triple, n the
+    dim, and the failing keys become triples only at the end. The shift is
+    found by one branch per pair (y, z): for y <= z it is (x, y, z) when
+    x <= y and (y, z, x) when x >= z (for y = z one of the two always
+    holds), for y > z it is (z, x, y) when z <= x <= y, and any other x
+    makes no sorted shift. The parts of a key fixed by (y, z) are computed
+    once per pair. Nothing here uses super skew-symmetry: on any table the
+    result is the set of sorted triples whose own cyclic sum is nonzero."""
     if not pairs:
         return set()
     top = max(abs(c) for v in pairs.values() for c in v.values())
@@ -140,21 +151,31 @@ def cyclic_failures(par: Sequence[int], pairs: dict) -> set:
         packed = pack(v, w)
         left[0].setdefault(m, []).append((x, packed))
         left[1].setdefault(m, []).append((x, -packed if par[x] else packed))
-    sums: dict = {}  # sorted triple -> its cyclic sum, packed
+    n = len(par)
+    nn = n * n
+    sums: dict = {}  # (i n + j) n + k -> the cyclic sum of the sorted triple (i, j, k), packed
     for (y, z), v in pairs.items():
         left_z = left[par[z]]
-        for m, c in v.items():
-            for x, packed in left_z.get(m, ()):
-                if x <= y <= z:
-                    key = (x, y, z)
-                elif y <= z <= x:
-                    key = (y, z, x)
-                elif z <= x <= y:
-                    key = (z, x, y)
-                else:
-                    continue
-                sums[key] = sums.get(key, 0) + c * packed
-    return {key for key, s in sums.items() if s}
+        if y <= z:  # (x, y, z) when x <= y, (y, z, x) when x >= z
+            front = y * n + z
+            back = front * n
+            for m, c in v.items():
+                for x, packed in left_z.get(m, ()):
+                    if x <= y:
+                        key = x * nn + front
+                    elif x >= z:
+                        key = back + x
+                    else:
+                        continue
+                    sums[key] = sums.get(key, 0) + c * packed
+        else:  # (z, x, y) when z <= x <= y
+            outer = z * nn + y
+            for m, c in v.items():
+                for x, packed in left_z.get(m, ()):
+                    if z <= x <= y:
+                        key = outer + x * n
+                        sums[key] = sums.get(key, 0) + c * packed
+    return {(key // nn, key // n % n, key % n) for key, s in sums.items() if s}
 
 
 def cyclic_violation(par: Sequence[int], pairs: dict, ijk, scale: int) -> Violation:
@@ -215,7 +236,14 @@ def invariance_failures(form: GradedBilinearForm, bracket: SuperBracket) -> dict
     of B(e_i, e_m) times the e_m coordinate of [e_j, .]. A slot holds at most
     2n products of a constant and a metric entry, so slots of width
     ``slot_width(2n, M_b M_f)`` keep every sum exact. Only the pairs with a
-    nonzero term on either side are visited."""
+    nonzero term on either side are visited.
+
+    The sums are kept per index, never per tuple: diff[j][i] is the residual
+    of (i, j), and ad[j][m] the packed e_m coordinates of [e_j, .]. One pass
+    over the bracket fills both, [e_p, e_q] being the left side of the pair
+    (p, q) and slot q of ad[p]; each column m of the metric is held as its
+    (i, B(e_i, e_m)) pairs, so the right side subtracts B(e_i, e_m) ad[j][m]
+    from diff[j][i]."""
     if form.space.basis != bracket.space.basis:
         raise ValueError("form and bracket live on different spaces")
     n = form.space.dim
@@ -227,24 +255,26 @@ def invariance_failures(form: GradedBilinearForm, bracket: SuperBracket) -> dict
     top_f = max(abs(b) for row in rows for b in row.values())
     w = slot_width(2 * n, top_b * top_f)
     packed_rows = [pack(row, w) for row in rows]
-    in_column = [[] for _ in rows]  # in_column[m]: the i with B(e_i, e_m) != 0
+    in_column: list = [[] for _ in rows]  # in_column[m]: (i, B(e_i, e_m)) for the nonzeros
     for i, row in enumerate(rows):
-        for m in row:
-            in_column[m].append(i)
-    ad: dict = {}  # (j, m) -> the e_m coordinates of [e_j, e_k] over k, packed
-    for (j, k), v in pairs.items():
+        for m, b in row.items():
+            in_column[m].append((i, b))
+    ad: dict = {}  # ad[j][m]: the e_m coordinates of [e_j, e_k] over k, packed
+    diff: dict = {}  # diff[j][i]: B([e_i, e_j], .) - B(e_i, [e_j, .]), packed, times d_b d_f
+    for (p, q), v in pairs.items():
+        ad_p, shift, s = ad.setdefault(p, {}), w * q, 0
         for m, c in v.items():
+            s += c * packed_rows[m]
             if in_column[m]:
-                ad[j, m] = ad.get((j, m), 0) + (c << (w * k))
-    diff: dict = {}  # (i, j) -> B([e_i, e_j], .) - B(e_i, [e_j, .]), packed, times d_b d_f
-    for ij, v in pairs.items():
-        s = sum(c * packed_rows[m] for m, c in v.items())
+                ad_p[m] = ad_p.get(m, 0) + (c << shift)
         if s:
-            diff[ij] = s
-    for (j, m), packed in ad.items():
-        for i in in_column[m]:
-            diff[i, j] = diff.get((i, j), 0) - rows[i][m] * packed
-    return {ij: lowest_slot(s, w) for ij, s in diff.items() if s}
+            diff.setdefault(q, {})[p] = s
+    for j, ad_j in ad.items():
+        diff_j = diff.setdefault(j, {})
+        for m, packed in ad_j.items():
+            for i, b in in_column[m]:
+                diff_j[i] = diff_j.get(i, 0) - b * packed
+    return {(i, j): lowest_slot(s, w) for j, diff_j in diff.items() for i, s in diff_j.items() if s}
 
 
 def invariance_violation(name: str, form: GradedBilinearForm, bracket: SuperBracket, ijk) -> Violation:

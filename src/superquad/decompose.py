@@ -205,24 +205,29 @@ def _dual_vectors(form: GradedBilinearForm, ideal: Sequence, avoid: Sequence) ->
     orthogonal to every avoid vector; first-pivot, free coordinates zero.
     The duals come back as one integer view (d, duals). Row m of the system
     is an integer covector, d_B d_e times the rational one, so its
-    right-hand side is d_B d_e delta_mi."""
+    right-hand side is d_B d_e delta_mi. The duals of one parity share the
+    system's matrix, so each parity class is one elimination with all of
+    its right-hand sides (``solve_many_ints``)."""
     space = form.space
     ideal, avoid = _entering(ideal), _entering(avoid)
     d_b, metric_rows = form.scaled_rows
     d_e, e_ints = ideal.view
     rows = [_covector(metric_rows, e) for e in e_ints]        # row m: c -> B(e_m, e_c)
     rows += [_covector(metric_rows, w) for w in avoid.view[1]]
-    duals = []
+    by_parity: dict = {}  # the parity of d_i -> the i, all with one system matrix
     for i, e in enumerate(ideal):
-        want = (_homogeneous_parity(space, e) + form.degree) % 2
+        by_parity.setdefault((_homogeneous_parity(space, e) + form.degree) % 2, []).append(i)
+    duals: list = [None] * len(ideal)
+    for want, members in by_parity.items():
         cols = [c for c in range(space.dim) if space.parity(c) == want]
         pos = {c: t for t, c in enumerate(cols)}
         sys_rows = [{pos[c]: x for c, x in r.items() if c in pos} for r in rows]
-        rhs = [d_b * d_e if m == i else 0 for m in range(len(rows))]
-        sol = linalg.solve_ints(sys_rows, rhs, len(cols))
-        if sol is None:
-            raise DegenerateInput(f"no dual vector for ideal vector {i}")
-        duals.append((sol[0], {cols[t]: x for t, x in sol[1].items()}))
+        solved = linalg.solve_many_ints(sys_rows, [{i: d_b * d_e} for i in members], len(cols))
+        for i, sol in zip(members, solved):
+            if sol is not None:
+                duals[i] = (sol[0], {cols[t]: x for t, x in sol[1].items()})
+    if None in duals:
+        raise DegenerateInput(f"no dual vector for ideal vector {duals.index(None)}")
     d = math.lcm(*(s for s, _ in duals))
     return d, tuple({c: x * (d // s) for c, x in v.items()} for s, v in duals)
 

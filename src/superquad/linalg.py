@@ -273,14 +273,30 @@ def solve_ints(rows: Sequence, rhs: Sequence, ncols: int | None = None) -> tuple
     d, as ints, d the lcm of its denominators; None if there is none."""
     if ncols is None:
         ncols = _width(rows)
-    aug = [{**dict(_items(r)), ncols: b} for r, b in zip(rows, rhs)]
+    return solve_many_ints(rows, [dict(enumerate(rhs))], ncols)[0]
+
+
+def solve_many_ints(rows: Sequence, rhs_columns: Sequence, ncols: int) -> list:
+    """``solve_ints`` of rows @ x = b for each sparse column b ({row: value})
+    of ``rhs_columns``, by one elimination of the rows augmented with every
+    column. Pivots stay in the first ``ncols`` columns, so each solution is
+    the one its own system gives, or None."""
+    aug = [dict(_items(r)) for r in rows]
+    for t, column in enumerate(rhs_columns):
+        for m, b in column.items():
+            aug[m][ncols + t] = b
     work, pivots, _ = _reduced(aug, ncols)
-    if any(work[len(pivots):]):
-        return None
-    solved = [(pc, row[ncols], row[pc]) for row, pc in zip(work, pivots) if ncols in row]
-    d = math.lcm(*(abs(p) for _, _, p in solved))
-    d, (x,) = lowest_terms(d, [{pc: b * d // p for pc, b, p in solved}])
-    return d, x
+    past = work[len(pivots):]  # zero below ncols: each column must be zero here too
+    out = []
+    for col in range(ncols, ncols + len(rhs_columns)):
+        if any(col in row for row in past):
+            out.append(None)
+            continue
+        solved = [(pc, row[col], row[pc]) for row, pc in zip(work, pivots) if col in row]
+        d = math.lcm(*(abs(p) for _, _, p in solved))
+        d, (x,) = lowest_terms(d, [{pc: b * d // p for pc, b, p in solved}])
+        out.append((d, x))
+    return out
 
 
 def solve(rows: Sequence, rhs: Sequence, ncols: int | None = None) -> Vector | None:

@@ -192,6 +192,29 @@ def test_solve_on_dict_and_dense_rows_matches_sympy():
     assert min(kinds.values()) >= 10, kinds
 
 
+def test_solve_many_ints_solves_each_column_like_sympy():
+    """One elimination augmented with several sparse right-hand sides gives
+    each column the solution of its own system, None where it has none."""
+    rng = random.Random(78)
+    kinds = {"consistent": 0, "inconsistent": 0}
+    for rows, m, n in all_shapes():
+        if not m:
+            continue
+        columns = []
+        for _ in range(rng.randint(1, 4)):
+            x = [rand_entry(rng) for _ in range(n)]
+            rhs = rng.choice(([sum((a * c for a, c in zip(r, x)), Fraction(0)) for r in rows],
+                              [rand_entry(rng) for _ in range(m)]))
+            columns.append(rhs)
+        solved = linalg.solve_many_ints(sparse_rows(rows), [{r: b for r, b in enumerate(c) if b} for c in columns], n)
+        assert len(solved) == len(columns)
+        for rhs, sol in zip(columns, solved):
+            ref = ref_solve(rows, rhs, m, n)
+            assert (None if sol is None else linalg._dense(*sol, n)) == ref
+            kinds["consistent" if ref is not None else "inconsistent"] += 1
+    assert min(kinds.values()) >= 10, kinds
+
+
 def test_extend_independent_on_sparse_vectors_matches_the_rank_loop():
     rng = random.Random(77)
     for rows, m, n in all_shapes():

@@ -10,6 +10,7 @@ dense residual (or the same verdict, for the bool predicates).
 import copy
 import functools
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -702,12 +703,6 @@ def valid_algebras() -> tuple:
     return tuple(random_superalgebra_scrambled(rng, max_dim=7) for _ in range(40))
 
 
-def skew_partner(par, i, j, k, c):
-    """The entry (j, i, k) that keeps the table super skew after c at (i, j, k);
-    None when (i, j, k) is its own partner (i = j odd) or forced zero (i = j even)."""
-    return None if i == j else (j, i, k, -c if par[i] * par[j] == 0 else c)
-
-
 @st.composite
 def integer_tables(draw, skew=True):
     """(parities, entries): a table of integer structure constants, dim 0-7,
@@ -727,13 +722,11 @@ def integer_tables(draw, skew=True):
         plants = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3, st.sampled_from(COEFFS)),
                                max_size=24)) if n else []
     for i, j, k, c in plants:
-        if not skew:
-            entries.append((i, j, k, c))
-        elif i != j or par[i]:
-            entries.append((i, j, k, c))
-            partner = skew_partner(par, i, j, k, c)
-            if partner is not None:
-                entries.append(partner)
+        if skew and i == j and not par[i]:
+            continue  # super skew forces [e_i, e_i] = 0 for even e_i
+        entries.append((i, j, k, c))
+        if skew and i != j:  # the partner [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j]
+            entries.append((j, i, k, c if par[i] * par[j] else -c))
     return par, entries
 
 
@@ -1036,6 +1029,29 @@ def test_dual_vectors_report_a_missing_dual_like_the_reference():
             assert ref is None
             found += 1
     assert found >= 10
+
+
+def test_dual_vectors_solve_each_parity_class_once_and_name_the_first_missing_dual(monkeypatch):
+    """One elimination per parity class of the duals, holding every
+    right-hand side of the class; with ideal vector k among the avoid
+    vectors, only its dual is missing, and the error names k wherever it
+    sits in its class."""
+    calls = []
+    solve_many = linalg.solve_many_ints
+    monkeypatch.setattr(linalg, "solve_many_ints", lambda rows, rhs, n: calls.append(len(rhs)) or solve_many(rows, rhs, n))
+    mixed = 0
+    for g, res in splits():
+        ideal, h = list(res.ideal_basis), list(res.h_basis)
+        classes = Counter((g.space.vector_parity(e) + g.delta) % 2 for e in ideal)
+        ref = ref_dual_vectors(g.metric, ideal, h)
+        calls.clear()
+        assert dual_vectors(g.metric, ideal, h) == ref
+        assert sorted(calls) == sorted(classes.values())
+        mixed += len(classes) == 2
+        for k in range(len(ideal)):
+            with pytest.raises(DegenerateInput, match=f"^no dual vector for ideal vector {k}$"):
+                dec._dual_vectors(g.metric, ideal, h + ideal[k:k + 1])
+    assert mixed >= 3
 
 
 def test_delta_coadjoint_matches_the_dense_formula():
