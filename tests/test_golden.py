@@ -7,7 +7,9 @@ context axiom (``golden/*.context``). The ``coprime`` cases were recorded
 before the context checks moved onto integer views: a context whose h is
 moved by a basis with coprime p/q column scales (the lcm of its
 denominators is above 10^10), its extension, and planted deh1, deh2, deh3
-and rho-skew defects. A change here is a change of the user-facing contract
+and rho-skew defects. The ``decompose-planted-ideal-*`` cases split the
+Heisenberg sample along an ideal file (``golden/ideal-*.ideal``) that breaks
+one ideal hypothesis each. A change here is a change of the user-facing contract
 and must be deliberate.
 """
 
@@ -44,3 +46,17 @@ def test_golden_covers_every_context_axiom():
         "lambda-even", "lambda-skew", "omega-even", "omega-skew",
         "deh1", "deh2", "deh3", "super-cyclic",
     }
+
+
+def test_golden_covers_every_ideal_claim():
+    """Each ideal hypothesis a well-formed ideal file can break; an empty
+    ideal or a vector of the wrong length is a usage error in the CLI."""
+    planted = {c["name"].removeprefix("decompose-planted-") for c in CASES
+               if c["name"].startswith("decompose-planted-")}
+    assert planted == {
+        "ideal-homogeneous", "ideal-independent", "ideal-isotropic", "ideal-abelian", "ideal-invariant",
+    }
+    for case in CASES:
+        if case["name"].startswith("decompose-planted-"):
+            claim = case["name"].removeprefix("decompose-planted-")
+            assert case["code"] == 1 and case["stderr"].startswith(f"violation: {claim}: witness ("), case
