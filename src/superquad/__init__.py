@@ -39,7 +39,6 @@ from .errors import (
     DegenerateInput,
     DegeneratePairing,
     InvalidContext,
-    NotAnIdealSplit,
     NotHomogeneous,
     ParseError,
     SuperquadError,

@@ -376,11 +376,12 @@ def _by_transport(bracket: SuperBracket, columns: tuple,
     certified g in a basis of homogeneous columns (``inverse_ints``), with
     I-perp an ideal that contains I (``ideal-*``) and dim a = dim I
     (``a-superalgebra``), so h + I is I-perp (``h-quadratic`` checks dim h +
-    dim I = dim I-perp): a's bracket is that of g/I-perp, h's that of
-    I-perp/I with the metric B induces, I being the radical of B on I-perp,
-    and, once the isometry claims pass, the re-extension's tables are g's in
-    the (a, h, I) basis. Grading, super skew, Jacobi, invariance,
-    super-symmetry, degree and non-degeneracy carry over to each.
+    dim I = dim I-perp), and returns nothing before the isometry claims
+    pass. Then the re-extension's tables are g's in the (a, h, I) basis, a
+    is dual to I, a's bracket is that of g/I-perp, and h's that of I-perp/I
+    with the metric B induces, I being the radical of B on I-perp.
+    Grading, super skew, Jacobi, invariance, super-symmetry, degree and
+    non-degeneracy carry over to each.
     ``validate_context`` hands over the extension whose Jacobi and
     invariance scans it has read, its other checks following from the
     context's. As ``spaces._build`` builds a map, the fields are set on a

@@ -68,10 +68,6 @@ class InvalidContext(ValidationError):
     """A double-extension context failed its axioms."""
 
 
-class NotAnIdealSplit(ValidationError):
-    """A bracket component landed outside its asserted block."""
-
-
 class ClaimViolated(ValidationError):
     """A decomposition step contradicted the ideal hypotheses."""
 

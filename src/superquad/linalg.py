@@ -273,6 +273,8 @@ def solve_ints(rows: Sequence, rhs: Sequence, ncols: int | None = None) -> tuple
     d, as ints, d the lcm of its denominators; None if there is none."""
     if ncols is None:
         ncols = _width(rows)
+    if len(rhs) > len(rows):
+        raise ValueError(f"right-hand side has {len(rhs)} entries, the system has {len(rows)} rows")
     return solve_many_ints(rows, [dict(enumerate(rhs))], ncols)[0]
 
 
@@ -280,10 +282,13 @@ def solve_many_ints(rows: Sequence, rhs_columns: Sequence, ncols: int) -> list:
     """``solve_ints`` of rows @ x = b for each sparse column b ({row: value})
     of ``rhs_columns``, by one elimination of the rows augmented with every
     column. Pivots stay in the first ``ncols`` columns, so each solution is
-    the one its own system gives, or None."""
+    the one its own system gives, or None. Rows a column has no entry for
+    get a zero right-hand side."""
     aug = [dict(_items(r)) for r in rows]
     for t, column in enumerate(rhs_columns):
         for m, b in column.items():
+            if m not in range(len(aug)):
+                raise ValueError(f"right-hand side {t} has an entry at row {m}, the system has {len(aug)} rows")
             aug[m][ncols + t] = b
     work, pivots, _ = _reduced(aug, ncols)
     past = work[len(pivots):]  # zero below ncols: each column must be zero here too

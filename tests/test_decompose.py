@@ -26,7 +26,7 @@ from superquad.decompose import (
     orthogonal_complement,
     witt_complement,
 )
-from superquad.errors import ClaimViolated, DegeneratePairing, NotAnIdealSplit
+from superquad.errors import ClaimViolated, DegeneratePairing
 from superquad.extension import DeltaContext, contexts_equal, double_extend
 from superquad.fileformat import document_to_algebra, document_to_context, parse_document
 from superquad.linalg import ONE, ZERO, unit_vec
@@ -178,12 +178,18 @@ def test_extract_maps_odd_dim1():
     assert maps.lam.value(0, 0) == ()         # h is zero-dimensional here
 
 
-def test_extract_maps_flags_bad_split():
+def test_extract_maps_assembles_a_bad_split():
+    """extract_structure_maps only assembles: on a split along the x-line,
+    which is not even an ideal, it returns the maps, and the split keeps
+    the components no ideal split has, for the isometry to refuse."""
     g = heisenberg_extension(default_heisenberg_params())
-    # swap roles: pretend the ideal is the x-line, which is not even an ideal
-    with pytest.raises(NotAnIdealSplit):
-        extract_structure_maps(g, [unit_vec(4, 0)], [unit_vec(4, 3)],
-                               [unit_vec(4, 1), unit_vec(4, 2)])
+    # basis (a, h, I) = (P(x)*, e, f, x)
+    maps = extract_structure_maps(g, [unit_vec(4, 0)], [unit_vec(4, 3)],
+                                  [unit_vec(4, 1), unit_vec(4, 2)])
+    d, pairs = maps.split
+    assert pairs[1, 2] == {0: d}     # [e,f] = P(x)*: [h,h] has an a-component
+    assert pairs[1, 3] == {1: -d}    # [e,x] = -e: [h,I] is nonzero
+    assert maps.h_table.entries() == [] and maps.a_table.entries() == []
 
 
 def test_decompose_heisenberg_recovers_context():
@@ -330,8 +336,8 @@ def test_xi_is_the_identity_on_the_witt_basis():
 def test_decompose_changes_basis_once(monkeypatch):
     """One inversion and one change of basis per decompose, one integer
     Gram per pairing step (the ideal's isotropy, the Witt complement's
-    isotropy check, correction and final checks: ideal, duals, a with a,
-    ideal with a; and the metric in the split basis) and one rank, the
+    isotropy check and correction: ideal, duals; and the metric in the
+    split basis, whose isometry claim certifies a) and one rank, the
     independence of the ideal. Each fact is proved once: the Witt pairing
     fixes xi, so build_xi is not called, and the isometry certifies the
     recovered context, so validate_context is not called either."""
@@ -355,7 +361,7 @@ def test_decompose_changes_basis_once(monkeypatch):
     for g, ideal in _corpus_extensions():
         counts.clear()
         decompose(g, ideal)
-        assert counts == {"inverse_ints": 1, "rank": 1, "_bracket_in_basis": 1, "_gram": 6}
+        assert counts == {"inverse_ints": 1, "rank": 1, "_bracket_in_basis": 1, "_gram": 4}
 
 
 def _plant_split(maps, block, rng):

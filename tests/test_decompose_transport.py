@@ -1,14 +1,16 @@
 """decompose scans g alone: a, h and the re-extension are certified by transport.
 
-Once the ``ideal-*``, ``witt-complement`` and ``split-*`` claims pass, a is
-the quotient g/I-perp and h the subquotient I-perp/I, given the dimension
-counts that ``a-superalgebra`` and ``h-quadratic`` check; once
-``isometry-bracket`` and ``isometry-metric`` have passed, the tables of
-``extension_tables`` are g's tables in an even invertible change of basis.
-So g's certificate is theirs, and ``_by_transport`` wraps them unscanned;
-the recovered context, whose axioms are blocks of those tables' identities,
-is not validated again, nor is xi built from a pairing the Witt complement
-has already fixed. The tests below check those facts on every split,
+Once the ``ideal-*``, ``witt-complement``, ``a-superalgebra`` and
+``h-quadratic`` claims pass, the blocks are wrapped unscanned and the
+re-extension assembled from them; nothing is returned until
+``isometry-bracket`` and ``isometry-metric`` have passed. Then the tables
+of ``extension_tables`` are g's tables in an even invertible change of
+basis, a is isotropic and dual to I, so a is the quotient g/I-perp and h
+the subquotient I-perp/I. So g's certificate is theirs, and
+``_by_transport`` wraps them unscanned; the recovered context, whose
+axioms are blocks of those tables' identities, is not validated again,
+nor is xi built from a pairing the isometry's metric has already fixed.
+The tests below check those facts on every split,
 compare the transported run with one in which every table is scanned,
 plant a violation of each precondition the transport checks, and check the
 centre found as ``[g,g]^perp`` against the centraliser system it replaced.
@@ -175,8 +177,8 @@ def test_transport_refuses_a_basis_of_other_parities():
 def test_dim_a_below_dim_ideal_is_an_a_superalgebra_violation(monkeypatch):
     """On the cases whose a is abelian, with the last a vector planted in
     I-perp's basis, h takes it and the Witt complement, planted too, gives
-    one vector fewer: every block rule of the split passes, the basis is
-    still one, and a-superalgebra refuses dim a < dim I."""
+    one vector fewer: the blocks are still a basis, and a-superalgebra
+    refuses dim a < dim I before the isometry is reached."""
     real_perp = dec.orthogonal_complement
     results = [(g, ideal, dec.decompose(g, ideal)) for g, ideal in cases()[::3]]
     abelian = [(g, ideal, res) for g, ideal, res in results if not res.maps.a_table.scaled_pairs[1]]

@@ -215,6 +215,24 @@ def test_solve_many_ints_solves_each_column_like_sympy():
     assert min(kinds.values()) >= 10, kinds
 
 
+def test_solve_refuses_a_right_hand_side_longer_than_the_system():
+    """More right-hand side entries than rows is a ValueError naming both
+    lengths, a zero entry included; fewer leave the extra rows a zero
+    right-hand side. A column with an entry past the last row is refused
+    the same way."""
+    eye = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    for rhs in ([1, 2, 3], [1, 2, 0]):
+        with pytest.raises(ValueError, match="^right-hand side has 3 entries, the system has 2 rows$"):
+            linalg.solve(eye, rhs)
+        with pytest.raises(ValueError, match="^right-hand side has 3 entries, the system has 2 rows$"):
+            linalg.solve_ints(sparse_rows(eye), rhs, 2)
+    assert linalg.solve(eye, [Fraction(5)]) == (Fraction(5), Fraction(0))
+    assert linalg.solve([[Fraction(1)], [Fraction(2)]], [Fraction(1)]) is None
+    with pytest.raises(ValueError, match="^right-hand side 1 has an entry at row 2, the system has 2 rows$"):
+        linalg.solve_many_ints(sparse_rows(eye), [{0: 1}, {2: 1}], 2)
+    assert linalg.solve_many_ints(sparse_rows(eye), [{1: 3}], 2) == [(1, {1: 3})]
+
+
 def test_extend_independent_on_sparse_vectors_matches_the_rank_loop():
     rng = random.Random(77)
     for rows, m, n in all_shapes():

@@ -49,7 +49,7 @@ from superquad.algebra import (
 )
 from superquad.catalog import default_heisenberg_params, heisenberg_extension
 from superquad.catalog import default_odd_dim1_params, heisenberg_context, odd_extension_context
-from superquad.errors import ClaimViolated, DegenerateInput, InvalidContext, NotAnIdealSplit
+from superquad.errors import ClaimViolated, DegenerateInput, InvalidContext
 from superquad.extension import (
     DeltaContext,
     derive_chi,
@@ -357,9 +357,30 @@ def ref_split_violation(g, ideal, a_vectors, h_vectors):
     return None
 
 
-def test_extract_structure_maps_same_first_split_witness():
+# the claims under which decompose refuses a split that only the isometry sees
+ISOMETRY_CLAIMS = ("isometry-bracket", "isometry-metric", "context")
+
+
+def decompose_along(monkeypatch, g, ideal, a, h):
+    """decompose with the split (a, h, I) fed in: the ideal as given, I-perp
+    as h + I and a as the Witt complement; the ClaimViolated, or None."""
+    ideal, a, h = (dec.ScaledVectors(dec._sparse(v) for v in vs) for vs in (ideal, a, h))
+    with monkeypatch.context() as mp:
+        mp.setattr(dec, "_validate_ideal", lambda *args: ideal)
+        mp.setattr(dec, "orthogonal_complement", lambda *args: dec._join(h, ideal))
+        mp.setattr(dec, "witt_complement", lambda *args, **kwargs: a)
+        try:
+            dec.decompose(g, ideal)
+        except ClaimViolated as exc:
+            return exc
+    return None
+
+
+def test_decompose_refuses_every_split_the_block_rules_refuse(monkeypatch):
     """Random homogeneous bases cut into a / h / I blocks are rarely an ideal
-    split; the first block rule broken must match the dense reference."""
+    split. extract_structure_maps checks no block rule; each split the
+    dense reference finds a broken rule in is refused by decompose's
+    isometry, with a ClaimViolated, and never passes."""
     rng = random.Random(36)
     found = 0
     for _ in range(2):
@@ -367,18 +388,35 @@ def test_extract_structure_maps_same_first_split_witness():
             cols = random_parity_preserving_basis(rng, g.space)
             nd = rng.randint(1, g.dim // 2)
             a, h, ideal = cols[:nd], cols[nd:g.dim - nd], cols[g.dim - nd:]
-            ref = ref_split_violation(g, ideal, a, h)
-            try:
-                dec.extract_structure_maps(g, ideal, a, h)
-                assert ref is None
-            except NotAnIdealSplit as exc:
-                v = exc.violations[0]
-                if ref is None:
-                    assert not v.equation.startswith(("split-a-", "split-h-h", "split-centraliser"))
-                else:
-                    assert (v.equation, v.indices, v.residual) == ref
-                    found += 1
+            exc = decompose_along(monkeypatch, g, ideal, a, h)
+            assert exc is None or exc.claim in ISOMETRY_CLAIMS, exc
+            if ref_split_violation(g, ideal, a, h) is not None:
+                assert exc is not None
+                found += 1
     assert found >= 10
+
+
+def test_decompose_refuses_a_planted_witt_complement(monkeypatch):
+    """A Witt complement with one vector shifted by an h vector of its
+    parity, or scaled by 2, breaks the pairing the isometry's metric
+    compares; decompose refuses it with a ClaimViolated."""
+    shifted = scaled = 0
+    for g, res in splits():
+        ideal, a, h = res.ideal_basis, list(res.a_basis), res.h_basis
+        plants = [[*a[:-1], tuple(2 * c for c in a[-1])]]
+        for i, x in enumerate(a):
+            w = next((w for w in h if g.space.vector_parity(w) == g.space.vector_parity(x)), None)
+            if w is not None:
+                plants.append([*a[:i], tuple(c + e for c, e in zip(x, w)), *a[i + 1:]])
+                break
+        for planted_a in plants:
+            exc = decompose_along(monkeypatch, g, ideal, planted_a, h)
+            assert exc is not None and exc.claim in ISOMETRY_CLAIMS, exc
+        scaled += 1
+        shifted += len(plants) - 1
+    assert scaled >= 10 and shifted >= 10
+    for g, res in splits():  # the same harness, fed the real split, passes
+        assert decompose_along(monkeypatch, g, res.ideal_basis, res.a_basis, res.h_basis) is None
 
 
 def planted_tables(monkeypatch, plant):
