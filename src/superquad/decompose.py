@@ -525,10 +525,10 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     ``extension_tables`` assembles them (``isometry-bracket``,
     ``isometry-metric``), so x + u + alpha -> x + u + xi_delta(alpha) is an
     isometry. The Witt complement and the split are assembled, not
-    certified: the isometry compares every pairing of a and every entry of
-    the split, so B(I_i, a_j) = delta_ij makes xi_delta and xi the identity,
-    and the I-components of [a,I], [a,h] and [h,h] are ad*_delta, chi and
-    Phi. Only g is scanned: a, h and the re-extension are certified by
+    certified: the isometry compares a's pairings with a, h and I and every
+    entry of the split, so B(I_i, a_j) = delta_ij makes xi_delta and xi the
+    identity, and the I-components of [a,I], [a,h] and [h,h] are ad*_delta,
+    chi and Phi. Only g is scanned: a, h and the re-extension are certified by
     transport (``_by_transport``), and so is the context, each axiom a
     block of the re-extension's grading, super skew, Jacobi or invariance
     identities (an ``InvalidContext`` from ``derive_phi`` is ``context``);
