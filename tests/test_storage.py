@@ -379,6 +379,7 @@ FRACTIONS = [
     (["extend", "--context", "tests/golden/coprime.context", "--out", "OUT"], 0),  # 200
     (["decompose", "samples/heisenberg.algebra", "--ideal", "samples/heisenberg.ideal", "--out", "OUT"], 8),  # 43
     (["decompose", "tests/golden/coprime.algebra", "--ideal", "auto", "--out", "OUT"], 14),  # 256
+    (["decompose", "tests/data/oscillator-line.algebra", "--ideal", "auto", "--out", "OUT"], 18),
     (["roundtrip", "samples/heisenberg.context"], 4),                              # 29
     (["roundtrip", "samples/odd-dim1.context"], 2),                                # 11
     (["roundtrip", "tests/golden/coprime.context"], 10),                           # 223
