@@ -194,8 +194,8 @@ def cmd_decompose(args) -> int:
     res = decompose(g, ideal)
     out_doc = context_to_document(res.context, doc.name)
     _write(args.out, serialize_document(out_doc, args.format))
-    print(f"decomposed {_shown(doc.name)}: dim a {len(res.a_basis)}, dim h {len(res.h_basis)}, "
-          f"ideal dim {len(res.ideal_basis)}; isometry verified -> {args.out}")
+    print(f"decomposed {_shown(doc.name)}: dim a {len(res.a_view[1])}, dim h {len(res.h_view[1])}, "
+          f"ideal dim {len(res.ideal_view[1])}; isometry verified -> {args.out}")
     return 0
 
 

@@ -11,27 +11,27 @@ and the split are assembled, not certified; the isometry certifies them.
 Only g is scanned: a, h, the extension and the context are certified by
 transport from g, and the Witt pairing fixes xi (``decompose`` names the
 one check behind each fact). Every step is deterministic: linear solves
-take first pivots in canonical basis order. Vectors, the ideal's included,
-may be given dense or as sparse dicts ``{index: coefficient}``; inside
-``decompose`` every vector is sparse, and only the returned bases are dense.
+take first pivots in canonical basis order.
 
-The pairings, the centre, the dual solves and the ideal's images run on
-integer views: the metric's ``scaled_rows``, the bracket's ``scaled_pairs``,
-and each set of vectors (the ideal, the I-perp basis, h, the duals and a)
-scaled to integers once, where it enters (``ScaledVectors``). Each sum is
+Every set of vectors is one integer view ``(d, vectors)``: sparse int
+vectors ``{index: n}``, the rational vectors times d, d the lcm of their
+denominators, in lowest terms, the form ``linalg.nullspace_ints`` returns.
+The view is canonical, so two views are equal exactly when their rational
+vectors are. The steps take and return views; only ``decompose`` takes the
+ideal as rational vectors, dense or sparse dicts ``{index: coefficient}``,
+and ``_validate_ideal`` makes them a view, once (``_view``). The pairings,
+the centre, the dual solves and the ideal's images run on these views, the
+metric's ``scaled_rows`` and the bracket's ``scaled_pairs``. Each sum is
 then one positive constant times the rational one, so it is zero exactly
 when the rational sum is, and a returned coefficient or a residual is
-divided back once; no step here sums ``Fraction``s. The eliminations hand
-their results over as integer views too (``linalg.nullspace_ints``,
-``solve_ints`` and ``inverse_ints``), and the inverse of the change of
-basis stays one.
+divided back once; no step here sums ``Fraction``s. ``DecompositionResult``
+keeps the views of a, h and I and builds their dense bases when read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import extension, linalg
@@ -53,62 +53,29 @@ from .spaces import (
     SuperSpace,
     add_scaled,
     common_scale,
-    dense_vec,
     drop_zeros,
     dual_space,
     normalize,
     p_delta_dual,
     sparse_transpose,
-    sparse_vec,
 )
 
 
-def _scaled(vectors) -> tuple[int, tuple[dict, ...]]:
-    """(d, ints): the sparse vectors, in order, times d with int coefficients,
-    d the lcm of the denominators of all their coefficients (``normalize``)."""
-    d, table = normalize(((r, k, c) for r, v in enumerate(vectors) for k, c in v.items()), None, "vector")
-    return d, tuple({k: table[r, k] for k in v if (r, k) in table} for r, v in enumerate(vectors))
+def _view(vectors) -> tuple[int, tuple[dict, ...]]:
+    """Rational vectors, each dense or a sparse dict, as one integer view
+    ``(d, vectors)`` (``normalize``: floats and bools raise TypeError)."""
+    vectors = list(vectors)
+    d, table = normalize(((r, k, c) for r, v in enumerate(vectors) for k, c in linalg._items(v)), None, "vector")
+    out = tuple({} for _ in vectors)
+    for (r, k), c in table.items():
+        out[r][k] = c
+    return d, out
 
 
-class ScaledVectors(list):
-    """Sparse vectors ``{index: coefficient}`` with exact coefficients, and
-    ``view``, the same vectors as one integer view ``(d, vectors)`` (see
-    ``_scaled``). The view is made once, where the vectors enter the
-    pipeline, and every later step sums on it; like the maps' states it
-    assumes the vectors are not mutated."""
-
-    def __init__(self, vectors=(), view=None):
-        super().__init__(vectors)
-        self.view = _scaled(self) if view is None else view
-
-    @classmethod
-    def from_ints(cls, d: int, vectors) -> "ScaledVectors":
-        """The vectors of an integer view, each coefficient built once as a Fraction."""
-        d, vectors = linalg.lowest_terms(d, vectors)
-        return cls(({k: Fraction(c, d) for k, c in v.items()} for v in vectors), (d, vectors))
-
-    def take(self, indices) -> "ScaledVectors":
-        """The vectors at ``indices``, in that order, with their view."""
-        d, ints = self.view
-        return ScaledVectors([self[i] for i in indices], linalg.lowest_terms(d, [ints[i] for i in indices]))
-
-
-def _sparse(v) -> dict:
-    """A vector, dense or sparse, as a sparse vector with exact coefficients."""
-    if hasattr(v, "items"):
-        return drop_zeros({k: linalg.scalar(c) for k, c in v.items()})
-    return sparse_vec(linalg.vec(v))
-
-
-def _entering(vectors) -> ScaledVectors:
-    """Vectors as they enter a step: kept if they carry their view, else made sparse and scaled once."""
-    return vectors if isinstance(vectors, ScaledVectors) else ScaledVectors(map(_sparse, vectors))
-
-
-def _join(*blocks: ScaledVectors) -> ScaledVectors:
-    """The blocks one after another, their views brought to one scale."""
-    d, views = common_scale(b.view for b in blocks)
-    return ScaledVectors([v for b in blocks for v in b], (d, tuple(v for vs in views for v in vs)))
+def _join(*views) -> tuple[int, tuple[dict, ...]]:
+    """The views' vectors one after another, as one view (``common_scale``)."""
+    d, blocks = common_scale(views)
+    return d, tuple(v for vs in blocks for v in vs)
 
 
 def _covector(rows, u: dict) -> dict:
@@ -145,19 +112,18 @@ def _right(pairs: dict, i: int, v: dict) -> dict:
     return out
 
 
-def orthogonal_complement(vectors: Sequence, form: GradedBilinearForm) -> ScaledVectors:
-    """Homogeneous basis of {v : B(s, v) = 0 for all s in the span}: the
-    canonical nullspace basis, as sparse vectors. The rows c -> B(s, e_c)
+def orthogonal_complement(vectors: tuple, form: GradedBilinearForm) -> tuple[int, tuple[dict, ...]]:
+    """Homogeneous basis of {v : B(s, v) = 0 for all s in the span of the
+    view}: the canonical nullspace basis, as a view. The rows c -> B(s, e_c)
     are integer covectors, each a positive multiple of the rational one,
     which leaves the nullspace and its canonical basis as they are."""
-    n = form.space.dim
     par = form.space.parities
     rows = form.scaled_rows[1]
-    d, basis = linalg.nullspace_ints([_covector(rows, s) for s in _entering(vectors).view[1]], n)
+    d, basis = linalg.nullspace_ints([_covector(rows, s) for s in vectors[1]], form.space.dim)
     for v in basis:
         if len({par[i] for i in v}) != 1:
             raise SuperquadError("orthogonal complement produced a non-homogeneous vector")
-    return ScaledVectors.from_ints(d, basis)
+    return d, basis
 
 
 def _homogeneous_parity(space: SuperSpace, v: dict) -> int:
@@ -199,7 +165,7 @@ def find_central_minimal_ideal(g: QuadraticLieSuperAlgebra) -> list[Vector] | No
     return [linalg._dense(d, line, n)]
 
 
-def _dual_vectors(form: GradedBilinearForm, ideal: Sequence, avoid: Sequence) -> tuple[int, tuple[dict, ...]]:
+def _dual_vectors(form: GradedBilinearForm, ideal: tuple, avoid: tuple) -> tuple[int, tuple[dict, ...]]:
     """Solve B(e_m, d_i) = delta_mi with d_i in the right parity block,
     orthogonal to every avoid vector; first-pivot, free coordinates zero.
     The duals come back as one integer view (d, duals). Row m of the system
@@ -208,15 +174,14 @@ def _dual_vectors(form: GradedBilinearForm, ideal: Sequence, avoid: Sequence) ->
     system's matrix, so each parity class is one elimination with all of
     its right-hand sides (``solve_many_ints``)."""
     space = form.space
-    ideal, avoid = _entering(ideal), _entering(avoid)
     d_b, metric_rows = form.scaled_rows
-    d_e, e_ints = ideal.view
+    d_e, e_ints = ideal
     rows = [_covector(metric_rows, e) for e in e_ints]        # row m: c -> B(e_m, e_c)
-    rows += [_covector(metric_rows, w) for w in avoid.view[1]]
+    rows += [_covector(metric_rows, w) for w in avoid[1]]
     by_parity: dict = {}  # the parity of d_i -> the i, all with one system matrix
-    for i, e in enumerate(ideal):
+    for i, e in enumerate(e_ints):
         by_parity.setdefault((_homogeneous_parity(space, e) + form.degree) % 2, []).append(i)
-    duals: list = [None] * len(ideal)
+    duals: list = [None] * len(e_ints)
     for want, members in by_parity.items():
         cols = [c for c in range(space.dim) if space.parity(c) == want]
         pos = {c: t for t, c in enumerate(cols)}
@@ -231,9 +196,9 @@ def _dual_vectors(form: GradedBilinearForm, ideal: Sequence, avoid: Sequence) ->
     return d, tuple({c: x * (d // s) for c, x in v.items()} for s, v in duals)
 
 
-def witt_complement(form: GradedBilinearForm, ideal: Sequence,
-                    avoid: Sequence = ()) -> ScaledVectors:
-    """Isotropic complement a dual to an isotropic subspace I, as sparse vectors.
+def witt_complement(form: GradedBilinearForm, ideal: tuple,
+                    avoid: tuple = (1, ())) -> tuple[int, tuple[dict, ...]]:
+    """Isotropic complement a dual to an isotropic subspace I, views both.
 
     Output a satisfies: a isotropic, dim a = dim I, a and I intersect
     trivially, a + I non-degenerate, and B(I_i, a_j) = delta_ij (for odd B
@@ -252,10 +217,9 @@ def witt_complement(form: GradedBilinearForm, ideal: Sequence,
     and f = 2 for even B (the half), 1 for odd B.
     """
     space = form.space
-    ideal = _entering(ideal)
-    if not ideal:
-        return ScaledVectors()
-    d_e, e = ideal.view
+    d_e, e = ideal
+    if not e:
+        return 1, ()
     for i, row in enumerate(_gram(form, e, e)):
         if any(j >= i for j in row):
             raise ValueError("input subspace is not isotropic")
@@ -263,7 +227,7 @@ def witt_complement(form: GradedBilinearForm, ideal: Sequence,
         raise ValueError("ideal vectors are linearly dependent")
 
     s, duals = _dual_vectors(form, ideal, avoid)
-    parities = [_homogeneous_parity(space, v) for v in ideal]
+    parities = [_homogeneous_parity(space, v) for v in e]
     d_b = form.scaled_rows[0]
     f = 1 if form.degree == 1 else 2
     lead = f * d_b * s * d_e
@@ -275,27 +239,27 @@ def witt_complement(form: GradedBilinearForm, ideal: Sequence,
                 continue
             add_scaled(corr, -c, e[m])
         out.append(drop_zeros(corr))
-    return ScaledVectors.from_ints(f * d_b * s * s * d_e, out)
+    return linalg.lowest_terms(f * d_b * s * s * d_e, out)
 
 
-def build_xi(form: GradedBilinearForm, ideal: Sequence, a_vectors: Sequence,
+def build_xi(form: GradedBilinearForm, ideal: tuple, a_vectors: tuple,
              delta: int, a_space: SuperSpace | None = None,
              ideal_space: SuperSpace | None = None) -> tuple[GradedLinearMap, GradedLinearMap]:
     """The bijections xi_delta: I -> P_delta(a)* and xi: I -> a*.
 
     xi_delta(alpha)(P_delta(x)) = B(alpha, x); xi has the same matrix into a*
     with degree delta, and the target-side parity shift of xi is xi_delta.
-    The pairing is one integer Gram, whose entries are the maps' integer entries.
+    The pairing is one integer Gram of the views, whose entries are the
+    maps' integer entries.
     """
     space = form.space
-    ideal, a_vectors = _entering(ideal), _entering(a_vectors)
     if a_space is None:
         a_space = _block_space(space, a_vectors, "a", reuse=False)
     if ideal_space is None:
         ideal_space = _block_space(space, ideal, "i", reuse=False)
-    (d_e, e), (d_a, a_ints) = ideal.view, a_vectors.view
+    (d_e, e), (d_a, a_ints) = ideal, a_vectors
     pairing = _gram(form, e, a_ints)  # row m: {j: B(alpha_m, x_j)} on the views
-    if linalg.rank(pairing, len(a_vectors)) != len(ideal):
+    if linalg.rank(pairing, len(a_ints)) != len(e):
         raise DegeneratePairing("pairing between the ideal and its complement is singular")
     scale = form.scaled_rows[0] * d_e * d_a
     table = {(j, m): c for m, row in enumerate(pairing) for j, c in row.items()}
@@ -341,28 +305,30 @@ def _bracket_in_basis(bracket: GradedBilinearMap, cols: tuple, inv: tuple) -> tu
     return scale, out
 
 
-def _metric_in_basis(form: GradedBilinearForm, cols: ScaledVectors) -> tuple[int, list[dict]]:
-    """Rows {q: B(cols[p], cols[q])}, columns in order, no zeros, as one
-    integer Gram at scale d_B d_c^2."""
-    d, ints = cols.view
+def _metric_in_basis(form: GradedBilinearForm, cols: tuple) -> tuple[int, list[dict]]:
+    """Rows {q: B(cols[p], cols[q])} of the view's vectors, columns in
+    order, no zeros, as one integer Gram at scale d_B d_c^2."""
+    d, ints = cols
     return form.scaled_rows[0] * d * d, _gram(form, ints, ints)
 
 
-def _unit_index(v: dict) -> int | None:
+def _unit_index(v: dict, d: int) -> int | None:
+    """k if the vector v of a view at scale d is e_k."""
     if len(v) == 1:
         ((k, c),) = v.items()
-        if c == 1:
+        if c == d:
             return k
     return None
 
 
-def _block_space(g_space: SuperSpace, vectors: Sequence[dict], prefix: str,
+def _block_space(g_space: SuperSpace, view: tuple, prefix: str,
                  reuse: bool = True) -> SuperSpace:
-    """With reuse on, labels reuse g's labels where block vectors are unit
-    vectors; the others, or all of them if a label repeats, are prefix + index."""
+    """With reuse on, labels reuse g's labels where the view's vectors are
+    unit vectors; the others, or all of them if a label repeats, are prefix + index."""
+    d, vectors = view
     labels = []
     for j, v in enumerate(vectors):
-        u = _unit_index(v) if reuse else None
+        u = _unit_index(v, d) if reuse else None
         labels.append(g_space.label(u) if u is not None else f"{prefix}{j}")
     if len(set(labels)) != len(labels):
         labels = [f"{prefix}{j}" for j in range(len(vectors))]
@@ -386,8 +352,8 @@ class ExtractedMaps:
     split: tuple                  # g's bracket in the (a, h, I) basis, as an integer view (d, pairs)
 
 
-def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
-                           a_vectors: Sequence, h_vectors: Sequence) -> ExtractedMaps:
+def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: tuple,
+                           a_vectors: tuple, h_vectors: tuple) -> ExtractedMaps:
     """Split every basis bracket into its a / h / I components and send each
     to its map: on [a,a], the a-component to a's table, the h-component to
     lambda and the I-component to mu; the h-component of [a,h] to rho and
@@ -398,32 +364,31 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
     isometry, which compares every component of ``split`` with the
     re-extension's, those no map reads included.
     """
-    na, nh = len(a_vectors), len(h_vectors)
-    cols = _join(*map(_entering, (a_vectors, h_vectors, ideal)))
-    if len(cols) != g.dim:
+    na, nh = len(a_vectors[1]), len(h_vectors[1])
+    d_c, int_cols = _join(a_vectors, h_vectors, ideal)
+    if len(int_cols) != g.dim:
         raise ValueError("blocks do not fill the algebra")
     # the rows of the inverse of the matrix whose rows are the integer columns
     # are the columns of the inverse of the change of basis divided by d_c
-    d_c, int_cols = cols.view
     inv = linalg.inverse_ints(int_cols)
     if inv is None:
         raise ValueError("a, h and I do not form a basis")
     inverse = linalg.lowest_terms(inv[0], ({k: d_c * x for k, x in v.items()} for v in inv[1]))
 
-    a_space = _block_space(g.space, cols[:na], "a")
-    h_space = _block_space(g.space, cols[na:na + nh], "h")
+    a_space = _block_space(g.space, a_vectors, "a")
+    h_space = _block_space(g.space, h_vectors, "h")
     labels = a_space.labels + h_space.labels + p_delta_dual(a_space, g.delta).labels
     if len(set(labels)) != len(labels):
         # g's labels can clash across a, h and the dual block; a<j>, h<j> and theirs cannot
-        a_space = _block_space(g.space, cols[:na], "a", reuse=False)
-        h_space = _block_space(g.space, cols[na:na + nh], "h", reuse=False)
-    ideal_space = _block_space(g.space, cols[na + nh:], "i")
+        a_space = _block_space(g.space, a_vectors, "a", reuse=False)
+        h_space = _block_space(g.space, h_vectors, "h", reuse=False)
+    ideal_space = _block_space(g.space, ideal, "i")
 
     # the integer tables, at the split's scale, of the blocks; rho: per
     # a-vector, the {(r, c): n} of a map h -> h
     a_ent, lam_ent, mu_ent, h_ent = {}, {}, {}, {}
     rho_ent = [{} for _ in range(na)]
-    split = _bracket_in_basis(g.bracket, cols.view, inverse)
+    split = _bracket_in_basis(g.bracket, (d_c, int_cols), inverse)
     for (p, q), z in split[1].items():
         if p < na and q < na:
             for k, c in z.items():
@@ -455,9 +420,13 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: Sequence,
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    a_basis: tuple[Vector, ...]
-    h_basis: tuple[Vector, ...]
-    ideal_basis: tuple[Vector, ...]
+    """The split g = a + h + I and its certificate. a, h and I are kept as
+    the integer views ``(d, vectors)`` the split was built from; ``a_basis``,
+    ``h_basis`` and ``ideal_basis`` are their dense bases, built when read."""
+
+    a_view: tuple
+    h_view: tuple
+    ideal_view: tuple
     maps: ExtractedMaps
     xi_delta: GradedLinearMap
     xi: GradedLinearMap
@@ -465,22 +434,30 @@ class DecompositionResult:
     extension: QuadraticLieSuperAlgebra
     isometry: GradedLinearMap
 
+    def _dense(self, view) -> tuple[Vector, ...]:
+        d, vectors = view
+        return tuple(linalg._dense(d, v, self.isometry.source.dim) for v in vectors)
 
-def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> ScaledVectors:
-    """The ideal as sparse vectors, once its hypotheses hold; each vector is
-    dense, of length dim, or a sparse dict with indices in range(dim). The
-    pairings and brackets are read on the integer views: the isotropy check
-    from one integer Gram, the abelian check and the images [e_p, ideal_r]
-    from the bracket's ``scaled_pairs``, a positive multiple of each exact
-    image, which keeps its span. The first image, in (p, r) order, to grow
-    the ideal's span lies outside it; its witness residual is the exact
-    image, divided back once."""
+    a_basis = property(lambda self: self._dense(self.a_view))
+    h_basis = property(lambda self: self._dense(self.h_view))
+    ideal_basis = property(lambda self: self._dense(self.ideal_view))
+
+
+def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> tuple[int, tuple[dict, ...]]:
+    """The ideal as one integer view (``_view``), once its hypotheses hold;
+    each vector is dense, of length dim, or a sparse dict with indices in
+    range(dim). The pairings and brackets are read on the integer views: the
+    isotropy check from one integer Gram, the abelian check and the images
+    [e_p, ideal_r] from the bracket's ``scaled_pairs``, a positive multiple
+    of each exact image, which keeps its span. The first image, in (p, r)
+    order, to grow the ideal's span lies outside it; its witness residual is
+    the exact image, divided back once."""
     n = g.dim
     ideal = list(ideal)
-    vectors = [_sparse(v) for v in ideal]
+    d_e, e = _view(ideal)
     if not ideal:
         raise ClaimViolated("ideal-empty", message="the ideal must be nonzero")
-    for r, (v, s) in enumerate(zip(ideal, vectors)):
+    for r, (v, s) in enumerate(zip(ideal, e)):
         if hasattr(v, "items"):
             if any(k not in range(n) for k in v):
                 raise ClaimViolated("ideal-shape", message=f"vector {r} has an index outside range({n})")
@@ -488,8 +465,6 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> ScaledVecto
             raise ClaimViolated("ideal-shape", message=f"vector {r} has wrong length")
         if len({g.space.parity(k) for k in s}) > 1:  # zero is homogeneous of either parity
             raise ClaimViolated("ideal-homogeneous", [Violation("ideal-homogeneous", (r,))])
-    ideal = ScaledVectors(vectors)
-    d_e, e = ideal.view
     grows = linalg.extend_independent([], e)
     if len(grows) != len(e):  # the first vector in the span of those before it
         r = next((r for r, k in enumerate(grows) if k != r), len(grows))
@@ -510,7 +485,7 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> ScaledVecto
     if k is not None:
         raise ClaimViolated("ideal-invariant",
                             [Violation("ideal-invariant", divmod(k, len(e)), linalg._dense(d_b * d_e, images[k], n))])
-    return ideal
+    return d_e, e
 
 
 def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
@@ -535,27 +510,28 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     its ``extension`` is the re-extension.
 
     Each ideal vector is dense, of length dim, or a sparse dict with indices
-    in range(dim); ``ideal_basis`` holds them dense.
+    in range(dim); ``ideal_view`` holds them as one integer view.
 
     ``source`` is the context g is believed to extend, if any: when the
     recovered context equals it, source is returned, with its derived maps
     and its extension, rather than derived again. Every claim above still
     runs, in the same order, so any source gives the same result as none.
     """
-    sparse_ideal = _validate_ideal(g, ideal)
+    ideal = _validate_ideal(g, ideal)
     delta = g.delta
 
-    i_perp = orthogonal_complement(sparse_ideal, g.metric)
-    h_vectors = i_perp.take(linalg.extend_independent(sparse_ideal.view[1], i_perp.view[1]))
+    d_p, i_perp = orthogonal_complement(ideal, g.metric)
+    h_vectors = linalg.lowest_terms(d_p, [i_perp[k] for k in linalg.extend_independent(ideal[1], i_perp)])
 
     try:
-        a_vectors = witt_complement(g.metric, sparse_ideal, avoid=h_vectors)
+        a_vectors = witt_complement(g.metric, ideal, avoid=h_vectors)
     except (DegenerateInput, ValueError) as exc:
         raise ClaimViolated("witt-complement", message=str(exc)) from exc
 
-    maps = extract_structure_maps(g, sparse_ideal, a_vectors, h_vectors)
-    na, nh, nd = len(a_vectors), len(h_vectors), len(sparse_ideal)
-    parities = tuple(_homogeneous_parity(g.space, v) for v in (*a_vectors, *h_vectors, *sparse_ideal))
+    maps = extract_structure_maps(g, ideal, a_vectors, h_vectors)
+    cols = _join(a_vectors, h_vectors, ideal)
+    na, nh, nd = len(a_vectors[1]), len(h_vectors[1]), len(ideal[1])
+    parities = tuple(_homogeneous_parity(g.space, v) for v in cols[1])
 
     try:
         if na != nd:
@@ -564,7 +540,7 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     except SuperquadError as exc:
         raise ClaimViolated("a-superalgebra", message=str(exc)) from exc
 
-    gram = _metric_in_basis(g.metric, _join(a_vectors, h_vectors, sparse_ideal))
+    gram = _metric_in_basis(g.metric, cols)
     b_h = GradedBilinearForm.from_ints(maps.h_space, delta, gram[0], {
         (p - na, q - na): c for p in range(na, na + nh) for q, c in gram[1][p].items() if na <= q < na + nh})
     try:
@@ -605,7 +581,4 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     d_inv, inverse = maps.inverse
     isometry = GradedLinearMap.from_ints(g.space, ext.space, 0, d_inv, {
         (r, c): x for c, col in enumerate(inverse) for r, x in col.items()})
-    return DecompositionResult(
-        tuple(dense_vec(v, g.dim) for v in a_vectors), tuple(dense_vec(v, g.dim) for v in h_vectors),
-        tuple(dense_vec(v, g.dim) for v in sparse_ideal), maps, xi_delta, xi, context, ext, isometry,
-    )
+    return DecompositionResult(a_vectors, h_vectors, ideal, maps, xi_delta, xi, context, ext, isometry)

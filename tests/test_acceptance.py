@@ -44,7 +44,7 @@ from superquad.catalog import (
     odd_extension_context,
     odd_extension_dim1,
 )
-from superquad.decompose import decompose, witt_complement
+from superquad.decompose import _view, decompose, witt_complement
 from superquad.errors import NotHomogeneous
 from superquad.extension import (
     DeltaContext,
@@ -59,7 +59,6 @@ from superquad.spaces import (
     GradedLinearMap,
     SuperSpace,
     check_form_degree,
-    dense_vec,
 )
 
 F = Fraction
@@ -111,7 +110,8 @@ def test_criterion_4_witt_complement_conclusions():
     for delta in (1, 0):
         for _ in range(CORPUS_SIZE):
             space, form, ideal = random_witt_instance(rng, delta)
-            a = [dense_vec(v, space.dim) for v in witt_complement(form, ideal)]
+            d, ints = witt_complement(form, _view(ideal))
+            a = [linalg._dense(d, v, space.dim) for v in ints]
             r = len(ideal)
             assert len(a) == r                                    # (ii)
             for i in range(r):

@@ -30,9 +30,16 @@ from superquad.errors import ClaimViolated, DegeneratePairing
 from superquad.extension import DeltaContext, contexts_equal, double_extend
 from superquad.fileformat import document_to_algebra, document_to_context, parse_document
 from superquad.linalg import ONE, ZERO, unit_vec
-from superquad.spaces import GradedBilinearForm, GradedLinearMap, SuperSpace, dense_vec
+from superquad.spaces import GradedBilinearForm, GradedLinearMap, SuperSpace
 
 F = Fraction
+view = dec._view
+
+
+def dense(vectors, n):
+    """The rational vectors of an integer view, dense."""
+    d, ints = vectors
+    return [linalg._dense(d, v, n) for v in ints]
 
 
 def odd_hyperbolic_2dim():
@@ -45,16 +52,16 @@ def odd_hyperbolic_2dim():
 def test_orthogonal_complement_extremes():
     g = odd_hyperbolic_2dim()
     full = [unit_vec(2, 0), unit_vec(2, 1)]
-    assert orthogonal_complement(full, g.metric) == []
-    everything = orthogonal_complement([], g.metric)
-    assert len(everything) == 2
+    assert orthogonal_complement(view(full), g.metric) == (1, ())
+    everything = orthogonal_complement(view([]), g.metric)
+    assert len(everything[1]) == 2
 
 
 def test_orthogonal_complement_isotropic_line():
     g = odd_hyperbolic_2dim()
-    perp = orthogonal_complement([unit_vec(2, 0)], g.metric)
+    perp = orthogonal_complement(view([unit_vec(2, 0)]), g.metric)
     # B(x, cx + dy) = d, so the complement is the span of x itself
-    assert perp == [{0: ONE}]
+    assert perp == (1, ({0: 1},))
 
 
 def test_find_central_ideal_abelian():
@@ -78,7 +85,7 @@ def test_find_central_ideal_none_for_sl2():
 
 def test_witt_complement_forced_2dim():
     g = odd_hyperbolic_2dim()
-    a = [dense_vec(v, 2) for v in witt_complement(g.metric, [unit_vec(2, 0)])]
+    a = dense(witt_complement(g.metric, view([unit_vec(2, 0)])), 2)
     assert a == [(ZERO, ONE)]
     assert g.metric.value(unit_vec(2, 0), a[0]) == 1
 
@@ -86,10 +93,10 @@ def test_witt_complement_forced_2dim():
 def test_witt_complement_heisenberg_recovers_x():
     g = heisenberg_extension(default_heisenberg_params())
     ideal = [(ZERO, ZERO, ZERO, ONE)]
-    perp = orthogonal_complement(ideal, g.metric)
+    d, perp = orthogonal_complement(view(ideal), g.metric)
     chosen = linalg.extend_independent(ideal, perp)
-    h_vectors = [perp[c] for c in chosen]
-    a = [dense_vec(v, 4) for v in witt_complement(g.metric, ideal, avoid=h_vectors)]
+    h_vectors = linalg.lowest_terms(d, [perp[c] for c in chosen])
+    a = dense(witt_complement(g.metric, view(ideal), avoid=h_vectors), 4)
     assert a == [(ONE, ZERO, ZERO, ZERO)]
     assert g.metric.value(ideal[0], a[0]) == 1
 
@@ -99,7 +106,7 @@ def test_witt_complement_mixed_parity_random():
     for delta in (0, 1):
         for _ in range(10):
             space, form, ideal = random_witt_instance(rng, delta)
-            a = [dense_vec(v, space.dim) for v in witt_complement(form, ideal)]
+            a = dense(witt_complement(form, view(ideal)), space.dim)
             r = len(ideal)
             assert len(a) == r
             for i in range(r):
@@ -115,14 +122,14 @@ def test_witt_complement_mixed_parity_random():
 def test_witt_rejects_non_isotropic():
     g = odd_hyperbolic_2dim()
     with pytest.raises(ValueError):
-        witt_complement(g.metric, [(ONE, ONE)])
+        witt_complement(g.metric, view([(ONE, ONE)]))
 
 
 def test_build_xi_identity_on_witt_pairs():
     g = heisenberg_extension(default_heisenberg_params())
     ideal = [(ZERO, ZERO, ZERO, ONE)]
     a = [(ONE, ZERO, ZERO, ZERO)]
-    xi_delta, xi = build_xi(g.metric, ideal, a, 1)
+    xi_delta, xi = build_xi(g.metric, view(ideal), view(a), 1)
     assert xi_delta.matrix == ((ONE,),)
     assert xi_delta.degree == 0
     assert xi.degree == 1
@@ -133,7 +140,7 @@ def test_build_xi_identity_on_witt_pairs():
 def test_build_xi_delta0_and_scaling():
     sp = SuperSpace((("u", 0), ("v", 0)))
     form = GradedBilinearForm(sp, 0, ((0, 2), (2, 0)))
-    xi_delta, xi = build_xi(form, [unit_vec(2, 0)], [unit_vec(2, 1)], 0)
+    xi_delta, xi = build_xi(form, view([unit_vec(2, 0)]), view([unit_vec(2, 1)]), 0)
     assert xi_delta.matrix == ((F(2),),)
     assert xi.matrix == xi_delta.matrix and xi.degree == 0 == xi_delta.degree
 
@@ -142,12 +149,12 @@ def test_build_xi_degenerate_pairing():
     sp = SuperSpace((("u", 0), ("v", 0), ("w", 0)))
     form = GradedBilinearForm(sp, 0, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
     with pytest.raises(DegeneratePairing):
-        build_xi(form, [unit_vec(3, 0)], [unit_vec(3, 2)], 0)
+        build_xi(form, view([unit_vec(3, 0)]), view([unit_vec(3, 2)]), 0)
 
 
 def test_extract_maps_abelian_all_zero():
     g = odd_hyperbolic_2dim()
-    maps = extract_structure_maps(g, [unit_vec(2, 0)], [unit_vec(2, 1)], [])
+    maps = extract_structure_maps(g, view([unit_vec(2, 0)]), view([unit_vec(2, 1)]), view([]))
     assert maps.a_table.entries() == []
     assert maps.lam.is_zero() and maps.mu.is_zero()
     assert all(t.is_zero() for t in maps.rho)
@@ -161,7 +168,7 @@ def test_extract_maps_heisenberg():
     ideal = [unit_vec(4, 3)]
     a = [unit_vec(4, 0)]
     h = [unit_vec(4, 1), unit_vec(4, 2)]
-    maps = extract_structure_maps(g, ideal, a, h)
+    maps = extract_structure_maps(g, view(ideal), view(a), view(h))
     assert maps.rho[0].matrix == ((ONE, ZERO), (ZERO, -ONE))   # rho(x) = D
     assert maps.lam.is_zero() and maps.mu.is_zero()
     res = decompose(g, ideal)  # on the same split, gamma, tau and sigma are Phi, chi and ad*_delta
@@ -173,7 +180,7 @@ def test_extract_maps_heisenberg():
 def test_extract_maps_odd_dim1():
     params = default_odd_dim1_params(eta=F(1))
     g = double_extend(odd_extension_context(params))
-    maps = extract_structure_maps(g, [unit_vec(2, 1)], [unit_vec(2, 0)], [])
+    maps = extract_structure_maps(g, view([unit_vec(2, 1)]), view([unit_vec(2, 0)]), view([]))
     assert maps.mu.value(0, 0) == (ONE,)      # [x,x] lands in the ideal with weight eta
     assert maps.lam.value(0, 0) == ()         # h is zero-dimensional here
 
@@ -184,8 +191,8 @@ def test_extract_maps_assembles_a_bad_split():
     the components no ideal split has, for the isometry to refuse."""
     g = heisenberg_extension(default_heisenberg_params())
     # basis (a, h, I) = (P(x)*, e, f, x)
-    maps = extract_structure_maps(g, [unit_vec(4, 0)], [unit_vec(4, 3)],
-                                  [unit_vec(4, 1), unit_vec(4, 2)])
+    maps = extract_structure_maps(g, view([unit_vec(4, 0)]), view([unit_vec(4, 3)]),
+                                  view([unit_vec(4, 1), unit_vec(4, 2)]))
     d, pairs = maps.split
     assert pairs[1, 2] == {0: d}     # [e,f] = P(x)*: [h,h] has an a-component
     assert pairs[1, 3] == {1: -d}    # [e,x] = -e: [h,I] is nonzero

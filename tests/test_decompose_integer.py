@@ -4,10 +4,13 @@ The oracles below are the pipeline steps as they were written over
 ``Fraction``s: pairings through ``GradedBilinearForm.covector``, Gram rows
 and dual rows from rational covectors, the ideal's images through
 ``GradedBilinearMap.right_sparse``, and the centraliser rows read from the
-bracket's rational ``pairs``. ``oracle_decompose`` runs ``decompose`` with
-these steps in place of the integer ones, so every field of the result and
-every claim, witness and residual can be compared with the integer run.
-``build_xi``, which ``decompose`` no longer calls, is compared on its own.
+bracket's rational ``pairs``. The steps take and return integer views; an
+oracle reads its input views as rational vectors (``rational``) and turns
+its result into a view only where it hands it back (``dec._view``).
+``oracle_decompose`` runs ``decompose`` with these steps in place of the
+integer ones, so every field of the result and every claim, witness and
+residual can be compared with the integer run. ``build_xi``, which
+``decompose`` no longer calls, is compared on its own.
 """
 
 import contextlib
@@ -63,6 +66,12 @@ def _sparse(v) -> dict:
     return {k: linalg.scalar(c) for k, c in v.items() if c} if hasattr(v, "items") else sparse_vec(linalg.vec(v))
 
 
+def rational(view) -> list[dict]:
+    """The sparse rational vectors of an integer view."""
+    d, vectors = view
+    return [{k: Fraction(c, d) for k, c in v.items()} for v in vectors]
+
+
 def pair(form, u, v):
     """B(u, v) for sparse vectors, through the rational covector of u."""
     return sum((c * v[j] for j, c in form.covector(u).items() if j in v), ZERO)
@@ -83,7 +92,7 @@ def gram(form, vectors):
 def metric_in_basis(form, cols):
     """The rational Gram of the columns, handed over as ``_metric_in_basis``
     does, as one integer view (d, rows)."""
-    return scaled_to_ints(gram(form, list(cols)))
+    return scaled_to_ints(gram(form, rational(cols)))
 
 
 def validate_ideal(g, ideal):
@@ -118,16 +127,16 @@ def validate_ideal(g, ideal):
     if k is not None:
         raise ClaimViolated("ideal-invariant", [Violation(
             "ideal-invariant", divmod(k, len(vectors)), dense_vec(images[k], n))])
-    return dec.ScaledVectors(vectors)
+    return dec._view(vectors)
 
 
 def orthogonal_complement(vectors, form):
-    rows = [form.covector(_sparse(s)) for s in vectors]
+    rows = [form.covector(s) for s in rational(vectors)]
     basis = [sparse_vec(v) for v in linalg.nullspace(rows, form.space.dim)]
     for v in basis:
         if len({form.space.parity(i) for i in v}) != 1:
             raise SuperquadError("orthogonal complement produced a non-homogeneous vector")
-    return dec.ScaledVectors(basis)
+    return dec._view(basis)
 
 
 def find_central_minimal_ideal(g):
@@ -159,11 +168,11 @@ def dual_vectors(form, ideal, avoid):
     return duals
 
 
-def witt_complement(form, ideal, avoid=()):
+def witt_complement(form, ideal, avoid=(1, ())):
     space = form.space
-    ideal = [_sparse(v) for v in ideal]
+    ideal, avoid = rational(ideal), rational(avoid)
     if not ideal:
-        return dec.ScaledVectors()
+        return dec._view([])
     for i, u in enumerate(ideal):
         for v in ideal[i:]:
             if pair(form, u, v) != 0:
@@ -190,16 +199,15 @@ def witt_complement(form, ideal, avoid=()):
                 raise DegenerateInput("dual pairing broke under correction")
     if linalg.rank(ideal + out, space.dim) != 2 * len(ideal):
         raise DegenerateInput("complement is not transverse to the ideal")
-    return dec.ScaledVectors(out)
+    return dec._view(out)
 
 
 def build_xi(form, ideal, a_vectors, delta, a_space=None, ideal_space=None):
-    ideal = [_sparse(v) for v in ideal]
-    a_vectors = [_sparse(v) for v in a_vectors]
     if a_space is None:
         a_space = dec._block_space(form.space, a_vectors, "a", reuse=False)
     if ideal_space is None:
         ideal_space = dec._block_space(form.space, ideal, "i", reuse=False)
+    ideal, a_vectors = rational(ideal), rational(a_vectors)
     pairing = [[pair(form, alpha, x) for alpha in ideal] for x in a_vectors]
     if linalg.rank(pairing, len(ideal)) != len(ideal):
         raise DegeneratePairing("pairing between the ideal and its complement is singular")
@@ -329,12 +337,46 @@ def test_catalog_families_and_coprime_golden_match_the_oracle():
             assert_same(g, found)
 
 
+def assert_canonical(view, n):
+    """view is in lowest terms over a positive scale, and ``_view`` of its dense basis gives it back."""
+    d, vectors = view
+    assert d > 0 and linalg.lowest_terms(d, vectors) == (d, vectors)
+    assert dec._view([linalg._dense(d, v, n) for v in vectors]) == view
+
+
+def test_step_and_result_views_are_canonical():
+    """Every view orthogonal_complement and witt_complement return inside
+    decompose, and the three a result holds, are canonical: two results are
+    then equal exactly when their rational bases are."""
+    cases = [*moved_cases(), *corpus_cases(), *catalog_cases()]
+    cases += [(g, found) for g, _ in cases[::4] if (found := dec.find_central_minimal_ideal(g)) is not None]
+    returned = []
+
+    def recorded(step):
+        def run(*args, **kwargs):
+            returned.append(step(*args, **kwargs))
+            return returned[-1]
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("orthogonal_complement", "witt_complement"):
+            mp.setattr(dec, name, recorded(getattr(dec, name)))
+        for g, ideal in cases:
+            returned.clear()
+            res = dec.decompose(g, ideal)
+            assert len(returned) == 2
+            for view in (*returned, res.a_view, res.h_view, res.ideal_view):
+                assert_canonical(view, g.dim)
+            assert res.ideal_view == dec._view(ideal)
+    assert len(cases) >= 100
+
+
 def test_build_xi_matches_the_oracle_and_the_identity_xi_of_decompose():
     """On the moved and catalog splits, build_xi of the ideal and the Witt
     complement equals its oracle and the identity maps decompose returns."""
     for g, ideal in [*moved_cases(), *catalog_cases()]:
         res = dec.decompose(g, ideal)
-        args = (g.metric, res.ideal_basis, res.a_basis, g.delta, res.maps.a_space, res.maps.ideal_space)
+        args = (g.metric, res.ideal_view, res.a_view, g.delta, res.maps.a_space, res.maps.ideal_space)
         assert dec.build_xi(*args) == build_xi(*args) == (res.xi_delta, res.xi)
 
 

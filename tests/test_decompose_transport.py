@@ -183,10 +183,11 @@ def test_dim_a_below_dim_ideal_is_an_a_superalgebra_violation(monkeypatch):
     results = [(g, ideal, dec.decompose(g, ideal)) for g, ideal in cases()[::3]]
     abelian = [(g, ideal, res) for g, ideal, res in results if not res.maps.a_table.scaled_pairs[1]]
     for g, ideal, res in abelian:
-        a = dec.ScaledVectors(dec._sparse(v) for v in res.a_basis)
+        d, a = res.a_view
+        last, rest = linalg.lowest_terms(d, a[-1:]), linalg.lowest_terms(d, a[:-1])
         with monkeypatch.context() as mp:
-            mp.setattr(dec, "orthogonal_complement", lambda *args: dec._join(real_perp(*args), a.take([len(a) - 1])))
-            mp.setattr(dec, "witt_complement", lambda *args, **kwargs: a.take(range(len(a) - 1)))
+            mp.setattr(dec, "orthogonal_complement", lambda *args: dec._join(real_perp(*args), last))
+            mp.setattr(dec, "witt_complement", lambda *args, **kwargs: rest)
             with pytest.raises(ClaimViolated) as exc:
                 dec.decompose(g, ideal)
         assert exc.value.claim == "a-superalgebra", exc.value
@@ -200,8 +201,8 @@ def test_i_perp_basis_longer_than_h_plus_ideal_is_an_h_quadratic_violation(monke
     real_perp = dec.orthogonal_complement
 
     def repeated(*args):  # I-perp's basis with its first vector once more
-        perp = real_perp(*args)
-        return dec._join(perp, perp.take([0]))
+        d, perp = real_perp(*args)
+        return dec._join((d, perp), linalg.lowest_terms(d, perp[:1]))
 
     monkeypatch.setattr(dec, "orthogonal_complement", repeated)
     for g, ideal in cases()[::5]:

@@ -28,6 +28,7 @@ from superquad.fileformat import (
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 SAMPLE_TEXTS = [p.read_text() for p in sorted(SAMPLES.iterdir())]
 BOUNDED = settings(max_examples=100, deadline=None)
 
@@ -175,6 +176,36 @@ def test_cli_on_fuzzed_documents_exits_0_1_or_2(kind_and_text):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code in (0, 1, 2), argv
+
+
+ALGEBRAS = [(p, len(parse_document(p.read_text()).basis))
+            for p in sorted(SAMPLES.glob("*.algebra")) + sorted(GOLDEN.glob("*.algebra"))]
+
+
+@st.composite
+def ideal_files(draw):
+    """A sample or golden algebra and an ideal document of 1 to 3 rational
+    vectors, each random or a multiple of a basis vector, as JSON or text;
+    the vectors share a length, sometimes one off the algebra's dimension."""
+    path, dim = draw(st.sampled_from(ALGEBRAS))
+    width = max(1, dim + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    multiple = st.builds(lambda k, c: tuple(c if i == k else Fraction(0) for i in range(width)),
+                         st.integers(0, width - 1), scalars)
+    vectors = draw(st.lists(st.one_of(st.tuples(*[scalars] * width), multiple), min_size=1, max_size=3))
+    return path, serialize_document(IdealDocument("i", tuple(vectors)), draw(st.sampled_from(["text", "json"])))
+
+
+@BOUNDED
+@given(ideal_files())
+def test_decompose_on_fuzzed_ideal_documents_exits_0_1_or_2(case):
+    path, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        ideal = Path(tmp) / "ideal"
+        ideal.write_text(text)
+        argv = ["decompose", str(path), "--ideal", str(ideal), "--out", str(Path(tmp) / "out")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2), text
 
 
 def _reference_scalar(text):

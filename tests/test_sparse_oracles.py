@@ -65,7 +65,6 @@ from superquad.spaces import (
     GradedBilinearMap,
     GradedLinearMap,
     SuperSpace,
-    dense_vec,
     p_delta_dual,
     sparse_transpose,
     sparse_vec,
@@ -364,7 +363,7 @@ ISOMETRY_CLAIMS = ("isometry-bracket", "isometry-metric", "context")
 def decompose_along(monkeypatch, g, ideal, a, h):
     """decompose with the split (a, h, I) fed in: the ideal as given, I-perp
     as h + I and a as the Witt complement; the ClaimViolated, or None."""
-    ideal, a, h = (dec.ScaledVectors(dec._sparse(v) for v in vs) for vs in (ideal, a, h))
+    ideal, a, h = map(dec._view, (ideal, a, h))
     with monkeypatch.context() as mp:
         mp.setattr(dec, "_validate_ideal", lambda *args: ideal)
         mp.setattr(dec, "orthogonal_complement", lambda *args: dec._join(h, ideal))
@@ -1029,9 +1028,15 @@ def test_apply_sparse_and_form_value_match_dense_products():
 
 
 def dual_vectors(form, ideal, avoid):
-    """decompose's duals, from their integer view, as dense vectors."""
-    d, duals = dec._dual_vectors(form, ideal, avoid)
+    """decompose's duals of rational vectors, from their integer view, as dense vectors."""
+    d, duals = dec._dual_vectors(form, dec._view(ideal), dec._view(avoid))
     return [tuple(Fraction(v.get(k, 0), d) for k in range(form.space.dim)) for v in duals]
+
+
+def orthogonal_complement(vectors, form):
+    """decompose's I-perp basis of rational vectors, from its integer view: (dense basis, its ints)."""
+    d, perp = dec.orthogonal_complement(dec._view(vectors), form)
+    return [linalg._dense(d, v, form.space.dim) for v in perp], perp
 
 
 def test_orthogonal_complement_and_dual_vectors_match_dense_references():
@@ -1044,14 +1049,12 @@ def test_orthogonal_complement_and_dual_vectors_match_dense_references():
             _, form, ideal = random_witt_instance(rng, delta)
             cases.append((form, ideal, []))
     for form, ideal, avoid in cases:
-        n = form.space.dim
-        perp = dec.orthogonal_complement(ideal, form)
-        assert [dense_vec(v, n) for v in perp] == ref_orthogonal_complement(ideal, form)
-        assert all(perp) and all(c for v in perp for c in v.values())
+        perp, ints = orthogonal_complement(ideal, form)
+        assert perp == ref_orthogonal_complement(ideal, form)
+        assert all(ints) and all(c for v in ints for c in v.values())
         assert dual_vectors(form, ideal, avoid) == ref_dual_vectors(form, ideal, avoid)
         one = [ideal[rng.randrange(len(ideal))]]
-        perp = dec.orthogonal_complement(one, form)
-        assert [dense_vec(v, n) for v in perp] == ref_orthogonal_complement(one, form)
+        assert orthogonal_complement(one, form)[0] == ref_orthogonal_complement(one, form)
 
 
 def test_dual_vectors_report_a_missing_dual_like_the_reference():
@@ -1088,7 +1091,7 @@ def test_dual_vectors_solve_each_parity_class_once_and_name_the_first_missing_du
         mixed += len(classes) == 2
         for k in range(len(ideal)):
             with pytest.raises(DegenerateInput, match=f"^no dual vector for ideal vector {k}$"):
-                dec._dual_vectors(g.metric, ideal, h + ideal[k:k + 1])
+                dual_vectors(g.metric, ideal, h + ideal[k:k + 1])
     assert mixed >= 3
 
 
