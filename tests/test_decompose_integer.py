@@ -46,6 +46,7 @@ from superquad.spaces import (
     GradedBilinearMap,
     GradedLinearMap,
     add_scaled,
+    common_scale,
     dense_vec,
     drop_zeros,
     dual_space,
@@ -378,6 +379,28 @@ def test_build_xi_matches_the_oracle_and_the_identity_xi_of_decompose():
         res = dec.decompose(g, ideal)
         args = (g.metric, res.ideal_view, res.a_view, g.delta, res.maps.a_space, res.maps.ideal_space)
         assert dec.build_xi(*args) == build_xi(*args) == (res.xi_delta, res.xi)
+
+
+def test_extract_structure_maps_gives_back_the_context_the_extension_and_the_isometry():
+    """Nothing a result need not hold is lost: on its views,
+    extract_structure_maps gives the context's a and h tables, lambda, rho
+    and omega, the extension's bracket as the split, the isometry's columns
+    as the inverse, and build_xi on the context's a the identity."""
+    n = 0
+    for g, ideal in [*moved_cases(), *corpus_cases(), *catalog_cases()]:
+        res = dec.decompose(g, ideal)
+        ctx = res.context
+        maps = dec.extract_structure_maps(g, res.ideal_view, res.a_view, res.h_view)
+        assert (maps.a_table, maps.h_table, maps.lam, maps.rho) == (ctx.a.bracket, ctx.h.bracket, ctx.lam, ctx.rho)
+        assert maps.mu.scaled_table() == ctx.omega.scaled_table()
+        _, (split, bracket) = common_scale([maps.split, ctx.extension.bracket.scaled_pairs])
+        assert split == bracket
+        assert maps.inverse == res.isometry.scaled_columns
+        identity = tuple({j: 1} for j in range(ctx.a.dim))
+        xi_delta, xi = dec.build_xi(g.metric, res.ideal_view, res.a_view, g.delta, ctx.a.space)
+        assert xi_delta.sparse_columns == xi.sparse_columns == identity
+        n += 1
+    assert n >= 100
 
 
 def planted_ideals(rng, g, ideal):
