@@ -6,7 +6,6 @@ decomposition along isotropic abelian ideals, and worked constructions."""
 from .algebra import (
     LieSuperAlgebra,
     QuadraticLieSuperAlgebra,
-    Representation,
     SuperBracket,
     certify_isometry,
     check_invariance,

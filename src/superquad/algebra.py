@@ -306,7 +306,10 @@ def certify_isometry(bracket1, metric1, bracket2, metric2) -> Violation | None:
     first differing pair (p, q), in sorted order, with the dense residual of
     [e_p, e_q] (``isometry-bracket``), else the first differing (row, column)
     of the metrics with its residual (``isometry-metric``), residuals first
-    minus second. Tables in two bases are transported to one first."""
+    minus second. Tables in two bases are transported to one first; two
+    dims, the metrics' row counts, raise ValueError."""
+    if len(metric1[1]) != len(metric2[1]):
+        raise ValueError(f"the algebras have dims {len(metric1[1])} and {len(metric2[1])}")
     d, (pairs1, pairs2) = common_scale([bracket1, bracket2])
     if pairs1 != pairs2:
         p, q = min(k for k in pairs1.keys() | pairs2.keys() if pairs1.get(k, EMPTY) != pairs2.get(k, EMPTY))
@@ -456,26 +459,9 @@ def is_metric_skew(d: GradedLinearMap, form: GradedBilinearForm) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Representation:
-    """Action of an algebra on a module space; action[i] realises basis vector i."""
-
-    algebra: LieSuperAlgebra
-    module_space: SuperSpace
-    action: tuple[GradedLinearMap, ...]
-
-    def __post_init__(self):
-        if len(self.action) != self.algebra.dim:
-            raise ValueError("one action map per algebra basis vector required")
-        for i, m in enumerate(self.action):
-            if m.degree != self.algebra.space.parity(i):
-                raise ValueError(f"action of basis vector {i} has wrong degree")
-            if m.source.basis != self.module_space.basis or m.target.basis != self.module_space.basis:
-                raise ValueError("action maps must be endomorphisms of the module space")
-
-
-def delta_coadjoint(g: LieSuperAlgebra, delta: int) -> Representation:
-    """Action on P_delta(g)*: ad*_d(x)(P_d(f))(P_d(y)) = -(-1)^{(|f|+d)|x|} f([x,y])."""
+def delta_coadjoint(g: LieSuperAlgebra, delta: int) -> tuple[GradedLinearMap, ...]:
+    """The maps ad*_d(e_i) on P_delta(g)*, one per basis vector of g, each
+    of degree |e_i|: ad*_d(x)(P_d(f))(P_d(y)) = -(-1)^{(|f|+d)|x|} f([x,y])."""
     par = g.space.parities
     module = dual_space(apply_p_delta(delta, g.space))
     d, pairs = g.bracket.scaled_pairs
@@ -483,8 +469,7 @@ def delta_coadjoint(g: LieSuperAlgebra, delta: int) -> Representation:
     for (i, k), v in pairs.items():
         for j, c in v.items():
             tables[i][k, j] = c if ((par[j] + delta) * par[i]) % 2 else -c
-    return Representation(g, module, tuple(
-        GradedLinearMap.from_ints(module, module, par[i], d, t) for i, t in enumerate(tables)))
+    return tuple(GradedLinearMap.from_ints(module, module, par[i], d, t) for i, t in enumerate(tables))
 
 
 def semidirect_product(a: LieSuperAlgebra, h: LieSuperAlgebra,

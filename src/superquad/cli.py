@@ -231,7 +231,7 @@ def cmd_roundtrip(args) -> int:
     ideal = [unit_vec(g.dim, g.dim - na + k) for k in range(na)]
     res = decompose(g, ideal, source=ctx)
     print("roundtrip: decomposition claims and isometry verified")
-    ext = res.extension
+    ext = res.context.extension
     v = certify_isometry(g.bracket.scaled_pairs, g.metric.scaled_rows,
                          ext.bracket.scaled_pairs, ext.metric.scaled_rows)
     if v is not None:

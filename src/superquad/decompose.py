@@ -25,7 +25,7 @@ metric's ``scaled_rows`` and the bracket's ``scaled_pairs``. Each sum is
 then one positive constant times the rational one, so it is zero exactly
 when the rational sum is, and a returned coefficient or a residual is
 divided back once; no step here sums ``Fraction``s. ``DecompositionResult``
-keeps the views of a, h and I and builds their dense bases when read.
+keeps the views of a, h and I, the context and the isometry, nothing else.
 """
 
 from __future__ import annotations
@@ -340,13 +340,10 @@ def _block_space(g_space: SuperSpace, view: tuple, prefix: str,
 class ExtractedMaps:
     """Components of the bracket along g = a + h + I."""
 
-    a_space: SuperSpace
-    h_space: SuperSpace
-    ideal_space: SuperSpace
     a_table: SuperBracket
     h_table: SuperBracket
     lam: GradedBilinearMap        # a x a -> h
-    mu: GradedBilinearMap         # a x a -> I
+    omega: GradedBilinearMap      # a x a -> P_delta(a)*, read off the I-components
     rho: tuple[GradedLinearMap, ...]    # a-indexed endomorphisms of h
     inverse: tuple                # integer view (d, columns), column k the (a, h, I)-coordinates of g's e_k
     split: tuple                  # g's bracket in the (a, h, I) basis, as an integer view (d, pairs)
@@ -356,7 +353,8 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: tuple,
                            a_vectors: tuple, h_vectors: tuple) -> ExtractedMaps:
     """Split every basis bracket into its a / h / I components and send each
     to its map: on [a,a], the a-component to a's table, the h-component to
-    lambda and the I-component to mu; the h-component of [a,h] to rho and
+    lambda and the I-component to omega on P_delta(a)*, as B(I_i, a_j) =
+    delta_ij makes xi_delta the identity; the h-component of [a,h] to rho and
     of [h,h] to h's table. The other components, the I-components of [a,h],
     [a,I] and [h,h] among them, are kept only in ``split``.
 
@@ -375,18 +373,18 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: tuple,
         raise ValueError("a, h and I do not form a basis")
     inverse = linalg.lowest_terms(inv[0], ({k: d_c * x for k, x in v.items()} for v in inv[1]))
 
-    a_space = _block_space(g.space, a_vectors, "a")
-    h_space = _block_space(g.space, h_vectors, "h")
-    labels = a_space.labels + h_space.labels + p_delta_dual(a_space, g.delta).labels
-    if len(set(labels)) != len(labels):
+    for reuse in (True, False):
         # g's labels can clash across a, h and the dual block; a<j>, h<j> and theirs cannot
-        a_space = _block_space(g.space, a_vectors, "a", reuse=False)
-        h_space = _block_space(g.space, h_vectors, "h", reuse=False)
-    ideal_space = _block_space(g.space, ideal, "i")
+        a_space = _block_space(g.space, a_vectors, "a", reuse)
+        h_space = _block_space(g.space, h_vectors, "h", reuse)
+        dual = p_delta_dual(a_space, g.delta)
+        labels = a_space.labels + h_space.labels + dual.labels
+        if len(set(labels)) == len(labels):
+            break
 
     # the integer tables, at the split's scale, of the blocks; rho: per
     # a-vector, the {(r, c): n} of a map h -> h
-    a_ent, lam_ent, mu_ent, h_ent = {}, {}, {}, {}
+    a_ent, lam_ent, omega_ent, h_ent = {}, {}, {}, {}
     rho_ent = [{} for _ in range(na)]
     split = _bracket_in_basis(g.bracket, (d_c, int_cols), inverse)
     for (p, q), z in split[1].items():
@@ -397,7 +395,7 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: tuple,
                 elif k < na + nh:
                     lam_ent[p, q, k - na] = c
                 else:
-                    mu_ent[p, q, k - na - nh] = c
+                    omega_ent[p, q, k - na - nh] = c
         elif p < na + nh and na <= q < na + nh:
             h_comp = {k - na: c for k, c in z.items() if na <= k < na + nh}
             if p < na:
@@ -407,11 +405,10 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: tuple,
 
     scale = split[0]
     return ExtractedMaps(
-        a_space, h_space, ideal_space,
         SuperBracket.from_ints(a_space, scale, a_ent),
         SuperBracket.from_ints(h_space, scale, h_ent),
         GradedBilinearMap.from_ints(a_space, a_space, h_space, scale, lam_ent),
-        GradedBilinearMap.from_ints(a_space, a_space, ideal_space, scale, mu_ent),
+        GradedBilinearMap.from_ints(a_space, a_space, dual, scale, omega_ent),
         tuple(GradedLinearMap.from_ints(h_space, h_space, a_space.parity(i), scale, t)
               for i, t in enumerate(rho_ent)),
         inverse, split,
@@ -420,18 +417,16 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: tuple,
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """The split g = a + h + I and its certificate. a, h and I are kept as
-    the integer views ``(d, vectors)`` the split was built from; ``a_basis``,
-    ``h_basis`` and ``ideal_basis`` are their dense bases, built when read."""
+    """The split g = a + h + I and its certificate: the context, whose
+    ``extension`` is the re-extension, and the isometry of g onto it. a, h
+    and I are kept as the integer views ``(d, vectors)`` the split was built
+    from; ``a_basis``, ``h_basis`` and ``ideal_basis`` are their dense bases,
+    built when read."""
 
     a_view: tuple
     h_view: tuple
     ideal_view: tuple
-    maps: ExtractedMaps
-    xi_delta: GradedLinearMap
-    xi: GradedLinearMap
     context: DeltaContext
-    extension: QuadraticLieSuperAlgebra
     isometry: GradedLinearMap
 
     def _dense(self, view) -> tuple[Vector, ...]:
@@ -507,7 +502,8 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     transport (``_by_transport``), and so is the context, each axiom a
     block of the re-extension's grading, super skew, Jacobi or invariance
     identities (an ``InvalidContext`` from ``derive_phi`` is ``context``);
-    its ``extension`` is the re-extension.
+    its ``extension`` is the re-extension. The result holds nothing else
+    than the views, the context and the isometry.
 
     Each ideal vector is dense, of length dim, or a sparse dict with indices
     in range(dim); ``ideal_view`` holds them as one integer view.
@@ -541,7 +537,7 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
         raise ClaimViolated("a-superalgebra", message=str(exc)) from exc
 
     gram = _metric_in_basis(g.metric, cols)
-    b_h = GradedBilinearForm.from_ints(maps.h_space, delta, gram[0], {
+    b_h = GradedBilinearForm.from_ints(maps.h_table.space, delta, gram[0], {
         (p - na, q - na): c for p in range(na, na + nh) for q, c in gram[1][p].items() if na <= q < na + nh})
     try:
         if nh + nd != len(i_perp):
@@ -550,9 +546,7 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     except SuperquadError as exc:
         raise ClaimViolated("h-quadratic", message=str(exc)) from exc
 
-    omega = GradedBilinearMap.from_ints(
-        maps.a_space, maps.a_space, p_delta_dual(maps.a_space, delta), *maps.mu.scaled_table())
-    context = DeltaContext(delta, a_alg, h_alg, maps.rho, maps.lam, omega)
+    context = DeltaContext(delta, a_alg, h_alg, maps.rho, maps.lam, maps.omega)
     if context == source:
         context = source  # ad*_delta, chi, Phi and the extension are derived once, on source
 
@@ -575,10 +569,7 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
         ext = _by_transport(bracket, parities, metric)
         vars(context)["extension"] = ext  # the cache of DeltaContext.extension
 
-    unit = {(j, j): 1 for j in range(na)}  # B(I_i, a_j) = delta_ij: xi_delta and xi are the identity
-    xi_delta = GradedLinearMap.from_ints(maps.ideal_space, p_delta_dual(maps.a_space, delta), 0, 1, unit)
-    xi = GradedLinearMap.from_ints(maps.ideal_space, dual_space(maps.a_space), delta, 1, unit)
     d_inv, inverse = maps.inverse
     isometry = GradedLinearMap.from_ints(g.space, ext.space, 0, d_inv, {
         (r, c): x for c, col in enumerate(inverse) for r, x in col.items()})
-    return DecompositionResult(a_vectors, h_vectors, ideal, maps, xi_delta, xi, context, ext, isometry)
+    return DecompositionResult(a_vectors, h_vectors, ideal, context, isometry)

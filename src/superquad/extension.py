@@ -70,6 +70,7 @@ from .spaces import (
     GradedBilinearMap,
     GradedLinearMap,
     SuperSpace,
+    _check_parity,
     add_scaled,
     common_scale,
     p_delta_dual,
@@ -95,8 +96,7 @@ class DeltaContext:
     omega: GradedBilinearMap
 
     def __post_init__(self):
-        if self.delta not in (0, 1):
-            raise ValueError("delta must be 0 or 1")
+        _check_parity(self.delta)
         if len(self.rho) != self.a.dim:
             raise ValueError("one rho map per a-basis vector required")
         for t in self.rho:
@@ -132,8 +132,8 @@ class DeltaContext:
 
     @functools.cached_property
     def ad_star(self) -> tuple[GradedLinearMap, ...]:
-        """The maps ad*_delta(x_i) on the dual block, one per a-basis vector, derived once."""
-        return delta_coadjoint(self.a, self.delta).action
+        """``delta_coadjoint`` of a: ad*_delta(x_i) on the dual block, one per x_i, derived once."""
+        return delta_coadjoint(self.a, self.delta)
 
     @functools.cached_property
     def extension(self) -> QuadraticLieSuperAlgebra:

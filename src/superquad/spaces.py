@@ -100,7 +100,7 @@ def sparse_transpose(vectors, n: int) -> list[dict]:
 
 
 def _check_parity(p) -> int:
-    if p not in (0, 1):
+    if type(p) is not int or p not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {p!r}")
     return p
 

@@ -33,6 +33,7 @@ from superquad.spaces import (
     GradedLinearMap,
     SuperSpace,
     add_scaled,
+    apply_p_delta,
     dense_vec,
     drop_zeros,
     dual_space,
@@ -537,7 +538,7 @@ def solve_omega(rng, delta, a: LieSuperAlgebra, h: QuadraticLieSuperAlgebra,
     probe = DeltaContext(delta, a, h, tuple(rho), lam,
                          GradedBilinearMap.zero(a.space, a.space, dual))
     chi = derive_chi(probe)
-    rep = delta_coadjoint(a, delta)
+    ad_star = delta_coadjoint(a, delta)
     rows, rhs = [], []
 
     def emit(expr_terms, const):
@@ -559,7 +560,7 @@ def solve_omega(rng, delta, a: LieSuperAlgebra, h: QuadraticLieSuperAlgebra,
                 terms_vec = [{} for _ in range(na)]
                 for s, (x, y, z) in ((s1, (i, j, k)), (s2, (j, k, i)), (s3, (k, i, j))):
                     om_yz = pv.coeff_rows(y, z)
-                    act = rep.action[x].matrix
+                    act = ad_star[x].matrix
                     for r in range(na):
                         terms_vec[r] = _combine((ONE, terms_vec[r]),
                                                 *[(s * act[r][m], om_yz[m])
@@ -812,10 +813,10 @@ def b_flat(form: GradedBilinearForm) -> GradedLinearMap:
     return GradedLinearMap(form.space, dual_space(form.space), form.degree, linalg.transpose(form.matrix))
 
 
-def bracket_law_violation(rep) -> tuple | None:
-    """First (i, j) with action(e_i) action(e_j) - (-1)^{|e_i||e_j|}
-    action(e_j) action(e_i) - action([e_i, e_j]) != 0, or None."""
-    g, mats, par = rep.algebra, [t.matrix for t in rep.action], rep.algebra.space.parities
+def bracket_law_violation(g: LieSuperAlgebra, maps) -> tuple | None:
+    """First (i, j) with maps[i] maps[j] - (-1)^{|e_i||e_j|} maps[j] maps[i]
+    - maps of [e_i, e_j] != 0, or None: maps[i] the action of e_i on a module."""
+    mats, par = [t.matrix for t in maps], g.space.parities
     for i in range(g.dim):
         for j in range(g.dim):
             ba = linalg.mat_scale(-1 if par[i] * par[j] else 1, linalg.mat_mul(mats[j], mats[i]))
@@ -830,12 +831,13 @@ def bracket_law_violation(rep) -> tuple | None:
 def intertwining_violation(g: LieSuperAlgebra, delta: int) -> int | None:
     """First i with ad*_d(e_i) P != (-1)^{d|e_i|} P ad*(e_i), for P the
     degree-delta identity g* -> P_delta(g)*, or None."""
-    rep, repd = delta_coadjoint(g, 0), delta_coadjoint(g, delta)
-    shift = GradedLinearMap(rep.module_space, repd.module_space, delta, linalg.identity_mat(g.dim)).matrix
+    ad_star, ad_star_d = delta_coadjoint(g, 0), delta_coadjoint(g, delta)
+    shift = GradedLinearMap(dual_space(g.space), dual_space(apply_p_delta(delta, g.space)), delta,
+                            linalg.identity_mat(g.dim)).matrix
     for i in range(g.dim):
         sign = -1 if (delta * g.space.parity(i)) % 2 else 1
-        lhs = linalg.mat_mul(repd.action[i].matrix, shift)
-        if lhs != linalg.mat_scale(sign, linalg.mat_mul(shift, rep.action[i].matrix)):
+        lhs = linalg.mat_mul(ad_star_d[i].matrix, shift)
+        if lhs != linalg.mat_scale(sign, linalg.mat_mul(shift, ad_star[i].matrix)):
             return i
     return None
 
@@ -845,7 +847,7 @@ def lemma_residuals(ctx: DeltaContext) -> list[Violation]:
     chi and Phi that the context axioms imply; empty on every valid context."""
     out: list[Violation] = []
     chi, phi, lam, rho = ctx.chi, ctx.phi, ctx.lam, ctx.rho
-    rep = delta_coadjoint(ctx.a, ctx.delta)
+    ad_star = delta_coadjoint(ctx.a, ctx.delta)
     na, nh = ctx.a.dim, ctx.h.dim
     pa, qh = ctx.a.space.parities, ctx.h.space.parities
     a_pairs, h_pairs = ctx.a.bracket.pairs, ctx.h.bracket.pairs
@@ -864,7 +866,7 @@ def lemma_residuals(ctx: DeltaContext) -> list[Violation]:
             for l in range(nh):
                 total = left(phi, cols[m], l)
                 add_scaled(total, sign, phi.right_sparse(m, cols[l]))
-                add_scaled(total, -1, rep.action[i].apply_sparse(phi.pairs.get((m, l), EMPTY)))
+                add_scaled(total, -1, ad_star[i].apply_sparse(phi.pairs.get((m, l), EMPTY)))
                 add_scaled(total, -1, chi.right_sparse(i, h_pairs.get((m, l), EMPTY)))
                 if total := drop_zeros(total):
                     out.append(Violation("lemma-1", (i, m, l), dense_vec(total, na)))
@@ -878,8 +880,8 @@ def lemma_residuals(ctx: DeltaContext) -> list[Violation]:
                 total = left(chi, a_pairs.get((i, j), EMPTY), m)
                 add_scaled(total, -1, chi.right_sparse(i, rho[j].sparse_columns[m]))
                 add_scaled(total, sign, chi.right_sparse(j, rho[i].sparse_columns[m]))
-                add_scaled(total, -1, rep.action[i].apply_sparse(chi.pairs.get((j, m), EMPTY)))
-                add_scaled(total, sign, rep.action[j].apply_sparse(chi.pairs.get((i, m), EMPTY)))
+                add_scaled(total, -1, ad_star[i].apply_sparse(chi.pairs.get((j, m), EMPTY)))
+                add_scaled(total, sign, ad_star[j].apply_sparse(chi.pairs.get((i, m), EMPTY)))
                 add_scaled(total, 1, left(phi, lam.pairs.get((i, j), EMPTY), m))
                 if total := drop_zeros(total):
                     out.append(Violation("lemma-2", (i, j, m), dense_vec(total, na)))

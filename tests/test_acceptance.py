@@ -101,7 +101,7 @@ def test_criterion_3_delta_coadjoint_laws():
         count += 1
         for delta in (0, 1):
             assert intertwining_violation(g, delta) is None  # intertwining, entrywise
-            assert bracket_law_violation(delta_coadjoint(g, delta)) is None  # bracket compatibility
+            assert bracket_law_violation(g, delta_coadjoint(g, delta)) is None  # bracket compatibility
     print(f"\nACCEPTANCE 3 delta-coadjoint laws on {count} algebras: PASS")
 
 

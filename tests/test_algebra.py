@@ -12,6 +12,7 @@ from superquad.algebra import (
     LieSuperAlgebra,
     QuadraticLieSuperAlgebra,
     SuperBracket,
+    certify_isometry,
     check_invariance,
     check_jacobi,
     delta_coadjoint,
@@ -207,34 +208,47 @@ def two_dim_solvable():
 def test_coadjoint_examples():
     sp = space_of([0, 1])
     ab = LieSuperAlgebra.abelian(sp)
-    rep = delta_coadjoint(ab, 0)
-    assert all(m.is_zero() for m in rep.action)
+    assert all(m.is_zero() for m in delta_coadjoint(ab, 0))
 
     g = two_dim_solvable()
-    rep = delta_coadjoint(g, 0)
+    ad_star = delta_coadjoint(g, 0)
     # ad*(a)(b*) = -b*, ad*(a)(a*) = 0, from the defining formula
-    assert column(rep.action[0], 1) == (ZERO, -ONE)
-    assert column(rep.action[0], 0) == (ZERO, ZERO)
-    assert bracket_law_violation(rep) is None
+    assert column(ad_star[0], 1) == (ZERO, -ONE)
+    assert column(ad_star[0], 0) == (ZERO, ZERO)
+    assert bracket_law_violation(g, ad_star) is None
 
 
 def test_coadjoint_law_random():
     rng = random.Random(11)
     for _ in range(20):
         g = random_superalgebra_scrambled(rng, 4)
-        assert bracket_law_violation(delta_coadjoint(g, 0)) is None
+        assert bracket_law_violation(g, delta_coadjoint(g, 0)) is None
+
+
+def test_certify_isometry_refuses_algebras_of_different_dims():
+    """The metrics' rows are the algebras' dims: a dim-1 and a dim-2
+    algebra are refused before any entry is compared, whether the brackets
+    agree (both zero) or not (a residual would index past dim 1)."""
+    one, two = (1, ({0: 1},)), (1, ({0: 1}, {1: 1}))
+    assert certify_isometry((1, {}), one, (1, {}), one) is None
+    for bracket2 in ((1, {}), (1, {(0, 0): {1: 1}})):
+        with pytest.raises(ValueError, match=r"^the algebras have dims 1 and 2$"):
+            certify_isometry((1, {}), one, bracket2, two)
+    with pytest.raises(ValueError, match=r"^the algebras have dims 2 and 1$"):
+        certify_isometry((1, {}), two, (1, {}), one)
 
 
 def test_delta_coadjoint_abelian_zero():
     sp = space_of([0, 1, 1])
-    rep = delta_coadjoint(LieSuperAlgebra.abelian(sp), 1)
-    assert all(m.is_zero() for m in rep.action)
-    assert rep.module_space.parities == (1, 0, 0)
+    ad_star = delta_coadjoint(LieSuperAlgebra.abelian(sp), 1)
+    assert all(m.is_zero() for m in ad_star)
+    assert [m.degree for m in ad_star] == [0, 1, 1]  # one map per basis vector, of its parity
+    assert all(m.source == m.target and m.source.parities == (1, 0, 0) for m in ad_star)
 
 
 def test_delta_coadjoint_formula_and_law():
     g = two_dim_solvable()
-    rep = delta_coadjoint(g, 1)
+    ad_star = delta_coadjoint(g, 1)
     n, par = g.dim, g.space.parities
     # direct evaluation of the defining formula on all (i, j, k)
     for i in range(n):
@@ -243,8 +257,8 @@ def test_delta_coadjoint_formula_and_law():
             for k in range(n):
                 sign = -1 if ((par[j] + 1) * par[i]) % 2 else 1
                 expect[k] = -sign * g.bracket.table[i][k][j]
-            assert column(rep.action[i], j) == tuple(expect)
-    assert bracket_law_violation(rep) is None
+            assert column(ad_star[i], j) == tuple(expect)
+    assert bracket_law_violation(g, ad_star) is None
 
 
 def test_delta_coadjoint_intertwines_with_shift():
@@ -260,11 +274,11 @@ def test_b_flat_intertwines_ad_and_coadjoint():
     for _ in range(10):
         g = random_quadratic(rng, rng.randint(0, 1), 4, allow_zero=False)
         flat = b_flat(g.metric)
-        rep = delta_coadjoint(g.algebra, 0)
+        ad_star = delta_coadjoint(g.algebra, 0)
         for i in range(g.dim):
             sign = -1 if (g.space.parity(i) * g.metric.degree) % 2 else 1
             lhs = linalg.mat_mul(flat.matrix, ad_map(g.bracket, i).matrix)
-            assert lhs == linalg.mat_scale(sign, linalg.mat_mul(rep.action[i].matrix, flat.matrix))
+            assert lhs == linalg.mat_scale(sign, linalg.mat_mul(ad_star[i].matrix, flat.matrix))
 
 
 def test_inner_derivations_are_metric_skew():
@@ -364,9 +378,9 @@ def test_semidirect_cyclic_condition_failure():
 def test_parity_shift_map_on_representation_matrices():
     # sanity: shifting the coadjoint action maps still evaluates identically
     g = two_dim_solvable()
-    rep = delta_coadjoint(g, 0)
-    shifted = parity_shift_map(rep.action[0])
-    assert shifted.matrix == rep.action[0].matrix
+    ad_star = delta_coadjoint(g, 0)
+    shifted = parity_shift_map(ad_star[0])
+    assert shifted.matrix == ad_star[0].matrix
     assert shifted.degree == 1
 
 

@@ -871,13 +871,14 @@ def test_roundtrip_reports_a_re_extension_that_differs(sample, capsys, monkeypat
                             ("metric", "isometry-metric: witness (0,0) residual -2/3")):
         def planting(g, ideal, **kwargs):
             res = real(g, ideal, **kwargs)
-            ext = res.extension
+            ext = res.context.extension
             bracket, metric = ext.bracket, ext.metric
             if plant == "bracket":
                 bracket = SuperBracket.from_entries(ext.space, bracket.entries() + [(0, 0, 0, c)])
             else:
                 metric = GradedBilinearForm.from_entries(ext.space, metric.degree, metric.entries() + [(0, 0, c)])
-            return dataclasses.replace(res, extension=SimpleNamespace(bracket=bracket, metric=metric))
+            ext = SimpleNamespace(bracket=bracket, metric=metric)
+            return dataclasses.replace(res, context=SimpleNamespace(extension=ext))
 
         monkeypatch.setattr(cli, "decompose", planting)
         code, out, err = run(capsys, "roundtrip", str(sample))

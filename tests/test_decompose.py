@@ -156,7 +156,7 @@ def test_extract_maps_abelian_all_zero():
     g = odd_hyperbolic_2dim()
     maps = extract_structure_maps(g, view([unit_vec(2, 0)]), view([unit_vec(2, 1)]), view([]))
     assert maps.a_table.entries() == []
-    assert maps.lam.is_zero() and maps.mu.is_zero()
+    assert maps.lam.is_zero() and maps.omega.is_zero()
     assert all(t.is_zero() for t in maps.rho)
     ctx = decompose(g, [unit_vec(2, 0)]).context  # gamma, tau and sigma are Phi, chi and ad*_delta
     assert ctx.phi.is_zero() and ctx.chi.is_zero()
@@ -170,7 +170,7 @@ def test_extract_maps_heisenberg():
     h = [unit_vec(4, 1), unit_vec(4, 2)]
     maps = extract_structure_maps(g, view(ideal), view(a), view(h))
     assert maps.rho[0].matrix == ((ONE, ZERO), (ZERO, -ONE))   # rho(x) = D
-    assert maps.lam.is_zero() and maps.mu.is_zero()
+    assert maps.lam.is_zero() and maps.omega.is_zero()
     res = decompose(g, ideal)  # on the same split, gamma, tau and sigma are Phi, chi and ad*_delta
     assert (res.a_basis, res.h_basis) == (tuple(a), tuple(h))
     assert res.context.phi.value(0, 1) == (ONE,)               # gamma(e,f) = B(De,f)
@@ -181,7 +181,7 @@ def test_extract_maps_odd_dim1():
     params = default_odd_dim1_params(eta=F(1))
     g = double_extend(odd_extension_context(params))
     maps = extract_structure_maps(g, view([unit_vec(2, 1)]), view([unit_vec(2, 0)]), view([]))
-    assert maps.mu.value(0, 0) == (ONE,)      # [x,x] lands in the ideal with weight eta
+    assert maps.omega.value(0, 0) == (ONE,)   # [x,x] lands in the ideal with weight eta
     assert maps.lam.value(0, 0) == ()         # h is zero-dimensional here
 
 
@@ -206,7 +206,7 @@ def test_decompose_heisenberg_recovers_context():
     res = decompose(g, [unit_vec(4, 3)])
     assert contexts_equal(res.context, ctx)
     assert res.context.lam.is_zero() and res.context.omega.is_zero()
-    assert res.maps.rho[0].matrix == params.d.matrix
+    assert res.context.rho[0].matrix == params.d.matrix
     assert res.isometry.matrix == linalg.identity_mat(4)
 
 
@@ -216,14 +216,15 @@ def test_decompose_abelian_trivial_context():
     assert res.context.h.dim == 0
     assert res.context.a.space.parities == (1,)
     assert res.context.omega.is_zero()
-    assert res.extension.dim == 2
+    assert res.context.extension.dim == 2
 
 
 def test_decompose_verifies_sigma_intertwining():
     params = default_odd_dim1_params(eta=F(2))
     g = odd_extension_dim1(params)
     res = decompose(g, [unit_vec(2, 1)])
-    rep = delta_coadjoint(res.context.a, 1)
+    ad_star = delta_coadjoint(res.context.a, 1)
+    xi_delta, _ = build_xi(g.metric, res.ideal_view, res.a_view, g.delta, res.context.a.space)
     na = len(res.a_basis)
     for i, x in enumerate(res.a_basis):
         # sigma(x_i): the I-part of [x_i, alpha_c] in the (a, h, I) basis, read through the isometry
@@ -231,8 +232,7 @@ def test_decompose_verifies_sigma_intertwining():
                   for alpha in res.ideal_basis]
         sigma = tuple(tuple(z[g.dim - na + r] for z in images) for r in range(na))
         assert sigma == res.context.ad_star[i].matrix
-        assert linalg.mat_mul(res.xi_delta.matrix, sigma) == \
-            linalg.mat_mul(rep.action[i].matrix, res.xi_delta.matrix)
+        assert linalg.mat_mul(xi_delta.matrix, sigma) == linalg.mat_mul(ad_star[i].matrix, xi_delta.matrix)
     assert len(res.ideal_basis) == len(res.a_basis)
 
 
@@ -284,7 +284,7 @@ def test_extracted_maps_even_and_skew_random_roundtrips():
             na = ctx.a.dim
             ideal = [unit_vec(g.dim, g.dim - na + k) for k in range(na)]
             res = decompose(g, ideal)
-            for bl in (res.maps.lam, res.maps.mu, res.context.phi):
+            for bl in (res.context.lam, res.context.omega, res.context.phi):
                 assert bl.check_even() is None
                 assert bl.check_super_skew() is None
             assert contexts_equal(ctx, res.context)
@@ -299,7 +299,7 @@ def test_decompose_along_two_dim_mixed_ideal():
     assert res.context.a.space.parities == (0, 0)
     entries = res.context.a.bracket.entries()
     assert entries == [(0, 1, 0, -ONE), (1, 0, 0, ONE)]
-    assert res.extension.dim == 4
+    assert res.context.extension.dim == 4
 
 
 def test_decompose_scaled_ideal_vector():
@@ -326,18 +326,20 @@ def _corpus_extensions():
 
 
 def test_xi_is_the_identity_on_the_witt_basis():
-    """decompose reads omega off mu, and its isometry compares the split's
-    I-components with ad*_delta, chi and Phi, index for index; that holds
-    because the Witt complement makes B(I_i, a_j) = delta_ij, so xi_delta
-    and xi are the identity."""
+    """decompose reads omega off the split's I-components on [a,a], and its
+    isometry compares the other I-components with ad*_delta, chi and Phi,
+    index for index; that holds because the Witt complement makes
+    B(I_i, a_j) = delta_ij, so xi_delta and xi, as build_xi computes them,
+    are the identity."""
     golden = Path(__file__).resolve().parent / "golden" / "coprime.algebra"
     coprime = document_to_algebra(parse_document(golden.read_text()))
     cases = [*_corpus_extensions(), (coprime, [unit_vec(coprime.dim, k) for k in (7, 8, 9)])]
     for g, ideal in cases:
         res = decompose(g, ideal)
         identity = tuple({m: 1} for m in range(len(ideal)))
-        assert res.xi_delta.sparse_columns == identity
-        assert res.xi.sparse_columns == identity
+        xi_delta, xi = build_xi(g.metric, res.ideal_view, res.a_view, g.delta, res.context.a.space)
+        assert xi_delta.sparse_columns == identity
+        assert xi.sparse_columns == identity
 
 
 def test_decompose_changes_basis_once(monkeypatch):
@@ -376,8 +378,9 @@ def _plant_split(maps, block, rng):
     ([a,I]) or gamma ([h,h]->I) block raised by one, at a position its
     grading allows, and that pair (p, q); None when the block has no such
     position."""
-    na, nh = maps.a_space.dim, maps.h_space.dim
-    par = maps.a_space.parities + maps.h_space.parities + maps.ideal_space.parities
+    a_space, h_space = maps.a_table.space, maps.h_table.space
+    na, nh = a_space.dim, h_space.dim
+    par = a_space.parities + h_space.parities + maps.omega.target.parities  # the dual block's are I's
     a, h, i = range(na), range(na, na + nh), range(na + nh, len(par))
     block_pairs = {"tau": product(a, h), "sigma": product(a, i), "gamma": product(h, h)}[block]
     spots = [(p, q, k) for p, q in block_pairs for k in i if par[k] == (par[p] + par[q]) % 2]
@@ -424,7 +427,7 @@ def _plant_one(maps, block, rng):
 @pytest.mark.parametrize("block, claims", [
     ("rho", {"context", "isometry-bracket"}),
     ("lam", {"context", "isometry-bracket"}),
-    ("mu", {"context", "isometry-bracket"}),
+    ("omega", {"context", "isometry-bracket"}),
     ("tau", {"isometry-bracket"}),
     ("sigma", {"isometry-bracket"}),
     ("gamma", {"isometry-bracket"}),
@@ -500,11 +503,12 @@ def _source_cases():
 
 def test_decompose_with_source_matches_decompose_without():
     """source only lends decompose the whole context, when it equals the
-    recovered one: the result equals the one without source in every field,
-    for the true source, for an equal source whose extension was never
-    built, for another valid context and for the trivial context on the
-    same a and h (equal only if ctx is trivial). With the true source the
-    recovered context is the source itself and the re-extension is g."""
+    recovered one: the result equals the one without source in every field
+    and in its re-extension's integer tables, for the true source, for an
+    equal source whose extension was never built, for another valid context
+    and for the trivial context on the same a and h (equal only if ctx is
+    trivial). With the true source the recovered context is the source
+    itself and the re-extension is g."""
     import copy
 
     cases = list(_source_cases())
@@ -519,5 +523,8 @@ def test_decompose_with_source_matches_decompose_without():
             res = decompose(g, ideal, source=source)
             for name in expected.__dataclass_fields__:
                 assert getattr(res, name) == getattr(expected, name), (n, name)
+            ext, want = res.context.extension, expected.context.extension
+            assert ext.bracket.scaled_pairs == want.bracket.scaled_pairs, n
+            assert ext.metric.scaled_rows == want.metric.scaled_rows, n
         res = decompose(g, ideal, source=ctx)
-        assert res.context is ctx and res.extension is g, n
+        assert res.context is ctx and res.context.extension is g, n

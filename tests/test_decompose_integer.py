@@ -374,11 +374,16 @@ def test_step_and_result_views_are_canonical():
 
 def test_build_xi_matches_the_oracle_and_the_identity_xi_of_decompose():
     """On the moved and catalog splits, build_xi of the ideal and the Witt
-    complement equals its oracle and the identity maps decompose returns."""
+    complement equals its oracle and is the identity decompose reads omega
+    and the split's I-components by."""
     for g, ideal in [*moved_cases(), *catalog_cases()]:
         res = dec.decompose(g, ideal)
-        args = (g.metric, res.ideal_view, res.a_view, g.delta, res.maps.a_space, res.maps.ideal_space)
-        assert dec.build_xi(*args) == build_xi(*args) == (res.xi_delta, res.xi)
+        a_space, ideal_space = res.context.a.space, dec._block_space(g.space, res.ideal_view, "i")
+        args = (g.metric, res.ideal_view, res.a_view, g.delta, a_space, ideal_space)
+        unit = {(j, j): 1 for j in range(a_space.dim)}
+        identity = (GradedLinearMap.from_ints(ideal_space, res.context.dual_block, 0, 1, unit),
+                    GradedLinearMap.from_ints(ideal_space, dual_space(a_space), g.delta, 1, unit))
+        assert dec.build_xi(*args) == build_xi(*args) == identity
 
 
 def test_extract_structure_maps_gives_back_the_context_the_extension_and_the_isometry():
@@ -392,7 +397,7 @@ def test_extract_structure_maps_gives_back_the_context_the_extension_and_the_iso
         ctx = res.context
         maps = dec.extract_structure_maps(g, res.ideal_view, res.a_view, res.h_view)
         assert (maps.a_table, maps.h_table, maps.lam, maps.rho) == (ctx.a.bracket, ctx.h.bracket, ctx.lam, ctx.rho)
-        assert maps.mu.scaled_table() == ctx.omega.scaled_table()
+        assert maps.omega == ctx.omega
         _, (split, bracket) = common_scale([maps.split, ctx.extension.bracket.scaled_pairs])
         assert split == bracket
         assert maps.inverse == res.isometry.scaled_columns

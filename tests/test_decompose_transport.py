@@ -103,11 +103,11 @@ def scanned(bracket, columns, metric=None):
 
 
 def test_transported_result_equals_the_scanned_one(monkeypatch):
-    """Every field of the result equals that of a run whose a, h and
-    re-extension are scanned, the transported a and h equal the scanned
-    ones, the re-extension equals ``double_extend`` of a copy of the
-    recovered context, which scans it, and that context's ``extension`` is
-    the returned algebra."""
+    """Every field of the result, and the re-extension, equals that of a run
+    whose a, h and re-extension are scanned, the transported a and h equal
+    the scanned ones, the re-extension equals ``double_extend`` of a copy of
+    the recovered context, which scans it, and that context holds the
+    re-extension as its ``extension``, set by decompose."""
     results = [dec.decompose(g, ideal) for g, ideal in cases()]
     scanned.calls = 0
     with monkeypatch.context() as mp:
@@ -118,10 +118,12 @@ def test_transported_result_equals_the_scanned_one(monkeypatch):
     for res, want in zip(results, expected):
         for name in want.__dataclass_fields__:
             assert getattr(res, name) == getattr(want, name), name
-        assert res.context.a == LieSuperAlgebra(res.maps.a_table)
-        assert res.context.h == QuadraticLieSuperAlgebra(LieSuperAlgebra(res.maps.h_table), res.context.h.metric)
-        assert res.extension == double_extend(copy.copy(res.context))  # the copy holds no extension
-        assert res.context.extension is res.extension
+        ctx = res.context
+        assert ctx.extension == want.context.extension
+        assert ctx.a == LieSuperAlgebra(ctx.a.bracket)
+        assert ctx.h == QuadraticLieSuperAlgebra(LieSuperAlgebra(ctx.h.bracket), ctx.h.metric)
+        assert ctx.extension == double_extend(copy.copy(ctx))  # the copy holds no extension
+        assert "extension" in vars(ctx)  # the re-extension, set by decompose
         moved_or_picked += any(c not in (0, 1) for v in res.ideal_basis for c in v)
     assert len(results) >= 120 and moved_or_picked >= 10
 
@@ -137,7 +139,8 @@ def test_facts_decompose_does_not_prove_again_hold():
         dim = len(res.ideal_basis)
         assert linalg.rank(list(res.ideal_basis + res.a_basis), g.dim) == 2 * dim
         identity = tuple({m: 1} for m in range(dim))
-        assert res.xi_delta.sparse_columns == identity and res.xi.sparse_columns == identity
+        xi_delta, xi = dec.build_xi(g.metric, res.ideal_view, res.a_view, g.delta, res.context.a.space)
+        assert xi_delta.sparse_columns == identity and xi.sparse_columns == identity
 
 
 def test_recovered_context_pickles_without_its_extension():
@@ -149,8 +152,9 @@ def test_recovered_context_pickles_without_its_extension():
         back = pickle.loads(pickle.dumps(res.context))
         assert back == res.context and hash(back) == hash(res.context)
         assert "extension" not in vars(back)
-        assert back.extension == res.extension and back.extension is not res.extension
-        assert pickle.loads(pickle.dumps(res.extension)) == res.extension
+        ext = res.context.extension
+        assert back.extension == ext and back.extension is not ext
+        assert pickle.loads(pickle.dumps(ext)) == ext
 
 
 def test_transport_refuses_a_basis_of_other_parities():
@@ -158,20 +162,20 @@ def test_transport_refuses_a_basis_of_other_parities():
     its columns; a table on shifted parities, or a metric on them, is refused."""
     for g, ideal in cases()[::7]:
         res = dec.decompose(g, ideal)
-        maps, ext = res.maps, res.extension
-        a, h, i = (space.parities for space in (maps.a_space, maps.h_space, maps.ideal_space))
-        for bracket, columns, metric in ((maps.a_table, a, None), (maps.h_table, h, res.context.h.metric),
+        ctx, ext = res.context, res.context.extension
+        a, h, i = (space.parities for space in (ctx.a.space, ctx.h.space, ctx.dual_block))
+        for bracket, columns, metric in ((ctx.a.bracket, a, None), (ctx.h.bracket, h, ctx.h.metric),
                                          (ext.bracket, a + h + i, ext.metric)):
             dec._by_transport(bracket, columns, metric)  # the parities agree
-        for columns in (parity_shift(maps.a_space).parities + h + i, a + h + parity_shift(maps.ideal_space).parities):
+        for columns in (parity_shift(ctx.a.space).parities + h + i, a + h + parity_shift(ctx.dual_block).parities):
             with pytest.raises(SuperquadError, match="parity"):
                 dec._by_transport(ext.bracket, columns, ext.metric)
         with pytest.raises(SuperquadError, match="parity"):
-            dec._by_transport(maps.a_table, parity_shift(maps.a_space).parities)
+            dec._by_transport(ctx.a.bracket, parity_shift(ctx.a.space).parities)
         if h:
-            shifted = GradedBilinearForm.from_entries(parity_shift(maps.h_space), res.context.h.metric.degree, [])
+            shifted = GradedBilinearForm.from_entries(parity_shift(ctx.h.space), ctx.h.metric.degree, [])
             with pytest.raises(SuperquadError, match="parity"):
-                dec._by_transport(maps.h_table, h, shifted)
+                dec._by_transport(ctx.h.bracket, h, shifted)
 
 
 def test_dim_a_below_dim_ideal_is_an_a_superalgebra_violation(monkeypatch):
@@ -181,7 +185,7 @@ def test_dim_a_below_dim_ideal_is_an_a_superalgebra_violation(monkeypatch):
     refuses dim a < dim I before the isometry is reached."""
     real_perp = dec.orthogonal_complement
     results = [(g, ideal, dec.decompose(g, ideal)) for g, ideal in cases()[::3]]
-    abelian = [(g, ideal, res) for g, ideal, res in results if not res.maps.a_table.scaled_pairs[1]]
+    abelian = [(g, ideal, res) for g, ideal, res in results if not res.context.a.bracket.scaled_pairs[1]]
     for g, ideal, res in abelian:
         d, a = res.a_view
         last, rest = linalg.lowest_terms(d, a[-1:]), linalg.lowest_terms(d, a[:-1])
@@ -219,11 +223,11 @@ def test_block_on_other_parities_than_its_columns_is_refused(monkeypatch):
     for block, claim in (("a", "a-superalgebra"), ("h", "h-quadratic")):
         def shifted(*args):
             maps = real_split(*args)
-            space = parity_shift(getattr(maps, f"{block}_space"))
+            space = parity_shift(getattr(maps, f"{block}_table").space)
             return dataclasses.replace(maps, **{f"{block}_table": SuperBracket.zero(space)})
 
         planted = [(g, ideal) for g, ideal in cases()[::5]
-                   if getattr(dec.decompose(g, ideal).maps, f"{block}_space").dim]
+                   if getattr(dec.decompose(g, ideal).context, block).dim]
         with monkeypatch.context() as mp:
             mp.setattr(dec, "extract_structure_maps", shifted)
             for g, ideal in planted:

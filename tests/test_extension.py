@@ -246,6 +246,15 @@ def test_lemma_residuals_reported_for_invalid_context():
     assert any(v.equation == "lemma-1" for v in residuals)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2])
+def test_context_delta_is_the_int_0_or_1(bad):
+    """delta is a parity: a bool is refused, as by a space, not written out as ``True``."""
+    ctx = heisenberg_context(default_heisenberg_params())
+    with pytest.raises(ValueError, match="parity must be 0 or 1, got"):
+        DeltaContext(bad, ctx.a, ctx.h, ctx.rho, ctx.lam, ctx.omega)
+    assert DeltaContext(1, ctx.a, ctx.h, ctx.rho, ctx.lam, ctx.omega) == ctx
+
+
 def test_cached_chi_and_phi_stay_out_of_equality_hashing_and_pickling():
     import copy
     import pickle
@@ -255,7 +264,7 @@ def test_cached_chi_and_phi_stay_out_of_equality_hashing_and_pickling():
     assert ctx.chi is ctx.chi and ctx.phi is ctx.phi and ctx.dual_block is ctx.dual_block
     assert ctx.ad_star is ctx.ad_star and ctx.extension is ctx.extension
     assert ctx.chi == derive_chi(fresh) and ctx.phi == derive_phi(fresh)
-    assert ctx.ad_star == delta_coadjoint(fresh.a, fresh.delta).action
+    assert ctx.ad_star == delta_coadjoint(fresh.a, fresh.delta)
     assert ctx.extension == double_extend(heisenberg_context(default_heisenberg_params()))
     assert ctx == fresh and hash(ctx) == hash(fresh)
     derived = {"chi", "phi", "ad_star", "extension", "dual_block"}

@@ -115,6 +115,22 @@ def test_p_delta_dual_labels():
     assert p_delta_dual(v, 1).basis == (("P(x0)*", 1), ("P(x1)*", 0))
 
 
+@pytest.mark.parametrize("bad", [True, False, Fraction(1), 2])
+def test_parities_and_degrees_are_the_ints_0_and_1(bad):
+    """A bool equals 0 or 1, and so does Fraction(1), but neither is a
+    parity or a degree: a writer would emit True as ``True`` or ``true``,
+    which no reader takes back."""
+    v = space([0, 1])
+    for build in (lambda: SuperSpace((("x", bad),)),
+                  lambda: GradedLinearMap.zero(v, v, bad),
+                  lambda: GradedLinearMap.from_entries(v, v, bad, []),
+                  lambda: GradedBilinearForm.from_entries(v, bad, [])):
+        with pytest.raises(ValueError, match="parity must be 0 or 1, got"):
+            build()
+    assert SuperSpace((("x", 1),)).parities == (1,)
+    assert GradedBilinearForm.from_entries(v, 1, [(0, 1, 1), (1, 0, 1)]).degree == 1
+
+
 def test_check_form_degree_examples():
     v = space([0, 1])
     odd = GradedBilinearForm(v, 1, ((0, 1), (1, 0)))

@@ -1014,13 +1014,14 @@ def random_vector(rng, space, parity=None):
 def test_apply_sparse_and_form_value_match_dense_products():
     rng = random.Random(41)
     for g, res in splits():
-        maps = [res.isometry, res.xi_delta, *res.maps.rho, *res.context.ad_star,
-                *res.context.rho, *delta_coadjoint(g.algebra, g.delta).action]
+        xi_delta, _ = dec.build_xi(g.metric, res.ideal_view, res.a_view, g.delta, res.context.a.space)
+        maps = [res.isometry, xi_delta, *res.context.rho, *res.context.ad_star,
+                *res.context.rho, *delta_coadjoint(g.algebra, g.delta)]
         for t in maps:
             for _ in range(2):
                 v = random_vector(rng, t.source)
                 assert t.apply_sparse(sparse_vec(v)) == sparse_vec(ref_mat_vec(t.matrix, v))
-        for form in (g.metric, res.context.h.metric, res.extension.metric):
+        for form in (g.metric, res.context.h.metric, res.context.extension.metric):
             for _ in range(3):
                 u, v = random_vector(rng, form.space), random_vector(rng, form.space)
                 value = form.value(u, v)
@@ -1099,14 +1100,13 @@ def test_delta_coadjoint_matches_the_dense_formula():
     for g, res in splits():
         for alg in (g.algebra, res.context.a):
             for delta in (0, 1):
-                rep = delta_coadjoint(alg, delta)
-                assert [t.matrix for t in rep.action] == ref_delta_coadjoint(alg, delta)
+                assert [t.matrix for t in delta_coadjoint(alg, delta)] == ref_delta_coadjoint(alg, delta)
 
 
 def test_extension_metric_and_derivations_match_dense_blocks():
     for g, res in splits():
         ctx = res.context
-        assert res.extension.metric.matrix == ref_extension_metric(ctx)
+        assert ctx.extension.metric.matrix == ref_extension_metric(ctx)
         chi = derive_chi(ctx)
         ce_space = SuperSpace(ctx.h.space.basis + ctx.dual_block.basis)
         theta = extension_derivations(ctx, ce_space)
@@ -1122,11 +1122,11 @@ def test_extracted_rho_tau_sigma_match_a_dense_change_of_basis():
         ctx = res.context
         na, nh = ctx.a.dim, ctx.h.dim
         rho, tau, sigma = ref_extracted_maps(g, res.ideal_basis, res.a_basis, res.h_basis)
-        assert [t.matrix for t in res.maps.rho] == rho
+        assert [t.matrix for t in ctx.rho] == rho
         assert [tuple(tuple(ctx.chi.value(i, m)[k] for m in range(nh)) for k in range(na))
                 for i in range(na)] == tau
         assert [t.matrix for t in ctx.ad_star] == sigma
-        nonzero += sum(not t.is_zero() for t in res.maps.rho + ctx.ad_star)
+        nonzero += sum(not t.is_zero() for t in ctx.rho + ctx.ad_star)
         nonzero += sum(any(map(any, t)) for t in tau)
     assert nonzero >= 20
 
