@@ -524,14 +524,14 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     except (DegenerateInput, ValueError) as exc:
         raise ClaimViolated("witt-complement", message=str(exc)) from exc
 
+    na, nh, nd = len(a_vectors[1]), len(h_vectors[1]), len(ideal[1])
+    if na != nd:  # before omega is read off on P_delta(a)*, which has dim a slots
+        raise ClaimViolated("a-superalgebra", message=f"dim a is {na}, dim I is {nd}")
     maps = extract_structure_maps(g, ideal, a_vectors, h_vectors)
     cols = _join(a_vectors, h_vectors, ideal)
-    na, nh, nd = len(a_vectors[1]), len(h_vectors[1]), len(ideal[1])
     parities = tuple(_homogeneous_parity(g.space, v) for v in cols[1])
 
     try:
-        if na != nd:
-            raise SuperquadError(f"dim a is {na}, dim I is {nd}")
         a_alg = _by_transport(maps.a_table, parities[:na])
     except SuperquadError as exc:
         raise ClaimViolated("a-superalgebra", message=str(exc)) from exc

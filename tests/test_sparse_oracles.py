@@ -1016,7 +1016,7 @@ def test_apply_sparse_and_form_value_match_dense_products():
     for g, res in splits():
         xi_delta, _ = dec.build_xi(g.metric, res.ideal_view, res.a_view, g.delta, res.context.a.space)
         maps = [res.isometry, xi_delta, *res.context.rho, *res.context.ad_star,
-                *res.context.rho, *delta_coadjoint(g.algebra, g.delta)]
+                *delta_coadjoint(g.algebra, g.delta)]
         for t in maps:
             for _ in range(2):
                 v = random_vector(rng, t.source)
