@@ -52,7 +52,7 @@ from superquad.errors import ClaimViolated, SuperquadError
 from superquad.extension import double_extend, validate_context
 from superquad.fileformat import document_to_algebra, document_to_context, parse_document
 from superquad.linalg import unit_vec
-from superquad.spaces import GradedBilinearForm, dense_vec, parity_shift
+from superquad.spaces import GradedBilinearForm, SuperSpace, dense_vec, parity_shift
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -239,6 +239,28 @@ def test_block_on_other_parities_than_its_columns_is_refused(monkeypatch):
                     dec.decompose(g, ideal)
                 assert exc.value.claim == claim and "parity" in str(exc.value), exc.value
         assert len(planted) >= 10
+
+
+def test_a_block_on_a_flipped_parity_is_refused(monkeypatch):
+    """With the first parity of a's block, then of h's, flipped where the
+    split builds the block's space, decompose raises on every case where
+    that block is nonzero, and never returns."""
+    real_block = dec._block_space
+    for block, least in (("a", 180), ("h", 150)):
+        def flipped(g_space, view, prefix, *args, **kwargs):
+            space = real_block(g_space, view, prefix, *args, **kwargs)
+            if prefix != block or not space.dim:
+                return space
+            (label, parity), *rest = space.basis
+            return SuperSpace(((label, 1 - parity), *rest))
+
+        planted = [(g, ideal) for g, ideal in cases() if getattr(dec.decompose(g, ideal).context, block).dim]
+        with monkeypatch.context() as mp:
+            mp.setattr(dec, "_block_space", flipped)
+            for g, ideal in planted:
+                with pytest.raises(SuperquadError):
+                    dec.decompose(g, ideal)
+        assert len(planted) >= least
 
 
 @settings(deadline=None)
