@@ -31,7 +31,6 @@ from .decompose import (
     extract_structure_maps,
     find_central_minimal_ideal,
     orthogonal_complement,
-    witt_complement,
 )
 from .errors import (
     ClaimViolated,

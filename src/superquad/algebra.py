@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .errors import SuperquadError, ValidationError, Violation
+from .errors import ValidationError, Violation
 from .spaces import (
     EMPTY,
     GradedBilinearForm,
@@ -369,28 +369,25 @@ class QuadraticLieSuperAlgebra:
         return self.algebra.dim
 
 
-def _by_transport(bracket: SuperBracket, columns: tuple,
-                  metric: GradedBilinearForm | None = None):
+def _by_transport(bracket: SuperBracket, metric: GradedBilinearForm | None = None):
     """The bracket, with the metric if given, as a certified algebra, built
-    without their scans; ``columns``, the parities of the vectors the tables
-    are read on, must be those of their basis (checked here).
+    without their scans or any check.
 
     The caller holds the certificate. ``decompose`` reads the tables of a
     certified g in a basis of homogeneous columns (``inverse_ints``), with
-    I-perp an ideal that contains I (``ideal-*``) and dim a = dim I
-    (``a-superalgebra``), so h + I is I-perp (``h-quadratic`` checks dim h +
-    dim I = dim I-perp), and returns nothing before the isometry claims
-    pass. Then the re-extension's tables are g's in the (a, h, I) basis, a
-    is dual to I, a's bracket is that of g/I-perp, and h's that of I-perp/I
-    with the metric B induces, I being the radical of B on I-perp.
+    I-perp an ideal that contains I (``ideal-*``), h + I its basis by
+    construction and dim a = dim I (``a-superalgebra``), and returns
+    nothing before the isometry claims pass; the isometry has degree 0, so
+    its constructor refuses a block read on other parities than its
+    columns'. Then the re-extension's tables are g's in the (a, h, I) basis,
+    a is dual to I, a's bracket is that of g/I-perp, and h's that of
+    I-perp/I with the metric B induces, I being the radical of B on I-perp.
     Grading, super skew, Jacobi, invariance, super-symmetry, degree and
     non-degeneracy carry over to each.
     ``validate_context`` hands over the extension whose Jacobi and
     invariance scans it has read, its other checks following from the
     context's. As ``spaces._build`` builds a map, the fields are set on a
     new instance; ``__post_init__`` is not run."""
-    if any(t.space.parities != columns for t in (bracket, metric) if t is not None):
-        raise SuperquadError("a table's basis and its columns differ in parity")
     out = object.__new__(LieSuperAlgebra)
     object.__setattr__(out, "bracket", bracket)
     if metric is None:

@@ -6,12 +6,12 @@ I inside I-perp (any complement is automatically non-degenerate because the
 radical of B restricted to I-perp is exactly I), produces a Witt-style
 isotropic complement a dual to I, changes basis once to (a, h, I), extracts
 all structure maps of the split bracket, reconstructs a double-extension
-context and certifies the isometry onto its extension. The Witt complement
-and the split are assembled, not certified; the isometry certifies them.
-Only g is scanned: a, h, the extension and the context are certified by
-transport from g, and the Witt pairing fixes xi (``decompose`` names the
-one check behind each fact). Every step is deterministic: linear solves
-take first pivots in canonical basis order.
+context and certifies the isometry onto its extension, pairings first.
+The Witt complement and the split are assembled, not certified; the
+isometry certifies them. Only g is scanned: a, h, the extension and the
+context are certified by transport from g, and the Witt pairing fixes xi
+(``decompose`` names the one check behind each fact). Every step is
+deterministic: linear solves take first pivots in canonical basis order.
 
 Every set of vectors is one integer view ``(d, vectors)``: sparse int
 vectors ``{index: n}``, the rational vectors times d, d the lcm of their
@@ -36,14 +36,7 @@ from typing import Sequence
 
 from . import extension, linalg
 from .algebra import QuadraticLieSuperAlgebra, SuperBracket, _by_transport, certify_isometry
-from .errors import (
-    ClaimViolated,
-    DegenerateInput,
-    DegeneratePairing,
-    InvalidContext,
-    SuperquadError,
-    Violation,
-)
+from .errors import ClaimViolated, DegenerateInput, DegeneratePairing, SuperquadError, Violation
 from .extension import DeltaContext
 from .linalg import Vector
 from .spaces import (
@@ -200,13 +193,19 @@ def witt_complement(form: GradedBilinearForm, ideal: tuple,
                     avoid: tuple = (1, ())) -> tuple[int, tuple[dict, ...]]:
     """Isotropic complement a dual to an isotropic subspace I, views both.
 
+    Precondition, not checked here: B is non-degenerate, I passed
+    ``_validate_ideal`` (homogeneous, independent, isotropic) and ``avoid``
+    extends I's basis to one of I-perp. Then the nonzero rows of each parity
+    block of the dual system are covectors of distinct basis vectors of
+    I-perp, so they are independent and every dual exists.
+
     Output a satisfies: a isotropic, dim a = dim I, a and I intersect
     trivially, a + I non-degenerate, and B(I_i, a_j) = delta_ij (for odd B
     this is the same as the pairing with the arguments swapped); with I
     independent, the first and the last imply the rest. Vectors in
     ``avoid`` are treated as the chosen metric complement h: all duals are
-    produced orthogonal to them. Only the input is checked; a is assembled,
-    not certified: ``decompose`` certifies it by the isometry.
+    produced orthogonal to them. a is assembled, not certified:
+    ``decompose`` certifies it by the isometry.
 
     Odd B follows the dual-vector-plus-correction recipe: duals of even
     I-vectors are corrected by odd I-vectors, duals of odd I-vectors need no
@@ -216,18 +215,9 @@ def witt_complement(form: GradedBilinearForm, ideal: tuple,
     vector f d_B s t D_i - sum_m G_im E_m, G the integer Gram of the D's
     and f = 2 for even B (the half), 1 for odd B.
     """
-    space = form.space
     d_e, e = ideal
-    if not e:
-        return 1, ()
-    for i, row in enumerate(_gram(form, e, e)):
-        if any(j >= i for j in row):
-            raise ValueError("input subspace is not isotropic")
-    if linalg.rank(e, space.dim) != len(e):
-        raise ValueError("ideal vectors are linearly dependent")
-
     s, duals = _dual_vectors(form, ideal, avoid)
-    parities = [_homogeneous_parity(space, v) for v in e]
+    parities = [_homogeneous_parity(form.space, v) for v in e]
     d_b = form.scaled_rows[0]
     f = 1 if form.degree == 1 else 2
     lead = f * d_b * s * d_e
@@ -487,21 +477,21 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
               source: DeltaContext | None = None) -> DecompositionResult:
     """Split g along an isotropic abelian ideal and certify the rebuilt extension.
 
-    Each fact is checked once, under the claim named: the ideal hypotheses
-    (``ideal-*``), the Witt complement's input and its duals
-    (``witt-complement``), and the counts and parities that make a and h a
-    quotient and a subquotient of g (``a-superalgebra``, ``h-quadratic``);
-    then g in the (a, h, I) basis equals the tables of the re-extension, as
-    ``extension_tables`` assembles them (``isometry-bracket``,
-    ``isometry-metric``), so x + u + alpha -> x + u + xi_delta(alpha) is an
-    isometry. The Witt complement and the split are assembled, not
-    certified: the isometry compares a's pairings with a, h and I and every
-    entry of the split, so B(I_i, a_j) = delta_ij makes xi_delta and xi the
-    identity, and the I-components of [a,I], [a,h] and [h,h] are ad*_delta,
-    chi and Phi. Only g is scanned: a, h and the re-extension are certified by
-    transport (``_by_transport``), and so is the context, each axiom a
-    block of the re-extension's grading, super skew, Jacobi or invariance
-    identities (an ``InvalidContext`` from ``derive_phi`` is ``context``);
+    decompose refuses only under the ideal's hypotheses (``ideal-*``), dim
+    a = dim I (``a-superalgebra``), which keeps omega's slots in range, and
+    the isometry x + u + alpha -> x + u + xi_delta(alpha), pairings first:
+    g's Gram in the (a, h, I) basis equals the context's ``extension_metric``
+    (``isometry-metric``) before chi and Phi are derived, then g's bracket
+    there equals the re-extension's (``isometry-bracket``); the returned
+    ``isometry`` has degree 0, so it joins only basis vectors of one parity.
+    The Witt complement, h and the split are assembled, not certified (dim
+    h + dim I = dim I-perp by construction): the isometry compares a's
+    pairings with a, h and I and every entry of the split, so B(I_i, a_j) =
+    delta_ij makes xi_delta and xi the identity, and the I-components of
+    [a,I], [a,h] and [h,h] are ad*_delta, chi and Phi. Only g is scanned:
+    a, h and the re-extension are certified by transport
+    (``_by_transport``), and so is the context, each axiom a block of the
+    re-extension's grading, super skew, Jacobi or invariance identities;
     its ``extension`` is the re-extension. The result holds nothing else
     than the views, the context and the isometry.
 
@@ -518,46 +508,31 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
 
     d_p, i_perp = orthogonal_complement(ideal, g.metric)
     h_vectors = linalg.lowest_terms(d_p, [i_perp[k] for k in linalg.extend_independent(ideal[1], i_perp)])
-
-    try:
-        a_vectors = witt_complement(g.metric, ideal, avoid=h_vectors)
-    except (DegenerateInput, ValueError) as exc:
-        raise ClaimViolated("witt-complement", message=str(exc)) from exc
+    a_vectors = witt_complement(g.metric, ideal, avoid=h_vectors)
 
     na, nh, nd = len(a_vectors[1]), len(h_vectors[1]), len(ideal[1])
     if na != nd:  # before omega is read off on P_delta(a)*, which has dim a slots
         raise ClaimViolated("a-superalgebra", message=f"dim a is {na}, dim I is {nd}")
     maps = extract_structure_maps(g, ideal, a_vectors, h_vectors)
-    cols = _join(a_vectors, h_vectors, ideal)
-    parities = tuple(_homogeneous_parity(g.space, v) for v in cols[1])
-
-    try:
-        a_alg = _by_transport(maps.a_table, parities[:na])
-    except SuperquadError as exc:
-        raise ClaimViolated("a-superalgebra", message=str(exc)) from exc
-
-    gram = _metric_in_basis(g.metric, cols)
+    gram = _metric_in_basis(g.metric, _join(a_vectors, h_vectors, ideal))
     b_h = GradedBilinearForm.from_ints(maps.h_table.space, delta, gram[0], {
         (p - na, q - na): c for p in range(na, na + nh) for q, c in gram[1][p].items() if na <= q < na + nh})
-    try:
-        if nh + nd != len(i_perp):
-            raise SuperquadError(f"dim h + dim I is {nh + nd}, dim I-perp is {len(i_perp)}")
-        h_alg = _by_transport(maps.h_table, parities[na:na + nh], b_h)
-    except SuperquadError as exc:
-        raise ClaimViolated("h-quadratic", message=str(exc)) from exc
-
-    context = DeltaContext(delta, a_alg, h_alg, maps.rho, maps.lam, maps.omega)
+    context = DeltaContext(delta, _by_transport(maps.a_table), _by_transport(maps.h_table, b_h),
+                           maps.rho, maps.lam, maps.omega)
     if context == source:
         context = source  # ad*_delta, chi, Phi and the extension are derived once, on source
 
-    try:
-        if context is source:
-            ext = context.extension
-            bracket, metric = ext.bracket, ext.metric
-        else:
-            bracket, metric = extension.extension_tables(context)
-    except InvalidContext as exc:
-        raise ClaimViolated("context", exc.violations) from exc
+    # the pairings first: once they agree, B(a, h) = B(I, h) = 0, so g's
+    # invariance makes each rho(x) skew for B_h and derive_phi cannot refuse
+    space = SuperSpace(context.a.space.basis + context.h.space.basis + context.dual_block.basis)
+    v = certify_isometry((1, {}), gram, (1, {}), extension.extension_metric(context, space).scaled_rows)
+    if v is not None:
+        raise ClaimViolated(v.equation, [v])
+    if context is source:
+        ext = context.extension
+        bracket, metric = ext.bracket, ext.metric
+    else:
+        bracket, metric = extension.extension_tables(context)
 
     # isometry x + u + alpha -> x + u + xi_delta(alpha): with the identity
     # pairing, its matrix in the split basis is the identity, so g's tables
@@ -566,7 +541,7 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     if v is not None:
         raise ClaimViolated(v.equation, [v])
     if context is not source:
-        ext = _by_transport(bracket, parities, metric)
+        ext = _by_transport(bracket, metric)
         vars(context)["extension"] = ext  # the cache of DeltaContext.extension
 
     d_inv, inverse = maps.inverse

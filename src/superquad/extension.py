@@ -265,7 +265,7 @@ def validate_context(ctx: DeltaContext) -> list[Violation]:
         return out
     if jacobi or invariance:  # in a block no axiom names: the extension's own first witness
         raise ValidationError(check_jacobi(bracket) or check_invariance(metric, bracket))
-    vars(ctx).setdefault("extension", _by_transport(bracket, ext_par, metric))
+    vars(ctx).setdefault("extension", _by_transport(bracket, metric))
     return out
 
 
@@ -293,7 +293,8 @@ def extension_metric(ctx: DeltaContext, space: SuperSpace) -> GradedBilinearForm
     B(P_d(a_i)*, a_j) = delta_ij and the (a, dual) entries are the
     super-symmetric partners (-1)^{|a_i|(1+delta)} delta_ij; this is the
     unique super-symmetric completion of the natural evaluation pairing.
-    Built on B_h's integer state, at its scale d_b.
+    Built on B_h's integer state, at its scale d_b. It reads no chi or Phi,
+    so ``decompose`` compares it with g's pairings before deriving them.
     """
     na, nh = ctx.a.dim, ctx.h.dim
     d_b, rows = ctx.h.metric.scaled_rows
