@@ -499,6 +499,31 @@ def _source_cases():
             yield ctx, g, [unit_vec(g.dim, g.dim - ctx.a.dim + k) for k in range(ctx.a.dim)]
 
 
+def test_roundtrip_split_of_an_extension_is_the_identity():
+    """Along the dual block of its own extension, a context splits by the
+    identity: I-perp's canonical basis is the unit vectors of h and of the
+    dual block, the Witt duals are the unit vectors of a, which B(a, a) = 0
+    leaves uncorrected, so a and h are e_0, ..., e_{dim - na - 1} at scale
+    1. The recovered context is then the context itself: equal to it
+    without source, and source itself with it. roundtrip rests on this."""
+    golden = Path(__file__).resolve().parent / "golden" / "coprime.context"
+    samples = Path(__file__).resolve().parent.parent / "samples"
+    contexts = [*context_corpus(0, 40, seed=5), *context_corpus(1, 40, seed=5),
+                *(heisenberg_context(default_heisenberg_params(pairs)) for pairs in (1, 3)),
+                *(odd_extension_context(default_odd_dim1_params(eta)) for eta in (F(0), F(1, 2))),
+                *(document_to_context(parse_document(p.read_text()))
+                  for p in (samples / "heisenberg.context", samples / "odd-dim1.context", golden))]
+    assert len(contexts) == 87 and all(ctx.a.dim for ctx in contexts)
+    for n, ctx in enumerate(contexts):
+        g, na = ctx.extension, ctx.a.dim
+        ideal = [{g.dim - na + k: 1} for k in range(na)]
+        res = decompose(g, ideal, source=ctx)
+        assert res.context is ctx, n
+        assert res.a_view[0] == res.h_view[0] == 1, n
+        assert res.a_view[1] + res.h_view[1] == tuple({k: 1} for k in range(g.dim - na)), n
+        assert decompose(g, ideal).context == ctx, n
+
+
 def test_decompose_with_source_matches_decompose_without():
     """source only lends decompose the whole context, when it equals the
     recovered one: the result equals the one without source in every field
