@@ -482,8 +482,9 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     the isometry x + u + alpha -> x + u + xi_delta(alpha), pairings first:
     g's Gram in the (a, h, I) basis equals the context's ``extension_metric``
     (``isometry-metric``) before chi and Phi are derived, then g's bracket
-    there equals the re-extension's (``isometry-bracket``); the returned
-    ``isometry`` has degree 0, so it joins only basis vectors of one parity.
+    there equals its ``extension_bracket`` (``isometry-bracket``), and the
+    re-extension keeps both; the returned ``isometry`` has degree 0, so it
+    joins only basis vectors of one parity.
     The Witt complement, h and the split are assembled, not certified (dim
     h + dim I = dim I-perp by construction): the isometry compares a's
     pairings with a, h and I and every entry of the split, so B(I_i, a_j) =
@@ -524,25 +525,16 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
 
     # the pairings first: once they agree, B(a, h) = B(I, h) = 0, so g's
     # invariance makes each rho(x) skew for B_h and derive_phi cannot refuse
-    space = SuperSpace(context.a.space.basis + context.h.space.basis + context.dual_block.basis)
-    v = certify_isometry((1, {}), gram, (1, {}), extension.extension_metric(context, space).scaled_rows)
+    metric = extension.extension_metric(context)
+    v = certify_isometry((1, {}), gram, (1, {}), metric.scaled_rows)
+    if v is None:
+        # x + u + alpha -> x + u + xi_delta(alpha) is the identity in the split
+        # basis, the pairing being the identity: g's tables there must be the extension's
+        bracket = context.extension.bracket if context is source else extension.extension_bracket(context)
+        v = certify_isometry(maps.split, gram, bracket.scaled_pairs, metric.scaled_rows)
     if v is not None:
         raise ClaimViolated(v.equation, [v])
-    if context is source:
-        ext = context.extension
-        bracket, metric = ext.bracket, ext.metric
-    else:
-        bracket, metric = extension.extension_tables(context)
-
-    # isometry x + u + alpha -> x + u + xi_delta(alpha): with the identity
-    # pairing, its matrix in the split basis is the identity, so g's tables
-    # in the (a, h, I) basis must equal the extension's exactly.
-    v = certify_isometry(maps.split, gram, bracket.scaled_pairs, metric.scaled_rows)
-    if v is not None:
-        raise ClaimViolated(v.equation, [v])
-    if context is not source:
-        ext = _by_transport(bracket, metric)
-        vars(context)["extension"] = ext  # the cache of DeltaContext.extension
+    ext = vars(context).setdefault("extension", _by_transport(bracket, metric))  # DeltaContext.extension's cache
 
     d_inv, inverse = maps.inverse
     isometry = GradedLinearMap.from_ints(g.space, ext.space, 0, d_inv, {

@@ -8,12 +8,13 @@ derived identities for chi and Phi that the axioms imply are consequences,
 not conditions, so the library does not check them; the test suite does, on
 every valid context it generates.
 
-The tables are assembled in one place, ``extension_tables``: the bracket
-[,]_a + lambda + omega, Theta = rho + ad*_delta + chi with its super skew
-partners, and [,]_h + Phi, and the metric. The context axioms hold exactly
-when that bracket is a Lie superalgebra bracket with the metric invariant,
-so ``validate_context``, behind a gate on the pieces, proves each once, as
-a block of the basis (a, h, dual) in one Jacobi and one invariance scan of
+Each table is assembled in one place, on the context's ``space``: the
+bracket [,]_a + lambda + omega, Theta = rho + ad*_delta + chi with its super
+skew partners, and [,]_h + Phi by ``extension_bracket``, and the metric by
+``extension_metric``. The context axioms hold exactly when that bracket is
+a Lie superalgebra bracket with the metric invariant, so
+``validate_context``, behind a gate on the pieces, proves each once, as a
+block of the basis (a, h, dual) in one Jacobi and one invariance scan of
 the assembled tables:
 
 | scan | block | component | axiom |
@@ -121,6 +122,11 @@ class DeltaContext:
         return p_delta_dual(self.a.space, self.delta)
 
     @functools.cached_property
+    def space(self) -> SuperSpace:
+        """a + h + P_delta(a)*, the extension's space, basis blocks in that order."""
+        return SuperSpace(self.a.space.basis + self.h.space.basis + self.dual_block.basis)
+
+    @functools.cached_property
     def chi(self) -> GradedBilinearMap:
         """``derive_chi`` of this context, derived once."""
         return derive_chi(self)
@@ -208,9 +214,10 @@ def validate_context(ctx: DeltaContext) -> list[Violation]:
     The gate, whose failures are returned as they are: the metric degree,
     each rho map's degree, ``is_derivation`` and ``is_metric_skew``, lambda
     and omega even and super skew. Behind it the axioms are read off one
-    ``cyclic_failures`` scan of the ``extension_tables`` bracket and one
-    ``invariance_failures`` scan of its metric, with indices in the
-    context's numbering, each list in row-major order:
+    ``cyclic_failures`` scan of the ``extension_bracket`` and one
+    ``invariance_failures`` scan of the ``extension_metric``, each built
+    once, with indices in the context's numbering, each list in row-major
+    order:
 
     | scan, block: component | axiom | residual |
     |---|---|---|
@@ -244,9 +251,9 @@ def validate_context(ctx: DeltaContext) -> list[Violation]:
     if out:
         return out  # the extension's tables assume well-formed pieces
 
-    bracket, metric = extension_tables(ctx)
+    bracket, metric = extension_bracket(ctx), extension_metric(ctx)
     d, pairs = bracket.scaled_pairs
-    nc, ext_par = na + ctx.h.dim, bracket.space.parities  # nc: the dual block's first index
+    nc, ext_par = na + ctx.h.dim, ctx.space.parities  # nc: the dual block's first index
     jacobi = cyclic_failures(ext_par, pairs)
     residual = functools.cache(lambda ijk: cyclic_violation(ext_par, pairs, ijk, d * d).residual)
 
@@ -287,8 +294,8 @@ def extension_derivations(ctx: DeltaContext, ce_space: SuperSpace) -> tuple[Grad
                  for i, e in enumerate(entries))
 
 
-def extension_metric(ctx: DeltaContext, space: SuperSpace) -> GradedBilinearForm:
-    """Degree-delta metric on a + h + dual: B_h on h, dual pairing elsewhere.
+def extension_metric(ctx: DeltaContext) -> GradedBilinearForm:
+    """Degree-delta metric on ``ctx.space``: B_h on h, dual pairing elsewhere.
 
     B(P_d(a_i)*, a_j) = delta_ij and the (a, dual) entries are the
     super-symmetric partners (-1)^{|a_i|(1+delta)} delta_ij; this is the
@@ -303,23 +310,20 @@ def extension_metric(ctx: DeltaContext, space: SuperSpace) -> GradedBilinearForm
         sign = -1 if (ctx.a.space.parity(i) * (1 + ctx.delta)) % 2 else 1
         table[na + nh + i, i] = d_b
         table[i, na + nh + i] = sign * d_b
-    return GradedBilinearForm.from_ints(space, ctx.delta, d_b, table)
+    return GradedBilinearForm.from_ints(ctx.space, ctx.delta, d_b, table)
 
 
-def extension_tables(ctx: DeltaContext) -> tuple[SuperBracket, GradedBilinearForm]:
-    """The bracket and the metric of a + h + P_delta(a)*, assembled, not scanned.
+def extension_bracket(ctx: DeltaContext) -> SuperBracket:
+    """The bracket of a + h + P_delta(a)* on ``ctx.space``, assembled, not scanned.
 
-    The bracket is [,]_a + lambda + omega on a x a, Theta(x)(u) = rho(x)(u)
-    + ad*_delta(x)(u) + chi(x, u) on a x (h + dual) with its super skew
-    partners [u, x] = -(-1)^{|x||u|} Theta(x)(u), and [,]_h + Phi on h x h,
-    summed from the pieces' integer states brought to one scale
-    (``common_scale``); the metric is ``extension_metric``. The caller
-    certifies them: by their own scans (``validate_context``) or by an exact
-    isometry onto an algebra already certified (``decompose``)."""
-    na, nh = ctx.a.dim, ctx.h.dim
-    nc = na + nh  # first index of the dual block
-    space = SuperSpace(ctx.a.space.basis + ctx.h.space.basis + ctx.dual_block.basis)
-    par = space.parities
+    [,]_a + lambda + omega on a x a, Theta(x)(u) = rho(x)(u) + ad*_delta(x)(u)
+    + chi(x, u) on a x (h + dual) with its super skew partners
+    [u, x] = -(-1)^{|x||u|} Theta(x)(u), and [,]_h + Phi on h x h, summed
+    from the pieces' integer states brought to one scale (``common_scale``).
+    The caller certifies it, with ``extension_metric``: by their own scans
+    (``validate_context``) or by an exact isometry onto an algebra already
+    certified (``decompose``)."""
+    na, nc, par = ctx.a.dim, ctx.a.dim + ctx.h.dim, ctx.space.parities  # nc: the dual block's first index
     d, (a_pairs, lam, omega, chi, h_pairs, phi, *cols) = common_scale(
         [ctx.a.bracket.scaled_pairs, ctx.lam.scaled_pairs, ctx.omega.scaled_pairs, ctx.chi.scaled_pairs,
          ctx.h.bracket.scaled_pairs, ctx.phi.scaled_pairs] + [t.scaled_columns for t in ctx.rho + ctx.ad_star])
@@ -335,7 +339,7 @@ def extension_tables(ctx: DeltaContext) -> tuple[SuperBracket, GradedBilinearFor
     for i, j, k, c in theta:
         table[i, j, k] = c
         table[j, i, k] = c if par[i] * par[j] else -c
-    return SuperBracket.from_ints(space, d, table), extension_metric(ctx, space)
+    return SuperBracket.from_ints(ctx.space, d, table)
 
 
 def double_extend(ctx: DeltaContext) -> QuadraticLieSuperAlgebra:

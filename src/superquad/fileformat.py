@@ -504,6 +504,13 @@ def _json_int(x, what: str = "index") -> int:
     return x
 
 
+def _json_array(x, what: str) -> list:
+    """A JSON array; a string or an object, which would iterate as one, is rejected."""
+    if type(x) is not list:
+        raise ParseError(f"{what} must be a JSON array, got {json.dumps(x)}")
+    return x
+
+
 def _json_token(x, what: str) -> str:
     """A name or basis label: a JSON string that is one text-format token,
     so that the document can be written as text and read back."""
@@ -552,12 +559,15 @@ def _algebra_from_obj(obj: dict, field: str = "") -> AlgebraDocument:
         if obj["kind"] != "algebra":
             raise ParseError(f"expected an algebra object, got kind {obj['kind']!r}", field_name=field)
         name = _json_token(obj["name"], "name")
-        basis = [(_json_token(l, "basis label"), _json_int(p, "parity")) for l, p in obj["basis"]]
-        bracket = _dedup([_json_entry((i, j, k), c) for i, j, k, c in obj["bracket"]], "bracket")
+        basis = [(_json_token(l, "basis label"), _json_int(p, "parity"))
+                 for l, p in _json_array(obj["basis"], "basis")]
+        bracket = _dedup([_json_entry((i, j, k), c)
+                          for i, j, k, c in _json_array(obj["bracket"], "bracket")], "bracket")
         degree, metric = None, {}
         if "metric" in obj:
             degree = _json_int(obj["metric"]["degree"], "metric degree")
-            metric = _dedup([_json_entry((i, j), c) for i, j, c in obj["metric"]["entries"]], "metric")
+            metric = _dedup([_json_entry((i, j), c)
+                             for i, j, c in _json_array(obj["metric"]["entries"], "metric entries")], "metric")
             _json_keys(obj["metric"], "metric", field)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed algebra object: {exc}") from exc
@@ -594,7 +604,7 @@ def document_from_obj(obj: dict) -> Document:
         try:
             name, delta = _json_token(obj["name"], "name"), _json_int(obj["delta"], "delta")
             h_doc, a_doc = _algebra_from_obj(obj["h"], "h"), _algebra_from_obj(obj["a"], "a")
-            tables = {key: _dedup([_json_entry((i, j, k), c) for i, j, k, c in obj[key]], key)
+            tables = {key: _dedup([_json_entry((i, j, k), c) for i, j, k, c in _json_array(obj[key], key)], key)
                       for key in ("rho", "lambda", "omega")}
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed context object: {exc}") from exc
@@ -603,7 +613,8 @@ def document_from_obj(obj: dict) -> Document:
     if kind == "ideal":
         try:
             name = _json_token(obj["name"], "name")
-            vectors = [tuple(Fraction(*_json_ratio(c)) for c in v) for v in obj["vectors"]]
+            vectors = [tuple(Fraction(*_json_ratio(c)) for c in _json_array(v, f"ideal vector {r}"))
+                       for r, v in enumerate(_json_array(obj["vectors"], "vectors"))]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed ideal object: {exc}") from exc
         _json_keys(obj, "ideal")

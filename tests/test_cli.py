@@ -577,6 +577,20 @@ def test_json_ideal_float_and_zero_denominator_exit_2(tmp_path, capsys):
         assert code == 2 and err.startswith("error: ")
 
 
+def test_json_ideal_vector_as_a_string_exit_2(tmp_path, capsys):
+    """A JSON ideal vector written as a string of digits is no vector, though
+    it would iterate as one: decompose exits 2 naming it and writes no file."""
+    obj = _json_doc("heisenberg.ideal")
+    obj["vectors"] = ["0001"]
+    f, out = tmp_path / "ideal.json", tmp_path / "x"
+    f.write_text(json.dumps(obj))
+    code, stdout, err = run(capsys, "decompose", str(SAMPLES / "heisenberg.algebra"), "--ideal", str(f),
+                            "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f'error: {f}: ideal vector 0 must be a JSON array, got "0001"\n'
+    assert not out.exists()
+
+
 def test_json_names_and_labels_must_be_text_tokens_exit_2(tmp_path, capsys):
     """A name or label that is not a JSON string, or a name that is not one
     text token, would be written as text that does not read back."""
@@ -810,6 +824,31 @@ def test_roundtrip_certifies_each_distinct_bracket_once(tmp_path, capsys, monkey
             assert (len(jacobi), len(set(jacobi)), len(invariance)) == expected, argv
 
 
+def test_roundtrip_compares_the_re_extension_once(capsys, monkeypatch):
+    """roundtrip of each sample makes decompose's two isometry comparisons,
+    the pairings and then the bracket, and no other: decompose returns the
+    input context itself, whose extension is g, so there is nothing left to
+    compare it with."""
+    import sys
+    import superquad.algebra as algebra
+    import superquad.extension as extension
+    calls = {"certify_isometry": 0, "contexts_equal": 0}
+    for owner, name in ((algebra, "certify_isometry"), (extension, "contexts_equal")):
+        original = getattr(owner, name)
+
+        def counting(*args, original=original, name=name):
+            calls[name] += 1
+            return original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("superquad") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    for sample in (SAMPLES / "heisenberg.context", SAMPLES / "odd-dim1.context", GOLDEN / "coprime.context"):
+        calls.update(dict.fromkeys(calls, 0))
+        assert run(capsys, "roundtrip", str(sample))[0] == 0
+        assert calls == {"certify_isometry": 2, "contexts_equal": 0}, sample
+
+
 @pytest.mark.parametrize("block", ["phi", "chi"])
 @pytest.mark.parametrize("sample", [SAMPLES / "heisenberg.context", GOLDEN / "coprime.context"],
                          ids=lambda p: p.name)
@@ -824,19 +863,19 @@ def test_extend_refuses_a_failure_in_a_block_no_axiom_names(sample, block, tmp_p
     import superquad.extension as extension
     from superquad.algebra import SuperBracket
 
-    real = extension.extension_tables
+    real = extension.extension_bracket
 
     def planting(ctx):
-        bracket, metric = real(ctx)
+        bracket = real(ctx)
         na, nc, par = ctx.a.dim, ctx.a.dim + ctx.h.dim, bracket.space.parities
         left = range(na, nc) if block == "phi" else range(na)
         i, j, k = next((i, j, k) for i in left for j in range(na, nc) for k in range(nc, nc + na)
                        if i < j and par[k] == (par[i] + par[j]) % 2)
         c = Fraction(2, 3)
         extra = [(i, j, k, c), (j, i, k, c if par[i] * par[j] else -c)]
-        return SuperBracket.from_entries(bracket.space, bracket.entries() + extra), metric
+        return SuperBracket.from_entries(bracket.space, bracket.entries() + extra)
 
-    monkeypatch.setattr(extension, "extension_tables", planting)
+    monkeypatch.setattr(extension, "extension_bracket", planting)
     out = tmp_path / "out.algebra"
     code, stdout, err = run(capsys, "extend", "--context", str(sample), "--out", str(out))
     assert (code, stdout) == (1, "")
@@ -848,42 +887,53 @@ def test_extend_refuses_a_failure_in_a_block_no_axiom_names(sample, block, tmp_p
 @pytest.mark.parametrize("sample", [SAMPLES / "heisenberg.context", SAMPLES / "odd-dim1.context",
                                     GOLDEN / "coprime.context"], ids=lambda p: p.name)
 def test_roundtrip_reports_a_re_extension_that_differs(sample, capsys, monkeypatch):
-    """A re-extension with one planted structure constant, or apart from it
-    one planted metric entry, fails roundtrip's isometry certificate: exit 1
-    with the isometry-bracket or isometry-metric witness and its residual,
-    the original's value minus the planted one, after the three lines a
-    passing roundtrip prints first."""
+    """A recovered context with one planted lambda, rho or omega entry, each
+    where the sample's grading has a slot for it, differs from the input:
+    roundtrip exits 1 after the three lines a passing roundtrip prints
+    first, saying so on stderr and nothing more on stdout."""
     import dataclasses
     from fractions import Fraction
-    from types import SimpleNamespace
 
     import superquad.cli as cli
-    from superquad.algebra import SuperBracket
-    from superquad.spaces import GradedBilinearForm
+    from superquad.fileformat import document_to_context
+    from superquad.spaces import GradedBilinearMap, GradedLinearMap
 
     code, passing, _ = run(capsys, "roundtrip", str(sample))
     assert code == 0
     head = "".join(passing.splitlines(keepends=True)[:3])
-    zeros = ", ".join(["0"] * (int(head.splitlines()[1].split()[-1]) - 1))  # the rest of [e_0, e_0]
-    real = cli.decompose
-    c = Fraction(2, 3)
-    for plant, expected in (("bracket", "isometry-bracket: witness (0,0) residual (-2/3, {zeros})"),
-                            ("metric", "isometry-metric: witness (0,0) residual -2/3")):
+    real, c = cli.decompose, Fraction(2, 3)
+
+    def planted(ctx, field):
+        """ctx with c added to the first entry of field that its grading allows, else None."""
+        pa, ph = ctx.a.space.parities, ctx.h.space.parities
+        if field == "rho":
+            slot = next(((i, r, m) for i in range(len(pa)) for r in range(len(ph)) for m in range(len(ph))
+                         if ph[r] == (ph[m] + pa[i]) % 2), None)
+            if slot is None:
+                return None
+            i, r, m = slot
+            t = ctx.rho[i]
+            rho = list(ctx.rho)
+            rho[i] = GradedLinearMap.from_entries(t.source, t.target, t.degree, t.entries() + [(r, m, c)])
+            return dataclasses.replace(ctx, rho=tuple(rho))
+        t = getattr(ctx, field)
+        k = next((k for k, q in enumerate(t.target.parities) if q == (2 * pa[0]) % 2), None)
+        if k is None:
+            return None
+        return dataclasses.replace(ctx, **{field: GradedBilinearMap.from_entries(
+            t.left, t.right, t.target, t.entries() + [(0, 0, k, c)])})
+
+    ctx = document_to_context(parse_document(sample.read_text()))
+    fields = [field for field in ("lam", "rho", "omega") if planted(ctx, field) is not None]
+    assert fields
+    for field in fields:
         def planting(g, ideal, **kwargs):
             res = real(g, ideal, **kwargs)
-            ext = res.context.extension
-            bracket, metric = ext.bracket, ext.metric
-            if plant == "bracket":
-                bracket = SuperBracket.from_entries(ext.space, bracket.entries() + [(0, 0, 0, c)])
-            else:
-                metric = GradedBilinearForm.from_entries(ext.space, metric.degree, metric.entries() + [(0, 0, c)])
-            ext = SimpleNamespace(bracket=bracket, metric=metric)
-            return dataclasses.replace(res, context=SimpleNamespace(extension=ext))
+            return dataclasses.replace(res, context=planted(res.context, field))
 
         monkeypatch.setattr(cli, "decompose", planting)
         code, out, err = run(capsys, "roundtrip", str(sample))
-        assert (code, out) == (1, head)
-        assert err == "violation: " + expected.format(zeros=zeros) + "\n"
+        assert (code, out, err) == (1, head, "roundtrip: reconstructed context differs from the input\n"), field
 
 
 @pytest.mark.parametrize("command", ["extend", "verify", "decompose"])

@@ -345,7 +345,9 @@ def test_decompose_changes_basis_once(monkeypatch):
     witt_complement takes it as its precondition. Each fact is proved once:
     the Witt pairing fixes xi, so build_xi is not called, and the isometry
     certifies the recovered context, so validate_context is not called
-    either."""
+    either. Each re-extension table is built once: the metric the pairings
+    claim compares is the one the bracket claim compares and the
+    re-extension keeps."""
     import superquad.extension as extension
     counts = {}
 
@@ -363,10 +365,13 @@ def test_decompose_changes_basis_once(monkeypatch):
     count(dec, "_gram")
     count(dec, "build_xi")
     count(extension, "validate_context")
+    count(extension, "extension_metric")
+    count(extension, "extension_bracket")
     for g, ideal in _corpus_extensions():
         counts.clear()
         decompose(g, ideal)
-        assert counts == {"inverse_ints": 1, "_bracket_in_basis": 1, "_gram": 3}  # no rank, build_xi or validate_context
+        assert counts == {"inverse_ints": 1, "_bracket_in_basis": 1, "_gram": 3,  # no rank, build_xi or validate_context
+                          "extension_metric": 1, "extension_bracket": 1}
 
 
 def _plant_split(maps, block, rng):

@@ -5,7 +5,7 @@ wrapped unscanned and the re-extension assembled from them; nothing is
 returned until ``isometry-metric``, compared before chi and Phi are
 derived, and ``isometry-bracket`` have passed, and the isometry, of degree
 0, has been built between basis vectors of one parity each. Then the
-tables of ``extension_tables`` are g's tables in an even invertible change
+tables of ``extension_metric`` and ``extension_bracket`` are g's tables in an even invertible change
 of basis, a is isotropic and dual to I, so a is the quotient g/I-perp and h
 the subquotient I-perp/I. So g's certificate is theirs, and
 ``_by_transport`` wraps them unscanned; the recovered context, whose

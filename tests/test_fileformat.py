@@ -434,7 +434,13 @@ JSON_ERRORS = [
      "input: malformed algebra object: not enough values to unpack (expected 4, got 3)"),
     ("bracket-too-many", ALGEBRA, ("bracket", 0), [0, 0, 1, "1", 0],
      "input: malformed algebra object: too many values to unpack (expected 4)"),
-    ("bracket-not-a-list", ALGEBRA, ("bracket",), 3, "input: malformed algebra object: 'int' object is not iterable"),
+    ("bracket-not-a-list", ALGEBRA, ("bracket",), 3, "input: bracket must be a JSON array, got 3"),
+    # a string or an object where an array belongs would iterate as one
+    ("bracket-object", ALGEBRA, ("bracket",), {}, "input: bracket must be a JSON array, got {}"),
+    ("bracket-string", ALGEBRA, ("bracket",), "", 'input: bracket must be a JSON array, got ""'),
+    ("basis-string", ALGEBRA, ("basis",), "", 'input: basis must be a JSON array, got ""'),
+    ("metric-entries-object", ALGEBRA, ("metric", "entries"), {},
+     "input: metric entries must be a JSON array, got {}"),
     ("bracket-missing", ALGEBRA, ("bracket",), DELETE, "input: malformed algebra object: 'bracket'"),
     ("basis-entry-too-few", ALGEBRA, ("basis", 0), ["x"],
      "input: malformed algebra object: not enough values to unpack (expected 2, got 1)"),
@@ -474,13 +480,22 @@ JSON_ERRORS = [
     ("rho-bad-i", CONTEXT, ("rho", 0, 0), "0", 'input: index must be a JSON integer, got "0"'),
     ("lambda-bad-j", CONTEXT, ("lambda", 0, 1), 0.5, "input: index must be a JSON integer, got 0.5"),
     ("omega-bad-k", CONTEXT, ("omega", 0, 2), None, "input: index must be a JSON integer, got null"),
+    ("rho-string", CONTEXT, ("rho",), "", 'input: rho must be a JSON array, got ""'),
+    ("lambda-object", CONTEXT, ("lambda",), {}, "input: lambda must be a JSON array, got {}"),
+    ("omega-string", CONTEXT, ("omega",), "", 'input: omega must be a JSON array, got ""'),
+    ("context-h-bracket-object", CONTEXT, ("h", "bracket"), {}, "input: bracket must be a JSON array, got {}"),
+    ("context-a-basis-string", CONTEXT, ("a", "basis"), "", 'input: basis must be a JSON array, got ""'),
     ("rho-duplicate", CONTEXT, ("rho", 1), [0, 0, 0, "-1"], "input: duplicate rho entry (0, 0, 0)"),
     ("lambda-duplicate", CONTEXT, ("lambda",), [[0, 0, 1, "1"], [0, 0, 1, "1"]],
      "input: duplicate lambda entry (0, 0, 1)"),
     ("omega-duplicate", CONTEXT, ("omega",), [[0, 0, 0, "0"], [0, 0, 0, "1"]],
      "input: duplicate omega entry (0, 0, 0)"),
     ("context-bad-rational", CONTEXT, ("omega", 0, 3), "1/-2", "input: bad rational '1/-2'"),
-    ("ideal-malformed", IDEAL, ("vectors",), 1, "input: malformed ideal object: 'int' object is not iterable"),
+    ("ideal-malformed", IDEAL, ("vectors",), 1, "input: vectors must be a JSON array, got 1"),
+    ("ideal-vectors-string", IDEAL, ("vectors",), "0001", 'input: vectors must be a JSON array, got "0001"'),
+    ("ideal-vector-string", IDEAL, ("vectors", 0), "0001", 'input: ideal vector 0 must be a JSON array, got "0001"'),
+    ("ideal-vector-object", IDEAL, ("vectors", 0), {"3": "1"},
+     'input: ideal vector 0 must be a JSON array, got {"3": "1"}'),
     ("ideal-bad-rational", IDEAL, ("vectors", 0, 3), "1.x", "input: bad rational '1.x'"),
     ("ideal-float", IDEAL, ("vectors", 0, 3), 1.5,
      "input: coefficient must be a rational string or a JSON integer, got 1.5"),

@@ -38,19 +38,21 @@ def test_unused_import_is_reported():
 # Definitions that nothing in src/ refers to, each with the one reason it
 # stays there: the benchmark imports or traces it (among them the central
 # extension, Theta and the semi-direct product, whose tables
-# ``extension_tables`` assembles in one place), or README's "Public API"
+# ``extension_bracket`` assembles in one place), or README's "Public API"
 # section names it (the dense views, the parity-shift transfer, a map
 # applied to a sparse vector, the zero test of a linear or bilinear map,
 # the parity of a dense vector, xi of any ideal and complement, which
-# decompose fixes by the Witt pairing instead, and the catalog's
-# explicit-row constructors, the reference its contexts are tested against).
+# decompose fixes by the Witt pairing instead, the catalog's explicit-row
+# constructors, the reference its contexts are tested against, and the
+# structural comparison of two contexts, which ``perfbench/run.py`` calls).
 KEPT = {**dict.fromkeys(("rref", "table", "in_span", "solve", "semidirect_product", "central_extension",
                          "extension_derivations"), "perfbench/tracer.py"),
         **dict.fromkeys(("mat", "mat_vec", "mat_mul", "mat_add", "mat_scale", "zero_mat", "identity_mat",
                          "nullspace", "canonical"),
                         "perfbench/gen.py"),
         **dict.fromkeys(("matrix", "value_vectors", "parity_shift_map", "apply_sparse", "is_zero",
-                         "vector_parity", "build_xi", "odd_extension_dim1", "heisenberg_extension"),
+                         "vector_parity", "build_xi", "odd_extension_dim1", "heisenberg_extension",
+                         "contexts_equal"),
                         "README API")}
 
 

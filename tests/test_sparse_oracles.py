@@ -423,25 +423,33 @@ def test_decompose_refuses_a_planted_witt_complement(monkeypatch):
 
 
 def planted_tables(monkeypatch, plant):
-    """The samples, built by the real tables; then the table assembler is
-    patched to pass its tables through ``plant``, and ``_by_transport``, the
-    unscanned build, to record each planted table it is handed."""
+    """The samples, built by the real tables; then the two table builders
+    are patched so that ``plant(bracket, metric)`` rewrites their tables,
+    and ``_by_transport``, the unscanned build, to record each planted table
+    it is handed. decompose reads the metric first, so the metric builder
+    plants in the bracket built ahead of it, which the bracket builder then
+    returns."""
     import superquad.extension as extension_module
 
     samples = extensions()
-    real, transport = extension_module.extension_tables, dec._by_transport
-    planted, built = [], []
+    real_metric, real_bracket = extension_module.extension_metric, extension_module.extension_bracket
+    transport = dec._by_transport
+    planted, built = [], []  # planted: the planted bracket, then its metric
 
-    def planting(context):
-        tables = plant(*real(context))
-        planted.extend(tables)
-        return tables
+    def planting_metric(context):
+        bracket, metric = plant(real_bracket(context), real_metric(context))
+        planted.extend((bracket, metric))
+        return metric
+
+    def planting_bracket(context):
+        return planted[-2]
 
     def recording(bracket, metric=None):
         built.extend(t for t in (bracket, metric) if any(t is p for p in planted))
         return transport(bracket, metric)
 
-    monkeypatch.setattr(extension_module, "extension_tables", planting)
+    monkeypatch.setattr(extension_module, "extension_metric", planting_metric)
+    monkeypatch.setattr(extension_module, "extension_bracket", planting_bracket)
     monkeypatch.setattr(dec, "_by_transport", recording)
     return samples, built
 
@@ -451,7 +459,8 @@ def test_isometry_witness_on_a_planted_extension(monkeypatch):
     coefficient planted in the re-extension is reported at its pair, with the
     dense residual, whether or not g has a nonzero bracket there, and the
     planted tables are never built into an algebra. The re-extension's
-    tables are those the extension module's extension_tables assembles."""
+    tables are those the extension module's extension_metric and
+    extension_bracket assemble."""
     rng = random.Random(37)
     planted_at = []
 
