@@ -567,28 +567,23 @@ def test_json_context_bool_delta_and_float_rho_exit_2(tmp_path, capsys):
 
 
 def test_json_ideal_float_and_zero_denominator_exit_2(tmp_path, capsys):
-    for bad in (1.0, "1/0"):
+    """A float or zero-denominator coefficient, or a vector written as a
+    string of digits, which would iterate as one, is a parse error: exit 2
+    and no file written."""
+    out = tmp_path / "x"
+    for bad in (1.0, "1/0", "0001"):
         obj = _json_doc("heisenberg.ideal")
-        obj["vectors"][0][3] = bad
+        if bad == "0001":
+            obj["vectors"] = [bad]
+        else:
+            obj["vectors"][0][3] = bad
         f = tmp_path / "ideal.json"
         f.write_text(json.dumps(obj))
         code, _, err = run(capsys, "decompose", str(SAMPLES / "heisenberg.algebra"),
-                           "--ideal", str(f), "--out", str(tmp_path / "x"))
-        assert code == 2 and err.startswith("error: ")
-
-
-def test_json_ideal_vector_as_a_string_exit_2(tmp_path, capsys):
-    """A JSON ideal vector written as a string of digits is no vector, though
-    it would iterate as one: decompose exits 2 naming it and writes no file."""
-    obj = _json_doc("heisenberg.ideal")
-    obj["vectors"] = ["0001"]
-    f, out = tmp_path / "ideal.json", tmp_path / "x"
-    f.write_text(json.dumps(obj))
-    code, stdout, err = run(capsys, "decompose", str(SAMPLES / "heisenberg.algebra"), "--ideal", str(f),
-                            "--out", str(out))
-    assert (code, stdout) == (2, "")
+                           "--ideal", str(f), "--out", str(out))
+        assert code == 2 and err.startswith("error: "), bad
+        assert not out.exists()
     assert err == f'error: {f}: ideal vector 0 must be a JSON array, got "0001"\n'
-    assert not out.exists()
 
 
 def test_json_names_and_labels_must_be_text_tokens_exit_2(tmp_path, capsys):
