@@ -1,11 +1,17 @@
+import contextlib
+import functools
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from superquad.cli import main
 from superquad.errors import ParseError
 from superquad.fileformat import (
+    AlgebraDocument,
     algebra_to_document,
     context_to_document,
     parse_document,
@@ -335,6 +341,85 @@ def test_decompose_certifies_the_metric_it_reads(tmp_path, capsys):
         code, stdout, err = run(capsys, "decompose", str(f), "--out", str(tmp_path / "x"))
         assert (code, stdout, err) == (1, "", f"violation: {violation}\n")
     assert not (tmp_path / "x").exists()
+
+
+@functools.cache
+def _moved_corpus() -> tuple:
+    """(algebra document, ideal text) for a quarter of the corpus contexts with
+    dim a > 0, both deltas: the extension in a random parity-preserving basis,
+    and its dual block there as an ideal document."""
+    import random
+
+    from generators import change_basis, context_corpus, random_parity_preserving_basis
+    from superquad import linalg
+    from superquad.fileformat import IdealDocument
+
+    rng, out = random.Random(43), []
+    for delta in (0, 1):
+        for ctx in [ctx for ctx in context_corpus(delta) if ctx.a.dim][::4]:
+            g = ctx.extension
+            cols = random_parity_preserving_basis(rng, g.space)
+            m_inv = linalg.inverse(linalg.transpose(cols))
+            ideal = [tuple(row[k] for row in m_inv) for k in range(g.dim - ctx.a.dim, g.dim)]
+            out.append((algebra_to_document(change_basis(g, cols), "moved"),
+                        serialize_document(IdealDocument("dual", tuple(ideal)))))
+    return tuple(out)
+
+
+def _reading_violation(doc):
+    """The stderr of the violation that reading doc as an algebra raises, or None."""
+    from superquad.cli import describe
+    from superquad.errors import SuperquadError, ValidationError
+    from superquad.fileformat import document_to_algebra
+
+    try:
+        document_to_algebra(doc)
+    except ValidationError as exc:
+        return "".join(f"violation: {describe(v)}\n" for v in exc.violations)
+    except SuperquadError as exc:
+        return f"violation: {exc}\n"
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_decompose_of_a_planted_algebra_reports_its_reading_violation(data):
+    """One bracket or metric entry of a moved corpus extension changed by a
+    nonzero rational: whenever the algebra no longer reads, decompose exits 1
+    with exactly the violation reading it raises and writes nothing, with
+    --ideal auto, with the dual block's ideal file and with an ideal file
+    that does not parse."""
+    from fractions import Fraction
+
+    doc, ideal_text = data.draw(st.sampled_from(_moved_corpus()))
+    n = len(doc.basis)
+    index = st.integers(0, n - 1)
+    c = Fraction(data.draw(st.integers(-3, 3).filter(bool)), data.draw(st.integers(1, 3)))
+    if data.draw(st.booleans()):
+        key = (data.draw(index), data.draw(index), data.draw(index))
+        entries = {e[:3]: e[3] for e in doc.bracket}
+        entries[key] = entries.get(key, 0) + c
+        doc = AlgebraDocument(doc.name, doc.basis, tuple((*k, x) for k, x in entries.items()),
+                              doc.metric_degree, doc.metric)
+    else:
+        key = (data.draw(index), data.draw(index))
+        entries = {e[:2]: e[2] for e in doc.metric}
+        entries[key] = entries.get(key, 0) + c
+        doc = AlgebraDocument(doc.name, doc.basis, doc.bracket, doc.metric_degree,
+                              tuple((*k, x) for k, x in entries.items()))
+    expected = _reading_violation(doc)
+    assume(expected is not None)
+    how = data.draw(st.sampled_from(["auto", "ideal", "unparsed"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        algebra, ideal, out = (Path(tmp) / name for name in ("g.algebra", "g.ideal", "out"))
+        algebra.write_text(serialize_document(doc))
+        ideal.write_text(ideal_text if how == "ideal" else "ideal bad\nvector 1/0\nend ideal\n")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["decompose", str(algebra), "--ideal", "auto" if how == "auto" else str(ideal),
+                         "--out", str(out)])
+        assert (code, stdout.getvalue(), stderr.getvalue()) == (1, "", expected)
+        assert not out.exists()
 
 
 def test_zero_coefficient_out_of_range_exit_2(tmp_path, capsys):

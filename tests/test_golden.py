@@ -9,7 +9,11 @@ moved by a basis with coprime p/q column scales (the lcm of its
 denominators is above 10^10), its extension, and planted deh1, deh2, deh3
 and rho-skew defects. The ``decompose-planted-ideal-*`` cases split the
 Heisenberg sample along an ideal file (``golden/ideal-*.ideal``) that breaks
-one ideal hypothesis each. A change here is a change of the user-facing contract
+one ideal hypothesis each. The ``decompose-invalid-*`` cases decompose an
+algebra (``golden/invalid-*.algebra``) that fails one algebra axiom each,
+with ``--ideal auto``, with the sample's ideal file and with an ideal file
+that does not parse (``golden/unparsed.ideal``): each exits 1 with the
+violation reading the algebra raises. A change here is a change of the user-facing contract
 and must be deliberate.
 """
 
@@ -60,3 +64,21 @@ def test_golden_covers_every_ideal_claim():
         if case["name"].startswith("decompose-planted-"):
             claim = case["name"].removeprefix("decompose-planted-")
             assert case["code"] == 1 and case["stderr"].startswith(f"violation: {claim}: witness ("), case
+
+
+AXIOMS = ("grading", "super-skew", "jacobi", "metric-degree", "super-symmetry", "invariance", "non-degenerate")
+
+
+def test_golden_covers_every_algebra_axiom():
+    """decompose of an algebra that fails each axiom, whichever way its
+    ideal is given, exits 1 with the algebra's own violation and writes
+    nothing; the three ways of one algebra print the same line."""
+    cases = {c["name"]: c for c in CASES if c["name"].startswith("decompose-invalid-")}
+    assert set(cases) == {f"decompose-invalid-{v}-{how}" for v in AXIOMS for how in ("auto", "ideal", "unparsed")}
+    for v in AXIOMS:
+        ways = [cases[f"decompose-invalid-{v}-{how}"] for how in ("auto", "ideal", "unparsed")]
+        assert ways[0]["argv"][1] == f"{{golden}}/invalid-{v}.algebra"
+        for case in ways:
+            assert (case["code"], case["stdout"], case["output"]) == (1, "", None), case["name"]
+            assert case["stderr"] == ways[0]["stderr"] and case["stderr"].startswith("violation: "), case["name"]
+            assert case["stderr"].count("\n") == 1
