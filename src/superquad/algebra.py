@@ -115,6 +115,27 @@ def lowest_slot(p: int, w: int) -> int:
     return ((p & -p).bit_length() - 1) // w
 
 
+def unpack(p: int, w: int) -> dict:
+    """The int vector packed in p (``pack``), nonzeros only, indices in
+    order, when every coordinate is below 2**(w-1) in absolute value, one
+    bit less than ``pack`` needs: then the low w bits of p, read as a signed
+    int, are slot 0, and p minus them is the packed rest. Zero slots are
+    skipped by ``lowest_slot``, so only the nonzero ones are read."""
+    out: dict = {}
+    mask, half, k = (1 << w) - 1, 1 << (w - 1), 0
+    while p:
+        skip = ((p & -p).bit_length() - 1) // w  # lowest_slot(p, w), inlined
+        p >>= w * skip
+        k += skip
+        c = p & mask
+        if c >= half:
+            c -= 1 << w
+        out[k] = c
+        p = (p - c) >> w
+        k += 1
+    return out
+
+
 def cyclic_failures(par: Sequence[int], pairs: dict) -> set:
     """The sorted triples i <= j <= k at which the Jacobi super identity of
     the integer table ``pairs`` (an index pair to a sparse vector) fails:
@@ -124,8 +145,9 @@ def cyclic_failures(par: Sequence[int], pairs: dict) -> set:
     The table must be super skew on the space with parities par. Then the
     sum for a transposed triple is a sign multiple of the sum for the
     triple, and the three shifts have equal sums, so an ordered triple fails
-    exactly when its sorted one does. The scan packs each pairs[x, m] into
-    one int (``pack``) and adds every product c pairs[x, m], c the m
+    exactly when its sorted one does. The scan packs into one int (``pack``)
+    each pairs[x, m] whose m is a coordinate of some value, the only ones
+    any product reads, and adds every product c pairs[x, m], c the m
     coordinate of pairs[y, z], with its sign, to the sorted triple of which
     (x, y, z) is a shift, in one pass over the nonzeros (once when i = j = k:
     its three shifts coincide, so its sum is a third of the cyclic one). A
@@ -146,8 +168,11 @@ def cyclic_failures(par: Sequence[int], pairs: dict) -> set:
     top = max(abs(c) for v in pairs.values() for c in v.values())
     w = slot_width(3 * max(map(len, pairs.values())), top * top)
     # left[p][m]: (x, (-1)^{|x| p} pairs[x, m] packed) for the x with pairs[x, m] != 0
+    read = set().union(*pairs.values())  # the m some value has a coordinate on
     left: tuple[dict, dict] = ({}, {})
     for (x, m), v in pairs.items():
+        if m not in read:
+            continue
         packed = pack(v, w)
         left[0].setdefault(m, []).append((x, packed))
         left[1].setdefault(m, []).append((x, -packed if par[x] else packed))
@@ -373,17 +398,19 @@ def _by_transport(bracket: SuperBracket, metric: GradedBilinearForm | None = Non
     """The bracket, with the metric if given, as a certified algebra, built
     without their scans or any check.
 
-    The caller holds the certificate. ``decompose`` reads the tables of a
-    certified g in a basis of homogeneous columns (``inverse_ints``), with
-    I-perp an ideal that contains I (``ideal-*``), h + I its basis by
-    construction and dim a = dim I (``a-superalgebra``), and returns
-    nothing before the isometry claims pass; the isometry has degree 0, so
-    its constructor refuses a block read on other parities than its
-    columns'. Then the re-extension's tables are g's in the (a, h, I) basis,
-    a is dual to I, a's bracket is that of g/I-perp, and h's that of
-    I-perp/I with the metric B induces, I being the radical of B on I-perp.
+    The caller holds the certificate. ``decompose`` reads the tables of g
+    in a basis of homogeneous columns (``inverse_ints``), with I-perp an
+    ideal that contains I (``ideal-*``), h + I its basis by construction
+    and dim a = dim I (``a-superalgebra``), and returns nothing before the
+    isometry claims pass and the re-extension, which has g's tables in that
+    basis, has passed its own scans; the isometry has degree 0, so its
+    constructor refuses a block read on other parities than its columns'.
     Grading, super skew, Jacobi, invariance, super-symmetry, degree and
-    non-degeneracy carry over to each.
+    non-degeneracy carry over under that even isomorphism, so the
+    ``decompose`` command reads g unscanned. a is dual to I, so a's
+    bracket is that of g/I-perp, and h's that of I-perp/I with the metric
+    B induces, I being the radical of B on I-perp; the same axioms carry
+    over to each.
     ``validate_context`` hands over the extension whose Jacobi and
     invariance scans it has read, its other checks following from the
     context's. As ``spaces._build`` builds a map, the fields are set on a

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import catalog as cat
-from .algebra import check_invariance, check_jacobi
+from .algebra import _by_transport, check_invariance, check_jacobi
 from .decompose import decompose, find_central_minimal_ideal
 from .errors import (
     NotHomogeneous,
@@ -172,11 +172,8 @@ def cmd_extend(args) -> int:
     return 0
 
 
-def cmd_decompose(args) -> int:
-    doc = _load(args.file, AlgebraDocument, "an algebra")
-    if doc.metric_degree is None:
-        raise ParseError("decompose needs a quadratic algebra (no metric in document)", path=args.file)
-    g = _converted(args.file, document_to_algebra, doc)
+def _ideal(args, g) -> list:
+    """The ideal to decompose g along: the central line ``--ideal auto`` finds, or the vectors of the ideal file."""
     if args.ideal == "auto":
         ideal = find_central_minimal_ideal(g)
         if ideal is None:
@@ -190,7 +187,20 @@ def cmd_decompose(args) -> int:
         for r, v in enumerate(ideal):
             if len(v) != g.dim:
                 raise ParseError(f"ideal vector {r} has length {len(v)}, the algebra has dim {g.dim}", path=args.ideal)
-    res = decompose(g, ideal)
+    return ideal
+
+
+def cmd_decompose(args) -> int:
+    doc = _load(args.file, AlgebraDocument, "an algebra")
+    if doc.metric_degree is None:
+        raise ParseError("decompose needs a quadratic algebra (no metric in document)", path=args.file)
+    # g is read unscanned: decompose's isometry onto its scanned re-extension certifies it
+    g = _by_transport(*_converted(args.file, document_to_raw, doc)[1:])
+    try:
+        res = decompose(g, _ideal(args, g))
+    except Exception:
+        document_to_algebra(doc)  # g's own scans first: an invalid g reports its first witness, as before any split
+        raise
     out_doc = context_to_document(res.context, doc.name)
     _write(args.out, serialize_document(out_doc, args.format))
     print(f"decomposed {_shown(doc.name)}: dim a {len(res.a_view[1])}, dim h {len(res.h_view[1])}, "

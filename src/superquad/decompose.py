@@ -8,8 +8,9 @@ isotropic complement a dual to I, changes basis once to (a, h, I), extracts
 all structure maps of the split bracket, reconstructs a double-extension
 context and certifies the isometry onto its extension, pairings first.
 The Witt complement and the split are assembled, not certified; the
-isometry certifies them. Only g is scanned: a, h, the extension and the
-context are certified by transport from g, and the Witt pairing fixes xi
+isometry certifies them. Only the re-extension is scanned, sparse in the
+split basis where g may be dense: g, a, h and the context are certified by
+transport through the isometry, and the Witt pairing fixes xi
 (``decompose`` names the one check behind each fact). Every step is
 deterministic: linear solves take first pivots in canonical basis order.
 
@@ -32,10 +33,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from . import extension, linalg
-from .algebra import QuadraticLieSuperAlgebra, SuperBracket, _by_transport, certify_isometry
+from .algebra import (
+    LieSuperAlgebra,
+    QuadraticLieSuperAlgebra,
+    SuperBracket,
+    _by_transport,
+    certify_isometry,
+    pack,
+    slot_width,
+    unpack,
+)
 from .errors import ClaimViolated, DegenerateInput, DegeneratePairing, SuperquadError, Violation
 from .extension import DeltaContext
 from .linalg import Vector
@@ -258,6 +269,11 @@ def build_xi(form: GradedBilinearForm, ideal: tuple, a_vectors: tuple,
     return xi_delta, xi
 
 
+def _top(vectors) -> int:
+    """The largest absolute value of a coordinate of the sparse vectors."""
+    return max(map(abs, chain.from_iterable(map(dict.values, vectors))))
+
+
 def _bracket_in_basis(bracket: GradedBilinearMap, cols: tuple, inv: tuple) -> tuple[int, dict]:
     """Structure constants in the basis of the columns of the integer view
     ``cols``, with ``inv`` the integer view of the columns of the inverse of
@@ -267,31 +283,44 @@ def _bracket_in_basis(bracket: GradedBilinearMap, cols: tuple, inv: tuple) -> tu
     The sums run on integers: the bracket's integer state (scale d_b), and
     the views of the columns and of the inverse, at scales d_c and d_i.
     Every coefficient of [c_p, c_q] in the new basis is then
-    scale = d_b * d_c**2 * d_i times its rational value.
-    Only pairs (p, q) that meet a nonzero of the bracket are visited."""
+    scale = d_b * d_c**2 * d_i times its rational value. Each is a sum of
+    packed vectors (``pack``): the inverse is applied to each value
+    [e_i, e_j] once, then the columns, c_p on the left and c_q on the
+    right, and only the nonzero slots are unpacked (``unpack``). A
+    coefficient is at most A^2 V I in absolute value, with A the most
+    nonzeros of a column times its largest entry, V the same of a value
+    and I the largest entry of the inverse (A and V bound the sums of
+    absolute entries), so slots of width ``slot_width(A^2 V, I)`` plus the
+    sign bit keep every sum exact."""
     (d_c, int_cols), (d_i, inv_cols) = cols, inv
-    n = len(int_cols)
     d_b, pairs = bracket.scaled_pairs
     scale = d_b * d_c * d_c * d_i
-    by_left: dict = {}  # i -> [(j, [e_i, e_j])]
-    for (i, j), w in pairs.items():
-        by_left.setdefault(i, []).append((j, w))
-    by_coord = sparse_transpose(int_cols, n)  # j -> {q: coordinate j of c_q}
+    if not pairs:
+        return scale, {}
+    col_sum = max(map(len, int_cols)) * _top(int_cols)
+    w = 1 + slot_width(col_sum * col_sum * max(map(len, pairs.values())) * _top(pairs.values()), _top(inv_cols))
+    packed_inv = [pack(v, w) for v in inv_cols]
+    by_left: dict = {}  # i -> [(j, the new coordinates of [e_i, e_j], packed)]
+    for (i, j), v in pairs.items():
+        x = 0
+        for m, c in v.items():
+            x += c * packed_inv[m]
+        by_left.setdefault(i, []).append((j, x))
+    by_coord = sparse_transpose(int_cols, len(int_cols))  # j -> {q: coordinate j of c_q}
     out = {}
     for p, u in enumerate(int_cols):
-        acc: dict = {}  # q -> [c_p, c_q] in g's basis
+        left: dict = {}  # j -> [c_p, e_j], packed
         for i, a in u.items():
-            for j, w in by_left.get(i, ()):
+            for j, x in by_left.get(i, ()):
+                left[j] = left.get(j, 0) + a * x
+        acc: dict = {}  # q -> [c_p, c_q], packed
+        for j, x in left.items():
+            if x:
                 for q, b in by_coord[j].items():
-                    add_scaled(acc.setdefault(q, {}), a * b, w)
+                    acc[q] = acc.get(q, 0) + b * x
         for q in sorted(acc):
-            z: dict = {}
-            for k, c in acc[q].items():
-                if c:
-                    add_scaled(z, c, inv_cols[k])
-            z = {k: c for k, c in z.items() if c}
-            if z:
-                out[(p, q)] = z
+            if acc[q]:
+                out[(p, q)] = unpack(acc[q], w)
     return scale, out
 
 
@@ -489,20 +518,29 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     h + dim I = dim I-perp by construction): the isometry compares a's
     pairings with a, h and I and every entry of the split, so B(I_i, a_j) =
     delta_ij makes xi_delta and xi the identity, and the I-components of
-    [a,I], [a,h] and [h,h] are ad*_delta, chi and Phi. Only g is scanned:
-    a, h and the re-extension are certified by transport
-    (``_by_transport``), and so is the context, each axiom a block of the
-    re-extension's grading, super skew, Jacobi or invariance identities;
-    its ``extension`` is the re-extension. The result holds nothing else
-    than the views, the context and the isometry.
+    [a,I], [a,h] and [h,h] are ad*_delta, chi and Phi. Only the
+    re-extension is scanned, by its checking constructors, once the
+    isometry passes: its tables are g's in an even invertible change of
+    basis, so its certificate is g's, and g may be handed over unscanned
+    (``_by_transport``), as the ``decompose`` command does. A g that fails
+    an axiom then fails the isometry, a step before it, or the
+    re-extension's scans, whose witness is in the split basis, not g's.
+    a and h are certified by transport from it (``_by_transport``), and so
+    is the context, each axiom a block of the re-extension's grading,
+    super skew, Jacobi or invariance identities; its ``extension`` is the
+    re-extension. The result holds nothing else than the views, the
+    context and the isometry.
 
     Each ideal vector is dense, of length dim, or a sparse dict with indices
     in range(dim); ``ideal_view`` holds them as one integer view.
 
     ``source`` is the context g is believed to extend, if any: when the
     recovered context equals it, source is returned, with its derived maps
-    and its extension, rather than derived again. Every claim above still
-    runs, in the same order, so any source gives the same result as none.
+    and its extension, rather than derived again; an extension already
+    built, and so scanned, by ``validate_context`` gives the metric the
+    pairings are compared with and is not scanned again. Every claim above
+    still runs, in the same order, so any source gives the same result as
+    none.
     """
     ideal = _validate_ideal(g, ideal)
     delta = g.delta
@@ -523,9 +561,11 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     if context == source:
         context = source  # ad*_delta, chi, Phi and the extension are derived once, on source
 
-    # the pairings first: once they agree, B(a, h) = B(I, h) = 0, so g's
-    # invariance makes each rho(x) skew for B_h and derive_phi cannot refuse
-    metric = extension.extension_metric(context)
+    # the pairings first: once they agree, B(a, h) = B(I, h) = 0, so when g
+    # is invariant each rho(x) is skew for B_h and derive_phi cannot refuse.
+    # A source whose extension validate_context has built and scanned lends its metric.
+    metric = (source.extension.metric if context is source and "extension" in vars(source)
+              else extension.extension_metric(context))
     v = certify_isometry((1, {}), gram, (1, {}), metric.scaled_rows)
     if v is None:
         # x + u + alpha -> x + u + xi_delta(alpha) is the identity in the split
@@ -534,7 +574,9 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
         v = certify_isometry(maps.split, gram, bracket.scaled_pairs, metric.scaled_rows)
     if v is not None:
         raise ClaimViolated(v.equation, [v])
-    ext = vars(context).setdefault("extension", _by_transport(bracket, metric))  # DeltaContext.extension's cache
+    if context is not source:  # the re-extension's scans certify g, which is isometric to it
+        vars(context)["extension"] = QuadraticLieSuperAlgebra(LieSuperAlgebra(bracket), metric)
+    ext = context.extension  # DeltaContext.extension's cache
 
     d_inv, inverse = maps.inverse
     isometry = GradedLinearMap.from_ints(g.space, ext.space, 0, d_inv, {

@@ -17,6 +17,7 @@ from superquad.fileformat import (
     parse_document,
     serialize_document,
 )
+from test_decompose_transport import moved
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -325,10 +326,10 @@ def test_parse_error_exit_2(tmp_path, capsys):
 
 
 def test_decompose_certifies_the_metric_it_reads(tmp_path, capsys):
-    """decompose certifies the algebra it reads before splitting it: a
-    metric declared even with an entry between an even and an odd vector
-    fails its homogeneity degree, and the identity metric on sl2 fails
-    invariance; both exit 1 with the witness and write nothing."""
+    """decompose certifies the algebra it reads: a metric declared even
+    with an entry between an even and an odd vector fails its homogeneity
+    degree, and the identity metric on sl2 fails invariance; both exit 1
+    with the algebra's own witness and write nothing."""
     sl2 = ("algebra sl2\nbasis s0 0\nbasis s1 0\nbasis s2 0\nbracket 0 1 1 2\nbracket 0 2 2 -2\n"
            "bracket 1 0 1 -2\nbracket 1 2 0 1\nbracket 2 0 2 2\nbracket 2 1 0 -1\n")
     for content, violation in (
@@ -350,19 +351,14 @@ def _moved_corpus() -> tuple:
     and its dual block there as an ideal document."""
     import random
 
-    from generators import change_basis, context_corpus, random_parity_preserving_basis
-    from superquad import linalg
+    from generators import context_corpus
     from superquad.fileformat import IdealDocument
 
     rng, out = random.Random(43), []
     for delta in (0, 1):
         for ctx in [ctx for ctx in context_corpus(delta) if ctx.a.dim][::4]:
-            g = ctx.extension
-            cols = random_parity_preserving_basis(rng, g.space)
-            m_inv = linalg.inverse(linalg.transpose(cols))
-            ideal = [tuple(row[k] for row in m_inv) for k in range(g.dim - ctx.a.dim, g.dim)]
-            out.append((algebra_to_document(change_basis(g, cols), "moved"),
-                        serialize_document(IdealDocument("dual", tuple(ideal)))))
+            g, ideal = moved(rng, ctx)
+            out.append((algebra_to_document(g, "moved"), serialize_document(IdealDocument("dual", tuple(ideal)))))
     return tuple(out)
 
 
@@ -874,10 +870,10 @@ def test_roundtrip_certifies_each_distinct_bracket_once(tmp_path, capsys, monkey
     h by their constructors, two Jacobi scans on two distinct tables and
     h's invariance scan; the extension's Jacobi and invariance scans are
     validate_context's own, which read the context axioms off them and
-    call neither check. decompose scans only the algebra it reads: a and h
-    are its quotient and subquotient, and the re-extension is certified by
-    the isometry onto it, so it makes one Jacobi scan and one invariance
-    scan. roundtrip scans a, h and the extension as extend does, and takes
+    call neither check. decompose scans only the re-extension: the algebra
+    it reads is certified by the isometry onto it, and a and h are its
+    quotient and subquotient, so it makes one Jacobi scan and one
+    invariance scan. roundtrip scans a, h and the extension as extend does, and takes
     the re-extension from the certified input context it equals."""
     import sys
     import superquad.algebra as algebra
@@ -927,6 +923,25 @@ def test_roundtrip_compares_the_re_extension_once(capsys, monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         assert run(capsys, "roundtrip", str(sample))[0] == 0
         assert calls == {"certify_isometry": 2, "contexts_equal": 0}, sample
+
+
+def test_roundtrip_builds_the_extension_metric_once(capsys, monkeypatch):
+    """roundtrip builds the input extension's metric once, for
+    validate_context: decompose, whose recovered context is its source,
+    compares the split with the metric of the extension already built."""
+    import superquad.extension as extension
+    calls = []
+    real = extension.extension_metric
+
+    def counting(ctx):
+        calls.append(ctx)
+        return real(ctx)
+
+    monkeypatch.setattr(extension, "extension_metric", counting)
+    for sample in (SAMPLES / "heisenberg.context", SAMPLES / "odd-dim1.context", GOLDEN / "coprime.context"):
+        calls.clear()
+        assert run(capsys, "roundtrip", str(sample))[0] == 0
+        assert len(calls) == 1, sample
 
 
 @pytest.mark.parametrize("block", ["phi", "chi"])

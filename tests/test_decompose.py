@@ -340,9 +340,10 @@ def test_decompose_changes_basis_once(monkeypatch):
     """One inversion and one change of basis per decompose, one integer
     Gram per pairing step (the ideal's isotropy, the Witt complement's
     correction of its duals, and the metric in the split basis, which the
-    isometry compares first and which certifies a) and no rank: the
-    ideal's independence is checked once, by ``ideal-independent``, and
-    witt_complement takes it as its precondition. Each fact is proved once:
+    isometry compares first and which certifies a) and one rank, the
+    re-extension's non-degeneracy: the ideal's independence is checked
+    once, by ``ideal-independent``, and witt_complement takes it as its
+    precondition. Each fact is proved once:
     the Witt pairing fixes xi, so build_xi is not called, and the isometry
     certifies the recovered context, so validate_context is not called
     either. Each re-extension table is built once: the metric the pairings
@@ -370,8 +371,8 @@ def test_decompose_changes_basis_once(monkeypatch):
     for g, ideal in _corpus_extensions():
         counts.clear()
         decompose(g, ideal)
-        assert counts == {"inverse_ints": 1, "_bracket_in_basis": 1, "_gram": 3,  # no rank, build_xi or validate_context
-                          "extension_metric": 1, "extension_bracket": 1}
+        assert counts == {"inverse_ints": 1, "_bracket_in_basis": 1, "_gram": 3,  # no build_xi or validate_context
+                          "rank": 1, "extension_metric": 1, "extension_bracket": 1}
 
 
 def _plant_split(maps, block, rng):

@@ -46,6 +46,7 @@ from superquad.algebra import (
     lowest_slot,
     pack,
     slot_width,
+    unpack,
 )
 from superquad.catalog import default_heisenberg_params, heisenberg_extension
 from superquad.catalog import default_odd_dim1_params, heisenberg_context, odd_extension_context
@@ -425,15 +426,14 @@ def test_decompose_refuses_a_planted_witt_complement(monkeypatch):
 def planted_tables(monkeypatch, plant):
     """The samples, built by the real tables; then the two table builders
     are patched so that ``plant(bracket, metric)`` rewrites their tables,
-    and ``_by_transport``, the unscanned build, to record each planted table
-    it is handed. decompose reads the metric first, so the metric builder
-    plants in the bracket built ahead of it, which the bracket builder then
-    returns."""
+    and decompose's algebra builds, ``_by_transport`` and the scanning
+    constructors, to record each planted table they are handed. decompose
+    reads the metric first, so the metric builder plants in the bracket
+    built ahead of it, which the bracket builder then returns."""
     import superquad.extension as extension_module
 
     samples = extensions()
     real_metric, real_bracket = extension_module.extension_metric, extension_module.extension_bracket
-    transport = dec._by_transport
     planted, built = [], []  # planted: the planted bracket, then its metric
 
     def planting_metric(context):
@@ -444,13 +444,16 @@ def planted_tables(monkeypatch, plant):
     def planting_bracket(context):
         return planted[-2]
 
-    def recording(bracket, metric=None):
-        built.extend(t for t in (bracket, metric) if any(t is p for p in planted))
-        return transport(bracket, metric)
+    def recording(build):
+        def record(*tables):
+            built.extend(t for t in tables if any(t is p for p in planted))
+            return build(*tables)
+        return record
 
     monkeypatch.setattr(extension_module, "extension_metric", planting_metric)
     monkeypatch.setattr(extension_module, "extension_bracket", planting_bracket)
-    monkeypatch.setattr(dec, "_by_transport", recording)
+    for name in ("_by_transport", "LieSuperAlgebra", "QuadraticLieSuperAlgebra"):
+        monkeypatch.setattr(dec, name, recording(getattr(dec, name)))
     return samples, built
 
 
@@ -622,6 +625,35 @@ def test_slot_width_is_the_narrowest_exact_width():
         assert 2 ** (w - 1) <= terms * bound < 2 ** w
         # one bit fewer, a slot holding 2**(w-1) carries into the next one
         assert pack({0: 2 ** (w - 1), 1: -1}, w - 1) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_unpack_reads_back_every_signed_slot(data):
+    """unpack gives back the nonzeros of a vector, in index order, packed
+    at a width one bit wider than its largest coordinate, the coordinates
+    at that bound included; a sum of packed vectors unpacks to the sum."""
+    w = data.draw(st.sampled_from([2, 3, 8, 64, 201]))
+    edge = 2 ** (w - 1) - 1
+    coeff = st.one_of(st.sampled_from([-edge, edge, 0]), st.integers(-edge, edge))
+    v = data.draw(st.dictionaries(st.integers(0, 12), coeff))
+    nonzero = {k: c for k, c in sorted(v.items()) if c}
+    assert unpack(pack(v, w), w) == nonzero and list(unpack(pack(v, w), w)) == list(nonzero)
+    u = {k: -c // 2 for k, c in v.items()}  # each coordinate of the sum stays inside the bound
+    total = {k: c + u[k] for k, c in v.items() if c + u[k]}
+    assert unpack(pack(v, w) + pack(u, w), w) == dict(sorted(total.items()))
+
+
+def test_change_of_basis_at_the_slot_bound():
+    """A one-dimensional odd algebra [e, e] = c e in the basis a e: the new
+    constant a c, times the scale a^2 c / a, is A^2 V I exactly, the bound
+    the slots are sized for, on either sign and at powers of two."""
+    space = space_of([1])
+    for c in (1, -1, 2 ** 64, -(2 ** 64), 2 ** 200 + 1):
+        bracket = SuperBracket.from_entries(space, [(0, 0, 0, c)])
+        for a in (1, 2, 2 ** 63, 3 ** 40):
+            scale, ints = dec._bracket_in_basis(bracket, (1, ({0: a},)), (a, ({0: 1},)))
+            assert (scale, ints) == (a, {(0, 0): {0: a * a * c}})
 
 
 def scaled_up(g, k_bracket, k_metric):
@@ -875,21 +907,23 @@ def test_integer_change_of_basis_matches_the_dense_reference():
     reference, on moved extensions and catalog Heisenberg, into bases whose
     columns are scaled by p/q: the columns and the inverse then carry
     different lcms, both above 10^3, and the bracket's own scale differs
-    from both on the moved extensions."""
+    from both on the moved extensions; three extensions with constants
+    near 2^200 give packed slots far wider than a machine word."""
     rng = random.Random(44)
-    algebras = [moved_extension(rng, g) for _, g in extensions()[::2]]
-    algebras.append(heisenberg_extension(default_heisenberg_params(3)))
-    for g in algebras:
-        cols = scaled_basis(rng, g.space)
+    brackets = [moved_extension(rng, g).bracket for _, g in extensions()[::2]]
+    brackets.append(heisenberg_extension(default_heisenberg_params(3)).bracket)
+    brackets += [scaled_up(g, 2 ** 200 + 1, 1)[0] for _, g in extensions()[1:8:3]]  # constants near 2^200
+    for bracket in brackets:
+        cols = scaled_basis(rng, bracket.space)
         sparse_cols = [sparse_vec(c) for c in cols]
         m_inv = linalg.inverse(linalg.transpose(cols))
         d_c, d_i = scaled_to_ints(sparse_cols)[0], scaled_to_ints(map(sparse_vec, m_inv))[0]
         assert d_c != d_i and min(d_c, d_i) > 10 ** 3
         inv_cols = sparse_transpose(map(sparse_vec, m_inv), len(cols))
-        scale, ints = dec._bracket_in_basis(g.bracket, scaled_to_ints(sparse_cols), scaled_to_ints(inv_cols))
+        scale, ints = dec._bracket_in_basis(bracket, scaled_to_ints(sparse_cols), scaled_to_ints(inv_cols))
         assert all(type(c) is int and c for z in ints.values() for c in z.values())
         got = {pq: {k: Fraction(c, scale) for k, c in z.items()} for pq, z in ints.items()}
-        assert got and got == ref_bracket_in_basis(g.bracket, cols)
+        assert got and got == ref_bracket_in_basis(bracket, cols)
         assert list(got) == sorted(got)
 
 
