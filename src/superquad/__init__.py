@@ -28,6 +28,7 @@ from .catalog import (
 from .decompose import (
     DecompositionResult,
     build_xi,
+    certify_split,
     extract_structure_maps,
     find_central_minimal_ideal,
     orthogonal_complement,

@@ -1,17 +1,17 @@
 """Splitting a quadratic Lie superalgebra along an isotropic abelian ideal.
 
-Given g with invariant metric B of degree delta and an ideal I that is
-abelian and isotropic, the pipeline computes I-perp, picks a complement h of
-I inside I-perp (any complement is automatically non-degenerate because the
-radical of B restricted to I-perp is exactly I), produces a Witt-style
-isotropic complement a dual to I, changes basis once to (a, h, I), extracts
-all structure maps of the split bracket, reconstructs a double-extension
-context and certifies the isometry onto its extension, pairings first.
-The Witt complement and the split are assembled, not certified; the
-isometry certifies them. Only the re-extension is scanned, sparse in the
+Given g with invariant metric B of degree delta and an abelian isotropic
+ideal I, ``decompose`` checks I, then searches: it computes I-perp, picks a
+complement h of I inside I-perp (any complement is automatically
+non-degenerate because the radical of B restricted to I-perp is exactly I)
+and a Witt-style isotropic complement a dual to I. ``certify_split``, which
+searches for nothing, changes basis once to (a, h, I), extracts all
+structure maps of the split bracket, reconstructs a double-extension
+context and certifies what the search assembled by the isometry onto its
+extension, pairings first. Only the re-extension is scanned, sparse in the
 split basis where g may be dense: g, a, h and the context are certified by
 transport through the isometry, and the Witt pairing fixes xi
-(``decompose`` names the one check behind each fact). Every step is
+(``certify_split`` names the one check behind each fact). Every step is
 deterministic: linear solves take first pivots in canonical basis order.
 
 Every set of vectors is one integer view ``(d, vectors)``: sparse int
@@ -216,7 +216,7 @@ def witt_complement(form: GradedBilinearForm, ideal: tuple,
     independent, the first and the last imply the rest. Vectors in
     ``avoid`` are treated as the chosen metric complement h: all duals are
     produced orthogonal to them. a is assembled, not certified:
-    ``decompose`` certifies it by the isometry.
+    ``certify_split`` certifies it by the isometry.
 
     Odd B follows the dual-vector-plus-correction recipe: duals of even
     I-vectors are corrected by odd I-vectors, duals of odd I-vectors need no
@@ -299,7 +299,8 @@ def _bracket_in_basis(bracket: GradedBilinearMap, cols: tuple, inv: tuple) -> tu
         return scale, {}
     col_sum = max(map(len, int_cols)) * _top(int_cols)
     w = 1 + slot_width(col_sum * col_sum * max(map(len, pairs.values())) * _top(pairs.values()), _top(inv_cols))
-    packed_inv = [pack(v, w) for v in inv_cols]
+    # a unit column, as every column is on the split of an extension along its dual block, is one shift
+    packed_inv = [c << (w * k) if len(v) == 1 else pack(v, w) for v in inv_cols for k, c in [next(iter(v.items()))]]
     by_left: dict = {}  # i -> [(j, the new coordinates of [e_i, e_j], packed)]
     for (i, j), v in pairs.items():
         x = 0
@@ -377,19 +378,25 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: tuple,
     of [h,h] to h's table. The other components, the I-components of [a,h],
     [a,I] and [h,h] among them, are kept only in ``split``.
 
-    The split is assembled, not certified: ``decompose`` certifies it by the
-    isometry, which compares every component of ``split`` with the
+    The split is assembled, not certified, once it is a homogeneous basis
+    (``split-homogeneous``, ``split-basis``): ``certify_split`` certifies it
+    by the isometry, which compares every component of ``split`` with the
     re-extension's, those no map reads included.
     """
     na, nh = len(a_vectors[1]), len(h_vectors[1])
     d_c, int_cols = _join(a_vectors, h_vectors, ideal)
     if len(int_cols) != g.dim:
         raise ValueError("blocks do not fill the algebra")
+    r = next((r for r, v in enumerate(int_cols) if len({g.space.parity(k) for k in v}) > 1), None)
+    if r is not None:
+        raise ClaimViolated("split-homogeneous", [Violation("split-homogeneous", (r,))])
     # the rows of the inverse of the matrix whose rows are the integer columns
     # are the columns of the inverse of the change of basis divided by d_c
     inv = linalg.inverse_ints(int_cols)
-    if inv is None:
-        raise ValueError("a, h and I do not form a basis")
+    if inv is None:  # the first vector in the span of those before it
+        grows = linalg.extend_independent([], int_cols)
+        r = next((r for r, k in enumerate(grows) if k != r), len(grows))
+        raise ClaimViolated("split-basis", [Violation("split-basis", (r,))])
     inverse = linalg.lowest_terms(inv[0], ({k: d_c * x for k, x in v.items()} for v in inv[1]))
 
     for reuse in (True, False):
@@ -504,59 +511,66 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> tuple[int, 
 
 def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
               source: DeltaContext | None = None) -> DecompositionResult:
-    """Split g along an isotropic abelian ideal and certify the rebuilt extension.
+    """Split g along an isotropic abelian ideal and certify the split.
 
-    decompose refuses only under the ideal's hypotheses (``ideal-*``), dim
-    a = dim I (``a-superalgebra``), which keeps omega's slots in range, and
-    the isometry x + u + alpha -> x + u + xi_delta(alpha), pairings first:
-    g's Gram in the (a, h, I) basis equals the context's ``extension_metric``
-    (``isometry-metric``) before chi and Phi are derived, then g's bracket
-    there equals its ``extension_bracket`` (``isometry-bracket``), and the
-    re-extension keeps both; the returned ``isometry`` has degree 0, so it
-    joins only basis vectors of one parity.
-    The Witt complement, h and the split are assembled, not certified (dim
-    h + dim I = dim I-perp by construction): the isometry compares a's
-    pairings with a, h and I and every entry of the split, so B(I_i, a_j) =
-    delta_ij makes xi_delta and xi the identity, and the I-components of
-    [a,I], [a,h] and [h,h] are ad*_delta, chi and Phi. Only the
-    re-extension is scanned, by its checking constructors, once the
-    isometry passes: its tables are g's in an even invertible change of
-    basis, so its certificate is g's, and g may be handed over unscanned
-    (``_by_transport``), as the ``decompose`` command does. A g that fails
-    an axiom then fails the isometry, a step before it, or the
-    re-extension's scans, whose witness is in the split basis, not g's.
-    a and h are certified by transport from it (``_by_transport``), and so
-    is the context, each axiom a block of the re-extension's grading,
+    The ideal's hypotheses are checked first (``ideal-*``), to name the
+    caller's mistake before the search, which assumes them and checks
+    nothing: h extends I's basis within I-perp's canonical one, so dim h +
+    dim I = dim I-perp, and a is the Witt complement orthogonal to h.
+    ``certify_split`` certifies the views of a, h and I, with ``source``.
+    Each ideal vector is dense or a sparse dict.
+    """
+    ideal = _validate_ideal(g, ideal)
+    d_p, i_perp = orthogonal_complement(ideal, g.metric)
+    h_vectors = linalg.lowest_terms(d_p, [i_perp[k] for k in linalg.extend_independent(ideal[1], i_perp)])
+    a_vectors = witt_complement(g.metric, ideal, avoid=h_vectors)
+    return certify_split(g, ideal, a_vectors, h_vectors, source=source)
+
+
+def certify_split(g: QuadraticLieSuperAlgebra, ideal_view: tuple, a_view: tuple, h_view: tuple, *,
+                  source: DeltaContext | None = None) -> DecompositionResult:
+    """Certify the split g = a + h + I of three integer views, searching for nothing.
+
+    It refuses only under dim a = dim I (``a-superalgebra``), which keeps
+    omega's slots in range, a vector of a + h + I that is not homogeneous
+    (``split-homogeneous``) or is in the span of those before it
+    (``split-basis``), its index the witness, and the isometry x + u + alpha
+    -> x + u + xi_delta(alpha), pairings first: g's Gram in the (a, h, I)
+    basis equals the context's ``extension_metric`` (``isometry-metric``)
+    before chi and Phi are derived, then g's bracket there equals its
+    ``extension_bracket`` (``isometry-bracket``), and the re-extension keeps
+    both; the returned ``isometry`` has degree 0, so it joins only basis
+    vectors of one parity. It sends I onto the dual block, an isotropic
+    abelian ideal, so I needs no ideal claim. The split is assembled, not
+    certified: the isometry compares a's pairings with a, h and I and every
+    entry of the split, so B(I_i, a_j) = delta_ij makes xi_delta and xi the
+    identity, and the I-components of [a,I], [a,h] and [h,h] are ad*_delta,
+    chi and Phi. Only the re-extension is scanned, by its checking
+    constructors, once the isometry passes: its tables are g's in an even
+    invertible change of basis, so its certificate is g's, and g may be
+    handed over unscanned (``_by_transport``), as the ``decompose`` command
+    does. A g that fails an axiom then fails the isometry, a step before it,
+    or the re-extension's scans, whose witness is in the split basis, not
+    g's. a and h are certified by transport from it (``_by_transport``), and
+    so is the context, each axiom a block of the re-extension's grading,
     super skew, Jacobi or invariance identities; its ``extension`` is the
-    re-extension. The result holds nothing else than the views, the
-    context and the isometry.
-
-    Each ideal vector is dense, of length dim, or a sparse dict with indices
-    in range(dim); ``ideal_view`` holds them as one integer view.
+    re-extension.
 
     ``source`` is the context g is believed to extend, if any: when the
     recovered context equals it, source is returned, with its derived maps
     and its extension, rather than derived again; an extension already
-    built, and so scanned, by ``validate_context`` gives the metric the
-    pairings are compared with and is not scanned again. Every claim above
-    still runs, in the same order, so any source gives the same result as
-    none.
+    built, and so scanned, by ``validate_context`` lends the metric the
+    pairings are compared with. Every claim above still runs, in the same
+    order, so any source gives the same result as none.
     """
-    ideal = _validate_ideal(g, ideal)
-    delta = g.delta
-
-    d_p, i_perp = orthogonal_complement(ideal, g.metric)
-    h_vectors = linalg.lowest_terms(d_p, [i_perp[k] for k in linalg.extend_independent(ideal[1], i_perp)])
-    a_vectors = witt_complement(g.metric, ideal, avoid=h_vectors)
-
-    na, nh, nd = len(a_vectors[1]), len(h_vectors[1]), len(ideal[1])
+    na, nh, nd = len(a_view[1]), len(h_view[1]), len(ideal_view[1])
     if na != nd:  # before omega is read off on P_delta(a)*, which has dim a slots
         raise ClaimViolated("a-superalgebra", message=f"dim a is {na}, dim I is {nd}")
-    maps = extract_structure_maps(g, ideal, a_vectors, h_vectors)
-    gram = _metric_in_basis(g.metric, _join(a_vectors, h_vectors, ideal))
-    b_h = GradedBilinearForm.from_ints(maps.h_table.space, delta, gram[0], {
+    maps = extract_structure_maps(g, ideal_view, a_view, h_view)
+    gram = _metric_in_basis(g.metric, _join(a_view, h_view, ideal_view))
+    b_h = GradedBilinearForm.from_ints(maps.h_table.space, g.delta, gram[0], {
         (p - na, q - na): c for p in range(na, na + nh) for q, c in gram[1][p].items() if na <= q < na + nh})
-    context = DeltaContext(delta, _by_transport(maps.a_table), _by_transport(maps.h_table, b_h),
+    context = DeltaContext(g.delta, _by_transport(maps.a_table), _by_transport(maps.h_table, b_h),
                            maps.rho, maps.lam, maps.omega)
     if context == source:
         context = source  # ad*_delta, chi, Phi and the extension are derived once, on source
@@ -581,4 +595,4 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
     d_inv, inverse = maps.inverse
     isometry = GradedLinearMap.from_ints(g.space, ext.space, 0, d_inv, {
         (r, c): x for c, col in enumerate(inverse) for r, x in col.items()})
-    return DecompositionResult(a_vectors, h_vectors, ideal, context, isometry)
+    return DecompositionResult(a_view, h_view, ideal_view, context, isometry)

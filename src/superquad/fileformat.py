@@ -511,6 +511,13 @@ def _json_array(x, what: str) -> list:
     return x
 
 
+def _json_object(x, what: str) -> dict:
+    """A JSON object; an array, a string or null, which would raise when indexed, is rejected."""
+    if type(x) is not dict:
+        raise ParseError(f"{what} must be a JSON object, got {json.dumps(x)}")
+    return x
+
+
 def _json_token(x, what: str) -> str:
     """A name or basis label: a JSON string that is one text-format token,
     so that the document can be written as text and read back."""
@@ -555,6 +562,8 @@ def _dedup(rows: list, what: str) -> dict:
 
 def _algebra_from_obj(obj: dict, field: str = "") -> AlgebraDocument:
     """An algebra object: the document, or the field ``field`` of a context object."""
+    if type(obj) is not dict:
+        raise ParseError(f"expected an algebra object, got {json.dumps(obj)}", field_name=field)
     try:
         if obj["kind"] != "algebra":
             raise ParseError(f"expected an algebra object, got kind {obj['kind']!r}", field_name=field)
@@ -565,10 +574,11 @@ def _algebra_from_obj(obj: dict, field: str = "") -> AlgebraDocument:
                           for i, j, k, c in _json_array(obj["bracket"], "bracket")], "bracket")
         degree, metric = None, {}
         if "metric" in obj:
-            degree = _json_int(obj["metric"]["degree"], "metric degree")
+            m = _json_object(obj["metric"], "metric")
+            degree = _json_int(m["degree"], "metric degree")
             metric = _dedup([_json_entry((i, j), c)
-                             for i, j, c in _json_array(obj["metric"]["entries"], "metric entries")], "metric")
-            _json_keys(obj["metric"], "metric", field)
+                             for i, j, c in _json_array(m["entries"], "metric entries")], "metric")
+            _json_keys(m, "metric", field)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed algebra object: {exc}") from exc
     _json_keys(obj, "algebra", field)

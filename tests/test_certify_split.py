@@ -1,0 +1,164 @@
+"""certify_split: the certificate half of decompose, on a split the caller holds.
+
+decompose is ``_validate_ideal``, then the search for h and a, then
+``certify_split`` on the views the search assembled. The tests below give
+certify_split the views decompose returned and compare the results, pin that
+it reaches no search step, plant a wrong a view and a split that is no
+homogeneous basis, and certify a moved extension along its own blocks, a
+complement decompose's search does not pick.
+"""
+
+import random
+
+import pytest
+
+from generators import change_basis, context_corpus, random_parity_preserving_basis
+from test_decompose_transport import cases
+import superquad.decompose as dec
+from superquad import certify_split, linalg
+from superquad.errors import ClaimViolated
+from superquad.extension import contexts_equal
+
+
+def results():
+    """(g, decompose's result) on the corpus, the catalog and the golden algebras."""
+    return [(g, dec.decompose(g, ideal)) for g, ideal in cases()]
+
+
+def views(res):
+    return res.ideal_view, res.a_view, res.h_view
+
+
+def assert_same(res, want):
+    for name in want.__dataclass_fields__:
+        assert getattr(res, name) == getattr(want, name), name
+    assert res.context.extension == want.context.extension
+
+
+def test_certify_split_of_decompose_views_equals_decompose():
+    """On the views decompose returned, certify_split returns an equal
+    result, without source and with the recovered context as source, which
+    it then returns itself."""
+    done = 0
+    for g, want in results():
+        assert_same(certify_split(g, *views(want)), want)
+        res = certify_split(g, *views(want), source=want.context)
+        assert res.context is want.context
+        assert_same(res, want)
+        done += 1
+    assert done >= 120
+
+
+def test_certify_split_searches_for_nothing(monkeypatch):
+    """With the ideal's checks and every search step patched to raise,
+    certify_split still certifies each split, and decompose cannot."""
+    expected = results()
+
+    def searched(*args, **kwargs):
+        raise AssertionError("certify_split searched")
+
+    for name in ("_validate_ideal", "orthogonal_complement", "witt_complement", "find_central_minimal_ideal"):
+        monkeypatch.setattr(dec, name, searched)
+    for g, want in expected:
+        assert_same(certify_split(g, *views(want)), want)
+    g, want = expected[0]
+    with pytest.raises(AssertionError):
+        dec.decompose(g, want.ideal_basis)
+
+
+def dense_gram(g, cols):
+    return [[g.metric.value(u, v) for v in cols] for u in cols]
+
+
+def test_a_view_shifted_by_h_is_an_isometry_metric_violation():
+    """One a vector plus an h vector of its parity keeps the split a
+    homogeneous basis, but breaks a pairing: certify_split ends in
+    isometry-metric at the first entry, row-major, where the planted split's
+    dense Gram differs from the true one, which equals the extension's metric."""
+    planted = 0
+    for g, res in results():
+        par = g.space.vector_parity
+        a, h = list(res.a_basis), res.h_basis
+        i, w = next(((i, w) for i, x in enumerate(a) for w in h if par(w) == par(x)), (None, None))
+        if i is None:
+            continue
+        a[i] = tuple(c + e for c, e in zip(a[i], w))
+        true_cols = res.a_basis + h + res.ideal_basis
+        gram, want = dense_gram(g, a + list(h) + list(res.ideal_basis)), dense_gram(g, true_cols)
+        p, q = next((p, q) for p, row in enumerate(gram) for q, x in enumerate(row) if x != want[p][q])
+        with pytest.raises(ClaimViolated) as exc:
+            certify_split(g, res.ideal_view, dec._view(a), res.h_view)
+        assert exc.value.claim == "isometry-metric"
+        assert exc.value.violations[0].indices == (p, q)
+        assert exc.value.violations[0].residual == gram[p][q] - want[p][q]
+        planted += 1
+    assert planted >= 120
+
+
+def planted_split(res, plants):
+    """The views of res's I, a and h with vector r of a + h + I replaced by
+    plants[r], for each r in plants."""
+    cols = [*res.a_basis, *res.h_basis, *res.ideal_basis]
+    for r, v in plants.items():
+        cols[r] = v
+    na, nh = len(res.a_view[1]), len(res.h_view[1])
+    return dec._view(cols[na + nh:]), dec._view(cols[:na]), dec._view(cols[na:na + nh])
+
+
+@pytest.mark.parametrize("claim", ["split-homogeneous", "split-basis"])
+def test_a_split_that_is_no_homogeneous_basis_names_its_first_bad_vector(claim):
+    """A vector of a + h + I given a coordinate of the other parity
+    (``split-homogeneous``), or replaced by zero or twice an earlier vector
+    (``split-basis``), is refused with its index in a + h + I as the
+    witness; a second such vector after it changes nothing."""
+    rng = random.Random(claim)
+    planted = 0
+    for g, res in results()[::3]:
+        cols = res.a_basis + res.h_basis + res.ideal_basis
+        n = len(cols)
+
+        def bad(r):
+            if claim == "split-homogeneous":
+                k = next((k for k in range(g.dim) if g.space.parity(k) != g.space.vector_parity(cols[r])), None)
+                return None if k is None else tuple(c + (m == k) for m, c in enumerate(cols[r]))
+            if r == 0 or rng.random() < 0.3:
+                return tuple(0 * c for c in cols[r])
+            return tuple(2 * c for c in cols[rng.randrange(r)])
+
+        r = rng.randrange(n)
+        plants = {r: bad(r)}
+        if r + 1 < n:
+            later = rng.randrange(r + 1, n)
+            plants[later] = bad(later)
+        if None in plants.values():  # no coordinate of the other parity
+            continue
+        with pytest.raises(ClaimViolated) as exc:
+            certify_split(g, *planted_split(res, plants))
+        assert exc.value.claim == claim
+        assert exc.value.violations[0].indices == (r,)
+        planted += 1
+    assert planted >= 40
+
+
+def test_a_moved_extension_certifies_along_its_own_blocks():
+    """A corpus extension moved by a random parity-preserving basis, split
+    along the images of its own a, h and dual block, certifies, and the
+    recovered context is the source's up to labels; along the same ideal,
+    decompose's search picks another complement on most of them, and its
+    context differs from the source: two complements of one ideal."""
+    rng = random.Random(21)
+    certified = other = 0
+    for delta in (0, 1):
+        for ctx in context_corpus(delta, 40, seed=5):
+            g = ctx.extension
+            cols = random_parity_preserving_basis(rng, g.space)
+            m_inv = linalg.inverse(linalg.transpose(cols))
+            images = [tuple(row[k] for row in m_inv) for k in range(g.dim)]  # e_k in the moved basis
+            na, nh = ctx.a.dim, ctx.h.dim
+            g = change_basis(g, cols)
+            ideal, a, h = (dec._view(images[lo:hi]) for lo, hi in ((na + nh, g.dim), (0, na), (na, na + nh)))
+            res = certify_split(g, ideal, a, h, source=ctx)
+            assert contexts_equal(res.context, ctx)
+            certified += 1
+            other += not contexts_equal(dec.decompose(g, images[na + nh:]).context, ctx)
+    assert certified == 80 and other >= 50

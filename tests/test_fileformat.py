@@ -508,6 +508,13 @@ JSON_ERRORS = [
     ("unknown-a-metric-key", CONTEXT, ("a", "metric"), {"degree": 0, "entries": [], "k": 0},
      "input, field a: unknown metric key 'k'"),
     ("unknown-ideal-key", IDEAL, ("vector",), [], "input: unknown ideal key 'vector'"),
+    # a metric, h or a value that is not an object, which would raise Python's TypeError when indexed
+    ("metric-list", ALGEBRA, ("metric",), [1], "input: metric must be a JSON object, got [1]"),
+    ("metric-null", ALGEBRA, ("metric",), None, "input: metric must be a JSON object, got null"),
+    ("context-h-metric-string", CONTEXT, ("h", "metric"), "B", 'input: metric must be a JSON object, got "B"'),
+    ("context-h-string", CONTEXT, ("h",), "h", 'input, field h: expected an algebra object, got "h"'),
+    ("context-a-list", CONTEXT, ("a",), [1], "input, field a: expected an algebra object, got [1]"),
+    ("context-a-null", CONTEXT, ("a",), None, "input, field a: expected an algebra object, got null"),
 ]
 
 

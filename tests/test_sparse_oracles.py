@@ -361,22 +361,17 @@ def ref_split_violation(g, ideal, a_vectors, h_vectors):
 ISOMETRY_CLAIMS = ("isometry-bracket", "isometry-metric")
 
 
-def decompose_along(monkeypatch, g, ideal, a, h):
-    """decompose with the split (a, h, I) fed in: the ideal as given, I-perp
-    as h + I and a as the Witt complement; the ClaimViolated, or None."""
-    ideal, a, h = map(dec._view, (ideal, a, h))
-    with monkeypatch.context() as mp:
-        mp.setattr(dec, "_validate_ideal", lambda *args: ideal)
-        mp.setattr(dec, "orthogonal_complement", lambda *args: dec._join(h, ideal))
-        mp.setattr(dec, "witt_complement", lambda *args, **kwargs: a)
-        try:
-            dec.decompose(g, ideal)
-        except ClaimViolated as exc:
-            return exc
+def decompose_along(g, ideal, a, h):
+    """decompose's certificate, ``certify_split``, of the split (a, h, I)
+    given as rational vectors; the ClaimViolated, or None."""
+    try:
+        dec.certify_split(g, *map(dec._view, (ideal, a, h)))
+    except ClaimViolated as exc:
+        return exc
     return None
 
 
-def test_decompose_refuses_every_split_the_block_rules_refuse(monkeypatch):
+def test_decompose_refuses_every_split_the_block_rules_refuse():
     """Random homogeneous bases cut into a / h / I blocks are rarely an ideal
     split. extract_structure_maps checks no block rule; each split the
     dense reference finds a broken rule in is refused by decompose's
@@ -391,7 +386,7 @@ def test_decompose_refuses_every_split_the_block_rules_refuse(monkeypatch):
             cols = random_parity_preserving_basis(rng, g.space)
             nd = rng.randint(1, g.dim // 2)
             a, h, ideal = cols[:nd], cols[nd:g.dim - nd], cols[g.dim - nd:]
-            exc = decompose_along(monkeypatch, g, ideal, a, h)
+            exc = decompose_along(g, ideal, a, h)
             assert exc is None or exc.claim == "isometry-metric", exc
             refused += exc is not None
             if ref_split_violation(g, ideal, a, h) is not None:
@@ -400,7 +395,7 @@ def test_decompose_refuses_every_split_the_block_rules_refuse(monkeypatch):
     assert found >= 10 and refused == found
 
 
-def test_decompose_refuses_a_planted_witt_complement(monkeypatch):
+def test_decompose_refuses_a_planted_witt_complement():
     """A Witt complement with one vector shifted by an h vector of its
     parity, or scaled by 2, breaks the pairing the isometry's metric
     compares; decompose refuses it with a ClaimViolated."""
@@ -414,13 +409,13 @@ def test_decompose_refuses_a_planted_witt_complement(monkeypatch):
                 plants.append([*a[:i], tuple(c + e for c, e in zip(x, w)), *a[i + 1:]])
                 break
         for planted_a in plants:
-            exc = decompose_along(monkeypatch, g, ideal, planted_a, h)
+            exc = decompose_along(g, ideal, planted_a, h)
             assert exc is not None and exc.claim in ISOMETRY_CLAIMS, exc
         scaled += 1
         shifted += len(plants) - 1
     assert scaled >= 10 and shifted >= 10
     for g, res in splits():  # the same harness, fed the real split, passes
-        assert decompose_along(monkeypatch, g, res.ideal_basis, res.a_basis, res.h_basis) is None
+        assert decompose_along(g, res.ideal_basis, res.a_basis, res.h_basis) is None
 
 
 def planted_tables(monkeypatch, plant):
