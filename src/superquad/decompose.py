@@ -386,7 +386,7 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: tuple,
     na, nh = len(a_vectors[1]), len(h_vectors[1])
     d_c, int_cols = _join(a_vectors, h_vectors, ideal)
     if len(int_cols) != g.dim:
-        raise ValueError("blocks do not fill the algebra")
+        raise ClaimViolated("split-basis", message=f"a + h + I has {len(int_cols)} vectors, dim g is {g.dim}")
     r = next((r for r, v in enumerate(int_cols) if len({g.space.parity(k) for k in v}) > 1), None)
     if r is not None:
         raise ClaimViolated("split-homogeneous", [Violation("split-homogeneous", (r,))])
@@ -531,10 +531,14 @@ def certify_split(g: QuadraticLieSuperAlgebra, ideal_view: tuple, a_view: tuple,
                   source: DeltaContext | None = None) -> DecompositionResult:
     """Certify the split g = a + h + I of three integer views, searching for nothing.
 
+    Each view is brought to lowest terms on entry, so the result compares
+    equal to ``decompose``'s at any scale of the views.
+
     It refuses only under dim a = dim I (``a-superalgebra``), which keeps
     omega's slots in range, a vector of a + h + I that is not homogeneous
     (``split-homogeneous``) or is in the span of those before it
-    (``split-basis``), its index the witness, and the isometry x + u + alpha
+    (``split-basis``), its index the witness, or a + h + I of other than
+    dim g vectors (``split-basis``), and the isometry x + u + alpha
     -> x + u + xi_delta(alpha), pairings first: g's Gram in the (a, h, I)
     basis equals the context's ``extension_metric`` (``isometry-metric``)
     before chi and Phi are derived, then g's bracket there equals its
@@ -563,6 +567,7 @@ def certify_split(g: QuadraticLieSuperAlgebra, ideal_view: tuple, a_view: tuple,
     pairings are compared with. Every claim above still runs, in the same
     order, so any source gives the same result as none.
     """
+    ideal_view, a_view, h_view = (linalg.lowest_terms(*v) for v in (ideal_view, a_view, h_view))
     na, nh, nd = len(a_view[1]), len(h_view[1]), len(ideal_view[1])
     if na != nd:  # before omega is read off on P_delta(a)*, which has dim a slots
         raise ClaimViolated("a-superalgebra", message=f"dim a is {na}, dim I is {nd}")

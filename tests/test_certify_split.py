@@ -2,13 +2,15 @@
 
 decompose is ``_validate_ideal``, then the search for h and a, then
 ``certify_split`` on the views the search assembled. The tests below give
-certify_split the views decompose returned and compare the results, pin that
-it reaches no search step, plant a wrong a view and a split that is no
-homogeneous basis, and certify a moved extension along its own blocks, a
-complement decompose's search does not pick.
+certify_split the views decompose returned and compare the results, also
+with a view not in lowest terms, pin that it reaches no search step, plant a
+wrong a view and a split that is no homogeneous basis or of the wrong size,
+and certify a moved extension along its own blocks, a complement
+decompose's search does not pick.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,9 @@ import superquad.decompose as dec
 from superquad import certify_split, linalg
 from superquad.errors import ClaimViolated
 from superquad.extension import contexts_equal
+from superquad.fileformat import document_to_algebra, parse_document
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def results():
@@ -64,6 +69,36 @@ def test_certify_split_searches_for_nothing(monkeypatch):
     g, want = expected[0]
     with pytest.raises(AssertionError):
         dec.decompose(g, want.ideal_basis)
+
+
+def heisenberg_sample():
+    """The Heisenberg sample and decompose's result along its ideal file."""
+    g = document_to_algebra(parse_document((SAMPLES / "heisenberg.algebra").read_text()))
+    return g, dec.decompose(g, parse_document((SAMPLES / "heisenberg.ideal").read_text()).vectors)
+
+
+def test_certify_split_brings_its_views_to_lowest_terms():
+    """An ideal view given at twice its scale certifies to a result equal to
+    decompose's, ideal view included."""
+    g, want = heisenberg_sample()
+    assert want.ideal_view == (1, ({3: 1},))
+    res = certify_split(g, (2, ({3: 2},)), want.a_view, want.h_view)
+    assert res.ideal_view == want.ideal_view
+    assert res == want
+
+
+@pytest.mark.parametrize("how", ["dropped", "repeated"])
+def test_a_split_of_the_wrong_size_is_a_split_basis_violation(how):
+    """h with its last vector dropped, or its first vector repeated, leaves
+    a + h + I one vector short of dim g or one over: split-basis, with the
+    two counts."""
+    g, res = heisenberg_sample()
+    d, h = res.h_view
+    h = h[:-1] if how == "dropped" else h + h[:1]
+    with pytest.raises(ClaimViolated) as exc:
+        certify_split(g, res.ideal_view, res.a_view, (d, h))
+    assert exc.value.claim == "split-basis"
+    assert str(exc.value) == f"a + h + I has {3 if how == 'dropped' else 5} vectors, dim g is 4"
 
 
 def dense_gram(g, cols):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import superquad
 from superquad.cli import main
 from superquad.errors import ParseError
 from superquad.fileformat import (
@@ -197,6 +198,23 @@ def test_decompose_with_ideal_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_decompose_coprime_along_its_dual_block_and_auto(tmp_path, capsys):
+    """The coprime golden algebra (denominators' lcm above 10^10) split along
+    its non-central 3-dim dual block gives back the context it was built
+    from, byte for byte; split with --ideal auto and written as JSON, the
+    context it recovers extends to an algebra that verifies."""
+    algebra, ideal, out = GOLDEN / "coprime.algebra", tmp_path / "dual.ideal", tmp_path / "dual.context"
+    ideal.write_text("ideal dual\n" + "".join(f"vector {' '.join('1' if k == j else '0' for k in range(10))}\n"
+                                              for j in (7, 8, 9)) + "end ideal\n")
+    assert run(capsys, "decompose", str(algebra), "--ideal", str(ideal), "--out", str(out))[0] == 0
+    assert out.read_bytes() == (GOLDEN / "coprime.context").read_bytes()
+    auto, ext = tmp_path / "auto.json", tmp_path / "auto.algebra"
+    assert run(capsys, "decompose", str(algebra), "--ideal", "auto", "--format", "json", "--out", str(auto))[0] == 0
+    assert run(capsys, "extend", "--context", str(auto), "--out", str(ext))[0] == 0
+    code, out, _ = run(capsys, "verify", str(ext))
+    assert code == 0 and out.endswith("RESULT ok\n")
+
+
 def test_decompose_without_metric_is_a_usage_error(tmp_path, capsys):
     """An algebra document with no metric is refused before it is built:
     exit 2 with ``error:``, no violation line and no output file."""
@@ -242,7 +260,7 @@ def test_decompose_auto_takes_the_radical_line_of_the_centre(tmp_path, capsys):
     canonical vector of the Gram's radical, the line -3 z_1 + z_2, which is
     central, isotropic and orthogonal to the whole centre. decompose along
     it exits 0, and the recovered context extends to an algebra that
-    verifies."""
+    verifies and round-trips."""
     from superquad.decompose import find_central_minimal_ideal
     from superquad.fileformat import document_to_algebra
     from superquad.linalg import nullspace
@@ -262,6 +280,8 @@ def test_decompose_auto_takes_the_radical_line_of_the_centre(tmp_path, capsys):
     assert run(capsys, "extend", "--context", str(ctx), "--out", str(alg))[0] == 0
     code, out, _ = run(capsys, "verify", str(alg))
     assert code == 0 and out.endswith("RESULT ok\n")
+    code, out, _ = run(capsys, "roundtrip", str(ctx))  # a degree-0 context
+    assert code == 0 and out.endswith("\nPASS\n")
 
 
 def test_decompose_empty_ideal_document_is_a_usage_error(tmp_path, capsys):
@@ -454,10 +474,11 @@ def test_parse_errors_name_the_document_path(tmp_path, capsys):
     ones, a file that is missing or not UTF-8 (one path, not two), a
     context and an ideal cut off before their end lines, a JSON object cut
     off, JSON that is an array, whole or cut off, a JSON context whose h
-    object is not an algebra object, an out-of-range bracket entry in text
-    and in JSON, where the same text follows the location, and, in text and
-    JSON, an algebra with a repeated label and a context whose h label is
-    its a label's dual, both found while the document is converted."""
+    object is not an algebra object, a JSON algebra whose metric key is
+    misspelt, an out-of-range bracket entry in text and in JSON, where the
+    same text follows the location, and, in text and JSON, an algebra with
+    a repeated label and a context whose h label is its a label's dual,
+    both found while the document is converted."""
     ideal, ctx, latin, bad_json = (tmp_path / name for name in ("bad.ideal", "bad.context", "latin.algebra", "b.json"))
     empty, short, flat, zero = (tmp_path / name for name in ("e.ideal", "s.ideal", "flat.algebra", "zero.context"))
     ideal.write_text("ideal bad\nvector 1/0 0 0 0\nend ideal\n")
@@ -474,7 +495,9 @@ def test_parse_errors_name_the_document_path(tmp_path, capsys):
     cut_context = context.read_text().replace("end context\n", "")
     w = {"b.algebra": "algebra b\nbasis x 0\nbracket 0 0 3 1\nend algebra\n", "cut.context": cut_context,
          "cut.ideal": "ideal i\nvector 0 0 0 1\n", "cut.json": '{"kind": "algebra", "name": "b"',
-         "array.json": "[1, 2]\n", "cut-array.json": "[1, 2", "h.json": json.dumps(h_ideal)}
+         "array.json": "[1, 2]\n", "cut-array.json": "[1, 2", "h.json": json.dumps(h_ideal),
+         "metrc.json": json.dumps({"kind": "algebra", "name": "t", "basis": [["x", 0]], "bracket": [],
+                                   "metrc": {"degree": 0, "entries": [[0, 0, "1"]]}})}
     for name, content in w.items():
         (tmp_path / name).write_text(content)
         w[name] = tmp_path / name
@@ -504,6 +527,7 @@ def test_parse_errors_name_the_document_path(tmp_path, capsys):
             (("verify", w["cut-array.json"]), f"{w['cut-array.json']}: line 1: bad JSON: Expecting ',' delimiter"),
             (("extend", "--context", w["h.json"], "--out", out),
              f"{w['h.json']}: field h: expected an algebra object, got kind 'ideal'"),
+            (("verify", w["metrc.json"]), f"{w['metrc.json']}: unknown algebra key 'metrc'"),
             *_conversion_errors(tmp_path, out)):
         code, stdout, err = run(capsys, *map(str, argv))
         assert (code, stdout, err) == (2, "", f"error: {expected}\n"), argv
@@ -550,14 +574,14 @@ def test_non_ascii_label_reads_and_writes_under_an_ascii_locale(tmp_path):
     ctx = tmp_path / "eps.context"
     ctx.write_text((SAMPLES / "heisenberg.context").read_text().replace("basis e 0", "basis \u03b5 0"),
                    encoding="utf-8")
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    package_root = str(Path(superquad.__file__).resolve().parent.parent)  # the package under test
     outputs = []
     for name, env in (("utf8", {"PYTHONUTF8": "1"}),
                       ("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})):
         out = tmp_path / f"{name}.algebra"
         proc = subprocess.run(
             [sys.executable, "-m", "superquad.cli", "extend", "--context", str(ctx), "--out", str(out)],
-            env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True, text=True)
+            env={**os.environ, "PYTHONPATH": package_root, **env}, capture_output=True, text=True)
         assert proc.returncode == 0, (name, proc.stderr)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] and "basis \u03b5 0".encode() in outputs[0]
@@ -579,6 +603,23 @@ def test_json_context_through_decompose(tmp_path, capsys):
     ext = tmp_path / "re.alg"
     assert run(capsys, "extend", "--context", str(ctx_json), "--out", str(ext))[0] == 0
     assert ext.read_bytes() == (SAMPLES / "heisenberg.algebra").read_bytes()
+
+
+def test_pairs_8_text_and_json_agree(tmp_path, capsys):
+    """The pairs-8 catalog algebra written as text and as JSON gives the same
+    verify report; its JSON context extends to the text algebra byte for
+    byte and round-trips."""
+    text, doc, ctx, ext = (tmp_path / name for name in ("h8.algebra", "h8.json", "h8c.json", "h8c.algebra"))
+    pairs = ("catalog", "heisenberg", "--pairs", "8")
+    assert run(capsys, *pairs, "--out", str(text))[0] == 0
+    assert run(capsys, *pairs, "--format", "json", "--out", str(doc))[0] == 0
+    assert run(capsys, *pairs, "--emit", "context", "--format", "json", "--out", str(ctx))[0] == 0
+    want = run(capsys, "verify", str(text))
+    assert want[0] == 0 and run(capsys, "verify", str(doc)) == want
+    assert run(capsys, "extend", "--context", str(ctx), "--out", str(ext))[0] == 0
+    assert ext.read_bytes() == text.read_bytes()
+    code, out, _ = run(capsys, "roundtrip", str(ctx))
+    assert code == 0 and out.endswith("\nPASS\n")
 
 
 def _json_doc(sample):
@@ -1044,7 +1085,7 @@ def test_non_ascii_name_prints_escaped_under_an_ascii_locale(tmp_path, command):
     doc = tmp_path / f"eps.{kind}"
     doc.write_text((SAMPLES / f"heisenberg.{kind}").read_text().replace(
         f"{kind} heisenberg\n", f"{kind} \u03b5\n"), encoding="utf-8")
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    package_root = str(Path(superquad.__file__).resolve().parent.parent)  # the package under test
     out = tmp_path / "out"
     argv = {"extend": ["extend", "--context", str(doc), "--out", str(out)],
             "verify": ["verify", str(doc)],
@@ -1053,7 +1094,7 @@ def test_non_ascii_name_prints_escaped_under_an_ascii_locale(tmp_path, command):
     for name, env in (("utf8", {"PYTHONUTF8": "1"}),
                       ("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})):
         proc = subprocess.run([sys.executable, "-m", "superquad.cli", *argv],
-                              env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True)
+                              env={**os.environ, "PYTHONPATH": package_root, **env}, capture_output=True)
         assert (proc.returncode, proc.stderr) == (0, b""), name
         outputs.append((proc.stdout, out.read_bytes() if out.exists() else None))
     assert outputs[0] == outputs[1]
