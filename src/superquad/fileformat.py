@@ -14,9 +14,11 @@ rules, written once for both: parity, metric degree and delta are 0 or 1,
 every index read is inside its bound, a zero coefficient's too, and an
 ideal's vectors have one length. A broken rule reads the same in both
 syntaxes after its location: the entry's line in text, ``input`` in JSON.
-A JSON object has only its kind's keys, and a document built by hand meets
-the range rule once made a structure. ``document_to_context`` adds that the
-h-algebra has a metric, the a-algebra none.
+JSON has two rules of its own: an object has each key of its kind, once,
+and no other (an algebra's metric may be left out), and a table's entries
+are arrays of its width. A leading byte order mark is ignored. A document
+built by hand meets the range rule once made a structure.
+``document_to_context`` adds that the h-algebra has a metric, the a-algebra none.
 
 The readers keep each table as integers, ``(d, {indices: n})``; the
 ``Fraction`` entry tuples of the document classes are built only when read,
@@ -484,17 +486,45 @@ def _algebra_obj(doc: AlgebraDocument) -> dict:
     return obj
 
 
-# the keys of each JSON object; any other is refused, as the text reader refuses a line it does not know
+# the keys of each kind of JSON object, each required but an algebra's "metric"; any
+# other is refused, as the text reader refuses a line it does not know
 _JSON_KEYS = {"algebra": ("kind", "name", "basis", "bracket", "metric"), "metric": ("degree", "entries"),
               "context": ("kind", "name", "delta", "h", "a", "rho", "lambda", "omega"),
               "ideal": ("kind", "name", "vectors")}
 
+# the entry of each JSON table, spelt as the text reader's messages spell its line
+_JSON_ENTRIES = {"basis": "[LABEL, PARITY]", "metric": "[I, J, COEFF]",
+                 **dict.fromkeys(("bracket", "rho", "lambda", "omega"), "[I, J, K, COEFF]")}
 
-def _json_keys(obj: dict, what: str, field: str = "") -> None:
-    """Refuse the first key of a JSON ``what`` object that is not one of its kind's."""
-    for key in obj:
-        if key not in _JSON_KEYS[what]:
-            raise ParseError(f"unknown {what} key {key!r}", field_name=field)
+
+def _dedup(pairs: list, message: str) -> dict:
+    """dict(pairs), whose keys must differ: the first repeated one is refused, formatted into ``message``."""
+    table = dict(pairs)
+    if len(table) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(message.format(key))
+            seen.add(key)
+    return table
+
+
+# json alone would keep the last value of a key written twice in an object
+_DECODER = json.JSONDecoder(object_pairs_hook=functools.partial(_dedup, message="duplicate key {!r} in a JSON object"))
+
+
+def _json_object(x, kind: str, field: str = "") -> dict:
+    """The object rule: a JSON object with each key of its kind, once (``_DECODER``), and no other."""
+    if type(x) is not dict:
+        raise ParseError(f"{kind} must be a JSON object, got {json.dumps(x)}")
+    keys = _JSON_KEYS[kind]
+    for key in x:
+        if key not in keys:
+            raise ParseError(f"unknown {kind} key {key!r}", field_name=field)
+    for key in keys:
+        if key not in x and key != "metric":
+            raise ParseError(f"missing {kind} key {key!r}", field_name=field)
+    return x
 
 
 def _json_int(x, what: str = "index") -> int:
@@ -508,13 +538,6 @@ def _json_array(x, what: str) -> list:
     """A JSON array; a string or an object, which would iterate as one, is rejected."""
     if type(x) is not list:
         raise ParseError(f"{what} must be a JSON array, got {json.dumps(x)}")
-    return x
-
-
-def _json_object(x, what: str) -> dict:
-    """A JSON object; an array, a string or null, which would raise when indexed, is rejected."""
-    if type(x) is not dict:
-        raise ParseError(f"{what} must be a JSON object, got {json.dumps(x)}")
     return x
 
 
@@ -544,44 +567,45 @@ def _json_entry(indices: tuple, c) -> tuple:
     for i in indices:
         if type(i) is not int:
             _json_int(i)  # raises, naming the value
-    return indices, _json_ratio(c)
+    return indices, _ratio(c) if type(c) is str else _json_ratio(c)  # the writer's strings without a second call
 
 
-def _dedup(rows: list, what: str) -> dict:
-    """The table {indices: coefficient} of (indices, coefficient) rows, zeros
-    included; the first repeated index tuple is refused."""
-    table = dict(rows)
-    if len(table) < len(rows):
-        seen = set()
-        for key, _ in rows:
-            if key in seen:
-                raise ParseError(f"duplicate {what} entry {key}")
-            seen.add(key)
-    return table
+def _json_table(x, name: str, what: str = ""):
+    """The entry rule: table ``name`` (``what`` if given) is a JSON array of arrays of its width.
+    The rows are unpacked as they are read; the first that breaks the rule is looked for only when
+    that fails. The basis reads as (label, parity) pairs, any other table as {indices: (n, q)},
+    a repeated index tuple refused."""
+    rows = _json_array(x, what or name)
+    if set(map(type, rows)) <= {list}:  # a string or an object would unpack as an entry
+        try:
+            if name == "basis":
+                return [(_json_token(l, "basis label"), _json_int(p, "parity")) for l, p in rows]
+            entries = ([_json_entry((i, j), c) for i, j, c in rows] if name == "metric" else
+                       [_json_entry((i, j, k), c) for i, j, k, c in rows])
+        except ValueError:  # an entry of another width
+            pass
+        else:
+            return _dedup(entries, f"duplicate {name} entry {{}}")
+    form = _JSON_ENTRIES[name]
+    k = next(k for k, row in enumerate(rows) if type(row) is not list or len(row) != form.count(",") + 1)
+    raise ParseError(f"{name} entry {k} must be {form}, got {json.dumps(rows[k])}")
 
 
-def _algebra_from_obj(obj: dict, field: str = "") -> AlgebraDocument:
+def _algebra_from_obj(obj, field: str = "") -> AlgebraDocument:
     """An algebra object: the document, or the field ``field`` of a context object."""
     if type(obj) is not dict:
         raise ParseError(f"expected an algebra object, got {json.dumps(obj)}", field_name=field)
-    try:
-        if obj["kind"] != "algebra":
-            raise ParseError(f"expected an algebra object, got kind {obj['kind']!r}", field_name=field)
-        name = _json_token(obj["name"], "name")
-        basis = [(_json_token(l, "basis label"), _json_int(p, "parity"))
-                 for l, p in _json_array(obj["basis"], "basis")]
-        bracket = _dedup([_json_entry((i, j, k), c)
-                          for i, j, k, c in _json_array(obj["bracket"], "bracket")], "bracket")
-        degree, metric = None, {}
-        if "metric" in obj:
-            m = _json_object(obj["metric"], "metric")
-            degree = _json_int(m["degree"], "metric degree")
-            metric = _dedup([_json_entry((i, j), c)
-                             for i, j, c in _json_array(m["entries"], "metric entries")], "metric")
-            _json_keys(m, "metric", field)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed algebra object: {exc}") from exc
-    _json_keys(obj, "algebra", field)
+    if obj.get("kind", "algebra") != "algebra":  # a missing kind is the object rule's to name
+        raise ParseError(f"expected an algebra object, got kind {obj['kind']!r}", field_name=field)
+    _json_object(obj, "algebra", field)
+    name = _json_token(obj["name"], "name")
+    basis = _json_table(obj["basis"], "basis")
+    bracket = _json_table(obj["bracket"], "bracket")
+    degree, metric = None, {}
+    if "metric" in obj:
+        m = _json_object(obj["metric"], "metric", field)
+        degree = _json_int(m["degree"], "metric degree")
+        metric = _json_table(m["entries"], "metric", "metric entries")
     return _algebra_document(name, basis, degree, bracket, metric, _input)
 
 
@@ -611,23 +635,16 @@ def document_from_obj(obj: dict) -> Document:
     if kind == "algebra":
         return _algebra_from_obj(obj)
     if kind == "context":
-        try:
-            name, delta = _json_token(obj["name"], "name"), _json_int(obj["delta"], "delta")
-            h_doc, a_doc = _algebra_from_obj(obj["h"], "h"), _algebra_from_obj(obj["a"], "a")
-            tables = {key: _dedup([_json_entry((i, j, k), c) for i, j, k, c in _json_array(obj[key], key)], key)
-                      for key in ("rho", "lambda", "omega")}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed context object: {exc}") from exc
-        _json_keys(obj, "context")
+        _json_object(obj, "context")
+        name, delta = _json_token(obj["name"], "name"), _json_int(obj["delta"], "delta")
+        h_doc, a_doc = _algebra_from_obj(obj["h"], "h"), _algebra_from_obj(obj["a"], "a")
+        tables = {key: _json_table(obj[key], key) for key in ("rho", "lambda", "omega")}
         return _context_document(name, delta, h_doc, a_doc, tables, _input)
     if kind == "ideal":
-        try:
-            name = _json_token(obj["name"], "name")
-            vectors = [tuple(Fraction(*_json_ratio(c)) for c in _json_array(v, f"ideal vector {r}"))
-                       for r, v in enumerate(_json_array(obj["vectors"], "vectors"))]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed ideal object: {exc}") from exc
-        _json_keys(obj, "ideal")
+        _json_object(obj, "ideal")
+        name = _json_token(obj["name"], "name")
+        vectors = [tuple(Fraction(*_json_ratio(c)) for c in _json_array(v, f"ideal vector {r}"))
+                   for r, v in enumerate(_json_array(obj["vectors"], "vectors"))]
         return _ideal_document(name, vectors, _input)
     raise ParseError(f"unknown document kind {kind!r}")
 
@@ -643,12 +660,13 @@ def serialize_document(doc: Document, fmt: str = "text") -> str:
 
 
 def parse_document(text: str) -> Document:
+    text = text.removeprefix("\ufeff")  # the byte order mark that some editors write first
     if text.lstrip().startswith(("{", "[")):
         try:
-            obj = json.loads(text)
+            obj = _DECODER.decode(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", exc.lineno) from exc
-        except ValueError as exc:  # int's digit limit, the only other ValueError of json.loads
+        except ValueError as exc:  # int's digit limit, the only other ValueError of decode
             raise ParseError("bad JSON: an integer literal has too many digits") from exc
         except RecursionError as exc:
             raise ParseError("bad JSON: nested too deeply") from exc

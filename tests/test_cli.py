@@ -688,6 +688,25 @@ def test_json_context_bool_delta_and_float_rho_exit_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_json_key_written_twice_exit_2(tmp_path, capsys):
+    """A key written twice is refused, not read as its last value: the
+    Heisenberg bracket followed by an empty one would verify as abelian."""
+    text = serialize_document(parse_document((SAMPLES / "heisenberg.algebra").read_text()), "json")
+    f = tmp_path / "twice.json"
+    f.write_text(text.replace('"kind":', '"bracket":[],"kind":', 1))
+    code, out, err = run(capsys, "verify", str(f))
+    assert (code, out, err) == (2, "", f"error: {f}: duplicate key 'bracket' in a JSON object\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_byte_order_mark_is_ignored(tmp_path, capsys, fmt):
+    """A document saved with a UTF-8 byte order mark verifies as the one without it."""
+    sample = SAMPLES / "heisenberg.algebra"
+    f = tmp_path / "bom.algebra"
+    f.write_text("\ufeff" + serialize_document(parse_document(sample.read_text()), fmt), encoding="utf-8")
+    assert run(capsys, "verify", str(f)) == run(capsys, "verify", str(sample))
+
+
 def test_json_ideal_float_and_zero_denominator_exit_2(tmp_path, capsys):
     """A float or zero-denominator coefficient, or a vector written as a
     string of digits, which would iterate as one, is a parse error: exit 2

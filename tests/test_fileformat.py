@@ -1,7 +1,10 @@
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superquad.algebra import QuadraticLieSuperAlgebra
 from superquad.catalog import (
@@ -21,11 +24,14 @@ from superquad.fileformat import (
     context_to_document,
     document_to_algebra,
     document_to_context,
+    document_to_obj,
     parse_document,
     serialize_document,
 )
+from test_properties import algebra_docs, context_docs, ideal_docs
 
 F = Fraction
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def heis_doc():
@@ -427,13 +433,65 @@ def test_text_reader_error_texts(text, message):
 
 DELETE = object()
 
+
+class Again:
+    """An edit that keeps a key's value and writes the key a second time,
+    with ``value``; ``first`` is the value kept."""
+
+    def __init__(self, value, first=None):
+        self.value, self.first = value, first
+
+
+def dumps(x) -> str:
+    """json.dumps of x, except that a key whose value is an ``Again`` is
+    written twice: with the value kept, then with the new one."""
+    if isinstance(x, list):
+        return "[" + ", ".join(map(dumps, x)) + "]"
+    if not isinstance(x, dict):
+        return json.dumps(x)
+    pairs = [(k, w) for k, v in x.items() for w in ((v.first, v.value) if isinstance(v, Again) else (v,))]
+    return "{" + ", ".join(f"{json.dumps(k)}: {dumps(v)}" for k, v in pairs) + "}"
+
+
+def at(obj, path: tuple):
+    """The value at path in obj."""
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def planted(obj, path: tuple, value) -> str:
+    """The JSON text of obj with the value at path set to value, removed if
+    value is DELETE, or kept and written again if it is an ``Again``."""
+    *parents, last = path
+    target = at(obj, parents)
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = Again(value.value, target[last]) if isinstance(value, Again) else value
+    return dumps(obj)
+
+
 # (id, base document, path to the changed value, new value, message); a path
-# of a list entry holds its index, DELETE removes the key
+# of a list entry holds its index, DELETE removes the key, Again(v) writes it twice
 JSON_ERRORS = [
+    # the entry rule: each entry of a table is an array of the table's width
     ("bracket-too-few", ALGEBRA, ("bracket", 0), [0, 0, 1],
-     "input: malformed algebra object: not enough values to unpack (expected 4, got 3)"),
+     "input: bracket entry 0 must be [I, J, K, COEFF], got [0, 0, 1]"),
     ("bracket-too-many", ALGEBRA, ("bracket", 0), [0, 0, 1, "1", 0],
-     "input: malformed algebra object: too many values to unpack (expected 4)"),
+     'input: bracket entry 0 must be [I, J, K, COEFF], got [0, 0, 1, "1", 0]'),
+    # a string or an object of the table's width would iterate as an entry
+    ("bracket-entry-string", ALGEBRA, ("bracket", 0), "0001",
+     'input: bracket entry 0 must be [I, J, K, COEFF], got "0001"'),
+    ("bracket-entry-object", ALGEBRA, ("bracket", 0), {"i": 0, "j": 0, "k": 1, "c": "1"},
+     'input: bracket entry 0 must be [I, J, K, COEFF], got {"i": 0, "j": 0, "k": 1, "c": "1"}'),
+    ("bracket-entry-number", ALGEBRA, ("bracket", 0), 7, "input: bracket entry 0 must be [I, J, K, COEFF], got 7"),
+    ("basis-entry-string", ALGEBRA, ("basis", 0), "y0", 'input: basis entry 0 must be [LABEL, PARITY], got "y0"'),
+    ("basis-entry-null", ALGEBRA, ("basis", 1), None, "input: basis entry 1 must be [LABEL, PARITY], got null"),
+    ("metric-entry-string", ALGEBRA, ("metric", "entries", 0), "011",
+     'input: metric entry 0 must be [I, J, COEFF], got "011"'),
+    ("metric-entry-too-many", ALGEBRA, ("metric", "entries", 1), [1, 0, "1", "1"],
+     'input: metric entry 1 must be [I, J, COEFF], got [1, 0, "1", "1"]'),
     ("bracket-not-a-list", ALGEBRA, ("bracket",), 3, "input: bracket must be a JSON array, got 3"),
     # a string or an object where an array belongs would iterate as one
     ("bracket-object", ALGEBRA, ("bracket",), {}, "input: bracket must be a JSON array, got {}"),
@@ -441,12 +499,11 @@ JSON_ERRORS = [
     ("basis-string", ALGEBRA, ("basis",), "", 'input: basis must be a JSON array, got ""'),
     ("metric-entries-object", ALGEBRA, ("metric", "entries"), {},
      "input: metric entries must be a JSON array, got {}"),
-    ("bracket-missing", ALGEBRA, ("bracket",), DELETE, "input: malformed algebra object: 'bracket'"),
-    ("basis-entry-too-few", ALGEBRA, ("basis", 0), ["x"],
-     "input: malformed algebra object: not enough values to unpack (expected 2, got 1)"),
-    ("metric-entries-missing", ALGEBRA, ("metric", "entries"), DELETE, "input: malformed algebra object: 'entries'"),
+    ("bracket-missing", ALGEBRA, ("bracket",), DELETE, "input: missing algebra key 'bracket'"),
+    ("basis-entry-too-few", ALGEBRA, ("basis", 0), ["x"], 'input: basis entry 0 must be [LABEL, PARITY], got ["x"]'),
+    ("metric-entries-missing", ALGEBRA, ("metric", "entries"), DELETE, "input: missing metric key 'entries'"),
     ("metric-too-few", ALGEBRA, ("metric", "entries", 1), [1, "1"],
-     "input: malformed algebra object: not enough values to unpack (expected 3, got 2)"),
+     'input: metric entry 1 must be [I, J, COEFF], got [1, "1"]'),
     ("bracket-bad-i", ALGEBRA, ("bracket", 0, 0), "0", 'input: index must be a JSON integer, got "0"'),
     ("bracket-bad-j", ALGEBRA, ("bracket", 0, 1), 0.0, "input: index must be a JSON integer, got 0.0"),
     ("bracket-bad-k", ALGEBRA, ("bracket", 0, 2), True, "input: index must be a JSON integer, got true"),
@@ -467,15 +524,26 @@ JSON_ERRORS = [
      "input: coefficient must be a rational string or a JSON integer, got false"),
     ("bad-name", ALGEBRA, ("name",), "a b", 'input: name "a b" must be nonempty, without whitespace or \'#\''),
     ("bad-label", ALGEBRA, ("basis", 1, 0), 7, "input: basis label must be a JSON string, got 7"),
-    ("context-missing", CONTEXT, ("omega",), DELETE, "input: malformed context object: 'omega'"),
+    ("context-missing", CONTEXT, ("omega",), DELETE, "input: missing context key 'omega'"),
     ("context-rho-too-few", CONTEXT, ("rho", 0), [0, 0, "1"],
-     "input: malformed context object: not enough values to unpack (expected 4, got 3)"),
+     'input: rho entry 0 must be [I, J, K, COEFF], got [0, 0, "1"]'),
     ("context-lambda-too-many", CONTEXT, ("lambda", 0), [0, 0, 1, "1", "1"],
-     "input: malformed context object: too many values to unpack (expected 4)"),
-    ("context-h-malformed", CONTEXT, ("h", "basis"), DELETE, "input: malformed algebra object: 'basis'"),
+     'input: lambda entry 0 must be [I, J, K, COEFF], got [0, 0, 1, "1", "1"]'),
+    ("context-omega-string", CONTEXT, ("omega", 0), "0001",
+     'input: omega entry 0 must be [I, J, K, COEFF], got "0001"'),
+    ("context-h-malformed", CONTEXT, ("h", "basis"), DELETE, "input, field h: missing algebra key 'basis'"),
     ("context-h-not-an-algebra", CONTEXT, ("h", "kind"), "ideal",
      "input, field h: expected an algebra object, got kind 'ideal'"),
-    ("context-a-kind-missing", CONTEXT, ("a", "kind"), DELETE, "input: malformed algebra object: 'kind'"),
+    ("context-a-kind-missing", CONTEXT, ("a", "kind"), DELETE, "input, field a: missing algebra key 'kind'"),
+    ("context-a-bracket-missing", CONTEXT, ("a", "bracket"), DELETE, "input, field a: missing algebra key 'bracket'"),
+    ("context-h-metric-degree-missing", CONTEXT, ("h", "metric", "degree"), DELETE,
+     "input, field h: missing metric key 'degree'"),
+    ("context-h-basis-entry-too-many", CONTEXT, ("h", "basis", 1), ["f", 1, 0],
+     'input: basis entry 1 must be [LABEL, PARITY], got ["f", 1, 0]'),
+    ("context-h-metric-entry-object", CONTEXT, ("h", "metric", "entries", 0), {"0": 0, "1": 1, "c": "1"},
+     'input: metric entry 0 must be [I, J, COEFF], got {"0": 0, "1": 1, "c": "1"}'),
+    ("context-a-basis-entry-string", CONTEXT, ("a", "basis", 0), "x0",
+     'input: basis entry 0 must be [LABEL, PARITY], got "x0"'),
     ("bad-delta-int", CONTEXT, ("delta",), "1", 'input: delta must be a JSON integer, got "1"'),
     ("rho-bad-i", CONTEXT, ("rho", 0, 0), "0", 'input: index must be a JSON integer, got "0"'),
     ("lambda-bad-j", CONTEXT, ("lambda", 0, 1), 0.5, "input: index must be a JSON integer, got 0.5"),
@@ -500,6 +568,19 @@ JSON_ERRORS = [
     ("ideal-float", IDEAL, ("vectors", 0, 3), 1.5,
      "input: coefficient must be a rational string or a JSON integer, got 1.5"),
     ("unknown-kind", IDEAL, ("kind",), "widget", "input: unknown document kind 'widget'"),
+    # the object rule: an object holds each key of its kind (an algebra's metric is optional), once, and no other
+    ("name-missing", ALGEBRA, ("name",), DELETE, "input: missing algebra key 'name'"),
+    ("metric-degree-missing", ALGEBRA, ("metric", "degree"), DELETE, "input: missing metric key 'degree'"),
+    ("context-delta-missing", CONTEXT, ("delta",), DELETE, "input: missing context key 'delta'"),
+    ("context-h-missing", CONTEXT, ("h",), DELETE, "input: missing context key 'h'"),
+    ("ideal-vectors-missing", IDEAL, ("vectors",), DELETE, "input: missing ideal key 'vectors'"),
+    # a key written twice, which json alone reads as its last value: a non-abelian bracket then an empty one
+    ("bracket-twice", ALGEBRA, ("bracket",), Again([]), "input: duplicate key 'bracket' in a JSON object"),
+    ("metric-degree-twice", ALGEBRA, ("metric", "degree"), Again(0), "input: duplicate key 'degree' in a JSON object"),
+    ("context-rho-twice", CONTEXT, ("rho",), Again([]), "input: duplicate key 'rho' in a JSON object"),
+    ("context-h-basis-twice", CONTEXT, ("h", "basis"), Again([]), "input: duplicate key 'basis' in a JSON object"),
+    ("context-a-kind-twice", CONTEXT, ("a", "kind"), Again("algebra"), "input: duplicate key 'kind' in a JSON object"),
+    ("ideal-vectors-twice", IDEAL, ("vectors",), Again([]), "input: duplicate key 'vectors' in a JSON object"),
     # a key that the object's kind does not have, as a text line that its block does not have
     ("unknown-algebra-key", ALGEBRA, ("metrc",), {"degree": 1, "entries": []}, "input: unknown algebra key 'metrc'"),
     ("unknown-metric-key", ALGEBRA, ("metric", "degre"), 1, "input: unknown metric key 'degre'"),
@@ -520,16 +601,7 @@ JSON_ERRORS = [
 
 def edited(base: str, path: tuple, value) -> str:
     """The JSON rendering of the text document base with one value changed."""
-    obj = json.loads(serialize_document(parse_document(base), "json"))
-    *parents, last = path
-    target = obj
-    for key in parents:
-        target = target[key]
-    if value is DELETE:
-        del target[last]
-    else:
-        target[last] = value
-    return json.dumps(obj)
+    return planted(json.loads(serialize_document(parse_document(base), "json")), path, value)
 
 
 @pytest.mark.parametrize("blob, message", [(edited(*case[1:4]), case[4]) for case in JSON_ERRORS]
@@ -540,3 +612,76 @@ def test_json_reader_error_texts(blob, message):
         parse_document(blob)
     assert str(exc.value) == message
 
+
+# ---------------------------------------------------------------------------
+# The object and entry rules on generated documents
+
+ENTRY_FORMS = {"basis": "[LABEL, PARITY]", "bracket": "[I, J, K, COEFF]", "metric": "[I, J, COEFF]",
+               "rho": "[I, J, K, COEFF]", "lambda": "[I, J, K, COEFF]", "omega": "[I, J, K, COEFF]"}
+REQUIRED = {"algebra": ("kind", "name", "basis", "bracket"), "metric": ("degree", "entries"),
+            "context": ("kind", "name", "delta", "h", "a", "rho", "lambda", "omega"),
+            "ideal": ("kind", "name", "vectors")}
+
+
+def shape_defects(obj) -> list:
+    """Every single shape defect of a document's JSON object, each as (path,
+    new value, the message the reader must give, its field): a required key
+    dropped (but the top level's kind, which says what the document is) or
+    written twice, an unknown key, an entry shortened, lengthened or
+    replaced by a string or object of its length, h, a or a metric made a list."""
+    objects = [((), obj["kind"], "")] + [((f,), "algebra", f) for f in ("h", "a") if f in obj]
+    objects += [(path + ("metric",), "metric", field) for path, kind, field in objects
+                if kind == "algebra" and "metric" in at(obj, path)]
+    tables = [(path + (name,), name) for path, kind, _ in objects if kind == "algebra" for name in ("basis", "bracket")]
+    tables += [(path + ("entries",), "metric") for path, kind, _ in objects if kind == "metric"]
+    tables += [((name,), name) for name in ("rho", "lambda", "omega") if obj["kind"] == "context"]
+    out = []
+    for path, kind, field in objects:
+        out += [(path + (key,), DELETE, f"missing {kind} key {key!r}", field)
+                for key in REQUIRED[kind] if path or key != "kind"]
+        out += [(path + (key,), Again(value), f"duplicate key {key!r} in a JSON object", "")
+                for key, value in at(obj, path).items()]
+        out.append((path + ("extra",), 0, f"unknown {kind} key 'extra'", field))
+        made_list = [at(obj, path)]
+        if kind == "metric":
+            out.append((path, made_list, f"metric must be a JSON object, got {json.dumps(made_list)}", ""))
+        elif path:
+            out.append((path, made_list, f"expected an algebra object, got {json.dumps(made_list)}", field))
+    for path, name in tables:
+        for k, entry in enumerate(at(obj, path)):
+            for bad in (entry[:-1], entry + [0], "0" * len(entry), {str(n): v for n, v in enumerate(entry)}):
+                message = f"{name} entry {k} must be {ENTRY_FORMS[name]}, got {json.dumps(bad)}"
+                out.append((path + (k,), bad, message, ""))
+    return out
+
+
+documents = st.one_of(algebra_docs(), context_docs(), ideal_docs())
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents, st.data())
+def test_a_shape_defect_is_refused_by_the_readers_own_rule(doc, data):
+    """One planted shape defect gives the object or entry rule's message,
+    never Python's own wording (``unpack``, a bare quoted key)."""
+    obj = document_to_obj(doc)
+    path, value, message, field = data.draw(st.sampled_from(shape_defects(obj)))
+    with pytest.raises(ParseError) as exc:
+        parse_document(planted(obj, path, value))
+    assert (exc.value.message, exc.value.field_name) == (message, field)
+    assert "unpack" not in exc.value.message and not re.fullmatch(r"'[^']*'", exc.value.message)
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents)
+def test_json_twin_reads_equal_to_its_text(doc):
+    text = serialize_document(doc)
+    assert parse_document(json_twin(text)) == parse_document(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("sample", sorted(p.name for p in SAMPLES.iterdir()))
+def test_a_leading_byte_order_mark_is_ignored(sample, fmt):
+    """A document that an editor saved with a UTF-8 byte order mark reads as
+    the one without it, in both syntaxes."""
+    doc = parse_document((SAMPLES / sample).read_text())
+    assert parse_document("\ufeff" + serialize_document(doc, fmt)) == doc

@@ -1,5 +1,6 @@
 """Every module of the package except ``__init__`` uses each name it
-imports, and every definition in it is reached from the package itself."""
+imports, every definition in it is reached from the package itself, and
+no handler in it catches Python's KeyError or TypeError."""
 
 import ast
 from collections import Counter
@@ -33,6 +34,28 @@ def test_no_unused_imports():
 def test_unused_import_is_reported():
     source = "from .algebra import cyclic_residual, is_derivation\n\nis_derivation(1)\n"
     assert unused_imports(source) == ["line 1: cyclic_residual"]
+
+
+def python_error_handlers(source: str) -> list[str]:
+    """The ``except`` clauses of source that name KeyError or TypeError, as
+    ``line N``: such a handler turns a Python error into a result or a
+    parse error whose text is Python's, where each refusal should be a rule
+    of the package's own."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and {"KeyError", "TypeError"} & {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}]
+
+
+def test_no_handler_catches_key_or_type_errors():
+    found = {p.name: python_error_handlers(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_python_error_handler_is_reported():
+    source = ("try:\n    f()\nexcept (KeyError, ValueError):\n    pass\n"
+              "try:\n    f()\nexcept ValueError:\n    pass\nexcept TypeError as exc:\n    raise\n"
+              "try:\n    f()\nexcept:\n    raise\n")
+    assert python_error_handlers(source) == ["line 3", "line 9"]
 
 
 # Definitions that nothing in src/ refers to, each with the one reason it
