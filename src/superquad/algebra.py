@@ -46,7 +46,7 @@ from .spaces import (
 
 
 class SuperBracket(GradedBilinearMap):
-    """Bracket on a super-space: pairs[(i, j)] = nonzero coordinates of [e_i, e_j].
+    """Bracket on a super-space: ``scaled_pairs`` holds the nonzero coordinates of each [e_i, e_j].
 
     An even bilinear map of the space into itself. Its axioms are the map's
     own checks under their bracket names: check_even("grading", "bracket")
@@ -524,10 +524,8 @@ def semidirect_product(a: LieSuperAlgebra, h: LieSuperAlgebra,
 
     entries = a.bracket.entries() + lam.entries(0, 0, na) + h.bracket.entries(na, na, na)
     for i in range(na):
-        for m, col in enumerate(theta[i].sparse_columns):
+        for r, m, c in theta[i].entries():
             sign = -1 if par_a[i] * h.space.parity(m) else 1
-            for r, c in col.items():
-                entries.append((i, na + m, na + r, c))
-                entries.append((na + m, i, na + r, -sign * c))
+            entries += [(i, na + m, na + r, c), (na + m, i, na + r, -sign * c)]
     space = SuperSpace(a.space.basis + h.space.basis)
     return LieSuperAlgebra(SuperBracket.from_entries(space, entries))

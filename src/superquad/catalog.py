@@ -18,7 +18,7 @@ from . import linalg
 from .algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket
 from .extension import DeltaContext, double_extend
 from .linalg import Vector, ZERO
-from .spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace, p_delta_dual, sparse_vec
+from .spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace, p_delta_dual
 
 ODD = 1
 
@@ -30,9 +30,8 @@ def _one_dim_algebra(label: str, parity: int) -> LieSuperAlgebra:
 def _omega_entries(p, last: int) -> list:
     """Structure constants B_h(D(u_m), u_l) on the last basis vector, for the
     h block placed at offset 1: entries (1 + m, 1 + l, last, c)."""
-    rows = p.h.metric.sparse_rows
-    return [(1 + m, 1 + l, last, c * b) for m, col in enumerate(p.d.sparse_columns)
-            for r, c in col.items() for l, b in rows[r].items()]
+    d_b, rows = p.h.metric.scaled_rows
+    return [(1 + m, 1 + l, last, c * b / d_b) for r, m, c in p.d.entries() for l, b in rows[r].items()]
 
 
 def _hyperbolic_metric(space: SuperSpace, h: QuadraticLieSuperAlgebra) -> GradedBilinearForm:
@@ -88,14 +87,14 @@ def odd_extension_dim1(p: OddExtensionParams) -> QuadraticLieSuperAlgebra:
     lab = _fresh_label(h.space)
     space = SuperSpace(((lab, 1),) + h.space.basis + ((f"P({lab})*", 0),))
 
-    w = sparse_vec(p.w)
-    entries = [(0, 0, 1 + r, c) for r, c in w.items()] + [(0, 0, n - 1, p.eta)]
-    for m, col in enumerate(p.d.sparse_columns):
-        sign = -1 if h.space.parity(m) else 1
-        coeff = -sign * sum((c * h.metric.sparse_rows[m].get(r, ZERO) for r, c in w.items()), ZERO)
-        for r, c in list(col.items()) + [(nh, coeff)]:
-            entries.append((0, 1 + m, 1 + r, c))
-            entries.append((1 + m, 0, 1 + r, -sign * c))
+    sign = [-1 if q else 1 for q in h.space.parities]
+    # [x, u_m] = D(u_m) - (-1)^{|u_m|} B_h(u_m, w) P(x)*, whose P(x)* coordinate is row nh
+    d_b, rows = h.metric.scaled_rows
+    action = p.d.entries() + [(nh, m, -sign[m] * sum((b * p.w[r] for r, b in row.items()), ZERO) / d_b)
+                              for m, row in enumerate(rows)]
+    entries = [(0, 0, 1 + r, c) for r, c in enumerate(p.w)] + [(0, 0, n - 1, p.eta)]
+    for r, m, c in action:
+        entries += [(0, 1 + m, 1 + r, c), (1 + m, 0, 1 + r, -sign[m] * c)]
     entries += h.bracket.entries(1, 1, 1) + _omega_entries(p, n - 1)
     return QuadraticLieSuperAlgebra(LieSuperAlgebra(SuperBracket.from_entries(space, entries)),
                                     _hyperbolic_metric(space, h))
@@ -122,8 +121,7 @@ class HeisenbergExtensionParams:
 
 def _action_entries(p: HeisenbergExtensionParams) -> list:
     """[x, u] = D(u) and [u, x] = -D(u) for the even x at index 0, h at offset 1."""
-    return [e for m, col in enumerate(p.d.sparse_columns) for r, c in col.items()
-            for e in ((0, 1 + m, 1 + r, c), (1 + m, 0, 1 + r, -c))]
+    return [e for r, m, c in p.d.entries() for e in ((0, 1 + m, 1 + r, c), (1 + m, 0, 1 + r, -c))]
 
 
 def heisenberg_extension(p: HeisenbergExtensionParams) -> QuadraticLieSuperAlgebra:

@@ -288,8 +288,8 @@ def extension_derivations(ctx: DeltaContext, ce_space: SuperSpace) -> tuple[Grad
     """Theta(x) = rho(x) + ad*_d(x) + chi(x, .) acting on h + dual block."""
     nh = ctx.h.dim
     entries = [t.entries() + s.entries(nh, nh) for t, s in zip(ctx.rho, ctx.ad_star)]
-    for (i, m), v in ctx.chi.pairs.items():
-        entries[i] += [(nh + k, m, c) for k, c in v.items()]
+    for i, m, k, c in ctx.chi.entries():
+        entries[i].append((nh + k, m, c))
     return tuple(GradedLinearMap.from_entries(ce_space, ce_space, ctx.a.space.parity(i), e)
                  for i, e in enumerate(entries))
 

@@ -513,31 +513,37 @@ def _dedup(pairs: list, message: str) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=functools.partial(_dedup, message="duplicate key {!r} in a JSON object"))
 
 
-def _json_object(x, kind: str, field: str = "") -> dict:
+def _shown(x) -> str:
+    """A value as a message echoes it: its JSON, cut after 60 characters to end in '...'."""
+    text = json.dumps(x)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _json_object(x, kind: str) -> dict:
     """The object rule: a JSON object with each key of its kind, once (``_DECODER``), and no other."""
     if type(x) is not dict:
-        raise ParseError(f"{kind} must be a JSON object, got {json.dumps(x)}")
+        raise ParseError(f"{kind} must be a JSON object, got {_shown(x)}")
     keys = _JSON_KEYS[kind]
     for key in x:
         if key not in keys:
-            raise ParseError(f"unknown {kind} key {key!r}", field_name=field)
+            raise ParseError(f"unknown {kind} key {key!r}")
     for key in keys:
         if key not in x and key != "metric":
-            raise ParseError(f"missing {kind} key {key!r}", field_name=field)
+            raise ParseError(f"missing {kind} key {key!r}")
     return x
 
 
 def _json_int(x, what: str = "index") -> int:
     """A JSON integer; bools and floats are rejected."""
     if type(x) is not int:
-        raise ParseError(f"{what} must be a JSON integer, got {json.dumps(x)}")
+        raise ParseError(f"{what} must be a JSON integer, got {_shown(x)}")
     return x
 
 
 def _json_array(x, what: str) -> list:
     """A JSON array; a string or an object, which would iterate as one, is rejected."""
     if type(x) is not list:
-        raise ParseError(f"{what} must be a JSON array, got {json.dumps(x)}")
+        raise ParseError(f"{what} must be a JSON array, got {_shown(x)}")
     return x
 
 
@@ -545,9 +551,9 @@ def _json_token(x, what: str) -> str:
     """A name or basis label: a JSON string that is one text-format token,
     so that the document can be written as text and read back."""
     if not isinstance(x, str):
-        raise ParseError(f"{what} must be a JSON string, got {json.dumps(x)}")
+        raise ParseError(f"{what} must be a JSON string, got {_shown(x)}")
     if not is_token(x):
-        raise ParseError(f"{what} {json.dumps(x)} must be nonempty, without whitespace or '#'")
+        raise ParseError(f"{what} {_shown(x)} must be nonempty, without whitespace or '#'")
     return x
 
 
@@ -557,7 +563,7 @@ def _json_ratio(c) -> tuple[int, int]:
     if isinstance(c, str):
         return _ratio(c)
     if type(c) is not int:
-        raise ParseError(f"coefficient must be a rational string or a JSON integer, got {json.dumps(c)}")
+        raise ParseError(f"coefficient must be a rational string or a JSON integer, got {_shown(c)}")
     return c, 1
 
 
@@ -588,25 +594,30 @@ def _json_table(x, name: str, what: str = ""):
             return _dedup(entries, f"duplicate {name} entry {{}}")
     form = _JSON_ENTRIES[name]
     k = next(k for k, row in enumerate(rows) if type(row) is not list or len(row) != form.count(",") + 1)
-    raise ParseError(f"{name} entry {k} must be {form}, got {json.dumps(rows[k])}")
+    raise ParseError(f"{name} entry {k} must be {form}, got {_shown(rows[k])}")
 
 
 def _algebra_from_obj(obj, field: str = "") -> AlgebraDocument:
-    """An algebra object: the document, or the field ``field`` of a context object."""
-    if type(obj) is not dict:
-        raise ParseError(f"expected an algebra object, got {json.dumps(obj)}", field_name=field)
-    if obj.get("kind", "algebra") != "algebra":  # a missing kind is the object rule's to name
-        raise ParseError(f"expected an algebra object, got kind {obj['kind']!r}", field_name=field)
-    _json_object(obj, "algebra", field)
-    name = _json_token(obj["name"], "name")
-    basis = _json_table(obj["basis"], "basis")
-    bracket = _json_table(obj["bracket"], "bracket")
-    degree, metric = None, {}
-    if "metric" in obj:
-        m = _json_object(obj["metric"], "metric", field)
-        degree = _json_int(m["degree"], "metric degree")
-        metric = _json_table(m["entries"], "metric", "metric entries")
-    return _algebra_document(name, basis, degree, bracket, metric, _input)
+    """An algebra object: the document, or the field ``field`` of a context
+    object, which every error raised while reading it then names."""
+    try:
+        if type(obj) is not dict:
+            raise ParseError(f"expected an algebra object, got {_shown(obj)}")
+        if obj.get("kind", "algebra") != "algebra":  # a missing kind is the object rule's to name
+            raise ParseError(f"expected an algebra object, got kind {_shown(obj['kind'])}")
+        _json_object(obj, "algebra")
+        name = _json_token(obj["name"], "name")
+        basis = _json_table(obj["basis"], "basis")
+        bracket = _json_table(obj["bracket"], "bracket")
+        degree, metric = None, {}
+        if "metric" in obj:
+            m = _json_object(obj["metric"], "metric")
+            degree = _json_int(m["degree"], "metric degree")
+            metric = _json_table(m["entries"], "metric", "metric entries")
+        return _algebra_document(name, basis, degree, bracket, metric, _input)
+    except ParseError as exc:
+        exc.field_name = exc.field_name or field
+        raise
 
 
 def document_to_obj(doc: Document) -> dict:
@@ -646,7 +657,9 @@ def document_from_obj(obj: dict) -> Document:
         vectors = [tuple(Fraction(*_json_ratio(c)) for c in _json_array(v, f"ideal vector {r}"))
                    for r, v in enumerate(_json_array(obj["vectors"], "vectors"))]
         return _ideal_document(name, vectors, _input)
-    raise ParseError(f"unknown document kind {kind!r}")
+    if "kind" not in obj:
+        raise ParseError("missing document key 'kind'")
+    raise ParseError(f"unknown document kind {_shown(kind)}")
 
 
 def serialize_document(doc: Document, fmt: str = "text") -> str:

@@ -11,8 +11,7 @@ coefficient times d, the lcm of their reduced denominators. ``normalize``
 makes every such state, from exact coefficients (``from_entries``) or from
 integers over a common denominator (``from_ints``), so the state is
 canonical and equality compares it. Every check reads the state; the
-``Fraction`` views (``pairs``, ``sparse_columns``, ``sparse_rows``,
-``entries()``) and the dense ones are built from it on first use.
+export ``entries()`` and the dense views are its only ``Fraction`` forms.
 """
 
 from __future__ import annotations
@@ -36,17 +35,6 @@ ODD = 1
 # returns or a map stores has them dropped. EMPTY is the shared read-only
 # zero vector.
 EMPTY = MappingProxyType({})
-
-
-def sparse_vec(v: Sequence) -> dict:
-    return {k: c for k, c in enumerate(v) if c}
-
-
-def dense_vec(v, n: int) -> Vector:
-    out = [ZERO] * n
-    for k, c in v.items():
-        out[k] = c
-    return tuple(out)
 
 
 def add_scaled(acc: dict, c, v) -> None:
@@ -162,11 +150,6 @@ def normalize(entries, bounds, what: str, d: int | None = None) -> tuple[int, di
     return d // g, {key: n // g for key, n in sorted(table.items()) if n}
 
 
-def _fractions(d: int, vectors):
-    """The int vectors of a view at scale d as vectors of Fractions."""
-    return tuple({k: Fraction(n, d) for k, n in v.items()} for v in vectors)
-
-
 def _dense_entries(matrix, nrows: int, ncols: int, what: str):
     """(r, c, x) for every entry of a dense nrows x ncols matrix, after a shape check."""
     rows = tuple(tuple(r) for r in matrix)
@@ -181,9 +164,9 @@ class _Sparse:
     ``FIELDS`` names what equality compares: the spaces and degree, then
     last the stored state ``(d, ints)``, every nonzero coefficient times d,
     d the lcm of their reduced denominators (``normalize``). The state is
-    canonical, so equality and the hash read it directly. The ``Fraction``
-    and dense views are built from it on first use, cached in slots of their
-    own, and take no part in equality, hashing or ``repr``.
+    canonical, so equality and the hash read it directly. The dense view is
+    built from it on first use, cached in a slot of its own (``_matrix`` or
+    ``_table``), and takes no part in equality, hashing or ``repr``.
     """
 
     __slots__ = ()
@@ -328,12 +311,11 @@ class GradedLinearMap(_Sparse):
 
     ``scaled_columns`` is the stored state ``(d, columns)``: column c is the
     image of the c-th source basis vector times d, a sparse int vector
-    ``{r: n}``, rows in order, no zeros. ``sparse_columns`` (the same with
-    ``Fraction`` coefficients) and ``matrix`` (dense) are views built on
-    first use. The map is immutable; its columns must not be mutated.
+    ``{r: n}``, rows in order, no zeros. ``matrix`` (dense) is a view built
+    on first use. The map is immutable; its columns must not be mutated.
     """
 
-    __slots__ = ("source", "target", "degree", "scaled_columns", "_columns", "_matrix")
+    __slots__ = ("source", "target", "degree", "scaled_columns", "_matrix")
     FIELDS = ("source", "target", "degree", "scaled_columns")
 
     def __init__(self, source: SuperSpace, target: SuperSpace, degree: int, matrix):
@@ -356,8 +338,7 @@ class GradedLinearMap(_Sparse):
             if tp[r] != (sp[c] + degree) % 2:
                 raise NotHomogeneous(f"entry ({r},{c}) breaks homogeneity of a degree-{degree} map")
             cols[c][r] = n
-        self._init(source=source, target=target, degree=degree, scaled_columns=(d, tuple(cols)),
-                   _columns=None, _matrix=None)
+        self._init(source=source, target=target, degree=degree, scaled_columns=(d, tuple(cols)), _matrix=None)
 
     @classmethod
     def zero(cls, source: SuperSpace, target: SuperSpace, degree: int) -> "GradedLinearMap":
@@ -369,23 +350,11 @@ class GradedLinearMap(_Sparse):
         return d, dict(sorted(((r, c), n) for c, col in enumerate(cols) for r, n in col.items()))
 
     @property
-    def sparse_columns(self) -> tuple[dict, ...]:
-        """The columns with their ``Fraction`` coefficients: column c is the image of e_c."""
-        return self._view("_columns", lambda: _fractions(*self.scaled_columns))
-
-    @property
     def matrix(self) -> Matrix:
         """Dense view: matrix[r][c] is coordinate r of the image of e_c."""
+        d, cols = self.scaled_columns
         return self._view("_matrix", lambda: tuple(
-            dense_vec(row, self.source.dim)
-            for row in sparse_transpose(self.sparse_columns, self.target.dim)))
-
-    def apply_sparse(self, v) -> dict:
-        out: dict = {}
-        cols = self.sparse_columns
-        for j, c in v.items():
-            add_scaled(out, c, cols[j])
-        return drop_zeros(out)
+            linalg._dense(d, row, self.source.dim) for row in sparse_transpose(cols, self.target.dim)))
 
     def is_zero(self) -> bool:
         return not any(self.scaled_columns[1])
@@ -404,14 +373,13 @@ class GradedBilinearForm(_Sparse):
 
     ``scaled_rows`` is the stored state ``(d, rows)``: row i is
     ``{j: B(e_i, e_j)}`` times d as ints, columns in order, no zeros.
-    ``sparse_rows`` (the same with ``Fraction`` coefficients) and ``matrix``
-    (dense) are views built on first use. The constructors check shapes
+    ``matrix`` (dense) is a view built on first use. The constructors check shapes
     only: whether the entries actually realise the declared degree pattern
     is a checkable property (check_form_degree), so invalid forms can be
     represented and flagged.
     """
 
-    __slots__ = ("space", "degree", "scaled_rows", "_rows", "_matrix")
+    __slots__ = ("space", "degree", "scaled_rows", "_matrix")
     FIELDS = ("space", "degree", "scaled_rows")
 
     def __init__(self, space: SuperSpace, degree: int, matrix):
@@ -431,7 +399,7 @@ class GradedBilinearForm(_Sparse):
         d, table = normalize(entries, (space.dim, space.dim), "form", d)
         for (i, j), n in table.items():
             rows[i][j] = n
-        self._init(space=space, degree=degree, scaled_rows=(d, tuple(rows)), _rows=None, _matrix=None)
+        self._init(space=space, degree=degree, scaled_rows=(d, tuple(rows)), _matrix=None)
 
     def scaled_table(self) -> tuple[int, dict]:
         """(d, {(i, j): n}): the stored state as one table, in row-major order."""
@@ -439,26 +407,15 @@ class GradedBilinearForm(_Sparse):
         return d, {(i, j): n for i, row in enumerate(rows) for j, n in row.items()}
 
     @property
-    def sparse_rows(self) -> tuple[dict, ...]:
-        """The rows with their ``Fraction`` coefficients: row i is {j: B(e_i, e_j)}."""
-        return self._view("_rows", lambda: _fractions(*self.scaled_rows))
-
-    @property
     def matrix(self) -> Matrix:
         """Dense view: matrix[i][j] = B(e_i, e_j)."""
-        return self._view("_matrix", lambda: tuple(dense_vec(row, self.space.dim)
-                                                   for row in self.sparse_rows))
-
-    def covector(self, u) -> dict:
-        """B(u, e_j) over j, as a sparse vector, for a sparse vector u."""
-        out: dict = {}
-        rows = self.sparse_rows
-        for i, a in u.items():
-            add_scaled(out, a, rows[i])
-        return drop_zeros(out)
+        d, rows = self.scaled_rows
+        return self._view("_matrix", lambda: tuple(linalg._dense(d, row, self.space.dim) for row in rows))
 
     def value(self, u: Sequence, v: Sequence) -> Fraction:
-        return sum((c * v[j] for j, c in self.covector(sparse_vec(u)).items()), ZERO)
+        """B(u, v) for dense vectors u and v."""
+        d, rows = self.scaled_rows
+        return sum((a * n * v[j] for a, row in zip(u, rows) if a for j, n in row.items()), ZERO) / d
 
     def rank(self) -> int:
         return linalg.rank(self.scaled_rows[1], self.space.dim)
@@ -518,12 +475,11 @@ class GradedBilinearMap(_Sparse):
     Pairs and coefficients are kept in lexicographic order and no zero
     coefficient or empty value is ever stored, so a kernel that walks them
     touches only nonzero structure constants, in scan order. The map is
-    immutable; its values must not be mutated. ``pairs`` (the same with
-    ``Fraction`` coefficients) and ``table`` (dense) are views built on
-    first use.
+    immutable; its values must not be mutated. ``table`` (dense) is a view
+    built on first use.
     """
 
-    __slots__ = ("left", "right", "target", "scaled_pairs", "_pairs", "_table")
+    __slots__ = ("left", "right", "target", "scaled_pairs", "_table")
     FIELDS = ("left", "right", "target", "scaled_pairs")
 
     def __init__(self, left: SuperSpace, right: SuperSpace, target: SuperSpace, table):
@@ -550,7 +506,7 @@ class GradedBilinearMap(_Sparse):
                 pairs[i, j][k] = n
             else:
                 pairs[i, j] = {k: n}
-        self._init(left=left, right=right, target=target, scaled_pairs=(d, pairs), _pairs=None, _table=None)
+        self._init(left=left, right=right, target=target, scaled_pairs=(d, pairs), _table=None)
 
     @classmethod
     def zero(cls, left: SuperSpace, right: SuperSpace, target: SuperSpace) -> "GradedBilinearMap":
@@ -562,14 +518,6 @@ class GradedBilinearMap(_Sparse):
         return d, {(i, j, k): n for (i, j), v in pairs.items() for k, n in v.items()}
 
     @property
-    def pairs(self) -> dict:
-        """The nonzero values with their ``Fraction`` coefficients, keyed (i, j)."""
-        def build():
-            d, pairs = self.scaled_pairs
-            return dict(zip(pairs, _fractions(d, pairs.values())))
-        return self._view("_pairs", build)
-
-    @property
     def table(self) -> tuple[tuple[Vector, ...], ...]:
         """Dense view: table[i][j] is the value on (e_i, e_j). No kernel of
         the library reads it."""
@@ -577,25 +525,8 @@ class GradedBilinearMap(_Sparse):
             tuple(self.value(i, j) for j in range(self.right.dim)) for i in range(self.left.dim)))
 
     def value(self, i: int, j: int) -> Vector:
-        return dense_vec(self.pairs.get((i, j), EMPTY), self.target.dim)
-
-    def right_sparse(self, i: int, v) -> dict:
-        """Value on (e_i, v) for a sparse vector v of the right space."""
-        out: dict = {}
-        get = self.pairs.get
-        for j, c in v.items():
-            w = get((i, j))
-            if w:
-                add_scaled(out, c, w)
-        return drop_zeros(out)
-
-    def value_vectors(self, u: Sequence, v: Sequence) -> Vector:
-        out: dict = {}
-        sv = sparse_vec(v)
-        for i, a in enumerate(u):
-            if a:
-                add_scaled(out, a, self.right_sparse(i, sv))
-        return dense_vec(drop_zeros(out), self.target.dim)
+        d, pairs = self.scaled_pairs
+        return linalg._dense(d, pairs.get((i, j), EMPTY), self.target.dim)
 
     def is_zero(self) -> bool:
         return not self.scaled_pairs[1]

@@ -34,14 +34,71 @@ from superquad.spaces import (
     SuperSpace,
     add_scaled,
     apply_p_delta,
-    dense_vec,
     drop_zeros,
     dual_space,
     p_delta_dual,
-    sparse_vec,
 )
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# Fraction views of the integer state. The library keeps one sparse form,
+# ``(d, ints)``; the rational references below read these instead. Each
+# oracle builds the view of a map once and passes it to the helpers.
+
+
+def sparse_vec(v) -> dict:
+    return {k: c for k, c in enumerate(v) if c}
+
+
+def dense_vec(v, n: int) -> tuple:
+    out = [ZERO] * n
+    for k, c in v.items():
+        out[k] = c
+    return tuple(out)
+
+
+def fractions(view):
+    """An integer view ``(d, vectors)``, such as ``scaled_pairs``,
+    ``scaled_columns`` or ``scaled_rows``, with each coefficient n/d as a
+    Fraction; ``vectors``, a tuple of sparse vectors or a dict of them by
+    key, keeps its shape."""
+    d, vectors = view
+    if isinstance(vectors, dict):
+        return {key: {k: F(n, d) for k, n in v.items()} for key, v in vectors.items()}
+    return tuple({k: F(n, d) for k, n in v.items()} for v in vectors)
+
+
+def combine(vectors, coeffs: dict) -> dict:
+    """The sum of c * vectors[k] over the sparse coefficients {k: c}: a
+    linear map's image of a sparse vector from its columns, or a form's
+    covector B(u, .) from its rows."""
+    out: dict = {}
+    for k, c in coeffs.items():
+        add_scaled(out, c, vectors[k])
+    return drop_zeros(out)
+
+
+def right_sparse(pairs: dict, i: int, v: dict) -> dict:
+    """The value on (e_i, v) of a bilinear map with Fraction ``pairs``, for a sparse v."""
+    return combine({j: pairs.get((i, j), EMPTY) for j in v}, v)
+
+
+def left_sparse(pairs: dict, u: dict, j: int) -> dict:
+    """The value on (u, e_j) of a bilinear map with Fraction ``pairs``, for a sparse u."""
+    return combine({i: pairs.get((i, j), EMPTY) for i in u}, u)
+
+
+def value_vectors(pairs: dict, u, v, n: int) -> tuple:
+    """The value on two dense vectors of a bilinear map with Fraction
+    ``pairs`` into a space of dim n, dense."""
+    out: dict = {}
+    sv = sparse_vec(v)
+    for i, a in enumerate(u):
+        if a:
+            add_scaled(out, a, right_sparse(pairs, i, sv))
+    return dense_vec(drop_zeros(out), n)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +175,9 @@ def change_basis(g: QuadraticLieSuperAlgebra, cols) -> QuadraticLieSuperAlgebra:
     m = linalg.transpose(cols)
     m_inv = linalg.inverse(m)
     space = SuperSpace(tuple((f"b{i}", g.space.vector_parity(cols[i])) for i in range(n)))
+    pairs = fractions(g.bracket.scaled_pairs)
     table = tuple(
-        tuple(linalg.mat_vec(m_inv, g.bracket.value_vectors(cols[p], cols[q])) for q in range(n))
+        tuple(linalg.mat_vec(m_inv, value_vectors(pairs, cols[p], cols[q], n)) for q in range(n))
         for p in range(n)
     )
     metric = tuple(tuple(g.metric.value(cols[p], cols[q]) for q in range(n)) for p in range(n))
@@ -207,8 +265,9 @@ def random_superalgebra_scrambled(rng, max_dim=5) -> LieSuperAlgebra:
     n = g.dim
     m_inv = linalg.inverse(linalg.transpose(cols))
     space = SuperSpace(tuple((f"b{i}", g.space.vector_parity(cols[i])) for i in range(n)))
+    pairs = fractions(g.bracket.scaled_pairs)
     table = tuple(
-        tuple(linalg.mat_vec(m_inv, g.bracket.value_vectors(cols[p], cols[q])) for q in range(n))
+        tuple(linalg.mat_vec(m_inv, value_vectors(pairs, cols[p], cols[q], n)) for q in range(n))
         for p in range(n)
     )
     return LieSuperAlgebra(SuperBracket(space, table))
@@ -523,11 +582,6 @@ def solve_lambda(rng, a: LieSuperAlgebra, h: QuadraticLieSuperAlgebra,
     return pv.realise(_sample_affine(rng, *res))
 
 
-def right_value(bmap: GradedBilinearMap, i: int, v) -> tuple:
-    """bmap(e_i, v) as a dense vector, for a dense vector v of the right space."""
-    return dense_vec(bmap.right_sparse(i, sparse_vec(v)), bmap.target.dim)
-
-
 def solve_omega(rng, delta, a: LieSuperAlgebra, h: QuadraticLieSuperAlgebra,
                 rho, lam: GradedBilinearMap) -> GradedBilinearMap | None:
     """Random solution of the cocycle and super cyclic conditions for omega."""
@@ -538,6 +592,7 @@ def solve_omega(rng, delta, a: LieSuperAlgebra, h: QuadraticLieSuperAlgebra,
     probe = DeltaContext(delta, a, h, tuple(rho), lam,
                          GradedBilinearMap.zero(a.space, a.space, dual))
     chi = derive_chi(probe)
+    chi_pairs = fractions(chi.scaled_pairs)
     ad_star = delta_coadjoint(a, delta)
     rows, rhs = [], []
 
@@ -568,7 +623,7 @@ def solve_omega(rng, delta, a: LieSuperAlgebra, h: QuadraticLieSuperAlgebra,
                         terms_vec[r] = _combine(
                             (ONE, terms_vec[r]),
                             (F(s), omega_expr_vec(x, a.bracket.table[y][z])[r]))
-                    chi_term = right_value(chi, x, lam.value(y, z))
+                    chi_term = dense_vec(right_sparse(chi_pairs, x, sparse_vec(lam.value(y, z))), na)
                     for r in range(na):
                         const_vec[r] += s * chi_term[r]
                 for r in range(na):
@@ -780,7 +835,8 @@ def psi_preconditions_hold(p) -> bool:
     if not p.h.bracket.is_zero():
         return False
     # row m of the form: B_h(D(u_m), .)
-    w = [p.h.metric.covector(col) for col in p.d.sparse_columns]
+    rows = fractions(p.h.metric.scaled_rows)
+    w = [combine(rows, col) for col in fractions(p.d.scaled_columns)]
     return linalg.rank(w, p.h.dim) == p.h.dim
 
 
@@ -792,7 +848,7 @@ def ad_map(bracket: SuperBracket, i: int) -> GradedLinearMap:
     """ad(e_i): column j is [e_i, e_j]."""
     sp = bracket.space
     return GradedLinearMap.from_entries(sp, sp, sp.parity(i), (
-        (k, j, c) for (x, j), v in bracket.pairs.items() if x == i for k, c in v.items()))
+        (k, j, c) for x, j, k, c in bracket.entries() if x == i))
 
 
 def identity_map(space: SuperSpace) -> GradedLinearMap:
@@ -817,11 +873,12 @@ def bracket_law_violation(g: LieSuperAlgebra, maps) -> tuple | None:
     """First (i, j) with maps[i] maps[j] - (-1)^{|e_i||e_j|} maps[j] maps[i]
     - maps of [e_i, e_j] != 0, or None: maps[i] the action of e_i on a module."""
     mats, par = [t.matrix for t in maps], g.space.parities
+    pairs = fractions(g.bracket.scaled_pairs)
     for i in range(g.dim):
         for j in range(g.dim):
             ba = linalg.mat_scale(-1 if par[i] * par[j] else 1, linalg.mat_mul(mats[j], mats[i]))
             res = mat_sub(linalg.mat_mul(mats[i], mats[j]), ba)
-            for k, c in g.bracket.pairs.get((i, j), EMPTY).items():
+            for k, c in pairs.get((i, j), EMPTY).items():
                 res = mat_sub(res, linalg.mat_scale(c, mats[k]))
             if any(map(any, res)):
                 return i, j
@@ -850,24 +907,21 @@ def lemma_residuals(ctx: DeltaContext) -> list[Violation]:
     ad_star = delta_coadjoint(ctx.a, ctx.delta)
     na, nh = ctx.a.dim, ctx.h.dim
     pa, qh = ctx.a.space.parities, ctx.h.space.parities
-    a_pairs, h_pairs = ctx.a.bracket.pairs, ctx.h.bracket.pairs
-
-    def left(bmap, u, j):  # bmap(u, e_j) for a sparse u
-        total: dict = {}
-        for i, c in u.items():
-            add_scaled(total, c, bmap.pairs.get((i, j), EMPTY))
-        return total
+    a_pairs, h_pairs, lam_pairs = (fractions(m.scaled_pairs) for m in (ctx.a.bracket, ctx.h.bracket, lam))
+    chi_pairs, phi_pairs = fractions(chi.scaled_pairs), fractions(phi.scaled_pairs)
+    rho_cols = [fractions(t.scaled_columns) for t in rho]
+    ad_cols = [fractions(t.scaled_columns) for t in ad_star]
 
     # Phi(rho(x)u, v) + (-1)^{|x||u|} Phi(u, rho(x)v) - ad*_d(x)(Phi(u,v)) - chi(x,[u,v]_h) = 0
     for i in range(na):
-        cols = rho[i].sparse_columns
+        cols = rho_cols[i]
         for m in range(nh):
             sign = -1 if pa[i] * qh[m] else 1
             for l in range(nh):
-                total = left(phi, cols[m], l)
-                add_scaled(total, sign, phi.right_sparse(m, cols[l]))
-                add_scaled(total, -1, ad_star[i].apply_sparse(phi.pairs.get((m, l), EMPTY)))
-                add_scaled(total, -1, chi.right_sparse(i, h_pairs.get((m, l), EMPTY)))
+                total = left_sparse(phi_pairs, cols[m], l)
+                add_scaled(total, sign, right_sparse(phi_pairs, m, cols[l]))
+                add_scaled(total, -1, combine(ad_cols[i], phi_pairs.get((m, l), EMPTY)))
+                add_scaled(total, -1, right_sparse(chi_pairs, i, h_pairs.get((m, l), EMPTY)))
                 if total := drop_zeros(total):
                     out.append(Violation("lemma-1", (i, m, l), dense_vec(total, na)))
 
@@ -877,18 +931,18 @@ def lemma_residuals(ctx: DeltaContext) -> list[Violation]:
         for j in range(na):
             sign = -1 if pa[i] * pa[j] else 1
             for m in range(nh):
-                total = left(chi, a_pairs.get((i, j), EMPTY), m)
-                add_scaled(total, -1, chi.right_sparse(i, rho[j].sparse_columns[m]))
-                add_scaled(total, sign, chi.right_sparse(j, rho[i].sparse_columns[m]))
-                add_scaled(total, -1, ad_star[i].apply_sparse(chi.pairs.get((j, m), EMPTY)))
-                add_scaled(total, sign, ad_star[j].apply_sparse(chi.pairs.get((i, m), EMPTY)))
-                add_scaled(total, 1, left(phi, lam.pairs.get((i, j), EMPTY), m))
+                total = left_sparse(chi_pairs, a_pairs.get((i, j), EMPTY), m)
+                add_scaled(total, -1, right_sparse(chi_pairs, i, rho_cols[j][m]))
+                add_scaled(total, sign, right_sparse(chi_pairs, j, rho_cols[i][m]))
+                add_scaled(total, -1, combine(ad_cols[i], chi_pairs.get((j, m), EMPTY)))
+                add_scaled(total, sign, combine(ad_cols[j], chi_pairs.get((i, m), EMPTY)))
+                add_scaled(total, 1, left_sparse(phi_pairs, lam_pairs.get((i, j), EMPTY), m))
                 if total := drop_zeros(total):
                     out.append(Violation("lemma-2", (i, j, m), dense_vec(total, na)))
 
     # cyclic sum of (-1)^{|u||w|} Phi(u,[v,w]_h) = 0
     def phi_piece(x, y, z):
-        return phi.right_sparse(x, h_pairs.get((y, z), EMPTY))
+        return right_sparse(phi_pairs, x, h_pairs.get((y, z), EMPTY))
 
     for m, l, r in itertools.product(range(nh), repeat=3):
         if total := cyclic_residual(qh, m, l, r, phi_piece):

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from generators import (ad_map, b_flat, bracket_law_violation, build_bracket, change_basis_form, column,
-                        identity_map, intertwining_violation, mat_sub, rand_scalar,
+                        fractions, identity_map, intertwining_violation, mat_sub, rand_scalar,
                         random_parity_preserving_basis, random_quadratic, random_superalgebra_scrambled,
-                        space_of)
+                        space_of, value_vectors)
 from superquad import linalg
 from superquad.algebra import (
     LieSuperAlgebra,
@@ -34,14 +34,21 @@ from superquad.spaces import (
 F = Fraction
 
 
-def brute_jacobi_residual(bracket, i, j, k):
-    """Independent oracle: the cyclic sum through the bilinear extension."""
+def brute_jacobi_residual(bracket, i, j, k, pairs=None):
+    """Independent oracle: the cyclic sum through the bilinear extension, on
+    the bracket's Fraction ``pairs`` (built here if not given)."""
     n = bracket.space.dim
     par = bracket.space.parities
+    if pairs is None:
+        pairs = fractions(bracket.scaled_pairs)
+
+    def value(u, v):
+        return value_vectors(pairs, u, v, n)
+
     ei, ej, ek = (unit_vec(n, t) for t in (i, j, k))
-    t1 = bracket.value_vectors(ei, bracket.value_vectors(ej, ek))
-    t2 = bracket.value_vectors(ej, bracket.value_vectors(ek, ei))
-    t3 = bracket.value_vectors(ek, bracket.value_vectors(ei, ej))
+    t1 = value(ei, value(ej, ek))
+    t2 = value(ej, value(ek, ei))
+    t3 = value(ek, value(ei, ej))
     total = [ZERO] * n
     for sgn, t in (((-1) ** (par[i] * par[k]), t1),
                    ((-1) ** (par[j] * par[i]), t2),
@@ -53,8 +60,9 @@ def brute_jacobi_residual(bracket, i, j, k):
 def brute_jacobi(bracket):
     """Every ordered triple where the oracle's cyclic sum is nonzero."""
     n = bracket.space.dim
+    pairs = fractions(bracket.scaled_pairs)
     return [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
-            if any(brute_jacobi_residual(bracket, i, j, k))]
+            if any(brute_jacobi_residual(bracket, i, j, k, pairs))]
 
 
 def heisenberg_bracket():

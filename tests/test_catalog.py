@@ -122,8 +122,8 @@ def test_odd_dim1_deh1_with_nonzero_d_squared():
     g1 = odd_extension_dim1(p)
     g2 = double_extend(odd_extension_context(p))
     assert g1.space.basis == g2.space.basis
-    assert g1.bracket.pairs == g2.bracket.pairs
-    assert g1.metric.sparse_rows == g2.metric.sparse_rows
+    assert g1.bracket.scaled_pairs == g2.bracket.scaled_pairs
+    assert g1.metric.scaled_rows == g2.metric.scaled_rows
     with pytest.raises(InvalidContext) as exc:
         odd_extension_dim1(OddExtensionParams(h, d, tuple(c / 2 for c in w), F(3)))
     assert exc.value.violations[0].equation == "deh1"

@@ -34,9 +34,8 @@ DATA = Path(__file__).resolve().parent / "data"
 
 def centre(g) -> list:
     rows: dict = {}
-    for (i, j), v in g.bracket.pairs.items():
-        for k, c in v.items():
-            rows.setdefault((j, k), {})[i] = c
+    for i, j, k, c in g.bracket.entries():
+        rows.setdefault((j, k), {})[i] = c
     return linalg.nullspace([rows[key] for key in sorted(rows)], g.dim)
 
 
@@ -86,8 +85,8 @@ def test_dual_block_is_central_exactly_when_a_is_abelian():
     for delta in (0, 1):
         for ctx in context_corpus(delta, 40, seed=5):
             g, first = ctx.extension, ctx.a.dim + ctx.h.dim
-            central = not any(max(i, j) >= first for i, j in g.bracket.pairs)
-            is_abelian = not ctx.a.bracket.pairs
+            central = not any(max(i, j) >= first for i, j in g.bracket.scaled_pairs[1])
+            is_abelian = ctx.a.bracket.is_zero()
             assert central == is_abelian
             abelian += is_abelian and ctx.a.dim > 0
             nonabelian += not is_abelian

@@ -526,7 +526,7 @@ def test_parse_errors_name_the_document_path(tmp_path, capsys):
             (("verify", w["array.json"]), f"{w['array.json']}: bad JSON: a document must be a JSON object"),
             (("verify", w["cut-array.json"]), f"{w['cut-array.json']}: line 1: bad JSON: Expecting ',' delimiter"),
             (("extend", "--context", w["h.json"], "--out", out),
-             f"{w['h.json']}: field h: expected an algebra object, got kind 'ideal'"),
+             f"{w['h.json']}: field h: expected an algebra object, got kind \"ideal\""),
             (("verify", w["metrc.json"]), f"{w['metrc.json']}: unknown algebra key 'metrc'"),
             *_conversion_errors(tmp_path, out)):
         code, stdout, err = run(capsys, *map(str, argv))

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from generators import context_corpus, random_heisenberg_params, random_odd_dim1_params, random_witt_instance
+from generators import (context_corpus, fractions, random_heisenberg_params, random_odd_dim1_params,
+                        random_witt_instance, value_vectors)
 import superquad.decompose as dec
 from superquad import linalg
 from superquad.algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, delta_coadjoint
@@ -220,9 +221,10 @@ def test_decompose_verifies_sigma_intertwining():
     ad_star = delta_coadjoint(res.context.a, 1)
     xi_delta, _ = build_xi(g.metric, res.ideal_view, res.a_view, g.delta, res.context.a.space)
     na = len(res.a_basis)
+    pairs = fractions(g.bracket.scaled_pairs)
     for i, x in enumerate(res.a_basis):
         # sigma(x_i): the I-part of [x_i, alpha_c] in the (a, h, I) basis, read through the isometry
-        images = [linalg.mat_vec(res.isometry.matrix, g.bracket.value_vectors(x, alpha))
+        images = [linalg.mat_vec(res.isometry.matrix, value_vectors(pairs, x, alpha, g.dim))
                   for alpha in res.ideal_basis]
         sigma = tuple(tuple(z[g.dim - na + r] for z in images) for r in range(na))
         assert sigma == res.context.ad_star[i].matrix
@@ -330,10 +332,10 @@ def test_xi_is_the_identity_on_the_witt_basis():
     cases = [*_corpus_extensions(), (coprime, [unit_vec(coprime.dim, k) for k in (7, 8, 9)])]
     for g, ideal in cases:
         res = decompose(g, ideal)
-        identity = tuple({m: 1} for m in range(len(ideal)))
+        identity = (1, tuple({m: 1} for m in range(len(ideal))))
         xi_delta, xi = build_xi(g.metric, res.ideal_view, res.a_view, g.delta, res.context.a.space)
-        assert xi_delta.sparse_columns == identity
-        assert xi.sparse_columns == identity
+        assert xi_delta.scaled_columns == identity
+        assert xi.scaled_columns == identity
 
 
 def test_decompose_changes_basis_once(monkeypatch):
@@ -481,9 +483,10 @@ def test_fallback_a_label_clashes_with_no_reused_h_label(label):
     # the context re-extends to g: the isometry carries g's bracket and metric onto the extension's
     ext = double_extend(ctx)
     cols = res.a_basis + res.h_basis + res.ideal_basis
+    pairs = fractions(g.bracket.scaled_pairs)
     for p, u in enumerate(cols):
         for q, v in enumerate(cols):
-            assert linalg.mat_vec(res.isometry.matrix, g.bracket.value_vectors(u, v)) == ext.bracket.value(p, q)
+            assert linalg.mat_vec(res.isometry.matrix, value_vectors(pairs, u, v, g.dim)) == ext.bracket.value(p, q)
             assert g.metric.value(u, v) == ext.metric.matrix[p][q]
 
 

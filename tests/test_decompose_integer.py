@@ -1,10 +1,10 @@
 """decompose on integer views against the Fraction implementations it replaced.
 
 The oracles below are the pipeline steps as they were written over
-``Fraction``s: pairings through ``GradedBilinearForm.covector``, Gram rows
-and dual rows from rational covectors, the ideal's images through
-``GradedBilinearMap.right_sparse``, and the centraliser rows read from the
-bracket's rational ``pairs``. The steps take and return integer views; an
+``Fraction``s: pairings through rational covectors read from the form's
+``matrix``, Gram rows and dual rows from those covectors, the ideal's
+images through ``GradedBilinearMap.value``, and the centraliser rows read
+from the bracket's rational ``entries()``. The steps take and return integer views; an
 oracle reads its input views as rational vectors (``rational``) and turns
 its result into a view only where it hands it back (``dec._view``).
 ``oracle_decompose`` runs ``decompose`` with these steps in place of the
@@ -23,11 +23,14 @@ import pytest
 
 from generators import (
     change_basis,
+    combine,
     context_corpus,
+    dense_vec,
     random_heisenberg_params,
     random_odd_dim1_params,
     random_parity_preserving_basis,
     scaled_to_ints,
+    sparse_vec,
 )
 import superquad.decompose as dec
 from superquad import linalg
@@ -47,12 +50,10 @@ from superquad.spaces import (
     GradedLinearMap,
     add_scaled,
     common_scale,
-    dense_vec,
     drop_zeros,
     dual_space,
     p_delta_dual,
     sparse_transpose,
-    sparse_vec,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -73,9 +74,20 @@ def rational(view) -> list[dict]:
     return [{k: Fraction(c, d) for k, c in v.items()} for v in vectors]
 
 
+def covector(form, u) -> dict:
+    """B(u, e_j) over j for a sparse u, from the rows of the form's rational ``matrix``."""
+    rows = form.matrix
+    return combine({i: sparse_vec(rows[i]) for i in u}, u)
+
+
+def bracket_right(bracket, i, v) -> dict:
+    """[e_i, v] for a sparse v, from the bracket's rational ``value``s."""
+    return combine({j: sparse_vec(bracket.value(i, j)) for j in v}, v)
+
+
 def pair(form, u, v):
     """B(u, v) for sparse vectors, through the rational covector of u."""
-    return sum((c * v[j] for j, c in form.covector(u).items() if j in v), ZERO)
+    return sum((c * v[j] for j, c in covector(form, u).items() if j in v), ZERO)
 
 
 def gram(form, vectors):
@@ -84,7 +96,7 @@ def gram(form, vectors):
     rows = []
     for u in vectors:
         row: dict = {}
-        for j, b in form.covector(u).items():
+        for j, b in covector(form, u).items():
             add_scaled(row, b, by_coord[j])
         rows.append({q: row[q] for q in sorted(row) if row[q]})
     return rows
@@ -120,10 +132,10 @@ def validate_ideal(g, ideal):
                 raise ClaimViolated("ideal-isotropic", [Violation("ideal-isotropic", (i, j))])
             uv: dict = {}
             for k, a in u.items():
-                add_scaled(uv, a, g.bracket.right_sparse(k, v))
+                add_scaled(uv, a, bracket_right(g.bracket, k, v))
             if any(uv.values()):
                 raise ClaimViolated("ideal-abelian", [Violation("ideal-abelian", (i, j))])
-    images = [g.bracket.right_sparse(p, v) for p in range(n) for v in vectors]
+    images = [bracket_right(g.bracket, p, v) for p in range(n) for v in vectors]
     k = next(iter(linalg.extend_independent(vectors, images)), None)
     if k is not None:
         raise ClaimViolated("ideal-invariant", [Violation(
@@ -132,7 +144,7 @@ def validate_ideal(g, ideal):
 
 
 def orthogonal_complement(vectors, form):
-    rows = [form.covector(s) for s in rational(vectors)]
+    rows = [covector(form, s) for s in rational(vectors)]
     basis = [sparse_vec(v) for v in linalg.nullspace(rows, form.space.dim)]
     for v in basis:
         if len({form.space.parity(i) for i in v}) != 1:
@@ -142,9 +154,8 @@ def orthogonal_complement(vectors, form):
 
 def find_central_minimal_ideal(g):
     rows: dict = {}
-    for (i, j), v in g.bracket.pairs.items():
-        for k, c in v.items():
-            rows.setdefault((j, k), {})[i] = c
+    for i, j, k, c in g.bracket.entries():
+        rows.setdefault((j, k), {})[i] = c
     for v in linalg.nullspace([rows[key] for key in sorted(rows)], g.dim):
         if g.metric.value(v, v) == 0:
             return [v]
@@ -155,7 +166,7 @@ def dual_vectors(form, ideal, avoid):
     """Duals from rational covector rows, one ``linalg.solve`` each."""
     space = form.space
     ideal = [_sparse(e) for e in ideal]
-    rows = [form.covector(e) for e in ideal] + [form.covector(_sparse(w)) for w in avoid]
+    rows = [covector(form, e) for e in ideal] + [covector(form, _sparse(w)) for w in avoid]
     duals = []
     for i, e in enumerate(ideal):
         want = (dec._homogeneous_parity(space, e) + form.degree) % 2
@@ -403,7 +414,7 @@ def test_extract_structure_maps_gives_back_the_context_the_extension_and_the_iso
         assert maps.inverse == res.isometry.scaled_columns
         identity = tuple({j: 1} for j in range(ctx.a.dim))
         xi_delta, xi = dec.build_xi(g.metric, res.ideal_view, res.a_view, g.delta, ctx.a.space)
-        assert xi_delta.sparse_columns == xi.sparse_columns == identity
+        assert xi_delta.scaled_columns == xi.scaled_columns == (1, identity)
         n += 1
     assert n >= 100
 
@@ -449,15 +460,18 @@ def test_heisenberg_planted_ideals_match_the_oracle(ideal, claim, witness):
 
 @contextlib.contextmanager
 def no_rational_sums():
+    """Refuses the rational views of forms and brackets, through which the
+    oracles pair and bracket."""
     def refuse(*args):
         raise AssertionError("a rational sum during decompose")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(GradedBilinearForm, "covector", refuse)
-        mp.setattr(GradedBilinearMap, "right_sparse", refuse)
+        mp.setattr(GradedBilinearForm, "matrix", property(refuse))
+        mp.setattr(GradedBilinearForm, "value", refuse)
+        mp.setattr(GradedBilinearMap, "value", refuse)
         yield
 
 
-def test_decompose_calls_neither_covector_nor_right_sparse():
+def test_decompose_reads_no_rational_view():
     """Every case is certified before the patch (its integer views are then
     cached, as certifying g caches them in the CLI); under the patch
     decompose and the auto ideal still run, with the same results."""

@@ -37,6 +37,7 @@ from generators import (
     _sl2_killing,
     change_basis,
     context_corpus,
+    dense_vec,
     random_heisenberg_params,
     random_odd_dim1_params,
     random_parity_preserving_basis,
@@ -55,7 +56,7 @@ from superquad.errors import ClaimViolated, SuperquadError
 from superquad.extension import double_extend, validate_context
 from superquad.fileformat import document_to_algebra, document_to_context, parse_document
 from superquad.linalg import unit_vec
-from superquad.spaces import SuperSpace, dense_vec
+from superquad.spaces import SuperSpace
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -141,9 +142,9 @@ def test_facts_decompose_does_not_prove_again_hold():
         assert validate_context(res.context) == []
         dim = len(res.ideal_basis)
         assert linalg.rank(list(res.ideal_basis + res.a_basis), g.dim) == 2 * dim
-        identity = tuple({m: 1} for m in range(dim))
+        identity = (1, tuple({m: 1} for m in range(dim)))
         xi_delta, xi = dec.build_xi(g.metric, res.ideal_view, res.a_view, g.delta, res.context.a.space)
-        assert xi_delta.sparse_columns == identity and xi.sparse_columns == identity
+        assert xi_delta.scaled_columns == identity and xi.scaled_columns == identity
 
 
 def test_recovered_context_pickles_without_its_extension():

@@ -20,6 +20,7 @@ from superquad.fileformat import (
     AlgebraDocument,
     ContextDocument,
     IdealDocument,
+    _shown,
     algebra_to_document,
     context_to_document,
     document_to_algebra,
@@ -533,17 +534,24 @@ JSON_ERRORS = [
      'input: omega entry 0 must be [I, J, K, COEFF], got "0001"'),
     ("context-h-malformed", CONTEXT, ("h", "basis"), DELETE, "input, field h: missing algebra key 'basis'"),
     ("context-h-not-an-algebra", CONTEXT, ("h", "kind"), "ideal",
-     "input, field h: expected an algebra object, got kind 'ideal'"),
+     'input, field h: expected an algebra object, got kind "ideal"'),
     ("context-a-kind-missing", CONTEXT, ("a", "kind"), DELETE, "input, field a: missing algebra key 'kind'"),
     ("context-a-bracket-missing", CONTEXT, ("a", "bracket"), DELETE, "input, field a: missing algebra key 'bracket'"),
     ("context-h-metric-degree-missing", CONTEXT, ("h", "metric", "degree"), DELETE,
      "input, field h: missing metric key 'degree'"),
+    # an error inside h or a names its field, whichever rule refuses it
     ("context-h-basis-entry-too-many", CONTEXT, ("h", "basis", 1), ["f", 1, 0],
-     'input: basis entry 1 must be [LABEL, PARITY], got ["f", 1, 0]'),
+     'input, field h: basis entry 1 must be [LABEL, PARITY], got ["f", 1, 0]'),
+    ("context-a-basis-entry-too-many", CONTEXT, ("a", "basis", 0), ["x", 0, 0],
+     'input, field a: basis entry 0 must be [LABEL, PARITY], got ["x", 0, 0]'),
     ("context-h-metric-entry-object", CONTEXT, ("h", "metric", "entries", 0), {"0": 0, "1": 1, "c": "1"},
-     'input: metric entry 0 must be [I, J, COEFF], got {"0": 0, "1": 1, "c": "1"}'),
+     'input, field h: metric entry 0 must be [I, J, COEFF], got {"0": 0, "1": 1, "c": "1"}'),
     ("context-a-basis-entry-string", CONTEXT, ("a", "basis", 0), "x0",
-     'input: basis entry 0 must be [LABEL, PARITY], got "x0"'),
+     'input, field a: basis entry 0 must be [LABEL, PARITY], got "x0"'),
+    ("context-h-float-coefficient", CONTEXT, ("h", "metric", "entries", 0, 2), 0.5,
+     "input, field h: coefficient must be a rational string or a JSON integer, got 0.5"),
+    ("context-a-bad-parity-int", CONTEXT, ("a", "basis", 0, 1), "0",
+     'input, field a: parity must be a JSON integer, got "0"'),
     ("bad-delta-int", CONTEXT, ("delta",), "1", 'input: delta must be a JSON integer, got "1"'),
     ("rho-bad-i", CONTEXT, ("rho", 0, 0), "0", 'input: index must be a JSON integer, got "0"'),
     ("lambda-bad-j", CONTEXT, ("lambda", 0, 1), 0.5, "input: index must be a JSON integer, got 0.5"),
@@ -551,8 +559,9 @@ JSON_ERRORS = [
     ("rho-string", CONTEXT, ("rho",), "", 'input: rho must be a JSON array, got ""'),
     ("lambda-object", CONTEXT, ("lambda",), {}, "input: lambda must be a JSON array, got {}"),
     ("omega-string", CONTEXT, ("omega",), "", 'input: omega must be a JSON array, got ""'),
-    ("context-h-bracket-object", CONTEXT, ("h", "bracket"), {}, "input: bracket must be a JSON array, got {}"),
-    ("context-a-basis-string", CONTEXT, ("a", "basis"), "", 'input: basis must be a JSON array, got ""'),
+    ("context-h-bracket-object", CONTEXT, ("h", "bracket"), {}, "input, field h: bracket must be a JSON array, got {}"),
+    ("context-a-bracket-object", CONTEXT, ("a", "bracket"), {}, "input, field a: bracket must be a JSON array, got {}"),
+    ("context-a-basis-string", CONTEXT, ("a", "basis"), "", 'input, field a: basis must be a JSON array, got ""'),
     ("rho-duplicate", CONTEXT, ("rho", 1), [0, 0, 0, "-1"], "input: duplicate rho entry (0, 0, 0)"),
     ("lambda-duplicate", CONTEXT, ("lambda",), [[0, 0, 1, "1"], [0, 0, 1, "1"]],
      "input: duplicate lambda entry (0, 0, 1)"),
@@ -567,7 +576,15 @@ JSON_ERRORS = [
     ("ideal-bad-rational", IDEAL, ("vectors", 0, 3), "1.x", "input: bad rational '1.x'"),
     ("ideal-float", IDEAL, ("vectors", 0, 3), 1.5,
      "input: coefficient must be a rational string or a JSON integer, got 1.5"),
-    ("unknown-kind", IDEAL, ("kind",), "widget", "input: unknown document kind 'widget'"),
+    ("unknown-kind", IDEAL, ("kind",), "widget", 'input: unknown document kind "widget"'),
+    ("kind-null", ALGEBRA, ("kind",), None, "input: unknown document kind null"),
+    ("kind-list", ALGEBRA, ("kind",), ["algebra"], 'input: unknown document kind ["algebra"]'),
+    ("kind-missing", ALGEBRA, ("kind",), DELETE, "input: missing document key 'kind'"),
+    # an echoed value is cut after 60 characters
+    ("basis-entry-long-string", ALGEBRA, ("basis", 0), "x" * 80,
+     'input: basis entry 0 must be [LABEL, PARITY], got "' + "x" * 56 + "..."),
+    ("context-h-long-list", CONTEXT, ("h",), [list(range(30))],
+     "input, field h: expected an algebra object, got [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 1..."),
     # the object rule: an object holds each key of its kind (an algebra's metric is optional), once, and no other
     ("name-missing", ALGEBRA, ("name",), DELETE, "input: missing algebra key 'name'"),
     ("metric-degree-missing", ALGEBRA, ("metric", "degree"), DELETE, "input: missing metric key 'degree'"),
@@ -592,7 +609,8 @@ JSON_ERRORS = [
     # a metric, h or a value that is not an object, which would raise Python's TypeError when indexed
     ("metric-list", ALGEBRA, ("metric",), [1], "input: metric must be a JSON object, got [1]"),
     ("metric-null", ALGEBRA, ("metric",), None, "input: metric must be a JSON object, got null"),
-    ("context-h-metric-string", CONTEXT, ("h", "metric"), "B", 'input: metric must be a JSON object, got "B"'),
+    ("context-h-metric-string", CONTEXT, ("h", "metric"), "B", 'input, field h: metric must be a JSON object, got "B"'),
+    ("context-a-metric-string", CONTEXT, ("a", "metric"), "B", 'input, field a: metric must be a JSON object, got "B"'),
     ("context-h-string", CONTEXT, ("h",), "h", 'input, field h: expected an algebra object, got "h"'),
     ("context-a-list", CONTEXT, ("a",), [1], "input, field a: expected an algebra object, got [1]"),
     ("context-a-null", CONTEXT, ("a",), None, "input, field a: expected an algebra object, got null"),
@@ -604,8 +622,13 @@ def edited(base: str, path: tuple, value) -> str:
     return planted(json.loads(serialize_document(parse_document(base), "json")), path, value)
 
 
+# the RULE_ERRORS rows whose rule breaks inside h or a: the JSON reader names that field
+RULE_FIELDS = {"a-bracket-out-of-range": ", field a"}
+
+
 @pytest.mark.parametrize("blob, message", [(edited(*case[1:4]), case[4]) for case in JSON_ERRORS]
-                         + [(json_twin(text), f"input: {message}") for _, text, _, message in RULE_ERRORS],
+                         + [(json_twin(text), f"input{RULE_FIELDS.get(key, '')}: {message}")
+                            for key, text, _, message in RULE_ERRORS],
                          ids=[case[0] for case in JSON_ERRORS + RULE_ERRORS])
 def test_json_reader_error_texts(blob, message):
     with pytest.raises(ParseError) as exc:
@@ -632,9 +655,10 @@ def shape_defects(obj) -> list:
     objects = [((), obj["kind"], "")] + [((f,), "algebra", f) for f in ("h", "a") if f in obj]
     objects += [(path + ("metric",), "metric", field) for path, kind, field in objects
                 if kind == "algebra" and "metric" in at(obj, path)]
-    tables = [(path + (name,), name) for path, kind, _ in objects if kind == "algebra" for name in ("basis", "bracket")]
-    tables += [(path + ("entries",), "metric") for path, kind, _ in objects if kind == "metric"]
-    tables += [((name,), name) for name in ("rho", "lambda", "omega") if obj["kind"] == "context"]
+    tables = [(path + (name,), name, field) for path, kind, field in objects if kind == "algebra"
+              for name in ("basis", "bracket")]
+    tables += [(path + ("entries",), "metric", field) for path, kind, field in objects if kind == "metric"]
+    tables += [((name,), name, "") for name in ("rho", "lambda", "omega") if obj["kind"] == "context"]
     out = []
     for path, kind, field in objects:
         out += [(path + (key,), DELETE, f"missing {kind} key {key!r}", field)
@@ -644,14 +668,14 @@ def shape_defects(obj) -> list:
         out.append((path + ("extra",), 0, f"unknown {kind} key 'extra'", field))
         made_list = [at(obj, path)]
         if kind == "metric":
-            out.append((path, made_list, f"metric must be a JSON object, got {json.dumps(made_list)}", ""))
+            out.append((path, made_list, f"metric must be a JSON object, got {_shown(made_list)}", field))
         elif path:
-            out.append((path, made_list, f"expected an algebra object, got {json.dumps(made_list)}", field))
-    for path, name in tables:
+            out.append((path, made_list, f"expected an algebra object, got {_shown(made_list)}", field))
+    for path, name, field in tables:
         for k, entry in enumerate(at(obj, path)):
             for bad in (entry[:-1], entry + [0], "0" * len(entry), {str(n): v for n, v in enumerate(entry)}):
-                message = f"{name} entry {k} must be {ENTRY_FORMS[name]}, got {json.dumps(bad)}"
-                out.append((path + (k,), bad, message, ""))
+                message = f"{name} entry {k} must be {ENTRY_FORMS[name]}, got {_shown(bad)}"
+                out.append((path + (k,), bad, message, field))
     return out
 
 

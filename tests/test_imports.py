@@ -3,6 +3,7 @@ imports, every definition in it is reached from the package itself, and
 no handler in it catches Python's KeyError or TypeError."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -62,8 +63,8 @@ def test_python_error_handler_is_reported():
 # stays there: the benchmark imports or traces it (among them the central
 # extension, Theta and the semi-direct product, whose tables
 # ``extension_bracket`` assembles in one place), or README's "Public API"
-# section names it (the dense views, the parity-shift transfer, a map
-# applied to a sparse vector, the zero test of a linear or bilinear map,
+# section names it (the dense views, the parity-shift transfer, the zero
+# test of a linear or bilinear map,
 # the parity of a dense vector, xi of any ideal and complement, which
 # decompose fixes by the Witt pairing instead, the catalog's explicit-row
 # constructors, the reference its contexts are tested against, and the
@@ -73,9 +74,8 @@ KEPT = {**dict.fromkeys(("rref", "table", "in_span", "solve", "semidirect_produc
         **dict.fromkeys(("mat", "mat_vec", "mat_mul", "mat_add", "mat_scale", "zero_mat", "identity_mat",
                          "nullspace", "canonical"),
                         "perfbench/gen.py"),
-        **dict.fromkeys(("matrix", "value_vectors", "parity_shift_map", "apply_sparse", "is_zero",
-                         "vector_parity", "build_xi", "odd_extension_dim1", "heisenberg_extension",
-                         "contexts_equal"),
+        **dict.fromkeys(("matrix", "parity_shift_map", "is_zero", "vector_parity", "build_xi",
+                         "odd_extension_dim1", "heisenberg_extension", "contexts_equal"),
                         "README API")}
 
 
@@ -121,6 +121,53 @@ def test_public_names_are_in_readme():
     readme = (PACKAGE.parent.parent / "README.md").read_text()
     names = [*superquad.__all__, *(name for name, reason in KEPT.items() if reason == "README API")]
     assert [name for name in names if f"`{name}`" not in readme] == []
+
+
+# Names README's "Public API" section may put in backticks without the
+# package defining them: Python's own, and the parity-shift notation P(T).
+README_ONLY = {"Fraction", "ValueError", "P"}
+
+
+def defined_names(sources) -> set[str]:
+    """Every name the package binds, by AST: its modules, classes,
+    functions and methods, parameters, and assigned names, among them
+    fields, properties and module constants."""
+    out = {"superquad"}
+    for module, source in sources.items():
+        out.add(module)
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out.add(node.name)
+            elif isinstance(node, ast.arg):
+                out.add(node.arg)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                out.add(node.id)
+    return out
+
+
+def undefined_api_names(readme: str, defined: set[str]) -> list[str]:
+    """The names in backticks in README's "Public API" section that
+    ``defined`` lacks: each span that is a dotted name, alone or called
+    (``decompose(g, ideal)``), gives each of its parts."""
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    spans = (re.fullmatch(r"([A-Za-z_][\w.]*)(\(.*\))?", span) for span in re.findall(r"`([^`]+)`", section))
+    return sorted({part for m in spans if m for part in m.group(1).split(".")} - defined)
+
+
+def test_readme_api_names_are_defined():
+    """No name in README's "Public API" outlives its definition."""
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    defined = defined_names({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))})
+    assert undefined_api_names(readme, defined | README_ONLY) == []
+
+
+def test_undefined_api_name_is_reported():
+    readme = ("# t\n\n## Public API\n\n`superquad.spaces`: `GradedLinearMap`, its `apply_sparse` and `matrix`, "
+              "`decompose(g, source=None)`, the claim `isometry-metric`, `P(T)` and `{k: n}`.\n\n## Next\n`gone`\n")
+    defined = defined_names({"spaces": "class GradedLinearMap:\n    matrix = None\n",
+                             "decompose": "def decompose(g, *, source=None):\n    pass\n"})
+    assert undefined_api_names(readme, defined) == ["P", "apply_sparse"]
+    assert undefined_api_names(readme, defined | README_ONLY) == ["apply_sparse"]
 
 
 def test_unreached_definition_is_reported():

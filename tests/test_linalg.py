@@ -140,8 +140,7 @@ def test_extend_independent_matches_rank_loop():
 
 def view_of(vectors):
     """(d, ints) of dense rational vectors: their nonzeros times the lcm d of their denominators."""
-    from generators import scaled_to_ints
-    from superquad.spaces import sparse_vec
+    from generators import scaled_to_ints, sparse_vec
     d, ints = scaled_to_ints(map(sparse_vec, vectors))
     return d, list(ints)
 

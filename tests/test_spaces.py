@@ -203,14 +203,14 @@ def test_bilinear_map_stores_only_nonzeros():
     v = space([0, 1])
     m = GradedBilinearMap.from_entries(v, v, v, [(0, 1, 1, Fraction(1, 2)), (0, 1, 1, Fraction(-1, 2)),
                                                  (1, 0, 1, 3), (1, 1, 0, 0)])
-    assert m.pairs == {(1, 0): {1: Fraction(3)}}
+    assert m.scaled_pairs == (1, {(1, 0): {1: 3}})
     assert m.entries() == [(1, 0, 1, Fraction(3))]
     assert m.table == (((0, 0), (0, 0)), ((0, 3), (0, 0)))
     assert m == GradedBilinearMap(v, v, v, m.table)
     with pytest.raises(ValueError):
         GradedBilinearMap.from_entries(v, v, v, [(0, 2, 0, 1)])
     with pytest.raises(AttributeError):
-        m.pairs = {}
+        m.table = ()
 
 
 def test_integer_views_scale_by_the_lcm_of_denominators():
@@ -237,11 +237,11 @@ def test_cached_integer_view_stays_invisible():
     assert built == fresh and fresh == built and hash(built) == hash(fresh)
     assert repr(built) == before == repr(fresh)
     assert all(type(c) is Fraction for _, _, _, c in built.entries())
-    assert all(type(c) is Fraction for w in built.pairs.values() for c in w.values())
+    assert all(type(c) is Fraction for row in built.table for w in row for c in w)
     with pytest.raises(AttributeError):
         built._scaled_pairs = None
     with pytest.raises(AttributeError):
-        built.pairs = {}
+        built.table = ()
 
     rows = ((0, Fraction(1, 4)), (Fraction(1, 4), 0))
     f_built, f_fresh = GradedBilinearForm(v, 1, rows), GradedBilinearForm(v, 1, rows)
@@ -249,7 +249,7 @@ def test_cached_integer_view_stays_invisible():
     assert f_built.scaled_rows == (4, ({1: 1}, {0: 1}))
     assert f_built == f_fresh and hash(f_built) == hash(f_fresh)
     assert repr(f_built) == before == repr(f_fresh)
-    assert all(type(c) is Fraction for row in f_built.sparse_rows for c in row.values())
+    assert all(type(c) is Fraction for row in f_built.matrix for c in row)
     with pytest.raises(AttributeError):
         f_built.matrix = ()
 
@@ -306,7 +306,7 @@ def test_linear_map_from_entries_matches_the_dense_constructor(data):
     assert dense.matrix == sparse.matrix == tuple(tuple(row) for row in matrix)
     assert all(type(x) is Fraction for row in sparse.matrix for x in row)
     assert sparse.entries() == [(r, c, x) for r, row in enumerate(matrix) for c, x in enumerate(row) if x]
-    assert all(list(col) == sorted(col) and all(col.values()) for col in sparse.sparse_columns)
+    assert all(list(col) == sorted(col) and all(col.values()) for col in sparse.scaled_columns[1])
     assert GradedLinearMap.from_entries(source, target, degree, sparse.entries()) == sparse
 
 
@@ -321,7 +321,7 @@ def test_form_from_entries_matches_the_dense_constructor(data):
     assert dense.matrix == sparse.matrix == tuple(tuple(row) for row in matrix)
     assert all(type(x) is Fraction for row in sparse.matrix for x in row)
     assert sparse.entries() == [(i, j, c) for i, row in enumerate(matrix) for j, c in enumerate(row) if c]
-    assert all(list(row) == sorted(row) and all(row.values()) for row in sparse.sparse_rows)
+    assert all(list(row) == sorted(row) and all(row.values()) for row in sparse.scaled_rows[1])
     assert dense != GradedBilinearForm(v, 1 - degree, matrix)
 
 
@@ -369,9 +369,9 @@ def test_dense_views_are_cached_and_invisible():
     before = repr(t)
     assert t.matrix is t.matrix and t.matrix == ((0, 2), (Fraction(1, 3), 0))
     assert t == fresh and hash(t) == hash(fresh) and repr(t) == before == repr(fresh)
-    assert t.sparse_columns == ({1: Fraction(1, 3)}, {0: Fraction(2)})
-    assert column(t, 0) == (0, Fraction(1, 3)) and t.apply_sparse({0: 3, 1: 1}) == {0: 2, 1: 1}
-    for name in ("matrix", "sparse_columns", "_matrix", "degree"):
+    assert t.scaled_columns == (3, ({1: 1}, {0: 6}))
+    assert column(t, 0) == (0, Fraction(1, 3))
+    for name in ("matrix", "scaled_columns", "_matrix", "degree"):
         with pytest.raises(AttributeError):
             setattr(t, name, None)
     assert t != GradedLinearMap.from_entries(v, space([0, 1], "w"), 1, t.entries())
@@ -380,6 +380,27 @@ def test_dense_views_are_cached_and_invisible():
     form = GradedBilinearForm.from_entries(v, 1, [(0, 1, 1), (1, 0, 1)])
     assert form != GradedBilinearForm.from_entries(v, 1, [(0, 1, 1), (1, 0, 2)])
     assert form.matrix is form.matrix and form.scaled_rows == (1, ({1: 1}, {0: 1}))
+
+
+def test_each_stored_value_holds_its_fields_and_one_dense_cache():
+    """Every ``_Sparse`` class of the package keeps its ``FIELDS`` and one
+    cached dense view (``_matrix`` or ``_table``): the integer state is its
+    only sparse form."""
+    import superquad  # noqa: F401  (defines every subclass)
+    from superquad.spaces import _Sparse
+
+    classes, todo = [], [_Sparse]
+    while todo:
+        subs = [c for c in todo.pop().__subclasses__() if c.__module__.startswith("superquad.")]
+        classes += subs
+        todo += subs
+    assert {c.__name__ for c in classes} == {"GradedLinearMap", "GradedBilinearForm", "GradedBilinearMap",
+                                             "SuperBracket"}
+    for cls in classes:
+        slots = [s for c in cls.__mro__ for s in c.__dict__.get("__slots__", ())]
+        caches = [s for s in slots if s not in cls.FIELDS]
+        assert sorted(slots) == sorted(cls.FIELDS + tuple(caches)), cls
+        assert len(caches) == 1 and caches[0] in ("_matrix", "_table"), (cls, caches)
 
 
 def test_maps_and_forms_survive_pickle_and_copy():

@@ -1,11 +1,12 @@
 """Integer storage of maps, forms and documents against the Fraction oracle.
 
 Every graded map and form stores ``(d, integer nonzeros)``; its Fraction
-views are built on first use. These tests compare that state and every view
-with ``generators._normalize`` and ``generators.scaled_to_ints``, the
-Fraction normalisation the state replaced; check that both document readers
-give the same integer state for every spelling of a coefficient; and pin how
-many ``Fraction``s each command builds.
+forms, ``entries()`` and the dense views, are built from it. These tests
+compare that state and every view with ``generators._normalize`` and
+``generators.scaled_to_ints``, the Fraction normalisation the state
+replaced; check that both document readers give the same integer state for
+every spelling of a coefficient; and pin how many ``Fraction``s each
+command builds.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from generators import _normalize, scaled_to_ints
+from generators import _normalize, dense_vec, scaled_to_ints
 from superquad import cli
 from superquad.algebra import SuperBracket
 from superquad.errors import NotHomogeneous, ParseError, SuperquadError
@@ -32,7 +33,8 @@ from superquad.fileformat import (
     parse_document,
     serialize_document,
 )
-from superquad.spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace, dense_vec
+from superquad.linalg import unit_vec
+from superquad.spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace
 
 ROOT = Path(__file__).resolve().parent.parent
 F = Fraction
@@ -123,7 +125,8 @@ def test_bilinear_maps_store_the_oracle_state(case, data):
     table = tuple(tuple(dense_vec(pairs.get((i, j), {}), bounds[2]) for j in range(bounds[1]))
                   for i in range(bounds[0]))
     d, values = scaled_to_ints(pairs.values())
-    check_value(m, oracle, [(m.pairs, pairs), (list(m.pairs), sorted(pairs)), (m.table, table),
+    values_at = tuple(tuple(m.value(i, j) for j in range(bounds[1])) for i in range(bounds[0]))
+    check_value(m, oracle, [(values_at, table), (list(m.scaled_pairs[1]), sorted(pairs)), (m.table, table),
                             (m.scaled_pairs, (d, dict(zip(pairs, values))))], (left, right, target))
     assert m.is_zero() == (not oracle)
     shuffled = list(entries)
@@ -136,7 +139,7 @@ def test_bilinear_maps_store_the_oracle_state(case, data):
     if bounds[0] == bounds[1] == bounds[2]:
         sp = space(left.parities)
         b = SuperBracket.from_entries(sp, entries)
-        check_value(b, oracle, [(b.pairs, pairs)], (sp,))
+        check_value(b, oracle, [(b.table, table)], (sp,))
 
 
 @settings(max_examples=100, deadline=None)
@@ -149,7 +152,9 @@ def test_forms_store_the_oracle_state(case, degree, data):
     oracle = _normalize(entries, (n, n), "form")
     form = GradedBilinearForm.from_entries(sp, degree, entries)
     rows = tuple({j: c for (i, j), c in oracle.items() if i == r} for r in range(n))
-    check_value(form, oracle, [(form.sparse_rows, rows), (form.matrix, tuple(dense_vec(r, n) for r in rows)),
+    matrix = tuple(dense_vec(r, n) for r in rows)
+    values = tuple(tuple(form.value(unit_vec(n, i), unit_vec(n, j)) for j in range(n)) for i in range(n))
+    check_value(form, oracle, [(values, matrix), (form.matrix, matrix),
                                (form.scaled_rows, scaled_to_ints(rows))], (sp, degree))
     assert GradedBilinearForm(sp, degree, form.matrix) == form
 
@@ -168,7 +173,7 @@ def test_linear_maps_store_the_oracle_state(case, degree, data):
         return
     t = GradedLinearMap.from_entries(source, target, degree, entries)
     cols = tuple({r: c for (r, cc), c in oracle.items() if cc == col} for col in range(bounds[1]))
-    check_value(t, oracle, [(t.sparse_columns, cols), (t.scaled_columns, scaled_to_ints(cols)),
+    check_value(t, oracle, [(t.scaled_columns, scaled_to_ints(cols)),
                             (t.matrix, tuple(tuple(cols[c].get(r, 0) for c in range(bounds[1]))
                                              for r in range(bounds[0])))], (source, target, degree))
     assert t.is_zero() == (not oracle)
@@ -323,7 +328,6 @@ def test_hand_built_tables_follow_the_readers_range_rule():
         (ContextDocument("c", 0, h, a, ((0, 2, 0, F(1)),), (), ()), "rho index 2 out of range in 'c'"),
         (ContextDocument("c", 0, h, a, (), ((0, 0, 5, F(1)),), ()), "lambda index 5 out of range in 'c'"),
         (ContextDocument("c", 0, h, a, (), (), ((0, 1, 0, F(1)),)), "omega index 1 out of range in 'c'"),
-        (ContextDocument("c", 0, bad_h, a, (), (), ()), "bracket index 2 out of range in 'h'"),
     ]
     for doc, message in cases:
         convert = document_to_context if isinstance(doc, ContextDocument) else document_to_raw
@@ -331,6 +335,12 @@ def test_hand_built_tables_follow_the_readers_range_rule():
             with pytest.raises(ParseError) as exc:
                 convert(made) if made is doc else parse_document(made)
             assert str(exc.value) == f"input: {message}", made
+    # the JSON reader also names the context's field h, which a hand-built document has not
+    doc = ContextDocument("c", 0, bad_h, a, (), (), ())
+    with pytest.raises(ParseError, match=r"^input: bracket index 2 out of range in 'h'$"):
+        document_to_context(doc)
+    with pytest.raises(ParseError, match=r"^input, field h: bracket index 2 out of range in 'h'$"):
+        parse_document(serialize_document(doc, "json"))
     zero = ContextDocument("c", 0, h, a, (), (), ((0, 0, 0, F(1)), (0, 1, 0, F(0))))
     with pytest.raises(ParseError, match="omega index 1 out of range in 'c'"):
         document_to_context(zero)
