@@ -30,8 +30,8 @@ from .decompose import (
     build_xi,
     certify_split,
     extract_structure_maps,
-    find_central_minimal_ideal,
     orthogonal_complement,
+    split_step,
 )
 from .errors import (
     ClaimViolated,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import catalog as cat
 from .algebra import _by_transport, check_invariance, check_jacobi
-from .decompose import decompose, find_central_minimal_ideal
+from .decompose import decompose, split_step
 from .errors import (
     NotHomogeneous,
     ParseError,
@@ -173,20 +173,13 @@ def cmd_extend(args) -> int:
 
 
 def _ideal(args, g) -> list:
-    """The ideal to decompose g along: the central line ``--ideal auto`` finds, or the vectors of the ideal file."""
-    if args.ideal == "auto":
-        ideal = find_central_minimal_ideal(g)
-        if ideal is None:
-            raise ParseError("auto ideal discovery handles only the central case: no canonical centre vector is "
-                             "isotropic and B has no radical on the centre; supply --ideal FILE", path=args.file)
-    else:
-        ideal_doc = _load(args.ideal, IdealDocument, "an ideal")
-        ideal = list(ideal_doc.vectors)
-        if not ideal:
-            raise ParseError("the ideal document has no vectors: decompose needs a nonzero ideal", path=args.ideal)
-        for r, v in enumerate(ideal):
-            if len(v) != g.dim:
-                raise ParseError(f"ideal vector {r} has length {len(v)}, the algebra has dim {g.dim}", path=args.ideal)
+    """The vectors of the ideal file to decompose g along."""
+    ideal = list(_load(args.ideal, IdealDocument, "an ideal").vectors)
+    if not ideal:
+        raise ParseError("the ideal document has no vectors: decompose needs a nonzero ideal", path=args.ideal)
+    for r, v in enumerate(ideal):
+        if len(v) != g.dim:
+            raise ParseError(f"ideal vector {r} has length {len(v)}, the algebra has dim {g.dim}", path=args.ideal)
     return ideal
 
 
@@ -197,7 +190,10 @@ def cmd_decompose(args) -> int:
     # g is read unscanned: decompose's isometry onto its scanned re-extension certifies it
     g = _by_transport(*_converted(args.file, document_to_raw, doc)[1:])
     try:
-        res = decompose(g, _ideal(args, g))
+        res = split_step(g) if args.ideal == "auto" else decompose(g, _ideal(args, g))
+        if isinstance(res, str):
+            raise ParseError("auto ideal discovery handles only the central case: no canonical centre vector is "
+                             "isotropic and B has no radical on the centre; supply --ideal FILE", path=args.file)
     except Exception:
         document_to_algebra(doc)  # g's own scans first: an invalid g reports its first witness, as before any split
         raise

@@ -1,9 +1,9 @@
 """Splitting a quadratic Lie superalgebra along an isotropic abelian ideal.
 
 Given g with invariant metric B of degree delta and an abelian isotropic
-ideal I, ``decompose`` checks I, then searches: it computes I-perp, picks a
-complement h of I inside I-perp (any complement is automatically
-non-degenerate because the radical of B restricted to I-perp is exactly I)
+ideal I, ``decompose`` checks I (``split_step`` finds a central line, which
+needs no check), then searches: it computes I-perp, picks a complement h of
+I in I-perp (non-degenerate, as the radical of B restricted to I-perp is I)
 and a Witt-style isotropic complement a dual to I. ``certify_split``, which
 searches for nothing, changes basis once to (a, h, I), extracts all
 structure maps of the split bracket, reconstructs a double-extension
@@ -138,35 +138,34 @@ def _homogeneous_parity(space: SuperSpace, v: dict) -> int:
     return seen.pop()
 
 
-def find_central_minimal_ideal(g: QuadraticLieSuperAlgebra) -> list[Vector] | None:
-    """A 1-dimensional homogeneous isotropic subspace of the center, or None.
+def find_central_minimal_ideal(g: QuadraticLieSuperAlgebra) -> tuple[int, tuple[dict, ...]] | str:
+    """A 1-dimensional homogeneous isotropic subspace of the center as an
+    integer view, or the stop that says why there is none.
 
     Any subspace of the center is an ideal and 1-dimensional ideals are
     minimal. The center is [g,g]^perp, B being invariant and non-degenerate:
     B([x,y],z) = B(x,[y,z]) vanishes for all x, y exactly when z is central.
     So one forward elimination picks a basis of the span of the bracket
     values [e_i, e_j], i <= j, from the bracket's integer view, and the
-    center is the nullspace of the at most n integer covectors B(w, .) of
-    that basis. That system has the kernel of the centraliser system
-    [x, e_j] = 0, so the same reduced row echelon form and the same
-    canonical nullspace basis. One integer Gram of its vectors picks the
-    line: the first with B(z, z) = 0, else the first canonical vector of the
-    radical of B on the center, which is its meet with [g,g]. None when
-    neither exists.
+    center is its ``orthogonal_complement``, which has the kernel of the
+    centraliser system [x, e_j] = 0, so the same canonical nullspace basis.
+    One integer Gram of its vectors picks the line: the first with
+    B(z, z) = 0, else the first canonical vector of the radical of B on the
+    center, its meet with [g,g]. The stops: ``perfect: centre is zero``,
+    and ``central summand`` when B is non-degenerate on the center.
     """
-    n = g.dim
     values = [v for (i, j), v in g.bracket.scaled_pairs[1].items() if i <= j]
-    rows = g.metric.scaled_rows[1]
-    d, center = linalg.nullspace_ints(
-        [_covector(rows, values[k]) for k in linalg.extend_independent([], values)], n)
+    d, center = orthogonal_complement((1, [values[k] for k in linalg.extend_independent([], values)]), g.metric)
+    if not center:
+        return "perfect: centre is zero"
     gram = _gram(g.metric, center, center)
     line = next((v for i, (v, row) in enumerate(zip(center, gram)) if i not in row), None)
     if line is None:
         d_r, radical = linalg.nullspace_ints(gram, len(center))
         if not radical:
-            return None
+            return "central summand"
         d, line = d * d_r, _covector(center, radical[0])
-    return [linalg._dense(d, line, n)]
+    return linalg.lowest_terms(d, [{k: line[k] for k in sorted(line) if line[k]}])
 
 
 def _dual_vectors(form: GradedBilinearForm, ideal: tuple, avoid: tuple) -> tuple[int, tuple[dict, ...]]:
@@ -509,22 +508,31 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> tuple[int, 
     return d_e, e
 
 
-def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
-              source: DeltaContext | None = None) -> DecompositionResult:
-    """Split g along an isotropic abelian ideal and certify the split.
-
-    The ideal's hypotheses are checked first (``ideal-*``), to name the
-    caller's mistake before the search, which assumes them and checks
-    nothing: h extends I's basis within I-perp's canonical one, so dim h +
-    dim I = dim I-perp, and a is the Witt complement orthogonal to h.
-    ``certify_split`` certifies the views of a, h and I, with ``source``.
-    Each ideal vector is dense or a sparse dict.
-    """
-    ideal = _validate_ideal(g, ideal)
+def _split(g: QuadraticLieSuperAlgebra, ideal: tuple, source: DeltaContext | None) -> DecompositionResult:
+    """The search, which checks nothing: h extends I's basis within I-perp's
+    canonical one, and a is the Witt complement orthogonal to h."""
     d_p, i_perp = orthogonal_complement(ideal, g.metric)
     h_vectors = linalg.lowest_terms(d_p, [i_perp[k] for k in linalg.extend_independent(ideal[1], i_perp)])
     a_vectors = witt_complement(g.metric, ideal, avoid=h_vectors)
     return certify_split(g, ideal, a_vectors, h_vectors, source=source)
+
+
+def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
+              source: DeltaContext | None = None) -> DecompositionResult:
+    """Split g along an isotropic abelian ideal, each vector dense or a sparse
+    dict, and certify the split (``certify_split``, with ``source``). The
+    ideal's hypotheses are checked first (``ideal-*``), to name the caller's
+    mistake before the search (``_split``), which assumes them."""
+    return _split(g, _validate_ideal(g, ideal), source)
+
+
+def split_step(g: QuadraticLieSuperAlgebra) -> DecompositionResult | str:
+    """The structure theorem's step: g split along the isotropic central line
+    ``find_central_minimal_ideal`` finds, or the stop it names. The line meets
+    the ideal's hypotheses by construction, and ``certify_split`` certifies
+    the split whatever the line, so it skips ``_validate_ideal``."""
+    line = find_central_minimal_ideal(g)
+    return line if isinstance(line, str) else _split(g, line, None)
 
 
 def certify_split(g: QuadraticLieSuperAlgebra, ideal_view: tuple, a_view: tuple, h_view: tuple, *,

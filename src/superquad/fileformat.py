@@ -112,8 +112,8 @@ def _ratio(text: str, line: int = 0, field_name: str = "") -> tuple[int, int]:
         except ValueError:  # a digit string over int's digit limit
             pass
     if "e" in text or "E" in text:
-        raise ParseError(f"bad rational {text!r}: exponent notation is not accepted", line, field_name)
-    raise ParseError(f"bad rational {text!r}", line, field_name)
+        raise ParseError(f"bad rational {_shown(text, repr)}: exponent notation is not accepted", line, field_name)
+    raise ParseError(f"bad rational {_shown(text, repr)}", line, field_name)
 
 
 class _Tables:
@@ -244,7 +244,7 @@ def _int(tok: str, line: int, what: str) -> int:
     try:
         return int(tok)
     except ValueError as exc:
-        raise ParseError(f"bad integer {tok!r}", line, what) from exc
+        raise ParseError(f"bad integer {_shown(tok, repr)}", line, what) from exc
 
 
 def _indices(fields: list[str], line: int) -> tuple[int, ...]:
@@ -370,7 +370,7 @@ def _parse_algebra(cur: _Cursor) -> AlgebraDocument:
                 raise ParseError("expected 'end algebra'", line)
             break
         else:
-            raise ParseError(f"unknown algebra line {key!r}", line)
+            raise ParseError(f"unknown algebra line {_shown(key, repr)}", line)
     else:
         raise cur.end_of_input()
     return _algebra_document(name, basis, metric_degree, bracket, metric, functools.partial(cur.line_of, head, line))
@@ -414,7 +414,7 @@ def _parse_context(cur: _Cursor) -> ContextDocument:
         table = tables.get(key)
         if table is None:
             if key != "end":
-                raise ParseError(f"unknown context line {key!r}", line)
+                raise ParseError(f"unknown context line {_shown(key, repr)}", line)
             if fields != ["end", "context"]:
                 raise ParseError("expected 'end context'", line)
             break
@@ -504,18 +504,18 @@ def _dedup(pairs: list, message: str) -> dict:
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ParseError(message.format(key))
+                raise ParseError(message.format(_shown(key, repr)))
             seen.add(key)
     return table
 
 
 # json alone would keep the last value of a key written twice in an object
-_DECODER = json.JSONDecoder(object_pairs_hook=functools.partial(_dedup, message="duplicate key {!r} in a JSON object"))
+_DECODER = json.JSONDecoder(object_pairs_hook=functools.partial(_dedup, message="duplicate key {} in a JSON object"))
 
 
-def _shown(x) -> str:
-    """A value as a message echoes it: its JSON, cut after 60 characters to end in '...'."""
-    text = json.dumps(x)
+def _shown(x, form=json.dumps) -> str:
+    """A value as a message echoes it: ``form(x)``, its JSON unless given, cut after 60 characters to end in '...'."""
+    text = form(x)
     return text if len(text) <= 60 else text[:57] + "..."
 
 
@@ -526,7 +526,7 @@ def _json_object(x, kind: str) -> dict:
     keys = _JSON_KEYS[kind]
     for key in x:
         if key not in keys:
-            raise ParseError(f"unknown {kind} key {key!r}")
+            raise ParseError(f"unknown {kind} key {_shown(key, repr)}")
     for key in keys:
         if key not in x and key != "metric":
             raise ParseError(f"missing {kind} key {key!r}")
@@ -692,7 +692,7 @@ def parse_document(text: str) -> Document:
     line, fields = cur.rows[0]
     parse = {"algebra": _parse_algebra, "context": _parse_context, "ideal": _parse_ideal}.get(fields[0])
     if parse is None:
-        raise ParseError(f"unknown document head {fields[0]!r}", line)
+        raise ParseError(f"unknown document head {_shown(fields[0], repr)}", line)
     doc = parse(cur)
     row = next(cur.lines, None)
     if row is not None:

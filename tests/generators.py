@@ -70,6 +70,13 @@ def fractions(view):
     return tuple({k: F(n, d) for k, n in v.items()} for v in vectors)
 
 
+def dense_line(found, n: int):
+    """``find_central_minimal_ideal``'s integer view of a line as a list of
+    one dense rational vector, or None for a stop, the return the tests'
+    rational oracles give."""
+    return None if isinstance(found, str) else [linalg._dense(found[0], v, n) for v in found[1]]
+
+
 def combine(vectors, coeffs: dict) -> dict:
     """The sum of c * vectors[k] over the sparse coefficients {k: c}: a
     linear map's image of a sparse vector from its columns, or a form's

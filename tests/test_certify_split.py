@@ -62,7 +62,8 @@ def test_certify_split_searches_for_nothing(monkeypatch):
     def searched(*args, **kwargs):
         raise AssertionError("certify_split searched")
 
-    for name in ("_validate_ideal", "orthogonal_complement", "witt_complement", "find_central_minimal_ideal"):
+    for name in ("_validate_ideal", "orthogonal_complement", "witt_complement", "find_central_minimal_ideal",
+                 "split_step"):
         monkeypatch.setattr(dec, name, searched)
     for g, want in expected:
         assert_same(certify_split(g, *views(want)), want)

@@ -68,20 +68,21 @@ def test_orthogonal_complement_isotropic_line():
 def test_find_central_ideal_abelian():
     g = odd_hyperbolic_2dim()
     found = find_central_minimal_ideal(g)
-    assert found is not None
-    (v,) = found
+    assert not isinstance(found, str)
+    (v,) = dense(found, 2)
     assert g.metric.value(v, v) == 0
 
 
 def test_find_central_ideal_heisenberg_is_dual_line():
     g = heisenberg_extension(default_heisenberg_params())
     found = find_central_minimal_ideal(g)
-    assert found == [(ZERO, ZERO, ZERO, ONE)]
+    assert found == (1, ({3: 1},))
+    assert dense(found, 4) == [(ZERO, ZERO, ZERO, ONE)]
 
 
 def test_find_central_ideal_none_for_sl2():
     from generators import _sl2_killing
-    assert find_central_minimal_ideal(_sl2_killing()) is None
+    assert find_central_minimal_ideal(_sl2_killing()) == "perfect: centre is zero"
 
 
 def test_witt_complement_forced_2dim():

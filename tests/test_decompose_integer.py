@@ -25,6 +25,7 @@ from generators import (
     change_basis,
     combine,
     context_corpus,
+    dense_line,
     dense_vec,
     random_heisenberg_params,
     random_odd_dim1_params,
@@ -324,7 +325,7 @@ def test_moved_extensions_match_the_oracle_with_the_file_ideal_and_auto():
     auto = 0
     for g, ideal in moved_cases():
         assert assert_same(g, ideal)[0] == "ok"
-        found = dec.find_central_minimal_ideal(g)
+        found = dense_line(dec.find_central_minimal_ideal(g), g.dim)
         assert found == find_central_minimal_ideal(g)
         if found is not None:
             assert_same(g, found)
@@ -343,7 +344,7 @@ def test_corpus_extensions_match_the_oracle():
 def test_catalog_families_and_coprime_golden_match_the_oracle():
     for g, ideal in catalog_cases():
         assert assert_same(g, ideal)[0] == "ok"
-        found = dec.find_central_minimal_ideal(g)
+        found = dense_line(dec.find_central_minimal_ideal(g), g.dim)
         assert found == find_central_minimal_ideal(g)
         if found is not None:
             assert_same(g, found)
@@ -361,7 +362,7 @@ def test_step_and_result_views_are_canonical():
     decompose, and the three a result holds, are canonical: two results are
     then equal exactly when their rational bases are."""
     cases = [*moved_cases(), *corpus_cases(), *catalog_cases()]
-    cases += [(g, found) for g, _ in cases[::4] if (found := dec.find_central_minimal_ideal(g)) is not None]
+    cases += [(g, found) for g, _ in cases[::4] if (found := dense_line(dec.find_central_minimal_ideal(g), g.dim)) is not None]
     returned = []
 
     def recorded(step):
@@ -484,8 +485,9 @@ def test_decompose_reads_no_rational_view():
         for (g, ideal), (res, found) in zip(cases, expected):
             assert outcome(dec.decompose, g, ideal) == res
             assert dec.find_central_minimal_ideal(g) == found
-            if found is not None:
-                dec.decompose(g, found)
+            if not isinstance(found, str):
+                dec.decompose(g, dense_line(found, g.dim))
+                dec.split_step(g)
         for (g, bad), res in zip(planted, planted_expected):
             assert outcome(dec.decompose, g, bad) == res
 

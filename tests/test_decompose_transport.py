@@ -37,6 +37,7 @@ from generators import (
     _sl2_killing,
     change_basis,
     context_corpus,
+    dense_line,
     dense_vec,
     random_heisenberg_params,
     random_odd_dim1_params,
@@ -95,7 +96,7 @@ def cases() -> tuple:
     coprime = document_to_algebra(parse_document((GOLDEN / "coprime.algebra").read_text()))
     out.append((coprime, [unit_vec(coprime.dim, k) for k in (7, 8, 9)]))
     algebras = [g for g, _ in out[::4]] + [coprime, _oscillator()]
-    out += [(g, found) for g in algebras if (found := dec.find_central_minimal_ideal(g)) is not None]
+    out += [(g, found) for g in algebras if (found := dense_line(dec.find_central_minimal_ideal(g), g.dim))]
     return tuple(out)
 
 
@@ -243,7 +244,7 @@ def test_auto_line_splits_into_blocks_the_scans_accept(seed, delta):
     g = random_quadratic(rng, delta, max_dim=6)
     if g.dim:
         g = change_basis(g, random_parity_preserving_basis(rng, g.space))
-    line = dec.find_central_minimal_ideal(g)
+    line = dense_line(dec.find_central_minimal_ideal(g), g.dim)
     if line is None:
         return
     try:
@@ -289,7 +290,7 @@ def test_centre_from_the_derived_algebra_matches_the_centraliser_system():
         algebras += [moved(rng, ctx)[0] for ctx in contexts if ctx.a.dim and ctx.extension.dim <= 12]
         algebras += [random_quadratic(rng, delta, max_dim=6) for _ in range(20)]
     algebras += [_sl2_killing(), _oscillator()]
-    picks = [dec.find_central_minimal_ideal(g) for g in algebras]
+    picks = [dense_line(dec.find_central_minimal_ideal(g), g.dim) for g in algebras]
     assert picks == [centraliser_pick(g) for g in algebras]
     assert len(algebras) >= 200
     assert sum(p is None for p in picks) >= 5 and sum(p is not None for p in picks) >= 100

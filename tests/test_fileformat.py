@@ -284,6 +284,14 @@ vector 0 0 0 1
 end ideal
 """
 
+# a 100-character token, key or coefficient, and its echo, cut after 60 characters to end in "..."
+LONG, LONG_EXPONENT = "x" * 100, "1e" + "9" * 98
+
+
+def cut(x) -> str:
+    return repr(x)[:57] + "..."
+
+
 TEXT_ERRORS = [
     ("algebra-head", ALGEBRA.replace("algebra t", "algebra t u"), "line 1: expected 'algebra NAME'"),
     ("basis-fields", ALGEBRA.replace("basis x 1", "basis x"), "line 2: expected 'basis LABEL PARITY'"),
@@ -349,6 +357,18 @@ TEXT_ERRORS = [
     ("ideal-trailing", IDEAL + "end ideal\n", "line 4: trailing content after 'end ideal'"),
     ("empty", "# only a comment\n\n", "input: empty document"),
     ("unknown-head", "widget w\n", "line 1: unknown document head 'widget'"),
+    # every echoed token is cut
+    ("long-bad-integer", ALGEBRA.replace("basis x 1", f"basis x {LONG}"),
+     f"line 2, field parity: bad integer {cut(LONG)}"),
+    ("long-bad-rational", ALGEBRA.replace("bracket 0 0 1 1", f"bracket 0 0 1 {LONG}"),
+     f"line 4: bad rational {cut(LONG)}"),
+    ("long-exponent", ALGEBRA.replace("bracket 0 0 1 1", f"bracket 0 0 1 {LONG_EXPONENT}"),
+     f"line 4: bad rational {cut(LONG_EXPONENT)}: exponent notation is not accepted"),
+    ("long-unknown-algebra-line", ALGEBRA.replace("basis d 0", f"{LONG} d 0"),
+     f"line 3: unknown algebra line {cut(LONG)}"),
+    ("long-unknown-context-line", CONTEXT.replace("lambda 0 0 1 1", f"{LONG} 0 0 1 1"),
+     f"line 17: unknown context line {cut(LONG)}"),
+    ("long-unknown-head", f"{LONG} w\n", f"line 1: unknown document head {cut(LONG)}"),
 ]
 
 
@@ -463,13 +483,13 @@ def at(obj, path: tuple):
 
 def planted(obj, path: tuple, value) -> str:
     """The JSON text of obj with the value at path set to value, removed if
-    value is DELETE, or kept and written again if it is an ``Again``."""
+    value is DELETE, or kept (a new key: given) and written again if it is an ``Again``."""
     *parents, last = path
     target = at(obj, parents)
     if value is DELETE:
         del target[last]
     else:
-        target[last] = Again(value.value, target[last]) if isinstance(value, Again) else value
+        target[last] = Again(value.value, target.get(last, value.value)) if isinstance(value, Again) else value
     return dumps(obj)
 
 
@@ -583,6 +603,13 @@ JSON_ERRORS = [
     # an echoed value is cut after 60 characters
     ("basis-entry-long-string", ALGEBRA, ("basis", 0), "x" * 80,
      'input: basis entry 0 must be [LABEL, PARITY], got "' + "x" * 56 + "..."),
+    ("long-bad-rational", ALGEBRA, ("bracket", 0, 3), LONG, f"input: bad rational {cut(LONG)}"),
+    ("long-exponent", ALGEBRA, ("bracket", 0, 3), LONG_EXPONENT,
+     f"input: bad rational {cut(LONG_EXPONENT)}: exponent notation is not accepted"),
+    ("long-unknown-key", ALGEBRA, (LONG,), 0, f"input: unknown algebra key {cut(LONG)}"),
+    ("long-duplicate-key", ALGEBRA, (LONG,), Again(0), f"input: duplicate key {cut(LONG)} in a JSON object"),
+    ("long-duplicate-entry", ALGEBRA, ("bracket",), [[10 ** 99, 0, 1, "1"]] * 2,
+     f"input: duplicate bracket entry {cut((10 ** 99, 0, 1))}"),
     ("context-h-long-list", CONTEXT, ("h",), [list(range(30))],
      "input, field h: expected an algebra object, got [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 1..."),
     # the object rule: an object holds each key of its kind (an algebra's metric is optional), once, and no other

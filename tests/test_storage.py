@@ -388,8 +388,8 @@ FRACTIONS = [
     (["extend", "--context", "samples/odd-dim1.context", "--out", "OUT"], 0),      # 6
     (["extend", "--context", "tests/golden/coprime.context", "--out", "OUT"], 0),  # 200
     (["decompose", "samples/heisenberg.algebra", "--ideal", "samples/heisenberg.ideal", "--out", "OUT"], 4),  # 43
-    (["decompose", "tests/golden/coprime.algebra", "--ideal", "auto", "--out", "OUT"], 2),  # 256
-    (["decompose", "tests/data/oscillator-line.algebra", "--ideal", "auto", "--out", "OUT"], 5),
+    (["decompose", "tests/golden/coprime.algebra", "--ideal", "auto", "--out", "OUT"], 0),  # 256
+    (["decompose", "tests/data/oscillator-line.algebra", "--ideal", "auto", "--out", "OUT"], 0),
     (["roundtrip", "samples/heisenberg.context"], 0),                              # 29
     (["roundtrip", "samples/odd-dim1.context"], 0),                                # 11
     (["roundtrip", "tests/golden/coprime.context"], 0),                            # 223
@@ -402,8 +402,8 @@ def test_fractions_built_per_command(argv, pinned, tmp_path):
     reading and checking integers only, builds none, and neither does extend,
     which writes its algebra from the integers too, nor roundtrip, whose
     decomposition keeps its vectors as integer views. decompose builds only
-    the ideal's: the parsed ideal document's, or the dense vector of
-    ``--ideal auto``."""
+    the parsed ideal document's; ``--ideal auto`` keeps its line as an
+    integer view and builds none."""
     argv = [str(tmp_path / "out") if a == "OUT" else str(ROOT / a) if "/" in a else a for a in argv]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
