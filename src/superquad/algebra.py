@@ -398,9 +398,9 @@ def _by_transport(bracket: SuperBracket, metric: GradedBilinearForm | None = Non
     """The bracket, with the metric if given, as a certified algebra, built
     without their scans or any check.
 
-    The caller holds the certificate. ``decompose`` reads the tables of g
-    in a basis of homogeneous columns (``inverse_ints``), with I-perp an
-    ideal that contains I (``ideal-*``), h + I its basis by construction
+    The caller holds the certificate. ``certify_split`` reads the tables
+    of g in a basis of homogeneous columns, with I-perp an ideal that
+    contains I (``ideal-*``), h + I its basis by construction
     and dim a = dim I (``a-superalgebra``), and returns nothing before the
     isometry claims pass and the re-extension, which has g's tables in that
     basis, has passed its own scans; the isometry has degree 0, so its

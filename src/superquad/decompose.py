@@ -11,8 +11,10 @@ context and certifies what the search assembled by the isometry onto its
 extension, pairings first. Only the re-extension is scanned, sparse in the
 split basis where g may be dense: g, a, h and the context are certified by
 transport through the isometry, and the Witt pairing fixes xi
-(``certify_split`` names the one check behind each fact). Every step is
-deterministic: linear solves take first pivots in canonical basis order.
+(``certify_split`` names the one check behind each fact). A split in g's
+own basis, as ``roundtrip``'s, reads g's own tables, with no change of
+basis. Every step is deterministic: linear solves take first pivots in
+canonical basis order.
 
 Every set of vectors is one integer view ``(d, vectors)``: sparse int
 vectors ``{index: n}``, the rational vectors times d, d the lcm of their
@@ -377,26 +379,32 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: tuple,
     of [h,h] to h's table. The other components, the I-components of [a,h],
     [a,I] and [h,h] among them, are kept only in ``split``.
 
-    The split is assembled, not certified, once it is a homogeneous basis
-    (``split-homogeneous``, ``split-basis``): ``certify_split`` certifies it
-    by the isometry, which compares every component of ``split`` with the
-    re-extension's, those no map reads included.
+    In g's own basis, e_0, ..., e_{n-1} in order at scale 1, the split is
+    g's own tables. It is assembled, not certified, once it is a
+    homogeneous basis (``split-homogeneous``, ``split-basis``):
+    ``certify_split`` certifies it by the isometry, which compares every
+    component of ``split`` with the re-extension's, those no map reads
+    included.
     """
     na, nh = len(a_vectors[1]), len(h_vectors[1])
-    d_c, int_cols = _join(a_vectors, h_vectors, ideal)
+    d_c, int_cols = cols = _join(a_vectors, h_vectors, ideal)
     if len(int_cols) != g.dim:
         raise ClaimViolated("split-basis", message=f"a + h + I has {len(int_cols)} vectors, dim g is {g.dim}")
-    r = next((r for r, v in enumerate(int_cols) if len({g.space.parity(k) for k in v}) > 1), None)
-    if r is not None:
-        raise ClaimViolated("split-homogeneous", [Violation("split-homogeneous", (r,))])
-    # the rows of the inverse of the matrix whose rows are the integer columns
-    # are the columns of the inverse of the change of basis divided by d_c
-    inv = linalg.inverse_ints(int_cols)
-    if inv is None:  # the first vector in the span of those before it
-        grows = linalg.extend_independent([], int_cols)
-        r = next((r for r, k in enumerate(grows) if k != r), len(grows))
-        raise ClaimViolated("split-basis", [Violation("split-basis", (r,))])
-    inverse = linalg.lowest_terms(inv[0], ({k: d_c * x for k, x in v.items()} for v in inv[1]))
+    if d_c == 1 and all(_unit_index(v, 1) == k for k, v in enumerate(int_cols)):  # the inverse is the identity
+        inverse, split = cols, g.bracket.scaled_pairs
+    else:
+        r = next((r for r, v in enumerate(int_cols) if len({g.space.parity(k) for k in v}) > 1), None)
+        if r is not None:
+            raise ClaimViolated("split-homogeneous", [Violation("split-homogeneous", (r,))])
+        # the rows of the inverse of the matrix whose rows are the integer columns
+        # are the columns of the inverse of the change of basis divided by d_c
+        inv = linalg.inverse_ints(int_cols)
+        if inv is None:  # the first vector in the span of those before it
+            grows = linalg.extend_independent([], int_cols)
+            r = next((r for r, k in enumerate(grows) if k != r), len(grows))
+            raise ClaimViolated("split-basis", [Violation("split-basis", (r,))])
+        inverse = linalg.lowest_terms(inv[0], ({k: d_c * x for k, x in v.items()} for v in inv[1]))
+        split = _bracket_in_basis(g.bracket, cols, inverse)
 
     for reuse in (True, False):
         # g's labels can clash across a, h and the dual block; a<j>, h<j> and theirs cannot
@@ -411,7 +419,6 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: tuple,
     # a-vector, the {(r, c): n} of a map h -> h
     a_ent, lam_ent, omega_ent, h_ent = {}, {}, {}, {}
     rho_ent = [{} for _ in range(na)]
-    split = _bracket_in_basis(g.bracket, (d_c, int_cols), inverse)
     for (p, q), z in split[1].items():
         if p < na and q < na:
             for k, c in z.items():
@@ -517,13 +524,12 @@ def _split(g: QuadraticLieSuperAlgebra, ideal: tuple, source: DeltaContext | Non
     return certify_split(g, ideal, a_vectors, h_vectors, source=source)
 
 
-def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence, *,
-              source: DeltaContext | None = None) -> DecompositionResult:
+def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> DecompositionResult:
     """Split g along an isotropic abelian ideal, each vector dense or a sparse
-    dict, and certify the split (``certify_split``, with ``source``). The
-    ideal's hypotheses are checked first (``ideal-*``), to name the caller's
-    mistake before the search (``_split``), which assumes them."""
-    return _split(g, _validate_ideal(g, ideal), source)
+    dict, and certify the split (``certify_split``). The ideal's hypotheses
+    are checked first (``ideal-*``), to name the caller's mistake before the
+    search (``_split``), which assumes them."""
+    return _split(g, _validate_ideal(g, ideal), None)
 
 
 def split_step(g: QuadraticLieSuperAlgebra) -> DecompositionResult | str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 from superquad import linalg
@@ -40,6 +41,29 @@ from superquad.spaces import (
 )
 
 F = Fraction
+
+
+def count_calls(monkeypatch, owner, *names) -> dict[str, list]:
+    """Patch each function named in names, an attribute of the module
+    owner, in every loaded superquad module that holds it, so that every
+    call is logged whichever module makes it. Returns {name: [the
+    positional arguments of each call]}, so a count is the list's length;
+    a test clears the lists between runs."""
+    calls = {}
+
+    def logged(original, seen):
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+        return counting
+
+    for name in names:
+        original = getattr(owner, name)
+        counting = logged(original, calls.setdefault(name, []))
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "superquad" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,38 @@ certify_split the views decompose returned and compare the results, also
 with a view not in lowest terms, pin that it reaches no search step, plant a
 wrong a view and a split that is no homogeneous basis or of the wrong size,
 and certify a moved extension along its own blocks, a complement
-decompose's search does not pick.
+decompose's search does not pick. A split in g's own basis, as
+roundtrip's, gives the result with any source that certify_split gives
+with none, and reads g's tables with no change of basis.
 """
 
+import copy
+import dataclasses
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from generators import change_basis, context_corpus, random_parity_preserving_basis
+from generators import change_basis, context_corpus, count_calls, random_parity_preserving_basis
 from test_decompose_transport import cases
+import superquad.algebra as algebra
 import superquad.decompose as dec
+import superquad.extension as extension
 from superquad import certify_split, linalg
+from superquad.catalog import (
+    default_heisenberg_params,
+    default_odd_dim1_params,
+    heisenberg_context,
+    odd_extension_context,
+)
+from superquad.cli import main
 from superquad.errors import ClaimViolated
 from superquad.extension import contexts_equal
-from superquad.fileformat import document_to_algebra, parse_document
+from superquad.fileformat import context_to_document, document_to_algebra, document_to_context, parse_document
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def results():
@@ -198,3 +213,85 @@ def test_a_moved_extension_certifies_along_its_own_blocks():
             certified += 1
             other += not contexts_equal(dec.decompose(g, images[na + nh:]).context, ctx)
     assert certified == 80 and other >= 50
+
+
+def own_views(ctx):
+    """The views of I, a and h along which roundtrip splits ctx's extension:
+    the dual block, a and h as g's own basis vectors, at scale 1."""
+    na, nh = ctx.a.dim, ctx.h.dim
+    return tuple((1, tuple({k: 1} for k in range(lo, hi)))
+                 for lo, hi in ((na + nh, 2 * na + nh), (0, na), (na, na + nh)))
+
+
+def relabelled(ctx):
+    """ctx with every label of a and h, so of the dual block too, renamed."""
+    doc = context_to_document(ctx, "c")
+    a_doc, h_doc = (dataclasses.replace(d, basis=tuple((f"{lab}r", p) for lab, p in d.basis))
+                    for d in (doc.a_doc, doc.h_doc))
+    return document_to_context(dataclasses.replace(doc, a_doc=a_doc, h_doc=h_doc))
+
+
+def outcome(g, views, source=None):
+    """certify_split's result, or the claim and witnesses it raised."""
+    try:
+        return certify_split(g, *views, source=source)
+    except ClaimViolated as exc:
+        return exc.claim, exc.violations
+
+
+def test_a_source_whose_extension_is_g_gives_the_result_of_none():
+    """Split along its own blocks, each extension of the corpus, the catalog
+    and the samples certifies to the result certify_split gives without a
+    source, with its own context as source, extension built or not, with
+    another corpus context of its shape, whose extension is built and whose
+    tables differ, and with its own context relabelled. Only with the
+    first is the source returned itself."""
+    corpus = context_corpus(0, 40, seed=5) + context_corpus(1, 40, seed=5)
+    inputs = [(ctx.extension, ctx) for ctx in corpus]
+    catalog = [*(heisenberg_context(default_heisenberg_params(pairs)) for pairs in (1, 2, 3)),
+               *(odd_extension_context(default_odd_dim1_params(eta)) for eta in (Fraction(1), Fraction(-3, 2)))]
+    inputs += [(ctx.extension, ctx) for ctx in catalog]
+    for stem in (SAMPLES / "heisenberg", SAMPLES / "odd-dim1", GOLDEN / "coprime"):
+        g = document_to_algebra(parse_document(Path(f"{stem}.algebra").read_text()))
+        ctx = document_to_context(parse_document(Path(f"{stem}.context").read_text()))
+        assert ctx.extension == g  # built, and equal to g, a distinct object
+        inputs.append((g, ctx))
+    same_space = 0
+    for g, ctx in inputs:
+        views = own_views(ctx)
+        want = outcome(g, views)
+        shape = [o for o in corpus if o is not ctx and o.delta == ctx.delta
+                 and (o.a.dim, o.h.dim) == (ctx.a.dim, ctx.h.dim)]
+        other = next((o for o in shape if o.space == ctx.space), shape[0] if shape else None)
+        sources = [ctx, copy.copy(ctx), relabelled(ctx)] + ([other] if other else [])
+        for source in sources[2:]:
+            assert source.extension is not None  # built, so it lends its metric if it equals the recovered one
+        same_space += other is not None and other.space == g.space
+        assert "extension" not in vars(sources[1])
+        for source in sources:
+            got = outcome(g, views, source)
+            if isinstance(want, tuple):
+                assert got == want
+                continue
+            assert_same(got, want)
+            if source is ctx:
+                assert got.context is ctx
+    assert len(inputs) == 88 and same_space >= 50
+
+
+@pytest.mark.parametrize("path", [SAMPLES / "heisenberg.context", SAMPLES / "odd-dim1.context",
+                                  GOLDEN / "coprime.context"], ids=lambda p: p.name)
+def test_roundtrip_certifies_on_the_extension_it_holds(path, monkeypatch):
+    """roundtrip splits its extension g along g's own basis vectors, so it
+    changes no basis and checks no ideal hypothesis: it reads the context
+    back from g's own tables once, and makes the two isometry comparisons
+    of g with the input's extension, whose metric it builds once, for
+    validate_context."""
+    calls = {**count_calls(monkeypatch, dec, "extract_structure_maps", "_bracket_in_basis", "_validate_ideal"),
+             **count_calls(monkeypatch, linalg, "inverse_ints"),
+             **count_calls(monkeypatch, algebra, "certify_isometry"),
+             **count_calls(monkeypatch, extension, "extension_metric")}
+    assert main(["roundtrip", str(path)]) == 0
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "extract_structure_maps": 1, "_bracket_in_basis": 0, "_validate_ideal": 0, "inverse_ints": 0,
+        "certify_isometry": 2, "extension_metric": 1}

@@ -18,6 +18,7 @@ from superquad.fileformat import (
     parse_document,
     serialize_document,
 )
+from generators import count_calls
 from test_decompose_transport import moved
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -876,45 +877,25 @@ def test_extend_scans_each_context_condition_once(tmp_path, capsys, monkeypatch)
     deh1, deh2 and deh3 from, and check each rho map for a derivation once:
     the extension is certified by its own bracket, not by a second pass
     over the same conditions."""
-    import sys
     import superquad.algebra as algebra
-    calls = {"cyclic_failures": 0, "is_derivation": 0}
-    for name in calls:
-        original = getattr(algebra, name)
-
-        def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("superquad") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting)
+    calls = count_calls(monkeypatch, algebra, "cyclic_failures", "is_derivation")
     for stem in (SAMPLES / "heisenberg", SAMPLES / "odd-dim1", GOLDEN / "coprime"):
         path = Path(f"{stem}.context")
         na = len(parse_document(path.read_text()).a_doc.basis)
         for argv in (("extend", "--context", str(path), "--out", str(tmp_path / "out")), ("roundtrip", str(path))):
-            for name in calls:
-                calls[name] = 0
+            for seen in calls.values():
+                seen.clear()
             assert run(capsys, *argv)[0] == 0
-            assert calls == {"cyclic_failures": 3, "is_derivation": na}, argv
+            assert {name: len(seen) for name, seen in calls.items()} == {"cyclic_failures": 3, "is_derivation": na}, \
+                argv
 
 
 def test_delta_coadjoint_built_once_per_context(tmp_path, capsys, monkeypatch):
     """ad*_delta is derived once per context, beside chi and Phi: once per
     extend, decompose and roundtrip (whose recovered context equals its
     input), whichever checks and layers read it."""
-    import sys
     import superquad.algebra as algebra
-    calls = []
-    original = algebra.delta_coadjoint
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("superquad") and getattr(module, "delta_coadjoint", None) is original:
-            monkeypatch.setattr(module, "delta_coadjoint", counting)
+    calls = count_calls(monkeypatch, algebra, "delta_coadjoint")["delta_coadjoint"]
     for stem in (SAMPLES / "heisenberg", SAMPLES / "odd-dim1", GOLDEN / "coprime"):
         out = str(tmp_path / "out")
         for argv, expected in ((("extend", "--context", f"{stem}.context", "--out", out), 1),
@@ -936,19 +917,8 @@ def test_roundtrip_certifies_each_distinct_bracket_once(tmp_path, capsys, monkey
     quotient and subquotient, so it makes one Jacobi scan and one
     invariance scan. roundtrip scans a, h and the extension as extend does, and takes
     the re-extension from the certified input context it equals."""
-    import sys
     import superquad.algebra as algebra
-    calls = {"check_jacobi": [], "check_invariance": []}
-    for name in calls:
-        original = getattr(algebra, name)
-
-        def counting(*args, original=original, seen=calls[name]):
-            seen.append(args[-1])  # the bracket
-            return original(*args)
-
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("superquad") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting)
+    calls = count_calls(monkeypatch, algebra, "check_jacobi", "check_invariance")
     out = str(tmp_path / "out")
     for stem in (SAMPLES / "heisenberg", SAMPLES / "odd-dim1", GOLDEN / "coprime"):
         for argv, expected in ((("extend", "--context", f"{stem}.context", "--out", out), (2, 2, 1)),
@@ -957,33 +927,25 @@ def test_roundtrip_certifies_each_distinct_bracket_once(tmp_path, capsys, monkey
             for seen in calls.values():
                 seen.clear()
             assert run(capsys, *argv)[0] == 0
-            jacobi, invariance = calls["check_jacobi"], calls["check_invariance"]
-            assert (len(jacobi), len(set(jacobi)), len(invariance)) == expected, argv
+            jacobi = [args[-1] for args in calls["check_jacobi"]]  # the bracket
+            assert (len(jacobi), len(set(jacobi)), len(calls["check_invariance"])) == expected, argv
 
 
 def test_roundtrip_compares_the_re_extension_once(capsys, monkeypatch):
-    """roundtrip of each sample makes decompose's two isometry comparisons,
-    the pairings and then the bracket, and no other: decompose returns the
+    """roundtrip of each sample makes the split's two isometry comparisons,
+    the pairings and then the bracket, and no other: the split returns the
     input context itself, whose extension is g, so there is nothing left to
     compare it with."""
-    import sys
     import superquad.algebra as algebra
     import superquad.extension as extension
-    calls = {"certify_isometry": 0, "contexts_equal": 0}
-    for owner, name in ((algebra, "certify_isometry"), (extension, "contexts_equal")):
-        original = getattr(owner, name)
-
-        def counting(*args, original=original, name=name):
-            calls[name] += 1
-            return original(*args)
-
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("superquad") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting)
+    calls = {**count_calls(monkeypatch, algebra, "certify_isometry"),
+             **count_calls(monkeypatch, extension, "contexts_equal")}
     for sample in (SAMPLES / "heisenberg.context", SAMPLES / "odd-dim1.context", GOLDEN / "coprime.context"):
-        calls.update(dict.fromkeys(calls, 0))
+        for seen in calls.values():
+            seen.clear()
         assert run(capsys, "roundtrip", str(sample))[0] == 0
-        assert calls == {"certify_isometry": 2, "contexts_equal": 0}, sample
+        assert {name: len(seen) for name, seen in calls.items()} == {"certify_isometry": 2, "contexts_equal": 0}, \
+            sample
 
 
 def test_roundtrip_builds_the_extension_metric_once(capsys, monkeypatch):
@@ -1057,7 +1019,7 @@ def test_roundtrip_reports_a_re_extension_that_differs(sample, capsys, monkeypat
     code, passing, _ = run(capsys, "roundtrip", str(sample))
     assert code == 0
     head = "".join(passing.splitlines(keepends=True)[:3])
-    real, c = cli.decompose, Fraction(2, 3)
+    real, c = cli._split, Fraction(2, 3)
 
     def planted(ctx, field):
         """ctx with c added to the first entry of field that its grading allows, else None."""
@@ -1083,11 +1045,11 @@ def test_roundtrip_reports_a_re_extension_that_differs(sample, capsys, monkeypat
     fields = [field for field in ("lam", "rho", "omega") if planted(ctx, field) is not None]
     assert fields
     for field in fields:
-        def planting(g, ideal, **kwargs):
-            res = real(g, ideal, **kwargs)
+        def planting(g, ideal, source):
+            res = real(g, ideal, source)
             return dataclasses.replace(res, context=planted(res.context, field))
 
-        monkeypatch.setattr(cli, "decompose", planting)
+        monkeypatch.setattr(cli, "_split", planting)
         code, out, err = run(capsys, "roundtrip", str(sample))
         assert (code, out, err) == (1, head, "roundtrip: reconstructed context differs from the input\n"), field
 

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from generators import (context_corpus, fractions, random_heisenberg_params, random_odd_dim1_params,
+from generators import (context_corpus, count_calls, fractions, random_heisenberg_params, random_odd_dim1_params,
                         random_witt_instance, value_vectors)
+from test_decompose_transport import moved
 import superquad.decompose as dec
 from superquad import linalg
 from superquad.algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, delta_coadjoint
@@ -340,42 +341,36 @@ def test_xi_is_the_identity_on_the_witt_basis():
 
 
 def test_decompose_changes_basis_once(monkeypatch):
-    """One inversion and one change of basis per decompose, one integer
-    Gram per pairing step (the ideal's isotropy, the Witt complement's
-    correction of its duals, and the metric in the split basis, which the
-    isometry compares first and which certifies a) and one rank, the
-    re-extension's non-degeneracy: the ideal's independence is checked
-    once, by ``ideal-independent``, and witt_complement takes it as its
-    precondition. Each fact is proved once:
+    """One inversion and one change of basis per decompose whose split is
+    not in g's own basis, none when it is: along its dual block a corpus
+    extension splits into e_0, ..., e_{n-1} in order, so the inverse is the
+    identity and the split g's own tables, and the moved corpus makes one of
+    each. One integer Gram per pairing step (the ideal's isotropy, the Witt
+    complement's correction of its duals, and the metric in the split
+    basis, which the isometry compares first and which certifies a) and one
+    rank, the re-extension's non-degeneracy: the ideal's independence is
+    checked once, by ``ideal-independent``, and witt_complement takes it as
+    its precondition. Each fact is proved once:
     the Witt pairing fixes xi, so build_xi is not called, and the isometry
     certifies the recovered context, so validate_context is not called
     either. Each re-extension table is built once: the metric the pairings
     claim compares is the one the bracket claim compares and the
     re-extension keeps."""
     import superquad.extension as extension
-    counts = {}
-
-    def count(owner, name):
-        real = getattr(owner, name)
-
-        def counting(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counting)
-
-    count(linalg, "inverse_ints")
-    count(linalg, "rank")
-    count(dec, "_bracket_in_basis")
-    count(dec, "_gram")
-    count(dec, "build_xi")
-    count(extension, "validate_context")
-    count(extension, "extension_metric")
-    count(extension, "extension_bracket")
-    for g, ideal in _corpus_extensions():
-        counts.clear()
+    calls = {**count_calls(monkeypatch, linalg, "inverse_ints", "rank"),
+             **count_calls(monkeypatch, dec, "_bracket_in_basis", "_gram", "build_xi"),
+             **count_calls(monkeypatch, extension, "validate_context", "extension_metric", "extension_bracket")}
+    rng = random.Random(3)
+    contexts = context_corpus(0, 8, seed=99) + context_corpus(1, 8, seed=99)
+    cases = [(g, ideal, 0) for g, ideal in _corpus_extensions()] + [(*moved(rng, ctx), 1) for ctx in contexts]
+    for g, ideal, moves in cases:
+        for seen in calls.values():
+            seen.clear()
         decompose(g, ideal)
-        assert counts == {"inverse_ints": 1, "_bracket_in_basis": 1, "_gram": 3,  # no build_xi or validate_context
-                          "rank": 1, "extension_metric": 1, "extension_bracket": 1}
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "inverse_ints": moves, "_bracket_in_basis": moves, "_gram": 3, "build_xi": 0, "validate_context": 0,
+            "rank": 1, "extension_metric": 1, "extension_bracket": 1}
+    assert len(cases) == 32
 
 
 def _plant_split(maps, block, rng):
@@ -515,7 +510,9 @@ def test_roundtrip_split_of_an_extension_is_the_identity():
     dual block, the Witt duals are the unit vectors of a, which B(a, a) = 0
     leaves uncorrected, so a and h are e_0, ..., e_{dim - na - 1} at scale
     1. The recovered context is then the context itself: equal to it
-    without source, and source itself with it. roundtrip rests on this."""
+    from decompose, and source itself from the split roundtrip makes, with
+    the dual block as its integer view and the context as source.
+    roundtrip rests on this."""
     golden = Path(__file__).resolve().parent / "golden" / "coprime.context"
     samples = Path(__file__).resolve().parent.parent / "samples"
     contexts = [*context_corpus(0, 40, seed=5), *context_corpus(1, 40, seed=5),
@@ -527,7 +524,7 @@ def test_roundtrip_split_of_an_extension_is_the_identity():
     for n, ctx in enumerate(contexts):
         g, na = ctx.extension, ctx.a.dim
         ideal = [{g.dim - na + k: 1} for k in range(na)]
-        res = decompose(g, ideal, source=ctx)
+        res = dec._split(g, (1, tuple(ideal)), ctx)
         assert res.context is ctx, n
         assert res.a_view[0] == res.h_view[0] == 1, n
         assert res.a_view[1] + res.h_view[1] == tuple({k: 1} for k in range(g.dim - na)), n
@@ -535,8 +532,9 @@ def test_roundtrip_split_of_an_extension_is_the_identity():
 
 
 def test_decompose_with_source_matches_decompose_without():
-    """source only lends decompose the whole context, when it equals the
-    recovered one: the result equals the one without source in every field
+    """source only lends the split the whole context, when it equals the
+    recovered one: certify_split on decompose's views with a source gives
+    decompose's result, without source, in every field
     and in its re-extension's integer tables, for the true source, for an
     equal source whose extension was never built, for another valid context
     and for the trivial context on the same a and h (equal only if ctx is
@@ -548,14 +546,15 @@ def test_decompose_with_source_matches_decompose_without():
     assert len(cases) >= 100
     for n, (ctx, g, ideal) in enumerate(cases):
         expected = decompose(g, ideal)
+        views = expected.ideal_view, expected.a_view, expected.h_view
         unbuilt = copy.deepcopy(ctx)
         assert "extension" not in vars(unbuilt)
         sources = [ctx, unbuilt, cases[(n + 1) % len(cases)][0],
                    DeltaContext.trivial(ctx.delta, ctx.a, ctx.h)]
         for source in sources:
-            res = decompose(g, ideal, source=source)
+            res = dec.certify_split(g, *views, source=source)
             for name in expected.__dataclass_fields__:
                 assert getattr(res, name) == getattr(expected, name), (n, name)
             assert res.context.extension == expected.context.extension, n
-        res = decompose(g, ideal, source=ctx)
+        res = dec.certify_split(g, *views, source=ctx)
         assert res.context is ctx and res.context.extension is g, n
