@@ -23,7 +23,7 @@ residual is computed coordinate by coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -229,6 +229,8 @@ def check_jacobi(bracket: SuperBracket) -> Violation | None:
 @dataclass(frozen=True)
 class LieSuperAlgebra:
     bracket: SuperBracket
+    # how the algebra was certified: ("scan",) by its own checks, else the record ``_admit`` wrote
+    proof: tuple | None = field(default=("scan",), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for check in (lambda: self.bracket.check_even("grading", "bracket"),
@@ -356,6 +358,7 @@ class QuadraticLieSuperAlgebra:
 
     algebra: LieSuperAlgebra
     metric: GradedBilinearForm
+    proof: tuple | None = field(default=("scan",), init=False, compare=False, repr=False)  # as LieSuperAlgebra's
 
     def __post_init__(self):
         if self.metric.space.basis != self.algebra.space.basis:
@@ -394,34 +397,26 @@ class QuadraticLieSuperAlgebra:
         return self.algebra.dim
 
 
-def _by_transport(bracket: SuperBracket, metric: GradedBilinearForm | None = None):
-    """The bracket, with the metric if given, as a certified algebra, built
-    without their scans or any check.
+def _admit(proof: tuple | None, bracket: SuperBracket, metric: GradedBilinearForm | None = None):
+    """The trusted kernel: the only code that builds an algebra without its
+    scans, and the only writer of ``proof``, the rule that certifies it.
 
-    The caller holds the certificate. ``certify_split`` reads the tables
-    of g in a basis of homogeneous columns, with I-perp an ideal that
-    contains I (``ideal-*``), h + I its basis by construction
-    and dim a = dim I (``a-superalgebra``), and returns nothing before the
-    isometry claims pass and the re-extension, which has g's tables in that
-    basis, has passed its own scans; the isometry has degree 0, so its
-    constructor refuses a block read on other parities than its columns'.
-    Grading, super skew, Jacobi, invariance, super-symmetry, degree and
-    non-degeneracy carry over under that even isomorphism, so the
-    ``decompose`` command reads g unscanned. a is dual to I, so a's
-    bracket is that of g/I-perp, and h's that of I-perp/I with the metric
-    B induces, I being the radical of B on I-perp; the same axioms carry
-    over to each.
-    ``validate_context`` hands over the extension whose Jacobi and
-    invariance scans it has read, its other checks following from the
-    context's. As ``spaces._build`` builds a map, the fields are set on a
-    new instance; ``__post_init__`` is not run."""
+    The bracket, with the metric if given, is built as ``spaces._build``
+    builds a map, ``__post_init__`` not run, under one of these records:
+    ``("context", ctx)``, the extension of ctx whose Jacobi and invariance
+    scans ``validate_context`` read, the other axioms following from ctx's;
+    ``("split", ext)``, a or h of a split ``certify_split`` certified by the
+    isometry of g onto the re-extension ext, admitted once ext has passed
+    its scans, each axiom carrying over to g/I-perp and I-perp/I; None,
+    tables nothing has certified yet, which no writer accepts."""
     out = object.__new__(LieSuperAlgebra)
     object.__setattr__(out, "bracket", bracket)
-    if metric is None:
-        return out
-    lie, out = out, object.__new__(QuadraticLieSuperAlgebra)
-    object.__setattr__(out, "algebra", lie)
-    object.__setattr__(out, "metric", metric)
+    if metric is not None:
+        lie, out = out, object.__new__(QuadraticLieSuperAlgebra)
+        object.__setattr__(out, "algebra", lie)
+        object.__setattr__(out, "metric", metric)
+    for x in (out, out.algebra) if metric is not None else (out,):
+        object.__setattr__(x, "proof", proof)
     return out
 
 

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import catalog as cat
-from .algebra import _by_transport, check_invariance, check_jacobi
+from .algebra import _admit, check_invariance, check_jacobi
 from .decompose import _split, decompose, split_step
 from .errors import (
     NotHomogeneous,
@@ -187,13 +187,12 @@ def cmd_decompose(args) -> int:
     doc = _load(args.file, AlgebraDocument, "an algebra")
     if doc.metric_degree is None:
         raise ParseError("decompose needs a quadratic algebra (no metric in document)", path=args.file)
-    # g is read unscanned: decompose's isometry onto its scanned re-extension certifies it
-    g = _by_transport(*_converted(args.file, document_to_raw, doc)[1:])
+    # g is read unscanned, with no record: decompose's isometry onto its scanned re-extension certifies it
+    g = _admit(None, *_converted(args.file, document_to_raw, doc)[1:])
     try:
         res = split_step(g) if args.ideal == "auto" else decompose(g, _ideal(args, g))
         if isinstance(res, str):
-            raise ParseError("auto ideal discovery handles only the central case: no canonical centre vector is "
-                             "isotropic and B has no radical on the centre; supply --ideal FILE", path=args.file)
+            raise ParseError(f"--ideal auto stopped: {res}; supply --ideal FILE", path=args.file)
     except Exception:
         document_to_algebra(doc)  # g's own scans first: an invalid g reports its first witness, as before any split
         raise
@@ -233,9 +232,9 @@ def cmd_roundtrip(args) -> int:
     print("roundtrip: context valid")
     print(f"roundtrip: extension dim {g.dim}")
     # the dual block of an extension validate_context accepted is an isotropic abelian ideal: no ideal-* check
-    res = _split(g, (1, tuple({g.dim - ctx.a.dim + k: 1} for k in range(ctx.a.dim))), ctx)
+    res = _split(g, (1, tuple({g.dim - ctx.a.dim + k: 1} for k in range(ctx.a.dim))))
     print("roundtrip: decomposition claims and isometry verified")
-    if res.context != ctx:  # else the split returns ctx itself, and g as its re-extension
+    if res.context != ctx:  # else the split returns ctx itself, g's record naming it, and g as its re-extension
         print("roundtrip: reconstructed context differs from the input", file=sys.stderr)
         return 1
     print("roundtrip: re-extension equals the original exactly")

@@ -43,7 +43,7 @@ from .algebra import (
     LieSuperAlgebra,
     QuadraticLieSuperAlgebra,
     SuperBracket,
-    _by_transport,
+    _admit,
     certify_isometry,
     pack,
     slot_width,
@@ -515,13 +515,13 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> tuple[int, 
     return d_e, e
 
 
-def _split(g: QuadraticLieSuperAlgebra, ideal: tuple, source: DeltaContext | None) -> DecompositionResult:
+def _split(g: QuadraticLieSuperAlgebra, ideal: tuple) -> DecompositionResult:
     """The search, which checks nothing: h extends I's basis within I-perp's
     canonical one, and a is the Witt complement orthogonal to h."""
     d_p, i_perp = orthogonal_complement(ideal, g.metric)
     h_vectors = linalg.lowest_terms(d_p, [i_perp[k] for k in linalg.extend_independent(ideal[1], i_perp)])
     a_vectors = witt_complement(g.metric, ideal, avoid=h_vectors)
-    return certify_split(g, ideal, a_vectors, h_vectors, source=source)
+    return certify_split(g, ideal, a_vectors, h_vectors)
 
 
 def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> DecompositionResult:
@@ -529,7 +529,7 @@ def decompose(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> DecompositionResu
     dict, and certify the split (``certify_split``). The ideal's hypotheses
     are checked first (``ideal-*``), to name the caller's mistake before the
     search (``_split``), which assumes them."""
-    return _split(g, _validate_ideal(g, ideal), None)
+    return _split(g, _validate_ideal(g, ideal))
 
 
 def split_step(g: QuadraticLieSuperAlgebra) -> DecompositionResult | str:
@@ -538,11 +538,11 @@ def split_step(g: QuadraticLieSuperAlgebra) -> DecompositionResult | str:
     the ideal's hypotheses by construction, and ``certify_split`` certifies
     the split whatever the line, so it skips ``_validate_ideal``."""
     line = find_central_minimal_ideal(g)
-    return line if isinstance(line, str) else _split(g, line, None)
+    return line if isinstance(line, str) else _split(g, line)
 
 
-def certify_split(g: QuadraticLieSuperAlgebra, ideal_view: tuple, a_view: tuple, h_view: tuple, *,
-                  source: DeltaContext | None = None) -> DecompositionResult:
+def certify_split(g: QuadraticLieSuperAlgebra, ideal_view: tuple, a_view: tuple,
+                  h_view: tuple) -> DecompositionResult:
     """Certify the split g = a + h + I of three integer views, searching for nothing.
 
     Each view is brought to lowest terms on entry, so the result compares
@@ -565,21 +565,17 @@ def certify_split(g: QuadraticLieSuperAlgebra, ideal_view: tuple, a_view: tuple,
     identity, and the I-components of [a,I], [a,h] and [h,h] are ad*_delta,
     chi and Phi. Only the re-extension is scanned, by its checking
     constructors, once the isometry passes: its tables are g's in an even
-    invertible change of basis, so its certificate is g's, and g may be
-    handed over unscanned (``_by_transport``), as the ``decompose`` command
-    does. A g that fails an axiom then fails the isometry, a step before it,
-    or the re-extension's scans, whose witness is in the split basis, not
-    g's. a and h are certified by transport from it (``_by_transport``), and
-    so is the context, each axiom a block of the re-extension's grading,
-    super skew, Jacobi or invariance identities; its ``extension`` is the
-    re-extension.
-
-    ``source`` is the context g is believed to extend, if any: when the
-    recovered context equals it, source is returned, with its derived maps
-    and its extension, rather than derived again; an extension already
-    built, and so scanned, by ``validate_context`` lends the metric the
-    pairings are compared with. Every claim above still runs, in the same
-    order, so any source gives the same result as none.
+    invertible change of basis, so its certificate is g's, and g may have
+    no record, as the ``decompose`` command reads it. A g that fails an
+    axiom then fails the isometry, a step before it, or the re-extension's
+    scans, whose witness is in the split basis, not g's. a and h are
+    admitted by transport from it (``_admit``, record ``("split", ext)``),
+    and so is the context, each axiom a block of the re-extension's
+    grading, super skew, Jacobi or invariance identities; its
+    ``extension`` is the re-extension. When g's record is
+    ``("context", ctx)`` and the recovered context equals ctx, ctx is
+    returned, with its derived maps, and its extension is the one compared
+    with: every claim still runs, against an algebra already certified.
     """
     ideal_view, a_view, h_view = (linalg.lowest_terms(*v) for v in (ideal_view, a_view, h_view))
     na, nh, nd = len(a_view[1]), len(h_view[1]), len(ideal_view[1])
@@ -589,27 +585,30 @@ def certify_split(g: QuadraticLieSuperAlgebra, ideal_view: tuple, a_view: tuple,
     gram = _metric_in_basis(g.metric, _join(a_view, h_view, ideal_view))
     b_h = GradedBilinearForm.from_ints(maps.h_table.space, g.delta, gram[0], {
         (p - na, q - na): c for p in range(na, na + nh) for q, c in gram[1][p].items() if na <= q < na + nh})
-    context = DeltaContext(g.delta, _by_transport(maps.a_table), _by_transport(maps.h_table, b_h),
+    # a and h are read with no record, to build the re-extension; the result's are admitted after its scans
+    context = DeltaContext(g.delta, _admit(None, maps.a_table), _admit(None, maps.h_table, b_h),
                            maps.rho, maps.lam, maps.omega)
-    if context == source:
-        context = source  # ad*_delta, chi, Phi and the extension are derived once, on source
+    held = g.proof[1] if g.proof and g.proof[0] == "context" else None
+    ext = None
+    if context == held:  # ad*_delta, chi, Phi and the extension are derived once, on held
+        context, ext = held, held.extension
 
     # the pairings first: once they agree, B(a, h) = B(I, h) = 0, so when g
-    # is invariant each rho(x) is skew for B_h and derive_phi cannot refuse.
-    # A source whose extension validate_context has built and scanned lends its metric.
-    metric = (source.extension.metric if context is source and "extension" in vars(source)
-              else extension.extension_metric(context))
+    # is invariant each rho(x) is skew for B_h and derive_phi cannot refuse
+    metric = ext.metric if ext else extension.extension_metric(context)
     v = certify_isometry((1, {}), gram, (1, {}), metric.scaled_rows)
     if v is None:
         # x + u + alpha -> x + u + xi_delta(alpha) is the identity in the split
         # basis, the pairing being the identity: g's tables there must be the extension's
-        bracket = context.extension.bracket if context is source else extension.extension_bracket(context)
+        bracket = ext.bracket if ext else extension.extension_bracket(context)
         v = certify_isometry(maps.split, gram, bracket.scaled_pairs, metric.scaled_rows)
     if v is not None:
         raise ClaimViolated(v.equation, [v])
-    if context is not source:  # the re-extension's scans certify g, which is isometric to it
-        vars(context)["extension"] = QuadraticLieSuperAlgebra(LieSuperAlgebra(bracket), metric)
-    ext = context.extension  # DeltaContext.extension's cache
+    if ext is None:  # the re-extension's scans certify g, which is isometric to it, and a and h by transport
+        ext = QuadraticLieSuperAlgebra(LieSuperAlgebra(bracket), metric)
+        context = DeltaContext(g.delta, _admit(("split", ext), maps.a_table),
+                               _admit(("split", ext), maps.h_table, b_h), maps.rho, maps.lam, maps.omega)
+        vars(context)["extension"] = ext
 
     d_inv, inverse = maps.inverse
     isometry = GradedLinearMap.from_ints(g.space, ext.space, 0, d_inv, {

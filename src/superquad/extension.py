@@ -54,7 +54,7 @@ from .algebra import (
     LieSuperAlgebra,
     QuadraticLieSuperAlgebra,
     SuperBracket,
-    _by_transport,
+    _admit,
     check_invariance,
     check_jacobi,
     cyclic_failures,
@@ -229,7 +229,8 @@ def validate_context(ctx: DeltaContext) -> list[Violation]:
     The other blocks follow (see the module docstring); a failure there
     while no axiom fails raises ``ValidationError`` with the first jacobi,
     else invariance, witness. An empty list leaves the certified tables as
-    ``ctx.extension``, unless that is set already."""
+    ``ctx.extension``, recorded ``("context", ctx)``, unless that is set
+    already."""
     out: list[Violation] = []
     na, par = ctx.a.dim, ctx.a.space.parities
 
@@ -272,7 +273,7 @@ def validate_context(ctx: DeltaContext) -> list[Violation]:
         return out
     if jacobi or invariance:  # in a block no axiom names: the extension's own first witness
         raise ValidationError(check_jacobi(bracket) or check_invariance(metric, bracket))
-    vars(ctx).setdefault("extension", _by_transport(bracket, metric))
+    vars(ctx).setdefault("extension", _admit(("context", ctx), bracket, metric))
     return out
 
 

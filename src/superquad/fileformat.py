@@ -728,6 +728,8 @@ def document_to_algebra(doc: AlgebraDocument) -> LieSuperAlgebra | QuadraticLieS
 
 
 def algebra_to_document(g: LieSuperAlgebra | QuadraticLieSuperAlgebra, name: str) -> AlgebraDocument:
+    if g.proof is None:  # not an assert: the refusal holds under python -O
+        raise AssertionError("an algebra with no record is not written")
     if isinstance(g, QuadraticLieSuperAlgebra):
         return AlgebraDocument.from_ints({"bracket": g.bracket.scaled_table(), "metric": g.metric.scaled_table()},
                                          name=name, basis=g.space.basis, metric_degree=g.metric.degree)

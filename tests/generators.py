@@ -217,6 +217,12 @@ def change_basis(g: QuadraticLieSuperAlgebra, cols) -> QuadraticLieSuperAlgebra:
         GradedBilinearForm(space, g.delta, metric))
 
 
+def rescanned(g: QuadraticLieSuperAlgebra) -> QuadraticLieSuperAlgebra:
+    """g rebuilt by the checking constructors: its record is ``("scan",)``,
+    so none names a context for ``certify_split`` to reuse."""
+    return QuadraticLieSuperAlgebra(LieSuperAlgebra(g.bracket), g.metric)
+
+
 def random_parity_preserving_basis(rng, space):
     """Invertible columns, each homogeneous, small integer entries."""
     n = space.dim

@@ -7,8 +7,9 @@ with a view not in lowest terms, pin that it reaches no search step, plant a
 wrong a view and a split that is no homogeneous basis or of the wrong size,
 and certify a moved extension along its own blocks, a complement
 decompose's search does not pick. A split in g's own basis, as
-roundtrip's, gives the result with any source that certify_split gives
-with none, and reads g's tables with no change of basis.
+roundtrip's, gives the result whatever context g's record names that
+certify_split gives when it names none, and reads g's tables with no
+change of basis.
 """
 
 import copy
@@ -25,6 +26,7 @@ import superquad.algebra as algebra
 import superquad.decompose as dec
 import superquad.extension as extension
 from superquad import certify_split, linalg
+from superquad.algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra
 from superquad.catalog import (
     default_heisenberg_params,
     default_odd_dim1_params,
@@ -49,6 +51,12 @@ def views(res):
     return res.ideal_view, res.a_view, res.h_view
 
 
+def claimed(g, ctx):
+    """g's tables under the record ``("context", ctx)``: an algebra that
+    certify_split takes for ctx's extension."""
+    return algebra._admit(("context", ctx), g.bracket, g.metric)
+
+
 def assert_same(res, want):
     for name in want.__dataclass_fields__:
         assert getattr(res, name) == getattr(want, name), name
@@ -57,12 +65,12 @@ def assert_same(res, want):
 
 def test_certify_split_of_decompose_views_equals_decompose():
     """On the views decompose returned, certify_split returns an equal
-    result, without source and with the recovered context as source, which
-    it then returns itself."""
+    result, on g and on g recorded as the recovered context's extension,
+    which it then returns itself."""
     done = 0
     for g, want in results():
         assert_same(certify_split(g, *views(want)), want)
-        res = certify_split(g, *views(want), source=want.context)
+        res = certify_split(claimed(g, want.context), *views(want))
         assert res.context is want.context
         assert_same(res, want)
         done += 1
@@ -194,9 +202,9 @@ def test_a_split_that_is_no_homogeneous_basis_names_its_first_bad_vector(claim):
 def test_a_moved_extension_certifies_along_its_own_blocks():
     """A corpus extension moved by a random parity-preserving basis, split
     along the images of its own a, h and dual block, certifies, and the
-    recovered context is the source's up to labels; along the same ideal,
+    recovered context is the original's up to labels; along the same ideal,
     decompose's search picks another complement on most of them, and its
-    context differs from the source: two complements of one ideal."""
+    context differs from the original: two complements of one ideal."""
     rng = random.Random(21)
     certified = other = 0
     for delta in (0, 1):
@@ -208,7 +216,7 @@ def test_a_moved_extension_certifies_along_its_own_blocks():
             na, nh = ctx.a.dim, ctx.h.dim
             g = change_basis(g, cols)
             ideal, a, h = (dec._view(images[lo:hi]) for lo, hi in ((na + nh, g.dim), (0, na), (na, na + nh)))
-            res = certify_split(g, ideal, a, h, source=ctx)
+            res = certify_split(g, ideal, a, h)
             assert contexts_equal(res.context, ctx)
             certified += 1
             other += not contexts_equal(dec.decompose(g, images[na + nh:]).context, ctx)
@@ -231,21 +239,21 @@ def relabelled(ctx):
     return document_to_context(dataclasses.replace(doc, a_doc=a_doc, h_doc=h_doc))
 
 
-def outcome(g, views, source=None):
+def outcome(g, views):
     """certify_split's result, or the claim and witnesses it raised."""
     try:
-        return certify_split(g, *views, source=source)
+        return certify_split(g, *views)
     except ClaimViolated as exc:
         return exc.claim, exc.violations
 
 
 def test_a_source_whose_extension_is_g_gives_the_result_of_none():
     """Split along its own blocks, each extension of the corpus, the catalog
-    and the samples certifies to the result certify_split gives without a
-    source, with its own context as source, extension built or not, with
-    another corpus context of its shape, whose extension is built and whose
-    tables differ, and with its own context relabelled. Only with the
-    first is the source returned itself."""
+    and the samples certifies to the result certify_split gives when g's
+    record names no context, when it names g's own context, extension built
+    or not, another corpus context of its shape, whose extension is built
+    and whose tables differ, or g's own context relabelled. Only with the
+    first is that context returned itself."""
     corpus = context_corpus(0, 40, seed=5) + context_corpus(1, 40, seed=5)
     inputs = [(ctx.extension, ctx) for ctx in corpus]
     catalog = [*(heisenberg_context(default_heisenberg_params(pairs)) for pairs in (1, 2, 3)),
@@ -259,17 +267,17 @@ def test_a_source_whose_extension_is_g_gives_the_result_of_none():
     same_space = 0
     for g, ctx in inputs:
         views = own_views(ctx)
-        want = outcome(g, views)
+        want = outcome(QuadraticLieSuperAlgebra(LieSuperAlgebra(g.bracket), g.metric), views)
         shape = [o for o in corpus if o is not ctx and o.delta == ctx.delta
                  and (o.a.dim, o.h.dim) == (ctx.a.dim, ctx.h.dim)]
         other = next((o for o in shape if o.space == ctx.space), shape[0] if shape else None)
         sources = [ctx, copy.copy(ctx), relabelled(ctx)] + ([other] if other else [])
         for source in sources[2:]:
-            assert source.extension is not None  # built, so it lends its metric if it equals the recovered one
+            assert source.extension is not None  # built, so it is compared with if it equals the recovered one
         same_space += other is not None and other.space == g.space
         assert "extension" not in vars(sources[1])
         for source in sources:
-            got = outcome(g, views, source)
+            got = outcome(claimed(g, source), views)
             if isinstance(want, tuple):
                 assert got == want
                 continue

@@ -235,19 +235,19 @@ def test_decompose_auto_fails_cleanly_without_central_line(tmp_path, capsys):
     centre, with no isotropic vector and no radical. The abelian plane with
     B = diag(1, -1) has the isotropic central line along (1, 1), but no
     canonical centre vector is isotropic and B has no radical there, which
-    is all --ideal auto searches, so the message says what it searched;
-    --ideal along (1, 1) splits it."""
+    is all --ideal auto searches, so the message names the stop it reached:
+    a zero centre for sl2, a centre on which B is non-degenerate for the
+    other two; --ideal along (1, 1) splits the plane."""
     from generators import _sl2_killing
     sl2, z, plane = tmp_path / "sl2.alg", tmp_path / "z.alg", tmp_path / "plane.alg"
     sl2.write_text(serialize_document(algebra_to_document(_sl2_killing(), "sl2"), "text"))
     z.write_text("algebra z\nbasis x 0\nmetric-degree 0\nmetric 0 0 1\nend algebra\n")
     plane.write_text("algebra p\nbasis x 0\nbasis y 0\nmetric-degree 0\nmetric 0 0 1\nmetric 1 1 -1\nend algebra\n")
-    for f in (sl2, z, plane):
+    for f, stop in ((sl2, "perfect: centre is zero"), (z, "central summand"), (plane, "central summand")):
         code, _, err = run(capsys, "decompose", str(f), "--ideal", "auto",
                            "--out", str(tmp_path / "x"))
         assert code == 2
-        assert err == (f"error: {f}: auto ideal discovery handles only the central case: no canonical centre "
-                       "vector is isotropic and B has no radical on the centre; supply --ideal FILE\n")
+        assert err == f"error: {f}: --ideal auto stopped: {stop}; supply --ideal FILE\n"
         assert not (tmp_path / "x").exists()
     line = tmp_path / "line.ideal"
     line.write_text("ideal l\nvector 1 1\nend ideal\n")
@@ -1045,8 +1045,8 @@ def test_roundtrip_reports_a_re_extension_that_differs(sample, capsys, monkeypat
     fields = [field for field in ("lam", "rho", "omega") if planted(ctx, field) is not None]
     assert fields
     for field in fields:
-        def planting(g, ideal, source):
-            res = real(g, ideal, source)
+        def planting(g, ideal):
+            res = real(g, ideal)
             return dataclasses.replace(res, context=planted(res.context, field))
 
         monkeypatch.setattr(cli, "_split", planting)
@@ -1131,3 +1131,64 @@ def test_inputs_that_would_stall_or_crash_the_parser_exit_2(tmp_path, capsys):
     assert code == 2
     assert err == "error: input, field --eta: bad rational '2e100000000': exponent notation is not accepted\n"
     assert not (tmp_path / "x").exists()
+
+
+def chain_end(x):
+    """The last record of x's chain of premises: ``("split", ext)`` leads on
+    to the record of the re-extension ext, any other record ends it."""
+    while x.proof is not None and x.proof[0] == "split":
+        x = x.proof[1]
+    return x.proof
+
+
+def certified(x) -> bool:
+    """x's chain ends in its own scans, or in a context whose a and h were
+    scanned and whose axioms validate_context read."""
+    end = chain_end(x)
+    return end == ("scan",) or (end is not None and end[0] == "context"
+                                and end[1].a.proof == end[1].h.proof == ("scan",))
+
+
+def test_every_command_result_carries_a_certified_record(tmp_path, capsys, monkeypatch):
+    """Each algebra that extend, decompose (along an ideal file and with
+    --ideal auto), roundtrip and catalog write or recover, and the a, h and
+    extension of each context among them, has a record whose chain of
+    premises ends in ("scan",) or ("context", ctx), with ctx's a and h
+    scanned."""
+    import superquad.cli as cli
+    from superquad.extension import DeltaContext
+
+    seen = []
+
+    def recording(name, result):
+        real = getattr(cli, name)
+
+        def record(*args):
+            out = real(*args)
+            seen.append(result(args, out))
+            return out
+        monkeypatch.setattr(cli, name, record)
+
+    recording("algebra_to_document", lambda args, out: args[0])
+    recording("context_to_document", lambda args, out: args[0])
+    recording("_split", lambda args, out: out.context)
+    out = str(tmp_path / "out")
+    commands = {"extend": ["extend", "--context", str(SAMPLES / "heisenberg.context"), "--out", out],
+                "decompose FILE": ["decompose", str(SAMPLES / "heisenberg.algebra"),
+                                   "--ideal", str(SAMPLES / "heisenberg.ideal"), "--out", out],
+                "decompose auto": ["decompose", str(SAMPLES / "odd-dim1.algebra"), "--out", out],
+                "roundtrip": ["roundtrip", str(SAMPLES / "odd-dim1.context")],
+                "catalog": ["catalog", "heisenberg", "--pairs", "2", "--out", out],
+                "catalog context": ["catalog", "odd-dim1", "--emit", "context", "--out", out]}
+    ends = {}
+    for what, argv in commands.items():
+        seen.clear()
+        assert run(capsys, *argv)[0] == 0, what
+        (x,) = seen
+        algebras = [x.a, x.h, x.extension] if isinstance(x, DeltaContext) else [x]
+        algebras += [y.algebra for y in algebras if hasattr(y, "algebra")]
+        assert all(certified(y) for y in algebras), what
+        ends[what] = algebras[0].proof[0], chain_end(algebras[0])[0]  # the first record and the last
+    assert ends == {"extend": ("context", "context"), "decompose FILE": ("split", "scan"),
+                    "decompose auto": ("split", "scan"), "roundtrip": ("scan", "scan"),
+                    "catalog": ("context", "context"), "catalog context": ("scan", "scan")}

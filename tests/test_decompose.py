@@ -355,22 +355,29 @@ def test_decompose_changes_basis_once(monkeypatch):
     certifies the recovered context, so validate_context is not called
     either. Each re-extension table is built once: the metric the pairings
     claim compares is the one the bracket claim compares and the
-    re-extension keeps."""
+    re-extension keeps. The corpus extensions are decomposed twice: rebuilt
+    by the checking constructor, whose record names no context, and as
+    double_extend returns them, whose record names the context the split
+    recovers; that context is then reused with its extension, so no
+    re-extension table is built or scanned."""
     import superquad.extension as extension
     calls = {**count_calls(monkeypatch, linalg, "inverse_ints", "rank"),
              **count_calls(monkeypatch, dec, "_bracket_in_basis", "_gram", "build_xi"),
              **count_calls(monkeypatch, extension, "validate_context", "extension_metric", "extension_bracket")}
     rng = random.Random(3)
     contexts = context_corpus(0, 8, seed=99) + context_corpus(1, 8, seed=99)
-    cases = [(g, ideal, 0) for g, ideal in _corpus_extensions()] + [(*moved(rng, ctx), 1) for ctx in contexts]
-    for g, ideal, moves in cases:
+    extensions = list(_corpus_extensions())
+    cases = [(QuadraticLieSuperAlgebra(LieSuperAlgebra(g.bracket), g.metric), ideal, 0, 1) for g, ideal in extensions]
+    cases += [(*moved(rng, ctx), 1, 1) for ctx in contexts] + [(g, ideal, 0, 0) for g, ideal in extensions]
+    for g, ideal, moves, built in cases:
         for seen in calls.values():
             seen.clear()
-        decompose(g, ideal)
+        res = decompose(g, ideal)
+        assert (res.context.extension is g) == (not built)
         assert {name: len(seen) for name, seen in calls.items()} == {
             "inverse_ints": moves, "_bracket_in_basis": moves, "_gram": 3, "build_xi": 0, "validate_context": 0,
-            "rank": 1, "extension_metric": 1, "extension_bracket": 1}
-    assert len(cases) == 32
+            "rank": built, "extension_metric": built, "extension_bracket": built}
+    assert len(cases) == 48
 
 
 def _plant_split(maps, block, rng):
@@ -510,9 +517,9 @@ def test_roundtrip_split_of_an_extension_is_the_identity():
     dual block, the Witt duals are the unit vectors of a, which B(a, a) = 0
     leaves uncorrected, so a and h are e_0, ..., e_{dim - na - 1} at scale
     1. The recovered context is then the context itself: equal to it
-    from decompose, and source itself from the split roundtrip makes, with
-    the dual block as its integer view and the context as source.
-    roundtrip rests on this."""
+    from decompose, and the context itself from the split roundtrip makes,
+    with the dual block as its integer view, on the extension whose record
+    names the context. roundtrip rests on this."""
     golden = Path(__file__).resolve().parent / "golden" / "coprime.context"
     samples = Path(__file__).resolve().parent.parent / "samples"
     contexts = [*context_corpus(0, 40, seed=5), *context_corpus(1, 40, seed=5),
@@ -524,7 +531,8 @@ def test_roundtrip_split_of_an_extension_is_the_identity():
     for n, ctx in enumerate(contexts):
         g, na = ctx.extension, ctx.a.dim
         ideal = [{g.dim - na + k: 1} for k in range(na)]
-        res = dec._split(g, (1, tuple(ideal)), ctx)
+        assert g.proof == ("context", ctx), n
+        res = dec._split(g, (1, tuple(ideal)))
         assert res.context is ctx, n
         assert res.a_view[0] == res.h_view[0] == 1, n
         assert res.a_view[1] + res.h_view[1] == tuple({k: 1} for k in range(g.dim - na)), n
@@ -532,29 +540,32 @@ def test_roundtrip_split_of_an_extension_is_the_identity():
 
 
 def test_decompose_with_source_matches_decompose_without():
-    """source only lends the split the whole context, when it equals the
-    recovered one: certify_split on decompose's views with a source gives
-    decompose's result, without source, in every field
-    and in its re-extension's integer tables, for the true source, for an
-    equal source whose extension was never built, for another valid context
+    """A context named by g's record only lends the split the whole context,
+    when it equals the recovered one: certify_split on decompose's views,
+    with g's tables recorded as a context's extension, gives the result of
+    decompose on g scanned, whose record names no context, in every field
+    and in its re-extension's integer tables, for the true context, for an
+    equal one whose extension was never built, for another valid context
     and for the trivial context on the same a and h (equal only if ctx is
-    trivial). With the true source the recovered context is the source
-    itself and the re-extension is g."""
+    trivial). On g, whose record names its true context, the recovered
+    context is that context itself and the re-extension is g."""
     import copy
+
+    from superquad.algebra import _admit
 
     cases = list(_source_cases())
     assert len(cases) >= 100
     for n, (ctx, g, ideal) in enumerate(cases):
-        expected = decompose(g, ideal)
+        expected = decompose(QuadraticLieSuperAlgebra(LieSuperAlgebra(g.bracket), g.metric), ideal)
         views = expected.ideal_view, expected.a_view, expected.h_view
         unbuilt = copy.deepcopy(ctx)
         assert "extension" not in vars(unbuilt)
         sources = [ctx, unbuilt, cases[(n + 1) % len(cases)][0],
                    DeltaContext.trivial(ctx.delta, ctx.a, ctx.h)]
         for source in sources:
-            res = dec.certify_split(g, *views, source=source)
+            res = dec.certify_split(_admit(("context", source), g.bracket, g.metric), *views)
             for name in expected.__dataclass_fields__:
                 assert getattr(res, name) == getattr(expected, name), (n, name)
             assert res.context.extension == expected.context.extension, n
-        res = dec.certify_split(g, *views, source=ctx)
+        res = dec.certify_split(g, *views)
         assert res.context is ctx and res.context.extension is g, n

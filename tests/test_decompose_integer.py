@@ -30,6 +30,7 @@ from generators import (
     random_heisenberg_params,
     random_odd_dim1_params,
     random_parity_preserving_basis,
+    rescanned,
     scaled_to_ints,
     sparse_vec,
 )
@@ -295,9 +296,10 @@ def moved_cases() -> tuple:
 
 
 def corpus_cases():
+    """Corpus extensions along their dual block, each rebuilt so that decompose scans its re-extension."""
     for ctx in context_corpus(0) + context_corpus(1):
         if ctx.a.dim:
-            g = ctx.extension
+            g = rescanned(ctx.extension)
             yield g, [unit_vec(g.dim, g.dim - ctx.a.dim + k) for k in range(ctx.a.dim)]
 
 
@@ -309,7 +311,7 @@ def catalog_cases():
                 *(odd_extension_context(random_odd_dim1_params(rng)) for _ in range(4)),
                 document_to_context(parse_document((GOLDEN / "coprime.context").read_text()))]
     for ctx in contexts:
-        g = ctx.extension
+        g = rescanned(ctx.extension)
         yield g, [unit_vec(g.dim, g.dim - ctx.a.dim + k) for k in range(ctx.a.dim)]
     coprime = document_to_algebra(parse_document((GOLDEN / "coprime.algebra").read_text()))
     yield coprime, [unit_vec(coprime.dim, k) for k in (7, 8, 9)]

@@ -9,7 +9,7 @@ re-extension, the tables of ``extension_metric`` and
 ``extension_bracket``, has passed its own scans. Those tables are then g's
 tables in an even invertible change of basis, so g's certificate is
 theirs; a is isotropic and dual to I, so a is the quotient g/I-perp and h
-the subquotient I-perp/I, and ``_by_transport`` wraps them unscanned; the
+the subquotient I-perp/I, and ``_admit`` wraps them unscanned; the
 recovered context, whose axioms are blocks of the re-extension's
 identities, is not validated again, nor is xi built from a pairing the
 isometry's metric has already fixed.
@@ -43,6 +43,7 @@ from generators import (
     random_odd_dim1_params,
     random_parity_preserving_basis,
     random_quadratic,
+    rescanned,
 )
 import superquad.decompose as dec
 from superquad import linalg
@@ -80,7 +81,9 @@ def cases() -> tuple:
     """(g, ideal) pairs: corpus extensions along their dual block, a third of
     them moved; the catalog families; the coprime golden algebra along a
     line that is not its dual block; and every auto pick among them and of
-    the oscillator."""
+    the oscillator. Each g is rebuilt by the checking constructors, so that
+    no record names a context for decompose to reuse: every split scans
+    its re-extension."""
     rng = random.Random(41)
     out = []
     for delta in (0, 1):
@@ -97,11 +100,12 @@ def cases() -> tuple:
     out.append((coprime, [unit_vec(coprime.dim, k) for k in (7, 8, 9)]))
     algebras = [g for g, _ in out[::4]] + [coprime, _oscillator()]
     out += [(g, found) for g in algebras if (found := dense_line(dec.find_central_minimal_ideal(g), g.dim))]
-    return tuple(out)
+    return tuple((rescanned(g), ideal) for g, ideal in out)
 
 
-def scanned(bracket, metric=None):
-    """The block certified by its own scans, as before the transport carried the certificate."""
+def scanned(proof, bracket, metric=None):
+    """The block certified by its own scans, as before the transport carried
+    the certificate; a block so built keeps its record ``("scan",)``."""
     scanned.calls += 1
     lie = LieSuperAlgebra(bracket)
     return lie if metric is None else QuadraticLieSuperAlgebra(lie, metric)
@@ -116,13 +120,15 @@ def test_transported_result_equals_the_scanned_one(monkeypatch):
     results = [dec.decompose(g, ideal) for g, ideal in cases()]
     scanned.calls = 0
     with monkeypatch.context() as mp:
-        mp.setattr(dec, "_by_transport", scanned)
+        mp.setattr(dec, "_admit", scanned)
         expected = [dec.decompose(g, ideal) for g, ideal in cases()]
-    assert scanned.calls == 2 * len(expected)  # a and h; the re-extension is scanned in both runs
+    # a and h twice: read to build the re-extension, then admitted once it has passed its scans, in both runs
+    assert scanned.calls == 4 * len(expected)
     moved_or_picked = 0
     for res, want in zip(results, expected):
         ctx = res.context
         assert "extension" in vars(ctx)  # the re-extension, set by decompose: nothing has read it yet
+        assert all(b.proof[0] == "split" and b.proof[1] is ctx.extension for b in (ctx.a, ctx.h, ctx.h.algebra))
         for name in want.__dataclass_fields__:
             assert getattr(res, name) == getattr(want, name), name
         assert ctx.extension == want.context.extension

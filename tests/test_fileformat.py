@@ -736,3 +736,26 @@ def test_a_leading_byte_order_mark_is_ignored(sample, fmt):
     the one without it, in both syntaxes."""
     doc = parse_document((SAMPLES / sample).read_text())
     assert parse_document("\ufeff" + serialize_document(doc, fmt)) == doc
+
+
+def test_an_algebra_with_no_record_is_not_written():
+    """An algebra admitted with the record None, as the decompose command
+    reads its input, is refused by both writers: alone, and as the a or
+    the h of a context. The same tables, scanned or recorded as the
+    sample context's extension, are written."""
+    import dataclasses
+
+    from superquad.algebra import _admit
+    from superquad.fileformat import document_to_raw
+
+    doc = parse_document((SAMPLES / "heisenberg.algebra").read_text())
+    g = _admit(None, *document_to_raw(doc)[1:])
+    with pytest.raises(AssertionError):
+        algebra_to_document(g, "g")
+    ctx = document_to_context(parse_document((SAMPLES / "heisenberg.context").read_text()))
+    for field in ("a", "h"):
+        block = getattr(ctx, field)
+        unrecorded = _admit(None, block.bracket, getattr(block, "metric", None))
+        with pytest.raises(AssertionError):
+            context_to_document(dataclasses.replace(ctx, **{field: unrecorded}), "c")
+    assert algebra_to_document(document_to_algebra(doc), "g") == algebra_to_document(ctx.extension, "g")

@@ -194,3 +194,54 @@ def test_submodules_are_not_shadowed_by_package_exports():
         if path.stem != "__init__":
             module = importlib.import_module(f"superquad.{path.stem}")
             assert getattr(superquad, path.stem) is module
+
+
+ALGEBRA_TYPES = {"LieSuperAlgebra", "QuadraticLieSuperAlgebra"}
+
+
+def kernel_escapes(source: str) -> list[str]:
+    """The builds of an algebra that skip its scans, ``object.__new__`` of
+    either algebra type, and the writes of ``proof``, an assignment to the
+    attribute or a ``__setattr__`` or ``setattr`` that names it, in source,
+    each as ``F:line N``, F the top-level definition around it, in line order."""
+    out = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func, args = node.func, node.args
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                built = (name == "__new__" and isinstance(func, ast.Attribute)
+                         and getattr(func.value, "id", "") == "object"
+                         and args and getattr(args[0], "id", "") in ALGEBRA_TYPES)
+                written = (name in ("__setattr__", "setattr") and len(args) > 1
+                           and isinstance(args[1], ast.Constant) and args[1].value == "proof")
+                if built or written:
+                    out.append((node.lineno, where))
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                for target in getattr(node, "targets", None) or [node.target]:
+                    if (isinstance(target, ast.Attribute) and target.attr == "proof") or (
+                            isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Constant)
+                            and target.slice.value == "proof"):
+                        out.append((node.lineno, where))
+    return [f"{where}:line {line}" for line, where in sorted(out)]
+
+
+def test_only_the_kernel_builds_unscanned_or_writes_a_record():
+    """``algebra._admit`` is the trusted kernel: no other code builds an
+    algebra without its scans or writes the record of how it was certified,
+    and the kernel it replaced is gone."""
+    found = {p.name: kernel_escapes(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: {line.split(":")[0] for line in lines} for name, lines in found.items() if lines} == {
+        "algebra.py": {"_admit"}}
+    assert len(found["algebra.py"]) == 3  # the two builds and the one write
+    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if "_by_transport" in p.read_text()] == []
+
+
+def test_kernel_escape_is_reported():
+    source = ("class A:\n    proof: tuple = None\n\n\n"
+              "def f(x):\n    out = object.__new__(LieSuperAlgebra)\n    object.__setattr__(out, 'proof', 1)\n"
+              "    x.proof = 2\n    vars(x)['proof'] = 3\n    setattr(x, 'proof', 4)\n    return object.__new__(C)\n\n\n"
+              "g = object.__new__(QuadraticLieSuperAlgebra)\n")
+    assert kernel_escapes(source) == ["f:line 6", "f:line 7", "f:line 8", "f:line 9", "f:line 10",
+                                      "<module>:line 14"]

@@ -420,15 +420,16 @@ def test_decompose_refuses_a_planted_witt_complement():
 
 
 def planted_tables(monkeypatch, plant):
-    """The samples, built by the real tables; then the two table builders
-    are patched so that ``plant(bracket, metric)`` rewrites their tables,
-    and decompose's algebra builds, ``_by_transport`` and the scanning
-    constructors, to record each planted table they are handed. decompose
-    reads the metric first, so the metric builder plants in the bracket
-    built ahead of it, which the bracket builder then returns."""
+    """The samples, built by the real tables and rebuilt by the checking
+    constructor, so that no record names the context to reuse; then the two
+    table builders are patched so that ``plant(bracket, metric)`` rewrites
+    their tables, and decompose's algebra builds, ``_admit`` and the
+    scanning constructors, to record each planted table they are handed.
+    decompose reads the metric first, so the metric builder plants in the
+    bracket built ahead of it, which the bracket builder then returns."""
     import superquad.extension as extension_module
 
-    samples = extensions()
+    samples = [(ctx, QuadraticLieSuperAlgebra(LieSuperAlgebra(g.bracket), g.metric)) for ctx, g in extensions()]
     real_metric, real_bracket = extension_module.extension_metric, extension_module.extension_bracket
     planted, built = [], []  # planted: the planted bracket, then its metric
 
@@ -448,7 +449,7 @@ def planted_tables(monkeypatch, plant):
 
     monkeypatch.setattr(extension_module, "extension_metric", planting_metric)
     monkeypatch.setattr(extension_module, "extension_bracket", planting_bracket)
-    for name in ("_by_transport", "LieSuperAlgebra", "QuadraticLieSuperAlgebra"):
+    for name in ("_admit", "LieSuperAlgebra", "QuadraticLieSuperAlgebra"):
         monkeypatch.setattr(dec, name, recording(getattr(dec, name)))
     return samples, built
 
