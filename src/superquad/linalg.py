@@ -10,12 +10,13 @@ The elimination routines (``rref``, ``rank``, ``nullspace``, ``solve``,
 dense sequence or as a sparse dict ``{column: coefficient}``, and run one
 kernel on sparse integer rows. Each row is scaled by the lcm of its own
 denominators, one positive number per row, which changes neither the row
-space nor which entries are zero. Elimination is fraction-free Gauss-Jordan:
-columns in order, the first row at or below the current one with a nonzero
-in the column is the pivot, a row is cleared by an integer combination with
-the pivot row and then divided by the gcd of its entries. So every working
-row is a nonzero multiple of the row that rational elimination with the same
-pivots would hold, and a pivot row divided by its pivot is exactly the
+space nor which entries are zero. Elimination is fraction-free, one pass
+over the rows in order: while a row starts at a column an earlier row has
+as its pivot, it is cleared there by an integer combination with that row
+and divided by the gcd of its entries; the column it then starts at is its
+pivot. Gauss-Jordan then clears each pivot row at the later pivots. No row
+is searched for or moved, and no output depends on this order: the reduced
+echelon form is unique, so a pivot row divided by its pivot is exactly the
 rational reduced row. Only the results are turned into Fractions, once, at
 the end; ``rank``, ``in_span`` and ``extend_independent`` run the forward
 pass alone and build none. Free variables are filled in column order.
@@ -29,8 +30,8 @@ caller that sums on integers never has its results turned into Fractions
 and back. Integer rows skip the conversion to Fractions.
 
 With ``ncols`` less than the row width (the augmented column of ``solve``),
-pivots are sought only in the first ``ncols`` columns, and ``rref`` returns a
-row past the rank as a nonzero multiple of the rational one.
+pivots are taken only in the first ``ncols`` columns, and each row past the
+rank is zero there.
 """
 
 from __future__ import annotations
@@ -147,53 +148,56 @@ def _int_row(items) -> dict:
     return {k: x // g for k, x in row.items()} if g > 1 else row
 
 
-def _eliminate(rows: list, ncols: int, full: bool) -> list[int]:
-    """Fraction-free elimination of the integer rows in place, pivots in the
-    first ``ncols`` columns; returns the pivot columns. Row r ends with its
-    pivot at column pivots[r], and the rows past the rank are zero in every
-    column below ``ncols``. With ``full`` each pivot column is cleared in
-    every other row (Gauss-Jordan), otherwise only below (forward pass)."""
-    pivots: list[int] = []
-    m = len(rows)
-    r = 0
-    # a row update only mixes rows, so a column with no nonzero at the start never gains one
-    for c in sorted({k for row in rows for k in row if k < ncols}):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if c in rows[i]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(0 if full else r + 1, m):
-            row = rows[i]
-            a = row.get(c)
-            if a is None or i == r:
-                continue
-            g = math.gcd(a, p)
-            a, s = a // g, p // g
-            new = {k: s * x for k, x in row.items()} if s != 1 else dict(row)
-            for k, y in prow.items():
-                x = new.get(k, 0) - a * y
-                if x:
-                    new[k] = x
-                else:
-                    new.pop(k, None)
-            g = math.gcd(*new.values())
-            rows[i] = {k: x // g for k, x in new.items()} if g > 1 else new
-        pivots.append(c)
-        r += 1
+def _clear(row: dict, prow: dict, c: int) -> dict:
+    """``row`` with column c cleared by an integer combination with the pivot
+    row ``prow``, divided by the gcd of its entries."""
+    g = math.gcd(row[c], prow[c])
+    a, s = row[c] // g, prow[c] // g
+    new = {k: s * x for k, x in row.items()} if s != 1 else dict(row)
+    for k, y in prow.items():
+        x = new.get(k, 0) - a * y
+        if x:
+            new[k] = x
+        else:
+            del new[k]
+    g = math.gcd(*new.values())
+    return {k: x // g for k, x in new.items()} if g > 1 else new
+
+
+def _eliminate(rows: list, ncols: int, full: bool) -> list[tuple[int, int]]:
+    """Fraction-free elimination of the integer rows in place, in row order;
+    returns ``(column, row index)`` for each pivot, in column order. The
+    pivot rows end in echelon form, every other row zero below ``ncols``.
+    With ``full`` each pivot row is then cleared at the later pivots, last
+    pivot first, so that it is cleared by reduced rows (Gauss-Jordan)."""
+    owner: dict[int, int] = {}  # pivot column -> index of its row
+    for i, row in enumerate(rows):
+        c = min(row, default=ncols)
+        while c in owner:
+            row = _clear(row, rows[owner[c]], c)
+            c = min(row, default=ncols)
+        rows[i] = row
+        if c < ncols:
+            owner[c] = i
+    pivots = sorted(owner.items())
+    if full:
+        for c, i in reversed(pivots):
+            for k in [k for k in rows[i] if k > c and k in owner]:
+                rows[i] = _clear(rows[i], rows[owner[k]], k)
     return pivots
 
 
 def _reduced(rows, ncols: int | None, full: bool = True) -> tuple[list[dict], list[int], int]:
-    """(integer rows after elimination, pivots, width) for dense or sparse rows."""
+    """(integer rows after elimination, the pivot rows first in column order;
+    pivots; width) for dense or sparse rows."""
     width = _width(rows)
     if ncols is None:
         ncols = width
     work = [_int_row(_items(r)) for r in rows]
-    return work, _eliminate(work, ncols, full), max(width, ncols)
+    pivots = _eliminate(work, ncols, full)
+    owners = {i for _, i in pivots}
+    work = [work[i] for _, i in pivots] + [r for i, r in enumerate(work) if i not in owners]
+    return work, [c for c, _ in pivots], max(width, ncols)
 
 
 def rref(rows: Sequence, ncols: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
@@ -202,9 +206,9 @@ def rref(rows: Sequence, ncols: int | None = None) -> tuple[list[list[Fraction]]
     Pivots are taken in the first ``ncols`` columns (default: all). The rows
     come back dense, of the full width. When ``ncols`` is the width they are
     the unique reduced echelon form, zero past the rank. When it is less
-    (an augmented system), a row past the rank is returned as some nonzero
-    multiple of what rational elimination with the same pivots leaves there:
-    only whether such a row is zero carries meaning.
+    (an augmented system), the rows past the rank are zero below ``ncols``
+    and span the rows of the row space that are: only whether they are all
+    zero carries meaning.
     """
     work, pivots, width = _reduced(rows, ncols)
     out = []
@@ -341,14 +345,8 @@ def in_span(rows: Sequence, v) -> bool:
 def extend_independent(base: Sequence, candidates: Sequence) -> list[int]:
     """Indices of candidates that grow the span of ``base``, scanned in order.
 
-    One forward elimination of all the vectors taken as columns, base first:
-    a column is a pivot exactly when it is outside the span of the columns
-    before it."""
-    vectors = list(base) + list(candidates)
-    coords: dict = {}  # coordinate -> {vector index: coefficient}
-    for i, v in enumerate(vectors):
-        for k, c in _items(v):
-            coords.setdefault(k, {})[i] = c
+    One forward pass over base and candidates as rows, in order: a row gives
+    a pivot exactly when it is outside the span of the rows before it."""
+    rows = [_int_row(_items(v)) for v in [*base, *candidates]]
     nb = len(base)
-    _, pivots, _ = _reduced([coords[k] for k in sorted(coords)], len(vectors), full=False)
-    return [p - nb for p in pivots if p >= nb]
+    return sorted(i - nb for _, i in _eliminate(rows, _width(rows), False) if i >= nb)

@@ -99,7 +99,7 @@ def sparse_rows(rows):
 def prime_shapes(seed, count=80):
     """Rows with entries +-p/q, p and q distinct primes, about a fifth of them
     zero; some rows are combinations of others, some first rows start with a
-    zero so that the first pivot needs a row swap."""
+    zero so that column 0 takes its pivot from a later row."""
     rng = random.Random(seed)
     for _ in range(count):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
@@ -115,9 +115,37 @@ def prime_shapes(seed, count=80):
         yield rows, m, n
 
 
+def larger_systems(seed, count=36):
+    """Seeded systems of 10 to 40 rows and columns, in the shapes `decompose`
+    builds, three kinds in turn: 5-15% of entries nonzero, with some rows
+    replaced by combinations of others (rank-deficient); the same, square;
+    and shuffled permutation matrices, times rational scales, with a few
+    fill-in entries."""
+    rng = random.Random(seed)
+    for t in range(count):
+        m = n = rng.randint(10, 40)
+        if t % 3 == 0:
+            m = rng.randint(10, 40)
+        if t % 3 == 2:
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            for i, c in enumerate(rng.sample(range(n), n)):
+                rows[i][c] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 5))
+            for _ in range(rng.randint(1, 4)):
+                rows[rng.randrange(n)][rng.randrange(n)] = Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 5))
+        else:
+            density = rng.uniform(0.05, 0.15)
+            rows = [[Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) if rng.random() < density
+                     else Fraction(0) for _ in range(n)] for _ in range(m)]
+            for _ in range(rng.randint(1, 4)):
+                i, j, k = rng.sample(range(m), 3)
+                rows[i] = [rng.randint(-2, 2) * x + y for x, y in zip(rows[j], rows[k])]
+        yield rows, m, n
+
+
 def all_shapes():
     yield from shapes(74)
     yield from prime_shapes(75)
+    yield from larger_systems(76)
 
 
 def ref_nullspace(red, pivots, n):
@@ -134,7 +162,7 @@ def ref_nullspace(red, pivots, n):
 
 
 def test_dict_and_dense_rows_give_the_same_results_as_sympy():
-    kinds = {"big-lcm": 0, "negative-pivot": 0, "swap": 0, "deficient": 0, "inverse": 0}
+    kinds = {"big-lcm": 0, "negative-pivot": 0, "later-row-pivot": 0, "deficient": 0, "inverse": 0}
     for rows, m, n in all_shapes():
         sp = sparse_rows(rows)
         dm = to_dm(rows, m, n)
@@ -157,7 +185,7 @@ def test_dict_and_dense_rows_give_the_same_results_as_sympy():
         kinds["big-lcm"] += any(math.lcm(*(c.denominator for c in r)) > 10**6 for r in rows)
         first = next((r for r in rows if r[0]), None) if n else None
         kinds["negative-pivot"] += first is not None and first[0] < 0
-        kinds["swap"] += first is not None and rows[0][0] == 0
+        kinds["later-row-pivot"] += first is not None and rows[0][0] == 0
         kinds["deficient"] += dm.rank() < min(m, n)
     assert min(kinds.values()) >= 8, kinds
 
@@ -259,3 +287,13 @@ def test_float_or_bool_in_a_dict_row_raises(bad):
     for call in calls:
         with pytest.raises(TypeError):
             call()
+
+
+def test_extend_independent_on_larger_systems_matches_the_rank_loop():
+    rng = random.Random(84)
+    for rows, m, n in larger_systems(85, count=12):
+        pool = [tuple(r) for r in rows]
+        base = rng.sample(pool, rng.randint(0, m // 2))
+        cands = [rng.choice(pool) for _ in range(rng.randint(m // 2, m))]
+        assert linalg.extend_independent(sparse_rows(base), sparse_rows(cands)) == \
+            extend_independent_by_rank(base, cands)
