@@ -23,7 +23,6 @@ from .catalog import (
     heisenberg_context,
     heisenberg_extension,
     odd_extension_context,
-    odd_extension_dim1,
 )
 from .decompose import (
     DecompositionResult,
@@ -61,7 +60,6 @@ from .spaces import (
     check_form_degree,
     dual_space,
     parity_shift,
-    parity_shift_map,
 )
 
 __version__ = "0.1.0"

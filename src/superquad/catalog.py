@@ -3,10 +3,10 @@ Heisenberg superalgebra extended by an even derivation.
 
 Each family is a double-extension context, which ``odd_extension_context``
 and ``heisenberg_context`` return validated; ``superquad catalog`` writes it
-or its ``double_extend``. No command calls the explicit-row constructors
-``odd_extension_dim1`` and ``heisenberg_extension``: they write the bracket
-rows and metric directly, the independent reference that the tests compare
-the generic extension with, so that their agreement is a tested theorem.
+or its ``double_extend``. No command calls ``heisenberg_extension``: it
+writes the bracket rows and metric directly, the independent reference that
+the tests compare the generic extension with (``tests/generators.py`` holds
+the odd family's), so that their agreement is a tested theorem.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import linalg
 from .algebra import LieSuperAlgebra, QuadraticLieSuperAlgebra, SuperBracket
 from .extension import DeltaContext, double_extend
-from .linalg import Vector, ZERO
+from .linalg import Vector
 from .spaces import GradedBilinearForm, GradedBilinearMap, GradedLinearMap, SuperSpace, p_delta_dual
 
 ODD = 1
@@ -71,33 +71,6 @@ class OddExtensionParams:
         object.__setattr__(self, "eta", linalg.scalar(self.eta))
         if len(self.w) != self.h.dim:
             raise ValueError("w must be a vector of h")
-
-
-def odd_extension_dim1(p: OddExtensionParams) -> QuadraticLieSuperAlgebra:
-    """Odd quadratic algebra on Fx + h + F P(x)* with x odd.
-
-    Bracket rows: [x,x] = w + eta P(x)*, [x,u] = D(u) - (-1)^{|u|} B_h(u,w) P(x)*,
-    [u,v] = [u,v]_h + B_h(D(u),v) P(x)*, P(x)* central. Metric: B_h on h and
-    B(x, P(x)*) = 1. Raises as ``odd_extension_context`` does.
-    """
-    odd_extension_context(p)
-    h = p.h
-    nh = h.dim
-    n = nh + 2
-    lab = _fresh_label(h.space)
-    space = SuperSpace(((lab, 1),) + h.space.basis + ((f"P({lab})*", 0),))
-
-    sign = [-1 if q else 1 for q in h.space.parities]
-    # [x, u_m] = D(u_m) - (-1)^{|u_m|} B_h(u_m, w) P(x)*, whose P(x)* coordinate is row nh
-    d_b, rows = h.metric.scaled_rows
-    action = p.d.entries() + [(nh, m, -sign[m] * sum((b * p.w[r] for r, b in row.items()), ZERO) / d_b)
-                              for m, row in enumerate(rows)]
-    entries = [(0, 0, 1 + r, c) for r, c in enumerate(p.w)] + [(0, 0, n - 1, p.eta)]
-    for r, m, c in action:
-        entries += [(0, 1 + m, 1 + r, c), (1 + m, 0, 1 + r, -sign[m] * c)]
-    entries += h.bracket.entries(1, 1, 1) + _omega_entries(p, n - 1)
-    return QuadraticLieSuperAlgebra(LieSuperAlgebra(SuperBracket.from_entries(space, entries)),
-                                    _hyperbolic_metric(space, h))
 
 
 def odd_extension_context(p: OddExtensionParams) -> DeltaContext:

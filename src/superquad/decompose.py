@@ -123,21 +123,27 @@ def orthogonal_complement(vectors: tuple, form: GradedBilinearForm) -> tuple[int
     view}: the canonical nullspace basis, as a view. The rows c -> B(s, e_c)
     are integer covectors, each a positive multiple of the rational one,
     which leaves the nullspace and its canonical basis as they are."""
-    par = form.space.parities
     rows = form.scaled_rows[1]
     d, basis = linalg.nullspace_ints([_covector(rows, s) for s in vectors[1]], form.space.dim)
-    for v in basis:
-        if len({par[i] for i in v}) != 1:
-            raise SuperquadError("orthogonal complement produced a non-homogeneous vector")
+    if any(_parity(form.space, v) is None for v in basis):
+        raise SuperquadError("orthogonal complement produced a non-homogeneous vector")
     return d, basis
 
 
-def _homogeneous_parity(space: SuperSpace, v: dict) -> int:
-    """Parity of a homogeneous sparse vector."""
+def _parity(space: SuperSpace, v: dict) -> int | None:
+    """Parity of a homogeneous sparse vector, None if it has entries of both
+    parities; zero is homogeneous of either parity and reads as even."""
     seen = {space.parity(i) for i in v}
-    if len(seen) != 1:
-        raise ValueError("vector is not homogeneous (or zero)")
-    return seen.pop()
+    return None if len(seen) > 1 else min(seen, default=0)
+
+
+def _first_dependent(vectors: Sequence[dict]) -> int | None:
+    """Index of the first vector in the span of those before it, None if
+    the vectors are independent."""
+    grows = linalg.extend_independent([], vectors)
+    if len(grows) == len(vectors):
+        return None
+    return next((r for r, k in enumerate(grows) if k != r), len(grows))
 
 
 def find_central_minimal_ideal(g: QuadraticLieSuperAlgebra) -> tuple[int, tuple[dict, ...]] | str:
@@ -185,7 +191,7 @@ def _dual_vectors(form: GradedBilinearForm, ideal: tuple, avoid: tuple) -> tuple
     rows += [_covector(metric_rows, w) for w in avoid[1]]
     by_parity: dict = {}  # the parity of d_i -> the i, all with one system matrix
     for i, e in enumerate(e_ints):
-        by_parity.setdefault((_homogeneous_parity(space, e) + form.degree) % 2, []).append(i)
+        by_parity.setdefault((_parity(space, e) + form.degree) % 2, []).append(i)
     duals: list = [None] * len(e_ints)
     for want, members in by_parity.items():
         cols = [c for c in range(space.dim) if space.parity(c) == want]
@@ -229,7 +235,7 @@ def witt_complement(form: GradedBilinearForm, ideal: tuple,
     """
     d_e, e = ideal
     s, duals = _dual_vectors(form, ideal, avoid)
-    parities = [_homogeneous_parity(form.space, v) for v in e]
+    parities = [_parity(form.space, v) for v in e]
     d_b = form.scaled_rows[0]
     f = 1 if form.degree == 1 else 2
     lead = f * d_b * s * d_e
@@ -353,7 +359,7 @@ def _block_space(g_space: SuperSpace, view: tuple, prefix: str,
         labels.append(g_space.label(u) if u is not None else f"{prefix}{j}")
     if len(set(labels)) != len(labels):
         labels = [f"{prefix}{j}" for j in range(len(vectors))]
-    return SuperSpace(tuple((lab, _homogeneous_parity(g_space, v))
+    return SuperSpace(tuple((lab, _parity(g_space, v))
                             for lab, v in zip(labels, vectors)))
 
 
@@ -393,16 +399,14 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: tuple,
     if d_c == 1 and all(_unit_index(v, 1) == k for k, v in enumerate(int_cols)):  # the inverse is the identity
         inverse, split = cols, g.bracket.scaled_pairs
     else:
-        r = next((r for r, v in enumerate(int_cols) if len({g.space.parity(k) for k in v}) > 1), None)
+        r = next((r for r, v in enumerate(int_cols) if _parity(g.space, v) is None), None)
         if r is not None:
             raise ClaimViolated("split-homogeneous", [Violation("split-homogeneous", (r,))])
         # the rows of the inverse of the matrix whose rows are the integer columns
         # are the columns of the inverse of the change of basis divided by d_c
         inv = linalg.inverse_ints(int_cols)
-        if inv is None:  # the first vector in the span of those before it
-            grows = linalg.extend_independent([], int_cols)
-            r = next((r for r, k in enumerate(grows) if k != r), len(grows))
-            raise ClaimViolated("split-basis", [Violation("split-basis", (r,))])
+        if inv is None:
+            raise ClaimViolated("split-basis", [Violation("split-basis", (_first_dependent(int_cols),))])
         inverse = linalg.lowest_terms(inv[0], ({k: d_c * x for k, x in v.items()} for v in inv[1]))
         split = _bracket_in_basis(g.bracket, cols, inverse)
 
@@ -490,11 +494,10 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> tuple[int, 
                 raise ClaimViolated("ideal-shape", message=f"vector {r} has an index outside range({n})")
         elif len(v) != n:
             raise ClaimViolated("ideal-shape", message=f"vector {r} has wrong length")
-        if len({g.space.parity(k) for k in s}) > 1:  # zero is homogeneous of either parity
+        if _parity(g.space, s) is None:
             raise ClaimViolated("ideal-homogeneous", [Violation("ideal-homogeneous", (r,))])
-    grows = linalg.extend_independent([], e)
-    if len(grows) != len(e):  # the first vector in the span of those before it
-        r = next((r for r, k in enumerate(grows) if k != r), len(grows))
+    r = _first_dependent(e)
+    if r is not None:
         raise ClaimViolated("ideal-independent", [Violation("ideal-independent", (r,))])
     d_b, pairs = g.bracket.scaled_pairs
     images = [_right(pairs, p, v) for p in range(n) for v in e]  # [e_p, ideal_r] at p * len(e) + r

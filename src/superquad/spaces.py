@@ -274,13 +274,6 @@ class SuperSpace:
     def label(self, i: int) -> str:
         return self.basis[i][0]
 
-    def vector_parity(self, v: Sequence) -> int | None:
-        """Parity of a homogeneous coordinate vector; None if mixed or zero."""
-        seen = {self.parity(i) for i, c in enumerate(v) if c != 0}
-        if len(seen) == 1:
-            return seen.pop()
-        return None
-
 
 def parity_shift(space: SuperSpace) -> SuperSpace:
     """P(V): same labels, every parity flipped."""
@@ -355,17 +348,6 @@ class GradedLinearMap(_Sparse):
         d, cols = self.scaled_columns
         return self._view("_matrix", lambda: tuple(
             linalg._dense(d, row, self.source.dim) for row in sparse_transpose(cols, self.target.dim)))
-
-    def is_zero(self) -> bool:
-        return not any(self.scaled_columns[1])
-
-    def rank(self) -> int:
-        return linalg.rank(self.scaled_columns[1], self.target.dim)
-
-def parity_shift_map(t: GradedLinearMap) -> GradedLinearMap:
-    """P(T): source parities flipped, same entries, degree raised; P(T)(P(v)) = T(v)."""
-    return GradedLinearMap.from_ints(parity_shift(t.source), t.target, (t.degree + 1) % 2,
-                                     *t.scaled_table())
 
 
 class GradedBilinearForm(_Sparse):
@@ -527,9 +509,6 @@ class GradedBilinearMap(_Sparse):
     def value(self, i: int, j: int) -> Vector:
         d, pairs = self.scaled_pairs
         return linalg._dense(d, pairs.get((i, j), EMPTY), self.target.dim)
-
-    def is_zero(self) -> bool:
-        return not self.scaled_pairs[1]
 
     def check_even(self, name: str = "bilinear-even", what: str = "value") -> Violation | None:
         """As an even map, the value on (e_i, e_j) lies in the (p_i + p_j) block."""

@@ -83,6 +83,12 @@ def dense_vec(v, n: int) -> tuple:
     return tuple(out)
 
 
+def vector_parity(space: SuperSpace, v) -> int | None:
+    """Parity of a homogeneous dense coordinate vector; None if mixed or zero."""
+    seen = {space.parity(i) for i, c in enumerate(v) if c != 0}
+    return seen.pop() if len(seen) == 1 else None
+
+
 def fractions(view):
     """An integer view ``(d, vectors)``, such as ``scaled_pairs``,
     ``scaled_columns`` or ``scaled_rows``, with each coefficient n/d as a
@@ -205,7 +211,7 @@ def change_basis(g: QuadraticLieSuperAlgebra, cols) -> QuadraticLieSuperAlgebra:
     n = g.dim
     m = linalg.transpose(cols)
     m_inv = linalg.inverse(m)
-    space = SuperSpace(tuple((f"b{i}", g.space.vector_parity(cols[i])) for i in range(n)))
+    space = SuperSpace(tuple((f"b{i}", vector_parity(g.space, cols[i])) for i in range(n)))
     pairs = fractions(g.bracket.scaled_pairs)
     table = tuple(
         tuple(linalg.mat_vec(m_inv, value_vectors(pairs, cols[p], cols[q], n)) for q in range(n))
@@ -301,7 +307,7 @@ def random_superalgebra_scrambled(rng, max_dim=5) -> LieSuperAlgebra:
     cols = random_parity_preserving_basis(rng, g.space)
     n = g.dim
     m_inv = linalg.inverse(linalg.transpose(cols))
-    space = SuperSpace(tuple((f"b{i}", g.space.vector_parity(cols[i])) for i in range(n)))
+    space = SuperSpace(tuple((f"b{i}", vector_parity(g.space, cols[i])) for i in range(n)))
     pairs = fractions(g.bracket.scaled_pairs)
     table = tuple(
         tuple(linalg.mat_vec(m_inv, value_vectors(pairs, cols[p], cols[q], n)) for q in range(n))
@@ -385,7 +391,7 @@ def _heisenberg_like(rng) -> QuadraticLieSuperAlgebra:
 
 
 def _odd_2dim(rng) -> QuadraticLieSuperAlgebra:
-    from superquad.catalog import default_odd_dim1_params, odd_extension_dim1
+    from superquad.catalog import default_odd_dim1_params
     return odd_extension_dim1(default_odd_dim1_params(rand_scalar(rng)))
 
 
@@ -721,7 +727,7 @@ def rich_context(rng, delta) -> DeltaContext:
         h = _abelian_quadratic(rng, 0, 4)
         rho = [GradedLinearMap.zero(h.space, h.space, p) for p in pa]
         lam = solve_lambda(rng, a, h, rho)
-        if lam is None or lam.is_zero():
+        if lam is None or not lam.scaled_pairs[1]:
             continue
         omega = solve_omega(rng, 0, a, h, rho, lam)
         if omega is None:
@@ -799,7 +805,7 @@ def random_witt_instance(rng, delta, max_dim=8):
 
 def change_basis_form(form: GradedBilinearForm, cols) -> GradedBilinearForm:
     n = form.space.dim
-    space = SuperSpace(tuple((f"w{i}", form.space.vector_parity(cols[i])) for i in range(n)))
+    space = SuperSpace(tuple((f"w{i}", vector_parity(form.space, cols[i])) for i in range(n)))
     rows = tuple(tuple(form.value(cols[p], cols[q]) for q in range(n)) for p in range(n))
     return GradedBilinearForm(space, form.degree, rows)
 
@@ -850,6 +856,36 @@ def random_odd_dim1_params(rng):
     raise RuntimeError("odd-dim1 parameter sampling failed")
 
 
+def odd_extension_dim1(p) -> QuadraticLieSuperAlgebra:
+    """Odd quadratic algebra on Fx + h + F P(x)* with x odd, from its
+    explicit bracket rows: the catalog's reference for the odd family, whose
+    agreement with ``double_extend(odd_extension_context(p))`` is tested.
+
+    Bracket rows: [x,x] = w + eta P(x)*, [x,u] = D(u) - (-1)^{|u|} B_h(u,w) P(x)*,
+    [u,v] = [u,v]_h + B_h(D(u),v) P(x)*, P(x)* central. Metric: B_h on h and
+    B(x, P(x)*) = 1. Raises as ``odd_extension_context`` does.
+    """
+    from superquad.catalog import _fresh_label, _hyperbolic_metric, _omega_entries, odd_extension_context
+    odd_extension_context(p)
+    h = p.h
+    nh = h.dim
+    n = nh + 2
+    lab = _fresh_label(h.space)
+    space = SuperSpace(((lab, 1),) + h.space.basis + ((f"P({lab})*", 0),))
+
+    sign = [-1 if q else 1 for q in h.space.parities]
+    # [x, u_m] = D(u_m) - (-1)^{|u_m|} B_h(u_m, w) P(x)*, whose P(x)* coordinate is row nh
+    d_b, rows = h.metric.scaled_rows
+    action = p.d.entries() + [(nh, m, -sign[m] * sum((b * p.w[r] for r, b in row.items()), ZERO) / d_b)
+                              for m, row in enumerate(rows)]
+    entries = [(0, 0, 1 + r, c) for r, c in enumerate(p.w)] + [(0, 0, n - 1, p.eta)]
+    for r, m, c in action:
+        entries += [(0, 1 + m, 1 + r, c), (1 + m, 0, 1 + r, -sign[m] * c)]
+    entries += h.bracket.entries(1, 1, 1) + _omega_entries(p, n - 1)
+    return QuadraticLieSuperAlgebra(LieSuperAlgebra(SuperBracket.from_entries(space, entries)),
+                                    _hyperbolic_metric(space, h))
+
+
 def heisenberg_target(p) -> QuadraticLieSuperAlgebra:
     """h(D) = F D + h + F hbar: the Heisenberg superalgebra of the form
     omega(u,v) = B_h(D(u),v), extended by D acting as an even derivation.
@@ -869,7 +905,7 @@ def psi_preconditions_hold(p) -> bool:
     """h Abelian and (u,v) -> B_h(D(u),v) non-degenerate: then h(D) is a
     Heisenberg superalgebra and ``heisenberg_extension(p)`` is isometric to
     ``heisenberg_target(p)``."""
-    if not p.h.bracket.is_zero():
+    if p.h.bracket.scaled_pairs[1]:
         return False
     # row m of the form: B_h(D(u_m), .)
     rows = fractions(p.h.metric.scaled_rows)

@@ -20,11 +20,13 @@ from generators import (
     identity_map,
     intertwining_violation,
     lemma_residuals,
+    odd_extension_dim1,
     psi_preconditions_hold,
     random_heisenberg_params,
     random_odd_dim1_params,
     random_superalgebra_scrambled,
     random_witt_instance,
+    vector_parity,
 )
 from superquad import linalg
 from superquad.algebra import (
@@ -42,7 +44,6 @@ from superquad.catalog import (
     heisenberg_context,
     heisenberg_extension,
     odd_extension_context,
-    odd_extension_dim1,
 )
 from superquad.decompose import _view, decompose, witt_complement
 from superquad.errors import NotHomogeneous
@@ -115,7 +116,7 @@ def test_criterion_4_witt_complement_conclusions():
             r = len(ideal)
             assert len(a) == r                                    # (ii)
             for i in range(r):
-                assert space.vector_parity(a[i]) is not None
+                assert vector_parity(space, a[i]) is not None
                 for j in range(r):
                     assert form.value(a[i], a[j]) == 0            # (i)
                     want = ONE if i == j else ZERO

@@ -8,6 +8,7 @@ from generators import (
     build_bracket,
     heisenberg_target,
     identity_map,
+    odd_extension_dim1,
     psi_preconditions_hold,
     random_heisenberg_params,
     random_odd_dim1_params,
@@ -22,7 +23,6 @@ from superquad.catalog import (
     heisenberg_context,
     heisenberg_extension,
     odd_extension_context,
-    odd_extension_dim1,
 )
 from superquad.errors import InvalidContext
 from superquad.extension import DeltaContext, double_extend

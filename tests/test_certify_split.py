@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from generators import change_basis, context_corpus, count_calls, random_parity_preserving_basis
+from generators import change_basis, context_corpus, count_calls, random_parity_preserving_basis, vector_parity
 from test_decompose_transport import cases
 import superquad.algebra as algebra
 import superquad.decompose as dec
@@ -136,7 +136,7 @@ def test_a_view_shifted_by_h_is_an_isometry_metric_violation():
     dense Gram differs from the true one, which equals the extension's metric."""
     planted = 0
     for g, res in results():
-        par = g.space.vector_parity
+        par = lambda v: vector_parity(g.space, v)
         a, h = list(res.a_basis), res.h_basis
         i, w = next(((i, w) for i, x in enumerate(a) for w in h if par(w) == par(x)), (None, None))
         if i is None:
@@ -178,7 +178,7 @@ def test_a_split_that_is_no_homogeneous_basis_names_its_first_bad_vector(claim):
 
         def bad(r):
             if claim == "split-homogeneous":
-                k = next((k for k in range(g.dim) if g.space.parity(k) != g.space.vector_parity(cols[r])), None)
+                k = next((k for k in range(g.dim) if g.space.parity(k) != vector_parity(g.space, cols[r])), None)
                 return None if k is None else tuple(c + (m == k) for m, c in enumerate(cols[r]))
             if r == 0 or rng.random() < 0.3:
                 return tuple(0 * c for c in cols[r])

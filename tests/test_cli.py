@@ -18,7 +18,7 @@ from superquad.fileformat import (
     parse_document,
     serialize_document,
 )
-from generators import count_calls
+from generators import count_calls, odd_extension_dim1
 from test_decompose_transport import moved
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -57,13 +57,14 @@ def test_catalog_matches_shipped_samples(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_catalog_algebra_equals_the_explicit_rows(tmp_path, capsys, fmt):
-    """catalog writes the double extension of its context; the explicit-row
-    constructors, which no command calls, give the same bytes."""
+    """catalog writes the double extension of its context; the explicit
+    bracket rows give the same bytes: ``heisenberg_extension``, which no
+    command calls, and the odd family's reference in the tests."""
     from superquad import catalog as cat
 
     cases = [(("heisenberg", "--pairs", str(n)), cat.heisenberg_extension(cat.default_heisenberg_params(n)))
              for n in (1, 2, 3, 16)]
-    cases += [(("odd-dim1", f"--eta={eta}"), cat.odd_extension_dim1(cat.default_odd_dim1_params(eta)))
+    cases += [(("odd-dim1", f"--eta={eta}"), odd_extension_dim1(cat.default_odd_dim1_params(eta)))
               for eta in ("0", "1", "1/2", "-3/7")]
     out = tmp_path / "out"
     for argv, explicit in cases:

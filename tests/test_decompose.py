@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from generators import (context_corpus, count_calls, fractions, random_heisenberg_params, random_odd_dim1_params,
-                        random_witt_instance, value_vectors)
+from generators import (context_corpus, count_calls, fractions, odd_extension_dim1, random_heisenberg_params,
+                        random_odd_dim1_params, random_witt_instance, value_vectors, vector_parity)
 from test_decompose_transport import moved
 import superquad.decompose as dec
 from superquad import linalg
@@ -18,7 +18,6 @@ from superquad.catalog import (
     heisenberg_context,
     heisenberg_extension,
     odd_extension_context,
-    odd_extension_dim1,
 )
 from superquad.decompose import (
     build_xi,
@@ -113,7 +112,7 @@ def test_witt_complement_mixed_parity_random():
             r = len(ideal)
             assert len(a) == r
             for i in range(r):
-                assert space.vector_parity(a[i]) is not None
+                assert vector_parity(space, a[i]) is not None
                 for j in range(r):
                     assert form.value(a[i], a[j]) == 0
                     assert form.value(ideal[i], a[j]) == (ONE if i == j else ZERO)
@@ -153,11 +152,11 @@ def test_extract_maps_abelian_all_zero():
     g = odd_hyperbolic_2dim()
     maps = extract_structure_maps(g, view([unit_vec(2, 0)]), view([unit_vec(2, 1)]), view([]))
     assert maps.a_table.entries() == []
-    assert maps.lam.is_zero() and maps.omega.is_zero()
-    assert all(t.is_zero() for t in maps.rho)
+    assert not maps.lam.scaled_pairs[1] and not maps.omega.scaled_pairs[1]
+    assert not any(c for t in maps.rho for c in t.scaled_columns[1])
     ctx = decompose(g, [unit_vec(2, 0)]).context  # gamma, tau and sigma are Phi, chi and ad*_delta
-    assert ctx.phi.is_zero() and ctx.chi.is_zero()
-    assert all(t.is_zero() for t in ctx.ad_star)
+    assert not ctx.phi.scaled_pairs[1] and not ctx.chi.scaled_pairs[1]
+    assert not any(c for t in ctx.ad_star for c in t.scaled_columns[1])
 
 
 def test_extract_maps_heisenberg():
@@ -167,11 +166,12 @@ def test_extract_maps_heisenberg():
     h = [unit_vec(4, 1), unit_vec(4, 2)]
     maps = extract_structure_maps(g, view(ideal), view(a), view(h))
     assert maps.rho[0].matrix == ((ONE, ZERO), (ZERO, -ONE))   # rho(x) = D
-    assert maps.lam.is_zero() and maps.omega.is_zero()
+    assert not maps.lam.scaled_pairs[1] and not maps.omega.scaled_pairs[1]
     res = decompose(g, ideal)  # on the same split, gamma, tau and sigma are Phi, chi and ad*_delta
     assert (res.a_basis, res.h_basis) == (tuple(a), tuple(h))
     assert res.context.phi.value(0, 1) == (ONE,)               # gamma(e,f) = B(De,f)
-    assert res.context.chi.is_zero() and all(t.is_zero() for t in res.context.ad_star)
+    assert not res.context.chi.scaled_pairs[1]
+    assert not any(c for t in res.context.ad_star for c in t.scaled_columns[1])
 
 
 def test_extract_maps_odd_dim1():
@@ -202,7 +202,7 @@ def test_decompose_heisenberg_recovers_context():
     g = double_extend(ctx)
     res = decompose(g, [unit_vec(4, 3)])
     assert contexts_equal(res.context, ctx)
-    assert res.context.lam.is_zero() and res.context.omega.is_zero()
+    assert not res.context.lam.scaled_pairs[1] and not res.context.omega.scaled_pairs[1]
     assert res.context.rho[0].matrix == params.d.matrix
     assert res.isometry.matrix == linalg.identity_mat(4)
 
@@ -212,7 +212,7 @@ def test_decompose_abelian_trivial_context():
     res = decompose(g, [unit_vec(2, 0)])
     assert res.context.h.dim == 0
     assert res.context.a.space.parities == (1,)
-    assert res.context.omega.is_zero()
+    assert not res.context.omega.scaled_pairs[1]
     assert res.context.extension.dim == 2
 
 

@@ -171,7 +171,7 @@ def dual_vectors(form, ideal, avoid):
     rows = [covector(form, e) for e in ideal] + [covector(form, _sparse(w)) for w in avoid]
     duals = []
     for i, e in enumerate(ideal):
-        want = (dec._homogeneous_parity(space, e) + form.degree) % 2
+        want = (dec._parity(space, e) + form.degree) % 2
         cols = [c for c in range(space.dim) if space.parity(c) == want]
         pos = {c: t for t, c in enumerate(cols)}
         sys_rows = [{pos[c]: x for c, x in r.items() if c in pos} for r in rows]
@@ -194,7 +194,7 @@ def witt_complement(form, ideal, avoid=(1, ())):
     if linalg.rank(ideal, space.dim) != len(ideal):
         raise ValueError("ideal vectors are linearly dependent")
     duals = dual_vectors(form, ideal, avoid)
-    parities = [dec._homogeneous_parity(space, e) for e in ideal]
+    parities = [dec._parity(space, e) for e in ideal]
     out = []
     for i, d in enumerate(duals):
         corr = dict(d)

@@ -59,24 +59,22 @@ def test_python_error_handler_is_reported():
     assert python_error_handlers(source) == ["line 3", "line 9"]
 
 
-# Definitions that nothing in src/ refers to, each with the one reason it
-# stays there: the benchmark imports or traces it (among them the central
-# extension, Theta and the semi-direct product, whose tables
-# ``extension_bracket`` assembles in one place), or README's "Public API"
-# section names it (the dense views, the parity-shift transfer, the zero
-# test of a linear or bilinear map,
-# the parity of a dense vector, xi of any ideal and complement, which
-# decompose fixes by the Witt pairing instead, the catalog's explicit-row
-# constructors, the reference its contexts are tested against, and the
-# structural comparison of two contexts, which ``perfbench/run.py`` calls).
+# Definitions that nothing in src/ refers to, each with the file that keeps
+# it there: a benchmark file that imports, traces or calls it (among them
+# the central extension, Theta and the semi-direct product, whose tables
+# ``extension_bracket`` assembles in one place; xi of any ideal and
+# complement, which decompose fixes by the Witt pairing instead; the
+# Heisenberg family's explicit-row constructor, the reference its context
+# is tested against; and the structural comparison of two contexts), or
+# README's "Public API" section, which names the dense view ``matrix``.
 KEPT = {**dict.fromkeys(("rref", "table", "in_span", "solve", "semidirect_product", "central_extension",
-                         "extension_derivations"), "perfbench/tracer.py"),
+                         "extension_derivations", "build_xi"), "perfbench/tracer.py"),
         **dict.fromkeys(("mat", "mat_vec", "mat_mul", "mat_add", "mat_scale", "zero_mat", "identity_mat",
                          "nullspace", "canonical"),
                         "perfbench/gen.py"),
-        **dict.fromkeys(("matrix", "parity_shift_map", "is_zero", "vector_parity", "build_xi",
-                         "odd_extension_dim1", "heisenberg_extension", "contexts_equal"),
-                        "README API")}
+        "heisenberg_extension": "perfbench/test_perfbench.py",
+        "contexts_equal": "perfbench/run.py",
+        "matrix": "README API"}
 
 
 def unreached(sources: dict[str, str]) -> list[str]:
@@ -85,7 +83,7 @@ def unreached(sources: dict[str, str]) -> list[str]:
     definition refers to, and methods (dunders aside) that no ``Attribute``
     outside their own definition refers to, as ``module:name``. The match is
     by name alone, so a name that two definitions share, such as
-    ``is_zero``, counts as reached for both, and an ``__init__`` export,
+    ``rank``, counts as reached for both, and an ``__init__`` export,
     which is an import, reaches nothing."""
     def refs(node, kinds) -> Counter:
         return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, kinds))
@@ -110,7 +108,8 @@ def test_every_definition_is_reached_or_kept():
     """No function, class or method in src/ is there only for the tests."""
     found = unreached({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))})
     assert {name.split(":")[1].split(".")[-1] for name in found} == set(KEPT), found
-    assert set(KEPT.values()) <= {"perfbench/gen.py", "perfbench/tracer.py", "README API"}
+    assert set(KEPT.values()) <= {"perfbench/gen.py", "perfbench/tracer.py", "perfbench/test_perfbench.py",
+                                  "perfbench/run.py", "README API"}
 
 
 def test_public_names_are_in_readme():

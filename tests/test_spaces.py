@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from generators import column, identity_map, scaled_to_ints
+from generators import column, scaled_to_ints
 from superquad.errors import NotHomogeneous
 from superquad.spaces import (
     GradedBilinearForm,
@@ -16,7 +16,6 @@ from superquad.spaces import (
     dual_space,
     p_delta_dual,
     parity_shift,
-    parity_shift_map,
 )
 
 parities_st = st.lists(st.integers(0, 1), min_size=0, max_size=6)
@@ -69,36 +68,6 @@ def test_parities_and_labels_built_once_per_space():
 def test_unique_labels_enforced():
     with pytest.raises(ValueError):
         SuperSpace((("x", 0), ("x", 1)))
-
-
-def test_parity_shift_map_identity():
-    v = space([0, 1])
-    t = identity_map(v)
-    p = parity_shift_map(t)
-    assert p.source == parity_shift(v)
-    assert p.target == v
-    assert p.degree == 1
-    assert p.matrix == t.matrix
-
-
-def test_parity_shift_map_zero_and_double():
-    v = space([0, 1, 1])
-    z = GradedLinearMap.zero(v, v, 1)
-    p = parity_shift_map(z)
-    assert p.is_zero() and p.source.parities == (1, 0, 0)
-    # a degree-1 map comes back after two shifts
-    t = GradedLinearMap(v, v, 1, ((0, 1, 1), (1, 0, 0), (1, 0, 0)))
-    again = parity_shift_map(parity_shift_map(t))
-    assert again == t
-
-
-def test_parity_shift_map_pointwise():
-    # P(T)(P(v)) = T(v) on every basis vector: same columns
-    v = space([0, 0, 1])
-    t = GradedLinearMap(v, v, 0, ((1, 2, 0), (3, 4, 0), (0, 0, 5)))
-    p = parity_shift_map(t)
-    for j in range(v.dim):
-        assert column(p, j) == column(t, j)
 
 
 def test_dual_space():
@@ -335,7 +304,7 @@ def test_first_inhomogeneous_entry_in_row_major_order():
     with pytest.raises(NotHomogeneous, match=r"^entry \(0,1\) breaks homogeneity of a degree-0 map$"):
         GradedLinearMap.from_entries(v, v, 0, [(2, 1, 1), (1, 0, 1), (0, 1, 1)])
     # entries that cancel leave nothing to break homogeneity
-    assert GradedLinearMap.from_entries(v, v, 0, [(0, 1, 1), (0, 1, -1)]).is_zero()
+    assert not any(GradedLinearMap.from_entries(v, v, 0, [(0, 1, 1), (0, 1, -1)]).scaled_columns[1])
 
 
 def test_map_and_form_constructors_reject_bad_shapes_indices_and_scalars():

@@ -29,6 +29,7 @@ from generators import (
     context_corpus,
     dense_line,
     fractions,
+    odd_extension_dim1,
     random_parity_preserving_basis,
     value_vectors,
 )
@@ -38,7 +39,6 @@ from superquad.catalog import (
     default_heisenberg_params,
     default_odd_dim1_params,
     heisenberg_extension,
-    odd_extension_dim1,
 )
 from superquad.fileformat import document_to_algebra, parse_document
 
@@ -70,7 +70,7 @@ def peel(g) -> tuple[int, str]:
     while True:
         if not g.dim:
             return levels, "zero"
-        if g.bracket.is_zero():
+        if not g.bracket.scaled_pairs[1]:
             return levels, "abelian"
         line = dec.find_central_minimal_ideal(g)
         res = split_step(g)
