@@ -13,22 +13,18 @@ split basis where g may be dense: g, a, h and the context are certified by
 transport through the isometry, and the Witt pairing fixes xi
 (``certify_split`` names the one check behind each fact). A split in g's
 own basis, as ``roundtrip``'s, reads g's own tables, with no change of
-basis. Every step is deterministic: linear solves take first pivots in
-canonical basis order.
+basis.
 
-Every set of vectors is one integer view ``(d, vectors)``: sparse int
-vectors ``{index: n}``, the rational vectors times d, d the lcm of their
-denominators, in lowest terms, the form ``linalg.nullspace_ints`` returns.
-The view is canonical, so two views are equal exactly when their rational
-vectors are. The steps take and return views; only ``decompose`` takes the
-ideal as rational vectors, dense or sparse dicts ``{index: coefficient}``,
-and ``_validate_ideal`` makes them a view, once (``_view``). The pairings,
+Every set of vectors is one integer view ``(d, vectors)``, canonical, and
+the subspaces are computed on views by ``spaces``' subspace calculus. The
+steps take and return views; only ``decompose`` takes the ideal as
+rational vectors, dense or sparse dicts ``{index: coefficient}``, and
+``_validate_ideal`` makes them a view, once (``_view``). The pairings,
 the centre, the dual solves and the ideal's images run on these views, the
-metric's ``scaled_rows`` and the bracket's ``scaled_pairs``. Each sum is
-then one positive constant times the rational one, so it is zero exactly
-when the rational sum is, and a returned coefficient or a residual is
-divided back once; no step here sums ``Fraction``s. ``DecompositionResult``
-keeps the views of a, h and I, the context and the isometry, nothing else.
+metric's ``scaled_rows`` and the bracket's ``scaled_pairs``; a returned
+coefficient or a residual is divided back once, and no step here sums
+``Fraction``s. ``DecompositionResult`` keeps the views of a, h and I, the
+context and the isometry, nothing else.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
-from . import extension, linalg
+from . import extension, linalg, spaces
 from .algebra import (
     LieSuperAlgebra,
     QuadraticLieSuperAlgebra,
@@ -84,30 +80,6 @@ def _join(*views) -> tuple[int, tuple[dict, ...]]:
     return d, tuple(v for vs in blocks for v in vs)
 
 
-def _covector(rows, u: dict) -> dict:
-    """sum_i u_i rows[i] for integer rows and an integer vector u; zeros may remain."""
-    out: dict = {}
-    for i, a in u.items():
-        add_scaled(out, a, rows[i])
-    return out
-
-
-def _gram(form: GradedBilinearForm, us: Sequence[dict], vs: Sequence[dict]) -> list[dict]:
-    """Rows {q: B(us[p], vs[q])} of the Gram matrix of integer sparse vectors
-    on the metric's integer view: d_B times the scales of us and vs times the
-    rational Gram. Columns in order, no zeros."""
-    rows = form.scaled_rows[1]
-    by_coord = sparse_transpose(vs, form.space.dim)  # j -> {q: coordinate j of vs[q]}
-    out = []
-    for u in us:
-        row: dict = {}
-        for j, b in _covector(rows, u).items():
-            if b:
-                add_scaled(row, b, by_coord[j])
-        out.append({q: row[q] for q in sorted(row) if row[q]})
-    return out
-
-
 def _right(pairs: dict, i: int, v: dict) -> dict:
     """[e_i, v] on an integer view of the bracket, for an integer vector v; zeros may remain."""
     out: dict = {}
@@ -119,31 +91,11 @@ def _right(pairs: dict, i: int, v: dict) -> dict:
 
 
 def orthogonal_complement(vectors: tuple, form: GradedBilinearForm) -> tuple[int, tuple[dict, ...]]:
-    """Homogeneous basis of {v : B(s, v) = 0 for all s in the span of the
-    view}: the canonical nullspace basis, as a view. The rows c -> B(s, e_c)
-    are integer covectors, each a positive multiple of the rational one,
-    which leaves the nullspace and its canonical basis as they are."""
-    rows = form.scaled_rows[1]
-    d, basis = linalg.nullspace_ints([_covector(rows, s) for s in vectors[1]], form.space.dim)
-    if any(_parity(form.space, v) is None for v in basis):
+    """``spaces.perp`` of the view, refused unless its basis is homogeneous."""
+    d, basis = spaces.perp(form, vectors)
+    if any(spaces.parity_of(form.space, v) is None for v in basis):
         raise SuperquadError("orthogonal complement produced a non-homogeneous vector")
     return d, basis
-
-
-def _parity(space: SuperSpace, v: dict) -> int | None:
-    """Parity of a homogeneous sparse vector, None if it has entries of both
-    parities; zero is homogeneous of either parity and reads as even."""
-    seen = {space.parity(i) for i in v}
-    return None if len(seen) > 1 else min(seen, default=0)
-
-
-def _first_dependent(vectors: Sequence[dict]) -> int | None:
-    """Index of the first vector in the span of those before it, None if
-    the vectors are independent."""
-    grows = linalg.extend_independent([], vectors)
-    if len(grows) == len(vectors):
-        return None
-    return next((r for r, k in enumerate(grows) if k != r), len(grows))
 
 
 def find_central_minimal_ideal(g: QuadraticLieSuperAlgebra) -> tuple[int, tuple[dict, ...]] | str:
@@ -157,23 +109,22 @@ def find_central_minimal_ideal(g: QuadraticLieSuperAlgebra) -> tuple[int, tuple[
     values [e_i, e_j], i <= j, from the bracket's integer view, and the
     center is its ``orthogonal_complement``, which has the kernel of the
     centraliser system [x, e_j] = 0, so the same canonical nullspace basis.
-    One integer Gram of its vectors picks the line: the first with
-    B(z, z) = 0, else the first canonical vector of the radical of B on the
-    center, its meet with [g,g]. The stops: ``perfect: centre is zero``,
-    and ``central summand`` when B is non-degenerate on the center.
+    The line is its first vector with B(z, z) = 0, else the first vector of
+    the ``spaces.radical`` of B on the center, its meet with [g,g]. The
+    stops: ``perfect: centre is zero``, and ``central summand`` when B is
+    non-degenerate on the center.
     """
     values = [v for (i, j), v in g.bracket.scaled_pairs[1].items() if i <= j]
     d, center = orthogonal_complement((1, [values[k] for k in linalg.extend_independent([], values)]), g.metric)
     if not center:
         return "perfect: centre is zero"
-    gram = _gram(g.metric, center, center)
-    line = next((v for i, (v, row) in enumerate(zip(center, gram)) if i not in row), None)
+    line = next((z for z in center if not spaces.gram(g.metric, [z], [z])[0]), None)
     if line is None:
-        d_r, radical = linalg.nullspace_ints(gram, len(center))
+        d, radical = spaces.radical(g.metric, (d, center))
         if not radical:
             return "central summand"
-        d, line = d * d_r, _covector(center, radical[0])
-    return linalg.lowest_terms(d, [{k: line[k] for k in sorted(line) if line[k]}])
+        line = radical[0]
+    return linalg.lowest_terms(d, [line])
 
 
 def _dual_vectors(form: GradedBilinearForm, ideal: tuple, avoid: tuple) -> tuple[int, tuple[dict, ...]]:
@@ -187,11 +138,11 @@ def _dual_vectors(form: GradedBilinearForm, ideal: tuple, avoid: tuple) -> tuple
     space = form.space
     d_b, metric_rows = form.scaled_rows
     d_e, e_ints = ideal
-    rows = [_covector(metric_rows, e) for e in e_ints]        # row m: c -> B(e_m, e_c)
-    rows += [_covector(metric_rows, w) for w in avoid[1]]
+    rows = [spaces.combine(metric_rows, e) for e in e_ints]  # row m: c -> B(e_m, e_c)
+    rows += [spaces.combine(metric_rows, w) for w in avoid[1]]
     by_parity: dict = {}  # the parity of d_i -> the i, all with one system matrix
     for i, e in enumerate(e_ints):
-        by_parity.setdefault((_parity(space, e) + form.degree) % 2, []).append(i)
+        by_parity.setdefault((spaces.parity_of(space, e) + form.degree) % 2, []).append(i)
     duals: list = [None] * len(e_ints)
     for want, members in by_parity.items():
         cols = [c for c in range(space.dim) if space.parity(c) == want]
@@ -235,12 +186,12 @@ def witt_complement(form: GradedBilinearForm, ideal: tuple,
     """
     d_e, e = ideal
     s, duals = _dual_vectors(form, ideal, avoid)
-    parities = [_parity(form.space, v) for v in e]
+    parities = [spaces.parity_of(form.space, v) for v in e]
     d_b = form.scaled_rows[0]
     f = 1 if form.degree == 1 else 2
     lead = f * d_b * s * d_e
     out = []
-    for i, row in enumerate(_gram(form, duals, duals)):
+    for i, row in enumerate(spaces.gram(form, duals, duals)):
         corr = {k: lead * x for k, x in duals[i].items()}
         for m, c in row.items():
             if form.degree == 1 and (parities[i], parities[m]) != (0, 1):
@@ -266,7 +217,7 @@ def build_xi(form: GradedBilinearForm, ideal: tuple, a_vectors: tuple,
     if ideal_space is None:
         ideal_space = _block_space(space, ideal, "i", reuse=False)
     (d_e, e), (d_a, a_ints) = ideal, a_vectors
-    pairing = _gram(form, e, a_ints)  # row m: {j: B(alpha_m, x_j)} on the views
+    pairing = spaces.gram(form, e, a_ints)  # row m: {j: B(alpha_m, x_j)} on the views
     if linalg.rank(pairing, len(a_ints)) != len(e):
         raise DegeneratePairing("pairing between the ideal and its complement is singular")
     scale = form.scaled_rows[0] * d_e * d_a
@@ -336,7 +287,7 @@ def _metric_in_basis(form: GradedBilinearForm, cols: tuple) -> tuple[int, list[d
     """Rows {q: B(cols[p], cols[q])} of the view's vectors, columns in
     order, no zeros, as one integer Gram at scale d_B d_c^2."""
     d, ints = cols
-    return form.scaled_rows[0] * d * d, _gram(form, ints, ints)
+    return form.scaled_rows[0] * d * d, spaces.gram(form, ints, ints)
 
 
 def _unit_index(v: dict, d: int) -> int | None:
@@ -359,7 +310,7 @@ def _block_space(g_space: SuperSpace, view: tuple, prefix: str,
         labels.append(g_space.label(u) if u is not None else f"{prefix}{j}")
     if len(set(labels)) != len(labels):
         labels = [f"{prefix}{j}" for j in range(len(vectors))]
-    return SuperSpace(tuple((lab, _parity(g_space, v))
+    return SuperSpace(tuple((lab, spaces.parity_of(g_space, v))
                             for lab, v in zip(labels, vectors)))
 
 
@@ -399,14 +350,14 @@ def extract_structure_maps(g: QuadraticLieSuperAlgebra, ideal: tuple,
     if d_c == 1 and all(_unit_index(v, 1) == k for k, v in enumerate(int_cols)):  # the inverse is the identity
         inverse, split = cols, g.bracket.scaled_pairs
     else:
-        r = next((r for r, v in enumerate(int_cols) if _parity(g.space, v) is None), None)
+        r = next((r for r, v in enumerate(int_cols) if spaces.parity_of(g.space, v) is None), None)
         if r is not None:
             raise ClaimViolated("split-homogeneous", [Violation("split-homogeneous", (r,))])
         # the rows of the inverse of the matrix whose rows are the integer columns
         # are the columns of the inverse of the change of basis divided by d_c
         inv = linalg.inverse_ints(int_cols)
         if inv is None:
-            raise ClaimViolated("split-basis", [Violation("split-basis", (_first_dependent(int_cols),))])
+            raise ClaimViolated("split-basis", [Violation("split-basis", (spaces.first_dependent(int_cols),))])
         inverse = linalg.lowest_terms(inv[0], ({k: d_c * x for k, x in v.items()} for v in inv[1]))
         split = _bracket_in_basis(g.bracket, cols, inverse)
 
@@ -494,22 +445,19 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> tuple[int, 
                 raise ClaimViolated("ideal-shape", message=f"vector {r} has an index outside range({n})")
         elif len(v) != n:
             raise ClaimViolated("ideal-shape", message=f"vector {r} has wrong length")
-        if _parity(g.space, s) is None:
+        if spaces.parity_of(g.space, s) is None:
             raise ClaimViolated("ideal-homogeneous", [Violation("ideal-homogeneous", (r,))])
-    r = _first_dependent(e)
+    r = spaces.first_dependent(e)
     if r is not None:
         raise ClaimViolated("ideal-independent", [Violation("ideal-independent", (r,))])
     d_b, pairs = g.bracket.scaled_pairs
     images = [_right(pairs, p, v) for p in range(n) for v in e]  # [e_p, ideal_r] at p * len(e) + r
-    gram = _gram(g.metric, e, e)
+    gram = spaces.gram(g.metric, e, e)
     for i, u in enumerate(e):
         for j in range(i, len(e)):  # (j, i) repeats (i, j) up to sign
             if j in gram[i]:
                 raise ClaimViolated("ideal-isotropic", [Violation("ideal-isotropic", (i, j))])
-            uv: dict = {}
-            for k, a in u.items():
-                add_scaled(uv, a, images[k * len(e) + j])
-            if any(uv.values()):
+            if any(spaces.combine(images[j::len(e)], u).values()):  # [u, ideal_j]
                 raise ClaimViolated("ideal-abelian", [Violation("ideal-abelian", (i, j))])
     k = next(iter(linalg.extend_independent(e, images)), None)
     if k is not None:

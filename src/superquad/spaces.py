@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import linalg
 from .errors import NotHomogeneous, Violation
-from .linalg import Matrix, Vector, ZERO
+from .linalg import Matrix, Vector
 
 EVEN = 0
 ODD = 1
@@ -85,6 +85,62 @@ def sparse_transpose(vectors, n: int) -> list[dict]:
         for k, c in v.items():
             out[k][i] = c
     return out
+
+
+# Subspaces. A set of vectors is one integer view ``(d, vectors)``: sparse
+# int vectors {index: n}, keys in order, the rational vectors times d, d the
+# lcm of their denominators, in lowest terms (``linalg.lowest_terms``). It
+# is canonical: two views are equal exactly when their rational vectors are.
+# Each sum below, on views and a form's ``scaled_rows``, is one positive
+# constant times the rational one, so it is zero exactly when that is.
+
+
+def combine(rows, u: dict) -> dict:
+    """sum_i u_i rows[i] for integer rows and an integer vector u; zeros may remain."""
+    out: dict = {}
+    for i, a in u.items():
+        add_scaled(out, a, rows[i])
+    return out
+
+
+def gram(form: GradedBilinearForm, us: Sequence[dict], vs: Sequence[dict]) -> list[dict]:
+    """Rows {q: B(us[p], vs[q])} of the Gram matrix of integer sparse vectors:
+    d_B times the scales of us and vs times the rational Gram. Columns in
+    order, no zeros."""
+    by_coord = sparse_transpose(vs, form.space.dim)  # j -> {q: coordinate j of vs[q]}
+    rows = (combine(by_coord, combine(form.scaled_rows[1], u)) for u in us)
+    return [{q: row[q] for q in sorted(row) if row[q]} for row in rows]
+
+
+def perp(form: GradedBilinearForm, view: tuple) -> tuple[int, tuple[dict, ...]]:
+    """{v : B(s, v) = 0 for all s in the span of the view}, as the canonical
+    nullspace basis of the covectors B(s, .), which are positive multiples
+    of the rational ones: the same view for every spanning set."""
+    rows = form.scaled_rows[1]
+    return linalg.nullspace_ints([combine(rows, s) for s in view[1]], form.space.dim)
+
+
+def radical(form: GradedBilinearForm, view: tuple) -> tuple[int, tuple[dict, ...]]:
+    """S ∩ S^perp for S spanned by the view's independent vectors: their
+    combinations by the canonical nullspace basis of their Gram."""
+    d, vectors = view
+    d_r, coefficients = linalg.nullspace_ints(gram(form, vectors, vectors), len(vectors))
+    combined = (combine(vectors, c) for c in coefficients)
+    return linalg.lowest_terms(d * d_r, [{k: v[k] for k in sorted(v) if v[k]} for v in combined])
+
+
+def parity_of(space: SuperSpace, v: dict) -> int | None:
+    """Parity of a homogeneous sparse vector, None if it has entries of both
+    parities; zero is homogeneous of either parity and reads as even."""
+    seen = {space.parity(i) for i in v}
+    return None if len(seen) > 1 else min(seen, default=0)
+
+
+def first_dependent(vectors: Sequence[dict]) -> int | None:
+    """Index of the first vector in the span of those before it, None if
+    the vectors are independent."""
+    grows = set(linalg.extend_independent([], vectors))
+    return next((r for r in range(len(vectors)) if r not in grows), None)
 
 
 def _check_parity(p) -> int:
@@ -393,11 +449,6 @@ class GradedBilinearForm(_Sparse):
         """Dense view: matrix[i][j] = B(e_i, e_j)."""
         d, rows = self.scaled_rows
         return self._view("_matrix", lambda: tuple(linalg._dense(d, row, self.space.dim) for row in rows))
-
-    def value(self, u: Sequence, v: Sequence) -> Fraction:
-        """B(u, v) for dense vectors u and v."""
-        d, rows = self.scaled_rows
-        return sum((a * n * v[j] for a, row in zip(u, rows) if a for j, n in row.items()), ZERO) / d
 
     def rank(self) -> int:
         return linalg.rank(self.scaled_rows[1], self.space.dim)

@@ -83,6 +83,12 @@ def dense_vec(v, n: int) -> tuple:
     return tuple(out)
 
 
+def form_value(form: GradedBilinearForm, u, v) -> Fraction:
+    """B(u, v) for dense vectors u and v, read off the form's integer state."""
+    d, rows = form.scaled_rows
+    return sum((a * n * v[j] for a, row in zip(u, rows) if a for j, n in row.items()), ZERO) / d
+
+
 def vector_parity(space: SuperSpace, v) -> int | None:
     """Parity of a homogeneous dense coordinate vector; None if mixed or zero."""
     seen = {space.parity(i) for i, c in enumerate(v) if c != 0}
@@ -217,7 +223,7 @@ def change_basis(g: QuadraticLieSuperAlgebra, cols) -> QuadraticLieSuperAlgebra:
         tuple(linalg.mat_vec(m_inv, value_vectors(pairs, cols[p], cols[q], n)) for q in range(n))
         for p in range(n)
     )
-    metric = tuple(tuple(g.metric.value(cols[p], cols[q]) for q in range(n)) for p in range(n))
+    metric = tuple(tuple(form_value(g.metric, cols[p], cols[q]) for q in range(n)) for p in range(n))
     return QuadraticLieSuperAlgebra(
         LieSuperAlgebra(SuperBracket(space, table)),
         GradedBilinearForm(space, g.delta, metric))
@@ -806,7 +812,7 @@ def random_witt_instance(rng, delta, max_dim=8):
 def change_basis_form(form: GradedBilinearForm, cols) -> GradedBilinearForm:
     n = form.space.dim
     space = SuperSpace(tuple((f"w{i}", vector_parity(form.space, cols[i])) for i in range(n)))
-    rows = tuple(tuple(form.value(cols[p], cols[q]) for q in range(n)) for p in range(n))
+    rows = tuple(tuple(form_value(form, cols[p], cols[q]) for q in range(n)) for p in range(n))
     return GradedBilinearForm(space, form.degree, rows)
 
 

@@ -16,6 +16,7 @@ from generators import (
     ad_map,
     bracket_law_violation,
     context_corpus,
+    form_value,
     heisenberg_target,
     identity_map,
     intertwining_violation,
@@ -118,14 +119,14 @@ def test_criterion_4_witt_complement_conclusions():
             for i in range(r):
                 assert vector_parity(space, a[i]) is not None
                 for j in range(r):
-                    assert form.value(a[i], a[j]) == 0            # (i)
+                    assert form_value(form, a[i], a[j]) == 0            # (i)
                     want = ONE if i == j else ZERO
-                    assert form.value(ideal[i], a[j]) == want     # identity pairing
+                    assert form_value(form, ideal[i], a[j]) == want     # identity pairing
                     if delta == 1:
-                        assert form.value(a[j], ideal[i]) == want
+                        assert form_value(form, a[j], ideal[i]) == want
             stack = list(ideal) + a
             assert linalg.rank(stack, space.dim) == 2 * r         # (iii)
-            gram = [[form.value(u, v) for v in stack] for u in stack]
+            gram = [[form_value(form, u, v) for v in stack] for u in stack]
             assert linalg.rank(gram, 2 * r) == 2 * r              # (iv)
     print(f"\nACCEPTANCE 4 isotropic complements, {CORPUS_SIZE} odd + "
           f"{CORPUS_SIZE} even instances: PASS")
@@ -228,8 +229,8 @@ def _corruption_cases():
         v = check_invariance(m, g.bracket)
         assert v is not None and v.equation == "invariance"
         i, j, k = v.indices
-        lhs = m.value(g.bracket.value(i, j), unit_vec(4, k))
-        rhs = m.value(unit_vec(4, i), g.bracket.value(j, k))
+        lhs = form_value(m, g.bracket.value(i, j), unit_vec(4, k))
+        rhs = form_value(m, unit_vec(4, i), g.bracket.value(j, k))
         assert lhs != rhs
 
     def case_homogeneity():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from generators import (ad_map, b_flat, bracket_law_violation, build_bracket, change_basis_form, column,
-                        fractions, identity_map, intertwining_violation, mat_sub, rand_scalar,
+                        form_value, fractions, identity_map, intertwining_violation, mat_sub, rand_scalar,
                         random_parity_preserving_basis, random_quadratic, random_superalgebra_scrambled,
                         space_of, value_vectors)
 from superquad import linalg
@@ -164,9 +164,9 @@ def test_is_metric_skew_examples():
     # direct evaluation of both sides on all pairs
     for i in range(2):
         for j in range(2):
-            lhs = b.value(column(d, i), unit_vec(2, j))
+            lhs = form_value(b, column(d, i), unit_vec(2, j))
             sign = -1 if sp.parity(i) * d.degree else 1
-            rhs = -sign * b.value(unit_vec(2, i), column(d, j))
+            rhs = -sign * form_value(b, unit_vec(2, i), column(d, j))
             assert lhs == rhs
     assert is_metric_skew(d, b)
     assert not is_metric_skew(identity_map(sp), b)
@@ -412,6 +412,6 @@ def test_degenerate_metric_witness_is_a_radical_vector():
         w = v.residual
         assert any(w) and w == linalg.nullspace(form.matrix, n)[0]
         for i in range(n):
-            assert form.value(unit_vec(n, i), w) == 0 and form.value(w, unit_vec(n, i)) == 0
+            assert form_value(form, unit_vec(n, i), w) == 0 and form_value(form, w, unit_vec(n, i)) == 0
         ranks.add(rank)
     assert len(ranks) >= 4

@@ -19,8 +19,9 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from generators import change_basis, context_corpus, odd_extension_dim1, random_parity_preserving_basis
-from superquad import linalg
+from generators import (change_basis, context_corpus, form_value, odd_extension_dim1, random_parity_preserving_basis,
+                        scaled_to_ints, sparse_vec)
+from superquad import linalg, spaces
 from superquad.catalog import (
     default_heisenberg_params,
     default_odd_dim1_params,
@@ -44,6 +45,11 @@ def derived(g) -> list:
     return [values[k] for k in linalg.extend_independent([], values)]
 
 
+def view(vectors) -> tuple:
+    """Dense rational vectors as one integer view."""
+    return scaled_to_ints(map(sparse_vec, vectors))
+
+
 def same_span(us, vs, n) -> bool:
     return linalg.rank(list(us), n) == linalg.rank(list(vs), n) == linalg.rank(list(us) + list(vs), n)
 
@@ -61,18 +67,29 @@ def algebras() -> list:
 
 
 def test_centre_is_the_orthogonal_of_the_derived_algebra_and_meets_it_in_its_radical():
+    """The dense facts, and ``spaces`` against them: ``radical`` of the
+    centre spans the dense radical, and ``perp`` of [g,g] is one view,
+    byte for byte, whether given its basis or a shuffled, rescaled and
+    redundant spanning set."""
     meets = summands = 0
+    rng = random.Random(53)
     samples = algebras()
     for g in samples:
         n, z, d = g.dim, centre(g), derived(g)
-        perp = linalg.nullspace([[g.metric.value(w, linalg.unit_vec(n, c)) for c in range(n)] for w in d], n)
+        perp = linalg.nullspace([[form_value(g.metric, w, linalg.unit_vec(n, c)) for c in range(n)] for w in d], n)
         assert same_span(z, perp, n)
-        gram = [[g.metric.value(u, v) for v in z] for u in z]
+        gram = [[form_value(g.metric, u, v) for v in z] for u in z]
         radical = [tuple(sum(r * u[k] for r, u in zip(rv, z)) for k in range(n))
                    for rv in linalg.nullspace(gram, len(z))]
         # the radical lies in [g,g] and has the dimension of Z ∩ [g,g]
         assert linalg.rank(d + radical, n) == len(d)
         assert len(radical) == len(z) + len(d) - linalg.rank(z + d, n)
+        d_r, found = spaces.radical(g.metric, view(z))
+        assert len(found) == len(radical) and same_span([linalg._dense(d_r, v, n) for v in found], radical, n)
+        spanning = [linalg.vec_scale(rng.choice((-3, Fraction(1, 2), 5, Fraction(-2, 7))), v) for v in d]
+        spanning += [linalg.vec_add(u, v) for u, v in zip(d, d[1:])] + [linalg.zero_vec(n)]
+        rng.shuffle(spanning)
+        assert repr(spaces.perp(g.metric, view(spanning))) == repr(spaces.perp(g.metric, view(d)))
         meets += bool(radical)
         summands += len(radical) < len(z)
     assert len(samples) >= 90

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from generators import change_basis, context_corpus, count_calls, random_parity_preserving_basis, vector_parity
+from generators import (change_basis, context_corpus, count_calls, form_value, random_parity_preserving_basis,
+                        vector_parity)
 from test_decompose_transport import cases
 import superquad.algebra as algebra
 import superquad.decompose as dec
@@ -126,7 +127,7 @@ def test_a_split_of_the_wrong_size_is_a_split_basis_violation(how):
 
 
 def dense_gram(g, cols):
-    return [[g.metric.value(u, v) for v in cols] for u in cols]
+    return [[form_value(g.metric, u, v) for v in cols] for u in cols]
 
 
 def test_a_view_shifted_by_h_is_an_isometry_metric_violation():

@@ -18,7 +18,7 @@ from superquad.fileformat import (
     parse_document,
     serialize_document,
 )
-from generators import count_calls, odd_extension_dim1
+from generators import count_calls, form_value, odd_extension_dim1
 from test_decompose_transport import moved
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -272,7 +272,7 @@ def test_decompose_auto_takes_the_radical_line_of_the_centre(tmp_path, capsys):
     g = document_to_algebra(parse_document(f.read_text()))
     n = g.dim
     z1, z2 = nullspace([[g.bracket.value(i, j)[k] for i in range(n)] for j in range(n) for k in range(n)], n)
-    assert [[g.metric.value(u, w) for w in (z1, z2)] for u in (z1, z2)] == [[1, 3], [3, 9]]
+    assert [[form_value(g.metric, u, w) for w in (z1, z2)] for u in (z1, z2)] == [[1, 3], [3, 9]]
     (line,) = dense_line(find_central_minimal_ideal(g), n)
     assert line == tuple(-3 * a + b for a, b in zip(z1, z2))
 

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from generators import (context_corpus, count_calls, fractions, odd_extension_dim1, random_heisenberg_params,
-                        random_odd_dim1_params, random_witt_instance, value_vectors, vector_parity)
+from generators import (context_corpus, count_calls, form_value, fractions, odd_extension_dim1,
+                        random_heisenberg_params, random_odd_dim1_params, random_witt_instance, value_vectors,
+                        vector_parity)
 from test_decompose_transport import moved
 import superquad.decompose as dec
 from superquad import linalg
@@ -70,7 +71,7 @@ def test_find_central_ideal_abelian():
     found = find_central_minimal_ideal(g)
     assert not isinstance(found, str)
     (v,) = dense(found, 2)
-    assert g.metric.value(v, v) == 0
+    assert form_value(g.metric, v, v) == 0
 
 
 def test_find_central_ideal_heisenberg_is_dual_line():
@@ -89,7 +90,7 @@ def test_witt_complement_forced_2dim():
     g = odd_hyperbolic_2dim()
     a = dense(witt_complement(g.metric, view([unit_vec(2, 0)])), 2)
     assert a == [(ZERO, ONE)]
-    assert g.metric.value(unit_vec(2, 0), a[0]) == 1
+    assert form_value(g.metric, unit_vec(2, 0), a[0]) == 1
 
 
 def test_witt_complement_heisenberg_recovers_x():
@@ -100,7 +101,7 @@ def test_witt_complement_heisenberg_recovers_x():
     h_vectors = linalg.lowest_terms(d, [perp[c] for c in chosen])
     a = dense(witt_complement(g.metric, view(ideal), avoid=h_vectors), 4)
     assert a == [(ONE, ZERO, ZERO, ZERO)]
-    assert g.metric.value(ideal[0], a[0]) == 1
+    assert form_value(g.metric, ideal[0], a[0]) == 1
 
 
 def test_witt_complement_mixed_parity_random():
@@ -114,10 +115,10 @@ def test_witt_complement_mixed_parity_random():
             for i in range(r):
                 assert vector_parity(space, a[i]) is not None
                 for j in range(r):
-                    assert form.value(a[i], a[j]) == 0
-                    assert form.value(ideal[i], a[j]) == (ONE if i == j else ZERO)
+                    assert form_value(form, a[i], a[j]) == 0
+                    assert form_value(form, ideal[i], a[j]) == (ONE if i == j else ZERO)
             assert linalg.rank(list(ideal) + a, space.dim) == 2 * r
-            gram = [[form.value(u, v) for v in list(ideal) + a] for u in list(ideal) + a]
+            gram = [[form_value(form, u, v) for v in list(ideal) + a] for u in list(ideal) + a]
             assert linalg.rank(gram, 2 * r) == 2 * r
 
 
@@ -340,7 +341,7 @@ def test_xi_is_the_identity_on_the_witt_basis():
         assert xi.scaled_columns == identity
 
 
-def test_decompose_changes_basis_once(monkeypatch):
+def test_decompose_changes_basis_once(monkeypatch, tmp_path):
     """One inversion and one change of basis per decompose whose split is
     not in g's own basis, none when it is: along its dual block a corpus
     extension splits into e_0, ..., e_{n-1} in order, so the inverse is the
@@ -359,10 +360,22 @@ def test_decompose_changes_basis_once(monkeypatch):
     by the checking constructor, whose record names no context, and as
     double_extend returns them, whose record names the context the split
     recovers; that context is then reused with its extension, so no
-    re-extension table is built or scanned."""
+    re-extension table is built or scanned.
+
+    The commands on the samples run a fixed number of eliminations
+    (``linalg._eliminate``), a count no clock reads. ``decompose --ideal
+    auto`` makes 6: the basis of [g,g] and the centre, its perp, then the
+    split's I-perp, h picked from it, one dual solve per parity class (one
+    here) and the re-extension's rank. Along an ideal file the first two
+    are the ideal's independence and invariance instead. ``roundtrip``
+    makes 4: h's rank, when its context is validated, then the split's
+    I-perp, h and the dual solve."""
     import superquad.extension as extension
+    import superquad.spaces as spaces
+    from superquad import cli
     calls = {**count_calls(monkeypatch, linalg, "inverse_ints", "rank"),
-             **count_calls(monkeypatch, dec, "_bracket_in_basis", "_gram", "build_xi"),
+             **count_calls(monkeypatch, dec, "_bracket_in_basis", "build_xi"),
+             **count_calls(monkeypatch, spaces, "gram"),
              **count_calls(monkeypatch, extension, "validate_context", "extension_metric", "extension_bracket")}
     rng = random.Random(3)
     contexts = context_corpus(0, 8, seed=99) + context_corpus(1, 8, seed=99)
@@ -375,9 +388,23 @@ def test_decompose_changes_basis_once(monkeypatch):
         res = decompose(g, ideal)
         assert (res.context.extension is g) == (not built)
         assert {name: len(seen) for name, seen in calls.items()} == {
-            "inverse_ints": moves, "_bracket_in_basis": moves, "_gram": 3, "build_xi": 0, "validate_context": 0,
+            "inverse_ints": moves, "_bracket_in_basis": moves, "gram": 3, "build_xi": 0, "validate_context": 0,
             "rank": built, "extension_metric": built, "extension_bracket": built}
     assert len(cases) == 48
+
+    samples = Path(__file__).resolve().parent.parent / "samples"
+    eliminations = count_calls(monkeypatch, linalg, "_eliminate")["_eliminate"]
+    for argv, count in [
+            (["decompose", samples / "heisenberg.algebra", "--ideal", "auto"], 6),
+            (["decompose", samples / "heisenberg.algebra", "--ideal", samples / "heisenberg.ideal"], 6),
+            (["roundtrip", samples / "heisenberg.context"], 4),
+            (["decompose", samples / "odd-dim1.algebra", "--ideal", "auto"], 6),
+            (["roundtrip", samples / "odd-dim1.context"], 4)]:
+        if argv[0] == "decompose":
+            argv += ["--out", tmp_path / "out.context"]
+        eliminations.clear()
+        assert cli.main([str(arg) for arg in argv]) == 0, argv
+        assert len(eliminations) == count, argv
 
 
 def _plant_split(maps, block, rng):
@@ -490,7 +517,7 @@ def test_fallback_a_label_clashes_with_no_reused_h_label(label):
     for p, u in enumerate(cols):
         for q, v in enumerate(cols):
             assert linalg.mat_vec(res.isometry.matrix, value_vectors(pairs, u, v, g.dim)) == ext.bracket.value(p, q)
-            assert g.metric.value(u, v) == ext.metric.matrix[p][q]
+            assert form_value(g.metric, u, v) == ext.metric.matrix[p][q]
 
 
 def _source_cases():

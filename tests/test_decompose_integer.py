@@ -27,6 +27,7 @@ from generators import (
     context_corpus,
     dense_line,
     dense_vec,
+    form_value,
     random_heisenberg_params,
     random_odd_dim1_params,
     random_parity_preserving_basis,
@@ -55,6 +56,7 @@ from superquad.spaces import (
     drop_zeros,
     dual_space,
     p_delta_dual,
+    parity_of,
     sparse_transpose,
 )
 
@@ -159,7 +161,7 @@ def find_central_minimal_ideal(g):
     for i, j, k, c in g.bracket.entries():
         rows.setdefault((j, k), {})[i] = c
     for v in linalg.nullspace([rows[key] for key in sorted(rows)], g.dim):
-        if g.metric.value(v, v) == 0:
+        if form_value(g.metric, v, v) == 0:
             return [v]
     return None
 
@@ -171,7 +173,7 @@ def dual_vectors(form, ideal, avoid):
     rows = [covector(form, e) for e in ideal] + [covector(form, _sparse(w)) for w in avoid]
     duals = []
     for i, e in enumerate(ideal):
-        want = (dec._parity(space, e) + form.degree) % 2
+        want = (parity_of(space, e) + form.degree) % 2
         cols = [c for c in range(space.dim) if space.parity(c) == want]
         pos = {c: t for t, c in enumerate(cols)}
         sys_rows = [{pos[c]: x for c, x in r.items() if c in pos} for r in rows]
@@ -194,7 +196,7 @@ def witt_complement(form, ideal, avoid=(1, ())):
     if linalg.rank(ideal, space.dim) != len(ideal):
         raise ValueError("ideal vectors are linearly dependent")
     duals = dual_vectors(form, ideal, avoid)
-    parities = [dec._parity(space, e) for e in ideal]
+    parities = [parity_of(space, e) for e in ideal]
     out = []
     for i, d in enumerate(duals):
         corr = dict(d)
@@ -463,13 +465,12 @@ def test_heisenberg_planted_ideals_match_the_oracle(ideal, claim, witness):
 
 @contextlib.contextmanager
 def no_rational_sums():
-    """Refuses the rational views of forms and brackets, through which the
-    oracles pair and bracket."""
+    """Refuses the rational views of forms (``matrix``, a form's only one)
+    and brackets, through which the oracles pair and bracket."""
     def refuse(*args):
         raise AssertionError("a rational sum during decompose")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(GradedBilinearForm, "matrix", property(refuse))
-        mp.setattr(GradedBilinearForm, "value", refuse)
         mp.setattr(GradedBilinearMap, "value", refuse)
         yield
 

@@ -39,6 +39,7 @@ from generators import (
     context_corpus,
     dense_line,
     dense_vec,
+    form_value,
     random_heisenberg_params,
     random_odd_dim1_params,
     random_parity_preserving_basis,
@@ -279,9 +280,9 @@ def centraliser_pick(g, radical=True):
     d, center = linalg.nullspace_ints([rows[key] for key in sorted(rows)], g.dim)
     basis = [dense_vec({k: Fraction(c, d) for k, c in v.items()}, g.dim) for v in center]
     for u in basis:
-        if g.metric.value(u, u) == 0:
+        if form_value(g.metric, u, u) == 0:
             return [u]
-    radical = linalg.nullspace([[g.metric.value(u, w) for w in basis] for u in basis], len(basis)) if radical else []
+    radical = linalg.nullspace([[form_value(g.metric, u, w) for w in basis] for u in basis], len(basis)) if radical else []
     if not radical:
         return None
     return [tuple(sum(r * u[k] for r, u in zip(radical[0], basis)) for k in range(g.dim))]

@@ -81,26 +81,50 @@ def unreached(sources: dict[str, str]) -> list[str]:
     """Top-level functions and classes of the modules other than
     ``__init__`` that no ``Name`` or ``Attribute`` outside their own
     definition refers to, and methods (dunders aside) that no ``Attribute``
-    outside their own definition refers to, as ``module:name``. The match is
-    by name alone, so a name that two definitions share, such as
-    ``rank``, counts as reached for both, and an ``__init__`` export,
-    which is an import, reaches nothing."""
-    def refs(node, kinds) -> Counter:
-        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, kinds))
-
+    outside their own definition refers to, as ``module:name``. A method is
+    resolved by owner where the receiver says which class it is on:
+    ``self.m`` or ``cls.m`` in the body of class C reaches only the m of C,
+    of its bases and of its subclasses, and ``C.m`` only the m of C and of
+    its bases. Any other ``x.m`` matches every method m by name, so a name
+    that two definitions share, such as ``rank``, counts as reached for
+    both. An ``__init__`` export, which is an import, reaches nothing."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    anything = (ast.Name, ast.Attribute)
-    totals = {kinds: sum((refs(t, kinds) for t in trees.values()), Counter()) for kinds in (anything, ast.Attribute)}
+    classes = {node.name: node for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
+    bases = {name: {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases} & set(classes)
+             for name, node in classes.items()}
+
+    def above(name) -> set:
+        return {name}.union(*(above(b) for b in bases[name]))
+
+    owner = {id(n): name for name, node in classes.items() for n in ast.walk(node)}
+    refs = []  # (name, the classes it may resolve to or None for any, node)
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                refs.append((n.id, None, n))
+            elif isinstance(n, ast.Attribute):
+                receiver = getattr(n.value, "id", None)
+                if receiver in ("self", "cls") and id(n) in owner:
+                    c = owner[id(n)]
+                    owners = above(c) | {d for d in classes if c in above(d)}
+                else:
+                    owners = above(receiver) if receiver in classes else None
+                refs.append((n.attr, owners, n))
     out = []
     for module, tree in trees.items():
         for node in tree.body if module != "__init__" else ():
-            defs = []  # (qualified name, definition, the references that reach it)
+            defs = []  # (qualified name, definition, the owner a method is on, None for a top-level one)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((node.name, node, anything))
+                defs.append((node.name, node, None))
             if isinstance(node, ast.ClassDef):
-                defs += [(f"{node.name}.{m.name}", m, ast.Attribute) for m in node.body
+                defs += [(f"{node.name}.{m.name}", m, node.name) for m in node.body
                          if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
-            out += [f"{module}:{name}" for name, d, kinds in defs if totals[kinds][d.name] == refs(d, kinds)[d.name]]
+            for name, d, cls in defs:
+                inside = {id(n) for n in ast.walk(d)}
+                if not any(ref == d.name and id(n) not in inside and (
+                        cls is None or (isinstance(n, ast.Attribute) and (owners is None or cls in owners)))
+                        for ref, owners, n in refs):
+                    out.append(f"{module}:{name}")
     return out
 
 
@@ -177,6 +201,21 @@ def test_unreached_definition_is_reported():
              "class C:\n    def used(self):\n        return 1\n\n    def unused(self):\n        return self.unused()\n",
     }
     assert unreached(sources) == ["a:f", "a:C.unused"]
+
+
+def test_method_is_resolved_by_owner():
+    """D and E share ``shared`` and ``made``. Only D calls its ``shared``,
+    through ``self``, and only E's ``made`` is called, as ``E.made``; so
+    E's ``shared`` and D's ``made`` are unreached. ``self.base`` in the
+    subclass F reaches D's ``base``, and ``F.more`` F's own ``more``."""
+    sources = {
+        "a": "class D:\n    def shared(self):\n        return 1\n\n    def go(self):\n        return self.shared()\n\n"
+             "    def made(self):\n        return 2\n\n    def base(self):\n        return 3\n\n\n"
+             "class E:\n    def shared(self):\n        return 4\n\n    def made(self):\n        return 5\n\n\n"
+             "class F(D):\n    def more(self):\n        return self.base()\n",
+        "b": "from .a import D, E, F\n\nD().go() + E.made(None) + F.more(None)\n",
+    }
+    assert unreached(sources) == ["a:D.made", "a:E.shared"]
 
 
 def test_submodules_are_not_shadowed_by_package_exports():

@@ -21,6 +21,7 @@ from generators import (
     ad_map,
     change_basis,
     context_corpus,
+    form_value,
     mat_sub,
     rand_scalar,
     random_context,
@@ -1062,7 +1063,7 @@ def test_form_value_matches_the_dense_product():
         for form in (g.metric, res.context.h.metric, res.context.extension.metric):
             for _ in range(3):
                 u, v = random_vector(rng, form.space), random_vector(rng, form.space)
-                value = form.value(u, v)
+                value = form_value(form, u, v)
                 assert value == ref_value(form, u, v) and type(value) is Fraction
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from generators import _normalize, dense_vec, scaled_to_ints
+from generators import _normalize, dense_vec, form_value, scaled_to_ints
 from superquad import cli
 from superquad.algebra import SuperBracket
 from superquad.errors import NotHomogeneous, ParseError, SuperquadError
@@ -153,7 +153,7 @@ def test_forms_store_the_oracle_state(case, degree, data):
     form = GradedBilinearForm.from_entries(sp, degree, entries)
     rows = tuple({j: c for (i, j), c in oracle.items() if i == r} for r in range(n))
     matrix = tuple(dense_vec(r, n) for r in rows)
-    values = tuple(tuple(form.value(unit_vec(n, i), unit_vec(n, j)) for j in range(n)) for i in range(n))
+    values = tuple(tuple(form_value(form, unit_vec(n, i), unit_vec(n, j)) for j in range(n)) for i in range(n))
     check_value(form, oracle, [(values, matrix), (form.matrix, matrix),
                                (form.scaled_rows, scaled_to_ints(rows))], (sp, degree))
     assert GradedBilinearForm(sp, degree, form.matrix) == form
