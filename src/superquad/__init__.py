@@ -56,10 +56,8 @@ from .spaces import (
     GradedBilinearMap,
     GradedLinearMap,
     SuperSpace,
-    apply_p_delta,
     check_form_degree,
     dual_space,
-    parity_shift,
 )
 
 __version__ = "0.1.0"

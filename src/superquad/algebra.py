@@ -35,12 +35,13 @@ from .spaces import (
     GradedBilinearMap,
     GradedLinearMap,
     SuperSpace,
+    act,
     add_scaled,
-    apply_p_delta,
     check_form_degree,
+    combine,
     common_scale,
     drop_zeros,
-    dual_space,
+    p_delta_dual,
     sparse_transpose,
 )
 
@@ -207,10 +208,7 @@ def cyclic_violation(par: Sequence[int], pairs: dict, ijk, scale: int) -> Violat
     """The ``jacobi`` violation at the triple ijk of the table pairs (see
     ``cyclic_failures``): its residual divided by scale, as a dense vector."""
     def piece(x, y, z):
-        out: dict = {}
-        for m, c in pairs.get((y, z), EMPTY).items():
-            add_scaled(out, c, pairs.get((x, m), EMPTY))
-        return out
+        return act(pairs, x, pairs.get((y, z), EMPTY))
 
     return Violation("jacobi", ijk, linalg._dense(scale, cyclic_residual(par, *ijk, piece), len(par)))
 
@@ -440,15 +438,11 @@ def is_derivation(d: GradedLinearMap, bracket: SuperBracket) -> bool:
         candidates.update((i, y) for i in d_rows[x])
         candidates.update((x, j) for j in d_rows[y])
     for i, j in candidates:
-        sign = -1 if (d.degree * par[i]) % 2 else 1
-        # D[e_i, e_j] - [D e_i, e_j] - sign [e_i, D e_j]
-        acc: dict = {}
-        for k, c in get((i, j), EMPTY).items():
-            add_scaled(acc, c, cols[k])
+        # D[e_i, e_j] - [D e_i, e_j] - (-1)^{|D||e_i|} [e_i, D e_j]
+        acc = combine(cols, get((i, j), EMPTY))
         for r, c in cols[i].items():
             add_scaled(acc, -c, get((r, j), EMPTY))
-        for r, c in cols[j].items():
-            add_scaled(acc, -sign * c, get((i, r), EMPTY))
+        add_scaled(acc, 1 if (d.degree * par[i]) % 2 else -1, act(pairs, i, cols[j]))
         if any(acc.values()):
             return False
     return True
@@ -467,22 +461,19 @@ def is_metric_skew(d: GradedLinearMap, form: GradedBilinearForm) -> bool:
     _, cols = d.scaled_columns
     d_rows = sparse_transpose(cols, d.target.dim)
     for i in range(n):
-        sign = -1 if (par[i] * d.degree) % 2 else 1
-        acc: dict = {}  # j -> B(D e_i, e_j) + sign B(e_i, D e_j)
-        for r, c in cols[i].items():
-            add_scaled(acc, c, rows[r])
-        for r, b in rows[i].items():
-            add_scaled(acc, sign * b, d_rows[r])
+        acc = combine(rows, cols[i])  # j -> B(D e_i, e_j) + (-1)^{|e_i||D|} B(e_i, D e_j)
+        add_scaled(acc, -1 if (par[i] * d.degree) % 2 else 1, combine(d_rows, rows[i]))
         if any(acc.values()):
             return False
     return True
 
 
 def delta_coadjoint(g: LieSuperAlgebra, delta: int) -> tuple[GradedLinearMap, ...]:
-    """The maps ad*_d(e_i) on P_delta(g)*, one per basis vector of g, each
-    of degree |e_i|: ad*_d(x)(P_d(f))(P_d(y)) = -(-1)^{(|f|+d)|x|} f([x,y])."""
+    """The maps ad*_d(e_i) on P_delta(g)* (``p_delta_dual``, a context's
+    dual block when g is its a), one per basis vector of g, each of degree
+    |e_i|: ad*_d(x)(P_d(f))(P_d(y)) = -(-1)^{(|f|+d)|x|} f([x,y])."""
     par = g.space.parities
-    module = dual_space(apply_p_delta(delta, g.space))
+    module = p_delta_dual(g.space, delta)
     d, pairs = g.bracket.scaled_pairs
     tables: list[dict] = [{} for _ in range(g.dim)]  # tables[i]: the matrix of ad*_d(e_i), times d
     for (i, k), v in pairs.items():

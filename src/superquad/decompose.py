@@ -80,16 +80,6 @@ def _join(*views) -> tuple[int, tuple[dict, ...]]:
     return d, tuple(v for vs in blocks for v in vs)
 
 
-def _right(pairs: dict, i: int, v: dict) -> dict:
-    """[e_i, v] on an integer view of the bracket, for an integer vector v; zeros may remain."""
-    out: dict = {}
-    for j, c in v.items():
-        w = pairs.get((i, j))
-        if w:
-            add_scaled(out, c, w)
-    return out
-
-
 def orthogonal_complement(vectors: tuple, form: GradedBilinearForm) -> tuple[int, tuple[dict, ...]]:
     """``spaces.perp`` of the view, refused unless its basis is homogeneous."""
     d, basis = spaces.perp(form, vectors)
@@ -430,10 +420,10 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> tuple[int, 
     each vector is dense, of length dim, or a sparse dict with indices in
     range(dim). The pairings and brackets are read on the integer views: the
     isotropy check from one integer Gram, the abelian check and the images
-    [e_p, ideal_r] from the bracket's ``scaled_pairs``, a positive multiple
-    of each exact image, which keeps its span. The first image, in (p, r)
-    order, to grow the ideal's span lies outside it; its witness residual is
-    the exact image, divided back once."""
+    [e_p, ideal_r] from the bracket's ``scaled_pairs`` (``spaces.act``), a
+    positive multiple of each exact image, which keeps its span. The first
+    image, in (p, r) order, to grow the ideal's span lies outside it; its
+    witness residual is the exact image, divided back once."""
     n = g.dim
     ideal = list(ideal)
     d_e, e = _view(ideal)
@@ -451,7 +441,7 @@ def _validate_ideal(g: QuadraticLieSuperAlgebra, ideal: Sequence) -> tuple[int, 
     if r is not None:
         raise ClaimViolated("ideal-independent", [Violation("ideal-independent", (r,))])
     d_b, pairs = g.bracket.scaled_pairs
-    images = [_right(pairs, p, v) for p in range(n) for v in e]  # [e_p, ideal_r] at p * len(e) + r
+    images = [spaces.act(pairs, p, v) for p in range(n) for v in e]  # [e_p, ideal_r] at p * len(e) + r
     gram = spaces.gram(g.metric, e, e)
     for i, u in enumerate(e):
         for j in range(i, len(e)):  # (j, i) repeats (i, j) up to sign

@@ -7,6 +7,7 @@ hard preconditions raise the exception types below.
 
 from __future__ import annotations
 
+import copyreg
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -62,6 +63,11 @@ class ValidationError(SuperquadError):
         self.violations = list(violations)
         text = message or "; ".join(str(v) for v in self.violations)
         super().__init__(text)
+
+    def __reduce__(self):
+        """Pickled and copied as its message and attributes, rebuilt without
+        ``__init__``, which would read the message as the violations."""
+        return copyreg.__newobj__, (type(self), *self.args), vars(self)
 
 
 class InvalidContext(ValidationError):

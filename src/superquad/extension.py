@@ -72,7 +72,7 @@ from .spaces import (
     GradedLinearMap,
     SuperSpace,
     _check_parity,
-    add_scaled,
+    combine,
     common_scale,
     p_delta_dual,
     super_skew_violation,
@@ -171,13 +171,9 @@ def derive_chi(ctx: DeltaContext) -> GradedBilinearMap:
     pa, ph = a_sp.parities, h_sp.parities
     d_l, lam_pairs = ctx.lam.scaled_pairs
     d_b, bh_rows = ctx.h.metric.scaled_rows
-    acc: dict = {}
-    for (i, k), v in lam_pairs.items():
-        for r, c in v.items():
-            for m, b in bh_rows[r].items():
-                key = (i, m, k)
-                acc[key] = acc.get(key, 0) + (c * b if ph[m] * pa[k] else -c * b)
-    return GradedBilinearMap.from_ints(a_sp, h_sp, dual, d_l * d_b, acc)
+    table = {(i, m, k): c if ph[m] * pa[k] else -c
+             for (i, k), v in lam_pairs.items() for m, c in combine(bh_rows, v).items()}
+    return GradedBilinearMap.from_ints(a_sp, h_sp, dual, d_l * d_b, table)
 
 
 def derive_phi(ctx: DeltaContext) -> GradedBilinearMap:
@@ -194,10 +190,7 @@ def derive_phi(ctx: DeltaContext) -> GradedBilinearMap:
     pairs: dict = {}  # (m, l) -> {k: Phi(u_m, u_l)(P_d(x_k)) times scale}
     for k, cols in enumerate(rho_cols):
         for m, col in enumerate(cols):
-            acc: dict = {}  # l -> B_h(rho(x_k)(u_m), u_l), times scale
-            for r, c in col.items():
-                add_scaled(acc, c, bh_rows[r])
-            for l, c in acc.items():
+            for l, c in combine(bh_rows, col).items():  # B_h(rho(x_k)(u_m), u_l), times scale
                 if c:
                     pairs.setdefault((m, l), {})[k] = -c if (pa[k] * (ph[m] + ph[l])) % 2 else c
     v = super_skew_violation("phi-skew", ph, pairs, scale, dual.dim)

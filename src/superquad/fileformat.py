@@ -323,11 +323,16 @@ def _ideal_document(name: str, vectors: list, locate) -> IdealDocument:
     return IdealDocument(name, tuple(vectors))
 
 
+def _head(cur: _Cursor, kind: str, value: str = "NAME") -> tuple[int, str]:
+    """The next line, which must read ``kind value``: its number and its value."""
+    line, fields = cur.next()
+    if fields[0] != kind or len(fields) != 2:
+        raise ParseError(f"expected '{kind} {value}'", line)
+    return line, fields[1]
+
+
 def _parse_algebra(cur: _Cursor) -> AlgebraDocument:
-    head, fields = cur.next()
-    if fields[0] != "algebra" or len(fields) != 2:
-        raise ParseError("expected 'algebra NAME'", head)
-    name = fields[1]
+    head, name = _head(cur, "algebra")
     basis: list[tuple[str, int]] = []
     metric_degree: int | None = None
     # every entry read, zeros included, so that a repeated one is found, as (n, q)
@@ -392,22 +397,16 @@ def serialize_algebra_text(doc: AlgebraDocument) -> str:
 
 
 def _parse_context(cur: _Cursor) -> ContextDocument:
-    head, fields = cur.next()
-    if fields[0] != "context" or len(fields) != 2:
-        raise ParseError("expected 'context NAME'", head)
-    name = fields[1]
-    line, fields = cur.next()
-    if fields[0] != "delta" or len(fields) != 2:
-        raise ParseError("expected 'delta D'", line)
-    delta = _int(fields[1], line, "delta")
-    line, fields = cur.next()
-    if fields != ["h-algebra"]:
-        raise ParseError("expected 'h-algebra'", line)
-    h_doc = _parse_algebra(cur)
-    line, fields = cur.next()
-    if fields != ["a-algebra"]:
-        raise ParseError("expected 'a-algebra'", line)
-    a_doc = _parse_algebra(cur)
+    head, name = _head(cur, "context")
+    line, text = _head(cur, "delta", "D")
+    delta = _int(text, line, "delta")
+    parts = []
+    for part in ("h-algebra", "a-algebra"):
+        line, fields = cur.next()
+        if fields != [part]:
+            raise ParseError(f"expected '{part}'", line)
+        parts.append(_parse_algebra(cur))
+    h_doc, a_doc = parts
     tables: dict[str, dict] = {"rho": {}, "lambda": {}, "omega": {}}
     for line, fields in cur.lines:
         key = fields[0]
@@ -444,10 +443,7 @@ def serialize_context_text(doc: ContextDocument) -> str:
 
 
 def _parse_ideal(cur: _Cursor) -> IdealDocument:
-    head, fields = cur.next()
-    if fields[0] != "ideal" or len(fields) != 2:
-        raise ParseError("expected 'ideal NAME'", head)
-    name = fields[1]
+    head, name = _head(cur, "ideal")
     vectors: list[Vector] = []
     for line, fields in cur.lines:
         if fields == ["end", "ideal"]:

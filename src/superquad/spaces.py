@@ -91,8 +91,9 @@ def sparse_transpose(vectors, n: int) -> list[dict]:
 # int vectors {index: n}, keys in order, the rational vectors times d, d the
 # lcm of their denominators, in lowest terms (``linalg.lowest_terms``). It
 # is canonical: two views are equal exactly when their rational vectors are.
-# Each sum below, on views and a form's ``scaled_rows``, is one positive
-# constant times the rational one, so it is zero exactly when that is.
+# Each sum below, on views, a form's ``scaled_rows`` and a bracket's
+# ``scaled_pairs``, is one positive constant times the rational one, so it
+# is zero exactly when that is.
 
 
 def combine(rows, u: dict) -> dict:
@@ -100,6 +101,16 @@ def combine(rows, u: dict) -> dict:
     out: dict = {}
     for i, a in u.items():
         add_scaled(out, a, rows[i])
+    return out
+
+
+def act(pairs: dict, i: int, v: dict) -> dict:
+    """[e_i, v] for a bracket's integer table ``pairs`` and an integer vector v; zeros may remain."""
+    out: dict = {}
+    for j, c in v.items():
+        w = pairs.get((i, j))
+        if w:
+            add_scaled(out, c, w)
     return out
 
 
@@ -329,17 +340,6 @@ class SuperSpace:
 
     def label(self, i: int) -> str:
         return self.basis[i][0]
-
-
-def parity_shift(space: SuperSpace) -> SuperSpace:
-    """P(V): same labels, every parity flipped."""
-    return SuperSpace(tuple((l, (p + 1) % 2) for l, p in space.basis))
-
-
-def apply_p_delta(delta: int, space: SuperSpace) -> SuperSpace:
-    """P_delta(V): V itself for delta = 0, P(V) for delta = 1."""
-    _check_parity(delta)
-    return space if delta == 0 else parity_shift(space)
 
 
 def dual_space(space: SuperSpace) -> SuperSpace:

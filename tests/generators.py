@@ -34,7 +34,6 @@ from superquad.spaces import (
     GradedLinearMap,
     SuperSpace,
     add_scaled,
-    apply_p_delta,
     drop_zeros,
     dual_space,
     p_delta_dual,
@@ -968,7 +967,7 @@ def intertwining_violation(g: LieSuperAlgebra, delta: int) -> int | None:
     """First i with ad*_d(e_i) P != (-1)^{d|e_i|} P ad*(e_i), for P the
     degree-delta identity g* -> P_delta(g)*, or None."""
     ad_star, ad_star_d = delta_coadjoint(g, 0), delta_coadjoint(g, delta)
-    shift = GradedLinearMap(dual_space(g.space), dual_space(apply_p_delta(delta, g.space)), delta,
+    shift = GradedLinearMap(dual_space(g.space), p_delta_dual(g.space, delta), delta,
                             linalg.identity_mat(g.dim)).matrix
     for i in range(g.dim):
         sign = -1 if (delta * g.space.parity(i)) % 2 else 1

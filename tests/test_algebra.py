@@ -21,7 +21,8 @@ from superquad.algebra import (
     semidirect_product,
 )
 from superquad.catalog import default_heisenberg_params, heisenberg_extension
-from superquad.errors import ValidationError
+from superquad import errors
+from superquad.errors import ValidationError, Violation
 from superquad.linalg import ONE, ZERO, unit_vec
 from superquad.spaces import (
     GradedBilinearForm,
@@ -415,3 +416,29 @@ def test_degenerate_metric_witness_is_a_radical_vector():
             assert form_value(form, unit_vec(n, i), w) == 0 and form_value(form, w, unit_vec(n, i)) == 0
         ranks.add(rank)
     assert len(ranks) >= 4
+
+
+@pytest.mark.parametrize("exc", [
+    errors.SuperquadError("plain"),
+    errors.NotHomogeneous("mixed"),
+    ValidationError(Violation("jacobi", (0, 1, 2), (Fraction(1, 2), ZERO))),
+    ValidationError([Violation("grading", (0, 1)), Violation("super-skew", (1, 0))], "two at once"),
+    errors.InvalidContext([Violation("deh1", (0, 1)), Violation("rho-skew", (0,))]),
+    errors.ClaimViolated("ideal-abelian", [Violation("ideal-abelian", (0, 1))]),
+    errors.ClaimViolated("a-superalgebra", message="dim a is 1, dim I is 2"),
+    errors.DegenerateInput("no dual vector"),
+    errors.DegeneratePairing("singular"),
+    errors.ParseError("bad rational 'x'", 3, "i", "in.algebra"),
+])
+def test_exceptions_survive_pickling_and_copying(exc):
+    """A copy reads as the original: its message, its violations and its
+    claim. ``ValidationError`` and ``InvalidContext`` once rebuilt theirs
+    from the message text, one violation per character."""
+    import copy
+    import pickle
+
+    for again in (pickle.loads(pickle.dumps(exc)), pickle.loads(pickle.dumps(exc, 0)),
+                  copy.copy(exc), copy.deepcopy(exc)):
+        assert type(again) is type(exc) and str(again) == str(exc)
+        for name in ("violations", "claim"):
+            assert getattr(again, name, None) == getattr(exc, name, None)

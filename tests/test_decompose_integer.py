@@ -51,6 +51,7 @@ from superquad.spaces import (
     GradedBilinearForm,
     GradedBilinearMap,
     GradedLinearMap,
+    act,
     add_scaled,
     common_scale,
     drop_zeros,
@@ -352,6 +353,22 @@ def test_catalog_families_and_coprime_golden_match_the_oracle():
         assert found == find_central_minimal_ideal(g)
         if found is not None:
             assert_same(g, found)
+
+
+def test_act_matches_the_rational_bracket():
+    """``spaces.act`` on a bracket's integer table is d_b times the rational
+    [e_i, v] of ``bracket_right``, on corpus brackets and their moved copies,
+    for random sparse integer v."""
+    rng = random.Random(23)
+    algebras = [g for g, _ in list(corpus_cases())[::3]] + [g for g, _ in moved_cases()]
+    for g in algebras:
+        d_b, pairs = g.bracket.scaled_pairs
+        for _ in range(4):
+            keys = rng.sample(range(g.dim), rng.randint(0, min(4, g.dim)))
+            v = {k: rng.choice((-7, -2, -1, 1, 3, 10 ** 6)) for k in keys}
+            for i in range(g.dim):
+                got = {k: Fraction(c, d_b) for k, c in act(pairs, i, v).items() if c}
+                assert got == bracket_right(g.bracket, i, v)
 
 
 def assert_canonical(view, n):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from generators import lemma_residuals
+from generators import context_corpus, lemma_residuals
 from superquad.algebra import (
     LieSuperAlgebra,
     QuadraticLieSuperAlgebra,
@@ -275,3 +275,16 @@ def test_cached_chi_and_phi_stay_out_of_equality_hashing_and_pickling():
         assert again.chi == ctx.chi and again.phi == ctx.phi and again.ad_star == ctx.ad_star
         assert again.extension == ctx.extension
     assert pickle.dumps(ctx) == pickle.dumps(fresh)
+
+
+def test_ad_star_acts_on_the_dual_block():
+    """ad*_delta(x_i) is a map of the context's dual block P_delta(a)* to
+    itself, labels included: at delta = 1 the block reads P(x)*, not x*."""
+    contexts = [*context_corpus(0, 40, seed=5), *context_corpus(1, 40, seed=5),
+                *(heisenberg_context(default_heisenberg_params(pairs)) for pairs in (1, 2, 3)),
+                *(odd_extension_context(default_odd_dim1_params(eta)) for eta in (F(1), F(-3, 2)))]
+    assert sum(ctx.a.dim for ctx in contexts if ctx.delta == 1) >= 20
+    for ctx in contexts:
+        assert len(ctx.ad_star) == ctx.a.dim
+        for t in ctx.ad_star:
+            assert t.source == t.target == ctx.dual_block

@@ -10,12 +10,10 @@ from superquad.spaces import (
     GradedBilinearMap,
     GradedLinearMap,
     SuperSpace,
-    apply_p_delta,
     check_form_degree,
     common_scale,
     dual_space,
     p_delta_dual,
-    parity_shift,
 )
 
 parities_st = st.lists(st.integers(0, 1), min_size=0, max_size=6)
@@ -23,32 +21,6 @@ parities_st = st.lists(st.integers(0, 1), min_size=0, max_size=6)
 
 def space(parities, prefix="v"):
     return SuperSpace(tuple((f"{prefix}{i}", p) for i, p in enumerate(parities)))
-
-
-def test_parity_shift_flips():
-    v = space([0, 0, 1])
-    assert parity_shift(v).parities == (1, 1, 0)
-
-
-@given(parities_st)
-def test_parity_shift_involution(ps):
-    v = space(ps)
-    assert parity_shift(parity_shift(v)) == v
-
-
-@given(parities_st)
-def test_parity_shift_swaps_dimensions(ps):
-    v = space(ps)
-    assert parity_shift(v).dim_even == v.dim_odd
-    assert parity_shift(v).dim_odd == v.dim_even
-
-
-def test_apply_p_delta():
-    v = space([0, 1])
-    assert apply_p_delta(0, v) == v
-    assert apply_p_delta(1, v).parities == (1, 0)
-    empty = space([])
-    assert apply_p_delta(1, empty) == empty
 
 
 def test_parities_and_labels_built_once_per_space():
@@ -74,8 +46,8 @@ def test_dual_space():
     v = space([0, 1])
     assert dual_space(v).parities == (0, 1)
     assert dual_space(space([])).dim == 0
-    # P(V*) = (P(V))* as spaces
-    assert apply_p_delta(1, dual_space(v)) == dual_space(apply_p_delta(1, v))
+    # P(V*) = (P(V))*: the parities of V*, flipped
+    assert p_delta_dual(v, 1).parities == tuple(1 - p for p in dual_space(v).parities)
 
 
 def test_p_delta_dual_labels():
