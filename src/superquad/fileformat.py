@@ -6,25 +6,29 @@ and reduced, plain "p" for integers). Serialisers emit entries in sorted
 order and never emit zero coefficients, so serialise(parse(text)) is the
 canonical form of text and parse(serialise(doc)) == doc exactly. A JSON
 rendering with identical content is available for machine consumers; inputs
-are auto-detected by their first character. An algebra document without a
-metric section describes a plain Lie superalgebra.
+are auto-detected by their first character. A document's layout is written
+once, as its JSON object (``document_to_obj``); the text is rendered from
+that object (``_text``). An algebra document without a metric section
+describes a plain Lie superalgebra.
 
-Each reader tokenises a document in its own loop, then applies the document
+Each reader tokenises a document in its own loop, the text reader reading
+every table line by one entry rule (``_entry``), then applies the document
 rules, written once for both: parity, metric degree and delta are 0 or 1,
 every index read is inside its bound, a zero coefficient's too, and an
 ideal's vectors have one length. A broken rule reads the same in both
 syntaxes after its location: the entry's line in text, ``input`` in JSON.
 JSON has two rules of its own: an object has each key of its kind, once,
 and no other (an algebra's metric may be left out), and a table's entries
-are arrays of its width. A leading byte order mark is ignored. A document
-built by hand meets the range rule once made a structure.
+are arrays of the fields a text line of it holds after its key, spelt once
+for both readers (``_FIELDS``). A leading byte order mark is ignored. A
+document built by hand meets the range rule once made a structure.
 ``document_to_context`` adds that the h-algebra has a metric, the a-algebra none.
 
 The readers keep each table as integers, ``(d, {indices: n})``; the
 ``Fraction`` entry tuples of the document classes are built only when read,
 so a passing ``verify`` builds no ``Fraction``. Maps are made from those
 integers (``from_ints``), documents made from structures keep the maps'
-integer states, and the writers format every coefficient from integers,
+integer states, and the writer formats every coefficient from integers,
 after one ``normalize`` per table, which refuses a float or a bool
 coefficient with TypeError.
 """
@@ -34,7 +38,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,52 +71,19 @@ def _ratio_text(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-# Fraction(str)'s grammar on Python 3.10, less exponents: the part that every
-# supported Python reads alike
-_RATIONAL = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?\s*")
-
-
 def parse_scalar(text: str, line: int = 0, field_name: str = "") -> Fraction:
     """``_ratio`` as a Fraction."""
     return Fraction(*_ratio(text, line, field_name))
 
 
 def _ratio(text: str, line: int = 0, field_name: str = "") -> tuple[int, int]:
-    """(n, q), q > 0, not always in lowest terms: the exact rational n/q
-    written as "p", "p/q" or a decimal such as "0.5", ".5" or "5.",
-    where p and q are digit strings, with an optional sign and optional
-    whitespace around the whole. The grammar is fixed here rather than taken
-    from ``Fraction(str)``, whose grammar grew in later Pythons, so it is the
-    same on every supported Python: underscores, whitespace around "/" and
-    exponents are refused everywhere. Exponent notation gets its own message;
-    Fraction would write out every digit of 1e100000000 and stall."""
-    num, slash, den = text.partition("/")
-    if (num[1:] if num[:1] in ("+", "-") else num).isdecimal() and (den.isdecimal() or not slash):
-        try:  # "p" or "p/q" with an optional sign: the grammar's common case, read without the pattern
-            n, d = int(num), int(den) if slash else 1
-            if d:
-                return n, d
-        except ValueError:  # a digit string over int's digit limit
-            pass
-    m = _RATIONAL.fullmatch(text)
-    if m is not None:
-        sign, num, den, dec = m.groups()
-        try:
-            n = int(num) if num else 0
-            if den is not None:
-                d = int(den)
-            elif dec:
-                d = 10 ** len(dec)
-                n = n * d + int(dec)
-            else:
-                d = 1
-            if d:
-                return (-n if sign == "-" else n), d
-        except ValueError:  # a digit string over int's digit limit
-            pass
-    if "e" in text or "E" in text:
-        raise ParseError(f"bad rational {_shown(text, repr)}: exponent notation is not accepted", line, field_name)
-    raise ParseError(f"bad rational {_shown(text, repr)}", line, field_name)
+    """(n, q), q > 0, of a coefficient in the one grammar (``linalg._ratio``);
+    other text is a ParseError at line, exponent notation with its own message."""
+    ratio = linalg._ratio(text)
+    if ratio is None:
+        exponent = ": exponent notation is not accepted" if "e" in text or "E" in text else ""
+        raise ParseError(f"bad rational {_shown(text, repr)}{exponent}", line, field_name)
+    return ratio
 
 
 class _Tables:
@@ -148,17 +118,18 @@ class _Tables:
         self._fill(_ints=tables, **fields)
         return self
 
-    def ints(self, name: str, bounds=None) -> tuple[int, dict]:
-        """Table ``name`` as ``(d, {indices: n})``: as kept, its indices checked by
-        its reader, or from its entries, held to the range rule if ``bounds``
+    def ints(self, key: str, bounds=None) -> tuple[int, dict]:
+        """The table written under ``key`` as ``(d, {indices: n})``: as kept, its indices
+        checked by its reader, or from its entries, held to the range rule if ``bounds``
         are given, through ``normalize``, where a float or bool raises TypeError."""
+        name = _FIELD.get(key, key)
         ints = vars(self).get("_ints")
         if ints is not None and name in ints:
             return ints[name]
         entries = getattr(self, name)
         if bounds is not None:
-            _in_range([e[:-1] for e in entries], bounds, "lambda" if name == "lam" else name, self.name, _input)
-        return normalize(entries, None, name)
+            _in_range([e[:-1] for e in entries], bounds, key, self.name, _input)
+        return normalize(entries, None, key)
 
 
 @dataclass(frozen=True, init=False)
@@ -211,6 +182,14 @@ class IdealDocument:
 
 Document = AlgebraDocument | ContextDocument | IdealDocument
 
+# the document field of each table written under another key
+_FIELD = {"lambda": "lam"}
+
+# the fields of each table's entry: a text line is the table's key and these, a JSON entry an
+# array of these, and both readers' messages spell them so
+_FIELDS = {"basis": ("LABEL", "PARITY"), "metric": ("I", "J", "COEFF"),
+           **dict.fromkeys(("bracket", "rho", "lambda", "omega"), ("I", "J", "K", "COEFF"))}
+
 
 class _Cursor:
     """The non-blank lines of a text document, comments removed, as
@@ -247,20 +226,28 @@ def _int(tok: str, line: int, what: str) -> int:
         raise ParseError(f"bad integer {_shown(tok, repr)}", line, what) from exc
 
 
-def _indices(fields: list[str], line: int) -> tuple[int, ...]:
-    """The index fields of an entry line, all but the first and the last, as
-    ints; a bad one raises a ParseError that names it i, j or k. The entry
-    loops convert with plain int() and call this only to name the bad field."""
-    return tuple(_int(tok, line, what) for tok, what in zip(fields[1:-1], "ijk"))
+def _entry(table: dict, fields: list[str], line: int, width: int) -> None:
+    """The entry rule of a text table line, ``KEY I J [K] COEFF``: ``width`` fields after
+    the key, integer indices not read before in ``table`` (a bad one is named i, j or k),
+    then a coefficient (``_ratio``), kept in ``table`` as {indices: (n, q)}, zeros included."""
+    if len(fields) != width + 1:
+        raise ParseError(f"expected '{' '.join((fields[0],) + _FIELDS[fields[0]])}'", line)
+    try:
+        key = (int(fields[1]), int(fields[2]), int(fields[3])) if width == 4 else (int(fields[1]), int(fields[2]))
+    except ValueError:
+        key = tuple(_int(tok, line, what) for tok, what in zip(fields[1:-1], "ijk"))
+    if key in table:
+        raise ParseError(f"duplicate {fields[0]} entry {key}", line)
+    table[key] = linalg._ratio(fields[-1]) or _ratio(fields[-1], line)  # the second call only raises
 
 
-def _written(doc: _Tables, name: str) -> list[tuple]:
-    """Table ``name`` of a document as the writers emit it: (*indices, text)
+def _written(doc: _Tables, key: str) -> list[list]:
+    """The table written under ``key`` as the writer lays it out: [*indices, text]
     in sorted order, zeros dropped, each coefficient as ``format_scalar``
     writes it; a float or bool coefficient raises TypeError (``normalize``)."""
-    d, table = doc.ints(name)
-    d, table = normalize(table, None, name, d)
-    return [key + (_ratio_text(n, d),) for key, n in table.items()]
+    d, table = doc.ints(key)
+    d, table = normalize(table, None, key, d)
+    return [[*indices, _ratio_text(n, d)] for indices, n in table.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +296,11 @@ def _algebra_document(name: str, basis: list, degree, bracket: dict, metric: dic
 
 
 def _context_document(name: str, delta: int, h_doc, a_doc, tables: dict, locate) -> ContextDocument:
+    """``tables``: rho, lambda and omega, in that order, as {indices: (n, q)}."""
     _bits((delta,), "delta", locate, "delta")
     na, nh = len(a_doc.basis), len(h_doc.basis)
-    ints = {field: _table(tables[what], bounds, what, name, locate) for field, what, bounds in (
-        ("rho", "rho", (na, nh, nh)), ("lam", "lambda", (na, na, nh)), ("omega", "omega", (na, na, na)))}
+    bounds = {"rho": (na, nh, nh), "lambda": (na, na, nh), "omega": (na, na, na)}
+    ints = {_FIELD.get(key, key): _table(table, bounds[key], key, name, locate) for key, table in tables.items()}
     return ContextDocument.from_ints(ints, name=name, delta=delta, h_doc=h_doc, a_doc=a_doc)
 
 
@@ -335,36 +323,19 @@ def _parse_algebra(cur: _Cursor) -> AlgebraDocument:
     head, name = _head(cur, "algebra")
     basis: list[tuple[str, int]] = []
     metric_degree: int | None = None
-    # every entry read, zeros included, so that a repeated one is found, as (n, q)
     bracket: dict[tuple[int, ...], tuple[int, int]] = {}
     metric: dict[tuple[int, ...], tuple[int, int]] = {}
     for line, fields in cur.lines:
         key = fields[0]
         if key == "bracket":
-            if len(fields) != 5:
-                raise ParseError("expected 'bracket I J K COEFF'", line)
-            try:
-                trip = (int(fields[1]), int(fields[2]), int(fields[3]))
-            except ValueError:
-                trip = _indices(fields, line)
-            if trip in bracket:
-                raise ParseError(f"duplicate bracket entry {trip}", line)
-            bracket[trip] = _ratio(fields[4], line)
+            _entry(bracket, fields, line, 4)
         elif key == "metric":
             if metric_degree is None:
                 raise ParseError("'metric' entries must follow 'metric-degree'", line)
-            if len(fields) != 4:
-                raise ParseError("expected 'metric I J COEFF'", line)
-            try:
-                pair = (int(fields[1]), int(fields[2]))
-            except ValueError:
-                pair = _indices(fields, line)
-            if pair in metric:
-                raise ParseError(f"duplicate metric entry {pair}", line)
-            metric[pair] = _ratio(fields[3], line)
+            _entry(metric, fields, line, 3)
         elif key == "basis":
             if len(fields) != 3:
-                raise ParseError("expected 'basis LABEL PARITY'", line)
+                raise ParseError(f"expected 'basis {' '.join(_FIELDS['basis'])}'", line)
             basis.append((fields[1], _int(fields[2], line, "parity")))
         elif key == "metric-degree":
             if len(fields) != 2 or metric_degree is not None:
@@ -379,21 +350,6 @@ def _parse_algebra(cur: _Cursor) -> AlgebraDocument:
     else:
         raise cur.end_of_input()
     return _algebra_document(name, basis, metric_degree, bracket, metric, functools.partial(cur.line_of, head, line))
-
-
-def serialize_algebra_lines(doc: AlgebraDocument) -> list[str]:
-    out = [f"algebra {doc.name}"]
-    out += [f"basis {lab} {p}" for lab, p in doc.basis]
-    out += [f"bracket {i} {j} {k} {c}" for i, j, k, c in _written(doc, "bracket")]
-    if doc.metric_degree is not None:
-        out.append(f"metric-degree {doc.metric_degree}")
-        out += [f"metric {i} {j} {c}" for i, j, c in _written(doc, "metric")]
-    out.append("end algebra")
-    return out
-
-
-def serialize_algebra_text(doc: AlgebraDocument) -> str:
-    return "\n".join(serialize_algebra_lines(doc)) + "\n"
 
 
 def _parse_context(cur: _Cursor) -> ContextDocument:
@@ -417,29 +373,10 @@ def _parse_context(cur: _Cursor) -> ContextDocument:
             if fields != ["end", "context"]:
                 raise ParseError("expected 'end context'", line)
             break
-        if len(fields) != 5:
-            raise ParseError(f"expected '{key} I J K COEFF'", line)
-        try:
-            trip = (int(fields[1]), int(fields[2]), int(fields[3]))
-        except ValueError:
-            trip = _indices(fields, line)
-        if trip in table:
-            raise ParseError(f"duplicate {key} entry {trip}", line)
-        table[trip] = _ratio(fields[4], line)
+        _entry(table, fields, line, 4)
     else:
         raise cur.end_of_input()
     return _context_document(name, delta, h_doc, a_doc, tables, functools.partial(cur.line_of, head, line))
-
-
-def serialize_context_text(doc: ContextDocument) -> str:
-    out = [f"context {doc.name}", f"delta {doc.delta}", "h-algebra"]
-    out += serialize_algebra_lines(doc.h_doc)
-    out.append("a-algebra")
-    out += serialize_algebra_lines(doc.a_doc)
-    out += [f"{key} {i} {j} {k} {v}" for key, name in (("rho", "rho"), ("lambda", "lam"), ("omega", "omega"))
-            for i, j, k, v in _written(doc, name)]
-    out.append("end context")
-    return "\n".join(out) + "\n"
 
 
 def _parse_ideal(cur: _Cursor) -> IdealDocument:
@@ -456,30 +393,8 @@ def _parse_ideal(cur: _Cursor) -> IdealDocument:
     return _ideal_document(name, vectors, functools.partial(cur.line_of, head, line))
 
 
-def serialize_ideal_text(doc: IdealDocument) -> str:
-    out = [f"ideal {doc.name}"]
-    out += ["vector " + " ".join(format_scalar(c) for c in v) for v in doc.vectors]
-    out.append("end ideal")
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # JSON rendering with identical content
-
-
-def _algebra_obj(doc: AlgebraDocument) -> dict:
-    obj = {
-        "kind": "algebra",
-        "name": doc.name,
-        "basis": [[lab, p] for lab, p in doc.basis],
-        "bracket": [list(e) for e in _written(doc, "bracket")],
-    }
-    if doc.metric_degree is not None:
-        obj["metric"] = {
-            "degree": doc.metric_degree,
-            "entries": [list(e) for e in _written(doc, "metric")],
-        }
-    return obj
 
 
 # the keys of each kind of JSON object, each required but an algebra's "metric"; any
@@ -487,10 +402,6 @@ def _algebra_obj(doc: AlgebraDocument) -> dict:
 _JSON_KEYS = {"algebra": ("kind", "name", "basis", "bracket", "metric"), "metric": ("degree", "entries"),
               "context": ("kind", "name", "delta", "h", "a", "rho", "lambda", "omega"),
               "ideal": ("kind", "name", "vectors")}
-
-# the entry of each JSON table, spelt as the text reader's messages spell its line
-_JSON_ENTRIES = {"basis": "[LABEL, PARITY]", "metric": "[I, J, COEFF]",
-                 **dict.fromkeys(("bracket", "rho", "lambda", "omega"), "[I, J, K, COEFF]")}
 
 
 def _dedup(pairs: list, message: str) -> dict:
@@ -588,9 +499,9 @@ def _json_table(x, name: str, what: str = ""):
             pass
         else:
             return _dedup(entries, f"duplicate {name} entry {{}}")
-    form = _JSON_ENTRIES[name]
-    k = next(k for k, row in enumerate(rows) if type(row) is not list or len(row) != form.count(",") + 1)
-    raise ParseError(f"{name} entry {k} must be {form}, got {_shown(rows[k])}")
+    fields = _FIELDS[name]
+    k = next(k for k, row in enumerate(rows) if type(row) is not list or len(row) != len(fields))
+    raise ParseError(f"{name} entry {k} must be [{', '.join(fields)}], got {_shown(rows[k])}")
 
 
 def _algebra_from_obj(obj, field: str = "") -> AlgebraDocument:
@@ -617,24 +528,47 @@ def _algebra_from_obj(obj, field: str = "") -> AlgebraDocument:
 
 
 def document_to_obj(doc: Document) -> dict:
+    """The one layout of a document: its JSON object, whose keys are in the
+    order of the text lines that ``_text`` renders from it."""
     if isinstance(doc, AlgebraDocument):
-        return _algebra_obj(doc)
+        obj = {"kind": "algebra", "name": doc.name, "basis": [[lab, p] for lab, p in doc.basis],
+               "bracket": _written(doc, "bracket")}
+        if doc.metric_degree is not None:
+            obj["metric"] = {"degree": doc.metric_degree, "entries": _written(doc, "metric")}
+        return obj
     if isinstance(doc, ContextDocument):
-        return {
-            "kind": "context",
-            "name": doc.name,
-            "delta": doc.delta,
-            "h": _algebra_obj(doc.h_doc),
-            "a": _algebra_obj(doc.a_doc),
-            "rho": [list(e) for e in _written(doc, "rho")],
-            "lambda": [list(e) for e in _written(doc, "lam")],
-            "omega": [list(e) for e in _written(doc, "omega")],
-        }
-    return {
-        "kind": "ideal",
-        "name": doc.name,
-        "vectors": [[format_scalar(c) for c in v] for v in doc.vectors],
-    }
+        return {"kind": "context", "name": doc.name, "delta": doc.delta, "h": document_to_obj(doc.h_doc),
+                "a": document_to_obj(doc.a_doc), **{key: _written(doc, key) for key in ("rho", "lambda", "omega")}}
+    return {"kind": "ideal", "name": doc.name, "vectors": [[format_scalar(c) for c in v] for v in doc.vectors]}
+
+
+def _lines(key: str, rows: list) -> list[str]:
+    """A text line per entry of table ``key``: the key, then the entry's fields."""
+    line = key + " %s" * len(_FIELDS[key])
+    return [line % tuple(row) for row in rows]
+
+
+def _text(obj: dict) -> list[str]:
+    """The text lines of a document object, in its keys' order: ``KIND NAME``;
+    a line per table entry, its key (``vector`` for ``vectors``) then its
+    fields; ``delta D``; ``metric-degree D`` before the metric's entries;
+    ``h-algebra`` or ``a-algebra`` before that algebra's lines; ``end KIND``."""
+    out = [f"{obj['kind']} {obj['name']}"]
+    for key, value in obj.items():
+        if key in ("h", "a"):
+            out.append(f"{key}-algebra")
+            out += _text(value)
+        elif key == "metric":
+            out.append(f"metric-degree {value['degree']}")
+            out += _lines("metric", value["entries"])
+        elif key == "vectors":
+            out += ["vector " + " ".join(v) for v in value]
+        elif key in _FIELDS:
+            out += _lines(key, value)
+        elif key == "delta":
+            out.append(f"delta {value}")
+    out.append(f"end {obj['kind']}")
+    return out
 
 
 def document_from_obj(obj: dict) -> Document:
@@ -659,13 +593,10 @@ def document_from_obj(obj: dict) -> Document:
 
 
 def serialize_document(doc: Document, fmt: str = "text") -> str:
+    obj = document_to_obj(doc)
     if fmt == "json":
-        return json.dumps(document_to_obj(doc), sort_keys=True, separators=(",", ":")) + "\n"
-    if isinstance(doc, AlgebraDocument):
-        return serialize_algebra_text(doc)
-    if isinstance(doc, ContextDocument):
-        return serialize_context_text(doc)
-    return serialize_ideal_text(doc)
+        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return "\n".join(_text(obj)) + "\n"
 
 
 def parse_document(text: str) -> Document:
@@ -744,7 +675,7 @@ def document_to_context(doc: ContextDocument) -> DeltaContext:
         tables[x][r, c] = n
     rho = tuple(GradedLinearMap.from_ints(h.space, h.space, a.space.parity(x), d, t)
                 for x, t in enumerate(tables))
-    lam = GradedBilinearMap.from_ints(a.space, a.space, h.space, *doc.ints("lam", (a.dim, a.dim, h.dim)))
+    lam = GradedBilinearMap.from_ints(a.space, a.space, h.space, *doc.ints("lambda", (a.dim, a.dim, h.dim)))
     dual = p_delta_dual(a.space, doc.delta)
     omega = GradedBilinearMap.from_ints(a.space, a.space, dual, *doc.ints("omega", (a.dim,) * 3))
     try:

@@ -37,6 +37,7 @@ rank is zero there.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -47,11 +48,54 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# Fraction(str)'s grammar on Python 3.10, less exponents: the part that every
+# supported Python reads alike
+_RATIONAL = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?\s*")
+
+
+def _ratio(text: str) -> tuple[int, int] | None:
+    """(n, q), q > 0, not always in lowest terms: the exact rational n/q
+    written as "p", "p/q" or a decimal such as "0.5", ".5" or "5.", where p
+    and q are digit strings, with an optional sign and optional whitespace
+    around the whole; None for any other text. The grammar is fixed here
+    rather than taken from ``Fraction(str)``, whose grammar grew in later
+    Pythons, so it is the same on every supported Python: underscores,
+    whitespace around "/" and exponents are refused everywhere (Fraction
+    would write out every digit of 1e100000000 and stall)."""
+    num, slash, den = text.partition("/")
+    if (num[1:] if num[:1] in ("+", "-") else num).isdecimal() and (den.isdecimal() or not slash):
+        try:  # "p" or "p/q" with an optional sign: the grammar's common case, read without the pattern
+            n, d = int(num), int(den) if slash else 1
+            if d:
+                return n, d
+        except ValueError:  # a digit string over int's digit limit
+            pass
+    m = _RATIONAL.fullmatch(text)
+    if m is not None:
+        sign, num, den, dec = m.groups()
+        try:
+            n, d = int(num or 0), int(den) if den is not None else 10 ** len(dec or "")
+            if dec:  # a decimal: its digits over a power of ten
+                n = n * d + int(dec)
+            if d:
+                return (-n if sign == "-" else n), d
+        except ValueError:  # a digit string over int's digit limit
+            pass
+    return None
+
+
 def scalar(e) -> Fraction:
     """An exact rational. Floats and bools raise TypeError: a float's binary
-    value would enter silently inexact, and a bool is not a coefficient."""
+    value would enter silently inexact, and a bool is not a coefficient. A
+    string is read by the documents' grammar (``_ratio``), and other text
+    raises ValueError."""
     if type(e) is Fraction:
         return e
+    if isinstance(e, str):
+        ratio = _ratio(e)
+        if ratio is None:
+            raise ValueError(f"bad rational {e!r}")
+        return Fraction(*ratio)
     if isinstance(e, (bool, float)):
         raise TypeError(f"coefficient must be an exact rational, got {type(e).__name__} {e!r}")
     return Fraction(e)

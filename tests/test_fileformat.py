@@ -759,3 +759,74 @@ def test_an_algebra_with_no_record_is_not_written():
         with pytest.raises(AssertionError):
             context_to_document(dataclasses.replace(ctx, **{field: unrecorded}), "c")
     assert algebra_to_document(document_to_algebra(doc), "g") == algebra_to_document(ctx.extension, "g")
+
+
+# ---------------------------------------------------------------------------
+# The writers' bytes where no corpus document reaches, and one spelling of each table's fields
+
+WRITTEN = [
+    ("dim-0-metric", AlgebraDocument("z", (), (), 0, ()), "algebra z\nmetric-degree 0\nend algebra\n",
+     '{"basis":[],"bracket":[],"kind":"algebra","metric":{"degree":0,"entries":[]},"name":"z"}\n'),
+    ("dim-0-plain", AlgebraDocument("z", (), ()), "algebra z\nend algebra\n",
+     '{"basis":[],"bracket":[],"kind":"algebra","name":"z"}\n'),
+    ("context-dim-0", ContextDocument("c", 1, AlgebraDocument("h", (), (), 1, ()), AlgebraDocument("a", (), ()),
+                                      (), (), ()),
+     "context c\ndelta 1\nh-algebra\nalgebra h\nmetric-degree 1\nend algebra\na-algebra\nalgebra a\nend algebra\n"
+     "end context\n",
+     '{"a":{"basis":[],"bracket":[],"kind":"algebra","name":"a"},"delta":1,"h":{"basis":[],"bracket":[],'
+     '"kind":"algebra","metric":{"degree":1,"entries":[]},"name":"h"},"kind":"context","lambda":[],"name":"c",'
+     '"omega":[],"rho":[]}\n'),
+    ("ideal-empty-vector", IdealDocument("i", ((),)), "ideal i\nvector \nend ideal\n",
+     '{"kind":"ideal","name":"i","vectors":[[]]}\n'),
+    ("ideal-two-vectors", IdealDocument("i", ((F(1), F(-1, 2)), (F(0), F(3)))),
+     "ideal i\nvector 1 -1/2\nvector 0 3\nend ideal\n",
+     '{"kind":"ideal","name":"i","vectors":[["1","-1/2"],["0","3"]]}\n'),
+]
+
+
+@pytest.mark.parametrize("doc, text, blob", [case[1:] for case in WRITTEN], ids=[case[0] for case in WRITTEN])
+def test_writers_bytes_where_no_corpus_document_reaches(doc, text, blob):
+    assert serialize_document(doc, "text") == text
+    assert serialize_document(doc, "json") == blob
+    assert parse_document(text) == parse_document(blob) == doc
+
+
+EVERY_TABLE = """context c
+delta 0
+h-algebra
+algebra h
+basis e 0
+bracket 0 0 0 1
+metric-degree 0
+metric 0 0 1
+end algebra
+a-algebra
+algebra a
+basis x 0
+end algebra
+rho 0 0 0 1
+lambda 0 0 0 1
+omega 0 0 0 1
+end context
+"""
+
+TABLE_PATHS = {"basis": ("h", "basis"), "bracket": ("h", "bracket"), "metric": ("h", "metric", "entries"),
+               "rho": ("rho",), "lambda": ("lambda",), "omega": ("omega",)}
+
+
+@pytest.mark.parametrize("table", sorted(TABLE_PATHS))
+def test_a_short_entry_names_its_tables_fields_alike_in_both_syntaxes(table):
+    """A text line one field short and a JSON entry one field short are
+    refused naming the same fields, the table's own."""
+    lines = EVERY_TABLE.splitlines()
+    k = next(k for k, line in enumerate(lines) if line.split()[0] == table)
+    lines[k] = lines[k].rsplit(" ", 1)[0]
+    with pytest.raises(ParseError) as text_exc:
+        parse_document("\n".join(lines))
+    obj = document_to_obj(parse_document(EVERY_TABLE))
+    path = TABLE_PATHS[table] + (0,)
+    with pytest.raises(ParseError) as json_exc:
+        parse_document(planted(obj, path, at(obj, path)[:-1]))
+    in_text = re.fullmatch(rf"expected '{table} (.*)'", text_exc.value.message).group(1).split(" ")
+    in_json = re.fullmatch(rf"{table} entry 0 must be \[(.*)\], got .*", json_exc.value.message).group(1).split(", ")
+    assert in_text == in_json == ENTRY_FORMS[table][1:-1].split(", ")

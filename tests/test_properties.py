@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from superquad import linalg
 from superquad.cli import main
 from superquad.errors import ParseError
 from superquad.fileformat import (
@@ -210,8 +211,9 @@ def test_decompose_on_fuzzed_ideal_documents_exits_0_1_or_2(case):
 
 def _reference_scalar(text):
     """Fraction(text) on the grammar that every supported Python reads alike;
-    None where parse_scalar must raise. Python 3.11 added underscores and 3.12
-    whitespace around '/', so those are refused, and exponents always are."""
+    None where parse_scalar must raise, and linalg.scalar raise ValueError.
+    Python 3.11 added underscores and 3.12 whitespace around '/', so those
+    are refused, and exponents always are."""
     if any(ch in text for ch in "eE_") or " /" in text or "/ " in text:
         return None
     try:
@@ -227,28 +229,38 @@ def _reference_scalar(text):
 @example("5.")
 @example("-.5")
 def test_parse_scalar_reads_one_grammar_on_every_python(text):
+    """The documents' reader and the library's, ``linalg.scalar``, read one grammar."""
     expected = _reference_scalar(text)
     try:
         value = parse_scalar(text)
     except ParseError as exc:
         assert expected is None, text
         assert exc.message.startswith(f"bad rational {text!r}")
+        with pytest.raises(ValueError):
+            linalg.scalar(text)
         return
     assert type(value) is Fraction and value == expected, text
+    assert type(linalg.scalar(text)) is Fraction and linalg.scalar(text) == expected, text
 
 
 @pytest.mark.parametrize("text, value", [
     (" 1/2 ", Fraction(1, 2)), ("+3", Fraction(3)), ("-0/7", Fraction(0)), ("-2.50", Fraction(-5, 2)),
     ("1/0", None), ("1_000", None), ("1 / 2", None), ("9" * 5000, None), ("1/" + "9" * 5000, None),
+    ("1e100000000", None),
 ])
 def test_parse_scalar_pinned_cases(text, value):
+    """Both readers, ``parse_scalar`` and ``linalg.scalar``: a value, or a
+    refusal, at once even for an exponent that Fraction would expand."""
     if value is not None:
-        assert parse_scalar(text) == value
+        assert parse_scalar(text) == linalg.scalar(text) == value
         return
     with pytest.raises(ParseError) as exc:
         parse_scalar(text)
     shown = repr(text) if len(repr(text)) <= 60 else repr(text)[:57] + "..."  # a long echo is cut
-    assert exc.value.message == f"bad rational {shown}"
+    exponent = ": exponent notation is not accepted" if "e" in text else ""
+    assert exc.value.message == f"bad rational {shown}{exponent}"
+    with pytest.raises(ValueError):
+        linalg.scalar(text)
 
 
 def test_eta_with_underscores_is_a_parse_error(tmp_path):
